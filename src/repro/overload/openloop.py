@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
+from repro.keyspace import format_key
 from repro.overload.shapes import ArrivalShape
 from repro.stores.base import OpType
 from repro.ycsb.client import attempt_op
@@ -281,8 +282,7 @@ class _OpenLoopRun:
                                      self.schema)
             key, fields = record.key, record.fields
         else:
-            key = generate_record(self.chooser.next_record_number(),
-                                  self.schema).key
+            key = format_key(self.chooser.next_record_number())
             if op is OpType.SCAN:
                 scan_length = self.config.workload.scan_length
         return op, key, fields, scan_length

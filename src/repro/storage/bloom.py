@@ -37,25 +37,37 @@ class BloomFilter:
         """On-disk footprint of the filter."""
         return len(self._bits)
 
-    def _positions(self, key: str):
-        # Kirsch–Mitzenmacher double hashing from one 16-byte digest.
+    def _first_and_step(self, key: str) -> tuple[int, int]:
+        # Kirsch–Mitzenmacher double hashing from one 16-byte digest:
+        # position i is (h1 + i * h2) mod n_bits, walked here as a start
+        # and a step already reduced mod n_bits.
         digest = blake2b(key.encode("utf-8"), digest_size=16).digest()
         h1 = int.from_bytes(digest[:8], "big")
         h2 = int.from_bytes(digest[8:], "big") | 1
-        for i in range(self.n_hashes):
-            yield (h1 + i * h2) % self.n_bits
+        return h1 % self.n_bits, h2 % self.n_bits
 
     def add(self, key: str) -> None:
         """Insert ``key`` into the filter."""
-        for pos in self._positions(key):
-            self._bits[pos >> 3] |= 1 << (pos & 7)
+        pos, step = self._first_and_step(key)
+        bits, n_bits = self._bits, self.n_bits
+        for __ in range(self.n_hashes):
+            bits[pos >> 3] |= 1 << (pos & 7)
+            pos += step
+            if pos >= n_bits:
+                pos -= n_bits
         self.n_items += 1
 
     def might_contain(self, key: str) -> bool:
         """``False`` means definitely absent; ``True`` means probably present."""
-        return all(
-            self._bits[pos >> 3] & (1 << (pos & 7)) for pos in self._positions(key)
-        )
+        pos, step = self._first_and_step(key)
+        bits, n_bits = self._bits, self.n_bits
+        for __ in range(self.n_hashes):
+            if not bits[pos >> 3] & (1 << (pos & 7)):
+                return False
+            pos += step
+            if pos >= n_bits:
+                pos -= n_bits
+        return True
 
     def estimated_fp_rate(self) -> float:
         """The theoretical false-positive rate at the current fill."""

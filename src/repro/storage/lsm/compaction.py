@@ -33,7 +33,11 @@ def merge_sstables(tables: Sequence[SSTable], drop_tombstones: bool,
             by_key.setdefault(key, []).append(versioned)
     merged: list[tuple[str, Versioned]] = []
     for key in sorted(by_key):
-        resolved = resolve_versions(by_key[key])
+        versions = by_key[key]
+        # A key only one input holds needs no folding: carry its cell
+        # over as it is (cells are never mutated once in a run).
+        resolved = (versions[0] if len(versions) == 1
+                    else resolve_versions(versions))
         if drop_tombstones and resolved.value is TOMBSTONE:
             continue
         merged.append((key, resolved))

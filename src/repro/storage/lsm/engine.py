@@ -113,10 +113,11 @@ class LSMEngine:
     def put(self, key: str, fields: Mapping[str, str]) -> IoBill:
         """Durably buffer a write; returns the implied disk work."""
         self.writes += 1
-        payload = sstable_entry_size(key, fields)
-        synced = self.commit_log.append(payload)
         seq = self._next_seq()
-        self.memtable.put(key, fields, seq)
+        # The memtable sizes the write once, for its own flush accounting
+        # and for the commit log.
+        payload = self.memtable.put(key, fields, seq)
+        synced = self.commit_log.append(payload)
         self._wal_records.append((key, dict(fields), seq))
         bill = IoBill(wal_sync_bytes=synced)
         self._maybe_flush(bill)

@@ -35,18 +35,25 @@ class Memtable:
     def __len__(self) -> int:
         return len(self._data)
 
-    def put(self, key: str, fields: Mapping[str, str], seq: int) -> None:
-        """Insert or column-wise upsert ``fields`` under ``key``."""
+    def put(self, key: str, fields: Mapping[str, str], seq: int) -> int:
+        """Insert or column-wise upsert ``fields`` under ``key``.
+
+        Returns the serialised size of the write itself (``key`` plus the
+        ``fields`` given), which is what the engine's commit log records.
+        """
         self.ops += 1
-        existing: Optional[Versioned] = self._data.get(key)
-        if existing is None or existing.value is TOMBSTONE:
-            merged = dict(fields)
-        else:
-            self.size_bytes -= sstable_entry_size(key, existing.value)
-            merged = dict(existing.value)
-            merged.update(fields)
-        self._data.put(key, Versioned(seq, merged))
-        self.size_bytes += sstable_entry_size(key, merged)
+        written = sstable_entry_size(key, fields)
+        cell = Versioned(seq, dict(fields))
+        existing: Versioned = self._data.setdefault(key, cell)
+        growth = written
+        if existing is not cell:  # already buffered: upsert, or revive
+            if existing.value is not TOMBSTONE:
+                cell.value = {**existing.value, **fields}
+                growth = (sstable_entry_size(key, cell.value)
+                          - sstable_entry_size(key, existing.value))
+            self._data.put(key, cell)
+        self.size_bytes += growth
+        return written
 
     def delete(self, key: str, seq: int) -> None:
         """Record a deletion (tombstone) for ``key``."""

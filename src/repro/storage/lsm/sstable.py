@@ -8,6 +8,8 @@ the :data:`TOMBSTONE` sentinel so that compaction can drop shadowed data.
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import islice
+from operator import lt
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from repro.storage.bloom import BloomFilter
@@ -110,7 +112,7 @@ class SSTable:
                  generation: Optional[int] = None):
         pairs = list(items)
         keys = [k for k, __ in pairs]
-        if any(keys[i] >= keys[i + 1] for i in range(len(keys) - 1)):
+        if not all(map(lt, keys, islice(keys, 1, None))):
             raise ValueError("SSTable input must be strictly sorted by key")
         self._keys = keys
         self._values = [v for __, v in pairs]

@@ -13,6 +13,7 @@ mapping the paper performs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping
 
 __all__ = ["RecordSchema", "Record", "APM_SCHEMA"]
@@ -27,10 +28,20 @@ class RecordSchema:
     field_length: int = 10
     field_prefix: str = "field"
 
-    @property
+    # The schema is immutable, so its derived layout is computed once per
+    # instance: both are read once per generated record.
+
+    @cached_property
     def field_names(self) -> tuple[str, ...]:
         """The ordered field names (``field0`` ... ``fieldN``)."""
         return tuple(f"{self.field_prefix}{i}" for i in range(self.field_count))
+
+    @cached_property
+    def field_slices(self) -> tuple[tuple[str, slice], ...]:
+        """Each field's name and its span in the concatenated field values."""
+        length = self.field_length
+        return tuple((name, slice(i * length, (i + 1) * length))
+                     for i, name in enumerate(self.field_names))
 
     @property
     def raw_record_bytes(self) -> int:

@@ -54,8 +54,10 @@ class SkipList:
         update = [self._head] * _MAX_LEVEL
         node = self._head
         for level in range(self._level - 1, -1, -1):
-            while node.forward[level] is not None and node.forward[level].key < key:
-                node = node.forward[level]
+            following = node.forward[level]
+            while following is not None and following.key < key:
+                node = following
+                following = node.forward[level]
             update[level] = node
         return update
 
@@ -66,6 +68,23 @@ class SkipList:
         if node is not None and node.key == key:
             node.value = value
             return False
+        self._link(update, key, value)
+        return True
+
+    def setdefault(self, key: Any, value: Any) -> Any:
+        """The value under ``key``, inserting ``value`` first if absent.
+
+        ``dict.setdefault`` for the sorted map: an insert-unless-present
+        in a single descent.
+        """
+        update = self._find_predecessors(key)
+        node = update[0].forward[0]
+        if node is not None and node.key == key:
+            return node.value
+        self._link(update, key, value)
+        return value
+
+    def _link(self, update: list[_SkipNode], key: Any, value: Any) -> None:
         level = self._random_level()
         if level > self._level:
             self._level = level
@@ -74,14 +93,15 @@ class SkipList:
             new_node.forward[i] = update[i].forward[i]
             update[i].forward[i] = new_node
         self._size += 1
-        return True
 
     def get(self, key: Any, default: Any = None) -> Any:
         """Return the value for ``key`` or ``default``."""
         node = self._head
         for level in range(self._level - 1, -1, -1):
-            while node.forward[level] is not None and node.forward[level].key < key:
-                node = node.forward[level]
+            following = node.forward[level]
+            while following is not None and following.key < key:
+                node = following
+                following = node.forward[level]
         node = node.forward[0]
         if node is not None and node.key == key:
             return node.value

@@ -18,6 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.keyspace import format_key
 from repro.sim.faults import (DeadlineExceededError, FaultError,
                               OverloadError)
 from repro.storage.record import RecordSchema
@@ -172,9 +173,7 @@ class ClientThread:
                     self.chooser.next_record_number(), self.schema)
                 key, fields = record.key, record.fields
             else:  # READ / SCAN / DELETE
-                key = generate_record(
-                    self.chooser.next_record_number(), self.schema
-                ).key
+                key = format_key(self.chooser.next_record_number())
                 if op is OpType.SCAN:
                     scan_length = self.workload.scan_length
             # Workload-loop and driver dispatch work happens before YCSB

@@ -9,6 +9,7 @@ Records follow the paper's schema: 25-byte keys, five 10-byte fields.
 from __future__ import annotations
 
 import random
+from hashlib import shake_128
 from typing import Iterator
 
 from repro.keyspace import format_key
@@ -28,25 +29,36 @@ __all__ = [
 
 _VALUE_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 
+#: Byte -> alphabet symbol.  256 is not a multiple of 36, so four symbols
+#: are 1/256 likelier than the rest; field bytes are content-free by
+#: contract (only their lengths reach the simulation), so that is moot.
+_TO_ALPHABET = bytes(ord(_VALUE_ALPHABET[byte % len(_VALUE_ALPHABET)])
+                     for byte in range(256))
+
+
+def _field_chars(record_number: int, count: int) -> str:
+    """The first ``count`` field characters of record ``record_number``.
+
+    One extendable-output hash per record: a longer request only extends
+    a shorter one, so any field of any length is a slice of the same
+    stream, and the stream depends on nothing but the record number.
+    """
+    stream = shake_128(record_number.to_bytes(8, "big")).digest(count)
+    return stream.translate(_TO_ALPHABET).decode("ascii")
+
 
 def generate_field_value(record_number: int, field_index: int,
                          length: int) -> str:
     """Deterministic field content for record/field (reproducible loads)."""
-    seed = record_number * 31 + field_index * 7
-    chars = []
-    for i in range(length):
-        seed = (seed * 6364136223846793005 + 1442695040888963407) % 2**64
-        chars.append(_VALUE_ALPHABET[seed % len(_VALUE_ALPHABET)])
-    return "".join(chars)
+    start = field_index * length
+    return _field_chars(record_number, start + length)[start:]
 
 
 def generate_record(record_number: int,
                     schema: RecordSchema = APM_SCHEMA) -> Record:
     """The benchmark record for ``record_number``."""
-    fields = {
-        name: generate_field_value(record_number, i, schema.field_length)
-        for i, name in enumerate(schema.field_names)
-    }
+    chars = _field_chars(record_number, schema.raw_value_bytes)
+    fields = {name: chars[span] for name, span in schema.field_slices}
     return Record(format_key(record_number), fields)
 
 

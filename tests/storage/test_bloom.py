@@ -1,5 +1,7 @@
 """Unit and property tests for Bloom filters."""
 
+from hashlib import blake2b
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,21 @@ class TestBloomFilter:
             bloom.might_contain(f"nonmember-{i}") for i in range(10_000)
         )
         assert false_positives / 10_000 < 0.03  # 3x headroom over target
+
+    def test_bit_positions_are_kirsch_mitzenmacher(self):
+        # The reference form of the walk add()/might_contain() inline.
+        bloom = BloomFilter(300, 0.02)
+        expected = bytearray(len(bloom._bits))
+        for i in range(300):
+            key = f"user{i:021d}"
+            bloom.add(key)
+            digest = blake2b(key.encode("utf-8"), digest_size=16).digest()
+            h1 = int.from_bytes(digest[:8], "big")
+            h2 = int.from_bytes(digest[8:], "big") | 1
+            for j in range(bloom.n_hashes):
+                pos = (h1 + j * h2) % bloom.n_bits
+                expected[pos >> 3] |= 1 << (pos & 7)
+        assert bloom._bits == expected
 
     def test_empty_filter_rejects(self):
         bloom = BloomFilter(100)

@@ -92,6 +92,26 @@ class TestMemtable:
         memtable.put("b" * 25, fields("3"), seq=3)
         assert memtable.size_bytes == 2 * one
 
+    def test_put_returns_the_size_of_the_write(self):
+        memtable = Memtable()
+        first = {"field0": "x" * 10}
+        assert memtable.put("a", first, seq=1) == sstable_entry_size(
+            "a", first)
+        # An upsert reports the columns written, not the merged entry.
+        second = {"field1": "y" * 10, "field2": "z" * 10}
+        assert memtable.put("a", second, seq=2) == sstable_entry_size(
+            "a", second)
+        assert memtable.size_bytes == sstable_entry_size(
+            "a", {**first, **second})
+
+    def test_put_over_tombstone_starts_afresh(self):
+        memtable = Memtable()
+        memtable.delete("a", seq=1)
+        memtable.put("a", {"field1": "y" * 10}, seq=2)
+        assert memtable.get("a").value == {"field1": "y" * 10}
+        assert memtable.get("a").seq == 2
+        assert len(memtable) == 1
+
     def test_sorted_items(self):
         memtable = Memtable()
         for key in ["c", "a", "b"]:
@@ -190,6 +210,18 @@ class TestCompaction:
         merged = merge_sstables([old, new], drop_tombstones=False)
         assert merged.get("a").value == fields("new")
         assert len(merged) == 1
+
+    def test_merge_carries_unshadowed_cells_over(self):
+        left = SSTable([("a", Versioned(1, fields("a"))),
+                        ("c", Versioned(4, TOMBSTONE))])
+        right = SSTable([("b", Versioned(2, fields("b"))),
+                         ("d", Versioned(3, fields("d")))])
+        kept = merge_sstables([left, right], drop_tombstones=False)
+        assert list(kept.items()) == sorted(
+            list(left.items()) + list(right.items()))
+        assert kept.size_bytes == left.size_bytes + right.size_bytes
+        purged = merge_sstables([left, right], drop_tombstones=True)
+        assert [k for k, __ in purged.items()] == ["a", "b", "d"]
 
     def test_merge_drops_shadowed_tombstones(self):
         data = SSTable([("a", Versioned(1, fields("a")))])

@@ -27,6 +27,29 @@ class TestBasics:
         assert len(sl) == 2
         assert "a" in sl
 
+    def test_setdefault_inserts_only_when_absent(self):
+        sl = SkipList()
+        assert sl.setdefault("a", 1) == 1
+        assert sl.setdefault("a", 2) == 1  # present: value kept
+        assert sl.get("a") == 1
+        assert len(sl) == 1
+
+    def test_setdefault_builds_the_same_list_as_put(self):
+        by_put, by_setdefault = SkipList(seed=3), SkipList(seed=3)
+        keys = [f"k{(i * 7919) % 500:03d}" for i in range(700)]  # repeats
+        for key in keys:
+            by_put.put(key, key)
+            by_setdefault.setdefault(key, key)
+
+        def towers(sl):
+            node, out = sl._head.forward[0], []
+            while node is not None:
+                out.append((node.key, len(node.forward)))
+                node = node.forward[0]
+            return out
+
+        assert towers(by_put) == towers(by_setdefault)
+
     def test_get_default(self):
         sl = SkipList()
         assert sl.get("missing", default="fallback") == "fallback"

@@ -1,0 +1,143 @@
+"""What the load phase leaves behind, pinned store by store.
+
+``Store.load`` is put-by-put ingestion through skip list, Bloom filter,
+commit log, flush and compaction.  Its cost is a harness cost, so it gets
+optimised; its *result* is what every simulated read afterwards sees, so
+it must not move.  Each fingerprint below was taken at the commit before
+the single-pass ingestion clean-up (v1.7.0) and depends only on keys and
+field *lengths* — the record generator's field content is free to change.
+
+The two LSM stores load enough records (17 000) for the load's own
+flush rounds and its minor compaction to be part of the pin; the others
+load 2 000.  Regenerate after an *intentional* change of the post-load
+state with::
+
+    REPRO_UPDATE_LOAD_FINGERPRINTS=1 PYTHONPATH=src python -m pytest \
+        tests/stores/test_load_fingerprint.py
+"""
+
+import json
+import os
+import zlib
+from pathlib import Path
+
+import pytest
+
+from repro.sim.cluster import CLUSTER_M, Cluster
+from repro.storage import btree
+from repro.stores.registry import STORE_NAMES, create_store
+from repro.ycsb.generator import generate_records
+
+GOLDEN_PATH = Path(__file__).parent / "load_fingerprint_golden.json"
+
+RECORDS = {"cassandra": 17_000, "hbase": 17_000}
+DEFAULT_RECORDS = 2_000
+
+
+def _crc(values) -> int:
+    return zlib.crc32(repr(list(values)).encode())
+
+
+def _skiplist(skiplist) -> dict:
+    """Length, key order and the tower height of every node in order."""
+    levels = []
+    node = skiplist._head.forward[0]
+    while node is not None:
+        levels.append(len(node.forward))
+        node = node.forward[0]
+    return {"len": len(skiplist),
+            "keys_crc": _crc(key for key, __ in skiplist.items()),
+            "levels_crc": _crc(levels)}
+
+
+def _engine(engine) -> dict:
+    log = engine.commit_log
+    return {
+        "sstables": [
+            {"generation": table.generation, "len": len(table),
+             "size_bytes": table.size_bytes,
+             "keys_crc": _crc(key for key, __ in table.items()),
+             "seqs_crc": _crc(v.seq for __, v in table.items()),
+             "bloom_bits": table.bloom.n_bits,
+             "bloom_items": table.bloom.n_items,
+             "bloom_crc": zlib.crc32(bytes(table.bloom._bits))}
+            for table in engine.sstables
+        ],
+        "memtable_size_bytes": engine.memtable.size_bytes,
+        "memtable_len": len(engine.memtable),
+        "wal_appended_bytes": log.appended_bytes,
+        "wal_syncs": log.syncs,
+        "wal_total_bytes": log.total_bytes,
+        "flushes": engine.flushes,
+        "compactions": engine.compaction.compactions_run,
+        "writes": engine.writes,
+        "disk_bytes": engine.disk_bytes,
+    }
+
+
+def _tree(tree) -> dict:
+    page_ids = list(tree.leaf_page_ids())
+    return {"len": len(tree), "leaf_pages": len(page_ids),
+            "leaf_page_ids_crc": _crc(page_ids),
+            "keys_crc": _crc(key for key, __ in tree.items())}
+
+
+def _engines_of(store) -> dict:
+    name = store.name
+    if name == "cassandra":
+        return {"engines": [_engine(e) for e in store.engines]}
+    if name == "hbase":
+        return {"engines": [_engine(store.engine_of(rid))
+                            for rid in range(store.n_regions)]}
+    if name == "mysql":
+        return {"trees": [_tree(t) for t in store.tables],
+                "binlog_bytes": list(store.binlog_bytes)}
+    if name == "voldemort":
+        return {"trees": [_tree(t) for t in store.trees],
+                "log_bytes": list(store.log_bytes)}
+    if name == "redis":
+        return {"shards": [{"len": len(shard),
+                            "used_memory_bytes": shard.used_memory_bytes,
+                            "index": _skiplist(shard._index)}
+                           for shard in store.shards],
+                "errors": store.errors}
+    if name == "voltdb":
+        return {"partitions": [_skiplist(table) for __, table
+                               in sorted(store.partitions.items())]}
+    raise AssertionError(f"no fingerprint for store {name!r}")
+
+
+def fingerprint(store_name: str) -> dict:
+    """Load the store on two Cluster M nodes and describe its state."""
+    store = create_store(store_name, Cluster(CLUSTER_M, 2))
+    store.load(generate_records(RECORDS.get(store_name, DEFAULT_RECORDS)))
+    out = _engines_of(store)
+    out["disk_bytes_per_server"] = list(store.disk_bytes_per_server())
+    return out
+
+
+@pytest.fixture(autouse=True)
+def fresh_page_ids(monkeypatch):
+    # B+tree page ids come from a process-global counter.
+    monkeypatch.setattr(btree, "_next_page_id", 0)
+
+
+@pytest.mark.parametrize("store_name", STORE_NAMES)
+def test_post_load_state_matches_parent_commit(store_name):
+    observed = fingerprint(store_name)
+    golden = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+    if os.environ.get("REPRO_UPDATE_LOAD_FINGERPRINTS"):
+        golden[store_name] = observed
+        GOLDEN_PATH.write_text(
+            json.dumps(golden, indent=1, sort_keys=True) + "\n")
+        pytest.skip("load fingerprint regenerated")
+    assert observed == golden[store_name]
+
+
+def test_lsm_load_pins_flushes_and_a_compaction():
+    """The pin must cover the paths the clean-up touched, not skip them."""
+    golden = json.loads(GOLDEN_PATH.read_text())
+    for store_name in ("cassandra", "hbase"):
+        engines = golden[store_name]["engines"]
+        assert all(e["flushes"] >= 4 for e in engines)
+        assert any(e["compactions"] >= 1 for e in engines)

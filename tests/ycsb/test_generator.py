@@ -1,12 +1,19 @@
 """Unit tests for key choosers and record generation."""
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
 from repro.keyspace import KEY_LENGTH, format_key, lex_position
-from repro.storage.record import APM_SCHEMA
+from repro.storage.record import APM_SCHEMA, RecordSchema
 from repro.ycsb.generator import (
     KeySequence,
     LatestChooser,
@@ -57,6 +64,71 @@ class TestRecordGeneration:
     def test_field_value_length(self):
         assert len(generate_field_value(1, 2, 10)) == 10
         assert len(generate_field_value(1, 2, 25)) == 25
+
+
+#: The data set, pinned: ``record number -> (key, field0..field4)``.
+GOLDEN_RECORDS = {
+    0: ("user015659975442190377284",
+        ("oac4cquipu", "a0buv0ah9a", "sae93m2v5p", "e7qm00qa7w",
+         "pov9lqq239")),
+    1: ("user002308726568914317663",
+        ("7afpk97ho0", "nuve8pgnc5", "m0n3u0nb8z", "ui2njl7ql1",
+         "5sqnimb1ma")),
+    123456789: ("user011784778213415131826",
+                ("z4qdbnwdp3", "ca175yfvoh", "1unchgui04", "bwxlp9957e",
+                 "9ft6s7g960")),
+}
+
+_ALPHABET = set("abcdefghijklmnopqrstuvwxyz0123456789")
+
+_DUMP_RECORDS = (
+    "from repro.ycsb.generator import generate_records\n"
+    "for r in generate_records(200):\n"
+    "    print(r.key, *r.fields.items())\n"
+)
+
+
+class TestDataSetDefinition:
+    def test_golden_vector(self):
+        for number, (key, values) in GOLDEN_RECORDS.items():
+            record = generate_record(number)
+            assert record.key == key
+            assert tuple(record.fields.items()) == tuple(
+                (f"field{i}", value) for i, value in enumerate(values))
+
+    @settings(max_examples=60, deadline=None)
+    @given(record_number=st.integers(0, 2**64 - 1),
+           field_count=st.integers(1, 8),
+           # One SHAKE-128 block is 168 bytes: go well past it.
+           field_length=st.integers(1, 400))
+    def test_field_value_is_the_records_field(self, record_number,
+                                              field_count, field_length):
+        schema = RecordSchema(field_count=field_count,
+                              field_length=field_length)
+        record = generate_record(record_number, schema)
+        schema.validate(record)
+        assert list(record.fields) == list(schema.field_names)
+        for i in range(field_count):
+            value = generate_field_value(record_number, i, field_length)
+            assert value == record.fields[f"field{i}"]
+            assert set(value) <= _ALPHABET
+
+    def test_every_symbol_occurs(self):
+        seen = set()
+        for record in generate_records(50):
+            seen.update(*record.fields.values())
+        assert seen == _ALPHABET
+
+    def test_independent_of_the_interpreters_hash_seed(self):
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        dumps = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            dumps.append(subprocess.run(
+                [sys.executable, "-c", _DUMP_RECORDS], env=env, check=True,
+                capture_output=True, text=True, timeout=60).stdout)
+        assert dumps[0] == dumps[1]
+        assert dumps[0].count("\n") == 200
 
 
 class TestKeySequence:
