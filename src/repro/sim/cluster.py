@@ -192,14 +192,16 @@ class Node:
         self.disk.restore()
 
     def cpu(self, cost_s: float):
-        """Process: execute ``cost_s`` seconds of single-core work here.
+        """Execute ``cost_s`` seconds of single-core work here.
 
-        The cost is expressed for a reference core and scaled by this
-        node's :attr:`NodeSpec.core_speed` (and the zombie
-        :attr:`speed_factor`, normally 1.0).
+        Returns the generator of the core hold, to be delegated to
+        (``yield from node.cpu(...)``).  The cost is expressed for a
+        reference core and scaled by this node's
+        :attr:`NodeSpec.core_speed` (and the zombie :attr:`speed_factor`,
+        normally 1.0) as of the call.
         """
-        yield self.sim.process(self.cpus.use(
-            cost_s / (self.spec.core_speed * self.speed_factor)))
+        return self.cpus.use(
+            cost_s / (self.spec.core_speed * self.speed_factor))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Node({self.name!r}, cores={self.spec.cores})"

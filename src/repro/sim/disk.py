@@ -70,26 +70,23 @@ class Disk:
         self.degrade_factor = 1.0
 
     def read(self, nbytes: int, sequential: bool = False):
-        """Process: read ``nbytes`` (random unless ``sequential``)."""
+        """Read ``nbytes`` (random unless ``sequential``).
+
+        Returns the generator of the queue hold: delegate to it with
+        ``yield from`` (spawn it only to overlap it with other work).
+        """
         self.reads += 1
         self.bytes_read += nbytes
-        duration = (self.spec.access_time(nbytes, sequential)
-                    * self.degrade_factor)
+        hold = self.queue.use(self.spec.access_time(nbytes, sequential)
+                              * self.degrade_factor)
         sim = self.sim
-        if sim.tracer is not None and sim.context is not None:
-            span = sim.tracer.start_span(
-                "disk.read", "disk",
-                {"disk": self.name, "bytes": nbytes,
-                 "sequential": sequential})
-            try:
-                yield sim.process(self.queue.use(duration))
-            finally:
-                sim.tracer.end_span(span)
-        else:
-            yield sim.process(self.queue.use(duration))
+        if sim.tracer is None or sim.context is None:
+            return hold
+        return self._traced("disk.read", hold, bytes=nbytes,
+                            sequential=sequential)
 
     def write(self, nbytes: int, sequential: bool = True, sync: bool = True):
-        """Process: write ``nbytes``.
+        """Write ``nbytes``; returns the generator to delegate to.
 
         ``sync=False`` models a write-back / OS-buffered write that is
         acknowledged immediately (a tiny CPU-side cost) and drained later;
@@ -102,36 +99,34 @@ class Disk:
         """
         self.writes += 1
         self.bytes_written += nbytes
-        sim = self.sim
-        traced = sim.tracer is not None and sim.context is not None
-        if not sync:
-            if traced:
-                span = sim.tracer.start_span(
-                    "disk.write", "disk",
-                    {"disk": self.name, "bytes": nbytes, "sync": False})
-                try:
-                    yield sim.timeout(2e-6)
-                finally:
-                    sim.tracer.end_span(span)
-            else:
-                # Write-back ack: kernel-owned timer, freelist-recycled.
-                timeout = sim._timeout_pooled(2e-6)
-                yield timeout
-                sim._recycle_timeout(timeout)
-            return
-        duration = ((self.spec.access_time(nbytes, sequential)
-                     + self.spec.rotational_latency_s)
-                    * self.degrade_factor)
-        if traced:
-            span = sim.tracer.start_span(
-                "disk.write", "disk",
-                {"disk": self.name, "bytes": nbytes, "sync": True})
-            try:
-                yield sim.process(self.queue.use(duration))
-            finally:
-                sim.tracer.end_span(span)
+        if sync:
+            hold = self.queue.use((self.spec.access_time(nbytes, sequential)
+                                   + self.spec.rotational_latency_s)
+                                  * self.degrade_factor)
         else:
-            yield sim.process(self.queue.use(duration))
+            hold = self._write_back_ack()
+        sim = self.sim
+        if sim.tracer is None or sim.context is None:
+            return hold
+        return self._traced("disk.write", hold, bytes=nbytes, sync=sync)
+
+    def _write_back_ack(self):
+        # Kernel-owned timer: its whole lifecycle is this frame, so it
+        # comes from (and returns to) the timeout freelist.
+        sim = self.sim
+        timeout = sim._timeout_pooled(2e-6)
+        yield timeout
+        sim._recycle_timeout(timeout)
+
+    def _traced(self, name: str, hold, **attributes):
+        """Run ``hold`` inside a ``name`` span of the active trace."""
+        tracer = self.sim.tracer
+        span = tracer.start_span(name, "disk",
+                                 {"disk": self.name, **attributes})
+        try:
+            yield from hold
+        finally:
+            tracer.end_span(span)
 
 
 class PageCache:

@@ -54,6 +54,9 @@ class NetworkSpec:
 #: The paper's interconnect: gigabit ethernet through one switch.
 GIGABIT = NetworkSpec()
 
+#: One-way cost of a same-node (loopback socket) message.
+LOOPBACK_S = 5e-6
+
 
 class LinkFault:
     """Gray-failure state of one node's NIC: packet loss and jitter.
@@ -180,21 +183,24 @@ class Network:
     # -- data path -----------------------------------------------------------
 
     def transfer(self, src: str, dst: str, nbytes: int):
-        """Process: move ``nbytes`` from node ``src`` to node ``dst``.
+        """Move ``nbytes`` from node ``src`` to node ``dst``.
 
-        Same-node transfers (client co-located with a server process) skip
-        the wire entirely but still pay a small loopback cost.  Degraded
-        conditions surface as exceptions: a crashed *destination* answers
-        with a reset after one propagation delay, a crashed *source* means
-        the sending process's own node died (it fails immediately), and a
-        partitioned destination drops the message so the sender waits out
-        its read timeout before failing.
+        Returns the generator to delegate to.  Same-node transfers
+        (client co-located with a server process) skip the wire entirely
+        but still pay a small loopback cost.  Degraded conditions surface
+        as exceptions: a crashed *destination* answers with a reset after
+        one propagation delay, a crashed *source* means the sending
+        process's own node died (it fails immediately), and a partitioned
+        destination drops the message so the sender waits out its read
+        timeout before failing.
         """
         sim = self.sim
         tracer = sim.tracer
         if tracer is None or sim.context is None:
-            yield from self._transfer(src, dst, nbytes)
-            return
+            return self._transfer(src, dst, nbytes)
+        return self._traced_transfer(tracer, src, dst, nbytes)
+
+    def _traced_transfer(self, tracer, src: str, dst: str, nbytes: int):
         outer = tracer.start_span(
             "net.transfer", "network",
             {"src": src, "dst": dst, "bytes": nbytes})
@@ -203,7 +209,8 @@ class Network:
         finally:
             tracer.end_span(outer)
 
-    def _transfer(self, src: str, dst: str, nbytes: int):
+    def _begin_send(self, src: str, dst: str, nbytes: int) -> None:
+        """Count a message onto the wire, or refuse it before it gets there."""
         sim = self.sim
         deadline = sim.deadline  # inlined sim.deadline_exceeded()
         if deadline is not None and sim._now >= deadline:
@@ -216,10 +223,14 @@ class Network:
         if src in self._down:
             self.messages_failed += 1
             raise NodeDownError(f"{src} is down", node=src)
+
+    def _transfer(self, src: str, dst: str, nbytes: int):
+        sim = self.sim
+        self._begin_send(src, dst, nbytes)
         if src == dst:
             # Loopback: the timer's whole lifecycle is this frame, so it
             # comes from (and returns to) the kernel's timeout freelist.
-            timeout = sim._timeout_pooled(5e-6)
+            timeout = sim._timeout_pooled(LOOPBACK_S)
             yield timeout
             sim._recycle_timeout(timeout)
             return
@@ -251,6 +262,10 @@ class Network:
                     fault.jittered += 1
                     yield sim.timeout(fault.rng.random() * fault.jitter_s)
         wire = self.spec.wire_time(nbytes)
+        # The two NIC holds are spawned although they are serial: joined
+        # in place they claim the queue earlier within their instant,
+        # which reorders same-instant arrivals at a NIC and moved
+        # simulated statistics further than a tie may (DESIGN § 4b).
         yield sim.process(self._egress[src].use(wire))
         timeout = sim._timeout_pooled(self.spec.latency_s)
         yield timeout
@@ -259,15 +274,34 @@ class Network:
 
     def rpc(self, src: "str | Node", dst: "str | Node", request_bytes: int,
             response_bytes: int, handler):
-        """Process: a synchronous request/response exchange.
+        """A synchronous request/response exchange, run by the caller.
 
         ``handler`` is a generator (the server-side work, executed on the
         destination); its return value becomes the RPC's return value.
         This is the building block for every store's client/server hop.
+        The request and response transfers run in the calling process
+        (``yield from``); spawn the whole exchange to overlap several
+        (replica fan-out).
         """
         src_name = src if isinstance(src, str) else src.name
         dst_name = dst if isinstance(dst, str) else dst.name
-        yield self.sim.process(self.transfer(src_name, dst_name, request_bytes))
+        sim = self.sim
+        if src_name == dst_name and (sim.tracer is None
+                                     or sim.context is None):
+            # Loopback socket (an HDFS read from the co-located
+            # DataNode): both legs in this frame, as ``_transfer`` runs
+            # them, without a generator per leg.
+            self._begin_send(src_name, dst_name, request_bytes)
+            timeout = sim._timeout_pooled(LOOPBACK_S)
+            yield timeout
+            sim._recycle_timeout(timeout)
+            result = yield self.sim.process(handler)
+            self._begin_send(src_name, dst_name, response_bytes)
+            timeout = sim._timeout_pooled(LOOPBACK_S)
+            yield timeout
+            sim._recycle_timeout(timeout)
+            return result
+        yield from self.transfer(src_name, dst_name, request_bytes)
         result = yield self.sim.process(handler)
-        yield self.sim.process(self.transfer(dst_name, src_name, response_bytes))
+        yield from self.transfer(dst_name, src_name, response_bytes)
         return result

@@ -280,11 +280,15 @@ class Resource:
         self.stats.roll_generation()
 
     def use(self, duration: float):
-        """Convenience process: acquire a slot, hold it for ``duration``.
+        """Acquire a slot, hold it for ``duration``, release it.
 
-        Usage from another process::
+        A serial hold is delegated to from the calling process::
 
-            yield sim.process(resource.use(0.001))
+            yield from resource.use(0.001)
+
+        Spawn it (``sim.process(resource.use(...))``) only to overlap
+        the hold with other work — a process that is joined on the spot
+        buys no concurrency and costs two kernel events.
 
         Inside a sampled trace the hold emits a span (named after the
         resource, bucketed under :attr:`component`) with a ``wait`` child

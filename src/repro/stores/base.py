@@ -138,8 +138,7 @@ class StoreSession:
 
     def update(self, key: str, fields: Mapping[str, str]):
         """Default: updates take the insert/upsert path."""
-        result = yield from self.insert(key, fields)
-        return result
+        return self.insert(key, fields)
 
     def delete(self, key: str):  # pragma: no cover - optional per store
         raise NotImplementedError
@@ -148,7 +147,8 @@ class StoreSession:
     def execute(self, op: OpType, key: str,
                 fields: Optional[Mapping[str, str]] = None,
                 scan_length: int = 0):
-        """Dispatch one operation; returns its result.
+        """Dispatch one operation: the generator of the store-level call
+        (delegate to it; it returns the operation's result).
 
         Inside a sampled trace the whole store-level call is wrapped in a
         ``<store>.<op>`` span; the store implementations annotate it with
@@ -156,33 +156,35 @@ class StoreSession:
         """
         sim = self.store.sim
         if sim.tracer is not None and sim.context is not None:
-            span = sim.tracer.start_span(
-                f"{self.store.name}.{op.value}", "store", {"key": key})
-            try:
-                result = yield from self._dispatch(op, key, fields,
-                                                   scan_length)
-            finally:
-                sim.tracer.end_span(span)
-            return result
-        result = yield from self._dispatch(op, key, fields, scan_length)
+            return self._traced_execute(op, key, fields, scan_length)
+        return self._dispatch(op, key, fields, scan_length)
+
+    def _traced_execute(self, op: OpType, key: str,
+                        fields: Optional[Mapping[str, str]],
+                        scan_length: int):
+        tracer = self.store.sim.tracer
+        span = tracer.start_span(
+            f"{self.store.name}.{op.value}", "store", {"key": key})
+        try:
+            result = yield from self._dispatch(op, key, fields, scan_length)
+        finally:
+            tracer.end_span(span)
         return result
 
     def _dispatch(self, op: OpType, key: str,
                   fields: Optional[Mapping[str, str]],
                   scan_length: int):
         if op is OpType.READ:
-            result = yield from self.read(key)
-        elif op is OpType.INSERT:
-            result = yield from self.insert(key, fields or {})
-        elif op is OpType.UPDATE:
-            result = yield from self.update(key, fields or {})
-        elif op is OpType.SCAN:
-            result = yield from self.scan(key, scan_length)
-        elif op is OpType.DELETE:
-            result = yield from self.delete(key)
-        else:  # pragma: no cover - enum is closed
-            raise ValueError(f"unknown op {op!r}")
-        return result
+            return self.read(key)
+        if op is OpType.INSERT:
+            return self.insert(key, fields or {})
+        if op is OpType.UPDATE:
+            return self.update(key, fields or {})
+        if op is OpType.SCAN:
+            return self.scan(key, scan_length)
+        if op is OpType.DELETE:
+            return self.delete(key)
+        raise ValueError(f"unknown op {op!r}")  # pragma: no cover
 
 
 class Store:

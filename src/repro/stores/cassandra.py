@@ -758,11 +758,10 @@ class CassandraSession(StoreSession):
         # owner of the start key (or its first live replica) and walks
         # that node's range.
         owner = store.live_replica_of(start_key)
-        rows = yield from self._route(
+        return self._route(
             owner, store._apply_scan(owner, start_key, count),
             store.request_bytes(start_key), store.response_bytes(count),
         )
-        return rows
 
     def delete(self, key: str):
         store = self.store
@@ -777,8 +776,7 @@ class CassandraSession(StoreSession):
             store.engines[target].delete(key)
             return True
 
-        result = yield from self._route(
+        return self._route(
             owner, handler(), store.request_bytes(key),
             store.response_bytes(0),
         )
-        return result

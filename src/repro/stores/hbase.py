@@ -460,12 +460,9 @@ class HBaseSession(StoreSession):
     def _rpc(self, server: RegionServer, body, request_bytes: int,
              response_bytes: int):
         store = self.store
-        handled = store._with_handler(server, body)
-        result = yield from store.cluster.network.rpc(
+        return store.cluster.network.rpc(
             self.client, server.node, request_bytes, response_bytes,
-            handled,
-        )
-        return result
+            store._with_handler(server, body))
 
     def read(self, key: str):
         store = self.store

@@ -182,49 +182,47 @@ class Hdfs:
         yield from dst.disk.write(nbytes, sequential=True, sync=False)
 
     def read(self, path: str, block_hint: tuple, nbytes: int, reader: Node):
-        """Process: read ``nbytes`` of ``path`` near ``block_hint``.
+        """Read ``nbytes`` of ``path`` near ``block_hint``.
 
-        ``block_hint`` is an opaque cache key for the page-cache model.
-        No short-circuit reads in 0.20: even local reads pay the DataNode
-        socket hop.
+        Picks the replica now (a missing file or a block with no live
+        copy raises here) and returns the generator of the exchange with
+        its DataNode, to be delegated to.  ``block_hint`` is an opaque
+        cache key for the page-cache model.  No short-circuit reads in
+        0.20: even local reads pay the DataNode socket hop.
         """
         file = self.namenode.files.get(path)
         if file is None:
             raise FileNotFoundError(path)
+        datanode = reader
         if file.blocks:
             # Serve from the first live replica of the (hinted) block;
             # with every copy down the read cannot be satisfied — at
             # dfs.replication=1 a single DataNode crash does exactly that.
             block = file.blocks[-1]
-            datanode = None
-            for location in block.locations:
-                if self.datanodes[location].up:
+            datanode = self.datanodes[block.datanode]
+            if not datanode.up:
+                for location in block.replicas:
                     datanode = self.datanodes[location]
-                    break
-            if datanode is None:
-                raise NodeDownError(
-                    f"no live replica of block {block.block_id} ({path})"
-                )
-        else:
-            datanode = reader
-        chunks = max(1, nbytes // 4096)
-        served = (datanode.cpu(self.DATANODE_REQUEST_CPU
-                               + chunks * self.CHECKSUM_CPU_PER_CHUNK))
+                    if datanode.up:
+                        break
+                else:
+                    raise NodeDownError(
+                        f"no live replica of block {block.block_id} ({path})"
+                    )
+        # A local read still crosses a loopback socket to the co-located
+        # DataNode (``reader is datanode``: the RPC's loopback path).
+        return self.network.rpc(
+            reader, datanode, 60, nbytes,
+            self._serve_block(datanode, block_hint, nbytes))
 
-        def serve():
-            yield from served
-            if not datanode.page_cache.access(block_hint):
-                yield from datanode.disk.read(nbytes, sequential=False)
-            return nbytes
-
-        if datanode is reader:
-            # Local read: loopback socket to the co-located DataNode.
-            result = yield from self.network.rpc(
-                reader, reader, 60, nbytes, serve())
-        else:
-            result = yield from self.network.rpc(
-                reader, datanode, 60, nbytes, serve())
-        return result
+    def _serve_block(self, datanode: Node, block_hint: tuple, nbytes: int):
+        """Process: the DataNode's side of one block read."""
+        yield from datanode.cpu(
+            self.DATANODE_REQUEST_CPU
+            + max(1, nbytes // 4096) * self.CHECKSUM_CPU_PER_CHUNK)
+        if not datanode.page_cache.access(block_hint):
+            yield from datanode.disk.read(nbytes, sequential=False)
+        return nbytes
 
     def delete(self, path: str) -> bool:
         """Drop a file (compaction discards inputs)."""

@@ -353,21 +353,19 @@ class MySQLSession(StoreSession):
     def read(self, key: str):
         store = self.store
         shard = store.shard_of(key)
-        result = yield from self._call(
+        return self._call(
             shard, store._apply_read(shard, key),
             store.request_bytes(key), store.response_bytes(1),
         )
-        return result
 
     def insert(self, key: str, fields: Mapping[str, str]):
         store = self.store
         shard = store.shard_of(key)
-        result = yield from self._call(
+        return self._call(
             shard, store._apply_write(shard, key, fields),
             store.request_bytes(key, fields, with_payload=True),
             store.response_bytes(0),
         )
-        return result
 
     def scan(self, start_key: str, count: int):
         store = self.store
@@ -428,8 +426,7 @@ class MySQLSession(StoreSession):
             removed, __ = store.tables[owner].remove(key)
             return removed
 
-        result = yield from self._call(
+        return self._call(
             shard, handler(), store.request_bytes(key),
             store.response_bytes(0),
         )
-        return result

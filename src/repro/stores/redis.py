@@ -333,21 +333,19 @@ class RedisSession(StoreSession):
     def read(self, key: str):
         store = self.store
         shard = store.shard_of(key)
-        result = yield from self._call(
+        return self._call(
             shard, store._apply_read(shard, key),
             store.request_bytes(key), store.response_bytes(1),
         )
-        return result
 
     def insert(self, key: str, fields: Mapping[str, str]):
         store = self.store
         shard = store.shard_of(key)
-        result = yield from self._call(
+        return self._call(
             shard, store._apply_write(shard, key, fields),
             store.request_bytes(key, fields, with_payload=True),
             store.response_bytes(0),
         )
-        return result
 
     def scan(self, start_key: str, count: int):
         """ZRANGE on the shard owning the start key + pipelined MGET.
@@ -383,8 +381,7 @@ class RedisSession(StoreSession):
     def delete(self, key: str):
         store = self.store
         shard = store.shard_of(key)
-        result = yield from self._call(
+        return self._call(
             shard, store._apply_delete(shard, key),
             store.request_bytes(key), store.response_bytes(0),
         )
-        return result

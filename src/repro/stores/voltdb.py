@@ -412,11 +412,10 @@ class VoltDBSession(StoreSession):
         sim = store.sim
         if sim.tracer is not None and sim.context is not None:
             sim.tracer.annotate(partition=partition)
-        result = yield from self._call(
+        return self._call(
             store._proc_read(partition, key),
             store.request_bytes(key), store.response_bytes(1),
         )
-        return result
 
     def insert(self, key: str, fields: Mapping[str, str]):
         store = self.store
@@ -424,28 +423,25 @@ class VoltDBSession(StoreSession):
         sim = store.sim
         if sim.tracer is not None and sim.context is not None:
             sim.tracer.annotate(partition=partition)
-        result = yield from self._call(
+        return self._call(
             store._proc_write(partition, key, fields),
             store.request_bytes(key, fields, with_payload=True),
             store.response_bytes(0),
         )
-        return result
 
     def scan(self, start_key: str, count: int):
         store = self.store
         entry = self._entry_node()
-        rows = yield from self._call(
+        return self._call(
             store._proc_scan(entry, start_key, count),
             store.request_bytes(start_key), store.response_bytes(count),
             via=entry,
         )
-        return rows
 
     def delete(self, key: str):
         store = self.store
         partition = store.partition_of(key)
-        result = yield from self._call(
+        return self._call(
             store._proc_delete(partition, key),
             store.request_bytes(key), store.response_bytes(0),
         )
-        return result
