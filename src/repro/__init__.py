@@ -24,7 +24,7 @@ Quickstart::
     print(result.throughput_ops, result.read_latency.mean)
 """
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = ["BenchmarkResult", "run_benchmark", "__version__"]
 

@@ -26,6 +26,7 @@ import os
 from pathlib import Path
 from typing import Iterator, Optional
 
+import repro
 from repro.analysis.provenance import stamp
 from repro.orchestrator.serialize import (UnportableResultError,
                                           result_from_dict, result_to_dict)
@@ -53,8 +54,8 @@ class ResultStore:
                 / f"{content_hash}.json")
 
     def contains(self, config: BenchmarkConfig) -> bool:
-        """Whether a completed result for ``config`` is on disk."""
-        return self.path_for(config).is_file()
+        """Whether :meth:`get` would return a result for ``config``."""
+        return self._load(config) is not None
 
     # -- read/write ---------------------------------------------------------
 
@@ -63,20 +64,30 @@ class ResultStore:
 
         Unreadable or corrupt blobs (a truncated file from an unclean
         copy, a format from a different package era) count as misses —
-        the orchestrator simply re-runs the point.
+        the orchestrator simply re-runs the point.  So does a blob
+        stamped by another ``package_version``: the key is the config
+        hash alone, and simulated statistics may move between versions,
+        so only this version's own results are served; the re-run's
+        :meth:`put` overwrites the stale blob atomically.
         """
-        path = self.path_for(config)
+        result = self._load(config)
+        if result is not None:
+            self.disk_hits += 1
+        return result
+
+    def _load(self, config: BenchmarkConfig) -> Optional[BenchmarkResult]:
         try:
-            text = path.read_text()
+            text = self.path_for(config).read_text()
         except FileNotFoundError:
             return None
         try:
-            payload = json.loads(text)
-            result = result_from_dict(payload["result"])
+            document = json.loads(text)
+            if (document["provenance"]["package_version"]
+                    != repro.__version__):
+                return None
+            return result_from_dict(document["result"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError):
             return None
-        self.disk_hits += 1
-        return result
 
     def put(self, result: BenchmarkResult) -> Optional[Path]:
         """Persist ``result``; returns the blob path, or ``None``.

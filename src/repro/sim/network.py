@@ -279,9 +279,9 @@ class Network:
         ``handler`` is a generator (the server-side work, executed on the
         destination); its return value becomes the RPC's return value.
         This is the building block for every store's client/server hop.
-        The request and response transfers run in the calling process
-        (``yield from``); spawn the whole exchange to overlap several
-        (replica fan-out).
+        Request transfer, handler and response transfer are serial, so
+        all three run in the calling process (``yield from``); spawn the
+        whole exchange to overlap several (replica fan-out).
         """
         src_name = src if isinstance(src, str) else src.name
         dst_name = dst if isinstance(dst, str) else dst.name
@@ -295,13 +295,13 @@ class Network:
             timeout = sim._timeout_pooled(LOOPBACK_S)
             yield timeout
             sim._recycle_timeout(timeout)
-            result = yield self.sim.process(handler)
+            result = yield from handler
             self._begin_send(src_name, dst_name, response_bytes)
             timeout = sim._timeout_pooled(LOOPBACK_S)
             yield timeout
             sim._recycle_timeout(timeout)
             return result
         yield from self.transfer(src_name, dst_name, request_bytes)
-        result = yield self.sim.process(handler)
+        result = yield from handler
         yield from self.transfer(dst_name, src_name, response_bytes)
         return result

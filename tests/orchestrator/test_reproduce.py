@@ -110,6 +110,19 @@ class TestGridDeterminism:
         assert all(o.cached for o in outcomes)
         assert blob_bytes(store) == before
 
+    def test_another_versions_blob_is_rerun_and_overwritten(self, tmp_path):
+        configs = grid_configs()[:2]
+        store = ResultStore(tmp_path / "store")
+        execute_grid(configs, jobs=1, store=store)
+        before = blob_bytes(store)
+        stale = store.path_for(configs[0])
+        document = json.loads(stale.read_text())
+        document["provenance"]["package_version"] = "0.0.0"
+        stale.write_text(json.dumps(document))
+        outcomes = execute_grid(configs, jobs=1, store=store)
+        assert [o.cached for o in outcomes] == [False, True]
+        assert blob_bytes(store) == before
+
 
 class TestCrashResume:
     def test_resume_recomputes_only_unfinished_points(

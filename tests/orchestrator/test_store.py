@@ -59,6 +59,26 @@ class TestResultStore:
         path = store.put(result)
         path.write_text("{ truncated")
         assert store.get(result.config) is None
+        assert not store.contains(result.config)
+
+    def test_blob_from_another_package_version_is_a_miss(self, tmp_path):
+        """The key is the config hash alone; simulated statistics may
+        move between versions, so a persistent store must not answer
+        with another version's payload."""
+        store = ResultStore(tmp_path)
+        result = make_result()
+        path = store.put(result)
+        fresh = path.read_bytes()
+        document = json.loads(fresh)
+        document["provenance"]["package_version"] = "0.0.0"
+        path.write_text(json.dumps(document, indent=2, sort_keys=True))
+        assert store.get(result.config) is None
+        assert not store.contains(result.config)
+        assert store.disk_hits == 0
+        # The re-run overwrites the stale blob in place.
+        assert store.put(make_result()) == path
+        assert path.read_bytes() == fresh
+        assert store.get(result.config).row() == result.row()
 
     def test_unportable_result_is_skipped(self, tmp_path):
         store = ResultStore(tmp_path)
