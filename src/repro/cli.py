@@ -279,12 +279,13 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     configs, skipped = sweep_configs(spec, derive_seeds=args.derive_seeds)
     store = ResultStore(args.store)
     if args.dry_run:
-        cached = sum(1 for c in configs if store.contains(c))
+        hits = [store.contains(config) for config in configs]
+        cached = sum(hits)
         print(f"grid: {len(configs)} points ({cached} cached, "
               f"{len(configs) - cached} to run), "
               f"{len(skipped)} skipped")
-        for config in configs:
-            state = "hit " if store.contains(config) else "run "
+        for config, hit in zip(configs, hits):
+            state = "hit " if hit else "run "
             print(f"  [{state}] {config.label()}  "
                   f"#{config.content_hash()[:12]}")
         return 0

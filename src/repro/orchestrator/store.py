@@ -54,8 +54,10 @@ class ResultStore:
                 / f"{content_hash}.json")
 
     def contains(self, config: BenchmarkConfig) -> bool:
-        """Whether :meth:`get` would return a result for ``config``."""
-        return self._load(config) is not None
+        """Whether a blob this package version wrote for ``config`` is on
+        disk.  Answers from the provenance stamp alone; the result
+        itself is decoded only by :meth:`get`."""
+        return self._document(config) is not None
 
     # -- read/write ---------------------------------------------------------
 
@@ -70,12 +72,18 @@ class ResultStore:
         so only this version's own results are served; the re-run's
         :meth:`put` overwrites the stale blob atomically.
         """
-        result = self._load(config)
-        if result is not None:
-            self.disk_hits += 1
+        document = self._document(config)
+        if document is None:
+            return None
+        try:
+            result = result_from_dict(document["result"])
+        except (KeyError, TypeError, ValueError):
+            return None
+        self.disk_hits += 1
         return result
 
-    def _load(self, config: BenchmarkConfig) -> Optional[BenchmarkResult]:
+    def _document(self, config: BenchmarkConfig) -> Optional[dict]:
+        """The parsed blob for ``config`` if this version stamped it."""
         try:
             text = self.path_for(config).read_text()
         except FileNotFoundError:
@@ -85,9 +93,9 @@ class ResultStore:
             if (document["provenance"]["package_version"]
                     != repro.__version__):
                 return None
-            return result_from_dict(document["result"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+        except (json.JSONDecodeError, KeyError, TypeError):
             return None
+        return document
 
     def put(self, result: BenchmarkResult) -> Optional[Path]:
         """Persist ``result``; returns the blob path, or ``None``.

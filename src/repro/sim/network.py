@@ -54,9 +54,6 @@ class NetworkSpec:
 #: The paper's interconnect: gigabit ethernet through one switch.
 GIGABIT = NetworkSpec()
 
-#: One-way cost of a same-node (loopback socket) message.
-LOOPBACK_S = 5e-6
-
 
 class LinkFault:
     """Gray-failure state of one node's NIC: packet loss and jitter.
@@ -209,8 +206,7 @@ class Network:
         finally:
             tracer.end_span(outer)
 
-    def _begin_send(self, src: str, dst: str, nbytes: int) -> None:
-        """Count a message onto the wire, or refuse it before it gets there."""
+    def _transfer(self, src: str, dst: str, nbytes: int):
         sim = self.sim
         deadline = sim.deadline  # inlined sim.deadline_exceeded()
         if deadline is not None and sim._now >= deadline:
@@ -223,14 +219,10 @@ class Network:
         if src in self._down:
             self.messages_failed += 1
             raise NodeDownError(f"{src} is down", node=src)
-
-    def _transfer(self, src: str, dst: str, nbytes: int):
-        sim = self.sim
-        self._begin_send(src, dst, nbytes)
         if src == dst:
             # Loopback: the timer's whole lifecycle is this frame, so it
             # comes from (and returns to) the kernel's timeout freelist.
-            timeout = sim._timeout_pooled(LOOPBACK_S)
+            timeout = sim._timeout_pooled(5e-6)
             yield timeout
             sim._recycle_timeout(timeout)
             return
@@ -285,22 +277,6 @@ class Network:
         """
         src_name = src if isinstance(src, str) else src.name
         dst_name = dst if isinstance(dst, str) else dst.name
-        sim = self.sim
-        if src_name == dst_name and (sim.tracer is None
-                                     or sim.context is None):
-            # Loopback socket (an HDFS read from the co-located
-            # DataNode): both legs in this frame, as ``_transfer`` runs
-            # them, without a generator per leg.
-            self._begin_send(src_name, dst_name, request_bytes)
-            timeout = sim._timeout_pooled(LOOPBACK_S)
-            yield timeout
-            sim._recycle_timeout(timeout)
-            result = yield from handler
-            self._begin_send(src_name, dst_name, response_bytes)
-            timeout = sim._timeout_pooled(LOOPBACK_S)
-            yield timeout
-            sim._recycle_timeout(timeout)
-            return result
         yield from self.transfer(src_name, dst_name, request_bytes)
         result = yield from handler
         yield from self.transfer(dst_name, src_name, response_bytes)

@@ -210,7 +210,7 @@ class Hdfs:
                         f"no live replica of block {block.block_id} ({path})"
                     )
         # A local read still crosses a loopback socket to the co-located
-        # DataNode (``reader is datanode``: the RPC's loopback path).
+        # DataNode (``reader is datanode``: the transfers' loopback branch).
         return self.network.rpc(
             reader, datanode, 60, nbytes,
             self._serve_block(datanode, block_hint, nbytes))
