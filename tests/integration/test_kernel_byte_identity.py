@@ -17,6 +17,12 @@ Regenerate after an *intentional* semantic change with::
 
 The provenance ``package_version`` field is normalised before hashing so
 version bumps alone never invalidate the goldens.
+
+The same goldens referee refactors above the kernel: the open-loop
+driver (constant-rate sweep, shaped point), the obs harness under a
+crash, the audit harness on every store and the quorum sweep are pinned
+here too, so "no export byte moved" is a digest comparison rather than
+a run-it-twice check.
 """
 
 import hashlib
@@ -29,10 +35,14 @@ import pytest
 
 from repro.analysis.provenance import stamp
 from repro.analysis.trace_export import chrome_trace
+from repro.audit import (AuditScenario, QuorumSweep, run_audit_scenario,
+                         run_quorum_sweep)
 from repro.control import ControlPolicy, ControlScenario, run_control_scenario
 from repro.faults.schedule import FaultSchedule
+from repro.obs import ObsPolicy, ObsScenario, default_slos, run_obs_scenario
 from repro.orchestrator.serialize import histogram_to_dict
 from repro.overload import OverloadPolicy, parse_shape
+from repro.overload.openloop import goodput_sweep, run_overload_point
 from repro.sim.cluster import CLUSTER_M
 from repro.stores.base import ServiceProfile
 from repro.ycsb.runner import BenchmarkConfig, run_benchmark
@@ -160,10 +170,83 @@ def export_control_scenario() -> dict:
     }
 
 
+def export_overload_sweep() -> dict:
+    """A constant-rate ``apmbench overload`` sweep, both arms.
+
+    The slow profile keeps the saturation probes in the hundreds of
+    ops/s; RW on Redis makes the unprotected arm fail inserts (OOM) and
+    the protected arm shed.
+    """
+    profile = ServiceProfile(read_cpu=1e-3, write_cpu=1e-3,
+                             client_cpu=1e-5, dispatch_cpu=0.0)
+    config = BenchmarkConfig(
+        store="redis", workload=WORKLOADS["RW"], n_nodes=1,
+        records_per_node=800, measured_ops=500, warmup_ops=100, seed=11,
+        overload=OverloadPolicy(max_queue=16, deadline_s=0.05),
+        store_kwargs={"profile": profile},
+    )
+    sweep = goodput_sweep(config, multipliers=(1.0, 2.0), duration_s=0.4,
+                          warmup_s=0.1, use_sustained=False)
+    return stamp(sweep.to_dict(), config)
+
+
+def export_shaped_point() -> dict:
+    """A flash crowd that sheds and expires: the clock-bounded driver."""
+    config = BenchmarkConfig(
+        store="mysql", workload=WORKLOADS["RSW"], n_nodes=2,
+        cluster_spec=SMALL_M, records_per_node=400, seed=5,
+        overload=OverloadPolicy(max_queue=16, deadline_s=0.1),
+    )
+    point = run_overload_point(
+        config, 2500.0, duration_s=1.0, warmup_s=0.2,
+        shape=parse_shape("flash:at=0.5,multiplier=8,duration=0.3"))
+    return point.to_dict()
+
+
+def export_obs_report() -> dict:
+    """An ``apmbench obs`` incident: crash, retries, breaker, alerts."""
+    schedule = FaultSchedule().crash("server-1", at=0.4, restart_after=0.4)
+    config = BenchmarkConfig(
+        store="cassandra", workload=WORKLOADS["RW"], n_nodes=3,
+        cluster_spec=SMALL_M, records_per_node=300, seed=13,
+        overload=OverloadPolicy(max_queue=32, deadline_s=0.05),
+        fault_schedule=schedule,
+    )
+    policy = ObsPolicy(slos=default_slos(latency_slo_s=0.05),
+                       window_s=0.25, tick_s=0.25)
+    scenario = ObsScenario(config=config, policy=policy, offered_rate=700.0,
+                           duration_s=1.2, warmup_s=0.1, slo_s=0.05)
+    return run_obs_scenario(scenario).to_dict()
+
+
+#: One audit per store, the fault vocabulary spread across them.
+AUDIT_FAULTS = {
+    "cassandra": "crash", "hbase": "crash_hard", "voldemort": "partition",
+    "redis": "flaky_nic", "voltdb": "zombie", "mysql": "combo",
+}
+
+
+def _export_audit(store: str):
+    def export() -> dict:
+        scenario = AuditScenario(store=store, fault=AUDIT_FAULTS[store])
+        return run_audit_scenario(scenario).to_dict()
+    return export
+
+
+def export_quorum_sweep() -> dict:
+    """``apmbench audit --sweep``: R/W/N on replicated Cassandra."""
+    return run_quorum_sweep(QuorumSweep())
+
+
 EXPORTS = {
     "figure_point": export_figure_point,
     "traced_point": export_traced_point,
     "control_scenario": export_control_scenario,
+    "overload_sweep": export_overload_sweep,
+    "shaped_point": export_shaped_point,
+    "obs_report": export_obs_report,
+    **{f"audit_{store}": _export_audit(store) for store in AUDIT_FAULTS},
+    "quorum_sweep": export_quorum_sweep,
 }
 
 
@@ -185,6 +268,6 @@ def test_export_matches_seed_kernel_golden(name):
     assert name in goldens, (
         f"no golden for {name}; run with REPRO_UPDATE_KERNEL_GOLDENS=1")
     assert digest == goldens[name], (
-        f"{name} export diverged from the seed-kernel golden — the "
-        "kernel fast path changed observable behaviour (event ordering, "
-        "latency attribution, or control decisions)")
+        f"{name} export diverged from its golden — observable behaviour "
+        "changed (event ordering, latency attribution, control decisions "
+        "or an export's bytes)")

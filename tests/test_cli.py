@@ -1,5 +1,12 @@
 """Unit tests for the apmbench CLI."""
 
+import hashlib
+import json
+import os
+import re
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -243,3 +250,108 @@ class TestObs:
                      "--crash", "server-9"])
         assert code == 2
         assert "unknown node" in capsys.readouterr().err
+
+
+# -- snapshots ---------------------------------------------------------------
+#
+# ``cli.py`` is argument plumbing, so what it must keep is text: every
+# subcommand's ``--help`` and, for one small invocation of each command
+# that builds a run, what it prints and what it exports.  Both goldens
+# were taken before the per-subcommand boilerplate was folded into shared
+# helpers.  Regenerate after an *intentional* change with::
+#
+#     REPRO_UPDATE_CLI_GOLDENS=1 PYTHONPATH=src python -m pytest \
+#         tests/test_cli.py -k Snapshots
+
+GOLDEN_PATH = Path(__file__).parent / "cli_golden.json"
+
+SUBCOMMANDS = ("list", "run", "chaos", "figure", "reproduce", "grid",
+               "overload", "control", "obs", "audit", "verify-figures",
+               "plan", "capacity")
+
+#: ``name -> (argv, stdout is deterministic)``.  Exports are written to
+#: relative paths inside a temporary working directory (``chaos`` only
+#: prints); ``grid`` and ``plan`` print wall-clock progress, so only their
+#: exports are pinned.
+INVOCATIONS = {
+    "run": (["run", "-s", "redis", "-w", "RW", "-n", "1", "-c", "D",
+             "--records", "800", "--ops", "300", "--seed", "3", "--metrics",
+             "--metrics-interval", "0.1", "--metrics-out", "out/m"], True),
+    "chaos": (["chaos", "-s", "cassandra", "-n", "3", "-c", "D", "--rf", "2",
+               "--consistency", "quorum", "--crash", "server-1",
+               "--at", "0.3", "--restart-after", "0.3", "--records", "300",
+               "--duration", "0.9"], True),
+    "chaos-random": (["chaos", "-s", "redis", "-w", "RW", "-n", "2",
+                      "--random", "1", "--records", "300",
+                      "--duration", "0.5"], True),
+    # A scan workload on Cluster D saturates in the low thousands of
+    # ops/s, which keeps the open-loop capacity probes short.
+    "overload": (["overload", "-s", "cassandra", "-w", "RS", "-n", "1",
+                  "-c", "D", "--records", "500", "--ops", "300",
+                  "--multipliers", "1,2", "--duration", "0.2",
+                  "--warmup", "0.05", "--deadline", "0.05",
+                  "--max-queue", "16", "--no-sustained",
+                  "--shape", "flash:at=0.1,multiplier=3",
+                  "--export", "out/overload.json"], True),
+    "control": (["control", "-s", "redis", "--rate", "800",
+                 "--duration", "3", "--shape", "diurnal:period=3,trough=0.25",
+                 "--max-nodes", "2", "--records", "500", "--kill-at", "2",
+                 "--export", "out/control.json"], True),
+    "obs": (["obs", "-s", "redis", "-n", "1", "--records", "500",
+             "--rate", "600", "--duration", "1.5", "--crash", "server-0",
+             "--at", "0.5", "--restart-after", "0.5",
+             "--export", "out/obs.json"], True),
+    "audit": (["audit", "-s", "voldemort", "-N", "2", "-W", "2",
+               "--fault", "partition", "--export", "out/audit.json"], True),
+    "audit-sweep": (["audit", "--sweep", "--ops", "40",
+                     "--export", "out/sweep.json"], True),
+    "grid": (["grid", "--stores", "redis", "--workloads", "R",
+              "--nodes", "1", "--records", "200", "--ops", "100",
+              "--warmup", "20", "--store", "store",
+              "--export", "out/grid.json"], False),
+    "plan": (["plan", "--users", "50000", "--stores", "redis",
+              "--hardware", "paper-m", "--records", "1000", "--ops", "400",
+              "--warmup", "50", "--store", "store",
+              "--export", "out/plan.json"], False),
+}
+
+
+def _check_golden(section: str, name: str, value: str) -> None:
+    goldens = (json.loads(GOLDEN_PATH.read_text())
+               if GOLDEN_PATH.is_file() else {})
+    if os.environ.get("REPRO_UPDATE_CLI_GOLDENS") == "1":
+        goldens.setdefault(section, {})[name] = value
+        GOLDEN_PATH.write_text(json.dumps(goldens, indent=2,
+                                          sort_keys=True) + "\n")
+        pytest.skip(f"updated {section} golden for {name}")
+    assert value == goldens[section][name]
+
+
+class TestSnapshots:
+    @pytest.mark.skipif(sys.version_info >= (3, 13),
+                        reason="argparse renders option metavars "
+                               "differently from Python 3.13 on")
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_help_text(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--help"])
+        assert excinfo.value.code == 0
+        # Whitespace-normalised: line wrapping follows the terminal width.
+        text = " ".join(capsys.readouterr().out.split())
+        _check_golden("help", command, text)
+
+    @pytest.mark.parametrize("name", sorted(INVOCATIONS))
+    def test_printed_output_and_export_bytes(self, name, tmp_path,
+                                             monkeypatch, capsys):
+        argv, stdout_is_deterministic = INVOCATIONS[name]
+        monkeypatch.chdir(tmp_path)
+        code = main(argv)
+        digest = hashlib.sha256(f"exit {code}\n".encode())
+        if stdout_is_deterministic:
+            digest.update(capsys.readouterr().out.encode())
+        for path in sorted(tmp_path.glob("out/*")):
+            text = re.sub(r'"package_version": "[^"]*"',
+                          '"package_version": "<version>"',
+                          path.read_text())
+            digest.update(f"\n== {path.name}\n{text}".encode())
+        _check_golden("output", name, digest.hexdigest())
