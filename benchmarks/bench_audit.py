@@ -11,9 +11,8 @@ This benchmark runs the same seeded YCSB point twice —
 
 asserts the measurements are identical (the recorder is passive) and
 caps the wall-clock overhead at a gross-regression bound.  The strict
-kernel budget lives in CI's ``audit-smoke`` job, which runs
-``bench_kernel.py`` — which never imports ``repro.audit`` — under
-``REPRO_KERNEL_FLOOR=0.9``.
+kernel budget is CI's ``kernel-smoke`` job: ``bench_kernel.py`` never
+imports ``repro.audit``, so its floor is the only gate needed.
 """
 
 import time

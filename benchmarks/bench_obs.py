@@ -13,10 +13,10 @@ benchmark runs the same seeded YCSB point three ways —
 and prints the per-variant wall clock.  Two assertions are strict
 (measured operations, errors and throughput identical across all three
 variants — the overlay is passive) and one is a lenient wall-clock cap:
-the full overlay may not triple the bare runtime.  The 10% fast-path
-budget from the issue is enforced where it can't flake: CI's
-``kernel-smoke`` job runs ``bench_kernel.py`` — which never touches
-``repro.obs`` — with ``REPRO_KERNEL_FLOOR=0.9``.
+the full overlay may not triple the bare runtime.  The fast-path
+budget is enforced where it can't flake: CI's ``kernel-smoke`` job runs
+``bench_kernel.py`` — which never touches ``repro.obs`` — against the
+committed trajectory.
 """
 
 import time

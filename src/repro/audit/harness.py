@@ -34,15 +34,16 @@ from typing import Optional
 from repro.analysis.provenance import stamp
 from repro.audit.checkers import (check_durability, check_sessions,
                                   check_staleness)
-from repro.audit.history import (PHASE_VERIFY, HistoryRecorder)
+from repro.audit.history import PHASE_RUN, PHASE_VERIFY, HistoryRecorder
 from repro.audit.linearize import check_linearizable, history_to_register_ops
 from repro.faults.chaos import ChaosController
 from repro.faults.schedule import FaultSchedule
 from repro.obs.recorder import FlightRecorder
 from repro.sim.cluster import CLUSTER_M, Cluster
-from repro.sim.faults import FaultError, OverloadError
 from repro.storage.record import RecordSchema
-from repro.stores.base import OpError
+from repro.stores.base import OpType
+from repro.stores.registry import create_store
+from repro.ycsb.client import attempt_op
 
 __all__ = ["AUDIT_SCHEMA", "AuditReport", "AuditScenario",
            "run_audit_scenario", "standard_schedule"]
@@ -255,30 +256,18 @@ def _cassandra_level(acks: int, replication_factor: int) -> str:
         f"acks at RF={replication_factor}, not {acks}")
 
 
-def _build_store(scenario: AuditScenario, cluster: Cluster):
-    from repro.stores.cassandra import CassandraStore
-    from repro.stores.hbase import HBaseStore
-    from repro.stores.registry import create_store
-    from repro.stores.voldemort import VoldemortStore
-
+def _store_kwargs(scenario: AuditScenario) -> dict:
+    """The scenario's N/R/W as the store's own constructor arguments."""
+    n, w, r = (scenario.replication_factor, scenario.required_writes,
+               scenario.required_reads)
     if scenario.store == "cassandra":
-        return CassandraStore(
-            cluster, AUDIT_SCHEMA,
-            replication_factor=scenario.replication_factor,
-            consistency_level=_cassandra_level(
-                scenario.required_writes, scenario.replication_factor),
-            read_consistency=_cassandra_level(
-                scenario.required_reads, scenario.replication_factor),
-        )
+        return {"replication_factor": n,
+                "consistency_level": _cassandra_level(w, n),
+                "read_consistency": _cassandra_level(r, n)}
     if scenario.store == "voldemort":
-        return VoldemortStore(
-            cluster, AUDIT_SCHEMA,
-            replication_factor=scenario.replication_factor,
-            required_writes=scenario.required_writes,
-            required_reads=scenario.required_reads,
-        )
-    if (scenario.replication_factor, scenario.required_writes,
-            scenario.required_reads) != (1, 1, 1):
+        return {"replication_factor": n, "required_writes": w,
+                "required_reads": r}
+    if (n, w, r) != (1, 1, 1):
         raise ValueError(
             f"{scenario.store} has no replication knobs; "
             f"leave N/R/W at 1")
@@ -287,17 +276,25 @@ def _build_store(scenario: AuditScenario, cluster: Cluster):
         # client buffer — YCSB's throughput mode trades away exactly
         # the contract this audit checks, so the audit drives HBase
         # with autoflush on.
-        return HBaseStore(cluster, AUDIT_SCHEMA, client_buffering=False)
-    return create_store(scenario.store, cluster, schema=AUDIT_SCHEMA)
+        return {"client_buffering": False}
+    return {}
 
 
 class _AuditRun:
-    """One scenario, end to end: workload, chaos, verification, checks."""
+    """One scenario, end to end: workload, chaos, verification, checks.
+
+    Deliberately not a :class:`~repro.ycsb.runner.Deployment`: the audit
+    runs on an unscaled Cluster M with one client machine, loads nothing,
+    and keeps a chaos controller even for the empty schedule — routing it
+    through the shared assembly would make that code branch on its caller.
+    """
 
     def __init__(self, scenario: AuditScenario):
         self.scenario = scenario
         self.cluster = Cluster(CLUSTER_M, scenario.n_nodes, n_clients=1)
-        self.store = _build_store(scenario, self.cluster)
+        self.store = create_store(scenario.store, self.cluster,
+                                  schema=AUDIT_SCHEMA,
+                                  **_store_kwargs(scenario))
         self.schedule = standard_schedule(
             scenario.fault,
             [node.name for node in self.cluster.servers],
@@ -323,27 +320,14 @@ class _AuditRun:
             return 0
         return int(fields["field0"])
 
-    def _attempt(self, make_op, retry):
-        """Retry loop matching the benchmark client's classification."""
-        sim = self.cluster.sim
-        attempt = 1
-        while True:
-            try:
-                result = yield from make_op()
-                if result is False:
-                    return False, None, "store"
-                return True, result, None
-            except OpError:
-                return False, None, "store"
-            except FaultError as exc:
-                kind = ("overload" if isinstance(exc, OverloadError)
-                        else "fault")
-                if attempt >= retry.max_attempts:
-                    return False, None, kind
-                backoff = retry.backoff_for(attempt)
-                attempt += 1
-                if backoff > 0:
-                    yield sim.timeout(backoff)
+    def _read(self, session, key: str, retry, phase: str = PHASE_RUN):
+        """One recorded read; its payload *is* the observed version."""
+        token = self.recorder.begin(session.index, "read", key, phase=phase)
+        error, kind, fields = yield from attempt_op(
+            session, OpType.READ, key, None, 0, retry)
+        self.recorder.complete(
+            token, not error, error=kind,
+            version=None if error else self._decode(fields))
 
     def _session_proc(self, sid: int):
         scenario = self.scenario
@@ -364,32 +348,20 @@ class _AuditRun:
                 fields = {"field0": f"{version:010d}"}
                 token = self.recorder.begin(sid, "write", key,
                                             version=version)
-                ok, __, kind = yield from self._attempt(
-                    lambda: session.insert(key, fields), retry)
-                self.recorder.complete(token, ok, error=kind)
+                error, kind, __ = yield from attempt_op(
+                    session, OpType.INSERT, key, fields, 0, retry)
+                self.recorder.complete(token, not error, error=kind)
             else:
                 key = self.keys[rng.randrange(len(self.keys))]
-                token = self.recorder.begin(sid, "read", key)
-                ok, fields, kind = yield from self._attempt(
-                    lambda: session.read(key), retry)
-                self.recorder.complete(
-                    token, ok, error=kind,
-                    version=self._decode(fields) if ok else None)
+                yield from self._read(session, key, retry)
 
     def _verify_proc(self):
         """Post-heal verification reads through the normal client path."""
         sid = self.scenario.n_sessions  # a fresh, dedicated session
-        client = self.cluster.clients[0]
-        session = self.store.session(client, sid)
+        session = self.store.session(self.cluster.clients[0], sid)
         retry = self.store.retry_policy()
         for key in self.keys:
-            token = self.recorder.begin(sid, "read", key,
-                                        phase=PHASE_VERIFY)
-            ok, fields, kind = yield from self._attempt(
-                lambda: session.read(key), retry)
-            self.recorder.complete(
-                token, ok, error=kind,
-                version=self._decode(fields) if ok else None)
+            yield from self._read(session, key, retry, PHASE_VERIFY)
 
     # -- placement (declared-loss reconciliation) ------------------------------
 

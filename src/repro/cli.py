@@ -23,7 +23,9 @@ required.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from pathlib import Path
 
 import repro
 from repro.analysis.expectations import check_expectations
@@ -33,10 +35,97 @@ from repro.core.capacity import plan_capacity
 from repro.faults.schedule import FaultSchedule
 from repro.sim.cluster import CLUSTER_D, CLUSTER_M
 from repro.stores.registry import STORE_NAMES
-from repro.ycsb.runner import run_benchmark
+from repro.ycsb.runner import BenchmarkConfig, run_benchmark
 from repro.ycsb.workload import WORKLOADS
 
 __all__ = ["main"]
+
+_CLUSTERS = {"M": CLUSTER_M, "D": CLUSTER_D}
+
+
+class _UsageError(Exception):
+    """Arguments argparse accepted but the command cannot use: ``main``
+    prints the message to stderr and exits 2."""
+
+
+def _workload(name: str):
+    if name not in WORKLOADS:
+        raise _UsageError(f"unknown workload {name!r} (have "
+                          f"{', '.join(WORKLOADS)})")
+    return WORKLOADS[name]
+
+
+def _store_names(text: str) -> tuple:
+    stores = tuple(s.strip() for s in text.split(","))
+    unknown = [s for s in stores if s not in STORE_NAMES]
+    if unknown:
+        raise _UsageError(f"unknown store(s) {', '.join(unknown)} (have "
+                          f"{', '.join(STORE_NAMES)})")
+    return stores
+
+
+def _point_config(args: argparse.Namespace, **fields) -> BenchmarkConfig:
+    """The benchmark point ``-s/-w/-n/-c/--records/--seed`` name."""
+    return BenchmarkConfig(**{
+        "store": args.store, "workload": WORKLOADS[args.workload],
+        "n_nodes": args.nodes, "cluster_spec": _CLUSTERS[args.cluster],
+        "records_per_node": args.records, "seed": args.seed, **fields})
+
+
+def _crash_schedule(args: argparse.Namespace, targets) -> FaultSchedule:
+    """Crash each of ``targets`` at ``--at``, restarting per
+    ``--restart-after``."""
+    nodes = [f"server-{i}" for i in range(args.nodes)]
+    schedule = FaultSchedule()
+    for target in targets:
+        if target not in nodes:
+            raise _UsageError(
+                f"unknown node {target!r} (have {', '.join(nodes)})")
+        schedule.crash(target, at=args.at, restart_after=args.restart_after)
+    return schedule
+
+
+def _add_point_arguments(parser: argparse.ArgumentParser, order: str, *,
+                         store=None, nodes=None, nodes_help=None,
+                         records=None, records_help=None,
+                         ops=None, ops_help=None) -> None:
+    """Declare the options naming a benchmark point, in ``order``.
+
+    What each option is lives here, once; defaults and help wording are
+    the subcommand's.  So is the order: ``--help`` lists options as
+    declared, and every subcommand's text is pinned
+    (``tests/cli_golden.json``).  ``store=None`` makes ``-s`` required.
+    """
+    declared = {
+        "store": (("-s", "--store"),
+                  {"choices": STORE_NAMES,
+                   **({"required": True} if store is None
+                      else {"default": store})}),
+        "workload": (("-w", "--workload"),
+                     {"choices": list(WORKLOADS), "default": "R"}),
+        "nodes": (("-n", "--nodes"),
+                  {"type": int, "default": nodes, "help": nodes_help}),
+        "cluster": (("-c", "--cluster"),
+                    {"choices": tuple(_CLUSTERS), "default": "M"}),
+        "records": (("--records",),
+                    {"type": int, "default": records, "help": records_help}),
+        "ops": (("--ops",), {"type": int, "default": ops, "help": ops_help}),
+        "seed": (("--seed",), {"type": int, "default": 42}),
+    }
+    for name in order.split():
+        flags, kwargs = declared[name]
+        parser.add_argument(*flags, **kwargs)
+
+
+def _write_export(path, text: str, what: str = "") -> Path:
+    """Write ``text`` to ``path``, creating its directory; announce it
+    when ``what`` names the artefact."""
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(text)
+    if what:
+        print(f"\nwrote {what} to {out}")
+    return out
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -49,18 +138,12 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    workload = WORKLOADS[args.workload]
-    spec = CLUSTER_D if args.cluster == "D" else CLUSTER_M
-    trace_kwargs = {}
-    if args.trace:
-        trace_kwargs["trace_sample_every"] = args.trace_sample
-    if args.metrics:
-        trace_kwargs["metrics_interval_s"] = args.metrics_interval
-    result = run_benchmark(
-        args.store, workload, args.nodes, cluster_spec=spec,
-        records_per_node=args.records, measured_ops=args.ops,
-        seed=args.seed, **trace_kwargs,
-    )
+    config = _point_config(
+        args, measured_ops=args.ops,
+        trace_sample_every=args.trace_sample if args.trace else None,
+        metrics_interval_s=args.metrics_interval if args.metrics else None)
+    result = run_benchmark(config.store, config.workload, config.n_nodes,
+                           config=config)
     row = result.row()
     print(f"store={row['store']} workload={row['workload']} "
           f"nodes={row['nodes']} cluster={row['cluster']}")
@@ -91,60 +174,45 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"wrote {len(result.traces)} traces to {path} "
               "(load in chrome://tracing or ui.perfetto.dev)")
     if args.metrics and result.metrics is not None:
-        import json
-        from pathlib import Path
-
         from repro.analysis.provenance import stamp
 
         print()
         print(result.metrics.render())
         base = Path(args.metrics_out)
-        base.parent.mkdir(parents=True, exist_ok=True)
-        csv_path = base.with_suffix(".csv")
-        csv_path.write_text(result.metrics.to_csv())
-        prom_path = base.with_suffix(".prom")
-        prom_path.write_text(result.metrics.to_prometheus())
-        json_path = base.with_suffix(".json")
+        csv_path = _write_export(base.with_suffix(".csv"),
+                                 result.metrics.to_csv())
+        prom_path = _write_export(base.with_suffix(".prom"),
+                                  result.metrics.to_prometheus())
         payload = stamp(result.metrics.to_payload(), result.config)
-        json_path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+        json_path = _write_export(
+            base.with_suffix(".json"),
+            json.dumps(payload, indent=2, sort_keys=True))
         print(f"wrote metrics to {csv_path} (timeseries), {prom_path} "
               f"(snapshot), {json_path} (report)")
     return 0
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    workload = WORKLOADS[args.workload]
-    spec = CLUSTER_D if args.cluster == "D" else CLUSTER_M
     nodes = [f"server-{i}" for i in range(args.nodes)]
     if args.random:
         schedule = FaultSchedule.random(
             args.seed, nodes, args.duration, n_crashes=args.random)
     else:
-        schedule = FaultSchedule()
-        for target in args.crash or ["server-0"]:
-            if target not in nodes:
-                print(f"unknown node {target!r} (have {', '.join(nodes)})",
-                      file=sys.stderr)
-                return 2
-            schedule.crash(target, at=args.at,
-                           restart_after=args.restart_after)
+        schedule = _crash_schedule(args, args.crash or ["server-0"])
     store_kwargs = {}
     if args.rf is not None or args.consistency is not None:
         if args.store != "cassandra":
-            print("--rf/--consistency only apply to cassandra",
-                  file=sys.stderr)
-            return 2
+            raise _UsageError("--rf/--consistency only apply to cassandra")
     if args.rf is not None:
         store_kwargs["replication_factor"] = args.rf
     if args.consistency is not None:
         store_kwargs["consistency_level"] = args.consistency
-    result = run_benchmark(
-        args.store, workload, args.nodes, cluster_spec=spec,
-        records_per_node=args.records, seed=args.seed,
-        fault_schedule=schedule, duration_s=args.duration,
+    config = _point_config(
+        args, fault_schedule=schedule, duration_s=args.duration,
         availability_window_s=args.window, warmup_ops=0,
-        store_kwargs=store_kwargs,
-    )
+        store_kwargs=store_kwargs)
+    result = run_benchmark(config.store, config.workload, config.n_nodes,
+                           config=config)
     row = result.row()
     print(f"store={row['store']} workload={row['workload']} "
           f"nodes={row['nodes']} cluster={row['cluster']} "
@@ -249,30 +317,17 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    import json
-
     from repro.analysis.provenance import stamp
     from repro.analysis.sweep import SweepSpec
     from repro.orchestrator import ResultStore, execute_grid, sweep_configs
 
-    workloads = []
-    for name in args.workloads.split(","):
-        name = name.strip()
-        if name not in WORKLOADS:
-            print(f"unknown workload {name!r} (have "
-                  f"{', '.join(WORKLOADS)})", file=sys.stderr)
-            return 2
-        workloads.append(WORKLOADS[name])
-    stores = tuple(s.strip() for s in args.stores.split(","))
-    unknown = [s for s in stores if s not in STORE_NAMES]
-    if unknown:
-        print(f"unknown store(s) {', '.join(unknown)} (have "
-              f"{', '.join(STORE_NAMES)})", file=sys.stderr)
-        return 2
+    workloads = tuple(_workload(name.strip())
+                      for name in args.workloads.split(","))
+    stores = _store_names(args.stores)
     nodes = tuple(int(n) for n in args.nodes.split(","))
     spec = SweepSpec(
-        stores=stores, workloads=tuple(workloads), node_counts=nodes,
-        cluster_spec=CLUSTER_D if args.cluster == "D" else CLUSTER_M,
+        stores=stores, workloads=workloads, node_counts=nodes,
+        cluster_spec=_CLUSTERS[args.cluster],
         records_per_node=args.records, measured_ops=args.ops,
         warmup_ops=args.warmup, seed=args.seed,
     )
@@ -298,11 +353,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     }, spec)
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.export:
-        from pathlib import Path
-
-        out = Path(args.export)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
+        out = _write_export(args.export, text)
         print(f"wrote {len(rows)} rows to {out}")
     else:
         print(text)
@@ -310,25 +361,16 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 
 def _cmd_overload(args: argparse.Namespace) -> int:
-    import json
-
     from repro.analysis.provenance import stamp
     from repro.overload import OverloadPolicy, parse_shape
     from repro.overload.openloop import goodput_sweep
-    from repro.ycsb.runner import BenchmarkConfig
 
-    workload = WORKLOADS[args.workload]
-    spec = CLUSTER_D if args.cluster == "D" else CLUSTER_M
     policy = OverloadPolicy(
         max_queue=args.max_queue,
         deadline_s=args.deadline,
         retry_budget_per_s=args.retry_budget,
     )
-    config = BenchmarkConfig(
-        store=args.store, workload=workload, n_nodes=args.nodes,
-        cluster_spec=spec, records_per_node=args.records,
-        measured_ops=args.ops, seed=args.seed, overload=policy,
-    )
+    config = _point_config(args, measured_ops=args.ops, overload=policy)
     multipliers = tuple(float(m) for m in args.multipliers.split(","))
     shape = parse_shape(args.shape) if args.shape else None
     sweep = goodput_sweep(
@@ -357,28 +399,18 @@ def _cmd_overload(args: argparse.Namespace) -> int:
               f"{point.goodput:>10,.0f} {pct:>7.1f}% {point.shed:>8} "
               f"{deadline_errors:>9} {point.max_queue_depth:>6}")
     if args.export:
-        from pathlib import Path
-
         payload = stamp(sweep.to_dict(), config)
-        out = Path(args.export)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        print(f"\nwrote sweep to {out}")
+        _write_export(args.export,
+                      json.dumps(payload, indent=2, sort_keys=True), "sweep")
     return 0
 
 
 def _cmd_control(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
     from repro.control import (ControlPolicy, ControlScenario,
                                run_control_scenario)
     from repro.overload import OverloadPolicy, parse_shape
     from repro.stores.base import ServiceProfile
-    from repro.ycsb.runner import BenchmarkConfig
 
-    workload = WORKLOADS[args.workload]
-    spec = CLUSTER_D if args.cluster == "D" else CLUSTER_M
     shape = parse_shape(args.shape) if args.shape else None
     # A deliberately slow per-op profile keeps demo rates in the
     # hundreds of ops/s so a full diurnal cycle simulates in seconds.
@@ -387,12 +419,8 @@ def _cmd_control(args: argparse.Namespace) -> int:
     overload = OverloadPolicy(max_queue=args.max_queue, deadline_s=args.slo)
 
     def config(n_nodes: int) -> BenchmarkConfig:
-        return BenchmarkConfig(
-            store=args.store, workload=workload, n_nodes=n_nodes,
-            cluster_spec=spec, records_per_node=args.records,
-            seed=args.seed, overload=overload,
-            store_kwargs={"profile": profile},
-        )
+        return _point_config(args, n_nodes=n_nodes, overload=overload,
+                             store_kwargs={"profile": profile})
 
     policy = ControlPolicy(
         tick_s=args.tick, scale_out_pressure=args.scale_out,
@@ -441,41 +469,23 @@ def _cmd_control(args: argparse.Namespace) -> int:
     if args.export:
         payload = {arm: result.to_dict()
                    for arm, result in results.items()}
-        out = Path(args.export)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True))
-        print(f"\nwrote control runs to {out}")
+        _write_export(args.export,
+                      json.dumps(payload, indent=2, sort_keys=True),
+                      "control runs")
     return 0
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.obs import ObsPolicy, ObsScenario, default_slos, \
         run_obs_scenario
     from repro.overload import OverloadPolicy, parse_shape
-    from repro.ycsb.runner import BenchmarkConfig
 
-    workload = WORKLOADS[args.workload]
-    spec = CLUSTER_D if args.cluster == "D" else CLUSTER_M
-    nodes = [f"server-{i}" for i in range(args.nodes)]
-    schedule = None
-    if args.crash:
-        schedule = FaultSchedule()
-        for target in args.crash:
-            if target not in nodes:
-                print(f"unknown node {target!r} (have {', '.join(nodes)})",
-                      file=sys.stderr)
-                return 2
-            schedule.crash(target, at=args.at,
-                           restart_after=args.restart_after)
+    # No ``--crash`` is no schedule at all, not an empty one: the
+    # schedule is part of the config's identity.
+    schedule = _crash_schedule(args, args.crash) if args.crash else None
     overload = OverloadPolicy(max_queue=args.max_queue,
                               deadline_s=args.deadline)
-    config = BenchmarkConfig(
-        store=args.store, workload=workload, n_nodes=args.nodes,
-        cluster_spec=spec, records_per_node=args.records,
-        seed=args.seed, overload=overload, fault_schedule=schedule,
-    )
+    config = _point_config(args, overload=overload, fault_schedule=schedule)
     policy = ObsPolicy(
         slos=default_slos(latency_slo_s=args.slo,
                           latency_target=args.slo_target,
@@ -491,16 +501,12 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     report = run_obs_scenario(scenario)
     print(report.render())
     if args.export:
-        out = Path(args.export)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(report.to_json() + "\n")
-        print(f"\nwrote incident report to {out}")
+        _write_export(args.export, report.to_json() + "\n",
+                      "incident report")
     return 0
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.audit import (AuditScenario, QuorumSweep, render_sweep,
                              run_audit_scenario, run_quorum_sweep,
                              sweep_to_json)
@@ -527,10 +533,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         payload = run_quorum_sweep(sweep, jobs=args.jobs)
         print(render_sweep(payload))
         if args.export:
-            out = Path(args.export)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(sweep_to_json(payload) + "\n")
-            print(f"\nwrote sweep report to {out}")
+            _write_export(args.export, sweep_to_json(payload) + "\n",
+                          "sweep report")
         return 0 if payload["ok"] else 1
 
     scenario = AuditScenario(
@@ -543,10 +547,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     report = run_audit_scenario(scenario)
     print(report.render())
     if args.export:
-        out = Path(args.export)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(report.to_json() + "\n")
-        print(f"\nwrote audit report to {out}")
+        _write_export(args.export, report.to_json() + "\n", "audit report")
     return 0 if report.ok else 1
 
 
@@ -564,25 +565,15 @@ def _cmd_verify_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    import json
-
     from repro.orchestrator import ResultStore
     from repro.orchestrator.plan import SECONDS_PER_UNIT
-    from repro.plan import (HARDWARE_PROFILES, LoadSpec, ValidationSettings,
+    from repro.plan import (LoadSpec, ValidationSettings,
                             analytical_frontier, build_report,
                             estimate_validation_cost, hardware_profile,
                             parse_slo, validate_frontier)
 
-    if args.workload not in WORKLOADS:
-        print(f"unknown workload {args.workload!r} (have "
-              f"{', '.join(WORKLOADS)})", file=sys.stderr)
-        return 2
-    stores = tuple(s.strip() for s in args.stores.split(","))
-    unknown = [s for s in stores if s not in STORE_NAMES]
-    if unknown:
-        print(f"unknown store(s) {', '.join(unknown)} (have "
-              f"{', '.join(STORE_NAMES)})", file=sys.stderr)
-        return 2
+    workload = _workload(args.workload)
+    stores = _store_names(args.stores)
     try:
         profiles = tuple(hardware_profile(name.strip())
                          for name in args.hardware.split(","))
@@ -592,13 +583,12 @@ def _cmd_plan(args: argparse.Namespace) -> int:
             users_per_agent=args.users_per_agent,
             metrics_per_agent=args.metrics_per_agent,
             flush_interval_s=args.interval,
-            workload=WORKLOADS[args.workload],
+            workload=workload,
             slos=slos,
             seed=args.seed,
         )
     except ValueError as error:
-        print(str(error), file=sys.stderr)
-        return 2
+        raise _UsageError(error) from None
     settings = ValidationSettings(
         records_per_node=args.records,
         measured_ops=args.ops,
@@ -640,13 +630,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     print()
     print(report.render())
     if args.export:
-        from pathlib import Path
-
-        out = Path(args.export)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report.to_payload(), indent=2,
-                                  sort_keys=True))
-        print(f"\nwrote plan report to {out}")
+        _write_export(args.export,
+                      json.dumps(report.to_payload(), indent=2,
+                                 sort_keys=True), "plan report")
     return 0 if report.recommended is not None else 2
 
 
@@ -679,17 +665,10 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("list", help="list stores, workloads, figures")
 
     run_parser = sub.add_parser("run", help="run one benchmark point")
-    run_parser.add_argument("-s", "--store", choices=STORE_NAMES,
-                            required=True)
-    run_parser.add_argument("-w", "--workload", choices=list(WORKLOADS),
-                            default="R")
-    run_parser.add_argument("-n", "--nodes", type=int, default=4)
-    run_parser.add_argument("-c", "--cluster", choices=("M", "D"),
-                            default="M")
-    run_parser.add_argument("--records", type=int, default=20_000,
-                            help="records per node (scaled data set)")
-    run_parser.add_argument("--ops", type=int, default=6000)
-    run_parser.add_argument("--seed", type=int, default=42)
+    _add_point_arguments(
+        run_parser, "store workload nodes cluster records ops seed",
+        nodes=4, records=20_000,
+        records_help="records per node (scaled data set)", ops=6000)
     run_parser.add_argument("--trace", action="store_true",
                             help="sample span traces and report a "
                                  "per-component latency breakdown")
@@ -718,16 +697,10 @@ def main(argv: list[str] | None = None) -> int:
 
     chaos_parser = sub.add_parser(
         "chaos", help="run a fault-injection experiment")
-    chaos_parser.add_argument("-s", "--store", choices=STORE_NAMES,
-                              required=True)
-    chaos_parser.add_argument("-w", "--workload", choices=list(WORKLOADS),
-                              default="R")
-    chaos_parser.add_argument("-n", "--nodes", type=int, default=4)
-    chaos_parser.add_argument("-c", "--cluster", choices=("M", "D"),
-                              default="M")
-    chaos_parser.add_argument("--records", type=int, default=20_000,
-                              help="records per node (scaled data set)")
-    chaos_parser.add_argument("--seed", type=int, default=42)
+    _add_point_arguments(
+        chaos_parser, "store workload nodes cluster records seed",
+        nodes=4, records=20_000,
+        records_help="records per node (scaled data set)")
     chaos_parser.add_argument("--duration", type=float, default=8.0,
                               help="simulated seconds to run")
     chaos_parser.add_argument("--crash", action="append", metavar="NODE",
@@ -809,12 +782,10 @@ def main(argv: list[str] | None = None) -> int:
     grid_parser.add_argument("--nodes", required=True,
                              help="comma-separated node counts")
     grid_parser.add_argument("-j", "--jobs", type=int, default=1)
-    grid_parser.add_argument("-c", "--cluster", choices=("M", "D"),
-                             default="M")
-    grid_parser.add_argument("--records", type=int, default=10_000,
-                             help="records per node (default 10000)")
-    grid_parser.add_argument("--ops", type=int, default=3000,
-                             help="measured operations (default 3000)")
+    _add_point_arguments(
+        grid_parser, "cluster records ops", records=10_000,
+        records_help="records per node (default 10000)", ops=3000,
+        ops_help="measured operations (default 3000)")
     grid_parser.add_argument("--warmup", type=int, default=400)
     grid_parser.add_argument("--seed", type=int, default=42)
     grid_parser.add_argument("--derive-seeds", action="store_true",
@@ -836,19 +807,11 @@ def main(argv: list[str] | None = None) -> int:
         "overload",
         help="goodput-vs-offered-load sweep with overload protections "
              "on and off")
-    overload_parser.add_argument("-s", "--store", choices=STORE_NAMES,
-                                 required=True)
-    overload_parser.add_argument("-w", "--workload",
-                                 choices=list(WORKLOADS), default="R")
-    overload_parser.add_argument("-n", "--nodes", type=int, default=1)
-    overload_parser.add_argument("-c", "--cluster", choices=("M", "D"),
-                                 default="M")
-    overload_parser.add_argument("--records", type=int, default=5_000,
-                                 help="records per node (default 5000)")
-    overload_parser.add_argument("--ops", type=int, default=3000,
-                                 help="measured ops of the saturation "
-                                      "probe (default 3000)")
-    overload_parser.add_argument("--seed", type=int, default=42)
+    _add_point_arguments(
+        overload_parser, "store workload nodes cluster records ops seed",
+        nodes=1, records=5_000,
+        records_help="records per node (default 5000)", ops=3000,
+        ops_help="measured ops of the saturation probe (default 3000)")
     overload_parser.add_argument("--multipliers", default="0.5,1,1.5,2",
                                  help="offered load as multiples of the "
                                       "saturation rate (default "
@@ -887,15 +850,10 @@ def main(argv: list[str] | None = None) -> int:
         "control",
         help="autoscaling + self-healing demo: the reconciliation loop "
              "vs static peak provisioning")
-    control_parser.add_argument("-s", "--store", choices=STORE_NAMES,
-                                default="redis")
-    control_parser.add_argument("-w", "--workload",
-                                choices=list(WORKLOADS), default="R")
-    control_parser.add_argument("-c", "--cluster", choices=("M", "D"),
-                                default="M")
-    control_parser.add_argument("-n", "--nodes", type=int, default=1,
-                                help="starting (and minimum) fleet of "
-                                     "the autoscaled arm (default 1)")
+    _add_point_arguments(
+        control_parser, "store workload cluster nodes", store="redis",
+        nodes=1, nodes_help="starting (and minimum) fleet of the "
+                            "autoscaled arm (default 1)")
     control_parser.add_argument("--max-nodes", type=int, default=4,
                                 help="fleet ceiling; also the static "
                                      "arm's size (default 4)")
@@ -910,10 +868,9 @@ def main(argv: list[str] | None = None) -> int:
                                 help="arrival shape (default "
                                      "diurnal:period=20,trough=0.25; "
                                      "pass '' for constant rate)")
-    control_parser.add_argument("--records", type=int, default=2000,
-                                help="records per starting node "
-                                     "(default 2000)")
-    control_parser.add_argument("--seed", type=int, default=42)
+    _add_point_arguments(
+        control_parser, "records seed", records=2000,
+        records_help="records per starting node (default 2000)")
     control_parser.add_argument("--slo", type=float, default=0.25,
                                 help="latency SLO and per-op deadline "
                                      "(default 0.25)")
@@ -962,16 +919,10 @@ def main(argv: list[str] | None = None) -> int:
         "obs",
         help="observed incident run: SLO burn-rate alerts, exemplar "
              "trace IDs, tail-sampled traces, flight-recorder dumps")
-    obs_parser.add_argument("-s", "--store", choices=STORE_NAMES,
-                            default="redis")
-    obs_parser.add_argument("-w", "--workload",
-                            choices=list(WORKLOADS), default="R")
-    obs_parser.add_argument("-c", "--cluster", choices=("M", "D"),
-                            default="M")
-    obs_parser.add_argument("-n", "--nodes", type=int, default=1)
-    obs_parser.add_argument("--records", type=int, default=2000,
-                            help="records per node (default 2000)")
-    obs_parser.add_argument("--seed", type=int, default=42)
+    _add_point_arguments(
+        obs_parser, "store workload cluster nodes records seed",
+        store="redis", nodes=1, records=2000,
+        records_help="records per node (default 2000)")
     obs_parser.add_argument("--rate", type=float, default=1200.0,
                             help="offered rate in ops/s (default 1200)")
     obs_parser.add_argument("--duration", type=float, default=3.0,
@@ -1155,7 +1106,11 @@ def main(argv: list[str] | None = None) -> int:
         "plan": _cmd_plan,
         "capacity": _cmd_capacity,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except _UsageError as error:
+        print(error, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -141,22 +141,12 @@ def run_control_scenario(scenario: ControlScenario) -> ControlRunResult:
                        queue_sample_s=0.02, shape=scenario.shape,
                        timeline_s=scenario.timeline_s)
     policy = scenario.policy
-    controller = None
-    sampler = None
-    registry = None
+    registry = sampler = controller = None
     if policy is not None:
-        from repro.metrics.instrument import instrument_cluster
-        from repro.metrics.registry import MetricsRegistry
-        from repro.metrics.sampler import MetricsSampler
-
-        registry = MetricsRegistry(run.sim)
-        instrument_cluster(registry, run.cluster)
-        run.store.attach_metrics(registry)
         # The sampler must start before the controller: at a shared
         # timestamp the earlier process runs first, so every tick reads
         # the window the sampler just closed.
-        sampler = MetricsSampler(registry, interval_s=policy.tick_s)
-        sampler.start()
+        registry, sampler = run.deployment.start_telemetry(policy.tick_s)
     topology = ClusterTopology(run.cluster, run.store, registry)
     if policy is not None:
         controller = Controller(topology, sampler.series, policy)

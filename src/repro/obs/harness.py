@@ -191,9 +191,6 @@ def run_obs_scenario(scenario: ObsScenario) -> ObsReport:
     """Execute one observed incident scenario end to end."""
     from repro.analysis.prometheus import registry_to_prometheus
     from repro.analysis.trace_export import chrome_trace
-    from repro.metrics.instrument import instrument_cluster
-    from repro.metrics.registry import MetricsRegistry
-    from repro.metrics.sampler import MetricsSampler
     from repro.overload.openloop import _OpenLoopRun
 
     run = _OpenLoopRun(scenario.config, scenario.offered_rate,
@@ -201,11 +198,8 @@ def run_obs_scenario(scenario: ObsScenario) -> ObsReport:
                        scenario.resolved_slo_s(), queue_sample_s=0.02,
                        shape=scenario.shape,
                        timeline_s=scenario.timeline_s)
-    registry = MetricsRegistry(run.sim)
-    instrument_cluster(registry, run.cluster)
-    run.store.attach_metrics(registry)
-    sampler = MetricsSampler(registry, interval_s=scenario.policy.tick_s)
-    sampler.start()
+    registry, sampler = run.deployment.start_telemetry(
+        scenario.policy.tick_s)
     obs = ObsLayer(run.sim, scenario.policy, registry=registry)
     run.attach_obs(obs)
     obs.start()

@@ -10,9 +10,8 @@ in :class:`~repro.obs.slo.SLOEngine`.
 A :class:`BurnRateRule` is the Google-SRE multi-window alert condition:
 the alert fires only when the budget burn rate exceeds ``factor`` over
 *both* a long window (evidence the problem is real) and a short window
-(evidence it is still happening), and clears with hysteresis — the
-``clear_ratio`` semantics ported from the deprecated
-``repro.core.alerts`` trigger engine.
+(evidence it is still happening), and clears with hysteresis
+(``clear_ratio``).
 
 :class:`ObsPolicy` bundles the objectives with the tail-sampling,
 exemplar and flight-recorder knobs.  Like
@@ -127,8 +126,7 @@ class BurnRateRule:
     #: Severity label carried into the alert log.
     severity: str = "page"
     #: Hysteresis: a firing alert clears only once the long-window burn
-    #: retreats below ``factor * clear_ratio`` (ported from the
-    #: deprecated ``repro.core.alerts`` engine).
+    #: retreats below ``factor * clear_ratio``.
     clear_ratio: float = 0.9
 
     def __post_init__(self):

@@ -16,9 +16,7 @@ the rule's long and short windows, and applies the Google-SRE condition:
 * **clear** with hysteresis once the long-window burn retreats below
   ``factor * clear_ratio``;
 * **missing data never changes state** — a window with no classified
-  operations is an ingestion gap, not an incident (semantics ported
-  from the deprecated ``repro.core.alerts`` engine, which this module
-  replaces as the canonical alerting path).
+  operations is an ingestion gap, not an incident.
 
 Fired alerts carry provenance-free, JSON-ready evidence: both burn
 rates, the cumulative budget remaining, and up to

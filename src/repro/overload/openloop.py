@@ -30,14 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.keyspace import format_key
 from repro.overload.shapes import ArrivalShape
-from repro.stores.base import OpType
-from repro.ycsb.client import attempt_op
-from repro.ycsb.generator import (KeySequence, generate_record,
-                                  generate_records, make_chooser)
-from repro.ycsb.runner import (PAPER_RECORDS_PER_NODE, BenchmarkConfig,
-                               _build_store, run_benchmark, scaled_spec)
+from repro.storage.record import APM_SCHEMA
+from repro.ycsb.client import attempt_op, draw_operation
+from repro.ycsb.runner import BenchmarkConfig, Deployment, run_benchmark
 from repro.ycsb.stats import ERROR_KINDS
 
 __all__ = ["OverloadPoint", "OverloadSweep", "SaturationEstimate",
@@ -146,16 +142,13 @@ class OverloadSweep:
 
 
 class _OpenLoopRun:
-    """State of one open-loop drive: cluster, sessions, counters."""
+    """The open-loop driver: one arrival process over a deployment."""
 
     def __init__(self, config: BenchmarkConfig, offered_rate: float,
                  duration_s: float, warmup_s: float, slo_s: float,
                  queue_sample_s: float,
                  shape: Optional[ArrivalShape] = None,
                  timeline_s: Optional[float] = None):
-        from repro.sim.rng import RngRegistry
-        from repro.stores.registry import store_class
-
         if offered_rate <= 0:
             raise ValueError(f"offered_rate must be positive, "
                              f"got {offered_rate}")
@@ -171,63 +164,17 @@ class _OpenLoopRun:
         self._tl_arrivals: dict = {}
         self._tl_in_slo: dict = {}
 
-        from repro.sim.cluster import Cluster
-        from repro.storage.record import APM_SCHEMA
-
-        cls = store_class(config.store)
-        if config.workload.has_scans and not cls.supports_scans:
-            raise ValueError(f"{config.store} does not support scans")
-        spec = scaled_spec(config.cluster_spec, config.records_per_node,
-                           config.paper_records_per_node)
-        n_clients = cls.clients_for(config.n_nodes, spec.servers_per_client)
-        self.cluster = Cluster(spec, config.n_nodes, n_clients=n_clients)
-        self.schema = APM_SCHEMA
-        self.store = _build_store(config, self.cluster, self.schema)
-        if config.overload is not None:
-            self.store.configure_overload(config.overload)
-        total_records = config.records_per_node * config.n_nodes
-        self.store.load(generate_records(total_records, self.schema))
-        self.store.warm_caches()
-
-        self.sim = self.cluster.sim
-        self.sequence = KeySequence(total_records)
-        rngs = RngRegistry(config.seed)
-        self._op_rng = rngs.stream("openloop-ops")
-        self.chooser = make_chooser(config.workload.distribution,
-                                    total_records, self.sequence,
-                                    rngs.stream("openloop-keys"))
-        n_connections = self.store.connections(spec.connections_per_node)
-        self.sessions = [
-            self.store.session(self.cluster.client_for_connection(i), i)
-            for i in range(n_connections)
-        ]
-        self.retry = (config.retry if config.retry is not None
-                      else self.store.retry_policy())
-        policy = config.overload
-        self.deadline_s = None if policy is None else policy.deadline_s
-        self.budget = self.breaker = None
-        if policy is not None and policy.retry_budget_per_s is not None:
-            from repro.overload.budget import RetryBudget
-
-            self.budget = RetryBudget(policy.retry_budget_per_s,
-                                      policy.retry_budget_burst)
-        if policy is not None and policy.circuit_breaker:
-            from repro.overload.budget import CircuitBreaker
-
-            self.breaker = CircuitBreaker()
-        # Chaos: the config's fault schedule plays out during the drive,
-        # exactly as in the closed-loop runner (new harnesses only; the
-        # constant-rate exports all use fault-free configs).
-        self.chaos = None
-        if (config.fault_schedule is not None
-                and len(config.fault_schedule)):
-            from repro.faults.chaos import ChaosController
-
-            self.chaos = ChaosController(self.cluster,
-                                         config.fault_schedule)
-            self.chaos.subscribe(self.store)
-            if self.breaker is not None:
-                self.chaos.subscribe(self.breaker)
+        #: The deployed store; harnesses riding on this driver start
+        #: their telemetry from it (``start_telemetry``) before ``run``.
+        self.deployment = deployment = Deployment(config)
+        self.cluster = deployment.cluster
+        self.store = deployment.store
+        self.sim = deployment.sim
+        self.chaos = deployment.chaos
+        self._op_rng = deployment.rngs.stream("openloop-ops")
+        self.chooser = deployment.chooser(
+            deployment.rngs.stream("openloop-keys"))
+        self.sessions = deployment.sessions()
         #: Optional :class:`~repro.obs.layer.ObsLayer` — see
         #: :meth:`attach_obs`.
         self.obs = None
@@ -264,32 +211,10 @@ class _OpenLoopRun:
                 self.max_queue_depth = depth
             yield self.sim.timeout(self.queue_sample_s)
 
-    def _draw(self):
-        """Draw one operation and its arguments, in arrival order."""
-        roll = self._op_rng.random()
-        op = self._op_table[-1][0]
-        for candidate, threshold in self._op_table:
-            if roll <= threshold:
-                op = candidate
-                break
-        fields = None
-        scan_length = 0
-        if op is OpType.INSERT:
-            record = generate_record(self.sequence.take(), self.schema)
-            key, fields = record.key, record.fields
-        elif op is OpType.UPDATE:
-            record = generate_record(self.chooser.next_record_number(),
-                                     self.schema)
-            key, fields = record.key, record.fields
-        else:
-            key = format_key(self.chooser.next_record_number())
-            if op is OpType.SCAN:
-                scan_length = self.config.workload.scan_length
-        return op, key, fields, scan_length
-
     def _one_op(self, index: int, measured: bool, op, key, fields,
                 scan_length):
         sim = self.sim
+        deployment = self.deployment
         session = self.sessions[index % len(self.sessions)]
         arrival = sim.now
         obs = self.obs
@@ -298,14 +223,14 @@ class _OpenLoopRun:
                 and obs.tracer.should_sample()):
             trace = obs.tracer.begin(op.value, key,
                                      index % len(self.sessions))
-        if self.deadline_s is not None:
-            sim.deadline = arrival + self.deadline_s
+        deadline = None
+        if deployment.deadline_s is not None:
+            sim.deadline = deadline = arrival + deployment.deadline_s
         try:
-            error, kind = yield from attempt_op(
-                session, op, key, fields, scan_length, self.retry,
-                deadline=(None if self.deadline_s is None
-                          else arrival + self.deadline_s),
-                budget=self.budget, breaker=self.breaker,
+            error, kind, __ = yield from attempt_op(
+                session, op, key, fields, scan_length, deployment.retry,
+                deadline=deadline, budget=deployment.budget,
+                breaker=deployment.breaker,
             )
         finally:
             sim.deadline = None
@@ -332,46 +257,42 @@ class _OpenLoopRun:
                     self._tl_in_slo[bucket] = (
                         self._tl_in_slo.get(bucket, 0) + 1)
 
+    def _arrive(self, index: int):
+        """One arrival: draw its operation, in arrival order, and launch
+        it as its own process whether or not earlier ones finished."""
+        measured = self.sim.now >= self.warmup_s
+        if measured:
+            self.window_arrivals += 1
+        deployment = self.deployment
+        drawn = draw_operation(
+            self._op_table, self._op_rng, self.chooser, deployment.sequence,
+            APM_SCHEMA, self.config.workload.scan_length)
+        return self.sim.process(self._one_op(index, measured, *drawn),
+                                name=f"open-op-{index}")
+
+    # Two arrival loops, one termination rule each: a count fixed up
+    # front at constant rate, the clock under a shape.  Merging them
+    # changes the arrival count by float rounding.
+
     def _arrivals(self):
         interval = 1.0 / self.offered_rate
         total = int(round((self.warmup_s + self.duration_s)
                           * self.offered_rate))
-        window_start = self.warmup_s
         procs = []
         for i in range(total):
-            arrival = self.sim.now
-            measured = arrival >= window_start
-            if measured:
-                self.window_arrivals += 1
-            op, key, fields, scan_length = self._draw()
-            procs.append(self.sim.process(
-                self._one_op(i, measured, op, key, fields, scan_length),
-                name=f"open-op-{i}"))
+            procs.append(self._arrive(i))
             yield self.sim.timeout(interval)
         # Let every in-flight operation drain before the run ends.
         yield self.sim.all_of(procs)
         self._draining = True
 
     def _shaped_arrivals(self):
-        """Arrivals spaced by the shape's instantaneous rate.
-
-        A separate driver so the constant-rate path above stays
-        byte-identical for every existing export.
-        """
+        """Arrivals spaced by the shape's instantaneous rate."""
         end = self.warmup_s + self.duration_s
-        window_start = self.warmup_s
         procs = []
-        i = 0
         while self.sim.now < end:
             arrival = self.sim.now
-            measured = arrival >= window_start
-            if measured:
-                self.window_arrivals += 1
-            op, key, fields, scan_length = self._draw()
-            procs.append(self.sim.process(
-                self._one_op(i, measured, op, key, fields, scan_length),
-                name=f"open-op-{i}"))
-            i += 1
+            procs.append(self._arrive(len(procs)))
             rate = self.shape.rate_at(arrival, self.offered_rate)
             yield self.sim.timeout(1.0 / max(rate, 1e-9))
         yield self.sim.all_of(procs)

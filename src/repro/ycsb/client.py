@@ -28,7 +28,7 @@ from repro.ycsb.stats import RunStats
 from repro.ycsb.throttle import Throttle
 from repro.ycsb.workload import Workload
 
-__all__ = ["RunControl", "ClientThread", "attempt_op"]
+__all__ = ["RunControl", "ClientThread", "attempt_op", "draw_operation"]
 
 
 def attempt_op(session: StoreSession, op: OpType, key: str, fields,
@@ -36,7 +36,8 @@ def attempt_op(session: StoreSession, op: OpType, key: str, fields,
                deadline: Optional[float] = None, budget=None, breaker=None):
     """Process body: execute one operation under the full retry policy.
 
-    Returns ``(error, kind)`` where ``kind`` classifies a failure (see
+    Returns ``(error, kind, result)``: ``result`` is what the store
+    returned (``None`` on failure) and ``kind`` classifies a failure (see
     :data:`repro.ycsb.stats.ERROR_KINDS`):
 
     * :class:`OpError` / a ``False`` result → ``"store"``, never retried;
@@ -48,8 +49,9 @@ def attempt_op(session: StoreSession, op: OpType, key: str, fields,
       circuit breaker allows the target node, and the retry budget has a
       token — each gate failing surfaces the triggering error's kind.
 
-    Shared by the closed-loop :class:`ClientThread` and the open-loop
-    overload runner so both report identical semantics.
+    Shared by the closed-loop :class:`ClientThread`, the open-loop
+    overload runner and the audit sessions so all report identical
+    semantics.
     """
     sim = session.store.sim
     attempt = 1
@@ -59,28 +61,53 @@ def attempt_op(session: StoreSession, op: OpType, key: str, fields,
                 op, key, fields=fields, scan_length=scan_length
             )
             if result is False:
-                return True, "store"
-            return False, None
+                return True, "store", None
+            return False, None, result
         except OpError:
             # Semantic failure (e.g. Redis OOM): retrying cannot help.
-            return True, "store"
+            return True, "store", None
         except DeadlineExceededError:
-            return True, "deadline"
+            return True, "deadline", None
         except FaultError as exc:
             kind = "overload" if isinstance(exc, OverloadError) else "fault"
             if attempt >= retry.max_attempts:
-                return True, kind
+                return True, kind, None
             if deadline is not None and sim.now >= deadline:
-                return True, "deadline"
+                return True, "deadline", None
             if breaker is not None and not breaker.allow_retry(exc):
-                return True, kind
+                return True, kind, None
             if budget is not None and not budget.try_spend(sim.now):
-                return True, kind
+                return True, kind, None
             # The driver reconnects with backoff, inside the timed call.
             backoff = retry.backoff_for(attempt)
             attempt += 1
             if backoff > 0:
                 yield sim.timeout(backoff)
+
+
+def draw_operation(op_table, rng: random.Random, chooser,
+                   sequence: KeySequence, schema: RecordSchema,
+                   scan_length: int):
+    """Draw one operation and its arguments: ``(op, key, fields, scan_length)``.
+
+    Drawn once, before any attempt: a retry re-issues the *same*
+    operation, it does not burn a fresh key from the generator streams.
+    Reads, scans and deletes need only the key, so no record is built.
+    """
+    roll = rng.random()
+    op = op_table[-1][0]
+    for candidate, threshold in op_table:
+        if roll <= threshold:
+            op = candidate
+            break
+    if op is OpType.INSERT:
+        record = generate_record(sequence.take(), schema)
+        return op, record.key, record.fields, 0
+    if op is OpType.UPDATE:
+        record = generate_record(chooser.next_record_number(), schema)
+        return op, record.key, record.fields, 0
+    key = format_key(chooser.next_record_number())
+    return op, key, None, scan_length if op is OpType.SCAN else 0
 
 
 @dataclass
@@ -144,13 +171,6 @@ class ClientThread:
         self.audit = audit
         self._op_table = workload.op_table()
 
-    def _draw_op(self) -> OpType:
-        roll = self.rng.random()
-        for op, threshold in self._op_table:
-            if roll <= threshold:
-                return op
-        return self._op_table[-1][0]
-
     def run(self):
         """Process body: issue operations until the run is complete."""
         sim = self.session.store.sim
@@ -159,23 +179,9 @@ class ClientThread:
                 yield from self.throttle.acquire()
                 if self.control.done:
                     break
-            op = self._draw_op()
-            # Draw the operation's arguments once, before any attempt:
-            # a retry re-issues the *same* operation, it does not burn a
-            # fresh key from the generator streams.
-            fields = None
-            scan_length = 0
-            if op is OpType.INSERT:
-                record = generate_record(self.sequence.take(), self.schema)
-                key, fields = record.key, record.fields
-            elif op is OpType.UPDATE:
-                record = generate_record(
-                    self.chooser.next_record_number(), self.schema)
-                key, fields = record.key, record.fields
-            else:  # READ / SCAN / DELETE
-                key = format_key(self.chooser.next_record_number())
-                if op is OpType.SCAN:
-                    scan_length = self.workload.scan_length
+            op, key, fields, scan_length = draw_operation(
+                self._op_table, self.rng, self.chooser, self.sequence,
+                self.schema, self.workload.scan_length)
             # Workload-loop and driver dispatch work happens before YCSB
             # starts the operation timer.
             yield from self.session.store.dispatch_cpu(self.session.client)
@@ -192,7 +198,7 @@ class ClientThread:
                 deadline = started + self.deadline_s
                 sim.deadline = deadline
             try:
-                error, kind = yield from attempt_op(
+                error, kind, __ = yield from attempt_op(
                     self.session, op, key, fields, scan_length, self.retry,
                     deadline=deadline, budget=self.budget,
                     breaker=self.breaker,
@@ -215,7 +221,7 @@ class ClientThread:
                 # an audited run is op-for-op identical to a bare one.
                 self.audit.note_client_op(
                     session=self.session.index, op=op.value, key=key,
-                    t_invoke=started, t_ack=sim.now, ok=error is None,
-                    error=kind if error is not None else None,
+                    t_invoke=started, t_ack=sim.now, ok=not error,
+                    error=kind,
                 )
             self.control.note_completion(self.stats, sim.now)

@@ -26,12 +26,16 @@ from typing import Any, Optional
 from repro.faults.availability import AvailabilityTimeline
 from repro.faults.chaos import ChaosController
 from repro.faults.schedule import FaultSchedule
+from repro.metrics import (MetricsRegistry, MetricsReport, MetricsSampler,
+                           analyze_saturation, instrument_cluster,
+                           verify_sustained)
 from repro.overload.budget import CircuitBreaker, RetryBudget
 from repro.overload.policy import OverloadPolicy
 from repro.sim.cluster import CLUSTER_M, Cluster, ClusterSpec, NodeSpec
 from repro.sim.disk import DiskSpec
 from repro.sim.network import NetworkSpec
-from repro.storage.record import APM_SCHEMA, RecordSchema
+from repro.sim.rng import RngRegistry
+from repro.storage.record import APM_SCHEMA
 from repro.stores.base import OpType, RetryPolicy, Store
 from repro.stores.registry import store_class
 from repro.trace import Tracer
@@ -41,8 +45,8 @@ from repro.ycsb.stats import LatencyHistogram, RunStats
 from repro.ycsb.throttle import Throttle
 from repro.ycsb.workload import Workload
 
-__all__ = ["BenchmarkConfig", "BenchmarkResult", "UnportableConfigError",
-           "run_benchmark", "scaled_spec"]
+__all__ = ["BenchmarkConfig", "BenchmarkResult", "Deployment",
+           "UnportableConfigError", "run_benchmark", "scaled_spec"]
 
 #: Records per node the paper loads on Cluster M (Section 3).
 PAPER_RECORDS_PER_NODE = 10_000_000
@@ -370,20 +374,94 @@ class BenchmarkResult:
         }
 
 
-def _build_store(config: BenchmarkConfig, cluster: Cluster,
-                 schema: RecordSchema) -> Store:
-    cls = store_class(config.store)
-    return cls(cluster, schema=schema, **config.store_kwargs)
+class Deployment:
+    """One store deployed, loaded, warmed and wired — the paper's fresh
+    install, once, for every way of driving it.
+
+    Construction does steps 1-3 of the methodology and resolves what a
+    driver needs from ``config``: the key sequence, the connection count,
+    the retry policy, the overload protections (``deadline_s``, retry
+    ``budget``, circuit ``breaker``) and the ``chaos`` controller,
+    subscribed to the store and then the breaker.
+
+    It wires but *starts* nothing.  Processes that share a timestamp run
+    in the order they were started, so start order is part of what a
+    driver measures: each driver starts chaos, telemetry and its own
+    processes itself, in its own order.
+    """
+
+    def __init__(self, config: BenchmarkConfig):
+        self.config = config
+        cls = store_class(config.store)
+        if config.workload.has_scans and not cls.supports_scans:
+            raise ValueError(
+                f"{config.store} does not support scans (workload "
+                f"{config.workload.name}); the paper omits it from scan "
+                "workloads")
+        spec = scaled_spec(config.cluster_spec, config.records_per_node,
+                           config.paper_records_per_node)
+        n_clients = cls.clients_for(config.n_nodes, spec.servers_per_client)
+        self.cluster = Cluster(spec, config.n_nodes, n_clients=n_clients)
+        self.sim = self.cluster.sim
+        self.store: Store = cls(self.cluster, schema=APM_SCHEMA,
+                                **config.store_kwargs)
+        policy = config.overload
+        if policy is not None:
+            self.store.configure_overload(policy)
+        self.total_records = config.records_per_node * config.n_nodes
+        self.store.load(generate_records(self.total_records, APM_SCHEMA))
+        self.store.warm_caches()
+
+        self.sequence = KeySequence(self.total_records)
+        self.rngs = RngRegistry(config.seed)
+        self.n_connections = self.store.connections(
+            spec.connections_per_node)
+        self.retry = (config.retry if config.retry is not None
+                      else self.store.retry_policy())
+        self.deadline_s = None if policy is None else policy.deadline_s
+        self.budget = self.breaker = self.chaos = None
+        if policy is not None and policy.retry_budget_per_s is not None:
+            self.budget = RetryBudget(policy.retry_budget_per_s,
+                                      policy.retry_budget_burst)
+        if policy is not None and policy.circuit_breaker:
+            self.breaker = CircuitBreaker()
+        if config.fault_schedule is not None and len(config.fault_schedule):
+            self.chaos = ChaosController(self.cluster, config.fault_schedule)
+            self.chaos.subscribe(self.store)
+            if self.breaker is not None:
+                self.chaos.subscribe(self.breaker)
+
+    def sessions(self) -> list:
+        """Open the deployment's client connections, in index order."""
+        return [self.store.session(self.cluster.client_for_connection(i), i)
+                for i in range(self.n_connections)]
+
+    def chooser(self, rng):
+        """The workload's key chooser drawing from ``rng``."""
+        return make_chooser(self.config.workload.distribution,
+                            self.total_records, self.sequence, rng)
+
+    def start_telemetry(self, interval_s: float):
+        """Instrument cluster and store, start sampling: ``(registry,
+        sampler)``.  The one thing here that starts a process — call it
+        where the driver's start order wants the sampler."""
+        registry = MetricsRegistry(self.sim)
+        instrument_cluster(registry, self.cluster)
+        self.store.attach_metrics(registry)
+        sampler = MetricsSampler(registry, interval_s)
+        sampler.start()
+        return registry, sampler
 
 
 def run_benchmark(store: str, workload: Workload, n_nodes: int,
                   config: Optional[BenchmarkConfig] = None,
                   obs=None, audit=None, **overrides) -> BenchmarkResult:
-    """Run one benchmark data point and return its measurements.
+    """Run one benchmark data point closed-loop and return its measurements.
 
     ``store`` is a registry name ("cassandra", "hbase", "voldemort",
     "redis", "voltdb", "mysql"); extra keyword arguments override
-    :class:`BenchmarkConfig` fields.
+    :class:`BenchmarkConfig` fields.  With ``config`` given, the point is
+    the config's: the positional arguments are not consulted.
 
     ``obs`` optionally attaches an :class:`~repro.obs.policy.ObsPolicy`
     observability overlay (SLO burn-rate alerting, exemplar-linked tail
@@ -400,28 +478,9 @@ def run_benchmark(store: str, workload: Workload, n_nodes: int,
     if config is None:
         config = BenchmarkConfig(store=store, workload=workload,
                                  n_nodes=n_nodes, **overrides)
-    schema = APM_SCHEMA
+    deployment = Deployment(config)
+    cluster, deployed = deployment.cluster, deployment.store
 
-    cls = store_class(config.store)
-    if workload.has_scans and not cls.supports_scans:
-        raise ValueError(
-            f"{config.store} does not support scans (workload "
-            f"{workload.name}); the paper omits it from scan workloads"
-        )
-
-    spec = scaled_spec(config.cluster_spec, config.records_per_node,
-                       config.paper_records_per_node)
-    n_clients = cls.clients_for(config.n_nodes, spec.servers_per_client)
-    cluster = Cluster(spec, config.n_nodes, n_clients=n_clients)
-    deployed = _build_store(config, cluster, schema)
-    if config.overload is not None:
-        deployed.configure_overload(config.overload)
-
-    total_records = config.records_per_node * config.n_nodes
-    deployed.load(generate_records(total_records, schema))
-    deployed.warm_caches()
-
-    sequence = KeySequence(total_records)
     stats = RunStats()
     if (config.fault_schedule is not None or config.duration_s is not None
             or config.metrics_interval_s is not None):
@@ -431,7 +490,7 @@ def run_benchmark(store: str, workload: Workload, n_nodes: int,
             # sub-windows; the op timeline must resolve finer than those.
             window_s = min(window_s, config.metrics_interval_s)
         stats.timeline = AvailabilityTimeline(window_s)
-    n_connections = deployed.connections(spec.connections_per_node)
+    n_connections = deployment.n_connections
     if config.duration_s is not None:
         # Time-bounded run: the clock, not an op count, ends measurement.
         warmup_ops = config.warmup_ops
@@ -446,22 +505,9 @@ def run_benchmark(store: str, workload: Workload, n_nodes: int,
     control = RunControl(warmup_ops, measured_ops)
     throttle = (Throttle(cluster.sim, config.target_throughput)
                 if config.target_throughput else None)
-    chaos = None
-    if config.fault_schedule is not None and len(config.fault_schedule):
-        chaos = ChaosController(cluster, config.fault_schedule)
-        chaos.subscribe(deployed)
+    chaos = deployment.chaos
+    if chaos is not None:
         chaos.start()
-    deadline_s = budget = breaker = None
-    if config.overload is not None:
-        policy = config.overload
-        deadline_s = policy.deadline_s
-        if policy.retry_budget_per_s is not None:
-            budget = RetryBudget(policy.retry_budget_per_s,
-                                 policy.retry_budget_burst)
-        if policy.circuit_breaker:
-            breaker = CircuitBreaker()
-            if chaos is not None:
-                chaos.subscribe(breaker)
     tracer = None
     if obs is None and config.trace_sample_every is not None:
         tracer = Tracer(cluster.sim,
@@ -469,13 +515,8 @@ def run_benchmark(store: str, workload: Workload, n_nodes: int,
                         max_traces=config.trace_max_traces)
     registry = sampler = None
     if config.metrics_interval_s is not None:
-        from repro.metrics import (MetricsRegistry, MetricsSampler,
-                                   instrument_cluster)
-        registry = MetricsRegistry(cluster.sim)
-        instrument_cluster(registry, cluster)
-        deployed.attach_metrics(registry)
-        sampler = MetricsSampler(registry, config.metrics_interval_s)
-        sampler.start()
+        registry, sampler = deployment.start_telemetry(
+            config.metrics_interval_s)
     obs_layer = None
     if obs is not None:
         from repro.obs import ObsLayer
@@ -488,20 +529,15 @@ def run_benchmark(store: str, workload: Workload, n_nodes: int,
         if chaos is not None:
             obs_layer.attach_chaos(chaos)
         obs_layer.start()
-    from repro.sim.rng import RngRegistry
-    rngs = RngRegistry(config.seed)
     threads = []
-    for i in range(n_connections):
-        client_node = cluster.client_for_connection(i)
-        session = deployed.session(client_node, i)
-        rng = rngs.stream(f"thread-{i}")
-        chooser = make_chooser(workload.distribution, total_records,
-                               sequence, rng)
+    for i, session in enumerate(deployment.sessions()):
+        rng = deployment.rngs.stream(f"thread-{i}")
         threads.append(ClientThread(
-            session, workload, chooser, sequence, stats, control, rng,
-            schema, throttle, retry=config.retry, tracer=tracer,
-            deadline_s=deadline_s, budget=budget, breaker=breaker,
-            obs=obs_layer, audit=audit,
+            session, config.workload, deployment.chooser(rng),
+            deployment.sequence, stats, control, rng, APM_SCHEMA, throttle,
+            retry=deployment.retry, tracer=tracer,
+            deadline_s=deployment.deadline_s, budget=deployment.budget,
+            breaker=deployment.breaker, obs=obs_layer, audit=audit,
         ))
     processes = [cluster.sim.process(t.run(), name=f"client-{i}")
                  for i, t in enumerate(threads)]
@@ -519,8 +555,6 @@ def run_benchmark(store: str, workload: Workload, n_nodes: int,
 
     metrics = None
     if sampler is not None:
-        from repro.metrics import (MetricsReport, analyze_saturation,
-                                   verify_sustained)
         sampler.close()
         t0, t1 = stats.started_at, stats.finished_at
         saturation = sustained = None

@@ -48,3 +48,25 @@ def test_audit_scenario_results_equal_unrecorded_world():
     second = run_audit_scenario(scenario)
     assert first.to_json() == second.to_json()
     assert first.history == second.history
+
+
+def test_closed_loop_recorder_sees_what_the_run_measured():
+    """The runner's audit hook records acks as acks and failures with
+    their kind — the checkers are blind if every op looks failed."""
+    recorder = HistoryRecorder(sim=None)
+    # A timed run with no warm-up measures every op completed before the
+    # clock ran out: the recorder's first ``operations`` records.
+    result = run_benchmark("redis", WORKLOADS["RW"], 1, audit=recorder,
+                           records_per_node=1000, duration_s=0.05,
+                           warmup_ops=0, seed=42)
+    stats = result.stats
+    window = recorder.records[:stats.operations]
+    assert stats.errors > 0, "redis/RW must fail some inserts (OOM)"
+    assert sum(r.ok for r in window) == stats.operations - stats.errors
+    assert all(r.error is None for r in window if r.ok)
+    kinds = {}
+    for record in window:
+        if not record.ok:
+            kinds[record.error] = kinds.get(record.error, 0) + 1
+    assert kinds == {kind: stats.error_kind_total(kind) for kind in kinds}
+    assert None not in kinds

@@ -156,7 +156,7 @@ def test_partitioned_write_surfaces_as_infrastructure_fault(name):
 
     def driver():
         started = sim.now
-        error, kind = yield from attempt_op(
+        error, kind, __ = yield from attempt_op(
             session, OpType.INSERT, key, fields, 0, retry)
         stats.record(OpType.INSERT, sim.now - started, error, kind)
         outcome["error"], outcome["kind"] = error, kind
@@ -171,7 +171,7 @@ def test_partitioned_write_surfaces_as_infrastructure_fault(name):
     cluster.network.heal()
 
     def healed():
-        error, kind = yield from attempt_op(
+        error, kind, __ = yield from attempt_op(
             session, OpType.INSERT, key, fields, 0, retry)
         outcome["healed_error"] = error
 

@@ -104,3 +104,20 @@ class TestEndToEnd:
         assert result.connections == 8  # 4 per node, reduced client pool
         result = run_benchmark("redis", WORKLOAD_R, 2, **SMALL)
         assert result.connections <= 128
+
+
+def test_config_decides_the_workload_not_the_positional_argument():
+    """``run_benchmark(..., config=cfg)`` runs the point ``cfg`` names.
+
+    The result is stored under ``cfg``'s content key, so a positional
+    workload that disagrees must not leak into what is run.
+    """
+    from repro.orchestrator.pool import run_config
+    from repro.orchestrator.serialize import result_to_dict
+
+    config = BenchmarkConfig(store="voldemort", workload=WORKLOAD_RW,
+                             n_nodes=1, records_per_node=500,
+                             measured_ops=300, warmup_ops=50, seed=3)
+    mismatched = run_benchmark("redis", WORKLOAD_RS, 4, config=config)
+    assert (result_to_dict(mismatched)
+            == result_to_dict(run_config(config)))
