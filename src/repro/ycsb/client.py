@@ -203,6 +203,9 @@ class ClientThread:
                     deadline=deadline, budget=self.budget,
                     breaker=self.breaker,
                 )
+                # Not kept: a scan's rows would otherwise live in this
+                # frame until the thread's next operation completes.
+                del __
             finally:
                 if deadline is not None:
                     sim.deadline = None
