@@ -14,11 +14,25 @@ plane may rebalance mid-run at all):
   no key living off its owner;
 * **determinism** — the same seeded scenario run twice produces a
   byte-identical JSON digest of acknowledgement times, move bills, and
-  the final clock.
+  the final clock, and that digest is the committed one;
+* **the bill itself** — on a quiesced store, growing 2 -> 3 and then
+  draining server 0 returns exactly the committed ``(src, dst, nbytes)``
+  lists and leaves the committed members and per-server entry counts,
+  so a rewrite of the reshard path cannot move a byte of what the
+  topology layer charges.  Replicated Cassandra / Voldemort refuse to
+  reshard and their catch-up pass is a no-op.
+
+Regenerate ``rebalance_golden.json`` after an *intentional* change of
+what a reshard moves with::
+
+    REPRO_UPDATE_REBALANCE_GOLDENS=1 PYTHONPATH=src python -m pytest \
+        tests/control/test_rebalance_conformance.py
 """
 
 import hashlib
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +43,8 @@ from repro.storage.record import APM_SCHEMA
 from repro.stores import STORE_NAMES, create_store
 from repro.stores.base import OpError
 from tests.stores.conftest import make_records
+
+GOLDEN_PATH = Path(__file__).parent / "rebalance_golden.json"
 
 #: Store-construction overrides for the conformance scenario.  HBase
 #: runs with client buffering off: a locally-buffered "ack" is not an
@@ -120,8 +136,95 @@ def test_no_acknowledged_write_lost(store_name):
     assert store.rebalance_moves() == []
 
 
+def _assert_golden(section, store_name, observed):
+    golden = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
+    if os.environ.get("REPRO_UPDATE_REBALANCE_GOLDENS"):
+        golden.setdefault(section, {})[store_name] = observed
+        GOLDEN_PATH.write_text(
+            json.dumps(golden, indent=1, sort_keys=True) + "\n")
+        pytest.skip("rebalance golden regenerated")
+    assert observed == golden[section][store_name]
+
+
 @pytest.mark.parametrize("store_name", STORE_NAMES)
 def test_grow_shrink_is_deterministic(store_name):
     first, *__ = _run_scenario(store_name)
     second, *__ = _run_scenario(store_name)
     assert first == second
+    _assert_golden("live_digest", store_name, first)
+
+
+# -- the quiesced move bill ----------------------------------------------------
+
+
+def _entries_per_server(store):
+    """Live entries each server holds, by the store's own containers."""
+    name = store.name
+    if name == "redis":
+        return [len(shard) for shard in store.shards]
+    if name == "mysql":
+        return [len(table) for table in store.tables]
+    if name == "voldemort":
+        return [len(tree) for tree in store.trees]
+    if name == "voltdb":
+        return [sum(len(table) for table in store._host_partitions(host))
+                for host in range(store.cluster.n_servers)]
+    if name == "cassandra":
+        return [engine.record_count for engine in store.engines]
+    if name == "hbase":
+        return [sum(engine.record_count for engine in server.regions.values())
+                for server in store.region_servers]
+    raise AssertionError(f"no entry count for store {name!r}")
+
+
+def _quiesced(store_name, **kwargs):
+    cluster = Cluster(CLUSTER_M, 2)
+    store = create_store(store_name, cluster,
+                         **STORE_KWARGS.get(store_name, {}), **kwargs)
+    store.load(make_records(N_PRELOADED))
+    return cluster, store
+
+
+@pytest.mark.parametrize("store_name", STORE_NAMES)
+def test_quiesced_move_bill_matches_golden(store_name):
+    cluster, store = _quiesced(store_name)
+    observed = {"loaded": _entries_per_server(store)}
+    grown = store.grow(cluster.add_server())
+    observed["grow"] = {"moves": [list(move) for move in grown],
+                        "members": store.members(),
+                        "entries": _entries_per_server(store),
+                        "catch_up": store.rebalance_moves()}
+    drained = store.shrink(0)
+    observed["shrink"] = {"moves": [list(move) for move in drained],
+                          "members": store.members(),
+                          "entries": _entries_per_server(store),
+                          "catch_up": store.rebalance_moves()}
+    observed["errors"] = store.errors
+    # Whatever the bytes, a reshard strands and loses nothing.
+    assert observed["grow"]["catch_up"] == []
+    assert observed["shrink"]["catch_up"] == []
+    assert observed["shrink"]["members"] == [1, 2]
+    assert observed["shrink"]["entries"][0] == 0
+    for step in ("grow", "shrink"):
+        assert sum(observed[step]["entries"]) == N_PRELOADED
+    _assert_golden("quiesced_bill", store_name, observed)
+
+
+@pytest.mark.parametrize("store_name,kwargs", [
+    ("cassandra", {"replication_factor": 2}),
+    ("voldemort", {"replication_factor": 2, "required_writes": 2,
+                   "required_reads": 1}),
+])
+def test_replicated_stores_refuse_to_reshard(store_name, kwargs):
+    """Replicas hold keys they do not own on purpose: ``grow``/``shrink``
+    raise before touching anything and the catch-up pass moves nothing."""
+    cluster, store = _quiesced(store_name, **kwargs)
+    before = _entries_per_server(store)
+    assert sum(before) == 2 * N_PRELOADED
+    with pytest.raises(ValueError):
+        store.grow(cluster.add_server())
+    with pytest.raises(ValueError):
+        store.shrink(0)
+    assert store.rebalance_moves() == []
+    assert store.members() == [0, 1]
+    assert _entries_per_server(store) == before
