@@ -13,10 +13,11 @@ Past saturation two overload mechanisms bound behaviour:
   arriving at a full queue is rejected deterministically with
   :class:`~repro.sim.faults.OverloadError` (counted in
   :attr:`ResourceStats.rejected`).
-* :meth:`use` consults the kernel's per-request deadline slot on entry
-  and again when the slot is granted, abandoning work whose deadline has
-  already passed (:attr:`ResourceStats.expired`) instead of holding the
-  station for a dead request.
+* :meth:`use` and :meth:`hold` consult the kernel's per-request
+  deadline slot on entry and again when the slot is granted, abandoning
+  work whose deadline has already passed
+  (:attr:`ResourceStats.expired`) instead of holding the station for a
+  dead request.
 """
 
 from __future__ import annotations
@@ -290,16 +291,11 @@ class Resource:
         the hold with other work — a process that is joined on the spot
         buys no concurrency and costs two kernel events.
 
-        Inside a sampled trace the hold emits a span (named after the
-        resource, bucketed under :attr:`component`) with a ``wait`` child
-        covering any time spent queued for the slot; untraced holds take
-        the span-free fast path.
-
-        The active request deadline (``sim.deadline``) is checked on
-        entry and again once the slot is granted: an expired request
-        releases the slot without holding it and raises
-        :class:`DeadlineExceededError`, so a dead request cannot burn
-        station time.
+        Inside a sampled trace this is a :meth:`hold` around a timer
+        (a span with a ``wait`` child); untraced holds take the
+        span-free fast path, which checks the request deadline at the
+        same two points — on entry and on grant — so a dead request
+        cannot burn station time.
         """
         sim = self.sim
         deadline = sim.deadline
@@ -424,10 +420,49 @@ class Resource:
                     and len(pool) < 64:
                 pool.append(req)
             return
-        outer = tracer.start_span(self.name, self.component)
+        yield from self.hold(self._hold_timer(duration))
+
+    def _hold_timer(self, duration: float):
+        yield self.sim.timeout(duration)
+
+    def hold(self, body, name: Optional[str] = None,
+             attrs: Optional[dict] = None, entered=None):
+        """Hold one slot while the generator ``body`` runs; its result.
+
+        The one channel hold: :meth:`use` inside a sampled trace and
+        every store-executor channel (Redis event loops, VoltDB sites,
+        HBase handler pools) delegate to it.  In order:
+
+        1. the request deadline (``sim.deadline``) is checked — an
+           expired request counts in :attr:`ResourceStats.expired` and
+           raises :class:`DeadlineExceededError`;
+        2. ``entered()`` runs: the caller's slot for counting admitted
+           work, placed here so that an op that expired on entry is not
+           counted and opens no span, while one the bounded queue then
+           refuses is counted;
+        3. inside a sampled trace a span opens (``name``, default the
+           resource's, under :attr:`component`, tagged ``attrs``);
+        4. the slot is claimed, under a ``wait`` child span only if the
+           claim queued;
+        5. the deadline is checked again: an expired request gives the
+           slot straight back;
+        6. ``body`` runs; the slot is released and the span closed
+           however it ends.
+        """
+        sim = self.sim
+        if sim.deadline_exceeded():
+            self.stats.expired += 1
+            raise DeadlineExceededError(
+                f"{self.name}: deadline passed before enqueue")
+        if entered is not None:
+            entered()
+        tracer = sim.tracer if sim.context is not None else None
+        if tracer is not None:
+            outer = tracer.start_span(name or self.name, self.component,
+                                      attrs)
         try:
             req = self.request()
-            if not req.triggered:
+            if tracer is not None and not req.triggered:
                 wait = tracer.start_span("wait", "queue")
                 try:
                     yield req
@@ -441,8 +476,10 @@ class Resource:
                 raise DeadlineExceededError(
                     f"{self.name}: deadline passed while queued")
             try:
-                yield sim.timeout(duration)
+                result = yield from body
+                return result
             finally:
                 self.release(req)
         finally:
-            tracer.end_span(outer)
+            if tracer is not None:
+                tracer.end_span(outer)

@@ -19,6 +19,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
+from repro.overload.admission import AdmissionGate
 from repro.sim.cluster import Cluster, Node
 from repro.storage.record import APM_SCHEMA, Record, RecordSchema
 
@@ -116,11 +117,43 @@ class StoreSession:
     (APM data is append-only; the stores treat both as upserts).
     """
 
+    #: Trace annotation naming the server a client-routed call went to.
+    route_label = "shard"
+
     def __init__(self, store: "Store", client_node: Node, index: int):
         self.store = store
         self.client = client_node
         self.index = index
         store.sessions_open += 1
+
+    def _call_server(self, server: int, handler, request_bytes: int,
+                     response_bytes: int):
+        """Process: one round trip to the server the client library
+        routed to — the request path of a store whose servers are
+        independent and whose hash lives in the client.
+
+        Annotates the route, checks a connection out of the server's
+        pool if the store gates there (:attr:`Store.connection_pool`; an
+        exhausted pool refuses at once), pays the driver's CPU, runs
+        ``handler`` on the server, and returns the connection.
+        """
+        store = self.store
+        sim = store.sim
+        if sim.tracer is not None and sim.context is not None:
+            sim.tracer.annotate(**{self.route_label: server})
+        gate = store._gates[server] if store._gates else None
+        if gate is not None:
+            gate.try_admit()
+        try:
+            yield from store.client_cpu(self.client)
+            result = yield from store.cluster.network.rpc(
+                self.client, store.cluster.servers[server],
+                request_bytes, response_bytes, handler,
+            )
+        finally:
+            if gate is not None:
+                gate.release()
+        return result
 
     # Concrete sessions override these generators.
 
@@ -195,6 +228,14 @@ class Store:
     #: Whether rebalance data movement streams through the source and
     #: destination disks (in-memory stores ship over the NIC only).
     rebalance_uses_disk: bool = True
+    #: Name prefix of the per-server client connection pools, for a
+    #: store whose honest admission point is the driver's pool (no
+    #: executor channel in the model: MySQL, Voldemort); ``None`` for
+    #: the stores that admit at a channel or shed at a coordinator.
+    connection_pool: Optional[str] = None
+    #: Why this deployment cannot change topology online, if it cannot
+    #: (a replicated ring keeps keys on servers that do not own them).
+    reshard_refusal: Optional[str] = None
 
     def __init__(self, cluster: Cluster, schema: RecordSchema = APM_SCHEMA,
                  profile: Optional[ServiceProfile] = None):
@@ -215,9 +256,13 @@ class Store:
         #: Cassandra coordinator); channel/gate rejections are counted
         #: on the channels and gates themselves.
         self.shed_ops = 0
-        #: Connection-pool gates, populated by stores that admission-
-        #: control at the client driver (MySQL, Voldemort).
-        self._gates: list = []
+        #: Connection-pool gates, one per admitted server while a
+        #: policy with a bound is armed (see :attr:`connection_pool`).
+        self._gates: list[AdmissionGate] = []
+        #: Server indices this store routes to, and how many servers it
+        #: holds state for (drained ones included: indices are stable).
+        self._members = list(range(cluster.n_servers))
+        self._admitted = cluster.n_servers
         #: Registry captured by :meth:`attach_metrics` so servers added
         #: later (scale-out) get their telemetry registered too.
         self._registry = None
@@ -325,15 +370,37 @@ class Store:
     def configure_overload(self, policy) -> None:
         """Arm this deployment's admission control from ``policy``.
 
-        The base behaviour bounds every executor channel's queue at
-        ``policy.max_queue``; stores with other natural admission points
-        (the Cassandra coordinator, the MySQL/Voldemort connection
-        pools) extend this.  Passing ``None`` disarms everything.
+        Every executor channel's queue is bounded at
+        ``policy.max_queue`` (0 is a bound: refuse whatever would wait;
+        ``None`` is none) and a :attr:`connection_pool` store gets a
+        gate of that many connections per server; the Cassandra
+        coordinator reads the policy itself.  ``None`` disarms it all.
         """
+        if (policy is not None and self.connection_pool is not None
+                and policy.max_queue == 0):
+            raise ValueError(
+                f"{self.name} admits at its client connection pools and a "
+                "pool of max_queue=0 connections admits nothing; use "
+                "max_queue >= 1, or None for no bound")
         self.overload = policy
-        bound = None if policy is None else policy.max_queue
+        self._gates = []
+        self._arm_admission()
+
+    def _arm_admission(self) -> None:
+        """Bring every admission point in line with the active policy.
+
+        Idempotent for channels and incremental for gates, so
+        :meth:`grow` arms a new server's loop / sites / handlers / pool
+        through the same code as :meth:`configure_overload`.
+        """
+        bound = None if self.overload is None else self.overload.max_queue
         for channel in self.overload_channels():
             channel.max_queue = bound
+        if self.connection_pool is not None and bound is not None:
+            self._gates.extend(
+                AdmissionGate(bound, f"{self.connection_pool}:{node.name}")
+                for node in self.cluster.servers[len(self._gates):
+                                                 self._admitted])
 
     def total_shed(self) -> int:
         """Requests rejected by admission control, across all layers."""
@@ -376,12 +443,8 @@ class Store:
     # -- topology (elastic control plane) -------------------------------------
 
     def members(self) -> list[int]:
-        """Indices into ``cluster.servers`` this store currently routes to.
-
-        Fixed-topology stores route to every server; elastic stores
-        override :meth:`grow`/:meth:`shrink` and keep a member list.
-        """
-        return list(range(self.cluster.n_servers))
+        """Indices into ``cluster.servers`` this store currently routes to."""
+        return list(self._members)
 
     def grow(self, node: Node) -> list[tuple[int, int, int]]:
         """Functionally admit ``node`` (already in ``cluster.servers``).
@@ -395,8 +458,18 @@ class Store:
         ``(src_index, dst_index, nbytes)`` moves for the topology layer
         to bill against simulated disks and NICs.
         """
-        raise NotImplementedError(
-            f"{self.name} does not support online topology changes")
+        if self.reshard_refusal:
+            raise ValueError(self.reshard_refusal)
+        index = self.cluster.servers.index(node)
+        if index != self._admitted:
+            raise ValueError("servers must be admitted in cluster order")
+        self._add_server(node, index)
+        self._admitted += 1
+        self._arm_admission()
+        self._members.append(index)
+        moves = self._rebalance()
+        self._note_server_added(index)
+        return moves
 
     def shrink(self, index: int) -> list[tuple[int, int, int]]:
         """Functionally drain server ``index`` ahead of its retirement.
@@ -405,8 +478,14 @@ class Store:
         its data is re-homed immediately; the returned moves carry the
         simulated IO cost.  The caller retires the node afterwards.
         """
-        raise NotImplementedError(
-            f"{self.name} does not support online topology changes")
+        if self.reshard_refusal:
+            raise ValueError(self.reshard_refusal)
+        if index not in self._members:
+            raise ValueError(f"server {index} is not a member")
+        if len(self._members) == 1:
+            raise ValueError("cannot shrink below one server")
+        self._members.remove(index)
+        return self._rebalance()
 
     def rebalance_moves(self) -> list[tuple[int, int, int]]:
         """Catch-up sweep: re-home anything that missed the last rebalance.
@@ -421,9 +500,61 @@ class Store:
         passes every real resharding tool runs before declaring a
         migration complete.  It doubles as a conformance oracle: on a
         quiesced store a clean pass proves no key is stranded off its
-        owner.  The default (fixed-topology stores) has nothing to do.
+        owner.  A deployment that refuses to reshard has nothing to
+        sweep: its replicas hold keys they do not own on purpose.
         """
-        return []
+        return [] if self.reshard_refusal else self._migrate()
+
+    def _rebalance(self) -> list[tuple[int, int, int]]:
+        """Re-home ownership over the current members; the move bill.
+        HBase overrides this with its region balancer."""
+        self._rebuild_routing()
+        return self._migrate()
+
+    def _migrate(self) -> list[tuple[int, int, int]]:
+        """Move every entry living off its owner there; the move bill."""
+        moved: dict[tuple[int, int], int] = {}
+        for src, entries in self._shard_entries():
+            stale = []
+            for key, value in entries:
+                dst = self._shard_of(key)
+                if dst != src:
+                    stale.append((key, value, dst))
+            for key, value, dst in stale:
+                bill = self._move_entry(key, value, src, dst)
+                if bill is not None:
+                    pair = bill[:2]
+                    moved[pair] = moved.get(pair, 0) + bill[2]
+        return [(src, dst, nbytes)
+                for (src, dst), nbytes in sorted(moved.items())]
+
+    # -- what an elastic store implements ----------------------------------
+
+    def _add_server(self, node: Node, index: int) -> None:
+        """Create the (empty) per-server state of a server being admitted."""
+        raise NotImplementedError(
+            f"{self.name} does not support online topology changes")
+
+    def _rebuild_routing(self) -> None:
+        """Recompute key ownership over ``self._members``."""
+        raise NotImplementedError
+
+    def _shard_entries(self):
+        """``(shard, [(key, value), ...])`` for every shard holding data,
+        each listed only when the loop reaches it.  The default — no
+        shard — is a store that keeps no entry-level placement."""
+        return ()
+
+    def _shard_of(self, key: str) -> int:
+        """The shard ``key`` belongs on under the current routing."""
+        raise NotImplementedError
+
+    def _move_entry(self, key: str, value, src: int,
+                    dst: int) -> Optional[tuple[int, int, int]]:
+        """Move one entry from shard ``src`` to ``dst``; its bill as
+        ``(src_server, dst_server, nbytes)``, or ``None`` if nothing is
+        to be charged (it could not move, or never left the server)."""
+        raise NotImplementedError
 
     # -- connection policy ---------------------------------------------------
 
@@ -492,6 +623,17 @@ class Store:
         """Process: the client-side driver work inside the timed call."""
         if self.profile.client_cpu > 0:
             yield from client.cpu(self.profile.client_cpu)
+
+    def executor_work(self, node: Node, cpu_seconds: float, action):
+        """Process: what a single-threaded executor does under its slot.
+
+        ``cpu_seconds`` of reference-core time on ``node`` — the slot
+        *is* the thread, so no CPU queue is involved — then the
+        functional work, whose result is returned.
+        """
+        yield self.sim.timeout(cpu_seconds / (node.spec.core_speed
+                                              * node.speed_factor))
+        return action()
 
     def cached_read_io(self, node: Node, blocks: Sequence[tuple],
                        read_bytes: int = 4096):

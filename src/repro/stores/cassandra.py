@@ -19,7 +19,6 @@ under maximum throughput (Section 5.1).
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, Mapping, Optional
 
 from repro.sim.cluster import Cluster, Node
@@ -77,6 +76,10 @@ class CassandraStore(Store):
         #: replication study to future work — Section 8).
         self.replication_factor = min(replication_factor,
                                       cluster.n_servers)
+        if self.replication_factor != 1:
+            self.reshard_refusal = (
+                "online topology changes are modelled for the paper's "
+                "replication_factor=1 deployment only")
         #: How many replica acknowledgements a write waits for.
         self.consistency_level = consistency_level
         #: How many replicas a read consults.  The paper's setting is
@@ -96,31 +99,32 @@ class CassandraStore(Store):
             lsm_config = (LSMConfig(group_commit_ops=group) if group
                           else LSMConfig())
         self._lsm_config = lsm_config
-        self.engines = [
-            LSMEngine(lsm_config, seed=i, name=f"cassandra-{i}")
-            for i in range(cluster.n_servers)
-        ]
-        self._members = list(range(cluster.n_servers))
-        self._rebuild_ring()
+        self.engines: list[LSMEngine] = []
+        #: Per-replica cell timestamps (``versions[replica][key]``):
+        #: the write-timestamp plumbing quorum reads merge on and the
+        #: audit layer's staleness oracle reads.  Pure bookkeeping —
+        #: no simulated cost, so RF=1 runs are byte-identical.
+        self.versions: list[dict[str, int]] = []
+        for index, node in enumerate(cluster.servers):
+            self._add_server(node, index)
+        self._rebuild_routing()
         #: Hinted handoff queues: mutations for a down replica, held by
         #: the coordinator side and replayed when the node returns
         #: (Cassandra's standard path for writes during an outage).
         self.hints: dict[int, list[tuple[str, dict, int]]] = {}
         self.hints_queued = 0
         self.hints_replayed = 0
-        #: Hints discarded by the test-only replay-breaking flag.
-        self.hints_dropped = 0
-        #: Per-replica cell timestamps (``versions[replica][key]``):
-        #: the write-timestamp plumbing quorum reads merge on and the
-        #: audit layer's staleness oracle reads.  Pure bookkeeping —
-        #: no simulated cost, so RF=1 runs are byte-identical.
-        self.versions: list[dict[str, int]] = [
-            {} for __ in range(cluster.n_servers)]
         self._write_clock = 0
         #: Replica fan-out counter; set by :meth:`attach_metrics`.
         self._fanout = None
 
-    def _rebuild_ring(self) -> None:
+    def _add_server(self, node: Node, index: int) -> None:
+        self.engines.append(
+            LSMEngine(self._lsm_config, seed=index,
+                      name=f"cassandra-{index}"))
+        self.versions.append({})
+
+    def _rebuild_routing(self) -> None:
         """Recompute token assignment over the current members.
 
         The ring always carries one (optimal) token per member;
@@ -270,14 +274,13 @@ class CassandraStore(Store):
         else:
             return
         pending = self.hints.pop(index, [])
-        if not pending:
-            return
-        if os.environ.get("REPRO_BREAK_HINT_REPLAY"):
-            # Test-only mutation hook: silently discard the hints so
-            # the audit layer's durability checker has a real bug to
-            # catch (tests/audit/test_mutation.py asserts it does).
-            self.hints_dropped += len(pending)
-            return
+        if pending:
+            self._replay_hints(index, pending)
+
+    def _replay_hints(self, index: int,
+                      pending: list[tuple[str, dict, int]]) -> None:
+        """Apply ``pending`` hinted mutations to replica ``index``."""
+        node = self.cluster.servers[index]
         flush_bytes = 0
         versions = self.versions[index]
         for key, fields, version in pending:
@@ -316,81 +319,27 @@ class CassandraStore(Store):
         return [int(engine.disk_bytes * self.compression_ratio)
                 for engine in self.engines]
 
-    # -- topology -------------------------------------------------------------
+    # -- topology: token handoff streams a bootstrapping node its ranges ------
+    #
+    # The ring re-splits into one optimal token per member (the paper's
+    # hand-assigned-token discipline, Section 6) and every key whose
+    # token owner changed streams from its old owner — real Cassandra's
+    # bootstrap / ``move`` / decommission flow.
 
-    def members(self) -> list[int]:
-        return list(self._members)
+    def _shard_entries(self):
+        for src, engine in enumerate(self.engines):
+            count = engine.record_count
+            if count:
+                yield src, engine.scan("", count)[0]
 
-    def _require_rf1(self) -> None:
-        if self.replication_factor != 1:
-            raise ValueError(
-                "online topology changes are modelled for the paper's "
-                "replication_factor=1 deployment only")
+    _shard_of = owner_of
 
-    def grow(self, node: Node) -> list[tuple[int, int, int]]:
-        """Bootstrap a node: token handoff streams its ranges over.
-
-        The ring re-splits into one optimal token per member (the
-        paper's hand-assigned-token discipline, Section 6) and every key
-        whose token owner changed streams from its old owner — real
-        Cassandra's bootstrap/``move`` flow.
-        """
-        self._require_rf1()
-        index = self.cluster.servers.index(node)
-        if index != len(self.engines):  # pragma: no cover - defensive
-            raise ValueError("servers must be admitted in cluster order")
-        self.engines.append(
-            LSMEngine(self._lsm_config, seed=index,
-                      name=f"cassandra-{index}"))
-        self.versions.append({})
-        self._members.append(index)
-        self._rebuild_ring()
-        moves = self._migrate()
-        self._note_server_added(index)
-        return moves
-
-    def shrink(self, index: int) -> list[tuple[int, int, int]]:
-        """Decommission a node: its token ranges stream to the survivors."""
-        self._require_rf1()
-        if index not in self._members:
-            raise ValueError(f"server {index} is not a member")
-        if len(self._members) == 1:
-            raise ValueError("cannot shrink below one node")
-        self._members.remove(index)
-        self._rebuild_ring()
-        return self._migrate()
-
-    def rebalance_moves(self) -> list[tuple[int, int, int]]:
-        """Catch-up pass: stream any record off a non-owner node.
-
-        Only meaningful under the RF=1 deployment topology changes are
-        modelled for — with replication every replica intentionally
-        holds keys it does not "own", so the sweep must not run.
-        """
-        if self.replication_factor != 1:
-            return []
-        return self._migrate()
-
-    def _migrate(self) -> list[tuple[int, int, int]]:
-        """Stream every record to its token owner; returns the bill."""
-        record_bytes = int(
+    def _move_entry(self, key: str, fields, src: int, dst: int):
+        self.engines[dst].put(key, dict(fields))
+        self.engines[src].delete(key)
+        return src, dst, int(
             (self.schema.key_length + self.schema.raw_value_bytes)
             * self.compression_ratio) or 1
-        moved: dict[tuple[int, int], int] = {}
-        for src, engine in enumerate(self.engines):
-            if engine.record_count == 0:
-                continue
-            rows, __ = engine.scan("", engine.record_count)
-            stale = [(key, fields) for key, fields in rows
-                     if self.owner_of(key) != src]
-            for key, fields in stale:
-                dst = self.owner_of(key)
-                self.engines[dst].put(key, dict(fields))
-                engine.delete(key)
-                pair = (src, dst)
-                moved[pair] = moved.get(pair, 0) + record_bytes
-        return [(src, dst, nbytes)
-                for (src, dst), nbytes in sorted(moved.items())]
 
     # -- server-side handlers (run on the owner node) -------------------------
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from repro.sim.cluster import Cluster, Node
-from repro.sim.faults import DeadlineExceededError
 from repro.sim.resources import Resource
 from repro.storage.lsm import LSMConfig, LSMEngine
 from repro.storage.record import APM_SCHEMA, Record, RecordSchema
@@ -55,6 +54,8 @@ class RegionServer:
         self.handlers = Resource(node.sim, self.HANDLER_COUNT,
                                  f"hbase-handlers:{node.name}",
                                  component="store")
+        #: Name of a traced handler hold's span.
+        self.handler_span = f"handler:{node.name}"
         self.regions: dict[int, LSMEngine] = {}
         self.wal_path = f"/hbase/wal/{node.name}.log"
         store.hdfs.create(self.wal_path)
@@ -99,11 +100,9 @@ class HBaseStore(Store):
         config = lsm_config or LSMConfig(group_commit_ops=48,
                                          bloom_enabled=False)
         self._lsm_config = config
-        self.region_servers = [
-            RegionServer(self, node, i)
-            for i, node in enumerate(cluster.servers)
-        ]
-        self._members = list(range(cluster.n_servers))
+        self.region_servers: list[RegionServer] = []
+        for index, node in enumerate(cluster.servers):
+            self._add_server(node, index)
         self.n_regions = self.REGIONS_PER_SERVER * cluster.n_servers
         self._hfile_paths: dict[int, str] = {}
         #: Current region -> region-server assignment (the META table);
@@ -259,42 +258,22 @@ class HBaseStore(Store):
         """The LSM store behind ``region_id``."""
         return self.server_of_region(region_id).regions[region_id]
 
-    # -- topology -------------------------------------------------------------
+    # -- topology: a new region server, and the balancer ----------------------
 
-    def members(self) -> list[int]:
-        return list(self._members)
+    def _add_server(self, node: Node, index: int) -> None:
+        self.region_servers.append(RegionServer(self, node, index))
 
-    def grow(self, node: Node) -> list[tuple[int, int, int]]:
-        """Add a region server; the balancer moves regions onto it.
+    def _rebalance(self) -> list[tuple[int, int, int]]:
+        """Restore the balanced round-robin assignment over members.
 
         Region data lives in HDFS, so a move is a META rewrite plus the
         new host opening the region's files — billed as a stream of the
         region's recent on-disk state from the old host's DataNode.
-        The region count stays fixed (the load pattern never splits).
+        The region count stays fixed (the load pattern never splits),
+        and a put routed under the old META is retried at the region's
+        current host when it executes, so no catch-up pass has anything
+        to move.
         """
-        index = self.cluster.servers.index(node)
-        if index != len(self.region_servers):  # pragma: no cover - defensive
-            raise ValueError("servers must be admitted in cluster order")
-        server = RegionServer(self, node, index)
-        if self.overload is not None and self.overload.max_queue:
-            server.handlers.max_queue = self.overload.max_queue
-        self.region_servers.append(server)
-        self._members.append(index)
-        moves = self._rebalance_regions()
-        self._note_server_added(index)
-        return moves
-
-    def shrink(self, index: int) -> list[tuple[int, int, int]]:
-        """Decommission a region server: its regions move to survivors."""
-        if index not in self._members:
-            raise ValueError(f"server {index} is not a member")
-        if len(self._members) == 1:
-            raise ValueError("cannot shrink below one region server")
-        self._members.remove(index)
-        return self._rebalance_regions()
-
-    def _rebalance_regions(self) -> list[tuple[int, int, int]]:
-        """Restore the balanced round-robin assignment over members."""
         members = self._members
         moved: dict[tuple[int, int], int] = {}
         for region_id in range(self.n_regions):
@@ -352,46 +331,14 @@ class HBaseStore(Store):
     # -- region ---------------------------------------------------------------
 
     def _with_handler(self, server: RegionServer, body):
-        """Run ``body`` while holding one of the server's RPC handlers.
-
-        Under tracing the handler hold is a span with a ``wait`` child
-        covering time queued for a free handler — the choke point behind
-        HBase's read latencies under load, made visible.
+        """Run ``body`` while holding one of the server's RPC handlers:
+        the generator of the pool's
+        :meth:`~repro.sim.resources.Resource.hold`, whose ``wait`` span
+        makes the choke point behind HBase's read latencies visible.
         """
-        sim = self.sim
-        handlers = server.handlers
-        if sim.deadline_exceeded():
-            handlers.stats.expired += 1
-            raise DeadlineExceededError(
-                f"{handlers.name}: deadline passed before enqueue")
-        traced = sim.tracer is not None and sim.context is not None
-        if traced:
-            span = sim.tracer.start_span(
-                f"handler:{server.node.name}", "store",
-                {"handlers": handlers.capacity})
-        try:
-            request = handlers.request()
-            if traced and not request.triggered:
-                wait = sim.tracer.start_span("wait", "queue")
-                try:
-                    yield request
-                finally:
-                    sim.tracer.end_span(wait)
-            else:
-                yield request
-            if sim.deadline_exceeded():
-                handlers.release(request)
-                handlers.stats.expired += 1
-                raise DeadlineExceededError(
-                    f"{handlers.name}: deadline passed while queued")
-            try:
-                result = yield from body
-                return result
-            finally:
-                handlers.release(request)
-        finally:
-            if traced:
-                sim.tracer.end_span(span)
+        return server.handlers.hold(
+            body, name=server.handler_span,
+            attrs={"handlers": server.handlers.capacity})
 
     def _persist_bill(self, server: RegionServer, region_id: int, bill):
         """Apply an engine IoBill through HDFS (async where HBase is).

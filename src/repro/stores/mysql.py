@@ -29,7 +29,6 @@ import math
 from typing import Iterable, Mapping
 
 from repro.keyspace import lex_position as key_position
-from repro.overload.admission import AdmissionGate
 from repro.sim.cluster import Cluster, Node
 from repro.storage.btree import BPlusTree
 from repro.storage.encoding import MySQLDiskUsage, encode_binlog_event
@@ -62,17 +61,23 @@ class MySQLStore(Store):
                  profile: ServiceProfile | None = None,
                  binlog_enabled: bool = True, btree_order: int = 100):
         super().__init__(cluster, schema, profile)
-        n = cluster.n_servers
         self._btree_order = btree_order
-        self.tables = [BPlusTree(order=btree_order) for __ in range(n)]
+        self.tables: list[BPlusTree] = []
         self.binlog_enabled = binlog_enabled
-        self.binlog_bytes = [0 for __ in range(n)]
+        self.binlog_bytes: list[int] = []
         self._usage = MySQLDiskUsage(binlog_enabled=False)
         # MVCC purge accounting, per shard: versions created minus purged.
-        self._versions_created = [0.0 for __ in range(n)]
-        self._purged_until = [0.0 for __ in range(n)]
-        self._members = list(range(n))
+        self._versions_created: list[float] = []
+        self._purged_until: list[float] = []
+        for index, node in enumerate(cluster.servers):
+            self._add_server(node, index)
         self._rebuild_routing()
+
+    def _add_server(self, node: Node, index: int) -> None:
+        self.tables.append(BPlusTree(order=self._btree_order))
+        self.binlog_bytes.append(0)
+        self._versions_created.append(0.0)
+        self._purged_until.append(0.0)
 
     def _rebuild_routing(self) -> None:
         """Point the JDBC ring at the current member servers."""
@@ -128,83 +133,24 @@ class MySQLStore(Store):
         return ("hard shard loss: client-sharded MySQL keeps a single "
                 "copy per shard")
 
-    def configure_overload(self, policy) -> None:
-        """Admission control is the JDBC connection pool, per shard.
+    #: Admission control is the JDBC connection pool, per shard: bounded
+    #: in-flight requests per server, the (N+1)-th attempt failing
+    #: immediately like an exhausted pool's ``getConnection``.
+    connection_pool = "mysql-pool"
 
-        MySQL has no executor channel in the model; the natural
-        admission point is the client's connection pool — bounded
-        in-flight requests per server, the (N+1)-th attempt failing
-        immediately like an exhausted pool's ``getConnection``.
-        """
-        super().configure_overload(policy)
-        if policy is not None and policy.max_queue:
-            self._gates = [
-                AdmissionGate(policy.max_queue, f"mysql-pool:{node.name}")
-                for node in self.cluster.servers
-            ]
-        else:
-            self._gates = []
+    # -- topology: a JDBC ring remap, rows dumped and loaded into their new shard
 
-    # -- topology -------------------------------------------------------------
+    def _shard_entries(self):
+        return enumerate(table.items() for table in self.tables)
 
-    def members(self) -> list[int]:
-        return list(self._members)
+    _shard_of = shard_of
 
-    def grow(self, node: Node) -> list[tuple[int, int, int]]:
-        """Admit a server: JDBC ring remap + row copy to the new shard.
-
-        The operator adds the server to the sharding client's ring; rows
-        whose consistent-hash owner changed are dumped from the old
-        shard and loaded into the new one.
-        """
-        index = self.cluster.servers.index(node)
-        if index != len(self.tables):  # pragma: no cover - defensive
-            raise ValueError("servers must be admitted in cluster order")
-        self.tables.append(BPlusTree(order=self._btree_order))
-        self.binlog_bytes.append(0)
-        self._versions_created.append(0.0)
-        self._purged_until.append(0.0)
-        if self.overload is not None and self.overload.max_queue:
-            self._gates.append(
-                AdmissionGate(self.overload.max_queue,
-                              f"mysql-pool:{node.name}"))
-        self._members.append(index)
-        self._rebuild_routing()
-        moves = self._migrate()
-        self._note_server_added(index)
-        return moves
-
-    def shrink(self, index: int) -> list[tuple[int, int, int]]:
-        """Drain a server: drop it from the ring, re-home its rows."""
-        if index not in self._members:
-            raise ValueError(f"server {index} is not a member")
-        if len(self._members) == 1:
-            raise ValueError("cannot shrink below one server")
-        self._members.remove(index)
-        self._rebuild_routing()
-        return self._migrate()
-
-    def rebalance_moves(self) -> list[tuple[int, int, int]]:
-        """Catch-up pass: copy any row that landed off its ring owner."""
-        return self._migrate()
-
-    def _migrate(self) -> list[tuple[int, int, int]]:
-        """Re-home every row to its ring owner; returns the move bill."""
-        per_row = self._usage.bytes_per_record(self.schema)
-        moved: dict[tuple[int, int], int] = {}
-        for src, table in enumerate(self.tables):
-            stale = [(key, value) for key, value in table.items()
-                     if self.shard_of(key) != src]
-            for key, value in stale:
-                dst = self.shard_of(key)
-                table.remove(key)
-                self.tables[dst].put(key, value)
-                # The moved rows' stale versions stay behind on the
-                # source until its purge thread catches up.
-                pair = (src, dst)
-                moved[pair] = moved.get(pair, 0) + int(per_row)
-        return [(src, dst, nbytes)
-                for (src, dst), nbytes in sorted(moved.items())]
+    def _move_entry(self, key: str, value, src: int, dst: int):
+        self.tables[src].remove(key)
+        self.tables[dst].put(key, value)
+        # The moved rows' stale versions stay behind on the
+        # source until its purge thread catches up.
+        return src, dst, int(self._usage.bytes_per_record(self.schema))
 
     # -- deployment ----------------------------------------------------------
 
@@ -330,30 +276,10 @@ class MySQLStore(Store):
 class MySQLSession(StoreSession):
     """One YCSB thread holding a JDBC connection per shard."""
 
-    def _call(self, shard: int, handler, request_bytes: int,
-              response_bytes: int):
-        store = self.store
-        sim = store.sim
-        if sim.tracer is not None and sim.context is not None:
-            sim.tracer.annotate(shard=shard)
-        gate = store._gates[shard] if store._gates else None
-        if gate is not None:
-            gate.try_admit()
-        try:
-            yield from store.client_cpu(self.client)
-            result = yield from store.cluster.network.rpc(
-                self.client, store.cluster.servers[shard],
-                request_bytes, response_bytes, handler,
-            )
-        finally:
-            if gate is not None:
-                gate.release()
-        return result
-
     def read(self, key: str):
         store = self.store
         shard = store.shard_of(key)
-        return self._call(
+        return self._call_server(
             shard, store._apply_read(shard, key),
             store.request_bytes(key), store.response_bytes(1),
         )
@@ -361,7 +287,7 @@ class MySQLSession(StoreSession):
     def insert(self, key: str, fields: Mapping[str, str]):
         store = self.store
         shard = store.shard_of(key)
-        return self._call(
+        return self._call_server(
             shard, store._apply_write(shard, key, fields),
             store.request_bytes(key, fields, with_payload=True),
             store.response_bytes(0),
@@ -372,7 +298,7 @@ class MySQLSession(StoreSession):
         members = store.members()
         if len(members) == 1:
             only = members[0]
-            rows = yield from self._call(
+            rows = yield from self._call_server(
                 only, store._apply_local_scan(only, start_key, count),
                 store.request_bytes(start_key), store.response_bytes(count),
             )
@@ -426,7 +352,7 @@ class MySQLSession(StoreSession):
             removed, __ = store.tables[owner].remove(key)
             return removed
 
-        return self._call(
+        return self._call_server(
             shard, handler(), store.request_bytes(key),
             store.response_bytes(0),
         )

@@ -29,7 +29,6 @@ import math
 from typing import Iterable, Mapping
 
 from repro.sim.cluster import Cluster, Node
-from repro.sim.faults import DeadlineExceededError
 from repro.sim.resources import Resource
 from repro.storage.hashstore import HashStore
 from repro.storage.record import APM_SCHEMA, Record, RecordSchema
@@ -56,19 +55,20 @@ class RedisStore(Store):
         well-balanced one."""
         super().__init__(cluster, schema, profile)
         self._hash_algorithm = hash_algorithm
-        self._members = list(range(cluster.n_servers))
-        self.shards = [
-            HashStore(schema, max_memory_bytes=node.spec.cache_bytes,
-                      seed=i)
-            for i, node in enumerate(cluster.servers)
-        ]
+        self.shards: list[HashStore] = []
         # One event loop per instance: Redis 2.4 is single-threaded.
-        self.event_loops = [
-            Resource(cluster.sim, 1, f"redis-loop:{node.name}",
-                     component="cpu")
-            for node in cluster.servers
-        ]
+        self.event_loops: list[Resource] = []
+        for index, node in enumerate(cluster.servers):
+            self._add_server(node, index)
         self._rebuild_routing()
+
+    def _add_server(self, node: Node, index: int) -> None:
+        self.shards.append(
+            HashStore(self.schema, max_memory_bytes=node.spec.cache_bytes,
+                      seed=index))
+        self.event_loops.append(
+            Resource(self.sim, 1, f"redis-loop:{node.name}",
+                     component="cpu"))
 
     def _rebuild_routing(self) -> None:
         """Point the client ring at the current member instances."""
@@ -145,71 +145,24 @@ class RedisStore(Store):
         """
         return self.event_loops
 
-    # -- topology -------------------------------------------------------------
+    # -- topology: a client ring remap, keys MIGRATEd to their new instance ----
 
-    def members(self) -> list[int]:
-        return list(self._members)
-
-    def grow(self, node: Node) -> list[tuple[int, int, int]]:
-        """Admit a new standalone instance: client ring remap.
-
-        The operator restarts the sharded clients with one more entry in
-        the Jedis ring; every key whose ring owner changed is MIGRATEd
-        to its new instance (~1/n of the data for a ring of n).
-        """
-        index = self.cluster.servers.index(node)
-        if index != len(self.shards):  # pragma: no cover - defensive
-            raise ValueError("servers must be admitted in cluster order")
-        self.shards.append(
-            HashStore(self.schema, max_memory_bytes=node.spec.cache_bytes,
-                      seed=index))
-        loop = Resource(self.cluster.sim, 1, f"redis-loop:{node.name}",
-                        component="cpu")
-        if self.overload is not None and self.overload.max_queue:
-            loop.max_queue = self.overload.max_queue
-        self.event_loops.append(loop)
-        self._members.append(index)
-        self._rebuild_routing()
-        moves = self._migrate()
-        self._note_server_added(index)
-        return moves
-
-    def shrink(self, index: int) -> list[tuple[int, int, int]]:
-        """Drain one instance: remove it from the ring, MIGRATE its keys."""
-        if index not in self._members:
-            raise ValueError(f"server {index} is not a member")
-        if len(self._members) == 1:
-            raise ValueError("cannot shrink below one instance")
-        self._members.remove(index)
-        self._rebuild_routing()
-        return self._migrate()
-
-    def rebalance_moves(self) -> list[tuple[int, int, int]]:
-        """Catch-up pass: MIGRATE any key that landed off its ring owner."""
-        return self._migrate()
-
-    def _migrate(self) -> list[tuple[int, int, int]]:
-        """Re-home every key to its ring owner; returns the move bill."""
-        record_bytes = self.schema.key_length + self.schema.raw_value_bytes
-        moved: dict[tuple[int, int], int] = {}
+    def _shard_entries(self):
         for src, shard in enumerate(self.shards):
-            if len(shard) == 0:
-                continue
-            for key, fields in shard.scan("", len(shard)):
-                dst = self.shard_of(key)
-                if dst == src:
-                    continue
-                if self.shards[dst].hset(key, fields):
-                    shard.delete(key)
-                    pair = (src, dst)
-                    moved[pair] = moved.get(pair, 0) + record_bytes
-                else:
-                    # Destination OOM mid-reshard: the key stays put (and
-                    # unreachable), exactly the operational hazard the
-                    # paper's footnote 7 describes.  Counted as an error.
-                    self.errors += 1
-        return [(src, dst, nbytes)
-                for (src, dst), nbytes in sorted(moved.items())]
+            if len(shard):
+                yield src, shard.scan("", len(shard))
+
+    _shard_of = shard_of
+
+    def _move_entry(self, key: str, fields, src: int, dst: int):
+        if not self.shards[dst].hset(key, fields):
+            # Destination OOM mid-reshard: the key stays put (and
+            # unreachable), exactly the operational hazard the
+            # paper's footnote 7 describes.  Counted as an error.
+            self.errors += 1
+            return None
+        self.shards[src].delete(key)
+        return src, dst, self.schema.key_length + self.schema.raw_value_bytes
 
     # -- deployment ----------------------------------------------------------
 
@@ -228,49 +181,19 @@ class RedisStore(Store):
 
     # -- server ---------------------------------------------------------------
 
-    def _on_loop(self, shard_index: int, cpu_seconds: float, action=None):
+    def _on_loop(self, shard_index: int, cpu_seconds: float, action):
         """Run ``action`` under the shard's event loop for ``cpu_seconds``.
 
-        The single-threaded loop is the shard's serialisation point;
-        under tracing the hold emits a span with a ``wait`` child for
-        time spent queued behind other commands.
+        The single-threaded loop is the shard's serialisation point: the
+        generator of its :meth:`~repro.sim.resources.Resource.hold`.  A
+        command counts as a node op once it is past the entry deadline
+        check, whether or not the loop's queue then takes it.
         """
-        node = self.cluster.servers[shard_index]
-        loop = self.event_loops[shard_index]
-        sim = self.sim
-        if sim.deadline_exceeded():
-            loop.stats.expired += 1
-            raise DeadlineExceededError(
-                f"{loop.name}: deadline passed before enqueue")
-        self.note_node_op(shard_index)
-        traced = sim.tracer is not None and sim.context is not None
-        if traced:
-            span = sim.tracer.start_span(loop.name, "cpu",
-                                         {"shard": shard_index})
-        try:
-            request = loop.request()
-            if traced and not request.triggered:
-                wait = sim.tracer.start_span("wait", "queue")
-                try:
-                    yield request
-                finally:
-                    sim.tracer.end_span(wait)
-            else:
-                yield request
-            if sim.deadline_exceeded():
-                loop.release(request)
-                loop.stats.expired += 1
-                raise DeadlineExceededError(
-                    f"{loop.name}: deadline passed while queued")
-            try:
-                yield sim.timeout(cpu_seconds / (node.spec.core_speed
-                                                 * node.speed_factor))
-                return action() if action is not None else None
-            finally:
-                loop.release(request)
-        finally:
-            if traced:
-                sim.tracer.end_span(span)
+        return self.event_loops[shard_index].hold(
+            self.executor_work(self.cluster.servers[shard_index],
+                               cpu_seconds, action),
+            attrs={"shard": shard_index},
+            entered=lambda: self.note_node_op(shard_index))
 
     def _apply_read(self, shard_index: int, key: str):
         result = yield from self._on_loop(
@@ -317,23 +240,10 @@ class RedisStore(Store):
 class RedisSession(StoreSession):
     """One YCSB thread holding a ShardedJedis handle."""
 
-    def _call(self, shard_index: int, handler, request_bytes: int,
-              response_bytes: int):
-        store = self.store
-        sim = store.sim
-        if sim.tracer is not None and sim.context is not None:
-            sim.tracer.annotate(shard=shard_index)
-        yield from store.client_cpu(self.client)
-        result = yield from store.cluster.network.rpc(
-            self.client, store.cluster.servers[shard_index],
-            request_bytes, response_bytes, handler,
-        )
-        return result
-
     def read(self, key: str):
         store = self.store
         shard = store.shard_of(key)
-        return self._call(
+        return self._call_server(
             shard, store._apply_read(shard, key),
             store.request_bytes(key), store.response_bytes(1),
         )
@@ -341,7 +251,7 @@ class RedisSession(StoreSession):
     def insert(self, key: str, fields: Mapping[str, str]):
         store = self.store
         shard = store.shard_of(key)
-        return self._call(
+        return self._call_server(
             shard, store._apply_write(shard, key, fields),
             store.request_bytes(key, fields, with_payload=True),
             store.response_bytes(0),
@@ -356,7 +266,7 @@ class RedisSession(StoreSession):
         store = self.store
         shard = store.shard_of(start_key)
         # First round trip: ZRANGEBYLEX on the index.
-        keys = yield from self._call(
+        keys = yield from self._call_server(
             shard,
             store._on_loop(
                 shard, store.profile.scan_base_cpu,
@@ -366,7 +276,7 @@ class RedisSession(StoreSession):
             store.response_bytes(0) + count * store.schema.key_length,
         )
         # Second round trip: pipelined HGETALLs for the keys found.
-        rows = yield from self._call(
+        rows = yield from self._call_server(
             shard,
             store._on_loop(
                 shard,
@@ -381,7 +291,7 @@ class RedisSession(StoreSession):
     def delete(self, key: str):
         store = self.store
         shard = store.shard_of(key)
-        return self._call(
+        return self._call_server(
             shard, store._apply_delete(shard, key),
             store.request_bytes(key), store.response_bytes(0),
         )

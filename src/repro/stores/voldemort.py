@@ -27,7 +27,6 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Optional
 
 from repro.hashing import murmur64a
-from repro.overload.admission import AdmissionGate
 from repro.sim.cluster import Cluster, Node
 from repro.sim.faults import UnavailableError
 from repro.storage.btree import BPlusTree
@@ -74,24 +73,34 @@ class VoldemortStore(Store):
         #: nodes on the key's preference list and waits for W write /
         #: R read responses.
         self.replication_factor = replication_factor
+        if replication_factor > 1:
+            self.reshard_refusal = (
+                "online topology changes are modelled for N=1 only; the "
+                "replicated store keeps a fixed preference list")
         self.required_writes = required_writes
         self.required_reads = required_reads
         self._btree_order = btree_order
         # The partition count is fixed at cluster creation (as in real
         # Voldemort); rebalancing moves whole partitions between nodes.
         self.ring = TokenRing(n * self.PARTITIONS_PER_NODE)
-        self.trees = [BPlusTree(order=btree_order) for __ in range(n)]
-        self.log_bytes = [0 for __ in range(n)]
+        self.trees: list[BPlusTree] = []
+        self.log_bytes: list[int] = []
         #: Per-node entry versions (vector-clock stand-in): a global
         #: write clock stamped at the client, merged by max on read.
         #: Pure bookkeeping — no simulated cost.
-        self.versions: list[dict[str, int]] = [{} for __ in range(n)]
+        self.versions: list[dict[str, int]] = []
+        for index, node in enumerate(cluster.servers):
+            self._add_server(node, index)
         self._write_clock = 0
         self._entry_bytes = len(encode_bdb_entry(self._sample_record()))
-        self._members = list(range(n))
-        self._rebuild_owner_map()
+        self._rebuild_routing()
 
-    def _rebuild_owner_map(self) -> None:
+    def _add_server(self, node: Node, index: int) -> None:
+        self.trees.append(BPlusTree(order=self._btree_order))
+        self.log_bytes.append(0)
+        self.versions.append({})
+
+    def _rebuild_routing(self) -> None:
         """Round-robin the fixed partitions over the current members."""
         members = self._members
         self._owner_map = [members[p % len(members)]
@@ -136,22 +145,11 @@ class VoldemortStore(Store):
         return min(default_per_node,
                    self.CONNECTIONS_PER_NODE) * self.cluster.n_servers
 
-    def configure_overload(self, policy) -> None:
-        """Admission control is the client connection pool, per node.
-
-        Voldemort's client library caps in-flight requests per storage
-        node; when the pool is exhausted a checkout fails immediately
-        rather than queueing behind the socket.
-        """
-        super().configure_overload(policy)
-        if policy is not None and policy.max_queue:
-            self._gates = [
-                AdmissionGate(policy.max_queue,
-                              f"voldemort-pool:{node.name}")
-                for node in self.cluster.servers
-            ]
-        else:
-            self._gates = []
+    #: Admission control is the client connection pool, per node:
+    #: Voldemort's client library caps in-flight requests per storage
+    #: node; when the pool is exhausted a checkout fails immediately
+    #: rather than queueing behind the socket.
+    connection_pool = "voldemort-pool"
 
     def owner_of(self, key: str) -> int:
         """Node index owning ``key`` (partition -> node, round-robin)."""
@@ -199,76 +197,23 @@ class VoldemortStore(Store):
             return "N=1 partition map: the crashed node held the only copy"
         return None
 
-    # -- topology -------------------------------------------------------------
+    # -- topology: the rebalancer hands whole partitions to the members -------
+    #
+    # The partition count stays fixed (real Voldemort cannot split
+    # partitions online); ownership re-round-robins over the members and
+    # affected partitions stream their BDB entries across.
 
-    def members(self) -> list[int]:
-        return list(self._members)
+    def _shard_entries(self):
+        return enumerate(tree.items() for tree in self.trees)
 
-    def grow(self, node: Node) -> list[tuple[int, int, int]]:
-        """Admit a node: the rebalancer hands it whole partitions.
+    _shard_of = owner_of
 
-        The partition count stays fixed (real Voldemort cannot split
-        partitions online); ownership re-round-robins over the members
-        and affected partitions stream their BDB entries across.
-        """
-        self._require_n1("grow")
-        index = self.cluster.servers.index(node)
-        if index != len(self.trees):  # pragma: no cover - defensive
-            raise ValueError("servers must be admitted in cluster order")
-        self.trees.append(BPlusTree(order=self._btree_order))
-        self.log_bytes.append(0)
-        self.versions.append({})
-        if self.overload is not None and self.overload.max_queue:
-            self._gates.append(
-                AdmissionGate(self.overload.max_queue,
-                              f"voldemort-pool:{node.name}"))
-        self._members.append(index)
-        self._rebuild_owner_map()
-        moves = self._migrate()
-        self._note_server_added(index)
-        return moves
-
-    def shrink(self, index: int) -> list[tuple[int, int, int]]:
-        """Drain a node: its partitions move back onto the survivors."""
-        self._require_n1("shrink")
-        if index not in self._members:
-            raise ValueError(f"server {index} is not a member")
-        if len(self._members) == 1:
-            raise ValueError("cannot shrink below one node")
-        self._members.remove(index)
-        self._rebuild_owner_map()
-        return self._migrate()
-
-    def rebalance_moves(self) -> list[tuple[int, int, int]]:
-        """Catch-up pass: stream any entry that landed off its owner."""
-        if self.replication_factor > 1:
-            # Entries deliberately live on several nodes; re-homing to
-            # the single partition owner would strip the replicas.
-            return []
-        return self._migrate()
-
-    def _require_n1(self, operation: str) -> None:
-        if self.replication_factor > 1:
-            raise ValueError(
-                f"online {operation} is modelled for N=1 only; the "
-                f"replicated store keeps a fixed preference list")
-
-    def _migrate(self) -> list[tuple[int, int, int]]:
-        """Re-home every entry to its partition owner; returns the bill."""
-        moved: dict[tuple[int, int], int] = {}
-        for src, tree in enumerate(self.trees):
-            stale = [(key, value) for key, value in tree.items()
-                     if self.owner_of(key) != src]
-            for key, value in stale:
-                dst = self.owner_of(key)
-                tree.remove(key)
-                self.trees[dst].put(key, value)
-                self.log_bytes[src] -= self._entry_bytes
-                self.log_bytes[dst] += self._entry_bytes
-                pair = (src, dst)
-                moved[pair] = moved.get(pair, 0) + self._entry_bytes
-        return [(src, dst, nbytes)
-                for (src, dst), nbytes in sorted(moved.items())]
+    def _move_entry(self, key: str, value, src: int, dst: int):
+        self.trees[src].remove(key)
+        self.trees[dst].put(key, value)
+        self.log_bytes[src] -= self._entry_bytes
+        self.log_bytes[dst] += self._entry_bytes
+        return src, dst, self._entry_bytes
 
     # -- deployment ----------------------------------------------------------
 
@@ -365,25 +310,7 @@ class VoldemortStore(Store):
 class VoldemortSession(StoreSession):
     """A client connection with built-in (client-side) routing."""
 
-    def _call(self, owner: int, handler, request_bytes: int,
-              response_bytes: int):
-        store = self.store
-        sim = store.sim
-        if sim.tracer is not None and sim.context is not None:
-            sim.tracer.annotate(owner=owner)
-        gate = store._gates[owner] if store._gates else None
-        if gate is not None:
-            gate.try_admit()
-        try:
-            yield from store.client_cpu(self.client)
-            result = yield from store.cluster.network.rpc(
-                self.client, store.cluster.servers[owner],
-                request_bytes, response_bytes, handler,
-            )
-        finally:
-            if gate is not None:
-                gate.release()
-        return result
+    route_label = "owner"
 
     def read(self, key: str):
         store = self.store
@@ -391,7 +318,7 @@ class VoldemortSession(StoreSession):
             result = yield from self._replicated_read(key)
             return result
         owner = store.owner_of(key)
-        result = yield from self._call(
+        result = yield from self._call_server(
             owner, store._apply_read(owner, key),
             store.request_bytes(key), store.response_bytes(1),
         )
@@ -448,7 +375,7 @@ class VoldemortSession(StoreSession):
             result = yield from self._replicated_insert(key, fields, version)
             return result
         owner = store.owner_of(key)
-        result = yield from self._call(
+        result = yield from self._call_server(
             owner, store._apply_write(owner, key, fields, version),
             store.request_bytes(key, fields, with_payload=True),
             store.response_bytes(0),
@@ -514,7 +441,7 @@ class VoldemortSession(StoreSession):
             yield sim.k_of(acks, needed)
             return True
         owner = store.owner_of(key)
-        result = yield from self._call(
+        result = yield from self._call_server(
             owner, store._apply_delete(owner, key),
             store.request_bytes(key), store.response_bytes(0),
         )

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from repro.sim.cluster import Cluster, Node
-from repro.sim.faults import DeadlineExceededError, NodeDownError
+from repro.sim.faults import NodeDownError
 from repro.sim.resources import Resource
 from repro.storage.record import APM_SCHEMA, Record, RecordSchema
 from repro.storage.skiplist import SkipList
@@ -55,7 +55,6 @@ class VoltDBStore(Store):
                  synchronous_client: bool = True):
         super().__init__(cluster, schema, profile)
         self.synchronous_client = synchronous_client
-        n = cluster.n_servers
         # partition id -> ordered table (VoltDB keeps a tree index on the
         # primary key; a skip list provides the same ordered access).
         # Keyed dicts rather than lists: partition ids are stable across
@@ -65,30 +64,31 @@ class VoltDBStore(Store):
         self.sites: dict[int, Resource] = {}
         #: Partition id -> host (server index).
         self._partition_host: dict[int, int] = {}
-        #: Active partition ids, ascending (the hash space).
-        self._pids: list[int] = []
         self._next_pid = 0
-        self._members = list(range(n))
-        for host in range(n):
-            self._add_host_partitions(host)
+        for host, node in enumerate(cluster.servers):
+            self._add_server(node, host)
+        self._rebuild_routing()
         # The global transaction initiator/sequencer (only exercised in
         # multi-node deployments).
         self.sequencer = Resource(cluster.sim, 1, "voltdb-sequencer",
                                   component="store")
 
-    def _add_host_partitions(self, host: int) -> None:
+    def _add_server(self, node: Node, host: int) -> None:
         """Create this host's six sites and their (empty) partitions."""
         for __ in range(self.SITES_PER_HOST):
             pid = self._next_pid
             self._next_pid += 1
             self.partitions[pid] = SkipList(seed=pid)
-            site = Resource(self.cluster.sim, 1, f"voltdb-site:{pid}",
-                            component="cpu")
-            if self.overload is not None and self.overload.max_queue:
-                site.max_queue = self.overload.max_queue
-            self.sites[pid] = site
+            self.sites[pid] = Resource(self.sim, 1, f"voltdb-site:{pid}",
+                                       component="cpu")
             self._partition_host[pid] = host
-            self._pids.append(pid)
+
+    def _rebuild_routing(self) -> None:
+        """The hash space — the active partition ids, ascending — is
+        the partitions of the member hosts: a new host widens it, a
+        drained host's partitions leave it entirely."""
+        self._pids = [pid for pid, host in self._partition_host.items()
+                      if host in self._members]
 
     @property
     def n_partitions(self) -> int:
@@ -181,57 +181,27 @@ class VoltDBStore(Store):
         """
         return [*self.sites.values(), self.sequencer]
 
-    # -- topology -------------------------------------------------------------
+    # -- topology: elastic add / drain, rows rehash across the fleet ----------
+    #
+    # VoltDB 2.x took a maintenance window; we model the later
+    # online-rejoin semantics: the partition hash space changes and rows
+    # rehash across the fleet — a global reshuffle, unlike the ring
+    # stores' 1/n.
 
-    def members(self) -> list[int]:
-        return list(self._members)
+    def _shard_entries(self):
+        for pid, table in sorted(self.partitions.items()):
+            yield pid, table.items()
 
-    def grow(self, node: Node) -> list[tuple[int, int, int]]:
-        """Elastic add (VoltDB 2.x took a maintenance window; we model
-        the later online-rejoin semantics): the new host brings six new
-        sites, the partition hash space widens, and rows rehash across
-        the fleet — a global reshuffle, unlike the ring stores' 1/n.
-        """
-        host = self.cluster.servers.index(node)
-        self._members.append(host)
-        self._add_host_partitions(host)
-        moves = self._migrate()
-        self._note_server_added(host)
-        return moves
+    _shard_of = partition_of
 
-    def shrink(self, host: int) -> list[tuple[int, int, int]]:
-        """Drain a host: its partitions leave the hash space entirely."""
-        if host not in self._members:
-            raise ValueError(f"server {host} is not a member")
-        if len(self._members) == 1:
-            raise ValueError("cannot shrink below one host")
-        self._members.remove(host)
-        self._pids = [p for p in self._pids
-                      if self._partition_host[p] != host]
-        return self._migrate()
-
-    def rebalance_moves(self) -> list[tuple[int, int, int]]:
-        """Catch-up pass: rehash any row that landed off its partition."""
-        return self._migrate()
-
-    def _migrate(self) -> list[tuple[int, int, int]]:
-        """Rehash every row into the current partition space."""
-        record_bytes = self.schema.key_length + self.schema.raw_value_bytes
-        moved: dict[tuple[int, int], int] = {}
-        for src_pid, table in sorted(self.partitions.items()):
-            stale = [(key, value) for key, value in table.items()
-                     if self.partition_of(key) != src_pid]
-            for key, value in stale:
-                dst_pid = self.partition_of(key)
-                table.remove(key)
-                self.partitions[dst_pid].put(key, value)
-                src = self._partition_host[src_pid]
-                dst = self._partition_host[dst_pid]
-                if src != dst:  # same-host moves are memcpys, not wire IO
-                    pair = (src, dst)
-                    moved[pair] = moved.get(pair, 0) + record_bytes
-        return [(src, dst, nbytes)
-                for (src, dst), nbytes in sorted(moved.items())]
+    def _move_entry(self, key: str, value, src_pid: int, dst_pid: int):
+        self.partitions[src_pid].remove(key)
+        self.partitions[dst_pid].put(key, value)
+        src = self._partition_host[src_pid]
+        dst = self._partition_host[dst_pid]
+        if src == dst:  # same-host moves are memcpys, not wire IO
+            return None
+        return src, dst, self.schema.key_length + self.schema.raw_value_bytes
 
     # -- deployment ----------------------------------------------------------
 
@@ -264,8 +234,8 @@ class VoltDBStore(Store):
     def _run_on_site(self, partition: int, cpu_seconds: float, action):
         """Execute a procedure fragment serially on the partition's site.
 
-        Under tracing the site hold is a span with a ``wait`` child for
-        time spent queued behind the partition's serial executor.
+        Stays a generator: the dead-host check must run when the
+        fragment starts, before the hold reads the deadline.
         """
         owner = self.node_of_partition(partition)
         node = self.cluster.servers[owner]
@@ -277,41 +247,11 @@ class VoltDBStore(Store):
                 f"partition {partition} unavailable: host {node.name} is down",
                 node=node.name,
             )
-        site = self.sites[partition]
-        sim = self.sim
-        if sim.deadline_exceeded():
-            site.stats.expired += 1
-            raise DeadlineExceededError(
-                f"{site.name}: deadline passed before enqueue")
-        self.note_node_op(owner)
-        traced = sim.tracer is not None and sim.context is not None
-        if traced:
-            span = sim.tracer.start_span(site.name, "cpu",
-                                         {"partition": partition})
-        try:
-            request = site.request()
-            if traced and not request.triggered:
-                wait = sim.tracer.start_span("wait", "queue")
-                try:
-                    yield request
-                finally:
-                    sim.tracer.end_span(wait)
-            else:
-                yield request
-            if sim.deadline_exceeded():
-                site.release(request)
-                site.stats.expired += 1
-                raise DeadlineExceededError(
-                    f"{site.name}: deadline passed while queued")
-            try:
-                yield sim.timeout(cpu_seconds / (node.spec.core_speed
-                                                 * node.speed_factor))
-                return action()
-            finally:
-                site.release(request)
-        finally:
-            if traced:
-                sim.tracer.end_span(span)
+        result = yield from self.sites[partition].hold(
+            self.executor_work(node, cpu_seconds, action),
+            attrs={"partition": partition},
+            entered=lambda: self.note_node_op(owner))
+        return result
 
     def _single_partition(self, partition: int, cpu: float, action):
         node = self.cluster.servers[self.node_of_partition(partition)]

@@ -1,6 +1,7 @@
 """Admission control: gate semantics and per-store load shedding."""
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -106,3 +107,42 @@ def test_disarming_stops_shedding(name):
     cluster.sim.run()
     assert store.total_shed() == 0
     assert len(done) == 40
+
+
+#: Stores that admit at per-server client connection pools; the others
+#: bound executor channels (or, Cassandra, shed at the coordinator).
+POOL_STORES = ("mysql", "voldemort")
+#: Executor channels on three servers: Redis loops, HBase handler
+#: pools, VoltDB's 6 sites a host + the sequencer.
+CHANNELS_ON_THREE = {"redis": 3, "hbase": 3, "voltdb": 19}
+
+
+@pytest.mark.parametrize("max_queue", [None, 0, 2])
+@pytest.mark.parametrize("name", STORE_NAMES)
+def test_a_server_added_under_a_policy_is_armed_like_the_rest(name,
+                                                              max_queue):
+    """``max_queue=0`` is a bound ("refuse whatever would wait"), not
+    "off": the server a controller adds under overload must not be the
+    one unprotected node, and a store that cannot honour the bound says
+    so instead of silently running unprotected."""
+    cluster = Cluster(CLUSTER_M, 2)
+    store = create_store(name, cluster, **STORE_KWARGS.get(name, {}))
+    policy = replace(SHED_POLICY, max_queue=max_queue)
+    if max_queue == 0 and name in POOL_STORES:
+        # A pool of zero connections admits nothing.
+        with pytest.raises(ValueError, match=name):
+            store.configure_overload(policy)
+        assert store.overload is None
+        assert store.admission_gates() == []
+        return
+    store.configure_overload(policy)
+    store.grow(cluster.add_server())
+    channels = store.overload_channels()
+    assert len(channels) == CHANNELS_ON_THREE.get(name, 0)
+    assert [channel.max_queue for channel in channels] \
+        == [max_queue] * len(channels)
+    gated = name in POOL_STORES and max_queue is not None
+    assert [gate.limit for gate in store.admission_gates()] \
+        == ([max_queue] * 3 if gated else [])
+    assert [gate.name.split(":")[1] for gate in store.admission_gates()] \
+        == ([node.name for node in cluster.servers] if gated else [])
