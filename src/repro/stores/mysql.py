@@ -138,7 +138,7 @@ class MySQLStore(Store):
     #: immediately like an exhausted pool's ``getConnection``.
     connection_pool = "mysql-pool"
 
-    # -- topology: a JDBC ring remap, rows dumped and loaded into their new shard
+    # -- topology: a JDBC ring remap; rows are dumped and loaded into new shards
 
     def _shard_entries(self):
         return enumerate(table.items() for table in self.tables)

@@ -145,7 +145,7 @@ class RedisStore(Store):
         """
         return self.event_loops
 
-    # -- topology: a client ring remap, keys MIGRATEd to their new instance ----
+    # -- topology: a client ring remap; keys MIGRATE to their new instance ----
 
     def _shard_entries(self):
         for src, shard in enumerate(self.shards):
