@@ -12,10 +12,23 @@ index that exposed it.
 from __future__ import annotations
 
 import random
+import zlib
+from hashlib import blake2b
 
+from repro.storage.bloom import BloomFilter
 from repro.storage.btree import BPlusTree
 from repro.storage.hashstore import HashStore
+from repro.storage.lsm.compaction import merge_sstables
 from repro.storage.lsm.engine import LSMConfig, LSMEngine
+from repro.storage.lsm.memtable import Memtable
+from repro.storage.lsm.sstable import (
+    SSTable,
+    TOMBSTONE,
+    Versioned,
+    resolve_versions,
+    sstable_entry_size,
+)
+from repro.storage.skiplist import SkipList
 
 N_OPS = 2000
 KEYSPACE = [f"user{i:04d}" for i in range(150)]
@@ -156,3 +169,425 @@ def test_hashstore_matches_dict_model():
                 model, start, count), f"scan at op {step}"
     assert len(store) == len(model)
     assert store.zrange_from(KEYSPACE[0], len(KEYSPACE)) == sorted(model)
+
+
+# -- reference implementations of the ingestion path ---------------------------
+#
+# The per-record path below the kernel (hash, skip-list descent, entry
+# sizing, Bloom add, run merge, block ids) is a harness cost, so it gets
+# rewritten for speed; what it computes is what every simulated read
+# sees, so it may not move.  The code as it stood before the rewrite
+# lives on here as reference implementations (the method of
+# ``tests/sim/test_join_in_place.py``): whatever ``repro.storage`` does
+# today must leave the same keys, cells, sizes, filter bits, towers and
+# block ids.  ``tests/test_hashing.py`` does the same for ``murmur64a``.
+
+
+def _reference_entry_size(key, value) -> int:
+    """``sstable_entry_size`` as a walk over the columns."""
+    if isinstance(value, Versioned):
+        value = value.value
+    size = 2 + len(key) + 8 + 12 + 4
+    if value is TOMBSTONE:
+        return size
+    for name, field_value in value.items():
+        size += 2 + len(name) + 1 + 8 + 4 + len(field_value)
+    return size
+
+
+def _reference_bloom_bits(keys, n_bits: int, n_hashes: int) -> bytearray:
+    """The filter's bit array after one ``add`` per key: two slices and
+    two ``from_bytes`` of the digest, then a read-modify-write per bit."""
+    bits = bytearray((n_bits + 7) // 8)
+    for key in keys:
+        digest = blake2b(key.encode("utf-8"), digest_size=16).digest()
+        h1 = int.from_bytes(digest[:8], "big")
+        h2 = int.from_bytes(digest[8:], "big") | 1
+        pos, step = h1 % n_bits, h2 % n_bits
+        for __ in range(n_hashes):
+            bits[pos >> 3] |= 1 << (pos & 7)
+            pos += step
+            if pos >= n_bits:
+                pos -= n_bits
+    return bits
+
+
+def _reference_merge(tables, drop_tombstones: bool):
+    """``merge_sstables`` as a dict of version lists folded key by key."""
+    by_key: dict = {}
+    for table in tables:
+        for key, versioned in table.items():
+            by_key.setdefault(key, []).append(versioned)
+    merged = []
+    for key in sorted(by_key):
+        versions = by_key[key]
+        resolved = (versions[0] if len(versions) == 1
+                    else resolve_versions(versions))
+        if drop_tombstones and resolved.value is TOMBSTONE:
+            continue
+        merged.append((key, resolved))
+    return merged
+
+
+def _reference_block_of(engine, table, key) -> tuple:
+    """A key's block id from the CRC of the formatted ``generation:key``."""
+    offset_proxy = zlib.crc32(f"{table.generation}:{key}".encode())
+    n_blocks = max(1, table.size_bytes // engine.config.block_size)
+    return ("sst", engine.name, table.generation, offset_proxy % n_blocks)
+
+
+class _ReferenceSkipList:
+    """The skip list with its descent as first written: ``node.forward``
+    re-read at every step, ``put``/``setdefault``/``remove`` sharing one
+    ``_find_predecessors``."""
+
+    _MAX_LEVEL = 32
+    _P = 0.25
+
+    class _Node:
+        __slots__ = ("key", "value", "forward")
+
+        def __init__(self, key, value, level):
+            self.key = key
+            self.value = value
+            self.forward = [None] * level
+
+    def __init__(self, seed: int = 0):
+        self._head = self._Node(None, None, self._MAX_LEVEL)
+        self._level = 1
+        self._size = 0
+        self._rng = random.Random(seed)
+
+    def __len__(self):
+        return self._size
+
+    def _random_level(self):
+        level = 1
+        while level < self._MAX_LEVEL and self._rng.random() < self._P:
+            level += 1
+        return level
+
+    def _find_predecessors(self, key):
+        update = [self._head] * self._MAX_LEVEL
+        node = self._head
+        for level in range(self._level - 1, -1, -1):
+            following = node.forward[level]
+            while following is not None and following.key < key:
+                node = following
+                following = node.forward[level]
+            update[level] = node
+        return update
+
+    def put(self, key, value):
+        update = self._find_predecessors(key)
+        node = update[0].forward[0]
+        if node is not None and node.key == key:
+            node.value = value
+            return False
+        self._link(update, key, value)
+        return True
+
+    def setdefault(self, key, value):
+        update = self._find_predecessors(key)
+        node = update[0].forward[0]
+        if node is not None and node.key == key:
+            return node.value
+        self._link(update, key, value)
+        return value
+
+    def _link(self, update, key, value):
+        level = self._random_level()
+        if level > self._level:
+            self._level = level
+        new_node = self._Node(key, value, level)
+        for i in range(level):
+            new_node.forward[i] = update[i].forward[i]
+            update[i].forward[i] = new_node
+        self._size += 1
+
+    def get(self, key, default=None):
+        node = self._find_predecessors(key)[0].forward[0]
+        if node is not None and node.key == key:
+            return node.value
+        return default
+
+    def remove(self, key):
+        update = self._find_predecessors(key)
+        node = update[0].forward[0]
+        if node is None or node.key != key:
+            return False
+        for i in range(self._level):
+            if update[i].forward[i] is not node:
+                break
+            update[i].forward[i] = node.forward[i]
+        while self._level > 1 and self._head.forward[self._level - 1] is None:
+            self._level -= 1
+        self._size -= 1
+        return True
+
+    def scan(self, start_key, count):
+        if count <= 0:
+            return []
+        node = self._find_predecessors(start_key)[0].forward[0]
+        out = []
+        while node is not None and len(out) < count:
+            out.append((node.key, node.value))
+            node = node.forward[0]
+        return out
+
+
+def _towers(skiplist) -> list:
+    """Every node in order with its value and the height of its tower."""
+    node, out = skiplist._head.forward[0], []
+    while node is not None:
+        out.append((node.key, node.value, len(node.forward)))
+        node = node.forward[0]
+    return out
+
+
+def _partial_fields(rng: random.Random) -> dict[str, str]:
+    names = rng.sample(range(5), rng.randrange(1, 6))
+    return {f"field{i}": "v" * rng.randrange(0, 14) for i in names}
+
+
+def _random_runs(rng: random.Random, n_runs: int, keyspace: list[str]):
+    """Sorted runs with overlapping keys, tombstones and partial cells;
+    sequence numbers are unique across the runs, as an engine stamps them."""
+    seqs = list(range(1, n_runs * len(keyspace) + 1))
+    rng.shuffle(seqs)
+    runs = []
+    for __ in range(n_runs):
+        keys = sorted(rng.sample(keyspace, rng.randrange(0, len(keyspace))))
+        runs.append(SSTable(
+            [(key, Versioned(seqs.pop(),
+                             TOMBSTONE if rng.random() < 0.2
+                             else _partial_fields(rng)))
+             for key in keys]))
+    return runs
+
+
+def _assert_run_is(run: SSTable, expected: list, context: str) -> None:
+    """``run`` holds exactly ``expected`` and is sized and filtered as a
+    run built entry by entry would be."""
+    assert [k for k, __ in run.items()] == [k for k, __ in expected], context
+    assert ([(v.seq, v.value) for __, v in run.items()]
+            == [(v.seq, v.value) for __, v in expected]), context
+    assert run.size_bytes == sum(_reference_entry_size(k, v)
+                                 for k, v in expected), context
+    bloom = run.bloom
+    assert bloom.n_items == len(expected), context
+    assert bloom._bits == _reference_bloom_bits(
+        [k for k, __ in expected], bloom.n_bits, bloom.n_hashes), context
+
+
+def test_entry_size_matches_the_column_walk():
+    rng = random.Random(0x512E)
+    for __ in range(300):
+        key = "k" * rng.randrange(0, 40)
+        value = TOMBSTONE if rng.random() < 0.2 else _partial_fields(rng)
+        assert sstable_entry_size(key, value) == _reference_entry_size(
+            key, value)
+        assert sstable_entry_size(key, Versioned(3, value)) == (
+            _reference_entry_size(key, value))
+    assert sstable_entry_size("k", {}) == _reference_entry_size("k", {})
+
+
+def test_merge_matches_the_by_key_fold():
+    """Overlapping keys, tombstones, partial cells, both purge modes."""
+    rng = random.Random(0x3E26E)
+    keyspace = [f"user{i:05d}" for i in range(60)]
+    for round_ in range(120):
+        runs = _random_runs(rng, rng.randrange(1, 6), keyspace)
+        for drop in (False, True):
+            merged = merge_sstables(runs, drop_tombstones=drop,
+                                    bloom_fp_rate=0.02, generation=9)
+            assert merged.generation == 9
+            _assert_run_is(merged, _reference_merge(runs, drop),
+                           f"round {round_}, drop_tombstones={drop}")
+
+
+def test_merge_of_disjoint_runs_carries_every_cell_over():
+    """The load's own compaction: no key in two runs, nothing to fold —
+    the merged run holds the very cells its inputs held."""
+    rng = random.Random(0xD15)
+    keys = [f"user{i:05d}" for i in range(400)]
+    rng.shuffle(keys)
+    runs = []
+    for start in range(0, 400, 100):
+        cells = {key: Versioned(seq, TOMBSTONE if seq % 17 == 0
+                                else _partial_fields(rng))
+                 for seq, key in enumerate(keys[start:start + 100],
+                                           start + 1)}
+        runs.append(SSTable(sorted(cells.items())))
+    held = {id(v) for run in runs for __, v in run.items()}
+    for drop in (False, True):
+        merged = merge_sstables(runs, drop_tombstones=drop)
+        _assert_run_is(merged, _reference_merge(runs, drop),
+                       f"drop_tombstones={drop}")
+        assert all(id(v) in held for __, v in merged.items())
+    kept = merge_sstables(runs, drop_tombstones=False)
+    assert kept.size_bytes == sum(run.size_bytes for run in runs)
+
+
+def test_merge_folds_a_key_held_by_three_runs():
+    old = SSTable([("a", Versioned(1, {"field0": "x", "field1": "y"})),
+                   ("b", Versioned(2, {"field0": "b"})),
+                   ("c", Versioned(3, {"field0": "c"}))])
+    mid = SSTable([("a", Versioned(5, {"field1": "yy", "field2": "z"})),
+                   ("b", Versioned(6, TOMBSTONE))])
+    new = SSTable([("a", Versioned(8, {"field0": "xxx"})),
+                   ("b", Versioned(9, {"field3": "revived"})),
+                   ("c", Versioned(7, TOMBSTONE))])
+    for runs in ([old, mid, new], [new, old, mid], [mid, new, old]):
+        for drop in (False, True):
+            merged = merge_sstables(runs, drop_tombstones=drop)
+            _assert_run_is(merged, _reference_merge(runs, drop),
+                           f"drop_tombstones={drop}")
+    merged = merge_sstables([old, mid, new], drop_tombstones=True)
+    assert list(merged.items()) == [
+        ("a", Versioned(8, {"field0": "xxx", "field1": "yy",
+                            "field2": "z"})),
+        ("b", Versioned(9, {"field3": "revived"}))]
+
+
+def test_flushed_run_is_sized_and_filtered_entry_by_entry():
+    """A flush's run against per-entry sizing and per-key Bloom adds,
+    over memtables that saw upserts, deletes and revivals."""
+    rng = random.Random(0xF1A5)
+    keyspace = [f"user{i:05d}" for i in range(80)]
+    for round_ in range(60):
+        engine = LSMEngine(LSMConfig(memtable_flush_bytes=1 << 30), seed=1)
+        for __ in range(rng.randrange(1, 200)):
+            key = rng.choice(keyspace)
+            if rng.random() < 0.2:
+                engine.delete(key)
+            else:
+                engine.put(key, _partial_fields(rng))
+        expected = engine.memtable.sorted_items()
+        written = engine.flush()
+        run = engine.sstables[-1]
+        _assert_run_is(run, expected, f"round {round_}")
+        assert written == run.size_bytes
+
+
+def test_bloom_membership_matches_the_per_key_filter():
+    """Present keys pass, and absent keys are answered exactly as the
+    filter built one ``add`` at a time answers them."""
+    rng = random.Random(0xB100)
+    for n_keys in (1, 2, 7, 64, 1000, 1537):
+        keys = sorted({f"user{rng.randrange(10**21):021d}"
+                       for __ in range(n_keys)})
+        run = SSTable([(key, Versioned(i + 1, {"field0": "x"}))
+                       for i, key in enumerate(keys)], bloom_fp_rate=0.01)
+        bloom = run.bloom
+        reference = BloomFilter(max(1, len(keys)), 0.01)
+        assert (reference.n_bits, reference.n_hashes) == (
+            bloom.n_bits, bloom.n_hashes)
+        reference._bits = _reference_bloom_bits(keys, reference.n_bits,
+                                                reference.n_hashes)
+        assert bloom._bits == reference._bits
+        assert bloom.n_items == len(keys)
+        assert all(bloom.might_contain(key) for key in keys)
+        for i in range(2000):
+            absent = f"miss{i:021d}"
+            assert bloom.might_contain(absent) == (
+                reference.might_contain(absent))
+
+
+def test_bloom_add_one_by_one_matches_the_reference_bits():
+    bloom = BloomFilter(500, 0.01)
+    keys = [f"user{i * 7919:021d}" for i in range(500)]
+    for key in keys:
+        bloom.add(key)
+    assert bloom.n_items == 500
+    assert bloom._bits == _reference_bloom_bits(keys, bloom.n_bits,
+                                                bloom.n_hashes)
+
+
+def test_skiplist_matches_the_first_written_descent():
+    """Random put/setdefault/remove/get/scan: same answers, same order,
+    same tower on every node (the level draws are consumed alike)."""
+    for seed in range(6):
+        rng = random.Random(0x5C1B + seed)
+        keys = [f"user{i:04d}" for i in range(300)]
+        ours, reference = SkipList(seed=seed), _ReferenceSkipList(seed=seed)
+        for step in range(3000):
+            roll = rng.random()
+            key = rng.choice(keys)
+            where = f"seed {seed}, op {step}"
+            if roll < 0.40:
+                assert ours.put(key, step) == reference.put(key, step), where
+            elif roll < 0.55:
+                assert (ours.setdefault(key, step)
+                        == reference.setdefault(key, step)), where
+            elif roll < 0.75:
+                assert ours.remove(key) == reference.remove(key), where
+            elif roll < 0.85:
+                assert ours.get(key) == reference.get(key), where
+            else:
+                count = rng.randrange(0, 25)
+                assert ours.scan(key, count) == reference.scan(
+                    key, count), where
+            assert len(ours) == len(reference), where
+        assert _towers(ours) == _towers(reference)
+        assert ours._level == reference._level
+
+
+def test_memtable_leaves_the_towers_the_first_written_descent_leaves():
+    """The memtable's insert-or-upsert over the same key stream."""
+    rng = random.Random(0x3E3)
+    memtable, reference = Memtable(seed=5), _ReferenceSkipList(seed=5)
+    for seq in range(1, 1500):
+        key = f"user{rng.randrange(400):04d}"
+        if rng.random() < 0.15:
+            memtable.delete(key, seq)
+        else:
+            memtable.put(key, _partial_fields(rng), seq)
+        reference.put(key, seq)
+    assert ([(key, cell.seq, height)
+             for key, cell, height in _towers(memtable._data)]
+            == _towers(reference))
+
+
+def test_read_blocks_match_the_formatted_string_crc():
+    """``get``/``scan``/``iter_blocks`` name the blocks the CRC of the
+    formatted ``"<generation>:<key>"`` string names."""
+    rng = random.Random(0xB10C)
+    for bloom_enabled in (False, True):
+        config = LSMConfig(memtable_flush_bytes=1 << 30, block_size=256,
+                           bloom_enabled=bloom_enabled,
+                           min_compaction_threshold=4,
+                           max_compaction_threshold=5)
+        engine = LSMEngine(config, seed=2, name="blocks")
+        keys = [f"user{rng.randrange(10**21):021d}" for __ in range(900)]
+        for i, key in enumerate(keys):
+            engine.put(key, {f"field{j}": "x" * 10 for j in range(5)})
+            if i % 100 == 99:
+                engine.flush()
+        engine.maybe_compact()
+        for i in range(200):
+            engine.put(keys[i], {"field0": "y" * 10})
+        engine.flush()
+        assert len(engine.sstables) >= 3
+
+        def expected_blocks(key):
+            return tuple(
+                _reference_block_of(engine, table, key)
+                for table in reversed(engine.sstables)
+                if table.min_key <= key <= table.max_key
+                and (not bloom_enabled or table.bloom.might_contain(key)))
+
+        probes = keys[::7] + [f"user{rng.randrange(10**21):021d}"
+                              for __ in range(100)]
+        for key in probes:
+            assert engine.get(key).bill.blocks == expected_blocks(key)
+        assert list(engine.iter_blocks()) == [
+            _reference_block_of(engine, table, key)
+            for table in engine.sstables for key, __ in table.items()]
+        start = sorted(keys)[450]
+        rows, bill = engine.scan(start, 12)
+        assert len(rows) == 12
+        assert bill.blocks == tuple(
+            _reference_block_of(engine, table, key)
+            for table in engine.sstables
+            for key, __ in table.scan(start, 12))
