@@ -5,8 +5,8 @@ The ROADMAP's top open item is making `repro.sim.kernel` 10-100x faster
 optimisation PR needs a *visible starting point*: this micro-benchmark
 drives a store-free workload (timer wheels plus contended resources,
 the two things every simulated operation exercises) and compares
-against the committed trajectory in ``BENCH_KERNEL.json`` at the repo
-root.
+against its committed rows (workload ``kernel-micro``) in
+``BENCH_E2E.json``, the one perf trajectory at the repo root.
 
 Two checks, deliberately asymmetric:
 
@@ -18,24 +18,25 @@ Two checks, deliberately asymmetric:
   only fails when it drops below ``FLOOR_FRACTION`` of the committed
   events/sec (a 4x regression on the same order of machine).
 
-Re-seed the baseline after an intentional kernel change with::
+Record a row after an intentional kernel change with::
 
-    REPRO_UPDATE_KERNEL_BASELINE=1 python -m pytest benchmarks/bench_kernel.py
+    PYTHONPATH=src python -m benchmarks.bench_kernel --record
 
-which appends one entry per package version — the per-PR trajectory the
+which keeps one row per package version — the per-PR trajectory the
 kernel-speed work will be judged against.
 """
 
-import json
 import os
+import sys
 import time
-from pathlib import Path
 
 import repro
+from benchmarks.record_bench_e2e import read_rows, write_rows
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Resource
 
-BASELINE_PATH = Path(__file__).parent.parent / "BENCH_KERNEL.json"
+#: The ``workload`` of this bench's rows in ``BENCH_E2E.json``.
+KERNEL_WORKLOAD = "kernel-micro"
 
 #: Fail only below this fraction of the committed events/sec.  The
 #: default is forgiving (machines vary 4x); CI's ``kernel-smoke`` job
@@ -84,23 +85,21 @@ def run_kernel_workload():
     }
 
 
-def _load_baseline():
-    if not BASELINE_PATH.is_file():
-        return []
-    return json.loads(BASELINE_PATH.read_text())["trajectory"]
+def _committed_rows():
+    """This bench's rows of the trajectory, oldest first."""
+    return [row for row in read_rows() if row["workload"] == KERNEL_WORKLOAD]
 
 
-def _write_baseline(trajectory):
-    payload = {
-        "workload": {
-            "n_resources": N_RESOURCES,
-            "n_workers": N_WORKERS,
-            "ops_per_worker": OPS_PER_WORKER,
-        },
-        "trajectory": trajectory,
-    }
-    BASELINE_PATH.write_text(json.dumps(payload, indent=2,
-                                        sort_keys=True) + "\n")
+def record(measured):
+    """Write ``measured`` as this package version's row."""
+    label = f"v{repro.__version__} (kernel micro-bench)"
+    rows = [row for row in read_rows() if row["label"] != label]
+    rows.append({
+        "label": label, "workload": KERNEL_WORKLOAD,
+        "events": measured["events"], "sim_time": measured["sim_time"],
+        "events_per_s": round(measured["events_per_s"]),
+    })
+    write_rows(rows)
 
 
 #: Speed replicas: wall-clock on shared machines is noisy, so the
@@ -111,10 +110,10 @@ def _write_baseline(trajectory):
 SPEED_REPLICAS = 5
 
 
-def test_kernel_speed_baseline(benchmark):
-    """Engine throughput against the committed BENCH_KERNEL.json."""
-    measured = benchmark.pedantic(run_kernel_workload, rounds=1,
-                                  iterations=1, warmup_rounds=1)
+def measure_best_replica(first=None):
+    """The fastest of ``SPEED_REPLICAS`` runs, all of them identical in
+    event count and final clock."""
+    measured = first if first is not None else run_kernel_workload()
     for _ in range(SPEED_REPLICAS - 1):
         replica = run_kernel_workload()
         assert replica["events"] == measured["events"]
@@ -126,24 +125,17 @@ def test_kernel_speed_baseline(benchmark):
           f"{measured['elapsed_s']:.3f}s wall = "
           f"{measured['events_per_s']:,.0f} events/s "
           f"(sim time {measured['sim_time']:.3f}s)")
+    return measured
 
-    trajectory = _load_baseline()
-    if os.environ.get("REPRO_UPDATE_KERNEL_BASELINE") == "1" or \
-            not trajectory:
-        trajectory = [entry for entry in trajectory
-                      if entry["version"] != repro.__version__]
-        trajectory.append({
-            "version": repro.__version__,
-            "events": measured["events"],
-            "sim_time": measured["sim_time"],
-            "events_per_s": round(measured["events_per_s"]),
-        })
-        _write_baseline(trajectory)
-        print(f"seeded baseline for {repro.__version__} in "
-              f"{BASELINE_PATH.name}")
-        return
 
-    committed = trajectory[-1]
+def test_kernel_speed_baseline(benchmark):
+    """Engine throughput against the committed ``kernel-micro`` rows."""
+    measured = measure_best_replica(benchmark.pedantic(
+        run_kernel_workload, rounds=1, iterations=1, warmup_rounds=1))
+    rows = _committed_rows()
+    assert rows, (f"BENCH_E2E.json has no {KERNEL_WORKLOAD} row; record one "
+                  "with `python -m benchmarks.bench_kernel --record`")
+    committed = rows[-1]
     # Determinism: same workload, same engine -> same event count and
     # final clock, to the last event.
     assert measured["events"] == committed["events"], (
@@ -155,7 +147,7 @@ def test_kernel_speed_baseline(benchmark):
     # Speed: lenient floor, loud print; the trajectory is the signal.
     floor = FLOOR_FRACTION * committed["events_per_s"]
     print(f"committed {committed['events_per_s']:,.0f} events/s "
-          f"(v{committed['version']}); floor {floor:,.0f}")
+          f"({committed['label']}); floor {floor:,.0f}")
     assert measured["events_per_s"] >= floor, (
         f"kernel speed {measured['events_per_s']:,.0f} events/s fell "
         f"below {FLOOR_FRACTION:.0%} of the committed "
@@ -166,21 +158,28 @@ def test_kernel_trajectory_records_fast_path():
     """The committed trajectory proves the fast path: >=4x the seed.
 
     This is the Issue 7 acceptance gate and it inspects the *committed*
-    BENCH_KERNEL.json, not a fresh measurement — it can never flake on
-    a loaded machine, and it fails if anyone reseeds the baseline with
-    a number that gives the speedup back.
+    rows, not a fresh measurement — it can never flake on a loaded
+    machine, and it fails if anyone records a number that gives the
+    speedup back.
     """
-    trajectory = _load_baseline()
-    assert len(trajectory) >= 2, (
-        "trajectory lost its history: expected the seed entry plus at "
-        "least one fast-path entry")
-    seed = trajectory[0]
-    assert seed["version"] == SEED_VERSION
+    rows = _committed_rows()
+    assert len(rows) >= 2, (
+        "trajectory lost its history: expected the seed row plus at "
+        "least one fast-path row")
+    seed = rows[0]
+    assert seed["label"].startswith(f"v{SEED_VERSION} ")
     assert seed["events_per_s"] == SEED_EVENTS_PER_S
-    latest = trajectory[-1]
+    latest = rows[-1]
     # Same workload, to the event and the final simulated instant.
     assert latest["events"] == seed["events"]
     assert latest["sim_time"] == seed["sim_time"]
     assert latest["events_per_s"] >= 4 * SEED_EVENTS_PER_S, (
         f"committed kernel speed {latest['events_per_s']:,} events/s is "
         f"below 4x the {SEED_EVENTS_PER_S:,} seed")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python -m benchmarks.bench_kernel --record")
+    record(measure_best_replica())
+    print(f"recorded v{repro.__version__} in BENCH_E2E.json")

@@ -1,6 +1,11 @@
 """``python benchmarks/record_bench_e2e.py <out.json> <label>``: record a
 ``python -m bench_e2e --out`` file in ``BENCH_E2E.json``, the committed
-end-to-end trajectory (a row per workload, replacing ``<label>``'s rows)."""
+perf trajectory (a row per workload, replacing ``<label>``'s rows).
+
+The file is the one trajectory: besides the four ``bench_e2e`` workloads
+it holds the kernel micro-benchmark's rows (workload ``kernel-micro``,
+written by ``python -m benchmarks.bench_kernel --record``), which this
+script carries over untouched."""
 
 import json
 import statistics
@@ -8,6 +13,24 @@ import sys
 from pathlib import Path
 
 TRAJECTORY = Path(__file__).resolve().parent.parent / "BENCH_E2E.json"
+
+_CELLS = ("[median, q1, q3] over runs; kernel-micro rows: the best of "
+          "the bench's replicas")
+
+
+def read_rows() -> list:
+    """The committed rows, oldest first."""
+    if not TRAJECTORY.exists():
+        return []
+    return json.loads(TRAJECTORY.read_text()).get("rows", [])
+
+
+def write_rows(rows: list) -> None:
+    """Rewrite the trajectory: one row a line, so a perf PR's diff is
+    its rows."""
+    TRAJECTORY.write_text(
+        '{"cells": ' + json.dumps(_CELLS) + ', "rows": [\n'
+        + ",\n".join(json.dumps(row) for row in rows) + "\n]}\n")
 
 
 def _cell(values: list) -> list:
@@ -17,8 +40,7 @@ def _cell(values: list) -> list:
 
 
 def main(out_file: str, label: str) -> None:
-    old = json.loads(TRAJECTORY.read_text()) if TRAJECTORY.exists() else {}
-    rows = [row for row in old.get("rows", []) if row["label"] != label]
+    rows = [row for row in read_rows() if row["label"] != label]
     runs = json.loads(Path(out_file).read_text())["runs"]
     for workload in dict.fromkeys(run["workload"] for run in runs):
         group = [run for run in runs if run["workload"] == workload]
@@ -31,9 +53,7 @@ def main(out_file: str, label: str) -> None:
                 sum(p["counts"]["kernel.events"] for p in run["points"])
                 / sum(p["counts"]["client.ops"] for p in run["points"])
                 for run in group])})
-    TRAJECTORY.write_text(  # one row a line, so a perf PR's diff is its rows
-        '{"cells": "[median, q1, q3] over runs", "rows": [\n'
-        + ",\n".join(json.dumps(row) for row in rows) + "\n]}\n")
+    write_rows(rows)
 
 
 if __name__ == "__main__":

@@ -27,6 +27,10 @@ KEY_LENGTH = len(KEY_PREFIX) + KEY_DIGITS
 #: Keys encode a 64-bit hash left-padded to KEY_DIGITS decimal digits,
 #: so the numeric and lexicographic orders coincide.
 _HASH_SPACE = 2**64
+_PREFIX_LENGTH = len(KEY_PREFIX)
+#: The largest float below 1.0: where a (malformed) key past the hash
+#: space is clamped to.
+_BELOW_ONE = 1.0 - 2**-53
 
 
 def format_key(record_number: int) -> str:
@@ -36,7 +40,7 @@ def format_key(record_number: int) -> str:
     like YCSB's hashed key chooser.
     """
     scattered = murmur64a(record_number.to_bytes(8, "big"))
-    return f"{KEY_PREFIX}{scattered:0{KEY_DIGITS}d}"
+    return KEY_PREFIX + str(scattered).zfill(KEY_DIGITS)
 
 
 def lex_position(key: str) -> float:
@@ -45,7 +49,8 @@ def lex_position(key: str) -> float:
     Exact for well-formed benchmark keys; arbitrary strings fall back to
     a hash-based position (still uniform over random keys).
     """
-    digits = key[len(KEY_PREFIX):]
+    digits = key[_PREFIX_LENGTH:]
     if key.startswith(KEY_PREFIX) and digits.isdigit():
-        return min(int(digits) / _HASH_SPACE, 1.0 - 2**-53)
+        position = int(digits) / _HASH_SPACE
+        return position if position < _BELOW_ONE else _BELOW_ONE
     return murmur64a(key.encode("utf-8"), seed=0x51CA7) / 2**64

@@ -81,14 +81,15 @@ class BPlusTree:
     # -- search ---------------------------------------------------------------
 
     def _descend(self, key: Any) -> tuple[_Leaf, list[int], list[_Internal]]:
+        # Every leaf sits ``height - 1`` internal nodes below the root
+        # (splits grow the tree at the root; deletes never rebalance).
         node = self._root
         path: list[int] = []
         parents: list[_Internal] = []
-        while isinstance(node, _Internal):
+        for __ in range(self.height - 1):
             path.append(node.page_id)
             parents.append(node)
-            index = bisect_right(node.keys, key)
-            node = node.children[index]
+            node = node.children[bisect_right(node.keys, key)]
         path.append(node.page_id)
         return node, path, parents
 
@@ -141,14 +142,15 @@ class BPlusTree:
     def put(self, key: Any, value: Any) -> tuple[bool, TreePath]:
         """Insert or update; returns ``(was_new, pages_touched)``."""
         leaf, path, parents = self._descend(key)
-        index = bisect_left(leaf.keys, key)
-        if index < len(leaf.keys) and leaf.keys[index] == key:
+        keys = leaf.keys
+        index = bisect_left(keys, key)
+        if index < len(keys) and keys[index] == key:
             leaf.values[index] = value
             return False, TreePath(tuple(path))
-        leaf.keys.insert(index, key)
+        keys.insert(index, key)
         leaf.values.insert(index, value)
         self._size += 1
-        if len(leaf.keys) > self.order:
+        if len(keys) > self.order:
             self._split_leaf(leaf, parents)
         return True, TreePath(tuple(path))
 

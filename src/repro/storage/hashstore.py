@@ -55,15 +55,15 @@ class HashStore:
         is reached and the key is new — the failure mode the paper hit on
         its hottest Redis shard at 12 nodes.
         """
-        is_new = key not in self._hashes
-        if is_new and self.is_full:
+        stored = self._hashes.get(key)
+        if stored is not None:
+            stored.update(fields)
+            return True
+        if self.is_full:
             self.oom_errors += 1
             return False
-        if is_new:
-            self._index.put(key, None)
-            self._hashes[key] = dict(fields)
-        else:
-            self._hashes[key].update(fields)
+        self._index.put(key, None)
+        self._hashes[key] = dict(fields)
         return True
 
     def hgetall(self, key: str) -> Optional[dict[str, str]]:

@@ -11,6 +11,8 @@ participates, i.e. a full merge).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby, islice
+from operator import itemgetter, lt
 from typing import Callable, Optional, Sequence
 
 from repro.storage.lsm.sstable import (
@@ -18,31 +20,53 @@ from repro.storage.lsm.sstable import (
     TOMBSTONE,
     Versioned,
     resolve_versions,
+    sstable_entry_size,
 )
 
 __all__ = ["CompactionTask", "SizeTieredCompaction", "merge_sstables"]
+
+_KEY_OF = itemgetter(0)
 
 
 def merge_sstables(tables: Sequence[SSTable], drop_tombstones: bool,
                    bloom_fp_rate: float = 0.01,
                    generation: int | None = None) -> SSTable:
-    """K-way merge of runs; per-entry sequence numbers resolve conflicts."""
-    by_key: dict[str, list[Versioned]] = {}
+    """K-way merge of runs; per-entry sequence numbers resolve conflicts.
+
+    The inputs are sorted runs, so a stable sort of their concatenation
+    is the merge (timsort finds the runs and merges them) and leaves the
+    versions of a key adjacent, in input order.  Where no key repeats —
+    a load's compaction, and every merge of insert-only runs — all cells
+    are carried over as they are (cells are never mutated once in a run)
+    and the output's size is the sum of its inputs'; entries are sized
+    only where the merge drops or creates one.
+    """
+    pairs: list[tuple[str, Versioned]] = []
     for table in tables:
-        for key, versioned in table.items():
-            by_key.setdefault(key, []).append(versioned)
-    merged: list[tuple[str, Versioned]] = []
-    for key in sorted(by_key):
-        versions = by_key[key]
-        # A key only one input holds needs no folding: carry its cell
-        # over as it is (cells are never mutated once in a run).
-        resolved = (versions[0] if len(versions) == 1
-                    else resolve_versions(versions))
-        if drop_tombstones and resolved.value is TOMBSTONE:
-            continue
-        merged.append((key, resolved))
-    return SSTable(merged, bloom_fp_rate=bloom_fp_rate,
-                   generation=generation)
+        pairs.extend(table.items())
+    pairs.sort(key=_KEY_OF)
+    size_bytes = sum(table.size_bytes for table in tables)
+    keys = [key for key, __ in pairs]
+    if not all(map(lt, keys, islice(keys, 1, None))):
+        folded: list[tuple[str, Versioned]] = []
+        for key, group in groupby(pairs, key=_KEY_OF):
+            versions = [versioned for __, versioned in group]
+            resolved = versions[0]
+            if len(versions) > 1:
+                resolved = resolve_versions(versions)
+                size_bytes += sstable_entry_size(key, resolved) - sum(
+                    sstable_entry_size(key, version) for version in versions)
+            folded.append((key, resolved))
+        pairs = folded
+    if drop_tombstones:
+        purged = [key for key, versioned in pairs
+                  if versioned.value is TOMBSTONE]
+        if purged:
+            size_bytes -= sum(sstable_entry_size(key, TOMBSTONE)
+                              for key in purged)
+            pairs = [pair for pair in pairs if pair[1].value is not TOMBSTONE]
+    return SSTable(pairs, bloom_fp_rate=bloom_fp_rate,
+                   generation=generation, size_bytes=size_bytes)
 
 
 @dataclass

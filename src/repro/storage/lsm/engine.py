@@ -100,10 +100,6 @@ class LSMEngine:
         self.writes = 0
         self.sstables_probed = 0
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
     def _allocate_generation(self) -> int:
         self._generations += 1
         return self._generations
@@ -113,12 +109,14 @@ class LSMEngine:
     def put(self, key: str, fields: Mapping[str, str]) -> IoBill:
         """Durably buffer a write; returns the implied disk work."""
         self.writes += 1
-        seq = self._next_seq()
-        # The memtable sizes the write once, for its own flush accounting
-        # and for the commit log.
-        payload = self.memtable.put(key, fields, seq)
-        synced = self.commit_log.append(payload)
-        self._wal_records.append((key, dict(fields), seq))
+        self._seq = seq = self._seq + 1
+        # One private copy of the caller's mapping serves the memtable
+        # cell and the WAL record alike (neither ever mutates it), and
+        # the memtable sizes the write once, for its own flush
+        # accounting and for the commit log.
+        fields = dict(fields)
+        synced = self.commit_log.append(self.memtable.put(key, fields, seq))
+        self._wal_records.append((key, fields, seq))
         bill = IoBill(wal_sync_bytes=synced)
         self._maybe_flush(bill)
         return bill
@@ -128,7 +126,7 @@ class LSMEngine:
         self.writes += 1
         payload = sstable_entry_size(key, TOMBSTONE)
         synced = self.commit_log.append(payload)
-        seq = self._next_seq()
+        self._seq = seq = self._seq + 1
         self.memtable.delete(key, seq)
         self._wal_records.append((key, TOMBSTONE, seq))
         bill = IoBill(wal_sync_bytes=synced)
@@ -147,8 +145,10 @@ class LSMEngine:
         items = self.memtable.sorted_items()
         if not items:
             return 0
+        # The memtable's running total is what the run serialises to.
         table = SSTable(items, bloom_fp_rate=self.config.bloom_fp_rate,
-                        generation=self._allocate_generation())
+                        generation=self._allocate_generation(),
+                        size_bytes=self.memtable.size_bytes)
         self.sstables.append(table)
         self.flushes += 1
         active = self.commit_log.active_segment.index
@@ -191,15 +191,16 @@ class LSMEngine:
 
     # -- read path ------------------------------------------------------------
 
-    def _block_of(self, table: SSTable, key: str) -> tuple:
+    def _block_of(self, table: SSTable, key_bytes: bytes) -> tuple:
         """Block id a key's entry lives in, for the page-cache model.
 
         The offset proxy must be a *deterministic* hash: built-in
         ``hash()`` on strings is salted per process, which would make
         cache hit patterns — and so every measured number — unrepeatable
-        across invocations.
+        across invocations.  It is the CRC of ``"<generation>:<key>"``,
+        continued over the encoded key from the run's CRC of the prefix.
         """
-        offset_proxy = zlib.crc32(f"{table.generation}:{key}".encode())
+        offset_proxy = zlib.crc32(key_bytes, table.block_seed)
         n_blocks = max(1, table.size_bytes // self.config.block_size)
         return ("sst", self.name, table.generation, offset_proxy % n_blocks)
 
@@ -220,22 +221,21 @@ class LSMEngine:
                 return ReadResult(buffered.value, IoBill())
             candidates.append(buffered)
         blocks: list[tuple] = []
-        runs = 0
+        bloom_enabled = self.config.bloom_enabled
+        key_bytes = key.encode()
         for table in reversed(self.sstables):
-            if self.config.bloom_enabled:
+            if bloom_enabled:
                 if not table.may_contain(key):
                     continue
-            else:
-                if (table.min_key is None or key < table.min_key
-                        or key > table.max_key):
-                    continue
-            self.sstables_probed += 1
-            runs += 1
-            blocks.append(self._block_of(table, key))
+            elif (table.min_key is None or key < table.min_key
+                    or key > table.max_key):
+                continue
+            blocks.append(self._block_of(table, key_bytes))
             versioned = table.get(key)
             if versioned is not None:
                 candidates.append(versioned)
-        bill = IoBill(runs_touched=runs, blocks=tuple(blocks))
+        self.sstables_probed += len(blocks)
+        bill = IoBill(runs_touched=len(blocks), blocks=tuple(blocks))
         if not candidates:
             return ReadResult(None, bill)
         resolved = resolve_versions(candidates)
@@ -268,7 +268,7 @@ class LSMEngine:
                 if chunk:
                     sources += 1
                     for key, versioned in chunk:
-                        blocks.append(self._block_of(table, key))
+                        blocks.append(self._block_of(table, key.encode()))
                         by_key.setdefault(key, []).append(versioned)
                     if len(chunk) == need:
                         last = chunk[-1][0]
@@ -296,9 +296,10 @@ class LSMEngine:
 
     def iter_blocks(self):
         """All on-disk block ids (cache warm-up after a load phase)."""
+        block_of = self._block_of
         for table in self.sstables:
-            for key, __ in table.items():
-                yield self._block_of(table, key)
+            for key_bytes in map(str.encode, table.keys()):
+                yield block_of(table, key_bytes)
 
     # -- accounting -----------------------------------------------------------
 

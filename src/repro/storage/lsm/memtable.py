@@ -40,30 +40,42 @@ class Memtable:
 
         Returns the serialised size of the write itself (``key`` plus the
         ``fields`` given), which is what the engine's commit log records.
+        A fresh key's cell keeps ``fields`` as its payload, uncopied: the
+        caller hands the mapping over and does not mutate it afterwards.
         """
         self.ops += 1
         written = sstable_entry_size(key, fields)
-        cell = Versioned(seq, dict(fields))
+        cell = Versioned(seq, fields)
         existing: Versioned = self._data.setdefault(key, cell)
-        growth = written
-        if existing is not cell:  # already buffered: upsert, or revive
-            if existing.value is not TOMBSTONE:
-                cell.value = {**existing.value, **fields}
-                growth = (sstable_entry_size(key, cell.value)
-                          - sstable_entry_size(key, existing.value))
-            self._data.put(key, cell)
-        self.size_bytes += growth
+        if existing is cell:
+            self.size_bytes += written
+            return written
+        # Already buffered: the one descent found the memtable's own
+        # cell, which is restamped in place.  Payload mappings are never
+        # mutated, so a reader holding the old one keeps what it read.
+        replaced = sstable_entry_size(key, existing.value)
+        if existing.value is TOMBSTONE:  # revive: the write starts afresh
+            existing.value = fields
+            self.size_bytes += written - replaced
+        else:
+            existing.value = {**existing.value, **fields}
+            self.size_bytes += (sstable_entry_size(key, existing.value)
+                                - replaced)
+        existing.seq = seq
         return written
 
     def delete(self, key: str, seq: int) -> None:
         """Record a deletion (tombstone) for ``key``."""
         self.ops += 1
-        existing: Optional[Versioned] = self._data.get(key)
-        if existing is not None and existing.value is not TOMBSTONE:
-            self.size_bytes -= sstable_entry_size(key, existing.value)
-        elif existing is None:
-            self.size_bytes += sstable_entry_size(key, TOMBSTONE)
-        self._data.put(key, Versioned(seq, TOMBSTONE))
+        cell = Versioned(seq, TOMBSTONE)
+        existing: Versioned = self._data.setdefault(key, cell)
+        tombstone = sstable_entry_size(key, TOMBSTONE)
+        if existing is cell:
+            self.size_bytes += tombstone
+            return
+        self.size_bytes += tombstone - sstable_entry_size(key, existing.value)
+        existing.seq = seq
+        existing.value = TOMBSTONE
 
     def get(self, key: str) -> Optional[Versioned]:
         """Buffered version for ``key``, or ``None`` if not buffered."""

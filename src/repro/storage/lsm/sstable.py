@@ -7,6 +7,7 @@ the :data:`TOMBSTONE` sentinel so that compaction can drop shadowed data.
 
 from __future__ import annotations
 
+import zlib
 from bisect import bisect_left
 from itertools import islice
 from operator import lt
@@ -94,56 +95,65 @@ def sstable_entry_size(key: str, value: Payload) -> int:
     """
     if isinstance(value, Versioned):
         value = value.value
-    size = 2 + len(key) + 8 + 12 + 4
     if value is TOMBSTONE:
-        return size
+        return _ROW_BYTES + len(key)
+    size = _ROW_BYTES + len(key) + _COLUMN_BYTES * len(value)
     for name, field_value in value.items():
-        size += 2 + len(name) + 1 + 8 + 4 + len(field_value)
+        size += len(name) + len(field_value)
     return size
 
 
+#: Fixed bytes of a row (beside its key) and of a column (beside its
+#: name and value) in the layout above.
+_ROW_BYTES = 2 + 8 + 12 + 4
+_COLUMN_BYTES = 2 + 1 + 8 + 4
+
+
 class SSTable:
-    """One immutable sorted run."""
+    """One immutable sorted run.
+
+    An entry is sized where it is created: ``size_bytes`` is the entries'
+    serialised size when whoever built them kept the sum (a flush has the
+    memtable's running total, a merge its inputs' sizes); without it they
+    are sized here.
+    """
 
     _next_generation = 0
 
     def __init__(self, items: Iterable[tuple[str, Value]],
                  bloom_fp_rate: float = 0.01,
-                 generation: Optional[int] = None):
-        pairs = list(items)
+                 generation: Optional[int] = None,
+                 size_bytes: Optional[int] = None):
+        pairs = items if isinstance(items, list) else list(items)
         keys = [k for k, __ in pairs]
         if not all(map(lt, keys, islice(keys, 1, None))):
             raise ValueError("SSTable input must be strictly sorted by key")
         self._keys = keys
-        self._values = [v for __, v in pairs]
+        self._values = values = [v for __, v in pairs]
+        #: Smallest and largest key in the run, ``None`` if it is empty.
+        self.min_key: Optional[str] = keys[0] if keys else None
+        self.max_key: Optional[str] = keys[-1] if keys else None
         if generation is None:
             SSTable._next_generation += 1
             generation = SSTable._next_generation
         self.generation = generation
+        #: CRC of the ``"<generation>:"`` prefix every block-offset proxy
+        #: of this run starts from (see ``LSMEngine._block_of``).
+        self.block_seed = zlib.crc32(b"%d:" % generation)
         self.bloom = BloomFilter(max(1, len(keys)), bloom_fp_rate)
-        self.size_bytes = 0
-        for key, value in pairs:
-            self.bloom.add(key)
-            self.size_bytes += sstable_entry_size(key, value)
+        self.bloom.add_all(keys)
+        if size_bytes is None:
+            size_bytes = sum(map(sstable_entry_size, keys, values))
+        self.size_bytes = size_bytes
         self.reads = 0
         self.bloom_rejections = 0
 
     def __len__(self) -> int:
         return len(self._keys)
 
-    @property
-    def min_key(self) -> Optional[str]:
-        """Smallest key in the run, or ``None`` if empty."""
-        return self._keys[0] if self._keys else None
-
-    @property
-    def max_key(self) -> Optional[str]:
-        """Largest key in the run, or ``None`` if empty."""
-        return self._keys[-1] if self._keys else None
-
     def may_contain(self, key: str) -> bool:
         """Cheap pre-check: key range plus Bloom filter."""
-        if not self._keys or key < self._keys[0] or key > self._keys[-1]:
+        if self.min_key is None or key < self.min_key or key > self.max_key:
             return False
         if not self.bloom.might_contain(key):
             self.bloom_rejections += 1
@@ -163,6 +173,10 @@ class SSTable:
         index = bisect_left(self._keys, start_key)
         stop = min(len(self._keys), index + max(0, count))
         return list(zip(self._keys[index:stop], self._values[index:stop]))
+
+    def keys(self) -> Iterator[str]:
+        """All keys in order."""
+        return iter(self._keys)
 
     def items(self) -> Iterator[tuple[str, Value]]:
         """All entries in key order (compaction input)."""

@@ -29,7 +29,7 @@ class RecordSchema:
     field_prefix: str = "field"
 
     # The schema is immutable, so its derived layout is computed once per
-    # instance: both are read once per generated record.
+    # instance: all three are read once per generated record.
 
     @cached_property
     def field_names(self) -> tuple[str, ...]:
@@ -48,7 +48,7 @@ class RecordSchema:
         """Raw payload size of one record: key plus all field values."""
         return self.key_length + self.field_count * self.field_length
 
-    @property
+    @cached_property
     def raw_value_bytes(self) -> int:
         """Raw payload size of the value fields only (no key)."""
         return self.field_count * self.field_length

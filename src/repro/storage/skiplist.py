@@ -51,13 +51,18 @@ class SkipList:
         return level
 
     def _find_predecessors(self, key: Any) -> list[_SkipNode]:
-        update = [self._head] * _MAX_LEVEL
+        # The hot loop of every load: one attribute read per node
+        # visited (its key) and one per node stepped onto (its tower,
+        # held in a local across the level changes).
         node = self._head
+        update = [node] * _MAX_LEVEL
+        forward = node.forward
         for level in range(self._level - 1, -1, -1):
-            following = node.forward[level]
+            following = forward[level]
             while following is not None and following.key < key:
                 node = following
-                following = node.forward[level]
+                forward = following.forward
+                following = forward[level]
             update[level] = node
         return update
 
@@ -96,13 +101,7 @@ class SkipList:
 
     def get(self, key: Any, default: Any = None) -> Any:
         """Return the value for ``key`` or ``default``."""
-        node = self._head
-        for level in range(self._level - 1, -1, -1):
-            following = node.forward[level]
-            while following is not None and following.key < key:
-                node = following
-                following = node.forward[level]
-        node = node.forward[0]
+        node = self._find_predecessors(key)[0].forward[0]
         if node is not None and node.key == key:
             return node.value
         return default
@@ -133,12 +132,7 @@ class SkipList:
         """Up to ``count`` pairs with ``key >= start_key``, in key order."""
         if count <= 0:
             return []
-        node = self._head
-        for level in range(self._level - 1, -1, -1):
-            while (node.forward[level] is not None
-                   and node.forward[level].key < start_key):
-                node = node.forward[level]
-        node = node.forward[0]
+        node = self._find_predecessors(start_key)[0].forward[0]
         out: list[tuple[Any, Any]] = []
         while node is not None and len(out) < count:
             out.append((node.key, node.value))

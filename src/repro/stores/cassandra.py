@@ -141,6 +141,8 @@ class CassandraStore(Store):
     def replicas_of(self, key: str,
                     replication_factor: int = 1) -> list[int]:
         """Server indices of the replica set of ``key``, owner first."""
+        if replication_factor == 1:  # the paper's setting: the owner alone
+            return [self.owner_of(key)]
         return [self._ring_map[slot]
                 for slot in self.ring.replicas_of(key, replication_factor)]
 
@@ -187,14 +189,17 @@ class CassandraStore(Store):
         compacted run — reads must merge across them (the read
         amplification the Bloom-filter ablation measures).
         """
+        engines = self.engines
+        replication_factor = self.replication_factor
         loaded = 0
         for record in records:
-            for replica in self.replicas_of(record.key,
-                                            self.replication_factor):
-                self.engines[replica].put(record.key, dict(record.fields))
+            key = record.key
+            for replica in self.replicas_of(key, replication_factor):
+                # The engine copies the fields it is given.
+                engines[replica].put(key, record.fields)
             loaded += 1
             if loaded % 4000 == 0:
-                for engine in self.engines:
+                for engine in engines:
                     engine.flush()
         for engine in self.engines:
             engine.flush()

@@ -184,8 +184,9 @@ class HBaseStore(Store):
 
     def region_of(self, key: str) -> int:
         """Region by key range: uniform key space split into equal slices."""
-        region = int(lex_position(key) * self.n_regions)
-        return min(region, self.n_regions - 1)
+        n_regions = self.n_regions
+        region = int(lex_position(key) * n_regions)
+        return region if region < n_regions else n_regions - 1
 
     def server_of_region(self, region_id: int) -> RegionServer:
         """The region server currently hosting ``region_id``."""
@@ -296,16 +297,18 @@ class HBaseStore(Store):
     def load(self, records: Iterable[Record]) -> None:
         """Bulk load leaving a few store files per region (as a real
         load phase does before a major compaction is scheduled)."""
+        # Nothing reassigns a region while the load runs.
+        engines = [self.engine_of(rid) for rid in range(self.n_regions)]
         loaded = 0
         for record in records:
-            region_id = self.region_of(record.key)
-            self.engine_of(region_id).put(record.key, dict(record.fields))
+            key = record.key
+            # The engine copies the fields it is given.
+            engines[self.region_of(key)].put(key, record.fields)
             loaded += 1
             if loaded % 4000 == 0:
-                for rid in range(self.n_regions):
-                    self.engine_of(rid).flush()
-        for region_id in range(self.n_regions):
-            engine = self.engine_of(region_id)
+                for engine in engines:
+                    engine.flush()
+        for engine in engines:
             engine.flush()
             # One minor compaction, as HBase's compactionThreshold would
             # have triggered during the load; a few store files remain.

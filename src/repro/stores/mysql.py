@@ -155,10 +155,12 @@ class MySQLStore(Store):
     # -- deployment ----------------------------------------------------------
 
     def load(self, records: Iterable[Record]) -> None:
+        tables = self.tables
         sample_binlog = None
         for record in records:
-            shard = self.shard_of(record.key)
-            self.tables[shard].put(record.key, dict(record.fields))
+            key = record.key
+            shard = self.shard_of(key)
+            tables[shard].put(key, dict(record.fields))
             if self.binlog_enabled:
                 if sample_binlog is None:
                     sample_binlog = len(encode_binlog_event(record))

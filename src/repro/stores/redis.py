@@ -167,9 +167,11 @@ class RedisStore(Store):
     # -- deployment ----------------------------------------------------------
 
     def load(self, records: Iterable[Record]) -> None:
+        shards = self.shards
         for record in records:
-            shard = self.shards[self.shard_of(record.key)]
-            if not shard.hset(record.key, dict(record.fields)):
+            key = record.key
+            # HSET stores its own copy of the fields.
+            if not shards[self.shard_of(key)].hset(key, record.fields):
                 self.errors += 1
 
     def session(self, client_node: Node, index: int) -> "RedisSession":

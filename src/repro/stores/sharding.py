@@ -53,11 +53,9 @@ class ConsistentHashRing:
 
     def shard_for(self, key: str) -> str:
         """The shard owning ``key`` (first ring point clockwise)."""
-        h = self.hash_fn(key.encode("utf-8"))
-        index = bisect_right(self._hashes, h)
-        if index == len(self._hashes):
-            index = 0
-        return self._owners[index]
+        hashes = self._hashes
+        index = bisect_right(hashes, self.hash_fn(key.encode()))
+        return self._owners[index if index < len(hashes) else 0]
 
     def load_shares(self, sample_keys: Sequence[str]) -> dict[str, float]:
         """Fraction of ``sample_keys`` landing on each shard."""
@@ -116,9 +114,8 @@ class TokenRing:
 
     def owner_of(self, key: str) -> int:
         """Index of the node owning ``key``."""
-        h = self.hash_fn(key.encode("utf-8"))
-        index = bisect_right(self.tokens, h) - 1
-        return max(0, index)
+        index = bisect_right(self.tokens, self.hash_fn(key.encode())) - 1
+        return index if index > 0 else 0
 
     def replicas_of(self, key: str, replication_factor: int = 1) -> list[int]:
         """Owner plus the following ``replication_factor - 1`` ring walkers."""

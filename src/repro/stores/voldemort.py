@@ -163,6 +163,8 @@ class VoldemortStore(Store):
         distinct nodes (skipping partitions co-located on a node already
         in the list).
         """
+        if self.replication_factor == 1:  # the paper's setting
+            return [self.owner_of(key)]
         primary = self.ring.owner_of(key)
         n_partitions = len(self.ring.tokens)
         nodes: list[int] = []
@@ -218,10 +220,13 @@ class VoldemortStore(Store):
     # -- deployment ----------------------------------------------------------
 
     def load(self, records: Iterable[Record]) -> None:
+        trees, log_bytes = self.trees, self.log_bytes
+        entry_bytes = self._entry_bytes
         for record in records:
-            for owner in self.replica_nodes_of(record.key):
-                self.trees[owner].put(record.key, dict(record.fields))
-                self.log_bytes[owner] += self._entry_bytes
+            key = record.key
+            for owner in self.replica_nodes_of(key):
+                trees[owner].put(key, dict(record.fields))
+                log_bytes[owner] += entry_bytes
 
     def session(self, client_node: Node, index: int) -> "VoldemortSession":
         return VoldemortSession(self, client_node, index)

@@ -160,7 +160,8 @@ class VoltDBStore(Store):
 
     def partition_of(self, key: str) -> int:
         """Partition column hash, as VoltDB derives from the primary key."""
-        return self._pids[murmur64a(key.encode("utf-8")) % len(self._pids)]
+        pids = self._pids
+        return pids[murmur64a(key.encode()) % len(pids)]
 
     def node_of_partition(self, partition: int) -> int:
         """Host index owning ``partition``."""
@@ -206,9 +207,10 @@ class VoltDBStore(Store):
     # -- deployment ----------------------------------------------------------
 
     def load(self, records: Iterable[Record]) -> None:
+        partitions = self.partitions
         for record in records:
-            partition = self.partition_of(record.key)
-            self.partitions[partition].put(record.key, dict(record.fields))
+            key = record.key
+            partitions[self.partition_of(key)].put(key, dict(record.fields))
 
     def session(self, client_node: Node, index: int) -> "VoltDBSession":
         return VoltDBSession(self, client_node, index)

@@ -504,6 +504,29 @@ def test_bloom_add_one_by_one_matches_the_reference_bits():
                                                 bloom.n_hashes)
 
 
+def test_bloom_batches_match_the_reference_bits():
+    """Batches of any size — empty, one key, a generator — onto filters
+    small enough that a key's step is often 0 mod ``n_bits``."""
+    rng = random.Random(0xBA7C)
+    for expected in (1, 2, 5, 40, 700):
+        bloom = BloomFilter(expected, 0.01)
+        keys = [f"user{rng.randrange(10**21):021d}"
+                for __ in range(max(80, 2 * expected + 3))]
+        zero_steps = sum(
+            (int.from_bytes(blake2b(key.encode(), digest_size=16)
+                            .digest()[8:], "big") | 1) % bloom.n_bits == 0
+            for key in keys)
+        assert expected > 2 or zero_steps  # the edge is exercised
+        cut = rng.randrange(len(keys))
+        bloom.add_all(keys[:cut])
+        bloom.add_all([])
+        bloom.add_all(key for key in keys[cut:])
+        assert bloom.n_items == len(keys)
+        assert bloom._bits == _reference_bloom_bits(keys, bloom.n_bits,
+                                                    bloom.n_hashes)
+        assert all(bloom.might_contain(key) for key in keys)
+
+
 def test_skiplist_matches_the_first_written_descent():
     """Random put/setdefault/remove/get/scan: same answers, same order,
     same tower on every node (the level draws are consumed alike)."""

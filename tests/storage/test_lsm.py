@@ -1,6 +1,8 @@
 """Unit tests for the LSM components: memtable, WAL, SSTable, compaction."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.storage.lsm.compaction import SizeTieredCompaction, merge_sstables
 from repro.storage.lsm.memtable import Memtable
@@ -117,6 +119,47 @@ class TestMemtable:
         for key in ["c", "a", "b"]:
             memtable.put(key, fields(key), seq=1)
         assert [k for k, __ in memtable.sorted_items()] == ["a", "b", "c"]
+
+    def test_size_counts_a_tombstone_over_a_buffered_put(self):
+        memtable = Memtable()
+        memtable.put("a" * 25, fields("1"), seq=1)
+        memtable.delete("a" * 25, seq=2)
+        assert memtable.size_bytes == sstable_entry_size("a" * 25, TOMBSTONE)
+
+    def test_size_drops_the_tombstone_a_put_replaces(self):
+        memtable = Memtable()
+        memtable.delete("a" * 25, seq=1)
+        memtable.delete("a" * 25, seq=2)  # still one tombstone
+        assert memtable.size_bytes == sstable_entry_size("a" * 25, TOMBSTONE)
+        memtable.put("a" * 25, fields("1"), seq=3)
+        assert memtable.size_bytes == sstable_entry_size("a" * 25,
+                                                         fields("1"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=st.lists(
+        st.tuples(
+            st.sampled_from(["k1", "k22", "k333", "k4444"]),
+            st.one_of(
+                st.none(),  # delete
+                st.dictionaries(
+                    st.sampled_from(["field0", "field1", "f2", "column3"]),
+                    st.text(alphabet="xyz", max_size=12), max_size=4))),
+        max_size=40))
+    def test_size_is_what_the_flush_writes(self, ops):
+        """After any put / partial upsert / delete / revive sequence the
+        running total equals the serialised size of the run a flush of
+        this memtable builds, entry by entry."""
+        memtable = Memtable(seed=1)
+        for seq, (key, written) in enumerate(ops, start=1):
+            if written is None:
+                memtable.delete(key, seq)
+            else:
+                memtable.put(key, written, seq)
+            assert memtable.size_bytes == sum(
+                sstable_entry_size(k, v)
+                for k, v in memtable.sorted_items())
+        assert memtable.size_bytes == SSTable(
+            memtable.sorted_items()).size_bytes
 
 
 class TestCommitLog:
