@@ -11,8 +11,8 @@ The two runs must also agree byte-for-byte, parallelism or not.
 import os
 import time
 
-from repro.analysis.sweep import SweepSpec
-from repro.orchestrator import ResultStore, execute_grid, sweep_configs
+from repro.analysis.sweep import SweepSpec, run_sweep
+from repro.orchestrator import ResultStore
 from repro.ycsb.workload import WORKLOAD_R, WORKLOAD_RW
 
 SPEC = SweepSpec(
@@ -23,14 +23,15 @@ SPEC = SweepSpec(
 
 
 def run_grid(tmp_path, name, jobs):
-    configs, skipped = sweep_configs(SPEC)
-    assert len(configs) == 8 and not skipped
     store = ResultStore(tmp_path / name)
+    cached = []
     started = time.perf_counter()
-    outcomes = execute_grid(configs, jobs=jobs, store=store)
+    sweep = run_sweep(
+        SPEC, jobs=jobs, store=store,
+        progress=lambda done, total, outcome: cached.append(outcome.cached))
     elapsed = time.perf_counter() - started
-    assert len(outcomes) == 8
-    assert all(not outcome.cached for outcome in outcomes)
+    assert len(sweep.results) == 8 and not sweep.skipped
+    assert cached == [False] * 8
     return store, elapsed
 
 

@@ -12,10 +12,11 @@ Profiles (set ``REPRO_BENCH_PROFILE``):
 * ``quick`` (default) — tens of minutes; 1/4/8 nodes.
 * ``paper`` — the full 1-12 node sweep at higher record counts.
 
-The cache is backed by the shared on-disk result store (same one
-``apmbench reproduce`` uses), so points persist across pytest
-invocations: a second run of any figure bench is a pure cache hit.
-Point ``REPRO_RESULT_STORE`` elsewhere to isolate a run.
+The cache's runner get-or-runs each point through ``execute_grid`` over
+the shared on-disk result store (same one ``apmbench reproduce`` uses),
+so points persist across pytest invocations: a second run of any figure
+bench is a pure cache hit.  Point ``REPRO_RESULT_STORE`` elsewhere to
+isolate a run (this file is that variable's only reader).
 """
 
 import os
@@ -23,12 +24,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.cache import default_cache
-from repro.orchestrator.store import ResultStore
+from repro.analysis.cache import ResultCache
 from repro.analysis.expectations import check_expectations
 from repro.analysis.export import write_figure
 from repro.analysis.figures import active_profile, build_figure
 from repro.analysis.report import render_table
+from repro.orchestrator import ResultStore, execute_grid
 
 #: Regenerated series are also written here (pytest captures stdout, so
 #: the tee'd run log alone would not show them).
@@ -37,12 +38,14 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 @pytest.fixture(scope="session")
 def cache():
-    cache = default_cache()
-    if cache.store is None:
-        root = os.environ.get("REPRO_RESULT_STORE",
-                              str(RESULTS_DIR / "store"))
-        cache.store = ResultStore(root)
-    return cache
+    store = ResultStore(os.environ.get("REPRO_RESULT_STORE",
+                                       str(RESULTS_DIR / "store")))
+
+    def get_or_run(config):
+        outcome, = execute_grid([config], store=store)
+        return outcome.result
+
+    return ResultCache(runner=get_or_run)
 
 
 @pytest.fixture(scope="session")

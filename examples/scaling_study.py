@@ -28,8 +28,8 @@ def main():
     print(f"running {len(spec)} benchmark points...")
     sweep = run_sweep(
         spec,
-        progress=lambda i, n, s, w, k:
-            print(f"  [{i + 1:2d}/{n}] {s} {w.name} n={k}"),
+        progress=lambda done, total, outcome:
+            print(f"  [{done:2d}/{total}] {outcome.config.label()}"),
     )
 
     print("\nper-cell winners (throughput):")

@@ -2,7 +2,8 @@
 
 * :mod:`repro.analysis.cache` — memoises benchmark runs so that figures
   sharing the same runs (e.g. Figures 3/4/5 all come from the Workload R
-  sweep) execute each configuration once.
+  sweep) execute each configuration once.  A memo is given a runner,
+  never a result store.
 * :mod:`repro.analysis.figures` — one builder per paper artefact
   (``table1``, ``fig3`` ... ``fig20``), each returning a
   :class:`~repro.analysis.figures.FigureData` with the same series the
@@ -10,6 +11,10 @@
 * :mod:`repro.analysis.expectations` — the qualitative claims the paper
   makes about each figure, as checkable predicates.
 * :mod:`repro.analysis.report` — ASCII rendering of figure data.
+* :mod:`repro.analysis.sweep` — ``SweepSpec`` → ``run_sweep`` →
+  ``SweepResult`` for studies beyond the paper's figures.  Import it by
+  its full name: it runs its batch through :mod:`repro.orchestrator`,
+  which imports this package, so it is not re-exported here.
 """
 
 from repro.analysis.cache import ResultCache

@@ -3,75 +3,51 @@
 The paper derives three figures (throughput, read latency, write
 latency) from every workload sweep; re-running the sweep per figure
 would triple the cost.  :class:`ResultCache` keys runs by their full
-configuration and hands back the stored :class:`BenchmarkResult`.
+configuration and hands back the :class:`BenchmarkResult` it was given.
 
-A cache can additionally be backed by an on-disk
-:class:`~repro.orchestrator.store.ResultStore`: misses read through to
-the store before running anything, and fresh results are written back,
-so results are shared across processes and across runs.  Set the
-``REPRO_RESULT_STORE`` environment variable to a directory to give the
-process-wide :func:`default_cache` a persistent store.
+It is a memo and nothing else: it is handed a *runner* and never a
+result store.  Persistence and batches belong to
+:func:`repro.orchestrator.pool.execute_grid`; a memo that should see
+stored points is given a runner that reads or get-or-runs them there.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Callable, Optional
 
 from repro.sim.cluster import ClusterSpec
 from repro.ycsb.runner import BenchmarkConfig, BenchmarkResult, run_benchmark
 from repro.ycsb.workload import Workload
 
-__all__ = ["ResultCache", "default_cache"]
+__all__ = ["ResultCache"]
 
 
 class ResultCache:
-    """Memoises ``run_benchmark`` calls by configuration.
+    """Memoises ``runner(config)`` by ``config.content_key()``.
 
-    ``store`` is an optional :class:`~repro.orchestrator.store.ResultStore`
-    (or anything with compatible ``get``/``put``): cache misses consult
-    it before running the benchmark, and new results are persisted to it
-    when they are portable (plain measurement runs — no fault schedules,
-    traces or metrics attached).
+    :meth:`BenchmarkConfig.to_dict` is the single source of config
+    identity, shared with :meth:`BenchmarkConfig.content_hash` (the
+    on-disk store address), so memo and store agree on what "the same
+    point" means.  The default runner is a live ``run_benchmark``.
     """
 
-    def __init__(self, runner: Callable[..., BenchmarkResult] = None,
-                 store=None):
+    def __init__(self, runner: Callable[..., BenchmarkResult] = None):
         self._runner = runner or (
             lambda config: run_benchmark(config.store, config.workload,
                                          config.n_nodes, config=config))
         self._results: dict[str, BenchmarkResult] = {}
-        self.store = store
         self.hits = 0
         self.misses = 0
-        #: Subset of ``hits`` served from the on-disk store.
-        self.store_hits = 0
-
-    @staticmethod
-    def _key(config: BenchmarkConfig) -> str:
-        # Delegates to the config itself: BenchmarkConfig.to_dict() is
-        # the single source of truth for config identity, shared with
-        # BenchmarkConfig.content_hash() (the on-disk store address).
-        return config.content_key()
 
     def get(self, config: BenchmarkConfig) -> BenchmarkResult:
-        """The result for ``config``, running the benchmark on a miss."""
-        key = self._key(config)
+        """The result for ``config``, calling the runner on a miss."""
+        key = config.content_key()
         if key in self._results:
             self.hits += 1
             return self._results[key]
-        if self.store is not None:
-            stored = self.store.get(config)
-            if stored is not None:
-                self.hits += 1
-                self.store_hits += 1
-                self._results[key] = stored
-                return stored
         self.misses += 1
         result = self._runner(config)
         self._results[key] = result
-        if self.store is not None:
-            self.store.put(result)
         return result
 
     def run(self, store: str, workload: Workload, n_nodes: int,
@@ -86,27 +62,5 @@ class ResultCache:
         return self.get(config)
 
     def clear(self) -> None:
-        """Forget every in-memory result (the disk store is untouched)."""
+        """Forget every memoised result."""
         self._results.clear()
-
-
-_GLOBAL_CACHE: Optional[ResultCache] = None
-
-
-def default_cache() -> ResultCache:
-    """The process-wide cache shared by figures and benchmarks.
-
-    When ``REPRO_RESULT_STORE`` names a directory, the cache is backed
-    by the on-disk result store rooted there, so repeated invocations
-    (and parallel workers) share completed points.
-    """
-    global _GLOBAL_CACHE
-    if _GLOBAL_CACHE is None:
-        store = None
-        root = os.environ.get("REPRO_RESULT_STORE")
-        if root:
-            from repro.orchestrator.store import ResultStore
-
-            store = ResultStore(root)
-        _GLOBAL_CACHE = ResultCache(store=store)
-    return _GLOBAL_CACHE

@@ -20,7 +20,7 @@ from repro.sim.cluster import CLUSTER_D
 from repro.storage.encoding import DISK_USAGE_MODELS
 from repro.storage.record import APM_SCHEMA
 from repro.stores.registry import STORE_NAMES, store_class
-from repro.analysis.cache import ResultCache, default_cache
+from repro.analysis.cache import ResultCache
 from repro.ycsb.workload import (
     WORKLOADS,
     WORKLOAD_R,
@@ -392,10 +392,14 @@ FIGURES: dict[str, Callable[[ResultCache, BenchProfile], FigureData]] = {
 
 def build_figure(figure_id: str, cache: Optional[ResultCache] = None,
                  profile: Optional[BenchProfile] = None) -> FigureData:
-    """Regenerate one artefact by id (``table1``, ``fig3`` ... ``fig20``)."""
+    """Regenerate one artefact by id (``table1``, ``fig3`` ... ``fig20``).
+
+    Without a ``cache`` every point runs live in a fresh memo; figures
+    that share a sweep share it by being handed the same one.
+    """
     try:
         builder = FIGURES[figure_id]
     except KeyError:
         known = ", ".join(FIGURES)
         raise ValueError(f"unknown figure {figure_id!r}; known: {known}")
-    return builder(cache or default_cache(), profile or active_profile())
+    return builder(cache or ResultCache(), profile or active_profile())

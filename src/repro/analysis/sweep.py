@@ -1,9 +1,12 @@
 """Programmatic parameter sweeps.
 
-A light layer over the cached runner for studies beyond the paper's
-fixed figures: sweep any of (store, workload, node count, records, RF,
-...) and collect a tidy list of rows, ready for export or tabulation.
-Used by ``examples/scaling_study.py``.
+For studies beyond the paper's fixed figures: a :class:`SweepSpec` names
+a product of (store, workload, node count) at one scale and expands
+itself into benchmark configs; :func:`run_sweep` runs them as one batch
+through :func:`repro.orchestrator.pool.execute_grid` — in parallel with
+``jobs``, persisted and resumable with ``store`` — and collects a tidy
+:class:`SweepResult`, ready for export or tabulation.  ``apmbench grid``
+and ``examples/scaling_study.py`` are this module and nothing more.
 """
 
 from __future__ import annotations
@@ -11,12 +14,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import product
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
-from repro.analysis.cache import ResultCache, default_cache
 from repro.analysis.provenance import stamp
+from repro.orchestrator.plan import derive_seed
+from repro.orchestrator.pool import execute_grid
+from repro.orchestrator.store import ResultStore
 from repro.sim.cluster import CLUSTER_M, ClusterSpec
-from repro.ycsb.runner import BenchmarkResult
+from repro.stores.registry import store_class
+from repro.ycsb.runner import BenchmarkConfig, BenchmarkResult
 from repro.ycsb.workload import Workload
 
 __all__ = ["SweepSpec", "SweepResult", "run_sweep"]
@@ -44,6 +50,44 @@ class SweepSpec:
         return (len(self.stores) * len(self.workloads)
                 * len(self.node_counts))
 
+    def configs(self, derive_seeds: bool = False,
+                ) -> tuple[list[BenchmarkConfig], list[tuple[str, str]]]:
+        """The benchmark configs behind the product, and what it skips.
+
+        A scan workload on a store without scan support (Voldemort) is
+        returned as a ``(store, reason)`` skip instead of a config, so
+        full-product sweeps stay convenient; anything else that is wrong
+        with a point (an unknown store, a record count of zero) raises.
+        With ``derive_seeds`` each point gets an independent
+        :func:`~repro.orchestrator.plan.derive_seed` seed instead of the
+        spec-wide one.
+        """
+        configs: list[BenchmarkConfig] = []
+        skipped: list[tuple[str, str]] = []
+        for store_name, workload, nodes in self.points():
+            # Looked up for every point, so an unknown store raises here,
+            # before any point has run.
+            store = store_class(store_name)
+            if workload.has_scans and not store.supports_scans:
+                skipped.append(
+                    (store_name,
+                     f"does not support scans (workload {workload.name})"))
+                continue
+            seed = self.seed
+            if derive_seeds:
+                seed = derive_seed(
+                    self.seed, f"{store_name}/{workload.name}/{nodes}")
+            configs.append(BenchmarkConfig(
+                store=store_name, workload=workload, n_nodes=nodes,
+                cluster_spec=self.cluster_spec,
+                records_per_node=self.records_per_node,
+                measured_ops=self.measured_ops,
+                warmup_ops=self.warmup_ops,
+                seed=seed,
+                store_kwargs=dict(self.store_kwargs),
+            ))
+        return configs, skipped
+
 
 @dataclass
 class SweepResult:
@@ -51,7 +95,8 @@ class SweepResult:
 
     spec: SweepSpec
     results: list[BenchmarkResult]
-    skipped: list[tuple[str, Workload, int, str]]
+    #: ``(store, reason)`` for every point the spec could not run.
+    skipped: list[tuple[str, str]]
 
     def rows(self) -> list[dict]:
         """One flat dict per completed point."""
@@ -74,15 +119,13 @@ class SweepResult:
 
         The stamp hashes the full :class:`SweepSpec` (including its
         seed), so an exported sweep names the exact configuration
-        product that produced it.
+        product that produced it.  This is the ``apmbench grid
+        --export`` document.
         """
         payload = {
             "rows": self.rows(),
-            "skipped": [
-                {"store": store, "workload": workload.name,
-                 "n_nodes": nodes, "reason": reason}
-                for store, workload, nodes, reason in self.skipped
-            ],
+            "skipped": [{"store": store, "reason": reason}
+                        for store, reason in self.skipped],
         }
         return json.dumps(stamp(payload, self.spec), indent=indent,
                           sort_keys=True)
@@ -99,34 +142,20 @@ class SweepResult:
         return sorted(out)
 
 
-def run_sweep(spec: SweepSpec,
-              cache: Optional[ResultCache] = None,
-              progress=None) -> SweepResult:
-    """Run every point of ``spec``; skip store/workload mismatches.
+def run_sweep(spec: SweepSpec, jobs: int = 1,
+              store: Optional[ResultStore] = None,
+              progress: Optional[Callable] = None,
+              derive_seeds: bool = False) -> SweepResult:
+    """Run every point of ``spec`` as one ``execute_grid`` batch.
 
-    Stores that cannot run a workload (Voldemort under scans) are
-    recorded in ``skipped`` rather than raising, so full-product sweeps
-    stay convenient.  ``progress`` is an optional callback
-    ``(index, total, store, workload, nodes)``.
+    ``jobs``, ``store`` and ``progress`` (called as ``progress(done,
+    total, outcome)``) are :func:`~repro.orchestrator.pool.execute_grid`'s
+    own; with a ``store``, points it already holds are not run again, in
+    this call or a later one.  Results keep the order of
+    :meth:`SweepSpec.points`.
     """
-    cache = cache or default_cache()
-    results: list[BenchmarkResult] = []
-    skipped: list[tuple[str, Workload, int, str]] = []
-    total = len(spec)
-    for index, (store, workload, nodes) in enumerate(spec.points()):
-        if progress is not None:
-            progress(index, total, store, workload, nodes)
-        try:
-            result = cache.run(
-                store, workload, nodes,
-                cluster_spec=spec.cluster_spec,
-                records_per_node=spec.records_per_node,
-                measured_ops=spec.measured_ops,
-                warmup_ops=spec.warmup_ops,
-                seed=spec.seed,
-                store_kwargs=dict(spec.store_kwargs),
-            )
-            results.append(result)
-        except ValueError as error:
-            skipped.append((store, workload, nodes, str(error)))
-    return SweepResult(spec, results, skipped)
+    configs, skipped = spec.configs(derive_seeds)
+    outcomes = execute_grid(configs, jobs=jobs, store=store,
+                            progress=progress)
+    return SweepResult(spec, [outcome.result for outcome in outcomes],
+                       skipped)

@@ -28,6 +28,7 @@ import sys
 from pathlib import Path
 
 import repro
+from repro.analysis.cache import ResultCache
 from repro.analysis.expectations import check_expectations
 from repro.analysis.figures import FIGURES, active_profile, build_figure
 from repro.analysis.report import render_figure
@@ -236,8 +237,10 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 def _cmd_figure(args: argparse.Namespace) -> int:
     status = 0
     figure_ids = list(FIGURES) if args.figure == "all" else [args.figure]
+    # One memo per invocation: figures that share a sweep run it once.
+    cache = ResultCache()
     for figure_id in figure_ids:
-        data = build_figure(figure_id)
+        data = build_figure(figure_id, cache)
         print(render_figure(data, chart=args.chart))
         if args.export:
             from repro.analysis.export import write_figure
@@ -317,9 +320,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    from repro.analysis.provenance import stamp
-    from repro.analysis.sweep import SweepSpec
-    from repro.orchestrator import ResultStore, execute_grid, sweep_configs
+    from repro.analysis.sweep import SweepSpec, run_sweep
+    from repro.orchestrator import ResultStore
 
     workloads = tuple(_workload(name.strip())
                       for name in args.workloads.split(","))
@@ -331,9 +333,9 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         records_per_node=args.records, measured_ops=args.ops,
         warmup_ops=args.warmup, seed=args.seed,
     )
-    configs, skipped = sweep_configs(spec, derive_seeds=args.derive_seeds)
     store = ResultStore(args.store)
     if args.dry_run:
+        configs, skipped = spec.configs(args.derive_seeds)
         hits = [store.contains(config) for config in configs]
         cached = sum(hits)
         print(f"grid: {len(configs)} points ({cached} cached, "
@@ -344,19 +346,14 @@ def _cmd_grid(args: argparse.Namespace) -> int:
             print(f"  [{state}] {config.label()}  "
                   f"#{config.content_hash()[:12]}")
         return 0
-    execute_grid(configs, jobs=args.jobs, store=store,
-                 progress=_make_progress_printer())
-    rows = [store.get(config).row() for config in configs]
-    payload = stamp({
-        "rows": rows,
-        "skipped": [{"store": s, "reason": r} for s, r in skipped],
-    }, spec)
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    sweep = run_sweep(spec, jobs=args.jobs, store=store,
+                      progress=_make_progress_printer(),
+                      derive_seeds=args.derive_seeds)
     if args.export:
-        out = _write_export(args.export, text)
-        print(f"wrote {len(rows)} rows to {out}")
+        out = _write_export(args.export, sweep.to_json())
+        print(f"wrote {len(sweep.results)} rows to {out}")
     else:
-        print(text)
+        print(sweep.to_json())
     return 0
 
 

@@ -30,11 +30,10 @@ from typing import Iterable
 
 from repro.analysis.cache import ResultCache
 from repro.analysis.figures import FIGURES, BenchProfile
-from repro.stores.registry import store_class
 from repro.ycsb.runner import BenchmarkConfig
 
 __all__ = ["GridPlan", "PlanningCache", "plan_figures", "derive_seed",
-           "sweep_configs", "estimate_cost_units"]
+           "estimate_cost_units"]
 
 
 def derive_seed(base_seed: int, label: str) -> int:
@@ -216,37 +215,3 @@ def plan_figures(figure_ids: Iterable[str], profile: BenchProfile,
         cached=planner.planned_disk_hits,
         deferred=planner.deferred,
     )
-
-
-def sweep_configs(spec, derive_seeds: bool = False,
-                  ) -> tuple[list[BenchmarkConfig], list[tuple[str, str]]]:
-    """Expand a :class:`~repro.analysis.sweep.SweepSpec` into configs.
-
-    Store/workload mismatches (scan workloads on stores without scan
-    support) are returned as ``(store, reason)`` skips, mirroring
-    :func:`repro.analysis.sweep.run_sweep`.  With ``derive_seeds`` each
-    point gets an independent :func:`derive_seed` seed instead of the
-    spec-wide one.
-    """
-    configs: list[BenchmarkConfig] = []
-    skipped: list[tuple[str, str]] = []
-    for store_name, workload, nodes in spec.points():
-        if workload.has_scans and not store_class(store_name).supports_scans:
-            skipped.append(
-                (store_name,
-                 f"does not support scans (workload {workload.name})"))
-            continue
-        seed = spec.seed
-        if derive_seeds:
-            seed = derive_seed(
-                spec.seed, f"{store_name}/{workload.name}/{nodes}")
-        configs.append(BenchmarkConfig(
-            store=store_name, workload=workload, n_nodes=nodes,
-            cluster_spec=spec.cluster_spec,
-            records_per_node=spec.records_per_node,
-            measured_ops=spec.measured_ops,
-            warmup_ops=spec.warmup_ops,
-            seed=seed,
-            store_kwargs=dict(spec.store_kwargs),
-        ))
-    return configs, skipped

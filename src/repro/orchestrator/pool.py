@@ -9,14 +9,17 @@ straight into the shared on-disk store (atomically), which is what makes
 a killed run resumable: finished points are on disk, in-flight points
 simply vanish and re-run.
 
+:func:`execute_grid` is the one way to run a batch of points, and its
+worker entry the one writer of a :class:`ResultStore`: figures, sweeps,
+``apmbench grid`` and planner validation all come through here.
 Cache-aware scheduling lives here too: points already present in the
-store are reported as cache hits without ever reaching a worker.
+store are served from it without ever reaching a worker.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -34,12 +37,12 @@ def run_config(config: BenchmarkConfig) -> BenchmarkResult:
 
 
 def _execute_payload(payload: dict,
-                     store_root: Optional[str]) -> tuple[str, float, dict]:
+                     store_root: Optional[str]) -> tuple[float, dict]:
     """Worker entry point: run one point from its wire form.
 
-    Returns ``(content_hash, wall_s, result_payload)``.  The result is
-    written to the store *inside the worker* so a completed point
-    survives even if the parent dies before collecting the future.
+    Returns ``(wall_s, result_payload)``.  The result is written to the
+    store *inside the worker* so a completed point survives even if the
+    parent dies before collecting the future.
     """
     config = BenchmarkConfig.from_dict(payload)
     started = time.perf_counter()
@@ -48,7 +51,7 @@ def _execute_payload(payload: dict,
     result_payload = result_to_dict(result)
     if store_root is not None:
         ResultStore(store_root).put(result)
-    return config.content_hash(), wall_s, result_payload
+    return wall_s, result_payload
 
 
 @dataclass
@@ -59,7 +62,7 @@ class PointOutcome:
     content_hash: str
     wall_s: float
     cached: bool
-    result: Optional[BenchmarkResult] = None
+    result: BenchmarkResult
 
 
 def execute_grid(configs: list[BenchmarkConfig], jobs: int = 1,
@@ -70,93 +73,90 @@ def execute_grid(configs: list[BenchmarkConfig], jobs: int = 1,
     """Execute every point of ``configs``; returns outcomes in input order.
 
     ``jobs > 1`` fans the points out over a ``ProcessPoolExecutor``;
-    ``jobs <= 1`` runs them inline (same code path as the workers, so
-    the two modes cannot drift).  ``manifest`` (a
+    ``jobs <= 1`` runs them inline (same worker entry and the same three
+    bookkeeping steps, so the two modes cannot drift).  ``manifest`` (a
     :class:`~repro.orchestrator.manifest.RunManifest`) receives
     start/done/error events; ``progress`` is called as
     ``progress(done_count, total, outcome)`` after every point.
 
-    A worker failure aborts the grid: the first exception is re-raised
-    after cancelling unstarted points.  Points that finished before the
-    failure are already persisted and will be skipped on resume.
+    A failing point aborts the grid, at any ``jobs``, with a
+    ``RuntimeError`` that names the point and chains the worker's error.
+    Unstarted points are cancelled; points already running finish first,
+    so every blob in the store has its ``done`` event and is a hit on
+    resume.
     """
     total = len(configs)
     outcomes: dict[str, PointOutcome] = {}
     done_count = 0
 
-    def note(outcome: PointOutcome) -> None:
+    def note(config: BenchmarkConfig, wall_s: float, cached: bool,
+             result: BenchmarkResult) -> None:
         nonlocal done_count
         done_count += 1
+        outcome = PointOutcome(config, config.content_hash(), wall_s,
+                               cached, result)
         outcomes[outcome.content_hash] = outcome
         if progress is not None:
             progress(done_count, total, outcome)
 
+    def started(config: BenchmarkConfig) -> None:
+        if manifest is not None:
+            manifest.record_start(config.content_hash())
+
+    def finished(config: BenchmarkConfig, wall_s: float,
+                 payload: dict) -> None:
+        if manifest is not None:
+            manifest.record_done(config.content_hash(), wall_s)
+        note(config, wall_s, False, result_from_dict(payload))
+
+    def failed(config: BenchmarkConfig, error: Exception) -> RuntimeError:
+        if manifest is not None:
+            manifest.record_error(config.content_hash(), str(error))
+        failure = RuntimeError(
+            f"grid point {config.label()} failed: {error}")
+        failure.__cause__ = error
+        return failure
+
     pending: list[BenchmarkConfig] = []
     for config in configs:
-        content_hash = config.content_hash()
-        if store is not None and store.contains(config):
-            note(PointOutcome(config, content_hash, 0.0, cached=True))
-            continue
-        pending.append(config)
+        stored = store.get(config) if store is not None else None
+        if stored is None:
+            pending.append(config)
+        else:
+            note(config, 0.0, True, stored)
 
     store_root = str(store.root) if store is not None else None
 
     if jobs <= 1 or len(pending) <= 1:
         for config in pending:
-            content_hash = config.content_hash()
-            if manifest is not None:
-                manifest.record_start(content_hash)
+            started(config)
             try:
-                __, wall_s, payload = _execute_payload(
-                    config.to_dict(), store_root)
+                done = _execute_payload(config.to_dict(), store_root)
             except Exception as error:
-                if manifest is not None:
-                    manifest.record_error(content_hash, str(error))
-                raise
-            if manifest is not None:
-                manifest.record_done(content_hash, wall_s)
-            note(PointOutcome(config, content_hash, wall_s, cached=False,
-                              result=result_from_dict(payload)))
-    elif pending:
+                raise failed(config, error)
+            finished(config, *done)
+    else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {}
             for config in pending:
-                content_hash = config.content_hash()
-                if manifest is not None:
-                    manifest.record_start(content_hash)
-                future = pool.submit(_execute_payload, config.to_dict(),
-                                     store_root)
-                futures[future] = config
-            not_done = set(futures)
-            try:
-                while not_done:
-                    finished, not_done = wait(
-                        not_done, return_when=FIRST_EXCEPTION)
-                    for future in finished:
-                        config = futures[future]
-                        content_hash = config.content_hash()
-                        error = future.exception()
-                        if error is not None:
-                            if manifest is not None:
-                                manifest.record_error(content_hash,
-                                                      str(error))
-                            raise RuntimeError(
-                                f"grid point {config.label()} failed: "
-                                f"{error}") from error
-                        __, wall_s, payload = future.result()
-                        if manifest is not None:
-                            manifest.record_done(content_hash, wall_s)
-                        note(PointOutcome(
-                            config, content_hash, wall_s, cached=False,
-                            result=result_from_dict(payload)))
-            finally:
-                for future in not_done:
-                    future.cancel()
+                started(config)
+                futures[pool.submit(_execute_payload, config.to_dict(),
+                                    store_root)] = config
+            failures = []
+            for future in as_completed(futures):
+                if future.cancelled():
+                    continue
+                error = future.exception()
+                if error is None:
+                    finished(futures[future], *future.result())
+                    continue
+                # Abort: nothing new starts, but a point already running
+                # still writes its blob, so the loop goes on to record it.
+                failures.append(failed(futures[future], error))
+                for other in futures:
+                    other.cancel()
+            if failures:
+                raise failures[0]
 
     # Input order, for callers that zip outcomes back onto their grid.
-    ordered = []
-    for config in configs:
-        outcome = outcomes.get(config.content_hash())
-        if outcome is not None:
-            ordered.append(outcome)
-    return ordered
+    return [outcomes[config.content_hash()] for config in configs]

@@ -9,8 +9,10 @@
    content-addressed store as it completes.  Result-dependent points
    (Figures 15/16 derive bounded-load targets from measured maxima)
    surface in a second planning wave.
-3. **Build & export** — rebuild every figure through a store-backed
-   cache (pure cache hits now) and write the JSON/CSV artefacts.
+3. **Build & export** — rebuild every figure from the store (a memo
+   whose runner only reads it: every point is there by now, and a build
+   pass that could run points would be a second way to run a batch) and
+   write the JSON/CSV artefacts.
 
 Because every point is a pure function of its config and exports carry
 no wall-clock state, ``reproduce(..., jobs=8)`` emits artefacts
@@ -172,8 +174,8 @@ def reproduce(figures: str | Iterable[str] = "all",
         waves=waves, wall_s=time.perf_counter() - started,
         point_walls=point_walls)
 
-    # Build every figure through the now-warm store and export it.
-    build_cache = ResultCache(store=store)
+    # Build every figure from the now-complete store and export it.
+    build_cache = ResultCache(runner=store.get)
     for figure_id in figure_ids:
         data = FIGURES[figure_id](build_cache, profile)
         if out_dir is not None:

@@ -101,8 +101,9 @@ class ResultStore:
         """Persist ``result``; returns the blob path, or ``None``.
 
         Results that cannot round-trip (chaos runs, traced runs, runs
-        with telemetry attached) are skipped silently: the in-memory
-        cache still holds them for the current process.
+        with telemetry attached) are not written.  ``execute_grid``
+        never gets this far with one: its worker entry serialises the
+        result first and raises ``UnportableResultError``.
         """
         try:
             payload = result_to_dict(result)

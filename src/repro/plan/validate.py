@@ -201,31 +201,22 @@ def validate_frontier(entries: list[FrontierEntry], spec: LoadSpec,
     """
     configs = [validation_config(entry, spec, settings)
                for entry in entries]
-    point_outcomes: list[PointOutcome] = execute_grid(
+    points: list[PointOutcome] = execute_grid(
         configs, jobs=jobs, store=store, progress=progress)
-    by_hash = {outcome.content_hash: outcome for outcome in point_outcomes}
 
     outcomes: list[ValidationOutcome] = []
     required = spec.required_ops_per_s
     floor = required * (1.0 - settings.throughput_tolerance)
-    for entry, config in zip(entries, configs):
-        point = by_hash[config.content_hash()]
-        result = point.result
-        if result is None and store is not None:
-            result = store.get(config)
-        if result is None:  # pragma: no cover - defensive
-            raise RuntimeError(
-                f"no result for validated candidate "
-                f"{entry.candidate.label()}")
-        simulated = result.throughput_ops
+    for entry, point in zip(entries, points):
+        simulated = point.result.throughput_ops
         outcomes.append(ValidationOutcome(
             entry=entry,
-            config=config,
+            config=point.config,
             content_hash=point.content_hash,
             cached=point.cached,
             simulated_ops_per_s=simulated,
             required_ops_per_s=required,
             throughput_ok=simulated >= floor,
-            slo_checks=_check_slos(result, spec.slos),
+            slo_checks=_check_slos(point.result, spec.slos),
         ))
     return outcomes

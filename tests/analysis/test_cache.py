@@ -1,6 +1,6 @@
 """Unit tests for benchmark result memoisation."""
 
-from repro.analysis.cache import ResultCache, default_cache
+from repro.analysis.cache import ResultCache
 from repro.ycsb.runner import BenchmarkConfig
 from repro.ycsb.workload import WORKLOAD_R, WORKLOAD_RW
 
@@ -61,6 +61,3 @@ class TestResultCache:
         self.cache.clear()
         self.cache.get(config)
         assert stub_runner.calls == 2
-
-    def test_default_cache_is_singleton(self):
-        assert default_cache() is default_cache()

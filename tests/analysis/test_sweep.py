@@ -1,7 +1,9 @@
 """Unit tests for the sweep API."""
 
-from repro.analysis.cache import ResultCache
+import pytest
+
 from repro.analysis.sweep import SweepSpec, run_sweep
+from repro.orchestrator.store import ResultStore
 from repro.ycsb.workload import WORKLOAD_R, WORKLOAD_RS, WORKLOAD_W
 
 
@@ -21,7 +23,7 @@ class TestRunSweep:
     def test_collects_all_points(self):
         spec = SweepSpec(stores=("redis",), workloads=(WORKLOAD_R,),
                          node_counts=(1, 2), **TINY)
-        sweep = run_sweep(spec, cache=ResultCache())
+        sweep = run_sweep(spec)
         assert len(sweep.results) == 2
         assert sweep.skipped == []
         assert {row["nodes"] for row in sweep.rows()} == {1, 2}
@@ -29,16 +31,30 @@ class TestRunSweep:
     def test_skips_unsupported_combinations(self):
         spec = SweepSpec(stores=("voldemort",), workloads=(WORKLOAD_RS,),
                          node_counts=(1,), **TINY)
-        sweep = run_sweep(spec, cache=ResultCache())
+        sweep = run_sweep(spec)
         assert sweep.results == []
         assert len(sweep.skipped) == 1
-        assert "scans" in sweep.skipped[0][3]
+        store, reason = sweep.skipped[0]
+        assert store == "voldemort"
+        assert "scans" in reason
+
+    def test_unknown_store_is_an_error_not_a_skip(self):
+        spec = SweepSpec(stores=("redis", "mongodb"),
+                         workloads=(WORKLOAD_R,), node_counts=(1,), **TINY)
+        with pytest.raises(ValueError, match="unknown store 'mongodb'"):
+            run_sweep(spec)
+
+    def test_invalid_scale_is_an_error_not_a_skip(self):
+        spec = SweepSpec(stores=("redis",), workloads=(WORKLOAD_R,),
+                         node_counts=(1,), records_per_node=0)
+        with pytest.raises(ValueError, match="records_per_node"):
+            run_sweep(spec)
 
     def test_series_and_best_by(self):
         spec = SweepSpec(stores=("redis", "voltdb"),
                          workloads=(WORKLOAD_R,), node_counts=(1, 2),
                          **TINY)
-        sweep = run_sweep(spec, cache=ResultCache())
+        sweep = run_sweep(spec)
         series = sweep.series("redis", "R")
         assert [n for n, __ in series] == [1, 2]
         best = sweep.best_by("R", 2)
@@ -50,16 +66,29 @@ class TestRunSweep:
         calls = []
         spec = SweepSpec(stores=("redis",), workloads=(WORKLOAD_R,),
                          node_counts=(1,), **TINY)
-        run_sweep(spec, cache=ResultCache(),
-                  progress=lambda *args: calls.append(args))
+        sweep = run_sweep(spec, progress=lambda *args: calls.append(args))
         assert len(calls) == 1
-        assert calls[0][:2] == (0, 1)
+        done, total, outcome = calls[0]
+        assert (done, total) == (1, 1)
+        assert outcome.result is sweep.results[0]
 
-    def test_uses_cache(self):
-        cache = ResultCache()
+    def test_uses_cache(self, tmp_path):
+        """Reuse across two calls comes from ``store=``."""
+        store = ResultStore(tmp_path)
         spec = SweepSpec(stores=("redis",), workloads=(WORKLOAD_R,),
-                         node_counts=(1,), **TINY)
-        run_sweep(spec, cache=cache)
-        run_sweep(spec, cache=cache)
-        assert cache.misses == 1
-        assert cache.hits == 1
+                         node_counts=(1, 2), **TINY)
+        outcomes = []
+
+        def blobs():
+            return {path: (path.stat().st_mtime_ns, path.read_bytes())
+                    for path in store.root.glob("objects/*/*.json")}
+
+        first = run_sweep(spec, store=store)
+        written = blobs()
+        assert len(written) == 2
+        second = run_sweep(
+            spec, store=store,
+            progress=lambda done, total, outcome: outcomes.append(outcome))
+        assert [outcome.cached for outcome in outcomes] == [True, True]
+        assert blobs() == written
+        assert second.rows() == first.rows()

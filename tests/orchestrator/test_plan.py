@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.figures import SMOKE_PROFILE, BenchProfile
 from repro.analysis.sweep import SweepSpec
 from repro.orchestrator.plan import (derive_seed, estimate_cost_units,
-                                     plan_figures, sweep_configs)
+                                     plan_figures)
 from repro.orchestrator.store import ResultStore
 from repro.stores.registry import STORE_NAMES
 from repro.ycsb.workload import WORKLOAD_R, WORKLOAD_RS, WORKLOAD_RW
@@ -112,7 +112,7 @@ class TestSweepConfigs:
                          workloads=(WORKLOAD_R, WORKLOAD_RS),
                          node_counts=(1, 2), records_per_node=100,
                          measured_ops=50, warmup_ops=10)
-        configs, skipped = sweep_configs(spec)
+        configs, skipped = spec.configs()
         # Voldemort has no scan support: 2 RS points drop out of 8.
         assert len(configs) == 6
         assert len(skipped) == 2
@@ -123,8 +123,8 @@ class TestSweepConfigs:
                          workloads=(WORKLOAD_R, WORKLOAD_RW),
                          node_counts=(1, 2), records_per_node=100,
                          measured_ops=50, warmup_ops=10)
-        flat, __ = sweep_configs(spec)
-        derived, __ = sweep_configs(spec, derive_seeds=True)
+        flat, __ = spec.configs()
+        derived, __ = spec.configs(derive_seeds=True)
         assert all(c.seed == spec.seed for c in flat)
         seeds = {c.seed for c in derived}
         assert len(seeds) == len(derived)
@@ -133,6 +133,6 @@ class TestSweepConfigs:
         spec = SweepSpec(stores=("redis",), workloads=(WORKLOAD_R,),
                          node_counts=(1, 8), records_per_node=1000,
                          measured_ops=500, warmup_ops=100)
-        configs, __ = sweep_configs(spec)
+        configs, __ = spec.configs()
         small, large = sorted(estimate_cost_units(c) for c in configs)
         assert large > small

@@ -5,6 +5,7 @@ produce byte-identical artefacts to a sequential run, including when a
 run is killed mid-grid and resumed.
 """
 
+import contextlib
 import json
 
 import pytest
@@ -13,12 +14,12 @@ import repro.orchestrator.pool as pool_module
 from repro.analysis.figures import BenchProfile
 from repro.analysis.sweep import SweepSpec
 from repro.orchestrator.manifest import RunManifest
-from repro.orchestrator.plan import sweep_configs
 from repro.orchestrator.pool import execute_grid
 from repro.orchestrator.reproduce import (expand_figure_ids, reproduce,
                                           verify_figures)
 from repro.orchestrator.store import ResultStore
-from repro.ycsb.workload import WORKLOAD_R, WORKLOAD_RW
+from repro.ycsb.runner import BenchmarkConfig
+from repro.ycsb.workload import WORKLOAD_R, WORKLOAD_RS, WORKLOAD_RW
 
 # The acceptance grid: 2 stores x 2 workloads x 2 node counts, tiny.
 GRID_SPEC = SweepSpec(
@@ -35,7 +36,7 @@ TINY_PROFILE = BenchProfile(
 
 
 def grid_configs():
-    configs, skipped = sweep_configs(GRID_SPEC)
+    configs, skipped = GRID_SPEC.configs()
     assert len(configs) == 8 and not skipped
     return configs
 
@@ -50,6 +51,16 @@ def blob_bytes(store):
 
 class CrashAfter(Exception):
     """Injected mid-grid failure."""
+
+
+@contextlib.contextmanager
+def grid_aborts_on(cause):
+    """The grid's one failure contract: a ``RuntimeError`` naming the
+    point, chained to what the worker raised."""
+    with pytest.raises(RuntimeError, match=r"^grid point \S+ .* failed: "
+                       ) as excinfo:
+        yield excinfo
+    assert isinstance(excinfo.value.__cause__, cause)
 
 
 def crashing_runner(monkeypatch, crash_after):
@@ -135,7 +146,7 @@ class TestCrashResume:
 
         # The run dies after three points.
         crashing_runner(monkeypatch, crash_after=3)
-        with pytest.raises(CrashAfter):
+        with grid_aborts_on(CrashAfter):
             execute_grid(configs, jobs=1, store=store, manifest=manifest)
         assert len(store) == 3
         survived = RunManifest.load(tmp_path / "run")
@@ -155,13 +166,54 @@ class TestCrashResume:
         configs = grid_configs()
         store = ResultStore(tmp_path / "store")
         crashing_runner(monkeypatch, crash_after=4)
-        with pytest.raises(CrashAfter):
+        with grid_aborts_on(CrashAfter):
             execute_grid(configs, jobs=1, store=store)
         monkeypatch.undo()
 
         outcomes = execute_grid(configs, jobs=2, store=store)
         assert sum(o.cached for o in outcomes) == 4
         assert blob_bytes(store) == sequential_reference
+
+
+class TestFailingPoint:
+    """One failure contract at any ``jobs``: the same exception, an
+    ``error`` event, and a ``done`` event for every blob in the store —
+    including points that finished while the pool drained."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_abort_keeps_log_and_store_in_step(self, tmp_path, monkeypatch,
+                                               jobs):
+        scale = dict(records_per_node=150, measured_ops=80, warmup_ops=15)
+        # Built bare, so nothing skips the middle one: Voldemort cannot
+        # scan and the deployment refuses it inside the worker.
+        bad = BenchmarkConfig("voldemort", WORKLOAD_RS, 1, **scale)
+        configs = [BenchmarkConfig("redis", WORKLOAD_R, 1, **scale), bad,
+                   BenchmarkConfig("redis", WORKLOAD_R, 2, **scale)]
+        store = ResultStore(tmp_path / "store")
+        manifest = RunManifest.create(
+            tmp_path / "run", figures=["grid"], profile_name="tiny",
+            jobs=jobs, point_hashes=[c.content_hash() for c in configs])
+
+        with grid_aborts_on(ValueError) as excinfo:
+            execute_grid(configs, jobs=jobs, store=store, manifest=manifest)
+        cause = str(excinfo.value.__cause__)
+        assert "scan" in cause
+        assert str(excinfo.value) == (
+            f"grid point voldemort/RS/n1 cluster=M failed: {cause}")
+        errors = [event for event in manifest.events()
+                  if event["event"] == "error"]
+        assert errors == [{"event": "error", "point": bad.content_hash(),
+                           "message": cause}]
+        assert set(manifest.completed()) == set(store.keys())
+        assert configs[0].content_hash() in manifest.completed()
+        assert bad.content_hash() not in manifest.in_flight()
+
+        # Whatever finished is a hit now; only the failed point runs
+        # (inline, so the patched runner sees it in this process).
+        executed = crashing_runner(monkeypatch, crash_after=None)
+        with grid_aborts_on(ValueError):
+            execute_grid(configs, jobs=1, store=store, manifest=manifest)
+        assert executed == [bad]
 
 
 @pytest.fixture(scope="module")
@@ -214,7 +266,7 @@ class TestReproduce:
                       out_dir=tmp_path / "figures", run_dir=run_dir)
 
         crashing_runner(monkeypatch, crash_after=2)
-        with pytest.raises(CrashAfter):
+        with grid_aborts_on(CrashAfter):
             reproduce(**kwargs)
         assert RunManifest.exists(run_dir)
         done_before = len(RunManifest.load(run_dir).completed())

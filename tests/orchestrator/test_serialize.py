@@ -87,8 +87,18 @@ class TestContentKeySingleSource:
     """The cache key and content hash can never silently diverge."""
 
     def test_cache_key_delegates_to_config(self):
-        config = make_config()
-        assert ResultCache._key(config) == config.content_key()
+        """Two configs equal in ``content_key()`` share one memo entry."""
+        calls = []
+        cache = ResultCache(runner=lambda config: calls.append(config)
+                            or make_result(config=config))
+        first = make_config(store_kwargs={"replication_factor": 2})
+        twin = BenchmarkConfig.from_dict(first.to_dict())
+        assert twin is not first
+        assert twin.content_key() == first.content_key()
+        assert cache.get(first) is cache.get(twin)
+        assert len(calls) == 1
+        cache.get(make_config(seed=43))
+        assert len(calls) == 2
 
     def test_every_field_appears_in_to_dict(self):
         """Adding a config field without serialising it must fail here."""

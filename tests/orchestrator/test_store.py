@@ -2,7 +2,9 @@
 
 import json
 
+import repro.orchestrator.pool as pool_module
 from repro.analysis.cache import ResultCache
+from repro.orchestrator.pool import execute_grid
 from repro.orchestrator.store import ResultStore
 from repro.ycsb.workload import WORKLOAD_RW
 
@@ -95,54 +97,58 @@ class TestResultStore:
 
 
 class TestCacheReadThrough:
-    def test_miss_runs_and_persists(self, tmp_path):
-        store = ResultStore(tmp_path)
+    """The store read-through and write-back live in ``execute_grid``
+    alone; a memo sees the store only through the runner it is given."""
+
+    @staticmethod
+    def stub_runner(monkeypatch):
+        """Replace the worker's ``run_config`` seam; returns its calls."""
         calls = []
 
         def runner(config):
             calls.append(config)
             return make_result(config=config)
 
-        cache = ResultCache(runner=runner, store=store)
+        monkeypatch.setattr(pool_module, "run_config", runner)
+        return calls
+
+    def test_miss_runs_and_persists(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path)
+        calls = self.stub_runner(monkeypatch)
         config = make_config()
-        cache.get(config)
+        outcome, = execute_grid([config], store=store)
         assert len(calls) == 1
+        assert not outcome.cached
+        assert outcome.result.row() == make_result().row()
         assert store.contains(config)
 
-    def test_fresh_cache_hits_disk_not_runner(self, tmp_path):
+    def test_fresh_cache_hits_disk_not_runner(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path)
-        ResultCache(runner=lambda c: make_result(config=c),
-                    store=store).get(make_config())
+        calls = self.stub_runner(monkeypatch)
+        execute_grid([make_config()], store=store)
+        outcome, = execute_grid([make_config()], store=store)
+        assert len(calls) == 1  # the second call never reached the runner
+        assert outcome.cached
+        assert outcome.wall_s == 0.0
+        assert outcome.result.row() == make_result().row()
+        assert store.disk_hits == 1
 
-        def exploding_runner(config):  # pragma: no cover - must not run
-            raise AssertionError("should have been served from disk")
-
-        cache = ResultCache(runner=exploding_runner, store=store)
-        result = cache.get(make_config())
-        assert result.row() == make_result().row()
-        assert cache.hits == 1
-        assert cache.store_hits == 1
-        assert cache.misses == 0
-
-    def test_clear_keeps_disk(self, tmp_path):
+    def test_clear_keeps_disk(self, tmp_path, monkeypatch):
+        """A fresh process-local memo over the same store re-reads what
+        is on disk; it does not re-run it."""
         store = ResultStore(tmp_path)
-        calls = []
+        calls = self.stub_runner(monkeypatch)
 
-        def runner(config):
-            calls.append(config)
-            return make_result(config=config)
+        def get_or_run(config):
+            outcome, = execute_grid([config], store=store)
+            return outcome.result
 
-        cache = ResultCache(runner=runner, store=store)
-        cache.get(make_config())
-        cache.clear()
-        cache.get(make_config())
-        assert len(calls) == 1  # second get served from disk
-
-    def test_default_cache_env_store(self, tmp_path, monkeypatch):
-        import repro.analysis.cache as cache_module
-
-        monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path / "store"))
-        monkeypatch.setattr(cache_module, "_GLOBAL_CACHE", None)
-        cache = cache_module.default_cache()
-        assert cache.store is not None
-        assert str(cache.store.root) == str(tmp_path / "store")
+        cache = ResultCache(runner=get_or_run)
+        first = cache.get(make_config())
+        assert cache.get(make_config()) is first  # memo: no disk read
+        assert store.disk_hits == 0
+        for memo in (cache, ResultCache(runner=get_or_run)):
+            memo.clear()
+            assert memo.get(make_config()).row() == first.row()
+        assert len(calls) == 1
+        assert store.disk_hits == 2
