@@ -129,6 +129,15 @@ def _write_export(path, text: str, what: str = "") -> Path:
     return out
 
 
+def _write_json(path, document, what: str = "") -> Path:
+    """Write a JSON export, the one way every subcommand does: sorted
+    keys, two-space indent, one final newline.  ``document`` is the
+    payload, or the text a harness's own ``to_json()`` made of it."""
+    text = (document if isinstance(document, str)
+            else json.dumps(document, indent=2, sort_keys=True))
+    return _write_export(path, text + "\n", what)
+
+
 def _cmd_list(args: argparse.Namespace) -> int:
     print("stores:    " + ", ".join(STORE_NAMES))
     print("workloads: " + ", ".join(WORKLOADS))
@@ -184,10 +193,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
                                  result.metrics.to_csv())
         prom_path = _write_export(base.with_suffix(".prom"),
                                   result.metrics.to_prometheus())
-        payload = stamp(result.metrics.to_payload(), result.config)
-        json_path = _write_export(
+        json_path = _write_json(
             base.with_suffix(".json"),
-            json.dumps(payload, indent=2, sort_keys=True))
+            stamp(result.metrics.to_payload(), result.config))
         print(f"wrote metrics to {csv_path} (timeseries), {prom_path} "
               f"(snapshot), {json_path} (report)")
     return 0
@@ -350,7 +358,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
                       progress=_make_progress_printer(),
                       derive_seeds=args.derive_seeds)
     if args.export:
-        out = _write_export(args.export, sweep.to_json())
+        out = _write_json(args.export, sweep.to_json())
         print(f"wrote {len(sweep.results)} rows to {out}")
     else:
         print(sweep.to_json())
@@ -396,9 +404,7 @@ def _cmd_overload(args: argparse.Namespace) -> int:
               f"{point.goodput:>10,.0f} {pct:>7.1f}% {point.shed:>8} "
               f"{deadline_errors:>9} {point.max_queue_depth:>6}")
     if args.export:
-        payload = stamp(sweep.to_dict(), config)
-        _write_export(args.export,
-                      json.dumps(payload, indent=2, sort_keys=True), "sweep")
+        _write_json(args.export, stamp(sweep.to_dict(), config), "sweep")
     return 0
 
 
@@ -466,9 +472,7 @@ def _cmd_control(args: argparse.Namespace) -> int:
     if args.export:
         payload = {arm: result.to_dict()
                    for arm, result in results.items()}
-        _write_export(args.export,
-                      json.dumps(payload, indent=2, sort_keys=True),
-                      "control runs")
+        _write_json(args.export, payload, "control runs")
     return 0
 
 
@@ -498,8 +502,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     report = run_obs_scenario(scenario)
     print(report.render())
     if args.export:
-        _write_export(args.export, report.to_json() + "\n",
-                      "incident report")
+        _write_json(args.export, report.to_json(), "incident report")
     return 0
 
 
@@ -530,8 +533,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         payload = run_quorum_sweep(sweep, jobs=args.jobs)
         print(render_sweep(payload))
         if args.export:
-            _write_export(args.export, sweep_to_json(payload) + "\n",
-                          "sweep report")
+            _write_json(args.export, sweep_to_json(payload), "sweep report")
         return 0 if payload["ok"] else 1
 
     scenario = AuditScenario(
@@ -544,7 +546,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     report = run_audit_scenario(scenario)
     print(report.render())
     if args.export:
-        _write_export(args.export, report.to_json() + "\n", "audit report")
+        _write_json(args.export, report.to_json(), "audit report")
     return 0 if report.ok else 1
 
 
@@ -627,9 +629,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     print()
     print(report.render())
     if args.export:
-        _write_export(args.export,
-                      json.dumps(report.to_payload(), indent=2,
-                                 sort_keys=True), "plan report")
+        _write_json(args.export, report.to_payload(), "plan report")
     return 0 if report.recommended is not None else 2
 
 
