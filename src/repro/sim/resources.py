@@ -376,7 +376,8 @@ class Resource:
                     f"{self.name}: deadline passed while queued")
             # Inlined sim._timeout_pooled(duration) — the hold timer.
             # An empty pool falls through to the virtual call, which is
-            # also what keeps ReferenceScheduler correct: its pool
+            # also what keeps the tests' ReferenceScheduler
+            # (tests/sim/reference_scheduler.py) correct: its pool
             # stand-in is permanently empty, so the oracle always takes
             # its own rerouted ``_timeout_pooled``.
             tpool = sim._timeout_pool

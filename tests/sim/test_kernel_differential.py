@@ -23,8 +23,10 @@ import random
 
 import pytest
 
-from repro.sim.kernel import ReferenceScheduler, SimulationError, Simulator
+from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.resources import Resource
+
+from tests.sim.reference_scheduler import ReferenceScheduler
 
 
 def _run(scheduler_cls, build, seed):

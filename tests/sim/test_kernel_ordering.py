@@ -13,8 +13,10 @@ benchmark digest.
 
 import pytest
 
-from repro.sim.kernel import ReferenceScheduler, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.resources import Resource
+
+from tests.sim.reference_scheduler import ReferenceScheduler
 
 
 @pytest.fixture(params=[Simulator, ReferenceScheduler],

@@ -21,8 +21,10 @@ example a miniature differential test.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.kernel import ReferenceScheduler, Simulator
+from repro.sim.kernel import Simulator
 from repro.sim.resources import Resource
+
+from tests.sim.reference_scheduler import ReferenceScheduler
 
 #: Delay menu: zero-delay (now lane), duplicates (bucket collisions),
 #: and a spread of timed delays (far lane).
