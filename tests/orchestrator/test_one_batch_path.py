@@ -47,7 +47,7 @@ ENVIRONMENT_READERS = {
 REMOVED_NAMES = {"default_cache", "_GLOBAL_CACHE", "sweep_configs"}
 
 
-# -- run_sweep and `apmbench grid` are one path --------------------------------
+# -- run_sweep and `apmbench grid` are one path ------------------------------
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -74,7 +74,7 @@ def test_run_sweep_exports_what_apmbench_grid_exports(tmp_path, jobs,
     assert export.read_text().rstrip("\n") == sweep.to_json()
 
 
-# -- `apmbench figure` shares one memo per invocation --------------------------
+# -- `apmbench figure` shares one memo per invocation ------------------------
 
 
 def test_cmd_figure_hands_one_memo_to_every_builder(monkeypatch, capsys):
@@ -96,7 +96,7 @@ def test_cmd_figure_hands_one_memo_to_every_builder(monkeypatch, capsys):
     capsys.readouterr()
 
 
-# -- the ast guard -------------------------------------------------------------
+# -- the ast guard -----------------------------------------------------------
 
 
 def _walk(tree: ast.AST, function: str = "<module>"):

@@ -8,7 +8,8 @@ state shows), into a temporary directory, and the two exports are
 compared byte for byte.  A row may give the second run extra arguments
 where the point is that they must *not* matter: the audit sweep at
 ``--jobs 2``, the planner against a second, empty result store (so it
-re-simulates instead of replaying blobs).
+re-simulates instead of replaying blobs), and the grid — the one batch
+path, with two skipped points in its bytes — with both at once.
 
 Exit status 0 when all rows agree; otherwise 1, naming the first command
 whose exports differ (or that failed outright — a non-zero exit of
@@ -47,6 +48,10 @@ CHECKS = (
      "plan --users 50000 --stores redis,voltdb --hardware paper-m "
      "--records 2000 --ops 1000 --warmup 100",
      "--store {tmp}/plan-store-1", "--store {tmp}/plan-store-2"),
+    ("grid",
+     "grid --stores redis,voldemort --workloads R,RS --nodes 1,2 "
+     "--records 300 --ops 150 --warmup 20",
+     "--store {tmp}/grid-store-1", "--store {tmp}/grid-store-2 --jobs 2"),
 )
 
 
