@@ -26,6 +26,8 @@ from repro.analysis.sweep import SweepSpec, run_sweep
 from repro.orchestrator.store import ResultStore
 from repro.ycsb.workload import WORKLOAD_R, WORKLOAD_RS
 
+from tests.stores.test_shared_plumbing import _walk
+
 SRC = Path(repro.__file__).parent
 
 #: file -> why it may write a ``ResultStore``.
@@ -97,17 +99,6 @@ def test_cmd_figure_hands_one_memo_to_every_builder(monkeypatch, capsys):
 
 
 # -- the ast guard -----------------------------------------------------------
-
-
-def _walk(tree: ast.AST, function: str = "<module>"):
-    """``(innermost function, node)`` for every node, in source order."""
-    for node in ast.iter_child_nodes(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield function, node
-            yield from _walk(node, node.name)
-        else:
-            yield function, node
-            yield from _walk(node, function)
 
 
 def _findings(source: str):
