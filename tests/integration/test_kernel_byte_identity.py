@@ -22,7 +22,10 @@ The same goldens referee refactors above the kernel: the open-loop
 driver (constant-rate sweep, shaped point), the obs harness under a
 crash, the audit harness on every store and the quorum sweep are pinned
 here too, so "no export byte moved" is a digest comparison rather than
-a run-it-twice check.
+a run-it-twice check.  The replicated paths have their own pins: the
+quorum sweep on both replicated stores, traced Cassandra RF=3 points
+through a crash and its hint replay, and a hand-driven Voldemort N=3
+insert/read/delete cycle under every replica state.
 """
 
 import hashlib
@@ -39,12 +42,16 @@ from repro.audit import (AuditScenario, QuorumSweep, run_audit_scenario,
                          run_quorum_sweep)
 from repro.control import ControlPolicy, ControlScenario, run_control_scenario
 from repro.faults.schedule import FaultSchedule
+from repro.keyspace import format_key
 from repro.obs import ObsPolicy, ObsScenario, default_slos, run_obs_scenario
 from repro.orchestrator.serialize import histogram_to_dict
 from repro.overload import OverloadPolicy, parse_shape
 from repro.overload.openloop import goodput_sweep, run_overload_point
-from repro.sim.cluster import CLUSTER_M
+from repro.sim.cluster import CLUSTER_M, Cluster
+from repro.sim.faults import FaultError
 from repro.stores.base import ServiceProfile
+from repro.stores.registry import create_store
+from repro.ycsb.generator import generate_records
 from repro.ycsb.runner import BenchmarkConfig, run_benchmark
 from repro.ycsb.workload import WORKLOADS
 
@@ -238,6 +245,99 @@ def export_quorum_sweep() -> dict:
     return run_quorum_sweep(QuorumSweep())
 
 
+def export_quorum_sweep_voldemort() -> dict:
+    """The same sweep on Voldemort: client-side fan-out, no hints."""
+    return run_quorum_sweep(QuorumSweep(store="voldemort"))
+
+
+def export_traced_replicated_point() -> dict:
+    """Traced + metered Cassandra RF=3 points through a crash and its
+    restart: writes at QUORUM (hints queued, replayed on restart,
+    ``replica_wait`` spans, the fan-out counter), reads at ONE (the
+    coordinator serves or forwards) and at QUORUM (newest cell wins).
+    Four nodes, so a coordinator may or may not hold a replica."""
+    payload = {}
+    for read_consistency in ("one", "quorum"):
+        schedule = FaultSchedule().crash("server-1", at=0.4,
+                                         restart_after=0.4)
+        config = BenchmarkConfig(
+            store="cassandra", workload=WORKLOADS["RW"], n_nodes=4,
+            cluster_spec=SMALL_M, records_per_node=200, seed=17,
+            fault_schedule=schedule, duration_s=1.2, warmup_ops=0,
+            trace_sample_every=7, metrics_interval_s=0.25,
+            store_kwargs={"replication_factor": 3,
+                          "consistency_level": "quorum",
+                          "read_consistency": read_consistency},
+        )
+        result = run_benchmark(config.store, config.workload,
+                               config.n_nodes, config=config)
+        point = _stats_payload(result)
+        point["fault_log"] = [[t, desc] for t, desc in result.fault_log]
+        point["traces"] = chrome_trace(result.traces[:120])
+        point["metrics"] = result.metrics.series.to_csv()
+        payload[read_consistency] = stamp(point, config)
+    return payload
+
+
+def export_voldemort_quorum_cycle() -> dict:
+    """Voldemort N=3, R=W=2, driven by hand: an insert -> read -> delete
+    -> read cycle per key with every replica live, one crashed, one
+    partitioned but "up", and too few live for the quorum — result or
+    error text, completion time and kernel sequence number of every
+    operation, then what each node holds."""
+    cluster = Cluster(CLUSTER_M, 4)
+    store = create_store("voldemort", cluster, replication_factor=3,
+                         required_writes=2, required_reads=2)
+    store.load(generate_records(40))
+    store.warm_caches()
+    sim, servers = cluster.sim, cluster.servers
+    session = store.session(cluster.clients[0], 0)
+    keys = [format_key(i) for i in (3, 11, 27)]
+    log = []
+
+    def attempt(label, key, make_op):
+        try:
+            outcome = yield from make_op()
+        except FaultError as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        log.append([label, key, outcome, sim.now, sim._sequence])
+
+    def cycle(phase):
+        for key in keys:
+            fields = {"field0": f"{phase}-{key[-4:]}"}
+            for label, make_op in (
+                    ("insert", lambda: session.insert(key, fields)),
+                    ("read", lambda: session.read(key)),
+                    ("delete", lambda: session.delete(key)),
+                    ("read-after-delete", lambda: session.read(key)),
+                    ("reinsert", lambda: session.insert(key, fields))):
+                yield from attempt(f"{phase}:{label}", key, make_op)
+
+    def drive():
+        yield from cycle("live")
+        victim = servers[store.replica_nodes_of(keys[0])[1]]
+        victim.fail()
+        yield from cycle("one-down")
+        victim.recover()
+        cluster.network.partition([[victim.name]])
+        yield from cycle("one-partitioned")
+        cluster.network.heal()
+        for index in store.replica_nodes_of(keys[0])[:2]:
+            servers[index].fail()
+        yield from cycle("two-down")
+
+    sim.run(until=sim.process(drive()))
+    return {
+        "log": log,
+        "versions": [dict(sorted(store.versions[i].items()))
+                     for i in range(len(servers))],
+        "held": [[key for key in keys if tree.get(key)[0] is not None]
+                 for tree in store.trees],
+        "log_bytes": list(store.log_bytes),
+        "end": sim.now,
+    }
+
+
 EXPORTS = {
     "figure_point": export_figure_point,
     "traced_point": export_traced_point,
@@ -247,6 +347,9 @@ EXPORTS = {
     "obs_report": export_obs_report,
     **{f"audit_{store}": _export_audit(store) for store in AUDIT_FAULTS},
     "quorum_sweep": export_quorum_sweep,
+    "quorum_sweep_voldemort": export_quorum_sweep_voldemort,
+    "traced_replicated_point": export_traced_replicated_point,
+    "voldemort_quorum_cycle": export_voldemort_quorum_cycle,
 }
 
 
