@@ -165,10 +165,6 @@ class Network:
         """Clear any gray-failure state on ``node_name``'s NIC."""
         self._link_faults.pop(node_name, None)
 
-    def link_fault(self, node_name: str) -> LinkFault | None:
-        """The active :class:`LinkFault` on ``node_name``, if any."""
-        return self._link_faults.get(node_name)
-
     def reachable(self, src: str, dst: str) -> bool:
         """Whether the partition (if any) lets ``src`` reach ``dst``."""
         if self._partition is None or src == dst:

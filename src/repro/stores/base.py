@@ -16,15 +16,17 @@ throughput and latency the paper reports, while *scaling behaviour*
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.overload.admission import AdmissionGate
 from repro.sim.cluster import Cluster, Node
+from repro.sim.faults import UnavailableError
 from repro.storage.record import APM_SCHEMA, Record, RecordSchema
 
 __all__ = ["OpType", "OpError", "RetryPolicy", "ServiceProfile", "Store",
-           "StoreSession"]
+           "StoreSession", "newest_cell"]
 
 
 class OpType(enum.Enum):
@@ -112,9 +114,15 @@ class ServiceProfile:
 class StoreSession:
     """One client connection: the unit the workload threads drive.
 
-    Subclasses implement ``read``/``insert``/``update``/``scan``/``delete``
-    as generator process bodies.  ``update`` defaults to the insert path
-    (APM data is append-only; the stores treat both as upserts).
+    ``read``/``insert``/``update``/``scan``/``delete`` return generator
+    process bodies.  The defaults of ``read``, ``insert`` and ``delete``
+    are a client-sharded store's whole request path: hash in the client
+    (:meth:`Store.route`), one round trip to that server
+    (:meth:`_call_server`), the store's ``_apply_read`` /
+    ``_apply_write`` / ``_apply_delete`` run there.  A store with a hop
+    the client does not see (a coordinator, an entry node, a handler
+    pool) overrides them.  ``update`` defaults to the insert path (APM
+    data is append-only; the stores treat both as upserts).
     """
 
     #: Trace annotation naming the server a client-routed call went to.
@@ -138,9 +146,7 @@ class StoreSession:
         ``handler`` on the server, and returns the connection.
         """
         store = self.store
-        sim = store.sim
-        if sim.tracer is not None and sim.context is not None:
-            sim.tracer.annotate(**{self.route_label: server})
+        store.annotate(**{self.route_label: server})
         gate = store._gates[server] if store._gates else None
         if gate is not None:
             gate.try_admit()
@@ -155,15 +161,22 @@ class StoreSession:
                 gate.release()
         return result
 
-    # Concrete sessions override these generators.
+    def read(self, key: str):
+        store = self.store
+        server = store.route(key)
+        return self._call_server(
+            server, store._apply_read(server, key),
+            store.request_bytes(key), store.response_bytes(1))
 
-    def read(self, key: str):  # pragma: no cover - abstract
-        raise NotImplementedError
-        yield
-
-    def insert(self, key: str, fields: Mapping[str, str]):  # pragma: no cover
-        raise NotImplementedError
-        yield
+    def insert(self, key: str, fields: Mapping[str, str], *stamp):
+        """``stamp`` is what a versioned store's ``_apply_write`` takes
+        beside the write itself (its session passes the version)."""
+        store = self.store
+        server = store.route(key)
+        return self._call_server(
+            server, store._apply_write(server, key, fields, *stamp),
+            store.request_bytes(key, fields, with_payload=True),
+            store.response_bytes(0))
 
     def scan(self, start_key: str, count: int):  # pragma: no cover
         raise NotImplementedError
@@ -173,9 +186,12 @@ class StoreSession:
         """Default: updates take the insert/upsert path."""
         return self.insert(key, fields)
 
-    def delete(self, key: str):  # pragma: no cover - optional per store
-        raise NotImplementedError
-        yield
+    def delete(self, key: str):
+        store = self.store
+        server = store.route(key)
+        return self._call_server(
+            server, store._apply_delete(server, key),
+            store.request_bytes(key), store.response_bytes(0))
 
     def execute(self, op: OpType, key: str,
                 fields: Optional[Mapping[str, str]] = None,
@@ -266,6 +282,13 @@ class Store:
         #: Registry captured by :meth:`attach_metrics` so servers added
         #: later (scale-out) get their telemetry registered too.
         self._registry = None
+        #: Write versions, for a store that keeps them (the replicated
+        #: ones): a clock stamped where a write enters the store and
+        #: ``versions[replica][key]``, the newest stamp each replica has
+        #: applied — what quorum reads merge on.  Pure bookkeeping: no
+        #: simulated cost, so unreplicated runs are byte-identical.
+        self._write_clock = 0
+        self.versions: dict[int, dict[str, int]] = defaultdict(dict)
 
     # -- metrics ---------------------------------------------------------------
 
@@ -324,6 +347,14 @@ class Store:
         if self._node_ops is not None:
             self._node_ops[node_index].inc()
 
+    def annotate(self, **meta) -> None:
+        """Tag the active span with a routing decision (coordinator,
+        region, shard, partition, replicas); outside a sampled trace
+        there is no span and nothing happens."""
+        sim = self.sim
+        if sim.tracer is not None and sim.context is not None:
+            sim.tracer.annotate(**meta)
+
     # -- hooks a concrete store implements ---------------------------------
 
     @classmethod
@@ -341,6 +372,12 @@ class Store:
     def session(self, client_node: Node, index: int) -> StoreSession:
         """Open one client connection."""
         raise NotImplementedError
+
+    def route(self, key: str) -> int:
+        """The server a client library sends ``key`` to.  Where the hash
+        lives in the client a shard is a server, so the default is the
+        placement hook the reshard loop already uses."""
+        return self._shard_of(key)
 
     def warm_caches(self) -> None:
         """Populate page caches as a completed load phase leaves them.
@@ -439,6 +476,72 @@ class Store:
 
         Cassandra overrides this to replay hinted handoffs.
         """
+
+    # -- what a replicated store inherits ---------------------------------------
+    #
+    # Who fans out is the store's model (Cassandra's coordinator, which
+    # may hold a replica itself; Voldemort's client, which never does);
+    # counting the live, stamping versions, starting one request per
+    # replica and merging the answers do not depend on who asks.
+
+    def node_is_up(self, index: int) -> bool:
+        """Liveness of server ``index`` as a failure detector sees it: a
+        partitioned node still *looks* up — the sender only learns the
+        truth when its request times out."""
+        return self.cluster.servers[index].up
+
+    def live_replicas(self, replicas: Sequence[int], needed: int,
+                      shortfall) -> list[int]:
+        """The live ones among ``replicas``, in order; with fewer than
+        ``needed`` of them the operation is unavailable, in the words of
+        ``shortfall(how many are live)``."""
+        live = [r for r in replicas if self.node_is_up(r)]
+        if len(live) < needed:
+            raise UnavailableError(shortfall(len(live)))
+        return live
+
+    def next_write_version(self) -> int:
+        """The version stamped on the next write entering the store."""
+        self._write_clock += 1
+        return self._write_clock
+
+    def _stamp(self, replica: int, key: str, version: int) -> None:
+        """``replica`` applied ``version`` of ``key`` (a late, older
+        write does not turn its record of the key back)."""
+        versions = self.versions[replica]
+        if version > versions.get(key, 0):
+            versions[key] = version
+
+    def _apply_versioned_read(self, replica: int, key: str):
+        """Replica-side read returning ``(fields, version held)`` — one
+        answer of a quorum read (a digest/data read resolution collapsed
+        to one round)."""
+        fields = yield from self._apply_read(replica, key)
+        return fields, self.versions[replica].get(key, 0)
+
+    def fan_out(self, origin: Node, replicas: Sequence[int], k: int,
+                request_bytes: int, response_bytes: int, apply, *args):
+        """Start ``apply(replica, *args)`` on every one of ``replicas`` at
+        once; ``(acks, quorum)`` — the spawned processes in replica order
+        and the event that fires once ``k`` of them succeeded.
+
+        A replica living on ``origin`` is served on the spot, every other
+        one over an RPC from it: a coordinator that holds a replica reads
+        and writes its own copy locally, a client machine never is one.
+        The quorum absorbs ``len(replicas) - k`` failures (a crashed or
+        partitioned replica) and fails with the one after; stragglers
+        finish in the background.
+        """
+        sim = self.sim
+        servers = self.cluster.servers
+        rpc = self.cluster.network.rpc
+        acks = [
+            sim.process(
+                apply(replica, *args) if servers[replica] is origin
+                else rpc(origin, servers[replica], request_bytes,
+                         response_bytes, apply(replica, *args)))
+            for replica in replicas]
+        return acks, sim.k_of(acks, k)
 
     # -- topology (elastic control plane) -------------------------------------
 
@@ -647,13 +750,15 @@ class Store:
             if not node.page_cache.access(block):
                 yield from node.disk.read(read_bytes, sequential=False)
 
-    def sequential_write_io(self, node: Node, nbytes: int):
-        """Process: background-style sequential disk write (flush etc.)."""
-        if nbytes > 0:
-            yield from node.disk.write(nbytes, sequential=True, sync=True)
-
     # -- diagnostics ----------------------------------------------------------
 
     def disk_bytes_per_server(self) -> list[int]:
         """On-disk footprint per server (Figure 17); in-memory stores: 0."""
         return [0 for __ in self.cluster.servers]
+
+
+def newest_cell(acks):
+    """The fields of the answer carrying the highest version among the
+    finished versioned reads ``acks`` (the first of equals): whenever the
+    read set overlaps the last write quorum, the latest acked write."""
+    return max((ack.value for ack in acks), key=lambda cell: cell[1])[0]

@@ -30,8 +30,10 @@ from repro.stores.base import (
     ServiceProfile,
     Store,
     StoreSession,
+    newest_cell,
 )
 from repro.stores.sharding import TokenRing
+from repro.trace.span import span
 
 __all__ = ["CassandraStore", "CassandraSession"]
 
@@ -100,11 +102,6 @@ class CassandraStore(Store):
                           else LSMConfig())
         self._lsm_config = lsm_config
         self.engines: list[LSMEngine] = []
-        #: Per-replica cell timestamps (``versions[replica][key]``):
-        #: the write-timestamp plumbing quorum reads merge on and the
-        #: audit layer's staleness oracle reads.  Pure bookkeeping —
-        #: no simulated cost, so RF=1 runs are byte-identical.
-        self.versions: list[dict[str, int]] = []
         for index, node in enumerate(cluster.servers):
             self._add_server(node, index)
         self._rebuild_routing()
@@ -114,7 +111,6 @@ class CassandraStore(Store):
         self.hints: dict[int, list[tuple[str, dict, int]]] = {}
         self.hints_queued = 0
         self.hints_replayed = 0
-        self._write_clock = 0
         #: Replica fan-out counter; set by :meth:`attach_metrics`.
         self._fanout = None
 
@@ -122,7 +118,6 @@ class CassandraStore(Store):
         self.engines.append(
             LSMEngine(self._lsm_config, seed=index,
                       name=f"cassandra-{index}"))
-        self.versions.append({})
 
     def _rebuild_routing(self) -> None:
         """Recompute token assignment over the current members.
@@ -229,25 +224,12 @@ class CassandraStore(Store):
         return self._acks_for(self.read_consistency,
                               self.replication_factor)
 
-    def next_write_version(self) -> int:
-        """The cell timestamp the coordinator stamps on the next write."""
-        self._write_clock += 1
-        return self._write_clock
-
-    def version_of(self, replica: int, key: str) -> int:
-        """Cell timestamp ``replica`` holds for ``key`` (0 = never seen)."""
-        return self.versions[replica].get(key, 0)
-
     @classmethod
     def retry_policy(cls) -> RetryPolicy:
         """The driver reroutes fast: three tries, short backoff."""
         return RetryPolicy(max_attempts=3, backoff_s=0.01)
 
     # -- failure handling ------------------------------------------------------
-
-    def node_is_up(self, index: int) -> bool:
-        """Liveness of server ``index`` as the gossip/driver layer sees it."""
-        return self.cluster.servers[index].up
 
     def live_replica_of(self, key: str) -> int:
         """The first live replica of ``key`` — the read failover path.
@@ -257,12 +239,10 @@ class CassandraStore(Store):
         unavailable — at RF=1 a single crash therefore blacks out that
         token range, exactly the single-copy semantics the paper ran.
         """
-        for replica in self.replicas_of(key, self.replication_factor):
-            if self.node_is_up(replica):
-                return replica
-        raise UnavailableError(
-            f"all {self.replication_factor} replicas of {key!r} are down"
-        )
+        copies = self.replication_factor
+        return self.live_replicas(
+            self.replicas_of(key, copies), 1,
+            lambda __: f"all {copies} replicas of {key!r} are down")[0]
 
     def queue_hint(self, replica: int, key: str, fields: Mapping[str, str],
                    version: int = 0) -> None:
@@ -287,11 +267,9 @@ class CassandraStore(Store):
         """Apply ``pending`` hinted mutations to replica ``index``."""
         node = self.cluster.servers[index]
         flush_bytes = 0
-        versions = self.versions[index]
         for key, fields, version in pending:
             bill = self.engines[index].put(key, fields)
-            if version > versions.get(key, 0):
-                versions[key] = version
+            self._stamp(index, key, version)
             flush_bytes += (bill.wal_sync_bytes + bill.flush_write_bytes
                             + bill.compaction_io_bytes)
             self.hints_replayed += 1
@@ -386,8 +364,7 @@ class CassandraStore(Store):
             write_cpu += self.COMPRESSION_CPU
         yield from node.cpu(self.server_cost(write_cpu))
         bill = self.engines[owner].put(key, fields)
-        if version > self.versions[owner].get(key, 0):
-            self.versions[owner][key] = version
+        self._stamp(owner, key, version)
         if bill.wal_sync_bytes:
             if self.commitlog_sync == "batch":
                 # commitlog_sync: batch — the write waits for the fsync.
@@ -421,15 +398,6 @@ class CassandraStore(Store):
         yield from self.cached_read_io(node, result.bill.blocks)
         return result.fields
 
-    def _apply_versioned_read(self, owner: int, key: str):
-        """Replica-side read returning ``(fields, cell timestamp)``.
-
-        The building block of QUORUM/ALL reads: the coordinator compares
-        the timestamps and returns the newest cell (real Cassandra's
-        digest/data read resolution, collapsed to one round)."""
-        fields = yield from self._apply_read(owner, key)
-        return fields, self.versions[owner].get(key, 0)
-
     def _apply_scan(self, owner: int, start_key: str, count: int):
         self._maybe_shed(owner)
         self.note_node_op(owner)
@@ -441,6 +409,15 @@ class CassandraStore(Store):
         rows, bill = self.engines[owner].scan(start_key, count)
         yield from self.cached_read_io(node, bill.blocks)
         return rows
+
+    def _apply_delete(self, owner: int, key: str):
+        if self.replication_factor == 1:
+            owner = self.owner_of(key)  # pending-range forward, as for writes
+        self.note_node_op(owner)
+        node = self.cluster.servers[owner]
+        yield from node.cpu(self.profile.write_cpu)
+        self.engines[owner].delete(key)
+        return True
 
 
 class CassandraSession(StoreSession):
@@ -465,97 +442,68 @@ class CassandraSession(StoreSession):
                 return candidate
         raise UnavailableError("no live coordinator in the ring")
 
-    def _route(self, owner: int, handler, request_bytes: int,
-               response_bytes: int):
-        """Client -> coordinator (-> owner) -> back, with CPU charges."""
+    def _call(self, coordinator: int, work, request_bytes: int,
+              response_bytes: int, **routed):
+        """Process: client -> ``coordinator`` -> back — the driver's CPU,
+        then ``work`` run there at the far end of one RPC."""
         store = self.store
-        sim = store.sim
-        coordinator = self._next_coordinator()
-        if sim.tracer is not None and sim.context is not None:
-            sim.tracer.annotate(coordinator=coordinator, owner=owner)
+        store.annotate(coordinator=coordinator, **routed)
         yield from store.client_cpu(self.client)
-        coordinator_node = store.cluster.servers[coordinator]
-
-        if coordinator == owner:
-            server_work = handler
-        else:
-            def forwarded():
-                yield from coordinator_node.cpu(store.COORDINATOR_CPU)
-                result = yield from store.cluster.network.rpc(
-                    coordinator_node, store.cluster.servers[owner],
-                    request_bytes, response_bytes, handler,
-                )
-                return result
-            server_work = forwarded()
-
         result = yield from store.cluster.network.rpc(
-            self.client, coordinator_node, request_bytes, response_bytes,
-            server_work,
-        )
+            self.client, store.cluster.servers[coordinator],
+            request_bytes, response_bytes, work)
         return result
+
+    def _forward(self, coordinator: Node, replica: int, handler,
+                 request_bytes: int, response_bytes: int):
+        """Process: the coordinator relays a request it does not serve."""
+        store = self.store
+        yield from coordinator.cpu(store.COORDINATOR_CPU)
+        result = yield from store.cluster.network.rpc(
+            coordinator, store.cluster.servers[replica],
+            request_bytes, response_bytes, handler)
+        return result
+
+    def _route(self, replicas: list[int], request_bytes: int,
+               response_bytes: int, apply, *args):
+        """Client -> coordinator (-> replica) -> back, one replica
+        serving ``apply(replica, *args)``: the coordinator itself when it
+        is among ``replicas`` (Cassandra's local read), otherwise the
+        first of them, over a forwarding hop.
+
+        ``replicas`` are live, in ring order.  At CL=ONE on a replicated
+        ring who answers therefore rotates with the coordinator: after a
+        partition heals, a replica that silently missed writes (no hint
+        was queued — the coordinator never saw it as *down*) keeps
+        serving its old cells until a later write overwrites them, the
+        measurable staleness the quorum sweep pins at ``R=W=1``.
+        """
+        store = self.store
+        coordinator = self._next_coordinator()
+        serving = coordinator if coordinator in replicas else replicas[0]
+        work = apply(serving, *args)
+        if serving != coordinator:
+            work = self._forward(store.cluster.servers[coordinator], serving,
+                                 work, request_bytes, response_bytes)
+        return self._call(coordinator, work, request_bytes, response_bytes,
+                          owner=serving)
 
     def read(self, key: str):
         store = self.store
-        if store.replication_factor > 1:
-            if store.required_read_acks() > 1:
-                result = yield from self._replicated_read(key)
-                return result
-            result = yield from self._one_read(key)
-            return result
-        # Consistency ONE with failover: any live replica serves the read.
-        owner = store.live_replica_of(key)
-        result = yield from self._route(
-            owner, store._apply_read(owner, key),
-            store.request_bytes(key), store.response_bytes(1),
-        )
-        return result
-
-    def _one_read(self, key: str):
-        """CL=ONE on a replicated ring: the coordinator serves the read
-        itself when it holds a replica (Cassandra's local read),
-        otherwise it forwards to the first live replica in ring order.
-
-        Which replica answers therefore rotates with the coordinator.
-        After a partition heals, a replica that silently missed writes
-        (no hint was queued — the coordinator never saw it as *down*)
-        keeps serving its old cells until a later write overwrites
-        them: the measurable staleness the quorum sweep pins at
-        ``R=W=1``.
-        """
-        store = self.store
-        sim = store.sim
-        replicas = store.replicas_of(key, store.replication_factor)
-        live = [r for r in replicas if store.node_is_up(r)]
-        if not live:
-            raise UnavailableError(f"no live replica of {key!r} "
-                                   f"(RF={store.replication_factor})")
-        coordinator = self._next_coordinator()
-        serving = coordinator if coordinator in live else live[0]
-        coordinator_node = store.cluster.servers[coordinator]
-        request = store.request_bytes(key)
-        response = store.response_bytes(1)
-        if sim.tracer is not None and sim.context is not None:
-            sim.tracer.annotate(coordinator=coordinator, owner=serving)
-        yield from store.client_cpu(self.client)
-
-        if coordinator == serving:
-            server_work = store._apply_read(serving, key)
+        copies = store.replication_factor
+        if copies == 1:
+            # Consistency ONE with failover: any live replica serves.
+            live = [store.live_replica_of(key)]
+        elif store.required_read_acks() > 1:
+            return self._quorum_read(key)
         else:
-            def forwarded():
-                yield from coordinator_node.cpu(store.COORDINATOR_CPU)
-                result = yield from store.cluster.network.rpc(
-                    coordinator_node, store.cluster.servers[serving],
-                    request, response, store._apply_read(serving, key),
-                )
-                return result
-            server_work = forwarded()
+            live = store.live_replicas(
+                store.replicas_of(key, copies), 1,
+                lambda __: f"no live replica of {key!r} (RF={copies})")
+        return self._route(live, store.request_bytes(key),
+                           store.response_bytes(1), store._apply_read, key)
 
-        result = yield from store.cluster.network.rpc(
-            self.client, coordinator_node, request, response, server_work,
-        )
-        return result
-
-    def _replicated_read(self, key: str):
+    def _quorum_read(self, key: str):
         """R > 1: the coordinator reads R replicas, returns the newest.
 
         The read set is the first R live replicas in ring order.  All R
@@ -567,82 +515,49 @@ class CassandraSession(StoreSession):
         audit sweep verifies.
         """
         store = self.store
-        sim = store.sim
         replicas = store.replicas_of(key, store.replication_factor)
         needed = store.required_read_acks()
         request = store.request_bytes(key)
         response = store.response_bytes(1)
         coordinator = self._next_coordinator()
-        coordinator_node = store.cluster.servers[coordinator]
-        if sim.tracer is not None and sim.context is not None:
-            sim.tracer.annotate(coordinator=coordinator,
-                                replicas=list(replicas),
-                                read_acks=needed)
-        yield from store.client_cpu(self.client)
+        node = store.cluster.servers[coordinator]
 
-        def coordinate_read():
-            yield from coordinator_node.cpu(store.COORDINATOR_CPU)
-            live = [r for r in replicas if store.node_is_up(r)]
-            if len(live) < needed:
-                raise UnavailableError(
-                    f"{len(live)}/{len(replicas)} replicas live, "
-                    f"read consistency {store.read_consistency!r} "
-                    f"needs {needed}"
-                )
+        def coordinate():
+            yield from node.cpu(store.COORDINATOR_CPU)
+            live = store.live_replicas(
+                replicas, needed,
+                lambda n: f"{n}/{len(replicas)} replicas live, read "
+                f"consistency {store.read_consistency!r} needs {needed}")
             # The coordinator reads locally when it holds a replica,
-            # then the nearest others in ring order; any R-subset works
-            # for correctness because every read quorum intersects every
-            # write quorum when R+W>N.
-            if coordinator in live:
-                chosen = ([coordinator]
-                          + [r for r in live if r != coordinator])[:needed]
-            else:
-                chosen = live[:needed]
-            acks = []
-            for replica in chosen:
-                if replica == coordinator:
-                    acks.append(sim.process(
-                        store._apply_versioned_read(replica, key)))
-                else:
-                    acks.append(sim.process(store.cluster.network.rpc(
-                        coordinator_node, store.cluster.servers[replica],
-                        request, response,
-                        store._apply_versioned_read(replica, key),
-                    )))
-            yield sim.k_of(acks, needed)  # every chosen replica answers
-            best_fields, best_version = None, -1
-            for ack in acks:
-                fields, version = ack.value
-                if version > best_version:
-                    best_fields, best_version = fields, version
-            return best_fields
+            # then the nearest others in ring order (a stable sort);
+            # any R-subset works for correctness because every read
+            # quorum intersects every write quorum when R+W>N.
+            live.sort(key=lambda replica: replica != coordinator)
+            acks, quorum = store.fan_out(
+                node, live[:needed], needed, request, response,
+                store._apply_versioned_read, key)
+            yield quorum  # every chosen replica answers
+            return newest_cell(acks)
 
-        result = yield from store.cluster.network.rpc(
-            self.client, coordinator_node, request, response,
-            coordinate_read(),
-        )
-        return result
+        return self._call(coordinator, coordinate(), request, response,
+                          replicas=replicas, read_acks=needed)
 
     def insert(self, key: str, fields: Mapping[str, str]):
         store = self.store
         version = store.next_write_version()
-        if store.replication_factor == 1:
-            owner = store.owner_of(key)
-            if not store.node_is_up(owner):
-                raise UnavailableError(
-                    f"single replica of {key!r} is down (RF=1)"
-                )
-            result = yield from self._route(
-                owner, store._apply_write(owner, key, fields, version),
-                store.request_bytes(key, fields, with_payload=True),
-                store.response_bytes(0),
-            )
-            return result
-        result = yield from self._replicated_insert(key, fields, version)
-        return result
+        request = store.request_bytes(key, fields, with_payload=True)
+        response = store.response_bytes(0)
+        if store.replication_factor > 1:
+            return self._quorum_insert(key, fields, version, request,
+                                       response)
+        live = store.live_replicas(
+            [store.owner_of(key)], 1,
+            lambda __: f"single replica of {key!r} is down (RF=1)")
+        return self._route(live, request, response, store._apply_write,
+                           key, fields, version)
 
-    def _replicated_insert(self, key: str, fields: Mapping[str, str],
-                           version: int = 0):
+    def _quorum_insert(self, key: str, fields: Mapping[str, str],
+                       version: int, request: int, response: int):
         """RF > 1: the coordinator fans the mutation out to every live
         replica and acknowledges once the consistency level is met —
         the replication extension of the paper's future work.  Down
@@ -652,85 +567,45 @@ class CassandraSession(StoreSession):
         quorum wait as long as enough acknowledgements remain possible.
         """
         store = self.store
-        sim = store.sim
         replicas = store.replicas_of(key, store.replication_factor)
-        request = store.request_bytes(key, fields, with_payload=True)
-        response = store.response_bytes(0)
         coordinator = self._next_coordinator()
-        coordinator_node = store.cluster.servers[coordinator]
-        if sim.tracer is not None and sim.context is not None:
-            sim.tracer.annotate(coordinator=coordinator,
-                                replicas=list(replicas))
-        yield from store.client_cpu(self.client)
+        node = store.cluster.servers[coordinator]
 
         def coordinate():
-            yield from coordinator_node.cpu(store.COORDINATOR_CPU)
-            live = [r for r in replicas if store.node_is_up(r)]
+            yield from node.cpu(store.COORDINATOR_CPU)
             needed = store.required_acks()
-            if len(live) < needed:
-                raise UnavailableError(
-                    f"{len(live)}/{len(replicas)} replicas live, "
-                    f"consistency {store.consistency_level!r} needs {needed}"
-                )
+            live = store.live_replicas(
+                replicas, needed,
+                lambda n: f"{n}/{len(replicas)} replicas live, consistency "
+                f"{store.consistency_level!r} needs {needed}")
             for replica in replicas:
                 if replica not in live:
                     store.queue_hint(replica, key, fields, version)
             if store._fanout is not None:
                 store._fanout.inc(len(live))
-            acks = []
-            for replica in live:
-                if replica == coordinator:
-                    acks.append(sim.process(
-                        store._apply_write(replica, key, fields, version)))
-                else:
-                    acks.append(sim.process(store.cluster.network.rpc(
-                        coordinator_node, store.cluster.servers[replica],
-                        request, response,
-                        store._apply_write(replica, key, fields, version),
-                    )))
-            if sim.tracer is not None and sim.context is not None:
-                span = sim.tracer.start_span(
-                    "replica_wait", "replica-wait",
-                    {"needed": needed, "live": len(live)})
-                try:
-                    yield sim.k_of(acks, needed)
-                finally:
-                    sim.tracer.end_span(span)
-            else:
-                yield sim.k_of(acks, needed)
+            __, quorum = store.fan_out(
+                node, live, needed, request, response,
+                store._apply_write, key, fields, version)
+            with span(store.sim, "replica_wait", "replica-wait",
+                      needed=needed, live=len(live)):
+                yield quorum
             return True
 
-        result = yield from store.cluster.network.rpc(
-            self.client, coordinator_node, request, response,
-            coordinate(),
-        )
-        return result
+        return self._call(coordinator, coordinate(), request, response,
+                          replicas=replicas)
 
     def scan(self, start_key: str, count: int):
         store = self.store
         # RandomPartitioner get_range_slices: the scan starts at the token
         # owner of the start key (or its first live replica) and walks
         # that node's range.
-        owner = store.live_replica_of(start_key)
         return self._route(
-            owner, store._apply_scan(owner, start_key, count),
+            [store.live_replica_of(start_key)],
             store.request_bytes(start_key), store.response_bytes(count),
-        )
+            store._apply_scan, start_key, count)
 
     def delete(self, key: str):
         store = self.store
-        owner = store.live_replica_of(key)
-
-        def handler():
-            target = (store.owner_of(key)
-                      if store.replication_factor == 1 else owner)
-            store.note_node_op(target)
-            node = store.cluster.servers[target]
-            yield from node.cpu(store.profile.write_cpu)
-            store.engines[target].delete(key)
-            return True
-
         return self._route(
-            owner, handler(), store.request_bytes(key),
-            store.response_bytes(0),
-        )
+            [store.live_replica_of(key)], store.request_bytes(key),
+            store.response_bytes(0), store._apply_delete, key)

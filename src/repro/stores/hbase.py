@@ -418,9 +418,7 @@ class HBaseSession(StoreSession):
         store = self.store
         region_id = store.region_of(key)
         server = store.server_of_region(region_id)
-        sim = store.sim
-        if sim.tracer is not None and sim.context is not None:
-            sim.tracer.annotate(region=region_id, server=server.node.name)
+        store.annotate(region=region_id, server=server.node.name)
         yield from store.client_cpu(self.client)
         result = yield from self._rpc(
             server, store._serve_read(region_id, key),
@@ -473,9 +471,7 @@ class HBaseSession(StoreSession):
         store = self.store
         region_id = store.region_of(start_key)
         server = store.server_of_region(region_id)
-        sim = store.sim
-        if sim.tracer is not None and sim.context is not None:
-            sim.tracer.annotate(region=region_id, server=server.node.name)
+        store.annotate(region=region_id, server=server.node.name)
         yield from store.client_cpu(self.client)
         rows = yield from self._rpc(
             server, store._serve_scan(region_id, start_key, count),

@@ -274,26 +274,18 @@ class MySQLStore(Store):
         yield from self.cached_read_io(node, blocks)
         return [(k, dict(v)) for k, v in rows], tail_rows
 
+    def _apply_delete(self, shard: int, key: str):
+        shard = self.shard_of(key)  # ring remap-and-retry, as for writes
+        self.note_node_op(shard)
+        node = self.cluster.servers[shard]
+        yield from node.cpu(self.profile.write_cpu)
+        removed, __ = self.tables[shard].remove(key)
+        return removed
+
 
 class MySQLSession(StoreSession):
-    """One YCSB thread holding a JDBC connection per shard."""
-
-    def read(self, key: str):
-        store = self.store
-        shard = store.shard_of(key)
-        return self._call_server(
-            shard, store._apply_read(shard, key),
-            store.request_bytes(key), store.response_bytes(1),
-        )
-
-    def insert(self, key: str, fields: Mapping[str, str]):
-        store = self.store
-        shard = store.shard_of(key)
-        return self._call_server(
-            shard, store._apply_write(shard, key, fields),
-            store.request_bytes(key, fields, with_payload=True),
-            store.response_bytes(0),
-        )
+    """One YCSB thread holding a JDBC connection per shard: point
+    operations are the inherited client-sharded call."""
 
     def scan(self, start_key: str, count: int):
         store = self.store
@@ -341,20 +333,3 @@ class MySQLSession(StoreSession):
             return result
 
         return store.sim.process(leg(), name=f"mysql-scan-leg-{shard}")
-
-    def delete(self, key: str):
-        store = self.store
-        shard = store.shard_of(key)
-
-        def handler():
-            owner = store.shard_of(key)  # ring remap-and-retry
-            store.note_node_op(owner)
-            node = store.cluster.servers[owner]
-            yield from node.cpu(store.profile.write_cpu)
-            removed, __ = store.tables[owner].remove(key)
-            return removed
-
-        return self._call_server(
-            shard, handler(), store.request_bytes(key),
-            store.response_bytes(0),
-        )

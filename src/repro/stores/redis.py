@@ -177,10 +177,6 @@ class RedisStore(Store):
     def session(self, client_node: Node, index: int) -> "RedisSession":
         return RedisSession(self, client_node, index)
 
-    def used_memory_per_server(self) -> list[float]:
-        """Estimated resident bytes per instance (OOM analysis)."""
-        return [shard.used_memory_bytes for shard in self.shards]
-
     # -- server ---------------------------------------------------------------
 
     def _on_loop(self, shard_index: int, cpu_seconds: float, action):
@@ -221,15 +217,6 @@ class RedisStore(Store):
         )
         return result
 
-    def _apply_scan(self, shard_index: int, start_key: str, count: int):
-        cpu = (self.profile.scan_base_cpu
-               + count * self.profile.scan_per_record_cpu)
-        result = yield from self._on_loop(
-            shard_index, cpu,
-            lambda: self.shards[shard_index].scan(start_key, count),
-        )
-        return result
-
     def _apply_delete(self, shard_index: int, key: str):
         shard_index = self.shard_of(key)  # MOVED redirect, as for writes
         result = yield from self._on_loop(
@@ -240,24 +227,8 @@ class RedisStore(Store):
 
 
 class RedisSession(StoreSession):
-    """One YCSB thread holding a ShardedJedis handle."""
-
-    def read(self, key: str):
-        store = self.store
-        shard = store.shard_of(key)
-        return self._call_server(
-            shard, store._apply_read(shard, key),
-            store.request_bytes(key), store.response_bytes(1),
-        )
-
-    def insert(self, key: str, fields: Mapping[str, str]):
-        store = self.store
-        shard = store.shard_of(key)
-        return self._call_server(
-            shard, store._apply_write(shard, key, fields),
-            store.request_bytes(key, fields, with_payload=True),
-            store.response_bytes(0),
-        )
+    """One YCSB thread holding a ShardedJedis handle: point operations
+    are the inherited client-sharded call."""
 
     def scan(self, start_key: str, count: int):
         """ZRANGE on the shard owning the start key + pipelined MGET.
@@ -289,11 +260,3 @@ class RedisSession(StoreSession):
             store.response_bytes(len(keys)),
         )
         return rows
-
-    def delete(self, key: str):
-        store = self.store
-        shard = store.shard_of(key)
-        return self._call_server(
-            shard, store._apply_delete(shard, key),
-            store.request_bytes(key), store.response_bytes(0),
-        )

@@ -28,11 +28,16 @@ from typing import Iterable, Mapping, Optional
 
 from repro.hashing import murmur64a
 from repro.sim.cluster import Cluster, Node
-from repro.sim.faults import UnavailableError
 from repro.storage.btree import BPlusTree
 from repro.storage.encoding import encode_bdb_entry
 from repro.storage.record import APM_SCHEMA, Record, RecordSchema
-from repro.stores.base import OpError, ServiceProfile, Store, StoreSession
+from repro.stores.base import (
+    OpError,
+    ServiceProfile,
+    Store,
+    StoreSession,
+    newest_cell,
+)
 from repro.stores.sharding import TokenRing
 
 __all__ = ["VoldemortStore", "VoldemortSession"]
@@ -85,20 +90,14 @@ class VoldemortStore(Store):
         self.ring = TokenRing(n * self.PARTITIONS_PER_NODE)
         self.trees: list[BPlusTree] = []
         self.log_bytes: list[int] = []
-        #: Per-node entry versions (vector-clock stand-in): a global
-        #: write clock stamped at the client, merged by max on read.
-        #: Pure bookkeeping — no simulated cost.
-        self.versions: list[dict[str, int]] = []
         for index, node in enumerate(cluster.servers):
             self._add_server(node, index)
-        self._write_clock = 0
         self._entry_bytes = len(encode_bdb_entry(self._sample_record()))
         self._rebuild_routing()
 
     def _add_server(self, node: Node, index: int) -> None:
         self.trees.append(BPlusTree(order=self._btree_order))
         self.log_bytes.append(0)
-        self.versions.append({})
 
     def _rebuild_routing(self) -> None:
         """Round-robin the fixed partitions over the current members."""
@@ -176,20 +175,6 @@ class VoldemortStore(Store):
                     break
         return nodes
 
-    def node_is_up(self, index: int) -> bool:
-        """Liveness of server ``index`` as the client's failure detector
-        sees it (a partitioned node still *looks* up — the client only
-        learns the truth when its request times out)."""
-        return self.cluster.servers[index].up
-
-    def next_write_version(self) -> int:
-        """The next client-stamped write version (bookkeeping only)."""
-        self._write_clock += 1
-        return self._write_clock
-
-    def version_of(self, node: int, key: str) -> int:
-        return self.versions[node].get(key, 0)
-
     def declared_loss(self, node: Node) -> Optional[str]:
         """At N=1 a permanently crashed node takes its partitions' only
         copy with it — a by-design loss the chaos controller records in
@@ -257,11 +242,6 @@ class VoldemortStore(Store):
         yield from self.cached_read_io(node, [leaf])
         return dict(value) if value is not None else None
 
-    def _apply_versioned_read(self, owner: int, key: str):
-        """A read that also returns the replica's version for ``key``."""
-        fields = yield from self._apply_read(owner, key)
-        return fields, self.versions[owner].get(key, 0)
-
     def _apply_write(self, owner: int, key: str, fields: Mapping[str, str],
                      version: int = 0):
         # A write routed under the old partition map lands after the
@@ -287,8 +267,7 @@ class VoldemortStore(Store):
             self.sim.detached(self.cached_read_io(node, [leaf]),
                               name="je-leaf-fault")
         self.log_bytes[owner] += self._entry_bytes
-        if version > self.versions[owner].get(key, 0):
-            self.versions[owner][key] = version
+        self._stamp(owner, key, version)
         # JE appends the log entry with WRITE_NO_SYNC: buffered, drained
         # by the log flusher without stalling the commit.
         yield from node.disk.write(self._entry_bytes, sequential=True,
@@ -317,108 +296,71 @@ class VoldemortSession(StoreSession):
 
     route_label = "owner"
 
-    def read(self, key: str):
+    def _live(self, key: str, k: int, quorum: str) -> list[int]:
+        """The live nodes of the key's preference list, at least ``k``."""
         store = self.store
-        if store.replication_factor > 1:
-            result = yield from self._replicated_read(key)
-            return result
-        owner = store.owner_of(key)
-        result = yield from self._call_server(
-            owner, store._apply_read(owner, key),
-            store.request_bytes(key), store.response_bytes(1),
-        )
-        return result
+        replicas = store.replica_nodes_of(key)
+        return store.live_replicas(
+            replicas, k, lambda n: f"{n}/{len(replicas)} replicas of "
+            f"{key!r} live, {quorum}={k}")
 
-    def _replicated_read(self, key: str):
-        """R replicas of the preference list answer; the newest wins.
+    def _quorum(self, replicas: list[int], k: int, merge,
+                request_bytes: int, response_bytes: int, apply, *args):
+        """Process: the Dynamo-style call — this client sends
+        ``apply(replica, *args)`` to every one of ``replicas`` and
+        returns once ``k`` answered: ``merge(acks)``, or ``True``.
+
+        The client library fans out itself (client-side routing), so
+        the per-node connection gates of the single-owner path do not
+        apply to the parallel requests.  A partitioned replica still
+        *looks* up, so it receives a request that times out — tolerated
+        while ``k`` others answer, which is exactly how it silently
+        misses a write: Voldemort's model here has no hinted handoff, so
+        nothing replays it after the heal.
+        """
+        store = self.store
+        yield from store.client_cpu(self.client)
+        acks, quorum = store.fan_out(self.client, replicas, k, request_bytes,
+                                     response_bytes, apply, *args)
+        yield quorum
+        return merge(acks) if merge else True
+
+    def read(self, key: str):
+        """N > 1: R replicas of the preference list answer; the newest
+        wins.
 
         The read set is the first R live nodes in preference order and
         every one of them must answer — a replica that looks up but is
         partitioned fails the read, the availability cost of a quorum
         read.  At R=1 that means the *primary alone* serves, so a
-        replica that missed writes during a partition (Voldemort has no
-        hinted handoff here) keeps returning stale data after the heal —
-        the staleness the audit sweep measures.  R+W>N makes the read
-        set overlap every write quorum, so the max-version merge always
-        surfaces the latest acked write.
+        replica that missed writes during a partition keeps returning
+        stale data after the heal — the staleness the audit sweep
+        measures.  R+W>N makes the read set overlap every write quorum,
+        so the max-version merge always surfaces the latest acked write.
         """
         store = self.store
-        sim = store.sim
-        replicas = store.replica_nodes_of(key)
-        needed = store.required_reads
-        live = [r for r in replicas if store.node_is_up(r)]
-        if len(live) < needed:
-            raise UnavailableError(
-                f"{len(live)}/{len(replicas)} replicas of {key!r} live, "
-                f"R={needed}")
-        chosen = live[:needed]
-        if sim.tracer is not None and sim.context is not None:
-            sim.tracer.annotate(replicas=chosen, read_acks=needed)
-        request = store.request_bytes(key)
-        response = store.response_bytes(1)
-        # The client library fans out itself (client-side routing), so
-        # the per-node connection gates of the single-owner fast path do
-        # not apply to the parallel requests.
-        yield from store.client_cpu(self.client)
-        acks = [sim.process(store.cluster.network.rpc(
-            self.client, store.cluster.servers[replica],
-            request, response,
-            store._apply_versioned_read(replica, key),
-        )) for replica in chosen]
-        yield sim.k_of(acks, needed)  # every chosen replica must answer
-        best_fields, best_version = None, -1
-        for ack in acks:
-            fields, version = ack.value
-            if version > best_version:
-                best_fields, best_version = fields, version
-        return best_fields
+        if store.replication_factor == 1:
+            return super().read(key)
+        k = store.required_reads
+        chosen = self._live(key, k, "R")[:k]
+        store.annotate(replicas=chosen, read_acks=k)
+        return self._quorum(
+            chosen, k, newest_cell, store.request_bytes(key),
+            store.response_bytes(1), store._apply_versioned_read, key)
 
     def insert(self, key: str, fields: Mapping[str, str]):
+        """N > 1: fan to every live node of the preference list, ack at W."""
         store = self.store
         version = store.next_write_version()
-        if store.replication_factor > 1:
-            result = yield from self._replicated_insert(key, fields, version)
-            return result
-        owner = store.owner_of(key)
-        result = yield from self._call_server(
-            owner, store._apply_write(owner, key, fields, version),
+        if store.replication_factor == 1:
+            return super().insert(key, fields, version)
+        k = store.required_writes
+        live = self._live(key, k, "W")
+        store.annotate(replicas=live, write_acks=k)
+        return self._quorum(
+            live, k, None,
             store.request_bytes(key, fields, with_payload=True),
-            store.response_bytes(0),
-        )
-        return result
-
-    def _replicated_insert(self, key: str, fields: Mapping[str, str],
-                           version: int):
-        """Dynamo-style write: fan to the preference list, ack at W.
-
-        The client sends the put to every replica it believes is up and
-        returns once W acknowledge (``k_of`` tolerates the rest failing).
-        A partitioned replica still *looks* up, so it receives a request
-        that times out — tolerated at W=1, which is exactly how it
-        silently misses the write: Voldemort's model here has no hinted
-        handoff, so nothing replays it after the heal.
-        """
-        store = self.store
-        sim = store.sim
-        replicas = store.replica_nodes_of(key)
-        needed = store.required_writes
-        live = [r for r in replicas if store.node_is_up(r)]
-        if len(live) < needed:
-            raise UnavailableError(
-                f"{len(live)}/{len(replicas)} replicas of {key!r} live, "
-                f"W={needed}")
-        if sim.tracer is not None and sim.context is not None:
-            sim.tracer.annotate(replicas=live, write_acks=needed)
-        request = store.request_bytes(key, fields, with_payload=True)
-        response = store.response_bytes(0)
-        yield from store.client_cpu(self.client)
-        acks = [sim.process(store.cluster.network.rpc(
-            self.client, store.cluster.servers[replica],
-            request, response,
-            store._apply_write(replica, key, fields, version),
-        )) for replica in live]
-        yield sim.k_of(acks, needed)
-        return True
+            store.response_bytes(0), store._apply_write, key, fields, version)
 
     def scan(self, start_key: str, count: int):
         raise OpError("the Voldemort YCSB client does not support scans")
@@ -426,28 +368,9 @@ class VoldemortSession(StoreSession):
 
     def delete(self, key: str):
         store = self.store
-        if store.replication_factor > 1:
-            sim = store.sim
-            replicas = store.replica_nodes_of(key)
-            needed = store.required_writes
-            live = [r for r in replicas if store.node_is_up(r)]
-            if len(live) < needed:
-                raise UnavailableError(
-                    f"{len(live)}/{len(replicas)} replicas of {key!r} "
-                    f"live, W={needed}")
-            request = store.request_bytes(key)
-            response = store.response_bytes(0)
-            yield from store.client_cpu(self.client)
-            acks = [sim.process(store.cluster.network.rpc(
-                self.client, store.cluster.servers[replica],
-                request, response,
-                store._apply_delete(replica, key),
-            )) for replica in live]
-            yield sim.k_of(acks, needed)
-            return True
-        owner = store.owner_of(key)
-        result = yield from self._call_server(
-            owner, store._apply_delete(owner, key),
-            store.request_bytes(key), store.response_bytes(0),
-        )
-        return result
+        if store.replication_factor == 1:
+            return super().delete(key)
+        k = store.required_writes
+        return self._quorum(
+            self._live(key, k, "W"), k, None, store.request_bytes(key),
+            store.response_bytes(0), store._apply_delete, key)

@@ -351,9 +351,7 @@ class VoltDBSession(StoreSession):
     def read(self, key: str):
         store = self.store
         partition = store.partition_of(key)
-        sim = store.sim
-        if sim.tracer is not None and sim.context is not None:
-            sim.tracer.annotate(partition=partition)
+        store.annotate(partition=partition)
         return self._call(
             store._proc_read(partition, key),
             store.request_bytes(key), store.response_bytes(1),
@@ -362,9 +360,7 @@ class VoltDBSession(StoreSession):
     def insert(self, key: str, fields: Mapping[str, str]):
         store = self.store
         partition = store.partition_of(key)
-        sim = store.sim
-        if sim.tracer is not None and sim.context is not None:
-            sim.tracer.annotate(partition=partition)
+        store.annotate(partition=partition)
         return self._call(
             store._proc_write(partition, key, fields),
             store.request_bytes(key, fields, with_payload=True),

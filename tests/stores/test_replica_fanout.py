@@ -21,6 +21,7 @@ from repro.metrics import MetricsRegistry
 from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.stores.registry import create_store
 from repro.trace import Tracer
+from tests.sim.test_channel_hold import _span_tree
 from tests.stores.conftest import make_records
 from tests.stores.reference_fanouts import REFERENCE
 
@@ -105,11 +106,6 @@ SCENARIOS = {
     "too-few-live": _too_few_live,
     "crash-and-restart": _crash_and_restart,
 }
-
-
-def _span_tree(span):
-    return (span.name, span.component, span.start, span.end, span.meta,
-            [_span_tree(child) for child in span.children])
 
 
 def _observe(deployment, scenario, traced, reference):
