@@ -36,7 +36,7 @@ from repro.core.capacity import plan_capacity
 from repro.faults.schedule import FaultSchedule
 from repro.sim.cluster import CLUSTER_D, CLUSTER_M
 from repro.stores.registry import STORE_NAMES
-from repro.ycsb.runner import BenchmarkConfig, run_benchmark
+from repro.ycsb.runner import BenchmarkConfig, run_config
 from repro.ycsb.workload import WORKLOADS
 
 __all__ = ["main"]
@@ -152,8 +152,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         args, measured_ops=args.ops,
         trace_sample_every=args.trace_sample if args.trace else None,
         metrics_interval_s=args.metrics_interval if args.metrics else None)
-    result = run_benchmark(config.store, config.workload, config.n_nodes,
-                           config=config)
+    result = run_config(config)
     row = result.row()
     print(f"store={row['store']} workload={row['workload']} "
           f"nodes={row['nodes']} cluster={row['cluster']}")
@@ -220,8 +219,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         args, fault_schedule=schedule, duration_s=args.duration,
         availability_window_s=args.window, warmup_ops=0,
         store_kwargs=store_kwargs)
-    result = run_benchmark(config.store, config.workload, config.n_nodes,
-                           config=config)
+    result = run_config(config)
     row = result.row()
     print(f"store={row['store']} workload={row['workload']} "
           f"nodes={row['nodes']} cluster={row['cluster']} "

@@ -25,15 +25,11 @@ from typing import Callable, Optional
 
 from repro.orchestrator.serialize import result_from_dict, result_to_dict
 from repro.orchestrator.store import ResultStore
-from repro.ycsb.runner import BenchmarkConfig, BenchmarkResult, run_benchmark
+from repro.ycsb.runner import BenchmarkConfig, BenchmarkResult, run_config
 
+#: ``run_config`` is re-exported: the name this module calls is the seam
+#: tests replace to watch or fake a worker's run.
 __all__ = ["PointOutcome", "execute_grid", "run_config"]
-
-
-def run_config(config: BenchmarkConfig) -> BenchmarkResult:
-    """Run one grid point (module-level so worker processes can call it)."""
-    return run_benchmark(config.store, config.workload, config.n_nodes,
-                         config=config)
 
 
 def _execute_payload(payload: dict,

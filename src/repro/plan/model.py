@@ -12,8 +12,8 @@ CPU, disk, network — scaled to the cluster:
 * **Disk**: expected disk-seconds per operation from the store's write
   architecture (LSM append, B-tree read-modify-write, log-structured
   leaf faulting, or purely in-memory) and the cache-miss ratio, served
-  at the disk's queue depth.  The cache size mirrors
-  :func:`repro.ycsb.runner.scaled_spec` *exactly* — the model and the
+  at the disk's queue depth.  The cache size is read off
+  :func:`repro.ycsb.runner.scaled_spec` itself — the model and the
   validating simulation must agree on whether a configuration is
   memory- or disk-bound, or the pruning step would discard candidates
   for the wrong reason.
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from repro.plan.hardware import HardwareProfile
 from repro.storage.record import APM_SCHEMA
 from repro.stores.registry import store_class
-from repro.ycsb.runner import PAPER_RECORDS_PER_NODE
+from repro.ycsb.runner import PAPER_RECORDS_PER_NODE, scaled_spec
 from repro.ycsb.workload import Workload
 
 __all__ = ["ModeledCapacity", "modeled_capacity", "write_architecture"]
@@ -95,16 +95,6 @@ class ModeledCapacity:
             "binding": self.binding,
             "miss_ratio": round(self.miss_ratio, 4),
         }
-
-
-def _scaled_cache_bytes(hardware: HardwareProfile, records_per_node: int,
-                        paper_records_per_node: int) -> int:
-    """Cache bytes after the runner's RAM scaling (see ``scaled_spec``)."""
-    scale = records_per_node / paper_records_per_node
-    ram = hardware.ram_bytes
-    if scale < 1.0:
-        ram = max(1 << 20, int(ram * scale))
-    return int(ram * hardware.cache_fraction)
 
 
 def _mix_cpu_seconds(store_name: str, workload: Workload) -> float:
@@ -191,8 +181,11 @@ def modeled_capacity(store_name: str, hardware: HardwareProfile,
         raise ValueError("n_nodes must be >= 1")
     schema = APM_SCHEMA
     data_bytes = records_per_node * schema.raw_record_bytes
-    cache_bytes = _scaled_cache_bytes(hardware, records_per_node,
-                                      paper_records_per_node)
+    # The page cache of the node a validating run would provision: the
+    # runner's own RAM scaling, so pruning and validation cannot
+    # disagree about the regime.
+    cache_bytes = scaled_spec(hardware.cluster_spec(), records_per_node,
+                              paper_records_per_node).node.cache_bytes
     miss_ratio = max(0.0, 1.0 - cache_bytes / data_bytes)
 
     arch = write_architecture(store_name)

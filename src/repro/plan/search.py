@@ -103,7 +103,7 @@ def analytical_frontier(spec: LoadSpec,
     """Prune the search space down to the simulation-worthy frontier.
 
     ``records_per_node`` must match what the validation runs will load:
-    the model's cache-miss arithmetic mirrors the runner's RAM scaling,
+    the model's cache-miss arithmetic uses the runner's RAM scaling,
     and the two sides have to see the same memory regime.
     """
     if profiles is None:

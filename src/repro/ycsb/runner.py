@@ -46,7 +46,8 @@ from repro.ycsb.throttle import Throttle
 from repro.ycsb.workload import Workload
 
 __all__ = ["BenchmarkConfig", "BenchmarkResult", "Deployment",
-           "UnportableConfigError", "run_benchmark", "scaled_spec"]
+           "UnportableConfigError", "run_benchmark", "run_config",
+           "scaled_spec"]
 
 #: Records per node the paper loads on Cluster M (Section 3).
 PAPER_RECORDS_PER_NODE = 10_000_000
@@ -478,6 +479,14 @@ def run_benchmark(store: str, workload: Workload, n_nodes: int,
     if config is None:
         config = BenchmarkConfig(store=store, workload=workload,
                                  n_nodes=n_nodes, **overrides)
+    return run_config(config, obs=obs, audit=audit)
+
+
+def run_config(config: BenchmarkConfig, obs=None,
+               audit=None) -> BenchmarkResult:
+    """Run the data point ``config`` describes, closed-loop: the
+    primitive :func:`run_benchmark` builds a config for (which documents
+    ``obs`` and ``audit``)."""
     deployment = Deployment(config)
     cluster, deployed = deployment.cluster, deployment.store
 
