@@ -43,6 +43,9 @@ CHECKS = (
      "obs -s redis -n 1 --records 500 --rate 600 --duration 1.5 "
      "--crash server-0 --at 0.5 --restart-after 0.5", "", ""),
     ("audit", "audit -s cassandra --fault crash", "", ""),
+    # R + W > N: the replicated client fan-out, and the audit passes.
+    ("audit-quorum",
+     "audit -s voldemort --fault partition -N 3 -W 2 -R 2", "", ""),
     ("audit-sweep", "audit --sweep", "", "--jobs 2"),
     ("plan",
      "plan --users 50000 --stores redis,voltdb --hardware paper-m "
