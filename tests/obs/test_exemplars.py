@@ -1,5 +1,8 @@
 """Unit tests for the bounded exemplar grids."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.obs.exemplars import (
     ExemplarStore,
     bucket_lower_s,
@@ -15,6 +18,13 @@ class TestBucketGeometry:
         for latency in (1e-7, 1e-6, 3.7e-5, 1e-3, 0.25, 10.0, 1e4):
             histogram_bucket = histogram._bucket(latency)
             assert latency_bucket(latency) == histogram_bucket
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=0.0, max_value=1e5))
+    def test_matches_latency_histogram_over_the_range(self, latency):
+        """The exemplar grid's bucket is the histogram's: below the
+        first edge, on every edge in between and past the last one."""
+        assert latency_bucket(latency) == LatencyHistogram()._bucket(latency)
 
     def test_lower_edge_brackets_the_latency(self):
         for latency in (2e-6, 5e-4, 0.05, 1.0):
