@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 from repro.analysis.provenance import stamp
@@ -137,18 +137,7 @@ class AuditScenario:
         return self.ops_per_session * self.op_gap_s
 
     def to_dict(self) -> dict:
-        return {
-            "store": self.store, "n_nodes": self.n_nodes,
-            "n_sessions": self.n_sessions, "n_keys": self.n_keys,
-            "ops_per_session": self.ops_per_session,
-            "write_fraction": self.write_fraction,
-            "op_gap_s": self.op_gap_s, "seed": self.seed,
-            "fault": self.fault,
-            "replication_factor": self.replication_factor,
-            "required_writes": self.required_writes,
-            "required_reads": self.required_reads,
-            "linearize_budget": self.linearize_budget,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -172,18 +161,9 @@ class AuditReport:
                 and self.linearizability["ok"])
 
     def to_dict(self) -> dict:
-        payload = {
-            "scenario": self.scenario.to_dict(),
-            "history": self.history,
-            "durability": self.durability,
-            "sessions": self.sessions,
-            "staleness": self.staleness,
-            "linearizability": self.linearizability,
-            "chaos_log": self.chaos_log,
-            "loss_manifest": self.loss_manifest,
-            "flight_recorder": self.flight_recorder,
-            "ok": self.ok,
-        }
+        # Shallow on purpose: ``asdict`` would deep-copy the evidence.
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload.update(scenario=self.scenario.to_dict(), ok=self.ok)
         return stamp(payload, self.scenario)
 
     def to_json(self) -> str:

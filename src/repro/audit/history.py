@@ -49,20 +49,6 @@ class OpRecord:
     #: ``"run"`` for workload ops, ``"verify"`` for post-heal reads.
     phase: str = PHASE_RUN
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "session": self.session,
-            "op": self.op,
-            "key": self.key,
-            "t_invoke": self.t_invoke,
-            "t_ack": self.t_ack,
-            "ok": self.ok,
-            "error": self.error,
-            "version": self.version,
-            "phase": self.phase,
-        }
-
 
 class HistoryRecorder:
     """Passive invocation/ack log feeding the audit checkers."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.analysis.provenance import stamp
 from repro.audit.harness import AuditScenario, run_audit_scenario
@@ -44,31 +44,15 @@ class QuorumSweep:
     op_gap_s: float = 0.02
 
     def scenarios(self) -> list[AuditScenario]:
-        return [
-            AuditScenario(
-                store=self.store, n_nodes=self.n_nodes,
-                n_sessions=self.n_sessions, n_keys=self.n_keys,
-                ops_per_session=self.ops_per_session,
-                write_fraction=self.write_fraction,
-                op_gap_s=self.op_gap_s, seed=self.seed,
-                fault=self.fault,
-                replication_factor=self.replication_factor,
-                required_writes=w, required_reads=r,
-            )
-            for r, w in self.points
-        ]
+        """One scenario a grid point: this sweep's fields but ``points``,
+        plus the point's quorum sizes."""
+        shared = asdict(self)
+        del shared["points"]
+        return [AuditScenario(**shared, required_writes=w, required_reads=r)
+                for r, w in self.points]
 
     def to_dict(self) -> dict:
-        return {
-            "store": self.store, "n_nodes": self.n_nodes,
-            "replication_factor": self.replication_factor,
-            "points": [list(p) for p in self.points],
-            "fault": self.fault, "seed": self.seed,
-            "n_sessions": self.n_sessions, "n_keys": self.n_keys,
-            "ops_per_session": self.ops_per_session,
-            "write_fraction": self.write_fraction,
-            "op_gap_s": self.op_gap_s,
-        }
+        return asdict(self)
 
 
 def _run_point(scenario_fields: dict) -> dict:

@@ -19,7 +19,7 @@ the payload, so a fixed seed yields byte-identical exports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from repro.analysis.provenance import stamp
@@ -57,17 +57,14 @@ class ControlScenario:
     kill_node: Optional[str] = None
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "offered_rate": self.offered_rate,
-            "duration_s": self.duration_s,
-            "shape": None if self.shape is None else self.shape.to_dict(),
-            "policy": None if self.policy is None else self.policy.to_dict(),
-            "slo_s": self.slo_s,
-            "timeline_s": self.timeline_s,
-            "kill_at_s": self.kill_at_s,
-            "kill_node": self.kill_node,
-        }
+        # Shallow, then the three nested records through their own
+        # ``to_dict``: ``asdict`` would flatten the config field by field.
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload.update(
+            config=self.config.to_dict(),
+            shape=None if self.shape is None else self.shape.to_dict(),
+            policy=None if self.policy is None else self.policy.to_dict())
+        return payload
 
 
 @dataclass(frozen=True)
@@ -97,17 +94,8 @@ class ControlRunResult:
 
     def to_dict(self) -> dict:
         """The JSON export, provenance-stamped and byte-deterministic."""
-        payload = {
-            "scenario": self.scenario.to_dict(),
-            "point": self.point,
-            "timeline": self.timeline,
-            "decisions": self.decisions,
-            "node_seconds": self.node_seconds,
-            "n_active_end": self.n_active_end,
-            "bytes_moved": self.bytes_moved,
-            "moves_billed": self.moves_billed,
-            "ticks": self.ticks,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["scenario"] = self.scenario.to_dict()
         return stamp(payload, self.scenario.config)
 
     def to_json(self) -> str:

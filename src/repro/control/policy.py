@@ -13,7 +13,7 @@ the control benchmark asserts on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 __all__ = ["ControlDecision", "ControlPolicy"]
@@ -70,18 +70,7 @@ class ControlPolicy:
             raise ValueError("delays must be >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "tick_s": self.tick_s,
-            "scale_out_pressure": self.scale_out_pressure,
-            "scale_in_pressure": self.scale_in_pressure,
-            "sustain_ticks": self.sustain_ticks,
-            "cooldown_s": self.cooldown_s,
-            "min_nodes": self.min_nodes,
-            "max_nodes": self.max_nodes,
-            "replace_grace_s": self.replace_grace_s,
-            "provision_delay_s": self.provision_delay_s,
-            "shed_rate_per_s": self.shed_rate_per_s,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ControlPolicy":
@@ -108,12 +97,4 @@ class ControlDecision:
     n_active: int
 
     def to_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "action": self.action,
-            "node": self.node,
-            "reason": self.reason,
-            "pressure": self.pressure,
-            "bottleneck": self.bottleneck,
-            "n_active": self.n_active,
-        }
+        return asdict(self)

@@ -22,7 +22,7 @@ Utilisation definitions (all over the window ``[t0, t1]``):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 from repro.metrics.instrument import node_channel
@@ -95,14 +95,7 @@ class SaturationVerdict:
 
     def to_dict(self) -> dict:
         """A JSON-ready projection (stable key order via sort_keys)."""
-        return {
-            "bottleneck": self.bottleneck,
-            "pressure": self.pressure,
-            "peak": self.peak,
-            "peak_node": self.peak_node,
-            "saturated": self.saturated,
-            "narrative": self.narrative,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -171,27 +164,8 @@ class SaturationReport:
         """A JSON-ready dict of the report."""
         return {
             "window": {"t0": self.t0, "t1": self.t1},
-            "nodes": [
-                {
-                    "node": n.node,
-                    "cpu": n.cpu,
-                    "disk": n.disk,
-                    "network": n.network,
-                    "executor": n.executor,
-                    "cache_hit_rate": n.cache_hit_rate,
-                    "ops": n.ops,
-                }
-                for n in self.nodes
-            ],
-            "resources": [
-                {
-                    "resource": r.resource,
-                    "mean": r.mean,
-                    "peak": r.peak,
-                    "peak_node": r.peak_node,
-                }
-                for r in self.resources
-            ],
+            "nodes": [asdict(n) for n in self.nodes],
+            "resources": [asdict(r) for r in self.resources],
             "bottleneck": self.bottleneck,
             "saturated": self.saturated,
             "verdict": self.verdict,

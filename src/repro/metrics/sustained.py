@@ -13,7 +13,7 @@ here).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 __all__ = ["SubWindow", "SustainedVerdict", "verify_sustained"]
 
@@ -55,17 +55,7 @@ class SustainedVerdict:
 
     def to_payload(self) -> dict:
         """A JSON-ready dict of the verdict."""
-        return {
-            "windows": [
-                {"start": w.start, "end": w.end, "throughput": w.throughput}
-                for w in self.windows
-            ],
-            "peak": self.peak,
-            "floor": self.floor,
-            "degradation": self.degradation,
-            "tolerance": self.tolerance,
-            "sustained": self.sustained,
-        }
+        return asdict(self)
 
 
 def verify_sustained(timeline, t0: float, t1: float,

@@ -14,7 +14,7 @@ provenance-stamped and byte-deterministic under a fixed seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from repro.analysis.provenance import stamp
@@ -61,17 +61,13 @@ class ObsScenario:
         return DEFAULT_SLO_S
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "policy": self.policy.to_dict(),
-            "offered_rate": self.offered_rate,
-            "duration_s": self.duration_s,
-            "warmup_s": self.warmup_s,
-            "shape": None if self.shape is None else self.shape.to_dict(),
-            "timeline_s": self.timeline_s,
-            "slo_s": self.slo_s,
-            "max_export_traces": self.max_export_traces,
-        }
+        # Shallow, then the three nested records through their own
+        # ``to_dict``: ``asdict`` would flatten the config field by field.
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload.update(
+            config=self.config.to_dict(), policy=self.policy.to_dict(),
+            shape=None if self.shape is None else self.shape.to_dict())
+        return payload
 
 
 @dataclass(frozen=True)
@@ -110,16 +106,8 @@ class ObsReport:
 
     def to_dict(self) -> dict:
         """The JSON export, provenance-stamped and byte-deterministic."""
-        payload = {
-            "scenario": self.scenario.to_dict(),
-            "point": self.point,
-            "timeline": self.timeline,
-            "observability": self.observability,
-            "traces": self.traces,
-            "prometheus": self.prometheus,
-            "metrics_csv": self.metrics_csv,
-            "exemplars_csv": self.exemplars_csv,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["scenario"] = self.scenario.to_dict()
         return stamp(payload, self.scenario.config)
 
     def to_json(self) -> str:

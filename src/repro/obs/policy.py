@@ -23,7 +23,7 @@ an overlay on a run, not part of the workload's identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from repro.ycsb.stats import ERROR_KINDS
@@ -87,27 +87,13 @@ class SLO:
         return not error  # availability
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "target": self.target,
-            "threshold_s": self.threshold_s,
-            "error_kinds": (None if self.error_kinds is None
-                            else list(self.error_kinds)),
-            "ops": None if self.ops is None else list(self.ops),
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "SLO":
-        return cls(
-            name=payload["name"],
-            kind=payload["kind"],
-            target=payload["target"],
-            threshold_s=payload["threshold_s"],
-            error_kinds=(None if payload["error_kinds"] is None
-                         else tuple(payload["error_kinds"])),
-            ops=None if payload["ops"] is None else tuple(payload["ops"]),
-        )
+        # JSON hands the two tuples back as lists.
+        return cls(**{name: tuple(value) if isinstance(value, list)
+                      else value for name, value in payload.items()})
 
 
 @dataclass(frozen=True)
@@ -140,14 +126,7 @@ class BurnRateRule:
             raise ValueError("clear_ratio must be in (0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "long_s": self.long_s,
-            "short_s": self.short_s,
-            "factor": self.factor,
-            "severity": self.severity,
-            "clear_ratio": self.clear_ratio,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "BurnRateRule":
@@ -251,27 +230,13 @@ class ObsPolicy:
         return min(bounds) if bounds else 0.25
 
     def to_dict(self) -> dict:
-        return {
-            "slos": [slo.to_dict() for slo in self.slos],
-            "rules": [rule.to_dict() for rule in self.rules],
-            "window_s": self.window_s,
-            "tick_s": self.tick_s,
-            "exemplars_per_bucket": self.exemplars_per_bucket,
-            "exemplars_per_violation": self.exemplars_per_violation,
-            "max_alert_exemplars": self.max_alert_exemplars,
-            "tail_slow_threshold_s": self.tail_slow_threshold_s,
-            "tail_keep_budget": self.tail_keep_budget,
-            "tail_baseline_every": self.tail_baseline_every,
-            "candidate_every": self.candidate_every,
-            "recorder_capacity": self.recorder_capacity,
-            "recorder_max_dumps": self.recorder_max_dumps,
-            "recorder_min_gap_s": self.recorder_min_gap_s,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ObsPolicy":
         data = dict(payload)
-        data["slos"] = tuple(SLO.from_dict(s) for s in data["slos"])
-        data["rules"] = tuple(BurnRateRule.from_dict(r)
-                              for r in data["rules"])
+        for name, record in (("slos", SLO), ("rules", BurnRateRule)):
+            if name in data:
+                data[name] = tuple(record.from_dict(entry)
+                                   for entry in data[name])
         return cls(**data)

@@ -27,7 +27,7 @@ fixed configuration yields byte-identical sweep payloads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 from repro.overload.shapes import ArrivalShape
@@ -78,25 +78,7 @@ class OverloadPoint:
 
     def to_dict(self) -> dict:
         """A JSON-ready projection (stable key order via sort_keys)."""
-        return {
-            "store": self.store,
-            "workload": self.workload,
-            "n_nodes": self.n_nodes,
-            "protected": self.protected,
-            "offered_rate": self.offered_rate,
-            "duration_s": self.duration_s,
-            "slo_s": self.slo_s,
-            "arrivals": self.arrivals,
-            "in_slo": self.in_slo,
-            "succeeded": self.succeeded,
-            "error_kinds": {k: self.error_kinds[k]
-                            for k in sorted(self.error_kinds)},
-            "goodput": self.goodput,
-            "mean_latency_s": self.mean_latency_s,
-            "max_queue_depth": self.max_queue_depth,
-            "shed": self.shed,
-            "shape": self.shape,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -117,9 +99,7 @@ class SaturationEstimate:
     open_loop: Optional[float] = None
 
     def to_dict(self) -> dict:
-        return {"rate": self.rate, "throughput": self.throughput,
-                "floor": self.floor, "peak": self.peak,
-                "open_loop": self.open_loop}
+        return asdict(self)
 
 
 @dataclass

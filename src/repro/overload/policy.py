@@ -22,7 +22,7 @@ store) rather than as an opaque fingerprint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 __all__ = ["OverloadPolicy"]
@@ -62,13 +62,7 @@ class OverloadPolicy:
 
     def to_dict(self) -> dict:
         """A JSON-portable projection (lossless; see :meth:`from_dict`)."""
-        return {
-            "max_queue": self.max_queue,
-            "deadline_s": self.deadline_s,
-            "retry_budget_per_s": self.retry_budget_per_s,
-            "retry_budget_burst": self.retry_budget_burst,
-            "circuit_breaker": self.circuit_breaker,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, payload: dict) -> "OverloadPolicy":

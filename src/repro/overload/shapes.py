@@ -23,7 +23,8 @@ overrides: ``diurnal``, ``diurnal:period=30,trough=0.2``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 __all__ = ["ArrivalShape", "DiurnalShape", "FlashCrowdShape", "SHAPES",
            "StepShape", "parse_shape", "shape_from_dict"]
@@ -37,6 +38,9 @@ class ArrivalShape:
     so one sweep parameter still controls overall intensity.
     """
 
+    #: The shape's name: its :data:`SHAPES` key and its ``to_dict`` tag.
+    kind: ClassVar[str]
+
     def rate_at(self, t: float, base_rate: float) -> float:
         raise NotImplementedError
 
@@ -48,7 +52,8 @@ class ArrivalShape:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
-        raise NotImplementedError
+        """The shape's :data:`SHAPES` name under ``kind``, then its fields."""
+        return {"kind": self.kind, **asdict(self)}
 
 
 @dataclass(frozen=True)
@@ -61,6 +66,7 @@ class DiurnalShape(ArrivalShape):
     — exactly how overnight-provisioned clusters meet the morning rush.
     """
 
+    kind = "diurnal"
     period_s: float = 20.0
     #: Trough rate as a fraction of the peak (base) rate, in (0, 1].
     trough_fraction: float = 0.25
@@ -73,10 +79,6 @@ class DiurnalShape(ArrivalShape):
     def peak_rate(self, base_rate: float) -> float:
         return base_rate
 
-    def to_dict(self) -> dict:
-        return {"kind": "diurnal", "period_s": self.period_s,
-                "trough_fraction": self.trough_fraction}
-
 
 @dataclass(frozen=True)
 class FlashCrowdShape(ArrivalShape):
@@ -86,6 +88,7 @@ class FlashCrowdShape(ArrivalShape):
     reporting errors at once, then the storm passes.
     """
 
+    kind = "flash"
     at_s: float = 5.0
     duration_s: float = 3.0
     multiplier: float = 4.0
@@ -98,11 +101,6 @@ class FlashCrowdShape(ArrivalShape):
     def peak_rate(self, base_rate: float) -> float:
         return base_rate * max(1.0, self.multiplier)
 
-    def to_dict(self) -> dict:
-        return {"kind": "flash", "at_s": self.at_s,
-                "duration_s": self.duration_s,
-                "multiplier": self.multiplier}
-
 
 @dataclass(frozen=True)
 class StepShape(ArrivalShape):
@@ -111,6 +109,7 @@ class StepShape(ArrivalShape):
     Models onboarding a new system group: load rises and stays risen.
     """
 
+    kind = "step"
     at_s: float = 5.0
     factor: float = 2.0
 
@@ -120,17 +119,15 @@ class StepShape(ArrivalShape):
     def peak_rate(self, base_rate: float) -> float:
         return base_rate * max(1.0, self.factor)
 
-    def to_dict(self) -> dict:
-        return {"kind": "step", "at_s": self.at_s, "factor": self.factor}
-
 
 #: Registry: shape name -> (dataclass, {spec key -> field name}).
 SHAPES = {
-    "diurnal": (DiurnalShape, {"period": "period_s",
-                               "trough": "trough_fraction"}),
-    "flash": (FlashCrowdShape, {"at": "at_s", "duration": "duration_s",
-                                "multiplier": "multiplier"}),
-    "step": (StepShape, {"at": "at_s", "factor": "factor"}),
+    cls.kind: (cls, aliases) for cls, aliases in (
+        (DiurnalShape, {"period": "period_s", "trough": "trough_fraction"}),
+        (FlashCrowdShape, {"at": "at_s", "duration": "duration_s",
+                           "multiplier": "multiplier"}),
+        (StepShape, {"at": "at_s", "factor": "factor"}),
+    )
 }
 
 

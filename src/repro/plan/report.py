@@ -10,7 +10,7 @@ sorted keys, no wall clock — and ``render`` the human table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.analysis.provenance import stamp
 from repro.plan.search import FrontierEntry, FrontierResult
@@ -53,12 +53,7 @@ class PlanReport:
                 "slos": [t.describe() for t in self.spec.slos],
                 "seed": self.spec.seed,
             },
-            "validation": {
-                "records_per_node": self.settings.records_per_node,
-                "measured_ops": self.settings.measured_ops,
-                "warmup_ops": self.settings.warmup_ops,
-                "throughput_tolerance": self.settings.throughput_tolerance,
-            },
+            "validation": asdict(self.settings),
             "frontier": {
                 "examined": self.frontier.examined,
                 "entries": [self._entry_row(e) for e in

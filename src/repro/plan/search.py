@@ -79,13 +79,6 @@ class FrontierResult:
     #: Candidate configurations examined (pre-pruning).
     examined: int = 0
 
-    def per_store(self) -> dict[str, list[FrontierEntry]]:
-        """Frontier entries grouped by store, preserving cost order."""
-        grouped: dict[str, list[FrontierEntry]] = {}
-        for entry in self.entries:
-            grouped.setdefault(entry.candidate.store, []).append(entry)
-        return grouped
-
 
 def _entry_sort_key(entry: FrontierEntry):
     candidate = entry.candidate

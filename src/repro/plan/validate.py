@@ -99,19 +99,6 @@ class ValidationOutcome:
     def passed(self) -> bool:
         return self.throughput_ok and all(c.passed for c in self.slo_checks)
 
-    @property
-    def model_error(self) -> float:
-        """Signed relative error of the model vs the simulation.
-
-        Positive means the model over-promised (the interesting
-        direction: optimism the validation step exists to catch).
-        """
-        if self.simulated_ops_per_s <= 0:
-            return float("inf")
-        achievable = min(self.entry.modeled.ops_per_s,
-                         self.required_ops_per_s)
-        return (achievable - self.simulated_ops_per_s) / achievable
-
     def row(self) -> dict:
         candidate = self.entry.candidate
         return {

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import (asdict, dataclass, field, fields, is_dataclass,
+                         replace)
 from typing import Any, Optional
 
 from repro.faults.availability import AvailabilityTimeline
@@ -54,6 +55,11 @@ PAPER_RECORDS_PER_NODE = 10_000_000
 
 #: Schema version of :meth:`BenchmarkConfig.to_dict` payloads.
 CONFIG_FORMAT = 1
+
+#: The :class:`BenchmarkConfig` fields whose values have no JSON form:
+#: ``to_dict`` carries a fingerprint of them (:func:`_opaque`), enough to
+#: key and hash the config but not to rebuild it in another process.
+OPAQUE_FIELDS = frozenset({"fault_schedule", "retry"})
 
 
 class UnportableConfigError(ValueError):
@@ -175,12 +181,11 @@ class BenchmarkConfig:
 
     # -- serialisation and content addressing -------------------------------
     #
-    # ``to_dict`` is the single source of truth for a config's identity:
-    # the cache key (:meth:`content_key`), the content hash
-    # (:meth:`content_hash`, used by the on-disk result store) and the
-    # wire form (:meth:`from_dict`) are all derived from it, so they can
-    # never silently diverge.  ``tests/orchestrator/test_serialize.py``
-    # additionally asserts every dataclass field appears in the payload.
+    # The fields are named once, in the dataclass: ``to_dict`` and
+    # ``from_dict`` iterate them, and the cache key (:meth:`content_key`),
+    # the content hash (:meth:`content_hash`, the on-disk result store's
+    # address) and the wire form every worker is rebuilt from all derive
+    # from ``to_dict`` — a new field is in all of them by construction.
 
     def to_dict(self) -> dict:
         """A stable, JSON-ready projection of this configuration.
@@ -191,49 +196,25 @@ class BenchmarkConfig:
         still identifies the config uniquely; such payloads are rejected
         by :meth:`from_dict` (see :meth:`is_portable`).
         """
-        workload = self.workload
-        return {
-            "format": CONFIG_FORMAT,
-            "store": self.store,
-            "workload": {
-                "name": workload.name,
-                "read_proportion": workload.read_proportion,
-                "insert_proportion": workload.insert_proportion,
-                "scan_proportion": workload.scan_proportion,
-                "update_proportion": workload.update_proportion,
-                "delete_proportion": workload.delete_proportion,
-                "scan_length": workload.scan_length,
-                "distribution": workload.distribution,
-            },
-            "n_nodes": self.n_nodes,
-            "cluster_spec": asdict(self.cluster_spec),
-            "records_per_node": self.records_per_node,
-            "paper_records_per_node": self.paper_records_per_node,
-            "measured_ops": self.measured_ops,
-            "warmup_ops": self.warmup_ops,
-            "seed": self.seed,
-            "target_throughput": self.target_throughput,
-            "store_kwargs": _portable_value(self.store_kwargs),
-            "fault_schedule": (None if self.fault_schedule is None
-                               else _opaque(self.fault_schedule)),
-            "duration_s": self.duration_s,
-            "availability_window_s": self.availability_window_s,
-            "retry": None if self.retry is None else _opaque(self.retry),
-            "overload": (None if self.overload is None
-                         else self.overload.to_dict()),
-            "trace_sample_every": self.trace_sample_every,
-            "trace_max_traces": self.trace_max_traces,
-            "metrics_interval_s": self.metrics_interval_s,
-            "sustained_subwindows": self.sustained_subwindows,
-            "sustained_tolerance": self.sustained_tolerance,
-        }
+        payload: dict = {"format": CONFIG_FORMAT}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and f.name in OPAQUE_FIELDS:
+                payload[f.name] = _opaque(value)
+            elif is_dataclass(value):
+                payload[f.name] = asdict(value)
+            else:
+                payload[f.name] = _portable_value(value)
+        return payload
 
     @classmethod
     def from_dict(cls, payload: dict) -> "BenchmarkConfig":
         """Rebuild a config from :meth:`to_dict` output.
 
-        Raises :class:`UnportableConfigError` for payloads carrying
-        opaque markers, and :class:`ValueError` for unknown formats.
+        A key the payload lacks (written before the field existed)
+        takes the field's default.  Raises
+        :class:`UnportableConfigError` for payloads carrying opaque
+        markers, and :class:`ValueError` for unknown formats.
         """
         if payload.get("format") != CONFIG_FORMAT:
             raise ValueError(
@@ -244,39 +225,19 @@ class BenchmarkConfig:
                 "config payload carries opaque (non-serialisable) values; "
                 "fault schedules and retry policies cannot cross a "
                 "process boundary")
-        spec_d = payload["cluster_spec"]
-        node_d = dict(spec_d["node"])
-        node = NodeSpec(**{**node_d, "disk": DiskSpec(**node_d["disk"])})
-        spec = ClusterSpec(
-            name=spec_d["name"],
-            node=node,
-            max_nodes=spec_d["max_nodes"],
-            network=NetworkSpec(**spec_d["network"]),
-            connections_per_node=spec_d["connections_per_node"],
-            servers_per_client=spec_d["servers_per_client"],
-        )
-        return cls(
-            store=payload["store"],
-            workload=Workload(**payload["workload"]),
-            n_nodes=payload["n_nodes"],
-            cluster_spec=spec,
-            records_per_node=payload["records_per_node"],
-            paper_records_per_node=payload["paper_records_per_node"],
-            measured_ops=payload["measured_ops"],
-            warmup_ops=payload["warmup_ops"],
-            seed=payload["seed"],
-            target_throughput=payload["target_throughput"],
-            store_kwargs=dict(payload["store_kwargs"]),
-            duration_s=payload["duration_s"],
-            availability_window_s=payload["availability_window_s"],
-            overload=(None if payload.get("overload") is None
-                      else OverloadPolicy.from_dict(payload["overload"])),
-            trace_sample_every=payload["trace_sample_every"],
-            trace_max_traces=payload["trace_max_traces"],
-            metrics_interval_s=payload["metrics_interval_s"],
-            sustained_subwindows=payload["sustained_subwindows"],
-            sustained_tolerance=payload["sustained_tolerance"],
-        )
+        kwargs = {f.name: payload[f.name] for f in fields(cls)
+                  if f.name in payload}
+        kwargs["workload"] = Workload(**kwargs["workload"])
+        spec = kwargs.get("cluster_spec")
+        if spec is not None:
+            node = NodeSpec(**{**spec["node"],
+                               "disk": DiskSpec(**spec["node"]["disk"])})
+            kwargs["cluster_spec"] = ClusterSpec(**{
+                **spec, "node": node,
+                "network": NetworkSpec(**spec["network"])})
+        if kwargs.get("overload") is not None:
+            kwargs["overload"] = OverloadPolicy.from_dict(kwargs["overload"])
+        return cls(**kwargs)
 
     @property
     def is_portable(self) -> bool:

@@ -7,6 +7,7 @@ import pytest
 
 from repro.analysis.cache import ResultCache
 from repro.faults.schedule import FaultSchedule
+from repro.overload.shapes import ArrivalShape, shape_from_dict
 from repro.orchestrator.serialize import (UnportableResultError,
                                           histogram_from_dict,
                                           histogram_to_dict, result_from_dict,
@@ -17,6 +18,29 @@ from repro.ycsb.runner import (BenchmarkConfig, BenchmarkResult,
                                UnportableConfigError)
 from repro.ycsb.stats import LatencyHistogram, RunStats
 from repro.ycsb.workload import WORKLOAD_R, WORKLOAD_RW, Workload
+from tests.test_serialisation_golden import INSTANCES, OVERLOAD_POLICY
+
+#: Every dataclass with both ``to_dict`` and ``from_dict``, each field
+#: off its default (the config's two fingerprint-only fields apart: a
+#: config that sets them does not round-trip, by contract).
+ROUND_TRIPPERS = [
+    dataclasses.replace(INSTANCES["BenchmarkConfig"],
+                        overload=OVERLOAD_POLICY,
+                        store_kwargs={"replication_factor": 3,
+                                      "tuning": {"levels": [1, 2]}}),
+    # An error-rate objective is valid without its ``threshold_s``.
+    dataclasses.replace(INSTANCES["SLO"], kind="error_rate"),
+    *(INSTANCES[name] for name in (
+        "OverloadPolicy", "ControlPolicy", "BurnRateRule", "ObsPolicy",
+        "DiurnalShape", "FlashCrowdShape", "StepShape")),
+]
+
+
+def rebuild(record, payload):
+    """``payload`` back through the ``from_dict`` of ``record``'s kind."""
+    if isinstance(record, ArrivalShape):
+        return shape_from_dict(payload)
+    return type(record).from_dict(payload)
 
 
 def make_config(**overrides):
@@ -59,9 +83,27 @@ class TestConfigRoundTrip:
         assert rebuilt.workload.scan_length == 25
 
     def test_payload_is_json_ready(self):
-        config = make_config()
-        text = json.dumps(config.to_dict(), sort_keys=True)
-        assert BenchmarkConfig.from_dict(json.loads(text)) == config
+        for record in [make_config(), *ROUND_TRIPPERS]:
+            text = json.dumps(record.to_dict(), sort_keys=True)
+            rebuilt = rebuild(record, json.loads(text))
+            assert rebuilt == record
+            assert json.dumps(rebuilt.to_dict(), sort_keys=True) == text
+
+    def test_missing_defaulted_key_takes_the_default(self):
+        """A payload written before a field existed still parses."""
+        for record in ROUND_TRIPPERS:
+            for field in dataclasses.fields(record):
+                if field.default is not dataclasses.MISSING:
+                    default = field.default
+                elif field.default_factory is not dataclasses.MISSING:
+                    default = field.default_factory()
+                else:
+                    continue
+                payload = record.to_dict()
+                del payload[field.name]
+                assert rebuild(record, payload) == dataclasses.replace(
+                    record, **{field.name: default}), (
+                    f"{type(record).__name__}.{field.name}")
 
     def test_unknown_format_rejected(self):
         payload = make_config().to_dict()
@@ -102,12 +144,29 @@ class TestContentKeySingleSource:
 
     def test_every_field_appears_in_to_dict(self):
         """Adding a config field without serialising it must fail here."""
-        payload = make_config().to_dict()
-        for field in dataclasses.fields(BenchmarkConfig):
-            assert field.name in payload, (
-                f"BenchmarkConfig.{field.name} is missing from to_dict(); "
-                "the cache key, content hash and wire form all derive "
-                "from to_dict(), so every field must appear there")
+        for record in [make_config(), *ROUND_TRIPPERS]:
+            payload = record.to_dict()
+            for field in dataclasses.fields(record):
+                assert field.name in payload, (
+                    f"{type(record).__name__}.{field.name} is missing from "
+                    "to_dict(); the cache key, content hash and wire form "
+                    "all derive from to_dict(), so every field must appear "
+                    "there")
+
+    def test_a_new_field_needs_one_line(self):
+        """Declared in the dataclass and nowhere else, a field is in the
+        payload, the key and the hash, and survives the wire."""
+        @dataclasses.dataclass(frozen=True)
+        class Extended(BenchmarkConfig):
+            think_time_s: float = 0.0
+
+        base = Extended(store="redis", workload=WORKLOAD_R, n_nodes=2)
+        other = dataclasses.replace(base, think_time_s=0.5)
+        assert other.to_dict()["think_time_s"] == 0.5
+        assert other.content_key() != base.content_key()
+        assert other.content_hash() != base.content_hash()
+        assert Extended.from_dict(other.to_dict()) == other
+        assert Extended.from_dict(make_config().to_dict()) == base
 
     @pytest.mark.parametrize("overrides", [
         {"store": "mysql"},
