@@ -345,28 +345,12 @@ class _AuditRun:
 
     # -- placement (declared-loss reconciliation) ------------------------------
 
-    def _home_nodes(self, key: str) -> list[str]:
-        """Server names that hold ``key``'s copies, per store routing."""
-        store = self.store
-        servers = self.cluster.servers
-        name = store.name
-        if name == "cassandra":
-            indices = store.replicas_of(key, store.replication_factor)
-        elif name == "voldemort":
-            indices = store.replica_nodes_of(key)
-        elif name in ("redis", "mysql"):
-            indices = [store.shard_of(key)]
-        elif name == "voltdb":
-            indices = [store.node_of_partition(store.partition_of(key))]
-        else:
-            # HBase regions reassign off a dead server; it never
-            # declares losses, so placement is moot.
-            return []
-        return [servers[i].name for i in indices]
-
     def _excuse(self, key: str) -> Optional[str]:
+        """The declared loss, if any, of a server holding ``key``."""
+        homes = {self.cluster.servers[index].name
+                 for index in self.store.homes(key)}
         for entry in self.chaos.loss_manifest:
-            if entry["node"] in self._home_nodes(key):
+            if entry["node"] in homes:
                 return entry["reason"]
         return None
 

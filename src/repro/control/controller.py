@@ -140,7 +140,7 @@ class Controller:
             self._launch(self.topology.scale_out(policy.provision_delay_s))
         elif (self._low >= policy.sustain_ticks
               and cluster.n_active > policy.min_nodes):
-            victim = self._scale_in_candidate()
+            victim = self.topology.youngest_live_member()
             if victim is None:
                 return
             reason = (f"sustained {verdict.bottleneck} pressure "
@@ -150,15 +150,6 @@ class Controller:
             self._decide("scale_in", victim.name, reason, verdict,
                          cluster.n_active - 1)
             self._launch(self.topology.scale_in(victim))
-
-    def _scale_in_candidate(self):
-        """The youngest live store member — drained with the least data."""
-        members = self.topology.store.members()
-        for index in reversed(members):
-            node = self.cluster.servers[index]
-            if node.up and not node.retired:
-                return node
-        return None
 
     def _sweep_failures(self, now: float) -> None:
         """Diagnose crashed (not retired) members; schedule replacement."""

@@ -102,18 +102,13 @@ class ControlRunResult:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _kill_process(run, scenario):
+def _kill_process(run, scenario, topology):
     """Process: crash the victim node at the scheduled time."""
     yield run.sim.timeout(scenario.kill_at_s)
     if scenario.kill_node is not None:
         node = run.cluster.node(scenario.kill_node)
     else:
-        node = None
-        for index in reversed(run.store.members()):
-            candidate = run.cluster.servers[index]
-            if candidate.up and not candidate.retired:
-                node = candidate
-                break
+        node = topology.youngest_live_member()
         if node is None:
             return
     node.fail()
@@ -140,7 +135,8 @@ def run_control_scenario(scenario: ControlScenario) -> ControlRunResult:
         controller = Controller(topology, sampler.series, policy)
         controller.start()
     if scenario.kill_at_s is not None:
-        run.sim.process(_kill_process(run, scenario), name="chaos-kill")
+        run.sim.process(_kill_process(run, scenario, topology),
+                        name="chaos-kill")
 
     point = run.run()
     if sampler is not None:

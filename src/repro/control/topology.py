@@ -49,6 +49,16 @@ class ClusterTopology:
             node.name: 0.0 for node in cluster.servers if not node.retired}
         self._retired_at: dict[str, float] = {}
 
+    def youngest_live_member(self) -> Optional[Node]:
+        """The last-joined store member that is up and not retired —
+        the node drained with the least data, and the default chaos
+        victim."""
+        for index in reversed(self.store.members()):
+            node = self.cluster.servers[index]
+            if node.up and not node.retired:
+                return node
+        return None
+
     # -- actions (simulation process bodies) ---------------------------------
 
     def scale_out(self, provision_delay_s: float = 0.0):

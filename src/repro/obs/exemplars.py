@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from typing import Optional
 
 from repro.ycsb.stats import LatencyHistogram
@@ -31,21 +30,10 @@ from repro.ycsb.stats import LatencyHistogram
 __all__ = ["ExemplarStore", "latency_bucket", "bucket_lower_s"]
 
 
-def latency_bucket(latency_s: float) -> int:
-    """The :class:`LatencyHistogram` bucket index for ``latency_s``."""
-    if latency_s <= LatencyHistogram.MIN_LATENCY:
-        return 0
-    index = int(math.log10(latency_s / LatencyHistogram.MIN_LATENCY)
-                * LatencyHistogram.BUCKETS_PER_DECADE)
-    return min(index, LatencyHistogram.N_BUCKETS - 1)
-
-
-def bucket_lower_s(index: int) -> float:
-    """The lower latency edge (seconds) of bucket ``index``."""
-    if index <= 0:
-        return 0.0
-    return LatencyHistogram.MIN_LATENCY * 10 ** (
-        index / LatencyHistogram.BUCKETS_PER_DECADE)
+#: The grid's latency axis is the histogram's: a latency's bucket index
+#: and a bucket's lower edge in seconds.
+latency_bucket = LatencyHistogram.bucket
+bucket_lower_s = LatencyHistogram.bucket_lower
 
 
 class ExemplarStore:

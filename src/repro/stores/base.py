@@ -379,6 +379,12 @@ class Store:
         placement hook the reshard loop already uses."""
         return self._shard_of(key)
 
+    def homes(self, key: str) -> list[int]:
+        """The servers holding a copy of ``key`` — what an auditor
+        checks a declared loss against.  One copy on the routed server
+        unless the store replicates or routes some other way."""
+        return [self.route(key)]
+
     def warm_caches(self) -> None:
         """Populate page caches as a completed load phase leaves them.
 

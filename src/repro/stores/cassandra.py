@@ -141,6 +141,9 @@ class CassandraStore(Store):
         return [self._ring_map[slot]
                 for slot in self.ring.replicas_of(key, replication_factor)]
 
+    def homes(self, key: str) -> list[int]:
+        return self.replicas_of(key, self.replication_factor)
+
     def attach_metrics(self, registry) -> None:
         """Add LSM engine probes, hint meters and the fan-out counter."""
         super().attach_metrics(registry)

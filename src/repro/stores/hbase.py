@@ -192,6 +192,11 @@ class HBaseStore(Store):
         """The region server currently hosting ``region_id``."""
         return self.region_servers[self._assignment[region_id]]
 
+    def homes(self, key: str) -> list[int]:
+        """The server hosting the key's region (its data is in HDFS; a
+        region reassigns off a dead server, so HBase declares no loss)."""
+        return [self._assignment[self.region_of(key)]]
+
     def overload_channels(self):
         """Admission control caps each region server's handler queue.
 

@@ -175,6 +175,8 @@ class VoldemortStore(Store):
                     break
         return nodes
 
+    homes = replica_nodes_of
+
     def declared_loss(self, node: Node) -> Optional[str]:
         """At N=1 a permanently crashed node takes its partitions' only
         copy with it — a by-design loss the chaos controller records in

@@ -167,6 +167,9 @@ class VoltDBStore(Store):
         """Host index owning ``partition``."""
         return self._partition_host[partition]
 
+    def homes(self, key: str) -> list[int]:
+        return [self.node_of_partition(self.partition_of(key))]
+
     def declared_loss(self, node: Node) -> str:
         """K-safety 0, as the paper ran (Section 4.4): each partition
         lives on exactly one host, so a host that never comes back takes

@@ -50,12 +50,23 @@ class LatencyHistogram:
         """Smallest recorded latency (0 when empty, like ``max``)."""
         return self._min if self.count else 0.0
 
-    def _bucket(self, latency_s: float) -> int:
-        if latency_s <= self.MIN_LATENCY:
+    @staticmethod
+    def bucket(latency_s: float) -> int:
+        """The index of the bucket ``latency_s`` falls in — the one
+        geometry, shared with the exemplar grid of :mod:`repro.obs`."""
+        if latency_s <= LatencyHistogram.MIN_LATENCY:
             return 0
-        index = int(math.log10(latency_s / self.MIN_LATENCY)
-                    * self.BUCKETS_PER_DECADE)
-        return min(index, self.N_BUCKETS - 1)
+        index = int(math.log10(latency_s / LatencyHistogram.MIN_LATENCY)
+                    * LatencyHistogram.BUCKETS_PER_DECADE)
+        return min(index, LatencyHistogram.N_BUCKETS - 1)
+
+    @staticmethod
+    def bucket_lower(index: int) -> float:
+        """The lower latency edge (seconds) of bucket ``index``."""
+        if index <= 0:
+            return 0.0
+        return LatencyHistogram.MIN_LATENCY * 10 ** (
+            index / LatencyHistogram.BUCKETS_PER_DECADE)
 
     def record(self, latency_s: float, error: bool = False,
                kind: Optional[str] = None) -> None:
@@ -70,7 +81,7 @@ class LatencyHistogram:
         self.total += latency_s
         self._min = min(self._min, latency_s)
         self.max = max(self.max, latency_s)
-        self._counts[self._bucket(latency_s)] += 1
+        self._counts[self.bucket(latency_s)] += 1
         if error:
             self.errors += 1
             key = kind or "store"
@@ -95,9 +106,7 @@ class LatencyHistogram:
                 # Upper edge of the bucket, clamped to the observed range
                 # so estimates never exceed ``max`` (a single sample's
                 # bucket edge can overshoot it) or undercut ``min``.
-                edge = self.MIN_LATENCY * 10 ** (
-                    (index + 1) / self.BUCKETS_PER_DECADE
-                )
+                edge = self.bucket_lower(index + 1)
                 return min(max(edge, self._min), self.max)
         return self.max
 

@@ -16,7 +16,7 @@ class TestBucketGeometry:
         """Same geometry as the stats histogram, bucket for bucket."""
         histogram = LatencyHistogram()
         for latency in (1e-7, 1e-6, 3.7e-5, 1e-3, 0.25, 10.0, 1e4):
-            histogram_bucket = histogram._bucket(latency)
+            histogram_bucket = histogram.bucket(latency)
             assert latency_bucket(latency) == histogram_bucket
 
     @settings(max_examples=300, deadline=None)
@@ -24,7 +24,7 @@ class TestBucketGeometry:
     def test_matches_latency_histogram_over_the_range(self, latency):
         """The exemplar grid's bucket is the histogram's: below the
         first edge, on every edge in between and past the last one."""
-        assert latency_bucket(latency) == LatencyHistogram()._bucket(latency)
+        assert latency_bucket(latency) == LatencyHistogram().bucket(latency)
 
     def test_lower_edge_brackets_the_latency(self):
         for latency in (2e-6, 5e-4, 0.05, 1.0):

@@ -189,3 +189,33 @@ def test_conformance_matrix_across_all_six_stores():
     for name, outcome in outcomes.items():
         if store_class(name).supports_scans:
             assert outcome["scans_checked"] > 0
+
+
+def _placement(store, key: str) -> list[int]:
+    """Where each store's own routing puts ``key``: the switch on the
+    store's name the audit harness carried before ``Store.homes``."""
+    if store.name == "cassandra":
+        return store.replicas_of(key, store.replication_factor)
+    if store.name == "voldemort":
+        return store.replica_nodes_of(key)
+    if store.name in ("redis", "mysql"):
+        return [store.shard_of(key)]
+    if store.name == "voltdb":
+        return [store.node_of_partition(store.partition_of(key))]
+    return [store.server_of_region(store.region_of(key)).index]
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    *((name, {}) for name in STORE_NAMES),
+    ("cassandra", {"replication_factor": 3}),
+    ("voldemort", {"replication_factor": 3, "required_writes": 2,
+                   "required_reads": 2}),
+])
+def test_homes_are_where_the_store_routes_the_key(name, kwargs):
+    store = create_store(name, Cluster(CLUSTER_M, 4), **kwargs)
+    placed = set()
+    for record in make_records(200):
+        homes = store.homes(record.key)
+        assert homes == _placement(store, record.key)
+        placed.update(homes)
+    assert placed == set(range(4))
