@@ -6,20 +6,19 @@ whole export (``tests/integration/kernel_byte_identity_golden.json``,
 field dropped from one ``to_dict`` can hide behind a default.  Here each
 class is built by hand — no simulation — with every defaulted field set
 to something else, and the sha256 of its JSON projection is compared
-with ``tests/serialisation_golden.json``.  Six ``BenchmarkConfig``\\ s pin
-``content_key()`` and ``content_hash()``: the memo key, the
-``ResultStore`` address and the wire form every worker is rebuilt from.
+with ``tests/serialisation_golden.json``.  Six configurations pin
+``BenchmarkConfig.content_key()`` and ``content_hash()``: the memo key,
+the ``ResultStore`` address and the wire form every worker is rebuilt
+from.
 
 Regenerate after an *intentional* change of an export's bytes with::
 
-    REPRO_UPDATE_SERIALISATION_GOLDEN=1 PYTHONPATH=src python -m pytest \\
-        tests/test_serialisation_golden.py
+    PYTHONPATH=src python -m tests.test_serialisation_golden
 """
 
 import dataclasses
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -256,17 +255,14 @@ def test_instances_are_off_their_defaults():
     *(("configs", name) for name in sorted(CONFIGS)),
 ])
 def test_matches_golden(section, name):
-    current = _current()[section][name]
-    goldens = (json.loads(GOLDEN_PATH.read_text())
-               if GOLDEN_PATH.is_file() else {})
-    if os.environ.get("REPRO_UPDATE_SERIALISATION_GOLDEN") == "1":
-        goldens.setdefault(section, {})[name] = current
-        GOLDEN_PATH.write_text(json.dumps(goldens, indent=2,
-                                          sort_keys=True) + "\n")
-        pytest.skip(f"updated golden for {section}/{name}")
-    assert name in goldens.get(section, {}), (
-        f"no golden for {section}/{name}; run with "
-        "REPRO_UPDATE_SERIALISATION_GOLDEN=1")
-    assert current == goldens[section][name], (
+    goldens = json.loads(GOLDEN_PATH.read_text())
+    assert name in goldens[section], (
+        f"no golden for {section}/{name}; regenerate (module docstring)")
+    assert _current()[section][name] == goldens[section][name], (
         f"{name}: the bytes of its export (or the identity of the "
         "config) moved")
+
+
+if __name__ == "__main__":
+    GOLDEN_PATH.write_text(json.dumps(_current(), indent=2, sort_keys=True)
+                           + "\n")
