@@ -25,7 +25,12 @@ here too, so "no export byte moved" is a digest comparison rather than
 a run-it-twice check.  The replicated paths have their own pins: the
 quorum sweep on both replicated stores, traced Cassandra RF=3 points
 through a crash and its hint replay, and a hand-driven Voldemort N=3
-insert/read/delete cycle under every replica state.
+insert/read/delete cycle under every replica state.  The two read
+paths that discard work have theirs, with the rows they return in the
+digest beside the statistics: a 4-node MySQL ``RSW`` point (every scan
+a sharded fan-out the client merges and truncates) and a 4-node HBase
+``R`` point loaded past three flush rounds (every get that reaches disk
+probes all of its region's store files, blooms off).
 """
 
 import hashlib
@@ -49,7 +54,9 @@ from repro.overload import OverloadPolicy, parse_shape
 from repro.overload.openloop import goodput_sweep, run_overload_point
 from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.sim.faults import FaultError
+from repro.storage.lsm import LSMEngine
 from repro.stores.base import ServiceProfile
+from repro.stores.mysql import MySQLSession
 from repro.stores.registry import create_store
 from repro.ycsb.generator import generate_records
 from repro.ycsb.runner import BenchmarkConfig, run_benchmark
@@ -338,6 +345,91 @@ def export_voldemort_quorum_cycle() -> dict:
     }
 
 
+class _RowLog:
+    """What a read path handed back, call by call, folded into one
+    SHA-256 so the payload stays small."""
+
+    def __init__(self):
+        self.calls = 0
+        self._sha = hashlib.sha256()
+
+    def note(self, *returned) -> None:
+        self.calls += 1
+        self._sha.update(json.dumps(returned, sort_keys=True).encode())
+
+    def hexdigest(self) -> str:
+        return self._sha.hexdigest()
+
+
+def export_sharded_scan_point() -> dict:
+    """A 4-node MySQL ``RSW`` point: every scan fans out to all four
+    shards and the client keeps ``count`` of the rows they stream.  The
+    rows each scan returned are in the digest, in completion order."""
+    config = BenchmarkConfig(
+        store="mysql", workload=WORKLOADS["RSW"], n_nodes=4,
+        cluster_spec=SMALL_M, records_per_node=300, seed=23,
+        measured_ops=600, warmup_ops=50,
+    )
+    log = _RowLog()
+    rows_returned = []
+    scan = MySQLSession.scan
+
+    def recorded(self, start_key, count):
+        rows = yield from scan(self, start_key, count)
+        log.note(start_key, count, self.store.sim.now, rows)
+        rows_returned.append(len(rows))
+        return rows
+
+    MySQLSession.scan = recorded
+    try:
+        result = run_benchmark(config.store, config.workload,
+                               config.n_nodes, config=config)
+    finally:
+        MySQLSession.scan = scan
+    assert log.calls > 100 and max(rows_returned) > 1
+    payload = _stats_payload(result)
+    payload["scans"] = log.calls
+    payload["rows_returned"] = sum(rows_returned)
+    payload["rows_sha256"] = log.hexdigest()
+    return stamp(payload, config)
+
+
+def export_multi_file_read_point() -> dict:
+    """A 4-node HBase ``R`` point over 12 000 records: three flush
+    rounds leave three store files a region (one short of the minor
+    compaction), so with blooms off a get probes all three.  Every engine get's block ids and
+    returned fields are in the digest."""
+    config = BenchmarkConfig(
+        store="hbase", workload=WORKLOADS["R"], n_nodes=4,
+        cluster_spec=SMALL_M, records_per_node=3000, seed=29,
+        measured_ops=1200, warmup_ops=100,
+    )
+    log = _RowLog()
+    runs_probed = []
+    get = LSMEngine.get
+
+    def recorded(self, key):
+        result = get(self, key)
+        log.note(key, result.bill.blocks, result.fields)
+        runs_probed.append(result.bill.runs_touched)
+        return result
+
+    LSMEngine.get = recorded
+    try:
+        result = run_benchmark(config.store, config.workload,
+                               config.n_nodes, config=config)
+    finally:
+        LSMEngine.get = get
+    # All but the few keys beyond a file's first or last key.
+    assert len(runs_probed) > 1000
+    assert runs_probed.count(3) > 0.99 * len(runs_probed)
+    payload = _stats_payload(result)
+    payload["gets"] = log.calls
+    payload["sstables_probed"] = sum(runs_probed)
+    payload["gets_sha256"] = log.hexdigest()
+    return stamp(payload, config)
+
+
 EXPORTS = {
     "figure_point": export_figure_point,
     "traced_point": export_traced_point,
@@ -350,6 +442,8 @@ EXPORTS = {
     "quorum_sweep_voldemort": export_quorum_sweep_voldemort,
     "traced_replicated_point": export_traced_replicated_point,
     "voldemort_quorum_cycle": export_voldemort_quorum_cycle,
+    "sharded_scan_point": export_sharded_scan_point,
+    "multi_file_read_point": export_multi_file_read_point,
 }
 
 
