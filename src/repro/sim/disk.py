@@ -161,15 +161,16 @@ class PageCache:
         if self.capacity_blocks == 0:
             self.misses += 1
             return False
-        if block_id in self._blocks:
+        try:
             self._blocks.move_to_end(block_id)
-            self.hits += 1
-            return True
-        self.misses += 1
-        self._blocks[block_id] = None
-        while len(self._blocks) > self.capacity_blocks:
-            self._blocks.popitem(last=False)
-        return False
+        except KeyError:
+            self.misses += 1
+            self._blocks[block_id] = None
+            while len(self._blocks) > self.capacity_blocks:
+                self._blocks.popitem(last=False)
+            return False
+        self.hits += 1
+        return True
 
     def insert(self, block_id: object) -> None:
         """Populate a block without counting a hit or miss (write path)."""

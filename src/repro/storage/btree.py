@@ -104,18 +104,19 @@ class BPlusTree:
     def scan(self, start_key: Any, count: int) -> tuple[
             list[tuple[Any, Any]], TreePath]:
         """Up to ``count`` pairs with key >= ``start_key``, leaf-linked."""
-        leaf, path, __ = self._descend(start_key)
-        pages = list(path)
+        node, pages, __ = self._descend(start_key)
         out: list[tuple[Any, Any]] = []
-        index = bisect_left(leaf.keys, start_key)
-        node: Optional[_Leaf] = leaf
-        while node is not None and len(out) < count:
-            while index < len(node.keys) and len(out) < count:
-                out.append((node.keys[index], node.values[index]))
-                index += 1
-            node = node.next
-            index = 0
-            if node is not None and len(out) < count:
+        index = bisect_left(node.keys, start_key)
+        need = count
+        while need > 0:
+            # A leaf's share of the rows is one slice of it.
+            keys = node.keys[index:index + need]
+            out.extend(zip(keys, node.values[index:index + need]))
+            need -= len(keys)
+            node, index = node.next, 0
+            if node is None:
+                break
+            if need > 0:
                 pages.append(node.page_id)
         return out, TreePath(tuple(pages))
 

@@ -218,10 +218,14 @@ class LSMEngine:
             if buffered.value is TOMBSTONE:
                 return ReadResult(None, IoBill())
             if len(buffered.value) >= self.config.expected_fields:
-                return ReadResult(buffered.value, IoBill())
+                # The caller's copy: the memtable keeps its own cell.
+                return ReadResult(dict(buffered.value), IoBill())
             candidates.append(buffered)
         blocks: list[tuple] = []
         bloom_enabled = self.config.bloom_enabled
+        block_size = self.config.block_size
+        name = self.name
+        crc32 = zlib.crc32
         key_bytes = key.encode()
         for table in reversed(self.sstables):
             if bloom_enabled:
@@ -230,7 +234,11 @@ class LSMEngine:
             elif (table.min_key is None or key < table.min_key
                     or key > table.max_key):
                 continue
-            blocks.append(self._block_of(table, key_bytes))
+            # ``_block_of``, written out: a call a run probed is the
+            # larger part of a read that probes nine of them.
+            blocks.append(("sst", name, table.generation,
+                           crc32(key_bytes, table.block_seed)
+                           % (table.size_bytes // block_size or 1)))
             versioned = table.get(key)
             if versioned is not None:
                 candidates.append(versioned)

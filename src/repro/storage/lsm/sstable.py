@@ -1,7 +1,8 @@
 """Immutable sorted string tables.
 
 An SSTable is a sorted, immutable run of ``(key, fields)`` entries with a
-Bloom filter and a binary-searchable index.  Deletions are represented by
+Bloom filter, a hashed index for point reads and a sorted key list for
+range reads.  Deletions are represented by
 the :data:`TOMBSTONE` sentinel so that compaction can drop shadowed data.
 """
 
@@ -116,6 +117,10 @@ class SSTable:
     serialised size when whoever built them kept the sum (a flush has the
     memtable's running total, a merge its inputs' sizes); without it they
     are sized here.
+
+    The cells live in one dict in key order: a point read is one hashed
+    probe whatever the run holds, a range read bisects the sorted key
+    list for its start and reads its cells through the dict.
     """
 
     _next_generation = 0
@@ -129,7 +134,7 @@ class SSTable:
         if not all(map(lt, keys, islice(keys, 1, None))):
             raise ValueError("SSTable input must be strictly sorted by key")
         self._keys = keys
-        self._values = values = [v for __, v in pairs]
+        self._cells = cells = dict(pairs)
         #: Smallest and largest key in the run, ``None`` if it is empty.
         self.min_key: Optional[str] = keys[0] if keys else None
         self.max_key: Optional[str] = keys[-1] if keys else None
@@ -143,7 +148,7 @@ class SSTable:
         self.bloom = BloomFilter(max(1, len(keys)), bloom_fp_rate)
         self.bloom.add_all(keys)
         if size_bytes is None:
-            size_bytes = sum(map(sstable_entry_size, keys, values))
+            size_bytes = sum(map(sstable_entry_size, keys, cells.values()))
         self.size_bytes = size_bytes
         self.reads = 0
         self.bloom_rejections = 0
@@ -163,16 +168,13 @@ class SSTable:
     def get(self, key: str) -> Optional[Value]:
         """Point lookup; ``None`` when absent, :data:`TOMBSTONE` if deleted."""
         self.reads += 1
-        index = bisect_left(self._keys, key)
-        if index < len(self._keys) and self._keys[index] == key:
-            return self._values[index]
-        return None
+        return self._cells.get(key)
 
     def scan(self, start_key: str, count: int) -> list[tuple[str, Value]]:
         """Up to ``count`` entries with key >= ``start_key``."""
         index = bisect_left(self._keys, start_key)
-        stop = min(len(self._keys), index + max(0, count))
-        return list(zip(self._keys[index:stop], self._values[index:stop]))
+        keys = self._keys[index:index + max(0, count)]
+        return list(zip(keys, map(self._cells.__getitem__, keys)))
 
     def keys(self) -> Iterator[str]:
         """All keys in order."""
@@ -180,4 +182,4 @@ class SSTable:
 
     def items(self) -> Iterator[tuple[str, Value]]:
         """All entries in key order (compaction input)."""
-        return iter(zip(self._keys, self._values))
+        return iter(self._cells.items())

@@ -272,7 +272,9 @@ class MySQLStore(Store):
         leaves = path.page_ids[self.tables[shard].height - 1:]
         blocks = [self._leaf_block(shard, p) for p in leaves[:4]]
         yield from self.cached_read_io(node, blocks)
-        return [(k, dict(v)) for k, v in rows], tail_rows
+        # By reference: the client copies the rows it keeps (a stored
+        # row is replaced by a write, never mutated).
+        return rows, tail_rows
 
     def _apply_delete(self, shard: int, key: str):
         shard = self.shard_of(key)  # ring remap-and-retry, as for writes
@@ -305,15 +307,17 @@ class MySQLSession(StoreSession):
             for shard in members
         ]
         results = yield store.sim.all_of(legs)
-        merged: list[tuple[str, dict[str, str]]] = []
+        # One row a key: a reshard can move a row between two legs'
+        # reads, and then both shards stream it.
+        merged: dict[str, Mapping[str, str]] = {}
         total_tail = 0
         for rows, tail_rows in results:
-            merged.extend(rows)
+            merged.update(rows)
             total_tail += tail_rows
         # Client-side merge cost over everything that arrived.
         yield from self.client.cpu(total_tail * 0.5e-6)
-        merged.sort()
-        return merged[:count]
+        # A row is copied once, here, where it leaves the store.
+        return [(key, dict(merged[key])) for key in sorted(merged)[:count]]
 
     def sim_process_for_shard(self, shard: int, start_key: str, count: int):
         """One shard's scan leg as a spawned process."""

@@ -86,6 +86,13 @@ class TestReadPath:
         assert result.bill.runs_touched == 0
         assert result.bill.blocks == ()
 
+    def test_memtable_hit_is_the_callers_copy(self, engine):
+        engine.put("k", fields("v"))
+        engine.get("k").fields["field0"] = "scribbled"
+        assert engine.get("k").fields == fields("v")
+        engine.flush()  # and nothing scribbled reaches the run
+        assert engine.get("k").fields == fields("v")
+
     def test_bloom_prunes_probes(self):
         engine = LSMEngine(LSMConfig(memtable_flush_bytes=10**9))
         for i in range(200):

@@ -1,0 +1,144 @@
+"""The read path against the bodies it replaced (``reference_reads``).
+
+A run probed by one hashed lookup, a B+tree scan taking a leaf's rows by
+slice and a cache touch that is one lookup must return what the bisect,
+the row-at-a-time loop and the two-lookup touch returned — and count
+what they counted.  (The sharded scan's merge is driven against its
+reference in ``tests/stores/test_mysql.py``, where the store is.)
+"""
+
+from __future__ import annotations
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.sim.disk import PageCache
+from repro.storage.btree import BPlusTree
+from repro.storage.lsm.engine import LSMConfig, LSMEngine
+from repro.storage.lsm.sstable import SSTable, TOMBSTONE, Versioned
+from tests.storage.reference_reads import (
+    BisectRun,
+    TwoLookupPageCache,
+    row_at_a_time_scan,
+)
+
+#: Every other key of a small universe is in a run, so a probe can fall
+#: between two entries, below the first and above the last.
+UNIVERSE = [f"user{i:03d}" for i in range(60)]
+
+run_keys = st.sets(st.sampled_from(UNIVERSE[1:-1:2]), max_size=29)
+probes = st.lists(st.sampled_from(UNIVERSE), max_size=40)
+
+
+def _cells(keys, tombstones) -> list[tuple[str, Versioned]]:
+    return [(key, Versioned(seq, TOMBSTONE if key in tombstones
+                            else {"field0": key}))
+            for seq, key in enumerate(sorted(keys), 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=run_keys, tombstones=st.sets(st.sampled_from(UNIVERSE[1:-1:2])),
+       lookups=probes)
+def test_a_run_is_probed_as_the_bisect_probed_it(keys, tombstones, lookups):
+    pairs = _cells(keys, tombstones)
+    run, reference = SSTable(list(pairs), generation=1), BisectRun(pairs)
+    for key in lookups:
+        # The very cell: a read folds it, a merge carries it over.
+        assert run.get(key) is reference.get(key)
+    assert run.reads == reference.reads == len(lookups)
+    assert list(run.items()) == list(reference.items()) == pairs
+    assert list(run.keys()) == [key for key, __ in pairs]
+    assert len(run) == len(pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=run_keys, start=st.sampled_from(UNIVERSE),
+       count=st.integers(min_value=-1, max_value=35))
+def test_a_run_is_scanned_as_the_two_lists_were(keys, start, count):
+    pairs = _cells(keys, ())
+    run, reference = SSTable(list(pairs), generation=1), BisectRun(pairs)
+    assert run.scan(start, count) == reference.scan(start, count)
+
+
+@settings(max_examples=200, deadline=None)
+@given(keys=st.sets(st.integers(min_value=0, max_value=400), max_size=120),
+       removed=st.sets(st.integers(min_value=0, max_value=400)),
+       start=st.integers(min_value=-5, max_value=420),
+       count=st.integers(min_value=-1, max_value=140))
+def test_a_tree_is_scanned_as_row_at_a_time_scanned_it(keys, removed, start,
+                                                       count):
+    """Across leaf boundaries (order 4: a leaf holds two to four rows),
+    leaves emptied by lazy deletes, count 0 and past the size, a start
+    past the last key: the rows and the pages billed."""
+    tree = BPlusTree(order=4)
+    for key in sorted(keys, key=lambda k: (k * 7919) % 401):
+        tree.put(key, {"field0": str(key)})
+    for key in removed:
+        tree.remove(key)
+    rows, path = tree.scan(start, count)
+    expected_rows, expected_path = row_at_a_time_scan(tree, start, count)
+    assert rows == expected_rows
+    assert all(row is expected for (__, row), (__, expected)
+               in zip(rows, expected_rows))
+    assert path.page_ids == expected_path.page_ids
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity_blocks=st.integers(min_value=0, max_value=6),
+       touches=st.lists(st.tuples(st.booleans(),
+                                  st.integers(min_value=0, max_value=9)),
+                        max_size=80))
+def test_a_block_is_touched_as_two_lookups_touched_it(capacity_blocks,
+                                                      touches):
+    cache = PageCache(capacity_blocks * 4096)
+    reference = TwoLookupPageCache(capacity_blocks * 4096)
+    for is_insert, block in touches:
+        if is_insert:
+            cache.insert(block)
+            reference.insert(block)
+        else:
+            assert cache.access(block) == reference.access(block)
+        # Same residents in the same eviction order.
+        assert list(cache._blocks) == list(reference._blocks)
+    assert (cache.hits, cache.misses) == (reference.hits, reference.misses)
+
+
+def test_get_bills_the_blocks_block_of_names_for_every_probed_run():
+    """``LSMEngine.get`` writes the block id out in its loop; ``scan``
+    and ``iter_blocks`` still call ``_block_of``.  Same tuples, and
+    ``sstables_probed`` counts exactly the runs that were consulted."""
+    rng = random.Random(0x0B10C)
+    for bloom_enabled in (False, True):
+        # A run smaller than one block has a single block: ``or 1``.
+        for block_size in (256, 1 << 20):
+            config = LSMConfig(memtable_flush_bytes=1 << 30,
+                               block_size=block_size,
+                               bloom_enabled=bloom_enabled,
+                               min_compaction_threshold=99)
+            engine = LSMEngine(config, seed=3, name="probe")
+            keys = [f"user{rng.randrange(10**6):06d}" for __ in range(600)]
+            for i, key in enumerate(keys):
+                engine.put(key, {f"field{j}": "x" * 10 for j in range(5)})
+                if i % 100 == 99:
+                    engine.flush()
+            assert len(engine.sstables) == 6
+            probed = 0
+            absent = [f"user{rng.randrange(10**6):06d}" for __ in range(150)]
+            for key in keys[::5] + absent + ["", "zzzz"]:
+                consulted = [
+                    table for table in reversed(engine.sstables)
+                    if table.min_key <= key <= table.max_key
+                    and (not bloom_enabled
+                         or table.bloom.might_contain(key))]
+                reads_before = [table.reads for table in consulted]
+                bill = engine.get(key).bill
+                assert bill.blocks == tuple(
+                    engine._block_of(table, key.encode())
+                    for table in consulted)
+                assert bill.runs_touched == len(consulted)
+                assert [table.reads for table in consulted] == [
+                    reads + 1 for reads in reads_before]
+                probed += len(consulted)
+            assert engine.sstables_probed == probed > 0

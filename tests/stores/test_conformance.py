@@ -191,6 +191,47 @@ def test_conformance_matrix_across_all_six_stores():
             assert outcome["scans_checked"] > 0
 
 
+@pytest.mark.parametrize("name", STORE_NAMES)
+def test_a_returned_row_is_the_callers(name):
+    """Scribbling on what ``read`` or ``scan`` returned moves nothing in
+    the store: a loaded row, and one written a moment ago (for the LSM
+    stores still in the memtable, which a complete hit answers from)."""
+    cluster = Cluster(CLUSTER_M, 4)
+    store = create_store(name, cluster, **STORE_KWARGS.get(name, {}))
+    records = make_records(N_LOADED)
+    store.load(records)
+    session = store.session(cluster.clients[0], 0)
+    fresh = format_key(N_LOADED + 7)
+    written = _full_fields(random.Random(3), fresh)
+    run_op(store, session.execute(OpType.INSERT, fresh, fields=written))
+    expected = {records[5].key: dict(records[5].fields), fresh: written}
+
+    def scribble(fields):
+        for field in list(fields):
+            fields[field] = "scribbled"
+        fields["extra"] = "scribbled"
+
+    for key, fields in expected.items():
+        for __ in range(2):
+            got = run_op(store, session.execute(OpType.READ, key))
+            assert got == fields, f"{name}: read({key!r}) moved"
+            scribble(got)
+    if not store_class(name).supports_scans:
+        return
+    model = {**{r.key: dict(r.fields) for r in records}, **expected}
+    for key in expected:
+        for __ in range(2):
+            rows = run_op(store, session.execute(OpType.SCAN, key,
+                                                 scan_length=4))
+            assert rows, f"{name}: scan from {key!r} found nothing"
+            for row_key, row_fields in rows:
+                assert row_fields == model[row_key], \
+                    f"{name}: scan row {row_key!r} moved"
+                scribble(row_fields)
+    for key, fields in expected.items():
+        assert run_op(store, session.execute(OpType.READ, key)) == fields
+
+
 def _placement(store, key: str) -> list[int]:
     """Where each store's own routing puts ``key``: the switch on the
     store's name the audit harness carried before ``Store.homes``."""

@@ -1,10 +1,13 @@
 """Unit tests for the MySQL store model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.keyspace import format_key, lex_position
 from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.stores.mysql import MySQLStore
+from tests.storage.reference_reads import copy_per_leg_merge
 from tests.stores.conftest import make_records, run_op
 
 
@@ -92,6 +95,93 @@ class TestOperations:
             return store.sim.now - start
 
         assert scan_time(sharded) > 5 * scan_time(single)
+
+
+def merged_scan(legs, count):
+    """``MySQLSession.scan``'s client merge over hand-built legs: leg
+    ``i`` is the rows shard ``i`` streams, by reference."""
+    store = MySQLStore(Cluster(CLUSTER_M, len(legs)))
+    session = store.session(store.cluster.clients[0], 0)
+
+    def hand_built(shard, start_key, count):
+        def leg():
+            yield store.sim.timeout(0.001 * (shard + 1))
+            return legs[shard], len(legs[shard])
+        return store.sim.process(leg())
+
+    session.sim_process_for_shard = hand_built
+    return run_op(store, session.scan("", count))
+
+
+def _busy(node, seconds):
+    """Hold every core of ``node``: a leg it serves reads late."""
+    for __ in range(node.spec.cores):
+        node.sim.process(node.cpu(seconds))
+
+
+class TestShardedScanMerge:
+    @settings(max_examples=60, deadline=None)
+    @given(owner=st.lists(st.integers(min_value=0, max_value=3), min_size=1,
+                          max_size=40),
+           count=st.integers(min_value=0, max_value=45))
+    def test_disjoint_legs_merge_as_copied_legs_merged(self, owner, count):
+        """The ring gives a key one shard: sorting the keys and copying
+        the survivors returns what sorting the copied tuples returned."""
+        stored = [(f"user{i:03d}", {"field0": str(i)})
+                  for i in range(len(owner))]
+        legs = [[row for row, shard in zip(stored, owner) if shard == leg]
+                for leg in range(4)]
+        rows = merged_scan(legs, count)
+        assert rows == copy_per_leg_merge(legs, count)
+        # One copy a row kept, none shared with the store.
+        by_key = dict(stored)
+        assert all(fields is not by_key[key] for key, fields in rows)
+
+    def test_a_key_two_legs_stream_is_one_row(self):
+        """A reshard moved ``user001`` between two legs' reads.  Sorted
+        as ``(key, row)`` tuples the key came back twice — and once a
+        write had landed between the reads, the sort compared two
+        unequal rows."""
+        legs = [[("user000", {"field0": "a"}), ("user001", {"field0": "b"})],
+                [("user001", {"field0": "b"}), ("user002", {"field0": "c"})]]
+        assert [key for key, __ in copy_per_leg_merge(legs, 10)] == [
+            "user000", "user001", "user001", "user002"]
+        assert merged_scan(legs, 10) == [
+            ("user000", {"field0": "a"}), ("user001", {"field0": "b"}),
+            ("user002", {"field0": "c"})]
+        assert merged_scan(legs, 2) == [
+            ("user000", {"field0": "a"}), ("user001", {"field0": "b"})]
+        legs[1][0] = ("user001", {"field0": "written"})
+        with pytest.raises(TypeError):
+            copy_per_leg_merge(legs, 10)
+        # Either read is a legitimate answer to a scan the write raced.
+        assert [key for key, __ in merged_scan(legs, 10)] == [
+            "user000", "user001", "user002"]
+
+    @pytest.mark.parametrize("reshard", ["grow", "shrink"])
+    def test_scan_running_across_a_reshard(self, store, records, reshard):
+        """Three legs read, the topology changes, the fourth reads: a
+        shrink re-homes rows the early legs already streamed onto the
+        late leg's shard, so it streams them again."""
+        sim, cluster = store.sim, store.cluster
+        session = store.session(cluster.clients[0], 0)
+        start_key = min(record.key for record in records)
+        _busy(cluster.servers[3], 0.05)
+        scan = sim.process(session.scan(start_key, len(records)))
+        sim.run(until=0.02)
+        assert not scan.triggered
+        if reshard == "grow":
+            store.grow(cluster.add_server())
+        else:
+            store.shrink(0)
+            assert len(store.tables[0]) == 0
+        rows = sim.run(until=scan)
+        keys = [key for key, __ in rows]
+        assert keys == sorted(set(keys))
+        by_key = {record.key: dict(record.fields) for record in records}
+        assert all(fields == by_key[key] for key, fields in rows)
+        if reshard == "shrink":  # nothing is missed, only seen twice
+            assert keys == sorted(by_key)
 
 
 class TestMvccPurgeLag:

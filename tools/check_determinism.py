@@ -9,7 +9,8 @@ compared byte for byte.  A row may give the second run extra arguments
 where the point is that they must *not* matter: the audit sweep at
 ``--jobs 2``, the planner against a second, empty result store (so it
 re-simulates instead of replaying blobs), and the grid — the one batch
-path, with two skipped points in its bytes — with both at once.
+path, with two skipped points in its bytes — with both at once (and
+again over the sharded MySQL scan and the multi-file HBase get).
 
 Exit status 0 when all rows agree; otherwise 1, naming the first command
 whose exports differ (or that failed outright — a non-zero exit of
@@ -55,6 +56,13 @@ CHECKS = (
      "grid --stores redis,voldemort --workloads R,RS --nodes 1,2 "
      "--records 300 --ops 150 --warmup 20",
      "--store {tmp}/grid-store-1", "--store {tmp}/grid-store-2 --jobs 2"),
+    # The two read paths that discard work: at four nodes a MySQL scan
+    # is the sharded fan-out, and 8 800 records are three flush rounds,
+    # so an HBase get probes three store files a region.
+    ("grid-reads",
+     "grid --stores mysql,hbase --workloads R,RSW --nodes 1,4 "
+     "--records 2200 --ops 150 --warmup 20",
+     "--store {tmp}/reads-store-1", "--store {tmp}/reads-store-2 --jobs 2"),
 )
 
 
