@@ -38,6 +38,7 @@ import json
 import os
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -380,12 +381,9 @@ def export_sharded_scan_point() -> dict:
         rows_returned.append(len(rows))
         return rows
 
-    MySQLSession.scan = recorded
-    try:
+    with mock.patch.object(MySQLSession, "scan", recorded):
         result = run_benchmark(config.store, config.workload,
                                config.n_nodes, config=config)
-    finally:
-        MySQLSession.scan = scan
     assert log.calls > 100 and max(rows_returned) > 1
     payload = _stats_payload(result)
     payload["scans"] = log.calls
@@ -397,8 +395,8 @@ def export_sharded_scan_point() -> dict:
 def export_multi_file_read_point() -> dict:
     """A 4-node HBase ``R`` point over 12 000 records: three flush
     rounds leave three store files a region (one short of the minor
-    compaction), so with blooms off a get probes all three.  Every engine get's block ids and
-    returned fields are in the digest."""
+    compaction), so with blooms off a get probes all three.  Every
+    engine get's block ids and returned fields are in the digest."""
     config = BenchmarkConfig(
         store="hbase", workload=WORKLOADS["R"], n_nodes=4,
         cluster_spec=SMALL_M, records_per_node=3000, seed=29,
@@ -414,12 +412,9 @@ def export_multi_file_read_point() -> dict:
         runs_probed.append(result.bill.runs_touched)
         return result
 
-    LSMEngine.get = recorded
-    try:
+    with mock.patch.object(LSMEngine, "get", recorded):
         result = run_benchmark(config.store, config.workload,
                                config.n_nodes, config=config)
-    finally:
-        LSMEngine.get = get
     # All but the few keys beyond a file's first or last key.
     assert len(runs_probed) > 1000
     assert runs_probed.count(3) > 0.99 * len(runs_probed)
