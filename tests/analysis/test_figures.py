@@ -1,8 +1,13 @@
 """Unit tests for figure builders."""
 
+import hashlib
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.cache import ResultCache
+from repro.analysis.export import figure_to_json
 from repro.analysis.figures import (
     BenchProfile,
     FIGURES,
@@ -14,6 +19,9 @@ from repro.analysis.figures import (
     fig17,
     table1,
 )
+from repro.ycsb.runner import run_config
+
+from tests.goldens import check_golden
 
 
 TINY = BenchProfile(name="tiny", scales=(1, 2), records_per_node=1500,
@@ -104,3 +112,22 @@ class TestSweepBuilder:
         data = build_figure("fig12", cache, TINY)
         assert "voldemort" not in data.series
         assert "cassandra" in data.series
+
+
+@pytest.fixture(scope="module")
+def tiny_sweeps():
+    """One live memo for the whole module: 19 artefacts, ~70 points."""
+    return ResultCache(run_config)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("figure_id", list(FIGURES))
+def test_figure_json_bytes_are_pinned(figure_id, tiny_sweeps):
+    """Title, labels, series order and every float of every artefact:
+    how the builders are written is free to change, this is not."""
+    text = figure_to_json(FIGURES[figure_id](tiny_sweeps, TINY))
+    text = re.sub(r'"package_version": "[^"]*"',
+                  '"package_version": "<version>"', text)
+    check_golden(Path(__file__).parents[1] / "cli_golden.json",
+                 ("figure_json", figure_id),
+                 hashlib.sha256(text.encode()).hexdigest())

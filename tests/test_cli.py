@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -10,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+
+from tests.goldens import check_golden
 
 
 class TestList:
@@ -260,7 +261,7 @@ class TestObs:
 # were taken before the per-subcommand boilerplate was folded into shared
 # helpers.  Regenerate after an *intentional* change with::
 #
-#     REPRO_UPDATE_CLI_GOLDENS=1 PYTHONPATH=src python -m pytest \
+#     REPRO_UPDATE_GOLDENS=1 PYTHONPATH=src python -m pytest \
 #         tests/test_cli.py -k Snapshots
 
 GOLDEN_PATH = Path(__file__).parent / "cli_golden.json"
@@ -317,14 +318,7 @@ INVOCATIONS = {
 
 
 def _check_golden(section: str, name: str, value: str) -> None:
-    goldens = (json.loads(GOLDEN_PATH.read_text())
-               if GOLDEN_PATH.is_file() else {})
-    if os.environ.get("REPRO_UPDATE_CLI_GOLDENS") == "1":
-        goldens.setdefault(section, {})[name] = value
-        GOLDEN_PATH.write_text(json.dumps(goldens, indent=2,
-                                          sort_keys=True) + "\n")
-        pytest.skip(f"updated {section} golden for {name}")
-    assert value == goldens[section][name]
+    check_golden(GOLDEN_PATH, (section, name), value)
 
 
 class TestSnapshots:
@@ -355,3 +349,20 @@ class TestSnapshots:
                           path.read_text())
             digest.update(f"\n== {path.name}\n{text}".encode())
         _check_golden("output", name, digest.hexdigest())
+
+    @pytest.mark.parametrize("figure_id, profile", [
+        ("table1", "quick"), ("fig17", "quick"),
+        pytest.param("fig18", "smoke", marks=pytest.mark.slow)])
+    def test_figure_export_bytes(self, figure_id, profile, tmp_path,
+                                 monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("REPRO_BENCH_PROFILE", profile)
+        assert main(["figure", figure_id, "--export", "out"]) == 0
+        capsys.readouterr()
+        digest = hashlib.sha256()
+        for path in sorted(tmp_path.glob("out/*")):
+            text = re.sub(r'"package_version": "[^"]*"',
+                          '"package_version": "<version>"',
+                          path.read_text())
+            digest.update(f"\n== {path.name}\n{text}".encode())
+        _check_golden("figure_export", figure_id, digest.hexdigest())
