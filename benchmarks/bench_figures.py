@@ -13,6 +13,6 @@ from repro.analysis.figures import FIGURES
 
 
 @pytest.mark.parametrize("figure_id", list(FIGURES))
-def test_figure(figure_id, benchmark, cache, profile):
+def test_figure(figure_id, benchmark, store, profile):
     """Regenerate one artefact and assert the paper's qualitative claims."""
-    regenerate(figure_id, benchmark, cache, profile)
+    regenerate(figure_id, benchmark, store, profile)

@@ -14,11 +14,15 @@ control, retry budgets) against the unprotected stack:
 * unprotected, queues grow without bound and per-op latency follows, so
   in-SLO goodput collapses even though raw completions continue.
 
-The saturation probes run through the session cache (and so the shared
-on-disk result store); the open-loop points themselves are cheap and
-always run live.
+The saturation probes are derived inside ``find_saturation``, so they
+get-or-run one at a time through the shared on-disk result store; the
+open-loop points themselves are cheap and always run live.
 """
 
+import pytest
+
+from repro.analysis.cache import ResultCache
+from repro.orchestrator import execute_grid
 from repro.overload import OverloadPolicy
 from repro.overload.openloop import goodput_sweep
 from repro.stores.registry import STORE_NAMES
@@ -31,6 +35,15 @@ from repro.ycsb.workload import WORKLOAD_R
 DEADLINE_S = 0.1
 POLICY = OverloadPolicy(max_queue=32, deadline_s=DEADLINE_S,
                         retry_budget_per_s=200.0)
+
+
+@pytest.fixture
+def cache(store):
+    def get_or_run(config):
+        outcome, = execute_grid([config], store=store)
+        return outcome.result
+
+    return ResultCache(runner=get_or_run)
 
 
 def _sweep(store, cache, profile):

@@ -2,9 +2,8 @@
 
 Every bench regenerates one of the paper's artefacts (Table 1, Figures
 3-20), prints the series the paper plots, and asserts the paper's
-qualitative claims.  Runs are memoised in a session-wide cache, so the
-figures that share a sweep (3/4/5, 6/7/8, 9/10/11, 12/13) pay for it
-once.
+qualitative claims.  The figures that share a sweep (3/4/5, 6/7/8,
+9/10/11, 12/13) pay for it once.
 
 Profiles (set ``REPRO_BENCH_PROFILE``):
 
@@ -12,11 +11,12 @@ Profiles (set ``REPRO_BENCH_PROFILE``):
 * ``quick`` (default) — tens of minutes; 1/4/8 nodes.
 * ``paper`` — the full 1-12 node sweep at higher record counts.
 
-The cache's runner get-or-runs each point through ``execute_grid`` over
-the shared on-disk result store (same one ``apmbench reproduce`` uses),
-so points persist across pytest invocations: a second run of any figure
-bench is a pure cache hit.  Point ``REPRO_RESULT_STORE`` elsewhere to
-isolate a run (this file is that variable's only reader).
+Every figure is built by ``reproduce`` over one on-disk result store
+(``apmbench reproduce --store benchmarks/results/store`` shares it), so
+points persist across pytest invocations: a second run of any figure
+bench, or a second figure off one sweep, is a pure cache hit.  Point
+``REPRO_RESULT_STORE`` elsewhere to isolate a run (this file is that
+variable's only reader).
 """
 
 import os
@@ -24,28 +24,22 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.cache import ResultCache
 from repro.analysis.expectations import check_expectations
 from repro.analysis.export import write_figure
-from repro.analysis.figures import active_profile, build_figure
+from repro.analysis.figures import active_profile
 from repro.analysis.report import render_table
-from repro.orchestrator import ResultStore, execute_grid
+from repro.orchestrator import ResultStore, reproduce
 
 #: Regenerated series are also written here (pytest captures stdout, so
-#: the tee'd run log alone would not show them).
+#: the tee'd run log alone would not show them) — by this file, not by
+#: ``reproduce``: its exports are stamped, the tracked ones are not.
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
 @pytest.fixture(scope="session")
-def cache():
-    store = ResultStore(os.environ.get("REPRO_RESULT_STORE",
+def store():
+    return ResultStore(os.environ.get("REPRO_RESULT_STORE",
                                        str(RESULTS_DIR / "store")))
-
-    def get_or_run(config):
-        outcome, = execute_grid([config], store=store)
-        return outcome.result
-
-    return ResultCache(runner=get_or_run)
 
 
 @pytest.fixture(scope="session")
@@ -53,12 +47,14 @@ def profile():
     return active_profile()
 
 
-def regenerate(figure_id, benchmark, cache, profile):
+def regenerate(figure_id, benchmark, store, profile):
     """Build a figure once under pytest-benchmark and verify its shape."""
-    data = benchmark.pedantic(
-        build_figure, args=(figure_id, cache, profile),
+    report = benchmark.pedantic(
+        reproduce, args=([figure_id],),
+        kwargs={"profile": profile, "store": store, "out_dir": None},
         rounds=1, iterations=1,
     )
+    data = report.data[figure_id]
     table = render_table(data)
     print()
     print(table)

@@ -18,17 +18,12 @@
 """
 
 from repro.analysis.cache import ResultCache
-from repro.analysis.figures import (
-    FIGURES,
-    FigureData,
-    build_figure,
-)
+from repro.analysis.figures import FIGURES, FigureData
 from repro.analysis.expectations import check_expectations
 
 __all__ = [
     "FIGURES",
     "FigureData",
     "ResultCache",
-    "build_figure",
     "check_expectations",
 ]

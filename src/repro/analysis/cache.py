@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.sim.cluster import ClusterSpec
-from repro.ycsb.runner import BenchmarkConfig, BenchmarkResult, run_config
+from repro.ycsb.runner import BenchmarkConfig, BenchmarkResult
 from repro.ycsb.workload import Workload
 
 __all__ = ["ResultCache"]
@@ -28,10 +28,11 @@ class ResultCache:
     :meth:`BenchmarkConfig.to_dict` is the single source of config
     identity, shared with :meth:`BenchmarkConfig.content_hash` (the
     on-disk store address), so memo and store agree on what "the same
-    point" means.  The default runner is a live ``run_config``.
+    point" means.  There is no default runner: whoever makes a memo says
+    where its points come from.
     """
 
-    def __init__(self, runner: Callable[..., BenchmarkResult] = run_config):
+    def __init__(self, runner: Callable[..., BenchmarkResult]):
         self._runner = runner
         self._results: dict[str, BenchmarkResult] = {}
         self.hits = 0

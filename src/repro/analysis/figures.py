@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.sim.cluster import CLUSTER_D
 from repro.storage.encoding import DISK_USAGE_MODELS
@@ -36,7 +36,7 @@ __all__ = [
     "FigureData",
     "FIGURES",
     "active_profile",
-    "build_figure",
+    "expand_figure_ids",
     "profile_by_name",
 ]
 
@@ -160,139 +160,104 @@ def table1(cache: ResultCache, profile: BenchProfile) -> FigureData:
 
 
 # ---------------------------------------------------------------------------
-# Workload sweeps (Figures 3-14)
+# The three measured shapes (Figures 3-16, 18-20)
 # ---------------------------------------------------------------------------
 
-def _sweep(cache: ResultCache, profile: BenchProfile, workload: Workload,
-           stores: tuple[str, ...], metric: str, figure_id: str,
-           title: str, y_label: str, log_y: bool) -> FigureData:
-    data = FigureData(figure_id, title, "Number of Nodes", y_label,
-                      log_y=log_y)
+_D_WORKLOADS = (WORKLOAD_R, WORKLOAD_RW, WORKLOAD_W)
+
+
+def _read(result, metric: str) -> float:
+    """The one place a metric is read off a result: operations a second
+    for ``throughput``, else that operation's mean latency in *seconds*
+    (Figures 15/16 take their ratio in seconds; the quotient of the same
+    two means in milliseconds differs in the last digit)."""
+    if metric == "throughput":
+        return result.throughput_ops
+    return getattr(result, f"{metric}_latency").mean
+
+
+def _plotted(result, metric: str) -> float:
+    """:func:`_read` in the paper's units: latencies in milliseconds."""
+    value = _read(result, metric)
+    return value if metric == "throughput" else value * 1000
+
+
+def _y_label(figure_id: str, metric: str) -> str:
+    if metric != "throughput":
+        return "Latency (ms)"
+    # Figure 3 alone spells the unit out; the label is export bytes.
+    return ("Throughput (Operations/sec)" if figure_id == "fig3"
+            else "Throughput (Ops/sec)")
+
+
+def _run(cache: ResultCache, profile: BenchProfile, store: str,
+         workload: Workload, n_nodes: int, **overrides):
+    """One point at the profile's size, ``overrides`` on top."""
+    return cache.run(store, workload, n_nodes, **{
+        "records_per_node": profile.records_per_node,
+        "measured_ops": profile.measured_ops,
+        "warmup_ops": profile.warmup_ops, "seed": profile.seed,
+        **overrides})
+
+
+def _sweep(cache: ResultCache, profile: BenchProfile, figure_id: str,
+           title: str, workload: Workload, stores: tuple[str, ...],
+           metric: str) -> FigureData:
+    """One workload over the profile's cluster sizes (Figures 3-14)."""
+    data = FigureData(figure_id, title, "Number of Nodes",
+                      _y_label(figure_id, metric),
+                      log_y=metric != "throughput")
     for store in stores:
-        points = []
-        for n in profile.scales:
-            result = cache.run(
-                store, workload, n,
-                records_per_node=profile.records_per_node,
-                measured_ops=profile.measured_ops,
-                warmup_ops=profile.warmup_ops,
-                seed=profile.seed,
-            )
-            if metric == "throughput":
-                value = result.throughput_ops
-            elif metric == "read":
-                value = result.read_latency.mean * 1000
-            elif metric == "write":
-                value = result.write_latency.mean * 1000
-            elif metric == "scan":
-                value = result.scan_latency.mean * 1000
-            else:  # pragma: no cover - internal misuse
-                raise ValueError(f"unknown metric {metric!r}")
-            points.append((float(n), value))
-        data.series[store] = points
+        data.series[store] = [
+            (float(n), _plotted(_run(cache, profile, store, workload, n),
+                                metric))
+            for n in profile.scales]
     return data
 
 
-def _make_sweep_builder(workload: Workload, stores: tuple[str, ...],
-                        metric: str, figure_id: str, title: str,
-                        y_label: str, log_y: bool) -> Callable:
-    def builder(cache: ResultCache, profile: BenchProfile) -> FigureData:
-        return _sweep(cache, profile, workload, stores, metric, figure_id,
-                      title, y_label, log_y)
-    builder.__name__ = figure_id
-    builder.__doc__ = f"{title} ({figure_id})."
-    return builder
-
-
-fig3 = _make_sweep_builder(WORKLOAD_R, STORE_NAMES, "throughput", "fig3",
-                           "Throughput for Workload R",
-                           "Throughput (Operations/sec)", False)
-fig4 = _make_sweep_builder(WORKLOAD_R, STORE_NAMES, "read", "fig4",
-                           "Read latency for Workload R",
-                           "Latency (ms)", True)
-fig5 = _make_sweep_builder(WORKLOAD_R, STORE_NAMES, "write", "fig5",
-                           "Write latency for Workload R",
-                           "Latency (ms)", True)
-fig6 = _make_sweep_builder(WORKLOAD_RW, STORE_NAMES, "throughput", "fig6",
-                           "Throughput for Workload RW",
-                           "Throughput (Ops/sec)", False)
-fig7 = _make_sweep_builder(WORKLOAD_RW, STORE_NAMES, "read", "fig7",
-                           "Read latency for Workload RW",
-                           "Latency (ms)", True)
-fig8 = _make_sweep_builder(WORKLOAD_RW, STORE_NAMES, "write", "fig8",
-                           "Write latency for Workload RW",
-                           "Latency (ms)", True)
-fig9 = _make_sweep_builder(WORKLOAD_W, STORE_NAMES, "throughput", "fig9",
-                           "Throughput for Workload W",
-                           "Throughput (Ops/sec)", False)
-fig10 = _make_sweep_builder(WORKLOAD_W, STORE_NAMES, "read", "fig10",
-                            "Read latency for Workload W",
-                            "Latency (ms)", True)
-fig11 = _make_sweep_builder(WORKLOAD_W, STORE_NAMES, "write", "fig11",
-                            "Write latency for Workload W",
-                            "Latency (ms)", True)
-fig12 = _make_sweep_builder(WORKLOAD_RS, SCAN_STORES, "throughput", "fig12",
-                            "Throughput for Workload RS",
-                            "Throughput (Ops/sec)", False)
-fig13 = _make_sweep_builder(WORKLOAD_RS, SCAN_STORES, "scan", "fig13",
-                            "Scan latency for Workload RS",
-                            "Latency (ms)", True)
-fig14 = _make_sweep_builder(WORKLOAD_RSW, SCAN_STORES, "throughput",
-                            "fig14", "Throughput for Workload RSW",
-                            "Throughput (Ops/sec)", False)
-
-
-# ---------------------------------------------------------------------------
-# Bounded throughput (Figures 15/16)
-# ---------------------------------------------------------------------------
-
-def _bounded(cache: ResultCache, profile: BenchProfile,
-             metric: str, figure_id: str, title: str) -> FigureData:
+def _bounded(cache: ResultCache, profile: BenchProfile, figure_id: str,
+             title: str, workload: Workload, stores: tuple[str, ...],
+             metric: str) -> FigureData:
+    """Latency at a fraction of the measured maximum, normalised to the
+    latency at that maximum (Figures 15/16)."""
     data = FigureData(figure_id, title,
                       "Percentage of Maximum Throughput",
                       "Latency (Normalized)")
     n = profile.bounded_nodes
     if n not in profile.scales:
         n = max(s for s in profile.scales if s <= profile.bounded_nodes)
-    for store in BOUNDED_STORES:
-        max_result = cache.run(
-            store, WORKLOAD_R, n,
-            records_per_node=profile.records_per_node,
-            measured_ops=profile.measured_ops,
-            warmup_ops=profile.warmup_ops, seed=profile.seed,
-        )
-        max_throughput = max_result.throughput_ops
-        histogram = (max_result.read_latency if metric == "read"
-                     else max_result.write_latency)
-        base_latency = histogram.mean
+    for store in stores:
+        unbounded = _run(cache, profile, store, workload, n)
+        base_latency = _read(unbounded, metric)
         points = [(100.0, 100.0)]
         for level in profile.bounded_levels:
-            result = cache.run(
-                store, WORKLOAD_R, n,
-                records_per_node=profile.records_per_node,
-                measured_ops=profile.measured_ops,
-                warmup_ops=profile.warmup_ops, seed=profile.seed,
-                target_throughput=max_throughput * level,
-            )
-            histogram = (result.read_latency if metric == "read"
-                         else result.write_latency)
-            normalized = (100.0 * histogram.mean / base_latency
+            result = _run(
+                cache, profile, store, workload, n,
+                target_throughput=unbounded.throughput_ops * level)
+            normalized = (100.0 * _read(result, metric) / base_latency
                           if base_latency > 0 else 0.0)
             points.append((level * 100.0, normalized))
         data.series[store] = sorted(points)
     return data
 
 
-def fig15(cache: ResultCache, profile: BenchProfile) -> FigureData:
-    """Figure 15: read latency under bounded load, Workload R."""
-    return _bounded(cache, profile, "read", "fig15",
-                    "Read latency for bounded throughput on Workload R")
-
-
-def fig16(cache: ResultCache, profile: BenchProfile) -> FigureData:
-    """Figure 16: write latency under bounded load, Workload R."""
-    return _bounded(cache, profile, "write", "fig16",
-                    "Write latency for bounded throughput on Workload R")
+def _cluster_d(cache: ResultCache, profile: BenchProfile, figure_id: str,
+               title: str, workloads: tuple[Workload, ...],
+               stores: tuple[str, ...], metric: str) -> FigureData:
+    """One point a workload on the disk-bound cluster (Figures 18-20)."""
+    data = FigureData(figure_id, title, "Workload",
+                      _y_label(figure_id, metric), log_y=True)
+    for store in stores:
+        data.series[store] = [
+            (float(i), _plotted(_run(
+                cache, profile, store, workload, profile.cluster_d_nodes,
+                cluster_spec=CLUSTER_D,
+                records_per_node=profile.cluster_d_records,
+                paper_records_per_node=profile.cluster_d_paper_records),
+                metric))
+            for i, workload in enumerate(workloads)]
+    data.notes.append("x axis: 0=R, 1=RW, 2=W (8 nodes, Cluster D)")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -323,83 +288,76 @@ def fig17(cache: ResultCache, profile: BenchProfile) -> FigureData:
 
 
 # ---------------------------------------------------------------------------
-# Cluster D (Figures 18-20)
-# ---------------------------------------------------------------------------
-
-_D_WORKLOADS = (WORKLOAD_R, WORKLOAD_RW, WORKLOAD_W)
-
-
-def _cluster_d(cache: ResultCache, profile: BenchProfile, metric: str,
-               figure_id: str, title: str) -> FigureData:
-    data = FigureData(figure_id, title, "Workload",
-                      "Throughput (Ops/sec)" if metric == "throughput"
-                      else "Latency (ms)", log_y=True)
-    for store in CLUSTER_D_STORES:
-        points = []
-        for i, workload in enumerate(_D_WORKLOADS):
-            result = cache.run(
-                store, workload, profile.cluster_d_nodes,
-                cluster_spec=CLUSTER_D,
-                records_per_node=profile.cluster_d_records,
-                paper_records_per_node=profile.cluster_d_paper_records,
-                measured_ops=profile.measured_ops,
-                warmup_ops=profile.warmup_ops, seed=profile.seed,
-            )
-            if metric == "throughput":
-                value = result.throughput_ops
-            elif metric == "read":
-                value = result.read_latency.mean * 1000
-            else:
-                value = result.write_latency.mean * 1000
-            points.append((float(i), value))
-        data.series[store] = points
-    data.notes.append("x axis: 0=R, 1=RW, 2=W (8 nodes, Cluster D)")
-    return data
-
-
-def fig18(cache: ResultCache, profile: BenchProfile) -> FigureData:
-    """Figure 18: throughput for 8 nodes in Cluster D."""
-    return _cluster_d(cache, profile, "throughput", "fig18",
-                      "Throughput for 8 nodes in Cluster D")
-
-
-def fig19(cache: ResultCache, profile: BenchProfile) -> FigureData:
-    """Figure 19: read latency for 8 nodes in Cluster D."""
-    return _cluster_d(cache, profile, "read", "fig19",
-                      "Read latency for 8 nodes in Cluster D")
-
-
-def fig20(cache: ResultCache, profile: BenchProfile) -> FigureData:
-    """Figure 20: write latency for 8 nodes in Cluster D."""
-    return _cluster_d(cache, profile, "write", "fig20",
-                      "Write latency for 8 nodes in Cluster D")
-
-
-# ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
 
-FIGURES: dict[str, Callable[[ResultCache, BenchProfile], FigureData]] = {
-    "table1": table1,
-    "fig3": fig3, "fig4": fig4, "fig5": fig5,
-    "fig6": fig6, "fig7": fig7, "fig8": fig8,
-    "fig9": fig9, "fig10": fig10, "fig11": fig11,
-    "fig12": fig12, "fig13": fig13, "fig14": fig14,
-    "fig15": fig15, "fig16": fig16, "fig17": fig17,
-    "fig18": fig18, "fig19": fig19, "fig20": fig20,
+#: Every measured figure, once: id -> (shape, title, workload, stores,
+#: metric).  A Cluster D row's workload is the three it plots.
+_MEASURED = {
+    "fig3": (_sweep, "Throughput for Workload R",
+             WORKLOAD_R, STORE_NAMES, "throughput"),
+    "fig4": (_sweep, "Read latency for Workload R",
+             WORKLOAD_R, STORE_NAMES, "read"),
+    "fig5": (_sweep, "Write latency for Workload R",
+             WORKLOAD_R, STORE_NAMES, "write"),
+    "fig6": (_sweep, "Throughput for Workload RW",
+             WORKLOAD_RW, STORE_NAMES, "throughput"),
+    "fig7": (_sweep, "Read latency for Workload RW",
+             WORKLOAD_RW, STORE_NAMES, "read"),
+    "fig8": (_sweep, "Write latency for Workload RW",
+             WORKLOAD_RW, STORE_NAMES, "write"),
+    "fig9": (_sweep, "Throughput for Workload W",
+             WORKLOAD_W, STORE_NAMES, "throughput"),
+    "fig10": (_sweep, "Read latency for Workload W",
+              WORKLOAD_W, STORE_NAMES, "read"),
+    "fig11": (_sweep, "Write latency for Workload W",
+              WORKLOAD_W, STORE_NAMES, "write"),
+    "fig12": (_sweep, "Throughput for Workload RS",
+              WORKLOAD_RS, SCAN_STORES, "throughput"),
+    "fig13": (_sweep, "Scan latency for Workload RS",
+              WORKLOAD_RS, SCAN_STORES, "scan"),
+    "fig14": (_sweep, "Throughput for Workload RSW",
+              WORKLOAD_RSW, SCAN_STORES, "throughput"),
+    "fig15": (_bounded, "Read latency for bounded throughput on Workload R",
+              WORKLOAD_R, BOUNDED_STORES, "read"),
+    "fig16": (_bounded, "Write latency for bounded throughput on Workload R",
+              WORKLOAD_R, BOUNDED_STORES, "write"),
+    "fig18": (_cluster_d, "Throughput for 8 nodes in Cluster D",
+              _D_WORKLOADS, CLUSTER_D_STORES, "throughput"),
+    "fig19": (_cluster_d, "Read latency for 8 nodes in Cluster D",
+              _D_WORKLOADS, CLUSTER_D_STORES, "read"),
+    "fig20": (_cluster_d, "Write latency for 8 nodes in Cluster D",
+              _D_WORKLOADS, CLUSTER_D_STORES, "write"),
 }
 
 
-def build_figure(figure_id: str, cache: Optional[ResultCache] = None,
-                 profile: Optional[BenchProfile] = None) -> FigureData:
-    """Regenerate one artefact by id (``table1``, ``fig3`` ... ``fig20``).
+def _measured(figure_id: str) -> Callable:
+    shape, *row = _MEASURED[figure_id]
 
-    Without a ``cache`` every point runs live in a fresh memo; figures
-    that share a sweep share it by being handed the same one.
-    """
-    try:
-        builder = FIGURES[figure_id]
-    except KeyError:
+    def builder(cache: ResultCache, profile: BenchProfile) -> FigureData:
+        return shape(cache, profile, figure_id, *row)
+    return builder
+
+
+#: Every artefact in the paper's order; the two model-only ones (Table 1,
+#: Figure 17) are their own functions.
+FIGURES: dict[str, Callable[[ResultCache, BenchProfile], FigureData]] = {
+    "table1": table1,
+    **{f"fig{i}": fig17 if i == 17 else _measured(f"fig{i}")
+       for i in range(3, 21)},
+}
+
+
+def expand_figure_ids(figures: str | Iterable[str]) -> list[str]:
+    """``"all"``, a comma list, or an iterable of ids -> validated list."""
+    if isinstance(figures, str):
+        if figures == "all":
+            return list(FIGURES)
+        figures = [f.strip() for f in figures.split(",") if f.strip()]
+    ids = list(figures)
+    unknown = [f for f in ids if f not in FIGURES]
+    if unknown:
         known = ", ".join(FIGURES)
-        raise ValueError(f"unknown figure {figure_id!r}; known: {known}")
-    return builder(cache or ResultCache(), profile or active_profile())
+        raise ValueError(
+            f"unknown figure(s) {', '.join(unknown)}; known: {known}")
+    return ids

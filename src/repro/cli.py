@@ -28,9 +28,8 @@ import sys
 from pathlib import Path
 
 import repro
-from repro.analysis.cache import ResultCache
 from repro.analysis.expectations import check_expectations
-from repro.analysis.figures import FIGURES, active_profile, build_figure
+from repro.analysis.figures import FIGURES, active_profile
 from repro.analysis.report import render_figure
 from repro.core.capacity import plan_capacity
 from repro.faults.schedule import FaultSchedule
@@ -240,27 +239,35 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_check(violations: list, ok: str) -> int:
+    """Print each expectation ``violations`` names, or ``ok`` when there
+    is none; the exit status either way."""
+    for violation in violations:
+        print(f"EXPECTATION FAILED: {violation}")
+    if not violations:
+        print(ok)
+    return 1 if violations else 0
+
+
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from repro.analysis.export import write_figure
+    from repro.orchestrator import reproduce
+
+    # The points come through the store ``reproduce`` fills: a second
+    # figure off the same sweep simulates nothing.  ``--export`` stays
+    # this command's own unstamped write (``reproduce --out`` stamps).
+    report = reproduce(args.figure, profile=active_profile(), out_dir=None,
+                       progress=_make_progress_printer())
     status = 0
-    figure_ids = list(FIGURES) if args.figure == "all" else [args.figure]
-    # One memo per invocation: figures that share a sweep run it once.
-    cache = ResultCache()
-    for figure_id in figure_ids:
-        data = build_figure(figure_id, cache)
+    for figure_id, data in report.data.items():
         print(render_figure(data, chart=args.chart))
         if args.export:
-            from repro.analysis.export import write_figure
-
             for path in write_figure(data, args.export):
                 print(f"wrote {path}")
         if args.check:
-            violations = check_expectations(data)
-            if violations:
-                status = 1
-                for violation in violations:
-                    print(f"EXPECTATION FAILED: {violation}")
-            else:
-                print(f"{figure_id}: all paper expectations hold")
+            status |= _print_check(
+                check_expectations(data),
+                f"{figure_id}: all paper expectations hold")
         print()
     return status
 
@@ -317,11 +324,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     print(f"wall:      {report.wall_s:.1f}s with --jobs {args.jobs}")
     print(f"artefacts: {len(report.written)} files in {report.out_dir}")
     if args.check:
-        if report.violations:
-            for violation in report.violations:
-                print(f"EXPECTATION FAILED: {violation}")
-            return 1
-        print("checks:    all paper expectations hold")
+        return _print_check(report.violations,
+                            "checks:    all paper expectations hold")
     return 0
 
 
@@ -552,13 +556,10 @@ def _cmd_verify_figures(args: argparse.Namespace) -> int:
     from repro.orchestrator import verify_figures
 
     violations = verify_figures(args.directory, args.figures)
+    status = _print_check(violations, "all paper expectations hold")
     if violations:
-        for violation in violations:
-            print(f"EXPECTATION FAILED: {violation}")
         print(f"{len(violations)} violation(s)")
-        return 1
-    print("all paper expectations hold")
-    return 0
+    return status
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.analysis.cache import ResultCache
-from repro.analysis.figures import FIGURES, BenchProfile
+from repro.analysis.figures import FIGURES, BenchProfile, expand_figure_ids
 from repro.ycsb.runner import BenchmarkConfig
 
 __all__ = ["GridPlan", "PlanningCache", "plan_figures", "derive_seed",
@@ -198,16 +198,10 @@ def estimate_cost_units(config: BenchmarkConfig) -> float:
 def plan_figures(figure_ids: Iterable[str], profile: BenchProfile,
                  store=None) -> GridPlan:
     """One probing pass: the wave of points the figures still need."""
-    figure_ids = list(figure_ids)
+    figure_ids = expand_figure_ids(figure_ids)
     planner = PlanningCache(store)
     for figure_id in figure_ids:
-        try:
-            builder = FIGURES[figure_id]
-        except KeyError:
-            known = ", ".join(FIGURES)
-            raise ValueError(
-                f"unknown figure {figure_id!r}; known: {known}")
-        builder(planner, profile)
+        FIGURES[figure_id](planner, profile)
     return GridPlan(
         figures=figure_ids,
         profile=profile,

@@ -31,7 +31,8 @@ from typing import Callable, Iterable, Optional, Sequence
 from repro.analysis.cache import ResultCache
 from repro.analysis.expectations import check_expectations
 from repro.analysis.export import load_figure, write_figure
-from repro.analysis.figures import FIGURES, BenchProfile, active_profile
+from repro.analysis.figures import (FIGURES, BenchProfile, FigureData,
+                                    active_profile, expand_figure_ids)
 from repro.orchestrator.manifest import RunManifest
 from repro.orchestrator.plan import GridPlan, plan_figures
 from repro.orchestrator.pool import execute_grid
@@ -42,21 +43,6 @@ __all__ = ["ReproduceReport", "reproduce", "verify_figures"]
 #: Safety valve on planning convergence.  Figure grids are at most two
 #: result-dependence layers deep; anything deeper is a planner bug.
 MAX_WAVES = 6
-
-
-def expand_figure_ids(figures: str | Iterable[str]) -> list[str]:
-    """``"all"``, a comma list, or an iterable of ids -> validated list."""
-    if isinstance(figures, str):
-        if figures == "all":
-            return list(FIGURES)
-        figures = [f.strip() for f in figures.split(",") if f.strip()]
-    ids = list(figures)
-    unknown = [f for f in ids if f not in FIGURES]
-    if unknown:
-        known = ", ".join(FIGURES)
-        raise ValueError(
-            f"unknown figure(s) {', '.join(unknown)}; known: {known}")
-    return ids
 
 
 def _grid_slug(figure_ids: Sequence[str], profile: BenchProfile) -> str:
@@ -81,6 +67,8 @@ class ReproduceReport:
     wall_s: float
     #: content hash -> worker wall seconds, this run only.
     point_walls: dict[str, float] = field(default_factory=dict)
+    #: figure id -> what was built, in the order asked for.
+    data: dict[str, FigureData] = field(default_factory=dict)
     written: list[Path] = field(default_factory=list)
     #: Expectation violations (populated when ``check=True``).
     violations: list[str] = field(default_factory=list)
@@ -178,6 +166,7 @@ def reproduce(figures: str | Iterable[str] = "all",
     build_cache = ResultCache(runner=store.get)
     for figure_id in figure_ids:
         data = FIGURES[figure_id](build_cache, profile)
+        report.data[figure_id] = data
         if out_dir is not None:
             report.written.extend(write_figure(
                 data, out_dir, formats=formats,

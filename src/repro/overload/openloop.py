@@ -33,8 +33,7 @@ from typing import Optional
 from repro.overload.shapes import ArrivalShape
 from repro.storage.record import APM_SCHEMA
 from repro.ycsb.client import attempt_op, draw_operation
-from repro.analysis.cache import ResultCache
-from repro.ycsb.runner import BenchmarkConfig, Deployment
+from repro.ycsb.runner import BenchmarkConfig, Deployment, run_config
 from repro.ycsb.stats import ERROR_KINDS
 
 __all__ = ["OverloadPoint", "OverloadSweep", "SaturationEstimate",
@@ -400,7 +399,7 @@ def find_saturation(config: BenchmarkConfig, *, cache=None,
     probe = replace(config, overload=None, target_throughput=None)
     if use_sustained and probe.metrics_interval_s is None:
         probe = replace(probe, metrics_interval_s=0.05)
-    result = (cache or ResultCache()).get(probe)
+    result = run_config(probe) if cache is None else cache.get(probe)
     floor = peak = None
     sustained = None if result.metrics is None else result.metrics.sustained
     if sustained is not None:

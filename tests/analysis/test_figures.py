@@ -15,7 +15,7 @@ from repro.analysis.figures import (
     PAPER_PROFILE,
     QUICK_PROFILE,
     active_profile,
-    build_figure,
+    expand_figure_ids,
     fig17,
     table1,
 )
@@ -39,7 +39,7 @@ class TestRegistry:
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(ValueError, match="unknown figure"):
-            build_figure("fig99")
+            expand_figure_ids(["fig3", "fig99"])
 
     def test_profiles(self):
         assert QUICK_PROFILE.scales == (1, 4, 8)
@@ -57,7 +57,7 @@ class TestRegistry:
 
 class TestTable1:
     def test_sampled_mix_matches_nominal(self):
-        data = table1(ResultCache(), TINY)
+        data = table1(ResultCache(run_config), TINY)
         assert data.figure_id == "table1"
         for name, read in (("R", 95.0), ("RW", 50.0), ("W", 1.0),
                            ("RS", 47.0), ("RSW", 25.0)):
@@ -68,7 +68,7 @@ class TestTable1:
 
 class TestFig17:
     def test_disk_usage_series(self):
-        data = fig17(ResultCache(), TINY)
+        data = fig17(ResultCache(run_config), TINY)
         assert set(data.series) == {"cassandra", "hbase", "voldemort",
                                     "mysql", "raw data"}
         raw = data.series_value("raw data", 12.0)
@@ -94,11 +94,11 @@ class TestSweepBuilder:
     """One real (tiny) sweep exercising the shared-cache machinery."""
 
     def test_fig3_reuses_runs_for_fig4_and_fig5(self):
-        cache = ResultCache()
-        throughput = build_figure("fig3", cache, TINY)
+        cache = ResultCache(run_config)
+        throughput = FIGURES["fig3"](cache, TINY)
         misses_after_fig3 = cache.misses
-        read = build_figure("fig4", cache, TINY)
-        write = build_figure("fig5", cache, TINY)
+        read = FIGURES["fig4"](cache, TINY)
+        write = FIGURES["fig5"](cache, TINY)
         assert cache.misses == misses_after_fig3  # all hits
         for data in (throughput, read, write):
             assert set(data.series) == {"cassandra", "hbase", "voldemort",
@@ -108,8 +108,7 @@ class TestSweepBuilder:
                 assert all(y > 0 for __, y in points)
 
     def test_scan_figures_skip_voldemort(self):
-        cache = ResultCache()
-        data = build_figure("fig12", cache, TINY)
+        data = FIGURES["fig12"](ResultCache(run_config), TINY)
         assert "voldemort" not in data.series
         assert "cassandra" in data.series
 

@@ -6,9 +6,12 @@
 * Only ``execute_grid``'s worker entry writes a ``ResultStore``.
 * A :class:`~repro.analysis.cache.ResultCache` is a memo: it is given a
   runner, never a store, and no process-global one exists.
+* ``reproduce`` is the one way figure ids become ``FigureData``:
+  ``apmbench figure`` goes through its store, nothing makes a memo that
+  runs points live by default, and ``build_figure`` is gone.
 
-The first is shown by running both; the other two are kept by an ``ast``
-walk over ``src/repro`` in the style of
+The first is shown by running both, the last by running ``figure`` twice;
+the rest are kept by an ``ast`` walk over ``src/repro`` in the style of
 ``tests/stores/test_shared_plumbing.py`` — an exception goes in an
 allow-list below with its reason.
 """
@@ -20,12 +23,12 @@ import pytest
 
 import repro
 import repro.cli as cli
-from repro.analysis.cache import ResultCache
-from repro.analysis.figures import FIGURES, FigureData
 from repro.analysis.sweep import SweepSpec, run_sweep
+from repro.orchestrator import pool
 from repro.orchestrator.store import ResultStore
 from repro.ycsb.workload import WORKLOAD_R, WORKLOAD_RS
 
+from tests.analysis.test_figures import TINY
 from tests.stores.test_shared_plumbing import _walk
 
 SRC = Path(repro.__file__).parent
@@ -46,7 +49,8 @@ ENVIRONMENT_READERS = {
     ("analysis/figures.py", "active_profile"): "REPRO_BENCH_PROFILE",
 }
 #: Names that must not come back.
-REMOVED_NAMES = {"default_cache", "_GLOBAL_CACHE", "sweep_configs"}
+REMOVED_NAMES = {"default_cache", "_GLOBAL_CACHE", "sweep_configs",
+                 "build_figure"}
 
 
 # -- run_sweep and `apmbench grid` are one path ------------------------------
@@ -76,26 +80,31 @@ def test_run_sweep_exports_what_apmbench_grid_exports(tmp_path, jobs,
     assert export.read_text().rstrip("\n") == sweep.to_json()
 
 
-# -- `apmbench figure` shares one memo per invocation ------------------------
+# -- `apmbench figure` takes the store path ----------------------------------
 
 
-def test_cmd_figure_hands_one_memo_to_every_builder(monkeypatch, capsys):
-    handed = []
+def test_a_second_figure_invocation_executes_no_point(tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "active_profile", lambda: TINY)
+    runs = []
+    run_config = pool.run_config
+    monkeypatch.setattr(
+        pool, "run_config",
+        lambda config: runs.append(config) or run_config(config))
 
-    def builder(figure_id, cache=None, profile=None):
-        handed.append(cache)
-        return FigureData(figure_id, figure_id, "x", "y",
-                          series={"redis": [(1.0, 2.0)]})
-
-    monkeypatch.setattr(cli, "build_figure", builder)
-    assert cli.main(["figure", "all"]) == 0
-    assert len(handed) == len(FIGURES)
-    assert isinstance(handed[0], ResultCache)
-    assert all(cache is handed[0] for cache in handed)
-    # ...per invocation: the next one starts from an empty memo.
-    assert cli.main(["figure", "fig3"]) == 0
-    assert handed[-1] is not handed[0]
-    capsys.readouterr()
+    assert cli.main(["figure", "fig18"]) == 0
+    first = capsys.readouterr().out
+    assert len(runs) == 9       # three stores x three workloads
+    assert cli.main(["figure", "fig18"]) == 0
+    second = capsys.readouterr().out
+    assert len(runs) == 9
+    # Progress lines aside, the same table.
+    assert second.startswith("fig18: ") and first.endswith(second)
+    # ...and Figure 19 is read off the same nine points.
+    assert cli.main(["figure", "fig19"]) == 0
+    assert len(runs) == 9
+    assert capsys.readouterr().out.startswith("fig19: ")
 
 
 # -- the ast guard -----------------------------------------------------------
@@ -112,6 +121,11 @@ def _findings(source: str):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
                 and node.name in REMOVED_NAMES:
             yield "removed", node.name, node.lineno
+        if isinstance(node, ast.ClassDef) and node.name == "ResultCache":
+            for item in node.body:
+                if getattr(item, "name", None) == "__init__" \
+                        and item.args.defaults + item.args.kw_defaults:
+                    yield "live-memo", "ResultCache.__init__", item.lineno
         if isinstance(node, (ast.Name, ast.alias)):
             name = node.id if isinstance(node, ast.Name) else node.name
             if name in REMOVED_NAMES:
@@ -122,6 +136,9 @@ def _findings(source: str):
         if not isinstance(node, ast.Call):
             continue
         callee = node.func
+        if getattr(callee, "id", getattr(callee, "attr", None)) \
+                == "ResultCache" and not node.args + node.keywords:
+            yield "live-memo", function, node.lineno
         if isinstance(callee, ast.Attribute) and callee.attr == "put":
             puts.append((function, node.lineno))
         if getattr(callee, "id", getattr(callee, "attr", None)) \
@@ -141,7 +158,12 @@ def test_one_store_writer_one_pool_no_global_cache():
             if kind == "removed":
                 raise AssertionError(
                     f"{where} names {function}; a memo is created by its "
-                    "user and a SweepSpec expands itself")
+                    "user, a SweepSpec expands itself and figure ids go "
+                    "through reproduce")
+            if kind == "live-memo":
+                raise AssertionError(
+                    f"{where}: a ResultCache is given its runner; points "
+                    "that should be kept run through execute_grid")
             if kind == "store-put":
                 assert name in STORE_WRITERS, (
                     f"{where} writes a ResultStore; run the point through "
@@ -180,6 +202,18 @@ def test_the_guard_sees_the_idioms():
     assert list(_findings(source)) == [
         ("removed", "default_cache", 3), ("environ", "get", 5),
         ("pool", "fan_out", 9), ("store-put", "get", 7)]
+    # The fork `apmbench figure` was: a memo that runs live by default.
+    source = (
+        "class ResultCache:\n"
+        "    def __init__(self, runner=run_config):\n"
+        "        self._runner = runner\n"
+        "def build_figure(figure_id, cache=None):\n"
+        "    return FIGURES[figure_id](cache or ResultCache())\n"
+        "memo = ResultCache(runner=store.get)\n")
+    assert list(_findings(source)) == [
+        ("live-memo", "ResultCache.__init__", 2),
+        ("removed", "build_figure", 4),
+        ("live-memo", "build_figure", 5)]
     # An engine's own ``put`` is nobody's business here.
     assert list(_findings("def load(engine, record):\n"
                           "    engine.put(record.key, record.fields)\n")) == []

@@ -58,18 +58,24 @@ class TestRun:
 
 
 class TestFigure:
-    def test_fig17_renders_and_checks(self, capsys):
+    # ``figure`` goes through ``apmbench-results/store`` under the
+    # working directory, so each of these runs in a temporary one.
+    def test_fig17_renders_and_checks(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         assert main(["figure", "fig17", "--check"]) == 0
         out = capsys.readouterr().out
         assert "Disk usage" in out
         assert "all paper expectations hold" in out
 
-    def test_table1(self, capsys):
+    def test_table1(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         assert main(["figure", "table1", "--check"]) == 0
 
 
 class TestFigureExport:
-    def test_export_writes_json_and_csv(self, tmp_path, capsys):
+    def test_export_writes_json_and_csv(self, tmp_path, monkeypatch,
+                                        capsys):
+        monkeypatch.chdir(tmp_path)
         assert main(["figure", "fig17", "--export", str(tmp_path)]) == 0
         assert (tmp_path / "fig17.json").exists()
         assert (tmp_path / "fig17.csv").exists()
