@@ -13,6 +13,7 @@ the repo-wide determinism contract.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import hashlib
 import json
 from typing import Any, Optional
@@ -26,9 +27,12 @@ def _jsonable(obj: Any) -> Any:
     """A deterministic JSON-ready projection of a config object.
 
     Dataclasses flatten to ``{type, fields...}``; mappings sort by key;
-    callables and schedules reduce to their qualified name so two
-    processes building the same config hash identically.
+    an enum member is its value (a crash is not a restart); callables
+    reduce to their qualified name so two processes building the same
+    config hash identically.
     """
+    if isinstance(obj, enum.Enum):
+        return _jsonable(obj.value)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         fields = {f.name: _jsonable(getattr(obj, f.name))
                   for f in dataclasses.fields(obj)}

@@ -7,8 +7,10 @@ import repro
 from repro.analysis.export import figure_to_json
 from repro.analysis.provenance import config_fingerprint, provenance, stamp
 from repro.analysis.sweep import SweepResult, SweepSpec
+from repro.faults import FaultSchedule
 from tests.analysis.test_export import sample
-from repro.ycsb.workload import Workload
+from repro.ycsb.runner import BenchmarkConfig
+from repro.ycsb.workload import WORKLOAD_R, Workload
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,19 @@ class TestFingerprint:
         first = config_fingerprint({"fn": config_fingerprint})
         second = config_fingerprint({"fn": config_fingerprint})
         assert first == second
+
+    def test_two_schedules_that_differ_only_in_kind_differ(self):
+        # An enum used to reduce to its class name, so these two gave one
+        # BenchmarkConfig identity, memo entry and provenance hash.
+        slow = FaultSchedule().slow_disk("server-0", at=1, factor=2)
+        zombie = FaultSchedule().zombie("server-0", at=1, slowdown=2)
+        assert config_fingerprint(slow) != config_fingerprint(zombie)
+        assert config_fingerprint(FaultSchedule().crash("server-0", at=1)) \
+            != config_fingerprint(FaultSchedule().restart("server-0", at=1))
+        keys = {BenchmarkConfig(store="redis", workload=WORKLOAD_R,
+                                n_nodes=1, fault_schedule=schedule).content_key()
+                for schedule in (slow, zombie)}
+        assert len(keys) == 2
 
     def test_short_hex(self):
         digest = config_fingerprint(FakeConfig())
