@@ -51,12 +51,14 @@ class ChaosController:
         #: loses *by design* (crash with no scheduled restart on a
         #: store holding single-copy state for that node).
         self.loss_manifest: list[dict] = []
-        #: Node names crashed by this schedule and never restarted.
-        self._never_restarted = {
-            node for node in {a.target for a in schedule.actions()
-                              if a.kind is FaultKind.CRASH}
-            if any(end == float("inf")
-                   for __, end in schedule.outage_windows(node))
+        #: Node name -> time of its crash that no restart follows (an
+        #: earlier crash of the same node, restarted since, loses nothing).
+        self._lost_at = {
+            node: down_since
+            for node in {a.target for a in schedule.actions()
+                         if a.kind is FaultKind.CRASH}
+            for down_since, end in schedule.outage_windows(node)
+            if end == float("inf")
         }
 
     def subscribe(self, listener: object) -> None:
@@ -116,7 +118,7 @@ class ChaosController:
         if action.kind is FaultKind.CRASH:
             node = cluster.node(action.target)
             node.fail()
-            if action.target in self._never_restarted:
+            if self._lost_at.get(action.target) == action.at:
                 self._declare_losses(node)
             self._notify("on_node_down", node)
         elif action.kind is FaultKind.RESTART:

@@ -179,17 +179,15 @@ class Node:
         """
         if slowdown <= 1.0:
             raise ValueError(f"zombie slowdown must be > 1.0, got {slowdown}")
-        if self.speed_factor < 1.0:
-            self.disk.restore()  # re-degrading replaces the old factor
         self.speed_factor = 1.0 / slowdown
-        self.disk.degrade(slowdown)
+        self.disk.degrade(slowdown, cause="zombie")
 
     def unzombie(self) -> None:
         """Restore a zombie node to full speed."""
         if self.speed_factor >= 1.0:
             return
         self.speed_factor = 1.0
-        self.disk.restore()
+        self.disk.restore(cause="zombie")
 
     def cpu(self, cost_s: float):
         """Execute ``cost_s`` seconds of single-core work here.

@@ -15,6 +15,7 @@ latency (Section 5.8).  Both effects are modelled:
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -56,18 +57,26 @@ class Disk:
         self.reads = 0
         self.writes = 0
         #: Service-time multiplier for a degraded spindle (fault injection:
-        #: a failing disk retries sectors / a RAID array rebuilds).
+        #: a failing disk retries sectors / a RAID array rebuilds): the
+        #: product of every active cause's factor.
         self.degrade_factor = 1.0
+        self._degraded: dict[str, float] = {}
 
-    def degrade(self, factor: float) -> None:
-        """Slow every access by ``factor`` (>= 1.0; 1.0 restores health)."""
+    def degrade(self, factor: float, cause: str = "slow_disk") -> None:
+        """Slow every access by ``factor`` (>= 1.0) on ``cause``'s account.
+
+        Causes overlap (a slow disk on a zombie node is slow twice over);
+        one cause degrading again replaces its own factor.
+        """
         if factor < 1.0:
             raise ValueError(f"degrade factor must be >= 1.0, got {factor}")
-        self.degrade_factor = factor
+        self._degraded[cause] = factor
+        self.degrade_factor = math.prod(self._degraded.values(), start=1.0)
 
-    def restore(self) -> None:
-        """Return the disk to full speed."""
-        self.degrade_factor = 1.0
+    def restore(self, cause: str = "slow_disk") -> None:
+        """Lift ``cause``'s degradation; any other cause's stays."""
+        self._degraded.pop(cause, None)
+        self.degrade_factor = math.prod(self._degraded.values(), start=1.0)
 
     def read(self, nbytes: int, sequential: bool = False):
         """Read ``nbytes`` (random unless ``sequential``).

@@ -170,6 +170,43 @@ def test_slow_disk_applies_and_restores_degradation():
     assert disk.degrade_factor == 1.0
 
 
+def test_a_zombie_inside_a_slow_disk_window_restores_only_itself():
+    # Each used to overwrite the other's factor and either restore
+    # cleared both: 8 -> 25 -> 1.0 at t = 4 with the slow disk still on.
+    cluster = make_cluster(2)
+    sim = cluster.sim
+    disk = cluster.servers[0].disk
+    schedule = (FaultSchedule()
+                .slow_disk("server-0", at=1.0, factor=8.0, duration=10.0)
+                .zombie("server-0", at=2.0, slowdown=25.0, duration=2.0))
+    ChaosController(cluster, schedule).start()
+    factors = []
+    for until in (1.5, 3.0, 5.0, 12.0):
+        sim.run(until=until)
+        factors.append(disk.degrade_factor)
+    assert factors == [8.0, 200.0, 8.0, 1.0]
+
+
+def test_a_loss_is_declared_at_the_crash_no_restart_follows():
+    class SingleCopy:
+        name = "single-copy"
+
+        def declared_loss(self, node):
+            return f"{node.name} held the only copy"
+
+    cluster = make_cluster(2)
+    schedule = (FaultSchedule()
+                .crash("server-0", at=1.0, restart_after=2.0)
+                .crash("server-0", at=10.0))
+    control = ChaosController(cluster, schedule)
+    control.subscribe(SingleCopy())
+    control.start()
+    cluster.sim.run(until=11.0)
+    # Not at t = 1.0 as well: that crash was restarted, nothing was lost.
+    assert [(entry["t"], entry["node"]) for entry in control.loss_manifest] \
+        == [(10.0, "server-0")]
+
+
 def test_slow_disk_stretches_read_service_time():
     cluster = make_cluster(2)
     sim = cluster.sim
