@@ -10,8 +10,8 @@ resulting history for the guarantees the deployment claims:
 * **session guarantees** — read-your-writes and monotonic reads per
   client session;
 * **per-key linearizability** — a windowed Wing–Gong search over
-  register histories, with a brute-force oracle for tiny histories
-  (:mod:`repro.audit.linearize`);
+  register histories (:mod:`repro.audit.linearize`; its brute-force
+  oracle for tiny histories is beside the tests);
 * **staleness** — version lag of replicated reads behind the latest
   acknowledged write, reported as a distribution.
 
@@ -25,8 +25,7 @@ from repro.audit.checkers import (check_durability, check_sessions,
 from repro.audit.harness import (AuditReport, AuditScenario,
                                  run_audit_scenario, standard_schedule)
 from repro.audit.history import HistoryRecorder, OpRecord
-from repro.audit.linearize import (RegisterOp, brute_force_linearizable,
-                                   check_linearizable)
+from repro.audit.linearize import RegisterOp, check_linearizable
 from repro.audit.sweep import (QuorumSweep, render_sweep,
                                run_quorum_sweep, sweep_to_json)
 
@@ -37,7 +36,6 @@ __all__ = [
     "OpRecord",
     "QuorumSweep",
     "RegisterOp",
-    "brute_force_linearizable",
     "check_durability",
     "check_linearizable",
     "check_sessions",

@@ -23,20 +23,19 @@ Failed writes (no response observed) are *optional*: they may take
 effect at any point after their invocation — including in a later
 window — or never.  Failed reads constrain nothing and are dropped.
 
-:func:`brute_force_linearizable` is the oracle: a factorial enumeration
-over failed-write subsets and interleavings, feasible only for tiny
+The oracle is beside the tests (``brute_force_linearizable`` in
+``tests/audit/reference_linearize.py``): a factorial enumeration over
+failed-write subsets and interleavings, feasible only for tiny
 histories, which the Hypothesis suite checks the search against.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-__all__ = ["RegisterOp", "brute_force_linearizable", "check_linearizable",
-           "history_to_register_ops"]
+__all__ = ["RegisterOp", "check_linearizable", "history_to_register_ops"]
 
 
 @dataclass(frozen=True)
@@ -161,45 +160,6 @@ def check_linearizable(ops: Iterable[RegisterOp], initial: int = 0,
                 return False
     except _BudgetExceeded:
         return None
-    return True
-
-
-def brute_force_linearizable(ops: Iterable[RegisterOp],
-                             initial: int = 0) -> bool:
-    """Exhaustive oracle: every failed-write subset x every interleaving.
-
-    Factorial in history size — callers keep histories under ~7 ops.
-    """
-    all_ops = list(ops)
-    fixed = [o for o in all_ops if o.ok]
-    floating = [o for o in all_ops if not o.ok and o.is_write]
-    for take in range(len(floating) + 1):
-        for subset in itertools.combinations(floating, take):
-            chosen = fixed + list(subset)
-            for order in itertools.permutations(range(len(chosen))):
-                if not _respects_real_time(chosen, order):
-                    continue
-                value = initial
-                feasible = True
-                for index in order:
-                    op = chosen[index]
-                    if op.is_write:
-                        value = op.value
-                    elif op.value != value:
-                        feasible = False
-                        break
-                if feasible:
-                    return True
-    return False
-
-
-def _respects_real_time(chosen: list[RegisterOp],
-                        order: tuple[int, ...]) -> bool:
-    for pos_a, a_id in enumerate(order):
-        inv_a = chosen[a_id].inv
-        for b_id in order[pos_a + 1:]:
-            if chosen[b_id].resp < inv_a:
-                return False
     return True
 
 

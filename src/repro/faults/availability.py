@@ -101,14 +101,6 @@ class AvailabilityTimeline:
         span = sum(w.duration for w in selected)
         return sum(w.ops for w in selected) / span if span > 0 else 0.0
 
-    def goodput_between(self, t0: float, t1: float) -> float:
-        """Mean successful-ops/s over windows fully inside ``[t0, t1]``."""
-        selected = self._between(t0, t1)
-        span = sum(w.duration for w in selected)
-        if span <= 0:
-            return 0.0
-        return sum(w.ops - w.errors for w in selected) / span
-
     # -- deterministic rendering ----------------------------------------------
 
     def to_text(self) -> str:

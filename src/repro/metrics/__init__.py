@@ -5,8 +5,8 @@ The metrics subsystem answers the horizontal question the span tracer
 at t=40s, and which resource bound the throughput?*  It is built from
 four pieces:
 
-* :mod:`repro.metrics.registry` — counters, time-weighted gauges,
-  pull-probes and windowed histograms, all stamped with simulated time;
+* :mod:`repro.metrics.registry` — counters, pull-probes and
+  windowed histograms, all stamped with simulated time;
 * :mod:`repro.metrics.timeseries` — the shared fixed-window series
   representation (also used by the fault subsystem's availability
   timelines) with one canonical CSV layout;
@@ -29,7 +29,6 @@ from repro.metrics.registry import (
     MetricsRegistry,
     ProbeGauge,
     ProbeMeter,
-    TimeWeightedGauge,
     WindowedHistogram,
 )
 from repro.metrics.timeseries import SeriesWindow, WindowedSeries
@@ -68,7 +67,6 @@ __all__ = [
     "SeriesWindow",
     "SubWindow",
     "SustainedVerdict",
-    "TimeWeightedGauge",
     "WindowedHistogram",
     "WindowedSeries",
     "analyze_saturation",

@@ -1,14 +1,11 @@
-"""The metrics registry: counters, time-weighted gauges, histograms.
+"""The metrics registry: counters, probes, histograms.
 
 A :class:`MetricsRegistry` is attached to a simulator and stamps every
 observation with *simulated* time, so telemetry is as deterministic as
-the simulation itself.  Four metric kinds cover the stack:
+the simulation itself.  Three metric kinds cover the stack:
 
 * :class:`Counter` — a monotonically increasing count pushed by
   instrumentation sites (operations routed, replicas fanned out).
-* :class:`TimeWeightedGauge` — a piecewise-constant level (queue depth,
-  memtable bytes) whose window averages weight each value by how long it
-  held, not by how often it was set.
 * :class:`ProbeGauge` / :class:`ProbeMeter` — *pull* metrics wrapping a
   callable; probes read state that existing components already maintain
   (``Disk.bytes_read``, ``Resource`` busy time, page-cache hit counts),
@@ -24,7 +21,7 @@ can be re-entered safely.
 
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import insort
 from typing import Any, Callable, Optional
 
 from repro.metrics.timeseries import WindowedSeries
@@ -35,7 +32,6 @@ __all__ = [
     "MetricsRegistry",
     "ProbeGauge",
     "ProbeMeter",
-    "TimeWeightedGauge",
     "WindowedHistogram",
 ]
 
@@ -115,76 +111,6 @@ class ProbeGauge(Metric):
     def value(self) -> float:
         """The current level."""
         return float(self._fn())
-
-
-class TimeWeightedGauge(Metric):
-    """A pushed piecewise-constant level with exact window averaging.
-
-    The gauge records every transition ``(time, value)``; the integral
-    over any window is then exact, which gives the averaging its two
-    invariants (verified by hypothesis properties):
-
-    * **split/merge invariance** — the integral over ``[t0, t2]`` equals
-      the sum of the integrals over ``[t0, t1]`` and ``[t1, t2]``;
-    * **window additivity** — the average over a window is the
-      duration-weighted mean of the averages over any partition of it.
-    """
-
-    kind = "gauge"
-
-    def __init__(self, name: str, labels: dict[str, Any],
-                 clock: Callable[[], float], initial: float = 0.0):
-        super().__init__(name, labels)
-        self._clock = clock
-        self._initial = initial
-        self._times: list[float] = []
-        self._values: list[float] = []
-
-    @property
-    def value(self) -> float:
-        """The current level."""
-        return self._values[-1] if self._values else self._initial
-
-    def set(self, value: float) -> None:
-        """Record a transition to ``value`` at the current simulated time."""
-        now = self._clock()
-        if self._times and now < self._times[-1]:
-            raise ValueError(
-                f"gauge transitions must be in time order: {now} < "
-                f"{self._times[-1]}"
-            )
-        if self._times and self._times[-1] == now:
-            self._values[-1] = value
-        else:
-            self._times.append(now)
-            self._values.append(value)
-
-    def adjust(self, delta: float) -> None:
-        """Shift the current level by ``delta`` (queue-depth style)."""
-        self.set(self.value + delta)
-
-    def integral(self, t0: float, t1: float) -> float:
-        """The exact integral of the level over ``[t0, t1]``."""
-        if t1 <= t0:
-            return 0.0
-        index = bisect_right(self._times, t0) - 1
-        current = self._values[index] if index >= 0 else self._initial
-        cursor = t0
-        total = 0.0
-        for j in range(index + 1, len(self._times)):
-            when = self._times[j]
-            if when >= t1:
-                break
-            total += current * (when - cursor)
-            cursor = when
-            current = self._values[j]
-        total += current * (t1 - cursor)
-        return total
-
-    def average(self, t0: float, t1: float) -> float:
-        """Time-weighted mean of the level over ``[t0, t1]``."""
-        span = t1 - t0
-        return self.integral(t0, t1) / span if span > 0 else 0.0
 
 
 class WindowedHistogram(Metric):
@@ -301,14 +227,6 @@ class MetricsRegistry:
         """Get or create a pulled cumulative counter over ``fn``."""
         return self._register(ProbeMeter, name, labels,
                               lambda: ProbeMeter(name, labels, fn))
-
-    def gauge(self, name: str, initial: float = 0.0,
-              **labels: Any) -> TimeWeightedGauge:
-        """Get or create a pushed time-weighted gauge."""
-        return self._register(
-            TimeWeightedGauge, name, labels,
-            lambda: TimeWeightedGauge(name, labels,
-                                      lambda: self.sim.now, initial))
 
     def probe(self, name: str, fn: Callable[[], float],
               **labels: Any) -> ProbeGauge:

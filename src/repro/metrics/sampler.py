@@ -22,7 +22,6 @@ from repro.metrics.registry import (
     MetricsRegistry,
     ProbeGauge,
     ProbeMeter,
-    TimeWeightedGauge,
     WindowedHistogram,
 )
 from repro.metrics.timeseries import WindowedSeries
@@ -74,7 +73,7 @@ class MetricsSampler:
                 delta = total - self._last_totals.get(channel, 0.0)
                 self._last_totals[channel] = total
                 self.series.add_at(index, channel, delta)
-            elif isinstance(metric, (TimeWeightedGauge, ProbeGauge)):
+            elif isinstance(metric, ProbeGauge):
                 self.series.put_at(index, channel, float(metric.value))
             elif isinstance(metric, WindowedHistogram):
                 self.series.put_at(index, channel, float(metric.count))

@@ -29,7 +29,7 @@ from repro.plan.hardware import (HARDWARE_PROFILES, HardwareProfile,
 from repro.plan.model import ModeledCapacity, modeled_capacity
 from repro.plan.report import PlanReport, build_report
 from repro.plan.search import (Candidate, FrontierEntry, FrontierResult,
-                               analytical_frontier, exhaustive_pick)
+                               analytical_frontier)
 from repro.plan.spec import LoadSpec, SLOTarget, parse_slo
 from repro.plan.validate import (SLOCheck, ValidationOutcome,
                                  ValidationSettings,
@@ -53,7 +53,6 @@ __all__ = [
     "analytical_frontier",
     "build_report",
     "estimate_validation_cost",
-    "exhaustive_pick",
     "hardware_profile",
     "modeled_capacity",
     "parse_slo",

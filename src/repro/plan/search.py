@@ -13,10 +13,11 @@ prunes with the analytical model:
 
 What survives — at most one candidate per (store, hardware) pair — is
 the *analytical frontier*: the configurations worth spending simulation
-time on.  ``exhaustive_pick`` evaluates every candidate without any
-pruning; the property suite asserts the frontier always contains the
-exhaustive winner, i.e. pruning never discards a configuration the
-full search would have picked.
+time on.  The property suite holds it against an oracle that evaluates
+every candidate without any pruning (``exhaustive_pick`` in
+``tests/plan/reference_search.py``): the frontier always contains the
+exhaustive winner, i.e. pruning never discards a configuration the full
+search would have picked.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.stores.registry import STORE_NAMES, store_class
 from repro.ycsb.runner import PAPER_RECORDS_PER_NODE
 
 __all__ = ["Candidate", "FrontierEntry", "FrontierResult",
-           "analytical_frontier", "exhaustive_pick"]
+           "analytical_frontier"]
 
 
 @dataclass(frozen=True)
@@ -142,47 +143,3 @@ def analytical_frontier(spec: LoadSpec,
     entries.sort(key=_entry_sort_key)
     return FrontierResult(entries=entries, skipped=skipped,
                           infeasible=infeasible, examined=examined)
-
-
-def exhaustive_pick(spec: LoadSpec,
-                    stores: tuple[str, ...] = STORE_NAMES,
-                    profiles: tuple[HardwareProfile, ...] | None = None,
-                    records_per_node: int = 20_000,
-                    paper_records_per_node: int = PAPER_RECORDS_PER_NODE,
-                    max_nodes: int | None = None,
-                    ) -> Candidate | None:
-    """The cheapest analytically feasible candidate, found the slow way.
-
-    Evaluates *every* (store, hardware, node count) point with no
-    pruning — the oracle the property tests hold ``analytical_frontier``
-    against.  Ties break exactly like the frontier ordering.
-    """
-    if profiles is None:
-        profiles = tuple(HARDWARE_PROFILES.values())
-    required = spec.required_ops_per_s
-    best: Candidate | None = None
-
-    def better(a: Candidate, b: Candidate | None) -> bool:
-        if b is None:
-            return True
-        return ((a.cost, a.n_nodes, a.store, a.hardware.name)
-                < (b.cost, b.n_nodes, b.store, b.hardware.name))
-
-    for store_name in stores:
-        cls = store_class(store_name)
-        if spec.workload.has_scans and not cls.supports_scans:
-            continue
-        for hardware in profiles:
-            ceiling = hardware.max_nodes
-            if max_nodes is not None:
-                ceiling = min(ceiling, max_nodes)
-            for n_nodes in range(1, ceiling + 1):
-                modeled = modeled_capacity(
-                    store_name, hardware, n_nodes, spec.workload,
-                    records_per_node, paper_records_per_node)
-                if modeled.ops_per_s < required:
-                    continue
-                candidate = Candidate(store_name, hardware, n_nodes)
-                if better(candidate, best):
-                    best = candidate
-    return best

@@ -100,18 +100,6 @@ class NameNode:
         self.files[path].blocks.append(block)
         return block
 
-    def blocks_for_range(self, path: str, offset: int,
-                         length: int) -> list[HdfsBlock]:
-        """Blocks overlapping ``[offset, offset+length)``."""
-        out = []
-        position = 0
-        for block in self.files[path].blocks:
-            end = position + max(block.size, 1)
-            if end > offset and position < offset + length:
-                out.append(block)
-            position = end
-        return out
-
 
 class Hdfs:
     """The distributed filesystem: NameNode + one DataNode per node."""

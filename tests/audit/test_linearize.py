@@ -5,9 +5,10 @@ import math
 import pytest
 
 from repro.audit.history import OpRecord
-from repro.audit.linearize import (RegisterOp, brute_force_linearizable,
-                                   check_linearizable,
+from repro.audit.linearize import (RegisterOp, check_linearizable,
                                    history_to_register_ops)
+
+from tests.audit.reference_linearize import brute_force_linearizable
 
 
 def w(inv, resp, value, ok=True):

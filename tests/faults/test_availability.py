@@ -43,7 +43,6 @@ def test_aggregates_between():
     # Pooled across [0, 2): 2 errors / 8 ops.
     assert timeline.error_rate_between(0.0, 2.0) == pytest.approx(0.25)
     assert timeline.throughput_between(0.0, 2.0) == pytest.approx(4.0)
-    assert timeline.goodput_between(0.0, 2.0) == pytest.approx(3.0)
     # An empty selection is 0, not a division error.
     assert timeline.error_rate_between(10.0, 11.0) == 0.0
     assert timeline.throughput_between(10.0, 11.0) == 0.0

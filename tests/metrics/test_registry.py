@@ -7,7 +7,6 @@ from repro.metrics import (
     MetricsRegistry,
     ProbeGauge,
     ProbeMeter,
-    TimeWeightedGauge,
     WindowedHistogram,
 )
 from repro.sim.kernel import Simulator
@@ -42,48 +41,6 @@ class TestProbes:
         assert gauge.value == 5.0
         assert isinstance(meter, ProbeMeter)
         assert isinstance(gauge, ProbeGauge)
-
-
-class TestTimeWeightedGauge:
-    def test_average_weights_by_duration_not_set_count(self):
-        sim = Simulator()
-        registry = MetricsRegistry(sim)
-        gauge = registry.gauge("queue")
-        gauge.set(2.0)            # held over [0, 4)
-        sim.run(until=4.0)
-        gauge.set(10.0)           # held over [4, 5)
-        sim.run(until=5.0)
-        # (2*4 + 10*1) / 5, however many set() calls happened.
-        assert gauge.average(0.0, 5.0) == pytest.approx(3.6)
-
-    def test_same_time_set_overwrites(self):
-        gauge = make_registry().gauge("queue")
-        gauge.set(1.0)
-        gauge.set(7.0)
-        assert gauge.value == 7.0
-        assert gauge.integral(0.0, 2.0) == pytest.approx(14.0)
-
-    def test_initial_value_covers_time_before_first_set(self):
-        sim = Simulator()
-        gauge = MetricsRegistry(sim).gauge("queue", initial=3.0)
-        sim.run(until=2.0)
-        gauge.set(5.0)
-        assert gauge.integral(0.0, 4.0) == pytest.approx(3 * 2 + 5 * 2)
-
-    def test_adjust_shifts_current_level(self):
-        gauge = make_registry().gauge("queue")
-        gauge.adjust(2.0)
-        gauge.adjust(-1.0)
-        assert gauge.value == 1.0
-
-    def test_rejects_out_of_order_transitions(self):
-        sim = Simulator()
-        gauge = MetricsRegistry(sim).gauge("queue")
-        sim.run(until=1.0)
-        gauge.set(1.0)
-        gauge._times[-1] = 5.0  # simulate a clock glitch
-        with pytest.raises(ValueError):
-            gauge.set(2.0)
 
 
 class TestWindowedHistogram:
@@ -124,13 +81,13 @@ class TestRegistry:
         registry = make_registry()
         registry.counter("ops")
         with pytest.raises(ValueError):
-            registry.gauge("ops")
+            registry.probe("ops", lambda: 0.0)
 
     def test_iteration_is_sorted_by_channel(self):
         registry = make_registry()
         registry.counter("zeta")
-        registry.gauge("alpha", node="b")
-        registry.gauge("alpha", node="a")
+        registry.probe("alpha", lambda: 0.0, node="b")
+        registry.probe("alpha", lambda: 0.0, node="a")
         channels = [m.channel for m in registry]
         assert channels == sorted(channels)
 
@@ -154,5 +111,5 @@ class TestRegistry:
     def test_metric_types_exported(self):
         registry = make_registry()
         assert isinstance(registry.counter("a"), Counter)
-        assert isinstance(registry.gauge("b"), TimeWeightedGauge)
+        assert isinstance(registry.probe("b", lambda: 0.0), ProbeGauge)
         assert isinstance(registry.histogram("c"), WindowedHistogram)

@@ -11,7 +11,8 @@ def drive(interval_s, schedule, until):
     sim = Simulator()
     registry = MetricsRegistry(sim)
     counter = registry.counter("ops")
-    gauge = registry.gauge("depth")
+    depth = [0.0]
+    registry.probe("depth", lambda: depth[0])
     sampler = MetricsSampler(registry, interval_s)
     sampler.start()
 
@@ -21,7 +22,7 @@ def drive(interval_s, schedule, until):
             yield sim.timeout(when - last)
             last = when
             counter.inc(amount)
-            gauge.set(amount)
+            depth[0] = amount
 
     sim.process(worker(), name="worker")
     sim.run(until=until)

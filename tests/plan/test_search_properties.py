@@ -15,11 +15,13 @@ from hypothesis import strategies as st
 
 from repro.plan.hardware import HARDWARE_PROFILES, HardwareProfile
 from repro.plan.model import modeled_capacity
-from repro.plan.search import analytical_frontier, exhaustive_pick
+from repro.plan.search import analytical_frontier
 from repro.plan.spec import LoadSpec
 from repro.sim.disk import DiskSpec
 from repro.stores.registry import STORE_NAMES
 from repro.ycsb.workload import WORKLOADS
+
+from tests.plan.reference_search import exhaustive_pick
 
 #: Node ceiling for the property searches (keeps the exhaustive oracle
 #: cheap while still crossing every feasibility boundary).

@@ -21,7 +21,7 @@ class TestHdfs:
         block = namenode.allocate_block("/f", preferred_datanode=2)
         block.size = 500
         assert namenode.files["/f"].size == 500
-        assert namenode.blocks_for_range("/f", 0, 100) == [block]
+        assert namenode.files["/f"].blocks == [block]
 
     def test_delete(self):
         namenode = NameNode()
