@@ -14,6 +14,8 @@ sides share so they cannot drift apart.
 
 from __future__ import annotations
 
+from typing import Callable, Iterable
+
 from repro.metrics.registry import MetricsRegistry
 from repro.sim.cluster import Cluster, Node
 
@@ -31,24 +33,29 @@ def node_channel(name: str, node: str, role: str) -> str:
     return f'{name}{{node="{node}",role="{role}"}}'
 
 
-def register_lsm_engine(registry: MetricsRegistry, engine,
-                        **labels) -> None:
-    """Probes over one LSM engine (Cassandra per-node, HBase per-region).
+def register_lsm_engine(registry: MetricsRegistry,
+                        engines: Callable[[], Iterable], **labels) -> None:
+    """Probes summed over the LSM engines ``engines()`` names when read
+    (Cassandra: the node's one engine; HBase: the server's *current*
+    regions, so probes stay correct across master reassignments).
 
     Covers the engine-level quantities the paper's compaction narrative
     needs: memtable fill, SSTable count, compaction backlog, WAL fsync
     and flush counts.
     """
+    def total(read):
+        return lambda: sum(read(engine) for engine in engines())
+
     registry.probe("lsm_memtable_bytes",
-                   lambda e=engine: e.memtable.size_bytes, **labels)
+                   total(lambda e: e.memtable.size_bytes), **labels)
     registry.probe("lsm_sstables",
-                   lambda e=engine: len(e.sstables), **labels)
+                   total(lambda e: len(e.sstables)), **labels)
     registry.probe("lsm_compaction_backlog",
-                   lambda e=engine: e.compaction_backlog, **labels)
+                   total(lambda e: e.compaction_backlog), **labels)
     registry.meter("lsm_wal_syncs_total",
-                   lambda e=engine: e.commit_log.syncs, **labels)
+                   total(lambda e: e.commit_log.syncs), **labels)
     registry.meter("lsm_flushes_total",
-                   lambda e=engine: e.flushes, **labels)
+                   total(lambda e: e.flushes), **labels)
 
 
 def instrument_cluster(registry: MetricsRegistry, cluster: Cluster) -> None:

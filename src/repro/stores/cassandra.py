@@ -156,7 +156,8 @@ class CassandraStore(Store):
 
     def _attach_node_metrics(self, registry, index: int) -> None:
         from repro.metrics.instrument import register_lsm_engine
-        register_lsm_engine(registry, self.engines[index], store=self.name,
+        engine = self.engines[index]
+        register_lsm_engine(registry, lambda: (engine,), store=self.name,
                             node=self.cluster.servers[index].name)
 
     #: CPU per operation spent in the (de)compression codec when SSTable

@@ -125,11 +125,8 @@ class HBaseStore(Store):
                        lambda: self.regions_reassigned, store=self.name)
 
     def _attach_node_metrics(self, registry, index: int) -> None:
-        """Add handler-queue gauges and per-server region aggregates.
-
-        Engine quantities aggregate over each server's *current* region
-        set, so probes stay correct across master reassignments.
-        """
+        """Add handler-queue gauges and per-server region aggregates."""
+        from repro.metrics.instrument import register_lsm_engine
         server = self.region_servers[index]
         labels = {"store": self.name, "node": server.node.name}
         registry.probe(
@@ -144,26 +141,8 @@ class HBaseStore(Store):
         registry.probe(
             "hbase_regions",
             lambda s=server: len(s.regions), **labels)
-        registry.probe(
-            "lsm_memtable_bytes",
-            lambda s=server: sum(e.memtable.size_bytes
-                                 for e in s.regions.values()), **labels)
-        registry.probe(
-            "lsm_sstables",
-            lambda s=server: sum(len(e.sstables)
-                                 for e in s.regions.values()), **labels)
-        registry.probe(
-            "lsm_compaction_backlog",
-            lambda s=server: sum(e.compaction_backlog
-                                 for e in s.regions.values()), **labels)
-        registry.meter(
-            "lsm_wal_syncs_total",
-            lambda s=server: sum(e.commit_log.syncs
-                                 for e in s.regions.values()), **labels)
-        registry.meter(
-            "lsm_flushes_total",
-            lambda s=server: sum(e.flushes
-                                 for e in s.regions.values()), **labels)
+        register_lsm_engine(registry, lambda: server.regions.values(),
+                            **labels)
 
     @classmethod
     def default_profile(cls) -> ServiceProfile:
