@@ -25,13 +25,12 @@ plane may rebalance mid-run at all):
 Regenerate ``rebalance_golden.json`` after an *intentional* change of
 what a reshard moves with::
 
-    REPRO_UPDATE_REBALANCE_GOLDENS=1 PYTHONPATH=src python -m pytest \
+    REPRO_UPDATE_GOLDENS=1 PYTHONPATH=src python -m pytest \
         tests/control/test_rebalance_conformance.py
 """
 
 import hashlib
 import json
-import os
 from pathlib import Path
 
 import pytest
@@ -42,6 +41,7 @@ from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.storage.record import APM_SCHEMA
 from repro.stores import STORE_NAMES, create_store
 from repro.stores.base import OpError
+from tests.goldens import check_golden
 from tests.stores.conftest import make_records
 
 GOLDEN_PATH = Path(__file__).parent / "rebalance_golden.json"
@@ -137,13 +137,7 @@ def test_no_acknowledged_write_lost(store_name):
 
 
 def _assert_golden(section, store_name, observed):
-    golden = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
-    if os.environ.get("REPRO_UPDATE_REBALANCE_GOLDENS"):
-        golden.setdefault(section, {})[store_name] = observed
-        GOLDEN_PATH.write_text(
-            json.dumps(golden, indent=1, sort_keys=True) + "\n")
-        pytest.skip("rebalance golden regenerated")
-    assert observed == golden[section][store_name]
+    check_golden(GOLDEN_PATH, (section, store_name), observed, indent=1)
 
 
 @pytest.mark.parametrize("store_name", STORE_NAMES)

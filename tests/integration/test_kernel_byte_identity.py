@@ -12,8 +12,8 @@ control decisions shows up as a digest mismatch.
 
 Regenerate after an *intentional* semantic change with::
 
-    REPRO_UPDATE_KERNEL_GOLDENS=1 PYTHONPATH=src python -m pytest \
-        tests/integration/test_kernel_byte_identity.py
+    REPRO_UPDATE_GOLDENS=1 PYTHONPATH=src python -m pytest \
+        tests/integration/test_kernel_byte_identity.py -k <name>
 
 The provenance ``package_version`` field is normalised before hashing so
 version bumps alone never invalidate the goldens.
@@ -35,7 +35,6 @@ probes all of its region's store files, blooms off).
 
 import hashlib
 import json
-import os
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -62,6 +61,8 @@ from repro.stores.registry import create_store
 from repro.ycsb.generator import generate_records
 from repro.ycsb.runner import BenchmarkConfig, run_benchmark
 from repro.ycsb.workload import WORKLOADS
+
+from tests.goldens import check_golden
 
 GOLDEN_PATH = Path(__file__).parent / "kernel_byte_identity_golden.json"
 
@@ -442,24 +443,8 @@ EXPORTS = {
 }
 
 
-def _load_goldens() -> dict:
-    if not GOLDEN_PATH.is_file():
-        return {}
-    return json.loads(GOLDEN_PATH.read_text())
-
-
 @pytest.mark.parametrize("name", sorted(EXPORTS))
 def test_export_matches_seed_kernel_golden(name):
-    digest = _digest(EXPORTS[name]())
-    goldens = _load_goldens()
-    if os.environ.get("REPRO_UPDATE_KERNEL_GOLDENS") == "1":
-        goldens[name] = digest
-        GOLDEN_PATH.write_text(json.dumps(goldens, indent=2,
-                                          sort_keys=True) + "\n")
-        pytest.skip(f"updated golden for {name}")
-    assert name in goldens, (
-        f"no golden for {name}; run with REPRO_UPDATE_KERNEL_GOLDENS=1")
-    assert digest == goldens[name], (
-        f"{name} export diverged from its golden — observable behaviour "
-        "changed (event ordering, latency attribution, control decisions "
-        "or an export's bytes)")
+    # A mismatch means observable behaviour changed: event ordering,
+    # latency attribution, control decisions or an export's bytes.
+    check_golden(GOLDEN_PATH, (name,), _digest(EXPORTS[name]()))

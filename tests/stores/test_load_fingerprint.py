@@ -12,12 +12,11 @@ flush rounds and its minor compaction to be part of the pin; the others
 load 2 000.  Regenerate after an *intentional* change of the post-load
 state with::
 
-    REPRO_UPDATE_LOAD_FINGERPRINTS=1 PYTHONPATH=src python -m pytest \
+    REPRO_UPDATE_GOLDENS=1 PYTHONPATH=src python -m pytest \
         tests/stores/test_load_fingerprint.py
 """
 
 import json
-import os
 import zlib
 from pathlib import Path
 
@@ -27,6 +26,8 @@ from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.storage import btree
 from repro.stores.registry import STORE_NAMES, create_store
 from repro.ycsb.generator import generate_records
+
+from tests.goldens import check_golden
 
 GOLDEN_PATH = Path(__file__).parent / "load_fingerprint_golden.json"
 
@@ -124,14 +125,8 @@ def fresh_page_ids(monkeypatch):
 
 @pytest.mark.parametrize("store_name", STORE_NAMES)
 def test_post_load_state_matches_parent_commit(store_name):
-    observed = fingerprint(store_name)
-    golden = json.loads(GOLDEN_PATH.read_text()) if GOLDEN_PATH.exists() else {}
-    if os.environ.get("REPRO_UPDATE_LOAD_FINGERPRINTS"):
-        golden[store_name] = observed
-        GOLDEN_PATH.write_text(
-            json.dumps(golden, indent=1, sort_keys=True) + "\n")
-        pytest.skip("load fingerprint regenerated")
-    assert observed == golden[store_name]
+    check_golden(GOLDEN_PATH, (store_name,), fingerprint(store_name),
+                 indent=1)
 
 
 def test_lsm_load_pins_flushes_and_a_compaction():
