@@ -1,7 +1,6 @@
 """Unit tests for figure builders."""
 
 import hashlib
-import re
 from pathlib import Path
 
 import pytest
@@ -21,7 +20,7 @@ from repro.analysis.figures import (
 )
 from repro.ycsb.runner import run_config
 
-from tests.goldens import check_golden
+from tests.goldens import check_golden, versionless
 
 
 TINY = BenchProfile(name="tiny", scales=(1, 2), records_per_node=1500,
@@ -124,9 +123,7 @@ def tiny_sweeps():
 def test_figure_json_bytes_are_pinned(figure_id, tiny_sweeps):
     """Title, labels, series order and every float of every artefact:
     how the builders are written is free to change, this is not."""
-    text = figure_to_json(FIGURES[figure_id](tiny_sweeps, TINY))
-    text = re.sub(r'"package_version": "[^"]*"',
-                  '"package_version": "<version>"', text)
+    text = versionless(figure_to_json(FIGURES[figure_id](tiny_sweeps, TINY)))
     check_golden(Path(__file__).parents[1] / "cli_golden.json",
                  ("figure_json", figure_id),
                  hashlib.sha256(text.encode()).hexdigest())

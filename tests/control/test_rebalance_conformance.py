@@ -136,16 +136,12 @@ def test_no_acknowledged_write_lost(store_name):
     assert store.rebalance_moves() == []
 
 
-def _assert_golden(section, store_name, observed):
-    check_golden(GOLDEN_PATH, (section, store_name), observed, indent=1)
-
-
 @pytest.mark.parametrize("store_name", STORE_NAMES)
 def test_grow_shrink_is_deterministic(store_name):
     first, *__ = _run_scenario(store_name)
     second, *__ = _run_scenario(store_name)
     assert first == second
-    _assert_golden("live_digest", store_name, first)
+    check_golden(GOLDEN_PATH, ("live_digest", store_name), first, indent=1)
 
 
 # -- the quiesced move bill ----------------------------------------------------
@@ -201,7 +197,8 @@ def test_quiesced_move_bill_matches_golden(store_name):
     assert observed["shrink"]["entries"][0] == 0
     for step in ("grow", "shrink"):
         assert sum(observed[step]["entries"]) == N_PRELOADED
-    _assert_golden("quiesced_bill", store_name, observed)
+    check_golden(GOLDEN_PATH, ("quiesced_bill", store_name), observed,
+                 indent=1)
 
 
 @pytest.mark.parametrize("store_name,kwargs", [

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import re
 import sys
 from pathlib import Path
 
@@ -10,7 +9,7 @@ import pytest
 
 from repro.cli import main
 
-from tests.goldens import check_golden
+from tests.goldens import check_golden, versionless
 
 
 class TestList:
@@ -323,8 +322,11 @@ INVOCATIONS = {
 }
 
 
-def _check_golden(section: str, name: str, value: str) -> None:
-    check_golden(GOLDEN_PATH, (section, name), value)
+def _add_exports(digest, directory: Path) -> None:
+    """Feed ``digest`` every file the command left under ``out/``."""
+    for path in sorted(directory.glob("out/*")):
+        digest.update(f"\n== {path.name}\n"
+                      f"{versionless(path.read_text())}".encode())
 
 
 class TestSnapshots:
@@ -338,7 +340,7 @@ class TestSnapshots:
         assert excinfo.value.code == 0
         # Whitespace-normalised: line wrapping follows the terminal width.
         text = " ".join(capsys.readouterr().out.split())
-        _check_golden("help", command, text)
+        check_golden(GOLDEN_PATH, ("help", command), text)
 
     @pytest.mark.parametrize("name", sorted(INVOCATIONS))
     def test_printed_output_and_export_bytes(self, name, tmp_path,
@@ -349,12 +351,8 @@ class TestSnapshots:
         digest = hashlib.sha256(f"exit {code}\n".encode())
         if stdout_is_deterministic:
             digest.update(capsys.readouterr().out.encode())
-        for path in sorted(tmp_path.glob("out/*")):
-            text = re.sub(r'"package_version": "[^"]*"',
-                          '"package_version": "<version>"',
-                          path.read_text())
-            digest.update(f"\n== {path.name}\n{text}".encode())
-        _check_golden("output", name, digest.hexdigest())
+        _add_exports(digest, tmp_path)
+        check_golden(GOLDEN_PATH, ("output", name), digest.hexdigest())
 
     @pytest.mark.parametrize("figure_id, profile", [
         ("table1", "quick"), ("fig17", "quick"),
@@ -366,9 +364,6 @@ class TestSnapshots:
         assert main(["figure", figure_id, "--export", "out"]) == 0
         capsys.readouterr()
         digest = hashlib.sha256()
-        for path in sorted(tmp_path.glob("out/*")):
-            text = re.sub(r'"package_version": "[^"]*"',
-                          '"package_version": "<version>"',
-                          path.read_text())
-            digest.update(f"\n== {path.name}\n{text}".encode())
-        _check_golden("figure_export", figure_id, digest.hexdigest())
+        _add_exports(digest, tmp_path)
+        check_golden(GOLDEN_PATH, ("figure_export", figure_id),
+                     digest.hexdigest())
