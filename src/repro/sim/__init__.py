@@ -16,6 +16,7 @@ seconds; all sizes are in bytes.
 
 from repro.sim.kernel import (
     AllOf,
+    AnyOf,
     Event,
     Process,
     SimulationError,
@@ -36,6 +37,7 @@ from repro.sim.cluster import (
 
 __all__ = [
     "AllOf",
+    "AnyOf",
     "CLUSTER_D",
     "CLUSTER_M",
     "Cluster",

@@ -35,6 +35,7 @@ __all__ = [
     "VoldemortDiskUsage",
     "MySQLDiskUsage",
     "redis_memory_per_record",
+    "voltdb_memory_per_record",
     "DISK_USAGE_MODELS",
 ]
 
@@ -310,6 +311,13 @@ def redis_memory_per_record(schema: RecordSchema = APM_SCHEMA) -> float:
     zset_entry = 24 + 40 + key_obj  # dictEntry + skiplist node + shared key
     return (key_obj + dict_entry + hash_overhead
             + per_field * schema.field_count + zset_entry)
+
+
+def voltdb_memory_per_record(schema: RecordSchema = APM_SCHEMA) -> float:
+    """Resident bytes per record in VoltDB's row store + PK index."""
+    tuple_bytes = 1 + 8 + schema.raw_record_bytes + 4 * (schema.field_count + 1)
+    index_bytes = 40 + schema.key_length  # balanced-tree node + key copy
+    return tuple_bytes + index_bytes
 
 
 #: Figure 17 plots exactly these four disk-backed systems.
