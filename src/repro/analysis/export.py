@@ -30,8 +30,7 @@ __all__ = ["figure_to_json", "figure_to_csv", "write_figure",
            "load_figure"]
 
 
-def figure_to_json(data: FigureData, indent: int = 2,
-                   config=None, seed=None) -> str:
+def figure_to_json(data: FigureData, config=None, seed=None) -> str:
     """The figure as a JSON document.
 
     Every export carries a ``provenance`` stamp (package version, plus
@@ -48,7 +47,7 @@ def figure_to_json(data: FigureData, indent: int = 2,
                    for name, points in data.series.items()},
         "notes": list(data.notes),
     }
-    return json.dumps(stamp(payload, config, seed), indent=indent)
+    return json.dumps(stamp(payload, config, seed), indent=2)
 
 
 def figure_to_csv(data: FigureData) -> str:

@@ -1,9 +1,9 @@
 """Prometheus text-format snapshot of a metrics registry.
 
 :func:`registry_to_prometheus` renders every metric as the standard
-exposition format (`# HELP` / `# TYPE` headers plus one sample line per
-metric), so a run's final counters can be diffed, scraped by standard
-tooling, or archived next to the CSV timeseries.
+exposition format (a `# TYPE` header plus one sample line per metric),
+so a run's final counters can be diffed, scraped by standard tooling,
+or archived next to the CSV timeseries.
 
 The rendering is deterministic: metrics emit in sorted channel order,
 values format via ``repr``, and no timestamps are attached — two runs
@@ -17,10 +17,6 @@ from repro.metrics.registry import MetricsRegistry, WindowedHistogram
 __all__ = ["registry_to_prometheus"]
 
 
-def _escape_help(text: str) -> str:
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
 def _labels_suffix(channel: str) -> str:
     """The ``{k="v"}`` tail of a channel name ('' when unlabelled)."""
     brace = channel.find("{")
@@ -28,11 +24,9 @@ def _labels_suffix(channel: str) -> str:
 
 
 def registry_to_prometheus(registry: MetricsRegistry,
-                           help_text: dict[str, str] | None = None,
                            exemplars: dict | None = None) -> str:
     """The registry snapshot in Prometheus text exposition format.
 
-    ``help_text`` optionally maps metric names to `# HELP` strings.
     Histograms expose their ``_count`` and ``_sum`` samples (the
     per-window envelope lives in the CSV timeseries instead).
 
@@ -42,17 +36,12 @@ def registry_to_prometheus(registry: MetricsRegistry,
     ``... # {trace_id="17"} 0.31`` — linking the exported distribution
     to a concrete retained trace.
     """
-    help_text = help_text or {}
     exemplars = exemplars or {}
     lines: list[str] = []
     seen_headers: set[str] = set()
     for metric in registry:
         if metric.name not in seen_headers:
             seen_headers.add(metric.name)
-            described = help_text.get(metric.name)
-            if described:
-                lines.append(
-                    f"# HELP {metric.name} {_escape_help(described)}")
             lines.append(f"# TYPE {metric.name} {metric.kind}")
         suffix = _labels_suffix(metric.channel)
         if isinstance(metric, WindowedHistogram):

@@ -48,8 +48,10 @@ def render_table(data: FigureData) -> str:
     return "\n".join(lines)
 
 
-def render_chart(data: FigureData, width: int = 60, height: int = 16) -> str:
-    """A coarse ASCII scatter of the series (log y if the figure is)."""
+def render_chart(data: FigureData) -> str:
+    """A coarse 60 x 16 ASCII scatter of the series (log y if the figure
+    is)."""
+    width, height = 60, 16
     points = [(x, y) for pts in data.series.values() for x, y in pts
               if y > 0 or not data.log_y]
     if not points:

@@ -102,9 +102,9 @@ class SweepResult:
         """One flat dict per completed point."""
         return [result.row() for result in self.results]
 
-    def best_by(self, workload_name: str, n_nodes: int,
-                metric: str = "throughput_ops") -> Optional[BenchmarkResult]:
-        """The winning store for one (workload, scale) cell."""
+    def best_by(self, workload_name: str,
+                n_nodes: int) -> Optional[BenchmarkResult]:
+        """The highest-throughput store for one (workload, scale) cell."""
         candidates = [
             r for r in self.results
             if r.config.workload.name == workload_name
@@ -112,9 +112,9 @@ class SweepResult:
         ]
         if not candidates:
             return None
-        return max(candidates, key=lambda r: getattr(r, metric))
+        return max(candidates, key=lambda r: r.throughput_ops)
 
-    def to_json(self, indent: int = 2) -> str:
+    def to_json(self) -> str:
         """The sweep as a JSON document with a ``provenance`` stamp.
 
         The stamp hashes the full :class:`SweepSpec` (including its
@@ -127,18 +127,18 @@ class SweepResult:
             "skipped": [{"store": store, "reason": reason}
                         for store, reason in self.skipped],
         }
-        return json.dumps(stamp(payload, self.spec), indent=indent,
+        return json.dumps(stamp(payload, self.spec), indent=2,
                           sort_keys=True)
 
-    def series(self, store: str, workload_name: str,
-               metric: str = "throughput_ops") -> list[tuple[int, float]]:
-        """(nodes, metric) points for one store/workload pair."""
+    def series(self, store: str,
+               workload_name: str) -> list[tuple[int, float]]:
+        """(nodes, throughput) points for one store/workload pair."""
         out = []
         for result in self.results:
             if (result.config.store == store
                     and result.config.workload.name == workload_name):
                 out.append((result.config.n_nodes,
-                            getattr(result, metric)))
+                            result.throughput_ops))
         return sorted(out)
 
 

@@ -140,17 +140,18 @@ def _search_window(window: list[RegisterOp],
     return frontier
 
 
-def check_linearizable(ops: Iterable[RegisterOp], initial: int = 0,
+def check_linearizable(ops: Iterable[RegisterOp],
                        budget: int = 200_000) -> Optional[bool]:
     """Linearizability verdict: ``True``/``False``, or ``None`` when the
     exploration budget ran out (inconclusive — never a false verdict).
+    The register starts at 0, the version of an absent key.
     """
     fixed = sorted((o for o in ops if o.ok),
                    key=lambda o: (o.inv, o.resp))
     # Failed reads constrain nothing; failed writes are optional ops.
     floating = [o for o in ops if not o.ok and o.is_write]
     states: set[tuple[int, frozenset]] = {
-        (initial, frozenset(range(len(floating))))}
+        (0, frozenset(range(len(floating))))}
     counter = [0]
     try:
         for window in _windows(fixed):

@@ -24,8 +24,6 @@ seed reproduces the same decision log byte for byte.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.control.policy import ControlDecision, ControlPolicy
 from repro.control.topology import ClusterTopology
 from repro.metrics.saturation import analyze_saturation
@@ -38,20 +36,10 @@ class Controller:
     """Closes the telemetry -> topology loop for one deployed store."""
 
     def __init__(self, topology: ClusterTopology, series: WindowedSeries,
-                 policy: ControlPolicy,
-                 store_name: Optional[str] = None,
-                 recorder=None):
+                 policy: ControlPolicy):
         self.topology = topology
         self.policy = policy
         self.series = series
-        #: Optional :class:`~repro.obs.recorder.FlightRecorder`: every
-        #: decision lands in the observability ring alongside chaos
-        #: events and rejected operations.
-        self.recorder = recorder
-        #: Store name for the analyzer's executor/op channels; defaults
-        #: to the deployed store's own name.
-        self.store_name = (store_name if store_name is not None
-                           else topology.store.name)
         #: The audit trail: every action taken, in decision order.
         self.decisions: list[ControlDecision] = []
         self.ticks = 0
@@ -103,7 +91,7 @@ class Controller:
         # Diagnose the window that just closed.
         report = analyze_saturation(self.series, self.cluster,
                                     now - policy.tick_s, now,
-                                    self.store_name)
+                                    self.topology.store.name)
         verdict = report.summary
         shed_total = self.topology.store.total_shed()
         shed_rate = (shed_total - self._last_shed) / policy.tick_s
@@ -159,7 +147,7 @@ class Controller:
             if node.up or node.retired or node.name in self._replacing:
                 continue
             self._replacing.add(node.name)
-            self._log_decision(ControlDecision(
+            self.decisions.append(ControlDecision(
                 t=now, action="replace", node=node.name,
                 reason=f"node {node.name} is down and not retired",
                 pressure=0.0, bottleneck="liveness",
@@ -174,17 +162,9 @@ class Controller:
         self._replacing.discard(node.name)
         self._cooldown_until = self.sim.now + policy.cooldown_s
 
-    def _log_decision(self, decision: ControlDecision) -> None:
-        self.decisions.append(decision)
-        if self.recorder is not None:
-            self.recorder.record("control-decision",
-                                 action=decision.action,
-                                 node=decision.node,
-                                 reason=decision.reason)
-
     def _decide(self, action: str, node: str, reason: str, verdict,
                 n_active: int) -> None:
-        self._log_decision(ControlDecision(
+        self.decisions.append(ControlDecision(
             t=self.sim.now, action=action, node=node, reason=reason,
             pressure=verdict.pressure, bottleneck=verdict.bottleneck,
             n_active=n_active))

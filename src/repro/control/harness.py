@@ -121,7 +121,7 @@ def run_control_scenario(scenario: ControlScenario) -> ControlRunResult:
 
     run = _OpenLoopRun(scenario.config, scenario.offered_rate,
                        scenario.duration_s, 0.0, scenario.slo_s,
-                       queue_sample_s=0.02, shape=scenario.shape,
+                       shape=scenario.shape,
                        timeline_s=scenario.timeline_s)
     policy = scenario.policy
     registry = sampler = controller = None

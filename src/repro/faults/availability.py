@@ -119,9 +119,10 @@ class AvailabilityTimeline:
         """The shared ``start,end,channel,value`` CSV of the series."""
         return self.series.to_csv()
 
-    def render(self, fault_windows: list[tuple[float, float]] | None = None,
-               width: int = 40) -> str:
-        """An aligned human-readable table with a throughput bar.
+    def render(self,
+               fault_windows: list[tuple[float, float]] | None = None) -> str:
+        """An aligned human-readable table with a throughput bar (40
+        characters at the peak window).
 
         ``fault_windows`` marks windows overlapping a scheduled outage
         with ``*`` so the degradation is visible at a glance.
@@ -137,7 +138,7 @@ class AvailabilityTimeline:
                 if w.start < t1 and w.end > t0:
                     marker = "*"
                     break
-            bar = "#" * int(round(w.throughput / peak * width))
+            bar = "#" * int(round(w.throughput / peak * 40))
             lines.append(
                 f"{w.start:6.2f}-{w.end:<6.2f} {marker}"
                 f"{w.throughput:>9,.0f}  {w.error_rate * 100:>5.1f}%  {bar}"

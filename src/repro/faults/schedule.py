@@ -270,37 +270,27 @@ class FaultSchedule:
     @classmethod
     def random(cls, seed: int, nodes: Sequence[str], horizon_s: float,
                n_crashes: int = 1,
-               min_outage_s: float = 0.5,
-               max_outage_s: Optional[float] = None,
-               restart_probability: float = 1.0,
-               slow_disk_probability: float = 0.0,
-               slow_disk_factor: float = 8.0) -> "FaultSchedule":
+               restart_probability: float = 1.0) -> "FaultSchedule":
         """A reproducible random chaos plan over ``[0, horizon_s)``.
 
         Crash times land in the middle 70% of the horizon so the run has
-        a pristine lead-in and (usually) a post-recovery tail.  The same
-        ``seed`` always produces the same schedule.
+        a pristine lead-in and (usually) a post-recovery tail; an outage
+        lasts from 0.5 s to 30% of the horizon.  The same ``seed`` always
+        produces the same schedule.
         """
         if not nodes:
             raise ValueError("need at least one node to schedule faults on")
         if horizon_s <= 0:
             raise ValueError("horizon_s must be > 0")
         rng = random.Random(seed)
-        max_outage = max_outage_s if max_outage_s is not None else \
-            max(min_outage_s, 0.3 * horizon_s)
+        max_outage = max(0.5, 0.3 * horizon_s)
         schedule = cls()
         for __ in range(n_crashes):
             target = rng.choice(list(nodes))
             at = rng.uniform(0.15 * horizon_s, 0.85 * horizon_s)
             if rng.random() < restart_probability:
-                outage = rng.uniform(min_outage_s, max_outage)
+                outage = rng.uniform(0.5, max_outage)
                 schedule.crash(target, at=at, restart_after=outage)
             else:
                 schedule.crash(target, at=at)
-        for name in nodes:
-            if rng.random() < slow_disk_probability:
-                at = rng.uniform(0.1 * horizon_s, 0.7 * horizon_s)
-                duration = rng.uniform(min_outage_s, max_outage)
-                schedule.slow_disk(name, at=at, factor=slow_disk_factor,
-                                   duration=duration)
         return schedule

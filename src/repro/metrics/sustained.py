@@ -64,11 +64,9 @@ def verify_sustained(timeline, t0: float, t1: float,
     """Split ``[t0, t1]`` into ``subwindows`` slices and compare rates.
 
     ``timeline`` is the fault subsystem's :class:`~repro.faults.
-    availability.AvailabilityTimeline` (or anything exposing its
-    ``series`` / ``throughput_between``).  Sub-window rates prefer the
-    underlying series' overlap-weighted ``rate_between`` so slices
-    narrower than a timeline bucket still resolve; the fully-inside
-    ``throughput_between`` is the fallback.
+    availability.AvailabilityTimeline`.  Sub-window rates are its
+    series' overlap-weighted ``rate_between``, so slices narrower than
+    a timeline bucket still resolve.
     """
     if subwindows < 2:
         raise ValueError(f"need >= 2 subwindows, got {subwindows}")
@@ -78,31 +76,26 @@ def verify_sustained(timeline, t0: float, t1: float,
     if span <= 0:
         raise ValueError(f"empty measurement window: [{t0}, {t1}]")
 
-    series = getattr(timeline, "series", None)
-    if series is not None:
-        # Snap the window inward to whole timeline buckets: edge buckets
-        # are only partially covered by the run, and the series' uniform-
-        # activity apportioning would misread them as throughput dips.
-        # Keep the raw bounds when the run is too short to afford it.
-        w = series.window_s
-        t0a = math.ceil(t0 / w - 1e-9) * w
-        t1a = math.floor(t1 / w + 1e-9) * w
-        if t1a - t0a >= subwindows * w:
-            t0, t1 = t0a, t1a
-            span = t1 - t0
-
-    def rate(start: float, end: float) -> float:
-        if series is not None:
-            return series.rate_between("ops", start, end)
-        return timeline.throughput_between(start, end)
+    series = timeline.series
+    # Snap the window inward to whole timeline buckets: edge buckets are
+    # only partially covered by the run, and the series' uniform-activity
+    # apportioning would misread them as throughput dips.  Keep the raw
+    # bounds when the run is too short to afford it.
+    w = series.window_s
+    t0a = math.ceil(t0 / w - 1e-9) * w
+    t1a = math.floor(t1 / w + 1e-9) * w
+    if t1a - t0a >= subwindows * w:
+        t0, t1 = t0a, t1a
+        span = t1 - t0
 
     width = span / subwindows
     windows = []
     for k in range(subwindows):
         start = t0 + k * width
         end = t1 if k == subwindows - 1 else start + width
-        windows.append(SubWindow(start=start, end=end,
-                                 throughput=rate(start, end)))
+        windows.append(SubWindow(
+            start=start, end=end,
+            throughput=series.rate_between("ops", start, end)))
 
     peak = max(w.throughput for w in windows)
     floor = min(w.throughput for w in windows)

@@ -111,10 +111,10 @@ class ExemplarStore:
                    for tid in cell)
         return sorted(ids)
 
-    def prometheus_exemplars(self, metric: str = "op_latency") -> dict:
+    def prometheus_exemplars(self) -> dict:
         """Per-op exemplar map for the Prometheus exporter.
 
-        Maps ``metric{op="..."}`` channels to the slowest retained
+        Maps ``op_latency{op="..."}`` channels to the slowest retained
         ``(trace_id, latency_s)`` exemplar — OpenMetrics allows one
         exemplar per sample line, and the slowest operation is the one
         worth one click.
@@ -125,7 +125,7 @@ class ExemplarStore:
                 current = best.get(op)
                 if current is None or latency_s > current[1]:
                     best[op] = (trace_id, latency_s)
-        return {f'{metric}{{op="{op}"}}': best[op] for op in sorted(best)}
+        return {f'op_latency{{op="{op}"}}': best[op] for op in sorted(best)}
 
     # -- export --------------------------------------------------------------
 

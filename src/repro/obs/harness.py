@@ -183,8 +183,7 @@ def run_obs_scenario(scenario: ObsScenario) -> ObsReport:
 
     run = _OpenLoopRun(scenario.config, scenario.offered_rate,
                        scenario.duration_s, scenario.warmup_s,
-                       scenario.resolved_slo_s(), queue_sample_s=0.02,
-                       shape=scenario.shape,
+                       scenario.resolved_slo_s(), shape=scenario.shape,
                        timeline_s=scenario.timeline_s)
     registry, sampler = run.deployment.start_telemetry(
         scenario.policy.tick_s)

@@ -29,8 +29,7 @@ class RetryBudget:
     retry storm.
     """
 
-    def __init__(self, rate_per_s: float, burst: float,
-                 start: float = 0.0):
+    def __init__(self, rate_per_s: float, burst: float):
         if rate_per_s < 0:
             raise ValueError(f"rate_per_s must be >= 0, got {rate_per_s}")
         if burst < 0:
@@ -38,7 +37,7 @@ class RetryBudget:
         self.rate_per_s = rate_per_s
         self.burst = burst
         self._tokens = burst
-        self._last_refill = start
+        self._last_refill = 0.0
         #: Retries granted / denied (for metrics and reports).
         self.spent = 0
         self.denied = 0

@@ -44,6 +44,9 @@ __all__ = ["OverloadPoint", "OverloadSweep", "SaturationEstimate",
 #: latency figures put healthy operations well under this bound.
 DEFAULT_SLO_S = 0.25
 
+#: Simulated seconds between the queue monitor's depth samples.
+QUEUE_SAMPLE_S = 0.02
+
 
 @dataclass(frozen=True)
 class OverloadPoint:
@@ -85,7 +88,7 @@ class SaturationEstimate:
     """Peak sustainable throughput for one configuration."""
 
     #: The rate the sweep multiplies: the open-loop capacity when the
-    #: estimate was refined, else the sustained floor when telemetry
+    #: config carries an overload policy, else the sustained floor when telemetry
     #: verified one, else the measured closed-loop throughput.
     rate: float
     #: Raw closed-loop throughput of the probe run.
@@ -94,7 +97,7 @@ class SaturationEstimate:
     #: telemetry).
     floor: Optional[float]
     peak: Optional[float]
-    #: Open-loop goodput capacity (``None`` when refinement was off).
+    #: Open-loop goodput capacity (``None`` without an overload policy).
     open_loop: Optional[float] = None
 
     def to_dict(self) -> dict:
@@ -126,7 +129,6 @@ class _OpenLoopRun:
 
     def __init__(self, config: BenchmarkConfig, offered_rate: float,
                  duration_s: float, warmup_s: float, slo_s: float,
-                 queue_sample_s: float,
                  shape: Optional[ArrivalShape] = None,
                  timeline_s: Optional[float] = None):
         if offered_rate <= 0:
@@ -137,7 +139,6 @@ class _OpenLoopRun:
         self.duration_s = duration_s
         self.warmup_s = warmup_s
         self.slo_s = slo_s
-        self.queue_sample_s = queue_sample_s
         self.shape = shape
         self.timeline_s = timeline_s
         # Per-timeline-window tallies, keyed by int(arrival / timeline_s).
@@ -189,7 +190,7 @@ class _OpenLoopRun:
             depth = self._queue_depth()
             if depth > self.max_queue_depth:
                 self.max_queue_depth = depth
-            yield self.sim.timeout(self.queue_sample_s)
+            yield self.sim.timeout(QUEUE_SAMPLE_S)
 
     def _one_op(self, index: int, measured: bool, op, key, fields,
                 scan_length):
@@ -331,7 +332,6 @@ class _OpenLoopRun:
 def run_overload_point(config: BenchmarkConfig, offered_rate: float, *,
                        duration_s: float = 3.0, warmup_s: float = 0.5,
                        slo_s: Optional[float] = None,
-                       queue_sample_s: float = 0.02,
                        shape: Optional[ArrivalShape] = None) -> OverloadPoint:
     """Drive ``config``'s store open-loop at ``offered_rate`` ops/s.
 
@@ -353,14 +353,13 @@ def run_overload_point(config: BenchmarkConfig, offered_rate: float, *,
                  and config.overload.deadline_s is not None
                  else DEFAULT_SLO_S)
     run = _OpenLoopRun(config, offered_rate, duration_s, warmup_s, slo_s,
-                       queue_sample_s, shape=shape)
+                       shape=shape)
     return run.run()
 
 
-def _refine_capacity(config: BenchmarkConfig, start_rate: float, *,
-                     duration_s: float = 0.3, warmup_s: float = 0.1,
-                     max_doublings: int = 5) -> float:
-    """Open-loop goodput capacity, by doubling probes until saturation.
+def _refine_capacity(config: BenchmarkConfig, start_rate: float) -> float:
+    """Open-loop goodput capacity, by up to five doublings of 0.3 s probes
+    (after 0.1 s of warm-up) until saturation.
 
     The closed-loop estimate undershoots for stores whose client library
     caps concurrency (Voldemort's 4-connection pool, HBase's buffering
@@ -371,9 +370,9 @@ def _refine_capacity(config: BenchmarkConfig, start_rate: float, *,
     """
     rate = max(1.0, start_rate)
     achieved = 0.0
-    for _ in range(max_doublings + 1):
-        point = run_overload_point(config, rate, duration_s=duration_s,
-                                   warmup_s=warmup_s)
+    for _ in range(6):
+        point = run_overload_point(config, rate, duration_s=0.3,
+                                   warmup_s=0.1)
         achieved = point.goodput
         if achieved < 0.9 * rate:
             break
@@ -382,18 +381,16 @@ def _refine_capacity(config: BenchmarkConfig, start_rate: float, *,
 
 
 def find_saturation(config: BenchmarkConfig, *, cache=None,
-                    use_sustained: bool = True,
-                    refine: bool = True) -> SaturationEstimate:
+                    use_sustained: bool = True) -> SaturationEstimate:
     """Peak sustainable throughput for ``config``.
 
     Runs the closed-loop benchmark without overload protections; with
     ``use_sustained`` the run carries telemetry and the estimate is the
     sustained-throughput floor from ``repro.metrics`` (the rate the
     cluster holds across sub-windows, not just the average), otherwise
-    the plain measured throughput.  With ``refine`` (and an overload
-    policy on the config) the closed-loop estimate seeds open-loop
-    doubling probes that measure true service capacity — see
-    :func:`_refine_capacity`.  ``cache`` is an optional
+    the plain measured throughput.  With an overload policy on the
+    config the closed-loop estimate seeds open-loop doubling probes that
+    measure true service capacity — see :func:`_refine_capacity`.  ``cache`` is an optional
     :class:`~repro.analysis.cache.ResultCache`.
     """
     probe = replace(config, overload=None, target_throughput=None)
@@ -406,7 +403,7 @@ def find_saturation(config: BenchmarkConfig, *, cache=None,
         floor, peak = sustained.floor, sustained.peak
     rate = floor if floor else result.throughput_ops
     open_loop = None
-    if refine and config.overload is not None:
+    if config.overload is not None:
         open_loop = _refine_capacity(config, rate)
         rate = open_loop
     return SaturationEstimate(rate=rate, throughput=result.throughput_ops,

@@ -67,15 +67,13 @@ def run_plan(spec: LoadSpec,
              profiles: tuple[HardwareProfile, ...] | None = None,
              settings: ValidationSettings | None = None,
              store: ResultStore | None = None,
-             jobs: int = 1,
-             max_nodes: int | None = None,
-             progress=None) -> PlanReport:
+             jobs: int = 1) -> PlanReport:
     """The full pipeline: prune analytically, simulate, recommend."""
     if settings is None:
         settings = ValidationSettings()
     frontier = analytical_frontier(
         spec, stores=stores, profiles=profiles,
-        records_per_node=settings.records_per_node, max_nodes=max_nodes)
+        records_per_node=settings.records_per_node)
     outcomes = validate_frontier(frontier.entries, spec, settings,
-                                 store=store, jobs=jobs, progress=progress)
+                                 store=store, jobs=jobs)
     return build_report(spec, settings, frontier, outcomes)

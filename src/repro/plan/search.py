@@ -28,7 +28,6 @@ from repro.plan.hardware import HARDWARE_PROFILES, HardwareProfile
 from repro.plan.model import ModeledCapacity, modeled_capacity
 from repro.plan.spec import LoadSpec
 from repro.stores.registry import STORE_NAMES, store_class
-from repro.ycsb.runner import PAPER_RECORDS_PER_NODE
 
 __all__ = ["Candidate", "FrontierEntry", "FrontierResult",
            "analytical_frontier"]
@@ -91,14 +90,14 @@ def analytical_frontier(spec: LoadSpec,
                         stores: tuple[str, ...] = STORE_NAMES,
                         profiles: tuple[HardwareProfile, ...] | None = None,
                         records_per_node: int = 20_000,
-                        paper_records_per_node: int = PAPER_RECORDS_PER_NODE,
                         max_nodes: int | None = None,
                         ) -> FrontierResult:
     """Prune the search space down to the simulation-worthy frontier.
 
     ``records_per_node`` must match what the validation runs will load:
     the model's cache-miss arithmetic uses the runner's RAM scaling,
-    and the two sides have to see the same memory regime.
+    and the two sides have to see the same memory regime.  Both scale
+    from the runner's default paper records per node.
     """
     if profiles is None:
         profiles = tuple(HARDWARE_PROFILES.values())
@@ -124,7 +123,7 @@ def analytical_frontier(spec: LoadSpec,
                 examined += 1
                 modeled = modeled_capacity(
                     store_name, hardware, n_nodes, spec.workload,
-                    records_per_node, paper_records_per_node)
+                    records_per_node)
                 peak = max(peak, modeled.ops_per_s)
                 if modeled.ops_per_s >= required:
                     # Monotonicity: the first feasible node count is the

@@ -209,7 +209,6 @@ class Cluster:
     """A provisioned simulation: server nodes + client nodes + network."""
 
     def __init__(self, spec: ClusterSpec, n_servers: int,
-                 sim: Simulator | None = None,
                  n_clients: int | None = None):
         if n_servers < 1:
             raise ValueError("need at least one server node")
@@ -219,7 +218,7 @@ class Cluster:
                 f"requested {n_servers}"
             )
         self.spec = spec
-        self.sim = sim or Simulator()
+        self.sim = Simulator()
         self.network = Network(self.sim, spec.network)
         self.servers = [
             Node(self.sim, spec.node, f"server-{i}", self.network)

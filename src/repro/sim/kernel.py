@@ -222,10 +222,6 @@ class Event:
             for callback in cbs:
                 callback(self)
 
-    # Kept as an alias: the pre-fast-path kernel named the notification
-    # hook ``_run_callbacks``.
-    _run_callbacks = _fire
-
 
 class Timeout(Event):
     """An event that fires ``delay`` seconds after creation."""

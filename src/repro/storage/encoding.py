@@ -77,8 +77,9 @@ def encode_sstable_row(record: Record) -> bytes:
 # HBase: HFile KeyValue cells — one cell per field
 # ---------------------------------------------------------------------------
 
-def encode_hfile_cells(record: Record, family: str = "f") -> bytes:
-    """The HFile ``KeyValue`` cells for ``record`` (one per column).
+def encode_hfile_cells(record: Record) -> bytes:
+    """The HFile ``KeyValue`` cells for ``record`` (one per column, in
+    the one column family ``f``).
 
     Layout per cell: 4-byte key length, 4-byte value length, 2-byte row
     length + row key, 1-byte family length + family, qualifier, 8-byte
@@ -87,7 +88,7 @@ def encode_hfile_cells(record: Record, family: str = "f") -> bytes:
     footprint is ~10x raw data for 75-byte records.
     """
     row = _utf8(record.key)
-    fam = _utf8(family)
+    fam = b"f"
     out = b""
     for name in sorted(record.fields):
         qualifier = _utf8(name)
@@ -158,8 +159,9 @@ def encode_innodb_row(record: Record) -> bytes:
     return header + system + body
 
 
-def encode_binlog_event(record: Record, table: str = "usertable") -> bytes:
-    """A statement-based binlog Query event for inserting ``record``.
+def encode_binlog_event(record: Record) -> bytes:
+    """A statement-based binlog Query event for inserting ``record`` into
+    YCSB's ``usertable``.
 
     MySQL 5.5 defaults to statement-based replication: the binlog stores
     the full SQL text plus a 19-byte common event header and status/
@@ -171,7 +173,7 @@ def encode_binlog_event(record: Record, table: str = "usertable") -> bytes:
     values = ", ".join(
         [f"'{record.key}'"] + [f"'{record.fields[f]}'" for f in fields]
     )
-    statement = f"INSERT INTO {table} ({columns}) VALUES ({values})"
+    statement = f"INSERT INTO usertable ({columns}) VALUES ({values})"
     event_header = b"\x00" * 19
     status_block = b"\x00" * 14  # status vars + db name + terminator
     # Each statement is preceded by context events (SET TIMESTAMP / Intvar)
@@ -200,10 +202,9 @@ class DiskUsageModel:
         """Steady-state on-disk bytes attributable to one record."""
         raise NotImplementedError
 
-    def node_bytes(self, n_records: int,
-                   schema: RecordSchema = APM_SCHEMA) -> float:
+    def node_bytes(self, n_records: int) -> float:
         """Total bytes on one node holding ``n_records``."""
-        return self.bytes_per_record(schema) * n_records
+        return self.bytes_per_record() * n_records
 
 
 @dataclass(frozen=True)

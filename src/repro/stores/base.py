@@ -744,17 +744,16 @@ class Store:
                                               * node.speed_factor))
         return action()
 
-    def cached_read_io(self, node: Node, blocks: Sequence[tuple],
-                       read_bytes: int = 4096):
+    def cached_read_io(self, node: Node, blocks: Sequence[tuple]):
         """Process: page-cache-filtered random reads for ``blocks``.
 
         Each block id is looked up in the node's page cache; misses pay a
-        random disk read.  On Cluster M (cache >= data) this is free after
+        random 4 KiB disk read.  On Cluster M (cache >= data) this is free after
         warm-up; on Cluster D it is the dominant read cost.
         """
         for block in blocks:
             if not node.page_cache.access(block):
-                yield from node.disk.read(read_bytes, sequential=False)
+                yield from node.disk.read(4096, sequential=False)
 
     # -- diagnostics ----------------------------------------------------------
 

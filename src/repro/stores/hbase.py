@@ -77,29 +77,21 @@ class HBaseStore(Store):
     WRITE_BUFFER_OPS = 24
     #: Client-side cost of buffering one put (no RPC).
     BUFFERED_PUT_CPU = 30e-6
+    #: HBase 0.90 ships with BLOOMFILTER => NONE: reads probe every store
+    #: file, a painful multiplier once HFiles live on disk (Cluster D)
+    #: rather than in the page cache.
+    LSM_CONFIG = LSMConfig(group_commit_ops=48, bloom_enabled=False)
 
     def __init__(self, cluster: Cluster, schema: RecordSchema = APM_SCHEMA,
                  profile: ServiceProfile | None = None,
-                 lsm_config: LSMConfig | None = None,
-                 client_buffering: bool = True,
-                 dfs_replication: int = 1):
+                 client_buffering: bool = True):
         super().__init__(cluster, schema, profile)
         self.client_buffering = client_buffering
-        # ``dfs.replication`` — the paper measured with 1; raising it lets
-        # reassigned regions serve reads whose HFile blocks would otherwise
-        # have died with the crashed DataNode.
-        self.hdfs = Hdfs(cluster.sim, cluster.network, cluster.servers,
-                         replication=dfs_replication)
+        self.hdfs = Hdfs(cluster.sim, cluster.network, cluster.servers)
         # The paper ran HMaster/NameNode on a dedicated node; master work
         # is off the data path, so it only appears here as topology.
         self.master_node = Node(cluster.sim, cluster.spec.node,
                                 "hbase-master", cluster.network)
-        # HBase 0.90 ships with BLOOMFILTER => NONE: reads probe every
-        # store file, a painful multiplier once HFiles live on disk
-        # (Cluster D) rather than in the page cache.
-        config = lsm_config or LSMConfig(group_commit_ops=48,
-                                         bloom_enabled=False)
-        self._lsm_config = config
         self.region_servers: list[RegionServer] = []
         for index, node in enumerate(cluster.servers):
             self._add_server(node, index)
@@ -111,7 +103,7 @@ class HBaseStore(Store):
         self.regions_reassigned = 0
         for region_id in range(self.n_regions):
             server = self.region_servers[region_id % cluster.n_servers]
-            engine = LSMEngine(config, seed=region_id,
+            engine = LSMEngine(self.LSM_CONFIG, seed=region_id,
                                name=f"hbase-region-{region_id}")
             server.add_region(region_id, engine)
             self._assignment[region_id] = server.index

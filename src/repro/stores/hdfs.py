@@ -32,22 +32,12 @@ DEFAULT_BLOCK_SIZE = 64 * 2**20
 
 @dataclass
 class HdfsBlock:
-    """One block: locations plus fill level.
-
-    ``datanode`` is the primary (pipeline head, usually the writer's
-    local DataNode); ``replicas`` lists any additional locations when
-    ``dfs.replication`` > 1.
-    """
+    """One block: its DataNode (usually the writer's local one) plus fill
+    level.  ``dfs.replication`` is 1, as in the paper: one copy."""
 
     block_id: int
     datanode: int
     size: int = 0
-    replicas: tuple[int, ...] = ()
-
-    @property
-    def locations(self) -> tuple[int, ...]:
-        """Every DataNode holding a copy, primary first."""
-        return (self.datanode,) + self.replicas
 
 
 @dataclass
@@ -81,22 +71,11 @@ class NameNode:
         """Remove a file's metadata; returns whether it existed."""
         return self.files.pop(path, None) is not None
 
-    def allocate_block(self, path: str, preferred_datanode: int,
-                       replication: int = 1,
-                       n_datanodes: int = 1) -> HdfsBlock:
-        """Add a block to ``path`` on the preferred (local) DataNode.
-
-        With ``replication`` > 1 the following DataNodes (mod the fleet
-        size) hold the extra pipeline copies, HDFS's rack-oblivious
-        default placement on a single-switch cluster.
-        """
+    def allocate_block(self, path: str, preferred_datanode: int
+                       ) -> HdfsBlock:
+        """Add a block to ``path`` on the preferred (local) DataNode."""
         self._next_block_id += 1
-        extra = tuple(
-            (preferred_datanode + i) % n_datanodes
-            for i in range(1, min(replication, n_datanodes))
-        )
-        block = HdfsBlock(self._next_block_id, preferred_datanode,
-                          replicas=extra)
+        block = HdfsBlock(self._next_block_id, preferred_datanode)
         self.files[path].blocks.append(block)
         return block
 
@@ -110,17 +89,11 @@ class Hdfs:
     CHECKSUM_CPU_PER_CHUNK = 2e-6
 
     def __init__(self, sim: Simulator, network: Network,
-                 datanodes: list[Node], block_size: int = DEFAULT_BLOCK_SIZE,
-                 replication: int = 1):
-        if replication < 1:
-            raise ValueError("replication must be >= 1")
+                 datanodes: list[Node], block_size: int = DEFAULT_BLOCK_SIZE):
         self.sim = sim
         self.network = network
         self.datanodes = datanodes
         self.namenode = NameNode(block_size)
-        #: ``dfs.replication`` — the paper ran 1 ("replication was not
-        #: used"); raising it buys block-read failover under node loss.
-        self.replication = replication
 
     def create(self, path: str) -> HdfsFile:
         """Create (or truncate) ``path``."""
@@ -150,53 +123,35 @@ class Hdfs:
         ) or not self.datanodes[file.blocks[-1].datanode].up:
             # A new block also starts when the current block's primary
             # DataNode died: the pipeline re-forms on live nodes.
-            self.namenode.allocate_block(path, local, self.replication,
-                                         len(self.datanodes))
+            self.namenode.allocate_block(path, local)
         block = file.blocks[-1]
         block.size += nbytes
         datanode = self.datanodes[block.datanode]
         yield from datanode.cpu(self.DATANODE_REQUEST_CPU)
         yield from datanode.disk.write(nbytes, sequential=True, sync=sync)
-        for replica in block.replicas:
-            peer = self.datanodes[replica]
-            if peer.up:
-                # Downstream pipeline stages drain asynchronously.
-                self.sim.process(self._replicate(datanode, peer, nbytes),
-                                 name="hdfs-pipeline")
-
-    def _replicate(self, src: Node, dst: Node, nbytes: int):
-        """Process: ship one pipeline copy to a downstream DataNode."""
-        yield from self.network.transfer(src.name, dst.name, nbytes)
-        yield from dst.disk.write(nbytes, sequential=True, sync=False)
 
     def read(self, path: str, block_hint: tuple, nbytes: int, reader: Node):
         """Read ``nbytes`` of ``path`` near ``block_hint``.
 
-        Picks the replica now (a missing file or a block with no live
-        copy raises here) and returns the generator of the exchange with
-        its DataNode, to be delegated to.  ``block_hint`` is an opaque
-        cache key for the page-cache model.  No short-circuit reads in
-        0.20: even local reads pay the DataNode socket hop.
+        Picks the DataNode now (a missing file or a block whose one copy
+        is down raises here) and returns the generator of the exchange
+        with it, to be delegated to.  ``block_hint`` is an opaque cache
+        key for the page-cache model.  No short-circuit reads in 0.20:
+        even local reads pay the DataNode socket hop.
         """
         file = self.namenode.files.get(path)
         if file is None:
             raise FileNotFoundError(path)
         datanode = reader
         if file.blocks:
-            # Serve from the first live replica of the (hinted) block;
-            # with every copy down the read cannot be satisfied — at
-            # dfs.replication=1 a single DataNode crash does exactly that.
+            # Serve from the (hinted) block's DataNode: with one copy, a
+            # DataNode crash leaves the read unsatisfiable.
             block = file.blocks[-1]
             datanode = self.datanodes[block.datanode]
             if not datanode.up:
-                for location in block.replicas:
-                    datanode = self.datanodes[location]
-                    if datanode.up:
-                        break
-                else:
-                    raise NodeDownError(
-                        f"no live replica of block {block.block_id} ({path})"
-                    )
+                raise NodeDownError(
+                    f"no live replica of block {block.block_id} ({path})"
+                )
         # A local read still crosses a loopback socket to the co-located
         # DataNode (``reader is datanode``: the transfers' loopback branch).
         return self.network.rpc(
@@ -221,6 +176,5 @@ class Hdfs:
         usage = [0 for __ in self.datanodes]
         for file in self.namenode.files.values():
             for block in file.blocks:
-                for location in block.locations:
-                    usage[location] += block.size
+                usage[block.datanode] += block.size
         return usage

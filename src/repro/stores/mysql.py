@@ -56,12 +56,13 @@ class MySQLStore(Store):
     MVCC_VERSION_CPU = 5e-5
     #: Versions/second the purge thread can clean (per shard).
     PURGE_RATE = 1000.0
+    #: Keys per B+tree page.
+    BTREE_ORDER = 100
 
     def __init__(self, cluster: Cluster, schema: RecordSchema = APM_SCHEMA,
                  profile: ServiceProfile | None = None,
-                 binlog_enabled: bool = True, btree_order: int = 100):
+                 binlog_enabled: bool = True):
         super().__init__(cluster, schema, profile)
-        self._btree_order = btree_order
         self.tables: list[BPlusTree] = []
         self.binlog_enabled = binlog_enabled
         self.binlog_bytes: list[int] = []
@@ -74,7 +75,7 @@ class MySQLStore(Store):
         self._rebuild_routing()
 
     def _add_server(self, node: Node, index: int) -> None:
-        self.tables.append(BPlusTree(order=self._btree_order))
+        self.tables.append(BPlusTree(order=self.BTREE_ORDER))
         self.binlog_bytes.append(0)
         self._versions_created.append(0.0)
         self._purged_until.append(0.0)

@@ -104,17 +104,16 @@ class TokenRing:
     after the installation and before the load" (Section 6).
     """
 
-    def __init__(self, n_nodes: int, hash_fn=murmur64a):
+    def __init__(self, n_nodes: int):
         if n_nodes < 1:
             raise ValueError("need at least one node")
         self.n_nodes = n_nodes
-        self.hash_fn = hash_fn
         step = (_MASK64 + 1) // n_nodes
         self.tokens = [i * step for i in range(n_nodes)]
 
     def owner_of(self, key: str) -> int:
         """Index of the node owning ``key``."""
-        index = bisect_right(self.tokens, self.hash_fn(key.encode())) - 1
+        index = bisect_right(self.tokens, murmur64a(key.encode())) - 1
         return index if index > 0 else 0
 
     def replicas_of(self, key: str, replication_factor: int = 1) -> list[int]:

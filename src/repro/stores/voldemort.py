@@ -53,10 +53,11 @@ class VoldemortStore(Store):
     CONNECTIONS_PER_NODE = 4
     #: Partitions per node, as configured in the paper (Section 4.3).
     PARTITIONS_PER_NODE = 2
+    #: Keys per B+tree node of the BDB-JE index.
+    BTREE_ORDER = 8
 
     def __init__(self, cluster: Cluster, schema: RecordSchema = APM_SCHEMA,
                  profile: ServiceProfile | None = None,
-                 btree_order: int = 8,
                  replication_factor: int = 1,
                  required_writes: int = 1,
                  required_reads: int = 1):
@@ -84,7 +85,6 @@ class VoldemortStore(Store):
                 "replicated store keeps a fixed preference list")
         self.required_writes = required_writes
         self.required_reads = required_reads
-        self._btree_order = btree_order
         # The partition count is fixed at cluster creation (as in real
         # Voldemort); rebalancing moves whole partitions between nodes.
         self.ring = TokenRing(n * self.PARTITIONS_PER_NODE)
@@ -96,7 +96,7 @@ class VoldemortStore(Store):
         self._rebuild_routing()
 
     def _add_server(self, node: Node, index: int) -> None:
-        self.trees.append(BPlusTree(order=self._btree_order))
+        self.trees.append(BPlusTree(order=self.BTREE_ORDER))
         self.log_bytes.append(0)
 
     def _rebuild_routing(self) -> None:

@@ -114,22 +114,23 @@ class ZipfianChooser:
     formatter, like YCSB's ``ScrambledZipfianGenerator``.
     """
 
-    def __init__(self, record_count: int, rng: random.Random,
-                 theta: float = 0.99):
+    #: YCSB's ``ZIPFIAN_CONSTANT``.
+    THETA = 0.99
+
+    def __init__(self, record_count: int, rng: random.Random):
         if record_count < 1:
             raise ValueError("record_count must be >= 1")
+        theta = self.THETA
         self.record_count = record_count
-        self.theta = theta
         self._rng = rng
         self._alpha = 1.0 / (1.0 - theta)
-        self._zetan = self._zeta(record_count, theta)
-        self._zeta2 = self._zeta(2, theta)
+        self._zetan = self._zeta(record_count)
+        self._zeta2 = self._zeta(2)
         self._eta = ((1 - (2.0 / record_count) ** (1 - theta))
                      / (1 - self._zeta2 / self._zetan))
 
-    @staticmethod
-    def _zeta(n: int, theta: float) -> float:
-        return sum(1.0 / (i ** theta) for i in range(1, n + 1))
+    def _zeta(self, n: int) -> float:
+        return sum(1.0 / (i ** self.THETA) for i in range(1, n + 1))
 
     def next_record_number(self) -> int:
         """A zipf-distributed record number in [0, record_count)."""
@@ -137,7 +138,7 @@ class ZipfianChooser:
         uz = u * self._zetan
         if uz < 1.0:
             return 0
-        if uz < 1.0 + 0.5 ** self.theta:
+        if uz < 1.0 + 0.5 ** self.THETA:
             return 1
         return int(self.record_count
                    * (self._eta * u - self._eta + 1) ** self._alpha)
@@ -146,11 +147,9 @@ class ZipfianChooser:
 class LatestChooser:
     """Skews towards recently inserted records (YCSB "latest")."""
 
-    def __init__(self, sequence: KeySequence, rng: random.Random,
-                 theta: float = 0.99):
+    def __init__(self, sequence: KeySequence, rng: random.Random):
         self._sequence = sequence
         self._rng = rng
-        self._theta = theta
         self._zipf: ZipfianChooser | None = None
         self._zipf_horizon = 0
 
@@ -161,7 +160,7 @@ class LatestChooser:
         # insert horizon has grown materially (like YCSB's incremental
         # zeta update).
         if self._zipf is None or horizon > self._zipf_horizon * 1.25:
-            self._zipf = ZipfianChooser(horizon, self._rng, self._theta)
+            self._zipf = ZipfianChooser(horizon, self._rng)
             self._zipf_horizon = horizon
         offset = self._zipf.next_record_number() % horizon
         return max(0, horizon - 1 - offset)

@@ -65,7 +65,7 @@ def test_short_window_keeps_raw_bounds():
 
 def test_subwindows_narrower_than_buckets_resolve():
     # 4 sub-windows over 2 one-second buckets: each is half a bucket,
-    # which the fully-inside fallback could never resolve.
+    # which counting only the buckets fully inside could never resolve.
     timeline = timeline_with_rates([100, 100], window_s=1.0)
     verdict = verify_sustained(timeline, 0.0, 2.0, subwindows=4)
     assert all(w.throughput == pytest.approx(100.0)

@@ -105,7 +105,7 @@ class TestShapedOpenLoop:
     def test_step_doubles_measured_arrivals(self):
         from repro.overload.openloop import _OpenLoopRun
 
-        run = _OpenLoopRun(_config(), 200.0, 1.0, 0.0, 0.25, 0.02,
+        run = _OpenLoopRun(_config(), 200.0, 1.0, 0.0, 0.25,
                            shape=StepShape(at_s=0.5, factor=2.0),
                            timeline_s=0.5)
         run.run()
@@ -117,7 +117,7 @@ class TestShapedOpenLoop:
     def test_unshaped_run_has_no_timeline(self):
         from repro.overload.openloop import _OpenLoopRun
 
-        run = _OpenLoopRun(_config(), 100.0, 0.2, 0.0, 0.25, 0.02)
+        run = _OpenLoopRun(_config(), 100.0, 0.2, 0.0, 0.25)
         run.run()
         with pytest.raises(ValueError):
             run.timeline()

@@ -8,16 +8,45 @@ last draw a plan uses), the two ASCII renderers whose sizes were
 parameters, and the Prometheus snapshot whose ``# HELP`` branch went.
 They live in section ``constants`` of ``tests/cli_golden.json`` and
 compare through ``tests/goldens.py``.
+
+:class:`TestGuard` keeps the cut: each of those parameters stays gone,
+and so does the code only they reached.
 """
 
+import dataclasses
 import hashlib
+import inspect
 from pathlib import Path
 
+import pytest
+
+from repro.analysis import prometheus
+from repro.analysis.export import figure_to_json
 from repro.analysis.figures import FigureData
+from repro.analysis.prometheus import registry_to_prometheus
 from repro.analysis.report import render_chart
+from repro.analysis.sweep import SweepResult
+from repro.audit.linearize import check_linearizable
 from repro.cli import main
+from repro.control.controller import Controller
 from repro.faults.availability import AvailabilityTimeline
 from repro.faults.schedule import FaultSchedule
+from repro.obs.exemplars import ExemplarStore
+from repro.overload.budget import RetryBudget
+from repro.overload.openloop import (_OpenLoopRun, _refine_capacity,
+                                     find_saturation, run_overload_point)
+from repro.plan import analytical_frontier, run_plan
+from repro.sim.cluster import Cluster
+from repro.sim.kernel import Event
+from repro.storage.encoding import (DiskUsageModel, encode_binlog_event,
+                                    encode_hfile_cells)
+from repro.stores.base import Store
+from repro.stores.hbase import HBaseStore
+from repro.stores.hdfs import Hdfs, HdfsBlock, NameNode
+from repro.stores.mysql import MySQLStore
+from repro.stores.sharding import TokenRing
+from repro.stores.voldemort import VoldemortStore
+from repro.ycsb.generator import LatestChooser, ZipfianChooser
 from tests.goldens import check_golden
 
 GOLDEN_PATH = Path(__file__).parent / "cli_golden.json"
@@ -83,3 +112,58 @@ class TestPins:
                      "0.1", "--metrics-out", "out/m"]) == 0
         capsys.readouterr()
         _pin("prometheus_hbase", (tmp_path / "out/m.prom").read_text())
+
+
+#: ``(callable, parameters no program set)``: each is now the constant
+#: it always was.
+GONE = [
+    (HBaseStore, ("dfs_replication", "lsm_config")),
+    (Hdfs, ("replication",)),
+    (NameNode.allocate_block, ("replication", "n_datanodes")),
+    (registry_to_prometheus, ("help_text",)),
+    (Controller, ("store_name", "recorder")),
+    (FaultSchedule.random, ("min_outage_s", "max_outage_s",
+                            "slow_disk_probability", "slow_disk_factor")),
+    (find_saturation, ("refine",)),
+    (_refine_capacity, ("duration_s", "warmup_s", "max_doublings")),
+    (run_overload_point, ("queue_sample_s",)),
+    (_OpenLoopRun, ("queue_sample_s",)),
+    (ZipfianChooser, ("theta",)),
+    (LatestChooser, ("theta",)),
+    (TokenRing, ("hash_fn",)),
+    (MySQLStore, ("btree_order",)),
+    (VoldemortStore, ("btree_order",)),
+    (Cluster, ("sim",)),
+    (RetryBudget, ("start",)),
+    (check_linearizable, ("initial",)),
+    (encode_hfile_cells, ("family",)),
+    (encode_binlog_event, ("table",)),
+    (DiskUsageModel.node_bytes, ("schema",)),
+    (Store.cached_read_io, ("read_bytes",)),
+    (analytical_frontier, ("paper_records_per_node",)),
+    (run_plan, ("max_nodes", "progress")),
+    (figure_to_json, ("indent",)),
+    (SweepResult.to_json, ("indent",)),
+    (SweepResult.best_by, ("metric",)),
+    (SweepResult.series, ("metric",)),
+    (render_chart, ("width", "height")),
+    (AvailabilityTimeline.render, ("width",)),
+    (ExemplarStore.prometheus_exemplars, ("metric",)),
+]
+
+
+class TestGuard:
+    @pytest.mark.parametrize("function, names", GONE,
+                             ids=[f.__qualname__ for f, __ in GONE])
+    def test_parameter_is_a_constant(self, function, names):
+        parameters = inspect.signature(function).parameters
+        assert not set(names) & set(parameters)
+
+    def test_code_only_those_values_reached_is_gone(self):
+        assert not hasattr(prometheus, "_escape_help")
+        assert not hasattr(Hdfs, "_replicate")
+        assert not hasattr(HdfsBlock, "replicas")
+        assert not hasattr(HdfsBlock, "locations")
+        assert "replicas" not in {
+            field.name for field in dataclasses.fields(HdfsBlock)}
+        assert not hasattr(Event, "_run_callbacks")
