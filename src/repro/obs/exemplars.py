@@ -101,7 +101,7 @@ class ExemplarStore:
                 continue
             out.extend(ids)
         if limit is not None and len(out) > limit:
-            out = out[-limit:]
+            out = out[len(out) - limit:]
         return out
 
     def trace_ids(self) -> list:

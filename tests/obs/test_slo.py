@@ -123,6 +123,19 @@ class TestWiring:
         # limit=2 keeps the most recent violators, not the first ones
         assert alert["exemplar_trace_ids"] == [2, 3]
 
+    def test_zero_exemplar_limit_attaches_none(self):
+        sim = Simulator()
+        policy = ObsPolicy(slos=(AVAIL,), rules=(RULE,), window_s=0.25,
+                           max_alert_exemplars=0)
+        exemplars = ExemplarStore(window_s=0.25)
+        engine = SLOEngine(sim, policy, exemplars=exemplars)
+        burn_everything(engine, 0.0, 2.0)
+        for tid in range(5):
+            exemplars.offer_violation(0.3 * tid, "avail", tid)
+        engine._evaluate(2.0)
+        (alert,) = engine.alerts
+        assert alert["exemplar_trace_ids"] == []
+
     def test_fire_dumps_flight_recorder(self):
         sim = Simulator()
         policy = ObsPolicy(slos=(AVAIL,), rules=(RULE,), window_s=0.25)
