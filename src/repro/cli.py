@@ -72,6 +72,16 @@ def _point_config(args: argparse.Namespace, **fields) -> BenchmarkConfig:
         "records_per_node": args.records, "seed": args.seed, **fields})
 
 
+def _shape(text):
+    """The arrival shape ``--shape`` names; ``None`` for constant rate."""
+    from repro.overload import parse_shape
+
+    try:
+        return parse_shape(text) if text else None
+    except ValueError as error:
+        raise _UsageError(error) from None
+
+
 def _crash_schedule(args: argparse.Namespace, targets) -> FaultSchedule:
     """Crash each of ``targets`` at ``--at``, restarting per
     ``--restart-after``."""
@@ -369,7 +379,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
 
 def _cmd_overload(args: argparse.Namespace) -> int:
     from repro.analysis.provenance import stamp
-    from repro.overload import OverloadPolicy, parse_shape
+    from repro.overload import OverloadPolicy
     from repro.overload.openloop import goodput_sweep
 
     policy = OverloadPolicy(
@@ -379,7 +389,7 @@ def _cmd_overload(args: argparse.Namespace) -> int:
     )
     config = _point_config(args, measured_ops=args.ops, overload=policy)
     multipliers = tuple(float(m) for m in args.multipliers.split(","))
-    shape = parse_shape(args.shape) if args.shape else None
+    shape = _shape(args.shape)
     sweep = goodput_sweep(
         config, multipliers=multipliers, duration_s=args.duration,
         warmup_s=args.warmup, use_sustained=not args.no_sustained,
@@ -413,10 +423,10 @@ def _cmd_overload(args: argparse.Namespace) -> int:
 def _cmd_control(args: argparse.Namespace) -> int:
     from repro.control import (ControlPolicy, ControlScenario,
                                run_control_scenario)
-    from repro.overload import OverloadPolicy, parse_shape
+    from repro.overload import OverloadPolicy
     from repro.stores.base import ServiceProfile
 
-    shape = parse_shape(args.shape) if args.shape else None
+    shape = _shape(args.shape)
     # A deliberately slow per-op profile keeps demo rates in the
     # hundreds of ops/s so a full diurnal cycle simulates in seconds.
     profile = ServiceProfile(read_cpu=args.op_cpu, write_cpu=args.op_cpu,
@@ -481,7 +491,7 @@ def _cmd_control(args: argparse.Namespace) -> int:
 def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.obs import ObsPolicy, ObsScenario, default_slos, \
         run_obs_scenario
-    from repro.overload import OverloadPolicy, parse_shape
+    from repro.overload import OverloadPolicy
 
     # No ``--crash`` is no schedule at all, not an empty one: the
     # schedule is part of the config's identity.
@@ -498,7 +508,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     scenario = ObsScenario(
         config=config, policy=policy, offered_rate=args.rate,
         duration_s=args.duration, warmup_s=args.warmup,
-        shape=parse_shape(args.shape) if args.shape else None,
+        shape=_shape(args.shape),
         slo_s=args.slo,
     )
     report = run_obs_scenario(scenario)
@@ -508,10 +518,22 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
+def _check_replication(scenarios) -> None:
+    """A usage error for N/R/W that a scenario's store cannot take."""
+    from repro.audit.harness import _store_kwargs
+
+    try:
+        for scenario in scenarios:
+            _store_kwargs(scenario)
+    except ValueError as error:
+        raise _UsageError(error) from None
+
+
 def _cmd_audit(args: argparse.Namespace) -> int:
     from repro.audit import (AuditScenario, QuorumSweep, render_sweep,
                              run_audit_scenario, run_quorum_sweep,
                              sweep_to_json)
+    from repro.audit.harness import STANDARD_FAULTS
 
     replication = args.replication_factor
     if replication is None:
@@ -519,12 +541,19 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     fault = args.fault
     if fault is None:
         fault = "partition" if args.sweep else "crash"
+    if fault not in STANDARD_FAULTS:
+        raise _UsageError(f"unknown fault scenario {fault!r} (have "
+                          f"{', '.join(STANDARD_FAULTS)})")
 
     if args.sweep:
         points = []
         for token in args.points.split(","):
             r_txt, __, w_txt = token.strip().partition("/")
-            points.append((int(r_txt), int(w_txt)))
+            try:
+                points.append((int(r_txt), int(w_txt)))
+            except ValueError:
+                raise _UsageError(f"bad --points entry {token!r} "
+                                  "(want R/W, e.g. 2/2)") from None
         sweep = QuorumSweep(
             store=args.store, n_nodes=args.nodes,
             replication_factor=replication,
@@ -532,6 +561,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             n_sessions=args.sessions, n_keys=args.keys,
             ops_per_session=args.ops,
         )
+        _check_replication(sweep.scenarios())
         payload = run_quorum_sweep(sweep, jobs=args.jobs)
         print(render_sweep(payload))
         if args.export:
@@ -545,6 +575,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         replication_factor=replication,
         required_writes=args.write_acks, required_reads=args.read_acks,
     )
+    _check_replication([scenario])
     report = run_audit_scenario(scenario)
     print(report.render())
     if args.export:

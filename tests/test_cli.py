@@ -146,6 +146,22 @@ class TestPlan:
         assert payload["provenance"]["seed"] == 42
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["overload", "-s", "redis", "--shape", "bogus"], "arrival shape"),
+    (["control", "--shape", "bogus"], "arrival shape"),
+    (["obs", "--shape", "bogus"], "arrival shape"),
+    (["audit", "--sweep", "--points", "1-1"], "--points"),
+    (["audit", "--fault", "bogus"], "fault scenario"),
+    (["audit", "-s", "redis", "-N", "3"], "no replication knobs"),
+], ids=["overload-shape", "control-shape", "obs-shape", "audit-points",
+        "audit-fault", "audit-replication"])
+def test_bad_argument_is_a_usage_error(argv, message, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
 class TestVersion:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
