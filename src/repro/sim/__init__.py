@@ -16,7 +16,6 @@ seconds; all sizes are in bytes.
 
 from repro.sim.kernel import (
     AllOf,
-    AnyOf,
     Event,
     Process,
     SimulationError,
@@ -37,7 +36,6 @@ from repro.sim.cluster import (
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "CLUSTER_D",
     "CLUSTER_M",
     "Cluster",

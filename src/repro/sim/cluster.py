@@ -14,7 +14,7 @@ matching the paper's separation of YCSB client machines from storage nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.sim.disk import Disk, DiskSpec, PageCache
 from repro.sim.kernel import Simulator
@@ -297,12 +297,3 @@ class Cluster:
     def client_for_connection(self, connection_index: int) -> Node:
         """Spread client connections round-robin over client machines."""
         return self.clients[connection_index % len(self.clients)]
-
-    def with_cache_fraction(self, fraction: float) -> "Cluster":
-        """A fresh cluster identical to this one but with resized caches.
-
-        Used by the memory- vs disk-bound ablation.
-        """
-        node = replace(self.spec.node, cache_fraction=fraction)
-        spec = replace(self.spec, node=node)
-        return Cluster(spec, self.n_servers, n_clients=len(self.clients))

@@ -28,7 +28,7 @@ Design notes
   (``ReferenceScheduler`` in ``tests/sim/reference_scheduler.py``).
 * A :class:`Process` is itself an :class:`Event` that succeeds with the
   generator's return value, which lets processes wait on each other and
-  lets :class:`AllOf` / :class:`AnyOf` compose fan-out RPCs.
+  lets :class:`AllOf` / :class:`KOf` compose fan-out RPCs.
 * Process bootstraps and resume bounces do not allocate helper events:
   the process schedules *itself* as a resume entry carrying the pending
   ``(ok, value)`` pair.  Each entry still consumes one sequence number at
@@ -66,7 +66,6 @@ __all__ = [
     "Timeout",
     "Process",
     "AllOf",
-    "AnyOf",
     "KOf",
     "Simulator",
     "SimulationError",
@@ -558,36 +557,6 @@ class KOf(Event):
             self.succeed()
 
 
-class AnyOf(Event):
-    """Succeeds when the first child event triggers.
-
-    The value is the ``(index, value)`` of the first child to fire.
-    """
-
-    __slots__ = ("_children",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]):
-        super().__init__(sim)
-        self._children = list(events)
-        if not self._children:
-            raise SimulationError("AnyOf requires at least one event")
-        for index, child in enumerate(self._children):
-            if child.processed:
-                self._on_child(index, child)
-            else:
-                child.callbacks.append(
-                    lambda c, i=index: self._on_child(i, c)
-                )
-
-    def _on_child(self, index: int, child: Event) -> None:
-        if self._triggered:
-            return
-        if child.ok:
-            self.succeed((index, child._value))
-        else:
-            self.fail(child._value)
-
-
 class Simulator:
     """The event loop: owns simulated time and the pending-event queues.
 
@@ -744,10 +713,6 @@ class Simulator:
         """Event succeeding once every event in ``events`` has succeeded."""
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event succeeding once any event in ``events`` has triggered."""
-        return AnyOf(self, events)
-
     def k_of(self, events: Iterable[Event], k: int) -> KOf:
         """Event succeeding once ``k`` of ``events`` have succeeded."""
         return KOf(self, events, k)
@@ -796,12 +761,6 @@ class Simulator:
                 return nowq.popleft()
             return bucket
         return None
-
-    def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` when idle."""
-        if self._nowq:
-            return self._now
-        return self._heap[0] if self._heap else float("inf")
 
     def run(self, until: Optional[Any] = None) -> Any:
         """Run the simulation.

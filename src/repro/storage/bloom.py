@@ -98,10 +98,3 @@ class BloomFilter:
             if pos >= n_bits:
                 pos -= n_bits
         return True
-
-    def estimated_fp_rate(self) -> float:
-        """The theoretical false-positive rate at the current fill."""
-        if self.n_items == 0:
-            return 0.0
-        fill = 1.0 - math.exp(-self.n_hashes * self.n_items / self.n_bits)
-        return fill ** self.n_hashes

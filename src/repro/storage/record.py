@@ -94,15 +94,3 @@ class Record:
         names = set(field_names)
         return Record(self.key, {k: v for k, v in self.fields.items()
                                  if k in names})
-
-    def merged_with(self, other: "Record") -> "Record":
-        """Column-wise merge, ``other`` winning on conflicts.
-
-        This is the LSM read-repair semantic: newer cell values override
-        older ones field by field.
-        """
-        if other.key != self.key:
-            raise ValueError("cannot merge records with different keys")
-        merged = dict(self.fields)
-        merged.update(other.fields)
-        return Record(self.key, merged)

@@ -136,9 +136,6 @@ class ReferenceScheduler(Simulator):
         self._now = when
         return event
 
-    def peek(self) -> float:
-        return self._heap[0][0] if self._heap else float("inf")
-
     def run(self, until: Optional[Any] = None) -> Any:
         heap = self._heap
         heappop = heapq.heappop

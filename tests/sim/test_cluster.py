@@ -71,10 +71,3 @@ class TestCluster:
         clients = {cluster.client_for_connection(i).name for i in range(4)}
         assert len(clients) == 2
 
-    def test_with_cache_fraction(self):
-        cluster = Cluster(CLUSTER_M, 2)
-        resized = cluster.with_cache_fraction(0.1)
-        assert resized.n_servers == 2
-        assert resized.spec.node.cache_fraction == 0.1
-        original = cluster.spec.node.cache_fraction
-        assert original != 0.1

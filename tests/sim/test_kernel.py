@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim.kernel import (
     AllOf,
-    AnyOf,
     Simulator,
     SimulationError,
     Timeout,
@@ -183,21 +182,6 @@ class TestCombinators:
             sim.run(until=sim.all_of([sim.process(bad()),
                                       sim.process(good())]))
 
-    def test_any_of_returns_first(self, sim):
-        def proc(delay, value):
-            yield sim.timeout(delay)
-            return value
-
-        procs = [sim.process(proc(5.0, "slow")),
-                 sim.process(proc(1.0, "fast"))]
-        index, value = sim.run(until=sim.any_of(procs))
-        assert (index, value) == (1, "fast")
-        assert sim.now == 1.0
-
-    def test_any_of_requires_events(self, sim):
-        with pytest.raises(SimulationError):
-            AnyOf(sim, [])
-
 
 class TestRun:
     def test_run_until_time(self, sim):
@@ -229,9 +213,6 @@ class TestRun:
         process = sim.process(proc())
         with pytest.raises(SimulationError, match="deadlock"):
             sim.run(until=process)
-
-    def test_peek_empty_is_inf(self, sim):
-        assert sim.peek() == float("inf")
 
     def test_determinism(self):
         def build_and_run():

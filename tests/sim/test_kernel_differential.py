@@ -114,8 +114,8 @@ def build_cancels(sim, log, rng):
         for op in range(10):
             work = sim.timeout(0.001 * (1 + int(rng.uniform(0, 3))))
             guard = sim.timeout(0.01, value="guard")
-            winner = yield sim.any_of([work, guard])
-            index, _ = winner
+            yield sim.k_of([work, guard], 1)
+            index = 0 if work.processed else 1
             (guard if index == 0 else work).cancel()
             log.append((tag, op, index, round(sim.now, 12)))
 
@@ -171,7 +171,7 @@ def build_contended_resources(sim, log, rng):
 
 
 def build_failures_and_compositors(sim, log, rng):
-    """AllOf/AnyOf/KOf with failures mixed in."""
+    """AllOf/KOf with failures mixed in."""
 
     def may_fail(tag, delay, ok):
         yield sim.timeout(delay)

@@ -66,22 +66,6 @@ def test_far_bucket_fires_whole_before_fresh_work(sim):
                      "chase-t0", "chase-t1", "chase-t2", "chase-t3"]
 
 
-def test_any_of_tie_goes_to_first_scheduled_child(sim):
-    """Two children due at the same instant: the earlier-scheduled wins."""
-
-    def waiter():
-        first = sim.timeout(0.001, value="first")
-        second = sim.timeout(0.001, value="second")
-        index, value = yield sim.any_of([second, first])
-        # ``first`` was scheduled before ``second``, so it fires first
-        # even though it is listed second.
-        return (index, value)
-
-    proc = sim.process(waiter())
-    sim.run()
-    assert proc.value == (1, "first")
-
-
 def test_release_handoff_is_fifo_among_simultaneous_waiters(sim):
     """A freed slot goes to the longest-queued request, by sequence.
 

@@ -44,7 +44,6 @@ class TestBloomFilter:
     def test_empty_filter_rejects(self):
         bloom = BloomFilter(100)
         assert not bloom.might_contain("anything")
-        assert bloom.estimated_fp_rate() == 0.0
 
     def test_size_scales_with_expectation(self):
         small = BloomFilter(100, 0.01)
@@ -61,16 +60,6 @@ class TestBloomFilter:
         bloom = BloomFilter(0)
         bloom.add("x")
         assert bloom.might_contain("x")
-
-    def test_estimated_fp_rate_grows_with_fill(self):
-        bloom = BloomFilter(100, 0.01)
-        rates = []
-        for i in range(300):
-            bloom.add(f"k{i}")
-            if i % 100 == 99:
-                rates.append(bloom.estimated_fp_rate())
-        assert rates == sorted(rates)
-        assert rates[-1] > rates[0]
 
 
 @settings(max_examples=50, deadline=None)

@@ -16,7 +16,6 @@ from repro.storage.encoding import (
     encode_innodb_row,
     encode_sstable_row,
     redis_memory_per_record,
-    voltdb_memory_per_record,
 )
 from repro.storage.record import APM_SCHEMA, Record
 
@@ -104,7 +103,3 @@ class TestMemoryModels:
     def test_redis_memory_is_order_of_magnitude_above_raw(self):
         per_record = redis_memory_per_record()
         assert 500 <= per_record <= 1500
-
-    def test_voltdb_memory_above_raw(self):
-        per_record = voltdb_memory_per_record()
-        assert 100 <= per_record <= 400

@@ -66,16 +66,6 @@ class TestRecord:
         record = Record("k", {"a": "1", "b": "2", "c": "3"})
         assert record.subset(["a", "c"]).fields == {"a": "1", "c": "3"}
 
-    def test_merged_with_newer_wins(self):
-        old = Record("k", {"a": "1", "b": "2"})
-        new = Record("k", {"b": "20", "c": "30"})
-        merged = old.merged_with(new)
-        assert merged.fields == {"a": "1", "b": "20", "c": "30"}
-
-    def test_merged_with_key_mismatch(self):
-        with pytest.raises(ValueError):
-            Record("k1", {}).merged_with(Record("k2", {}))
-
     def test_frozen(self):
         record = Record("k", {})
         with pytest.raises(AttributeError):
