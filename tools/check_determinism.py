@@ -36,6 +36,12 @@ CHECKS = (
      "overload -s redis -n 1 --records 2000 --ops 600 --multipliers 1,2 "
      "--duration 0.5 --warmup 0.1 --deadline 0.05 --max-queue 16 "
      "--no-sustained", "", ""),
+    # Arrivals spaced by a shape's instantaneous rate, and the queue
+    # monitor sampling beside them.
+    ("shaped",
+     "overload -s redis -n 1 --records 2000 --ops 600 --multipliers 1,2 "
+     "--duration 0.5 --warmup 0.1 --deadline 0.05 --max-queue 16 "
+     "--no-sustained --shape flash:at=0.2,multiplier=3", "", ""),
     ("control",
      "control -s redis --rate 800 --duration 6 "
      "--shape diurnal:period=6,trough=0.25 --max-nodes 2 --records 1000 "
