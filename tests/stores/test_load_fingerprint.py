@@ -18,12 +18,14 @@ state with::
 
 import json
 import zlib
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.storage import btree
+from repro.storage.lsm import LSMConfig
 from repro.stores.registry import STORE_NAMES, create_store
 from repro.ycsb.generator import generate_records
 
@@ -66,6 +68,11 @@ def _engine(engine) -> dict:
         ],
         "memtable_size_bytes": engine.memtable.size_bytes,
         "memtable_len": len(engine.memtable),
+        "seq": engine._seq,
+        "wal_appended_entries": log.appended_entries,
+        "wal_segments": [[segment.index, segment.size_bytes,
+                          segment.entries, segment.dirty]
+                         for segment in log.segments],
         "wal_appended_bytes": log.appended_bytes,
         "wal_syncs": log.syncs,
         "wal_total_bytes": log.total_bytes,
@@ -108,13 +115,38 @@ def _engines_of(store) -> dict:
     raise AssertionError(f"no fingerprint for store {name!r}")
 
 
-def fingerprint(store_name: str) -> dict:
-    """Load the store on two Cluster M nodes and describe its state."""
-    store = create_store(store_name, Cluster(CLUSTER_M, 2))
-    store.load(generate_records(RECORDS.get(store_name, DEFAULT_RECORDS)))
+def fingerprint(store_name: str, n_nodes: int = 2, records: int = 0,
+                spec=CLUSTER_M, **store_kwargs) -> dict:
+    """Load the store on ``n_nodes`` nodes of ``spec`` and describe its
+    state."""
+    store = create_store(store_name, Cluster(spec, n_nodes), **store_kwargs)
+    store.load(generate_records(
+        records or RECORDS.get(store_name, DEFAULT_RECORDS)))
     out = _engines_of(store)
     out["disk_bytes_per_server"] = list(store.disk_bytes_per_server())
     return out
+
+
+#: Room for about 1 000 records a Redis shard (``redis_memory_per_record``
+#: is 894 bytes), so loading 3 000 over two shards runs into the wall.
+_SMALL_RAM = replace(CLUSTER_M,
+                     node=replace(CLUSTER_M.node, ram_bytes=1_285_000))
+
+#: Load shapes beyond one store's defaults:
+#:
+#: * ``cassandra-rf3`` puts every record into three engines, across a
+#:   round boundary;
+#: * ``cassandra-small-memtable`` crosses the memtable threshold about
+#:   six times a round, so flushes and a compaction fire inside a round;
+#: * ``redis-oom`` loads past the shards' memory, refusing inserts.
+SHAPES = {
+    "cassandra-rf3": dict(store_name="cassandra", n_nodes=3, records=6_000,
+                          replication_factor=3),
+    "cassandra-small-memtable": dict(
+        store_name="cassandra", records=6_000,
+        lsm_config=LSMConfig(memtable_flush_bytes=64 * 2**10)),
+    "redis-oom": dict(store_name="redis", records=3_000, spec=_SMALL_RAM),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -129,6 +161,12 @@ def test_post_load_state_matches_parent_commit(store_name):
                  indent=1)
 
 
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_load_shape_matches_parent_commit(shape):
+    check_golden(GOLDEN_PATH, (shape,), fingerprint(**SHAPES[shape]),
+                 indent=1)
+
+
 def test_lsm_load_pins_flushes_and_a_compaction():
     """The pin must cover the paths the clean-up touched, not skip them."""
     golden = json.loads(GOLDEN_PATH.read_text())
@@ -136,3 +174,16 @@ def test_lsm_load_pins_flushes_and_a_compaction():
         engines = golden[store_name]["engines"]
         assert all(e["flushes"] >= 4 for e in engines)
         assert any(e["compactions"] >= 1 for e in engines)
+
+
+def test_extra_shapes_pin_what_they_are_named_for():
+    golden = json.loads(GOLDEN_PATH.read_text())
+    # Every record is in all three engines.
+    assert all(e["writes"] == 6_000
+               for e in golden["cassandra-rf3"]["engines"])
+    # Two load rounds, many more flushes: most fired inside a round,
+    # and so did the compactions they ripened.
+    for engine in golden["cassandra-small-memtable"]["engines"]:
+        assert engine["flushes"] > 8
+        assert engine["compactions"] >= 2
+    assert golden["redis-oom"]["errors"] > 0
