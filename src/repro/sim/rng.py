@@ -31,8 +31,3 @@ class RngRegistry:
                 int.from_bytes(digest[:8], "big")
             )
         return self._streams[name]
-
-    def fork(self, salt: str) -> "RngRegistry":
-        """A registry whose streams are independent of this one's."""
-        digest = hashlib.sha256(f"{self.seed}:fork:{salt}".encode()).digest()
-        return RngRegistry(int.from_bytes(digest[:8], "big"))
