@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import zlib
 from bisect import bisect_left
+from functools import cached_property
 from itertools import islice
 from operator import lt
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -145,8 +146,7 @@ class SSTable:
         #: CRC of the ``"<generation>:"`` prefix every block-offset proxy
         #: of this run starts from (see ``LSMEngine._block_of``).
         self.block_seed = zlib.crc32(b"%d:" % generation)
-        self.bloom = BloomFilter(max(1, len(keys)), bloom_fp_rate)
-        self.bloom.add_all(keys)
+        self._bloom_fp_rate = bloom_fp_rate
         if size_bytes is None:
             size_bytes = sum(map(sstable_entry_size, keys, cells.values()))
         self.size_bytes = size_bytes
@@ -155,6 +155,15 @@ class SSTable:
 
     def __len__(self) -> int:
         return len(self._keys)
+
+    @cached_property
+    def bloom(self) -> BloomFilter:
+        """The run's filter, built at its first probe: a run a compaction
+        merges away unread, or one whose engine reads without filters,
+        never pays for one."""
+        bloom = BloomFilter(max(1, len(self._keys)), self._bloom_fp_rate)
+        bloom.add_all(self._keys)
+        return bloom
 
     def may_contain(self, key: str) -> bool:
         """Cheap pre-check: key range plus Bloom filter."""
