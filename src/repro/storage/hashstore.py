@@ -55,6 +55,16 @@ class HashStore:
         is reached and the key is new — the failure mode the paper hit on
         its hottest Redis shard at 12 nodes.
         """
+        new = key not in self._hashes
+        if not self.load_row(key, fields):
+            return False
+        if new:
+            self._index.put(key, None)
+        return True
+
+    def load_row(self, key: str, fields: Mapping[str, str]) -> bool:
+        """HMSET alone: ``hset`` for a load into a fresh store, whose
+        keys join the scan index together, at :meth:`index_loaded`."""
         stored = self._hashes.get(key)
         if stored is not None:
             stored.update(fields)
@@ -62,9 +72,12 @@ class HashStore:
         if self.is_full:
             self.oom_errors += 1
             return False
-        self._index.put(key, None)
         self._hashes[key] = dict(fields)
         return True
+
+    def index_loaded(self) -> None:
+        """ZADD every loaded key, in the order they first arrived."""
+        self._index.put_all((key, None) for key in self._hashes)
 
     def hgetall(self, key: str) -> Optional[dict[str, str]]:
         """Fetch all fields of a record."""

@@ -12,7 +12,7 @@ bit-for-bit reproducible.
 from __future__ import annotations
 
 import random
-from typing import Any, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 __all__ = ["SkipList"]
 
@@ -88,6 +88,36 @@ class SkipList:
             return node.value
         self._link(update, key, value)
         return value
+
+    def put_all(self, pairs: Iterable[tuple[Any, Any]]) -> None:
+        """``put`` each of ``pairs`` in turn, into an empty list.
+
+        Each new key draws its tower when it arrives, as ``put`` would,
+        and a repeated key only updates its value, so the list ends with
+        the towers ``put`` leaves; one sort and one left-to-right pass
+        then link every level, instead of one descent a pair.
+        """
+        if self._size:
+            raise ValueError("put_all links into an empty skip list")
+        nodes: dict[Any, _SkipNode] = {}
+        random_level = self._random_level
+        for key, value in pairs:
+            node = nodes.get(key)
+            if node is None:
+                nodes[key] = _SkipNode(key, value, random_level())
+            else:
+                node.value = value
+        # The last node linked at each level, the next one's predecessor.
+        tails = [self._head] * _MAX_LEVEL
+        for key in sorted(nodes):
+            node = nodes[key]
+            height = len(node.forward)
+            for level in range(height):
+                tails[level].forward[level] = node
+                tails[level] = node
+            if height > self._level:
+                self._level = height
+        self._size = len(nodes)
 
     def _link(self, update: list[_SkipNode], key: Any, value: Any) -> None:
         level = self._random_level()

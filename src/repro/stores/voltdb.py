@@ -210,10 +210,12 @@ class VoltDBStore(Store):
     # -- deployment ----------------------------------------------------------
 
     def load(self, records: Iterable[Record]) -> None:
-        partitions = self.partitions
+        rows: dict[int, list] = {pid: [] for pid in self.partitions}
         for record in records:
             key = record.key
-            partitions[self.partition_of(key)].put(key, dict(record.fields))
+            rows[self.partition_of(key)].append((key, dict(record.fields)))
+        for pid, table in self.partitions.items():
+            table.put_all(rows.pop(pid))
 
     def session(self, client_node: Node, index: int) -> "VoltDBSession":
         return VoltDBSession(self, client_node, index)
