@@ -30,6 +30,7 @@ from repro.stores.base import (
     ServiceProfile,
     Store,
     StoreSession,
+    load_lsm_rounds,
     newest_cell,
 )
 from repro.stores.sharding import TokenRing
@@ -188,24 +189,7 @@ class CassandraStore(Store):
         compacted run — reads must merge across them (the read
         amplification the Bloom-filter ablation measures).
         """
-        engines = self.engines
-        replication_factor = self.replication_factor
-        loaded = 0
-        for record in records:
-            key = record.key
-            for replica in self.replicas_of(key, replication_factor):
-                # The engine copies the fields it is given.
-                engines[replica].put(key, record.fields)
-            loaded += 1
-            if loaded % 4000 == 0:
-                for engine in engines:
-                    engine.flush()
-        for engine in self.engines:
-            engine.flush()
-            # One minor-compaction pass, as a real load phase gets:
-            # leaves a couple of runs per node, not a single major-
-            # compacted file and not the whole flush history.
-            engine.maybe_compact()
+        load_lsm_rounds(records, self.engines, self.homes)
 
     def session(self, client_node: Node, index: int) -> "CassandraSession":
         return CassandraSession(self, client_node, index)

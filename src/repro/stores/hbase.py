@@ -35,6 +35,7 @@ from repro.stores.base import (
     ServiceProfile,
     Store,
     StoreSession,
+    load_lsm_rounds,
 )
 from repro.keyspace import lex_position
 from repro.stores.hdfs import Hdfs
@@ -274,21 +275,9 @@ class HBaseStore(Store):
         """Bulk load leaving a few store files per region (as a real
         load phase does before a major compaction is scheduled)."""
         # Nothing reassigns a region while the load runs.
-        engines = [self.engine_of(rid) for rid in range(self.n_regions)]
-        loaded = 0
-        for record in records:
-            key = record.key
-            # The engine copies the fields it is given.
-            engines[self.region_of(key)].put(key, record.fields)
-            loaded += 1
-            if loaded % 4000 == 0:
-                for engine in engines:
-                    engine.flush()
-        for engine in engines:
-            engine.flush()
-            # One minor compaction, as HBase's compactionThreshold would
-            # have triggered during the load; a few store files remain.
-            engine.maybe_compact()
+        load_lsm_rounds(records,
+                        [self.engine_of(rid) for rid in range(self.n_regions)],
+                        lambda key: (self.region_of(key),))
 
     def session(self, client_node: Node, index: int) -> "HBaseSession":
         return HBaseSession(self, client_node, index)
