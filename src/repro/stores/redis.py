@@ -170,7 +170,7 @@ class RedisStore(Store):
         shards = self.shards
         for record in records:
             key = record.key
-            # HSET stores its own copy of the fields.
+            # The shard stores its own copy of the fields.
             if not shards[self.shard_of(key)].load_row(key, record.fields):
                 self.errors += 1
         for shard in shards:

@@ -1,11 +1,15 @@
 """What the load phase leaves behind, pinned store by store.
 
-``Store.load`` is put-by-put ingestion through skip list, Bloom filter,
-commit log, flush and compaction.  Its cost is a harness cost, so it gets
-optimised; its *result* is what every simulated read afterwards sees, so
-it must not move.  Each fingerprint below was taken at the commit before
-the single-pass ingestion clean-up (v1.7.0) and depends only on keys and
-field *lengths* — the record generator's field content is free to change.
+``Store.load`` builds, round by round, what ``put`` after ``put`` would:
+LSM runs with their commit-log accounting, flushes and compactions,
+skip-list towers, B+tree pages (MySQL and Voldemort still load ``put`` by
+``put``).  Its cost is a harness cost, so it gets optimised; its *result*
+is what every simulated read afterwards sees, so it must not move.  The
+store fingerprints were taken at the commit before the single-pass
+ingestion clean-up (v1.7.0), the LSM sequence and commit-log fields and
+the ``SHAPES`` at the commit before the LSM and skip-list batch loads
+(v1.8.0); all depend only on keys and field *lengths* — the record
+generator's field content is free to change.
 
 The two LSM stores load enough records (17 000) for the load's own
 flush rounds and its minor compaction to be part of the pin; the others
