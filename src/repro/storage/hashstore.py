@@ -27,7 +27,8 @@ class HashStore:
         self.schema = schema
         self.max_memory_bytes = max_memory_bytes
         self._hashes: dict[str, dict[str, str]] = {}
-        self._index = SkipList(seed=seed)
+        self._seed = seed
+        self._index: Optional[SkipList] = None
         self._bytes_per_record = redis_memory_per_record(schema)
         self.evictions = 0
         self.oom_errors = 0
@@ -55,16 +56,6 @@ class HashStore:
         is reached and the key is new — the failure mode the paper hit on
         its hottest Redis shard at 12 nodes.
         """
-        new = key not in self._hashes
-        if not self.load_row(key, fields):
-            return False
-        if new:
-            self._index.put(key, None)
-        return True
-
-    def load_row(self, key: str, fields: Mapping[str, str]) -> bool:
-        """HMSET alone: ``hset`` for a load into a fresh store, whose
-        keys join the scan index together, at :meth:`index_loaded`."""
         stored = self._hashes.get(key)
         if stored is not None:
             stored.update(fields)
@@ -73,11 +64,22 @@ class HashStore:
             self.oom_errors += 1
             return False
         self._hashes[key] = dict(fields)
+        if self._index is not None:
+            self._index.put(key, None)
         return True
 
-    def index_loaded(self) -> None:
-        """ZADD every loaded key, in the order they first arrived."""
-        self._index.put_all((key, None) for key in self._hashes)
+    def index(self) -> SkipList:
+        """The sorted set of keys, ZADDed now if nothing read it before.
+
+        Until the first scan or delete, keys only join the dict, so its
+        order is the order they arrived in: ``put_all`` draws their
+        towers as a ZADD each would have.  A store nothing scans — one a
+        load fills for reads alone — never links one.
+        """
+        if self._index is None:
+            self._index = SkipList(seed=self._seed)
+            self._index.put_all((key, None) for key in self._hashes)
+        return self._index
 
     def hgetall(self, key: str) -> Optional[dict[str, str]]:
         """Fetch all fields of a record."""
@@ -86,7 +88,7 @@ class HashStore:
 
     def zrange_from(self, start_key: str, count: int) -> list[str]:
         """Keys >= ``start_key`` in order (ZRANGEBYLEX on the index)."""
-        return [key for key, __ in self._index.scan(start_key, count)]
+        return [key for key, __ in self.index().scan(start_key, count)]
 
     def scan(self, start_key: str, count: int) -> list[tuple[str, dict[str, str]]]:
         """Range scan via the key index, then per-key HGETALL."""
@@ -101,6 +103,6 @@ class HashStore:
         """DEL + ZREM; returns whether the key existed."""
         if key not in self._hashes:
             return False
+        self.index().remove(key)
         del self._hashes[key]
-        self._index.remove(key)
         return True

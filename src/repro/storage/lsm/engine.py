@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.storage.lsm.compaction import CompactionTask, SizeTieredCompaction
 from repro.storage.lsm.memtable import Memtable
@@ -140,62 +140,15 @@ class LSMEngine:
             if task is not None:
                 bill.compaction_io_bytes += task.io_bytes
 
-    def load_round(self, rows: Iterable[tuple[str, Mapping[str, str]]]
-                   ) -> None:
-        """Load one round of ``rows``, in arrival order, straight into runs.
-
-        The engine ends exactly as a ``put`` of each row and then
-        :meth:`flush` leave it — sequence numbers, commit-log appends,
-        threshold flushes and the compactions they ripen, run contents
-        and sizes — but the memtable is never touched: the round's cells
-        collect in a dict, sorted once into each run.  A load starts on
-        a fresh engine, so the memtable must be empty.
-        """
-        if len(self.memtable):
-            raise ValueError("a load round needs an empty memtable")
-        threshold = self.config.memtable_flush_bytes
-        append = self.commit_log.append
-        cells: dict[str, Versioned] = {}
-        size = 0
-        for key, fields in rows:
-            self.writes += 1
-            self._seq = seq = self._seq + 1
-            fields = dict(fields)
-            written = sstable_entry_size(key, fields)
-            append(written)
-            cell = cells.get(key)
-            if cell is None:
-                cells[key] = Versioned(seq, fields)
-                size += written
-            else:  # ``Memtable.put``'s upsert: restamped and resized
-                size -= sstable_entry_size(key, cell.value)
-                cell.value = {**cell.value, **fields}
-                cell.seq = seq
-                size += sstable_entry_size(key, cell.value)
-            if size >= threshold:
-                self._install_run(sorted(cells.items()), size)
-                self.maybe_compact()
-                cells = {}
-                size = 0
-        if cells:
-            self._install_run(sorted(cells.items()), size)
-
     def flush(self) -> int:
         """Flush the memtable into a new SSTable; returns bytes written."""
         items = self.memtable.sorted_items()
         if not items:
             return 0
         # The memtable's running total is what the run serialises to.
-        return self._install_run(items, self.memtable.size_bytes)
-
-    def _install_run(self, items: list[tuple[str, Versioned]],
-                     size_bytes: int) -> int:
-        """Install ``items`` as the newest run, sync and recycle the
-        commit log and start a fresh memtable: the one way a run is
-        flushed.  Returns the bytes written."""
         table = SSTable(items, bloom_fp_rate=self.config.bloom_fp_rate,
                         generation=self._allocate_generation(),
-                        size_bytes=size_bytes)
+                        size_bytes=self.memtable.size_bytes)
         self.sstables.append(table)
         self.flushes += 1
         active = self.commit_log.active_segment.index

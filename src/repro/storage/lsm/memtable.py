@@ -15,7 +15,7 @@ __all__ = ["Memtable"]
 
 
 class Memtable:
-    """Skip-list-backed write buffer with byte accounting.
+    """Write buffer with byte accounting, sorted by a skip list.
 
     ``size_bytes`` tracks the *serialised* size of the buffered entries
     (what the flush will write), which is what the engine compares against
@@ -25,15 +25,30 @@ class Memtable:
     Every stored value is a :class:`Versioned` stamped by the engine's
     global write sequence, so conflict resolution stays correct across
     flush and compaction boundaries.
+
+    Cells live in a dict in arrival order; the skip list that keeps them
+    in key order is linked at the first scan (see :meth:`ordered`).  It
+    draws each key's tower in arrival order either way, so it is the
+    list ``put`` after ``put`` would have linked.  A memtable nothing
+    scans — every one a load fills — never links one: its flush sorts
+    the dict once.
     """
 
     def __init__(self, seed: int = 0):
-        self._data = SkipList(seed=seed)
+        self._cells: dict[str, Versioned] = {}
+        self._seed = seed
+        self._ordered: Optional[SkipList] = None
         self.size_bytes = 0
         self.ops = 0
 
     def __len__(self) -> int:
-        return len(self._data)
+        return len(self._cells)
+
+    def _setdefault(self, key: str, cell: Versioned) -> Versioned:
+        existing = self._cells.setdefault(key, cell)
+        if existing is cell and self._ordered is not None:
+            self._ordered.put(key, cell)
+        return existing
 
     def put(self, key: str, fields: Mapping[str, str], seq: int) -> int:
         """Insert or column-wise upsert ``fields`` under ``key``.
@@ -46,13 +61,13 @@ class Memtable:
         self.ops += 1
         written = sstable_entry_size(key, fields)
         cell = Versioned(seq, fields)
-        existing: Versioned = self._data.setdefault(key, cell)
+        existing = self._setdefault(key, cell)
         if existing is cell:
             self.size_bytes += written
             return written
-        # Already buffered: the one descent found the memtable's own
-        # cell, which is restamped in place.  Payload mappings are never
-        # mutated, so a reader holding the old one keeps what it read.
+        # Already buffered: the memtable's own cell is restamped in
+        # place.  Payload mappings are never mutated, so a reader holding
+        # the old one keeps what it read.
         replaced = sstable_entry_size(key, existing.value)
         if existing.value is TOMBSTONE:  # revive: the write starts afresh
             existing.value = fields
@@ -68,7 +83,7 @@ class Memtable:
         """Record a deletion (tombstone) for ``key``."""
         self.ops += 1
         cell = Versioned(seq, TOMBSTONE)
-        existing: Versioned = self._data.setdefault(key, cell)
+        existing = self._setdefault(key, cell)
         tombstone = sstable_entry_size(key, TOMBSTONE)
         if existing is cell:
             self.size_bytes += tombstone
@@ -79,12 +94,25 @@ class Memtable:
 
     def get(self, key: str) -> Optional[Versioned]:
         """Buffered version for ``key``, or ``None`` if not buffered."""
-        return self._data.get(key)
+        return self._cells.get(key)
+
+    def ordered(self) -> SkipList:
+        """The cells in key order, linked now if nothing scanned before.
+
+        Keys never leave the dict, so its order is the order they first
+        arrived in: the order ``put`` would have drawn their towers.
+        """
+        if self._ordered is None:
+            self._ordered = SkipList(seed=self._seed)
+            self._ordered.put_all(self._cells.items())
+        return self._ordered
 
     def scan(self, start_key: str, count: int) -> list[tuple[str, Versioned]]:
         """Up to ``count`` buffered entries with key >= ``start_key``."""
-        return self._data.scan(start_key, count)
+        return self.ordered().scan(start_key, count)
 
     def sorted_items(self) -> list[tuple[str, Versioned]]:
         """All buffered entries in key order (flush input)."""
-        return list(self._data.items())
+        if self._ordered is None:
+            return sorted(self._cells.items())
+        return list(self._ordered.items())

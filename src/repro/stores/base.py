@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.overload.admission import AdmissionGate
@@ -773,25 +772,24 @@ LOAD_ROUND_RECORDS = 4000
 def load_lsm_rounds(records: Iterable[Record], engines: Sequence,
                     homes: Callable[[str], Sequence[int]]) -> None:
     """Load ``records`` into the LSM ``engines``, round by round: each
-    record into the engines ``homes(key)`` names, then one minor
-    compaction pass an engine, as a real load phase gets — a couple of
-    runs a node, not one major-compacted file and not the whole flush
-    history (the read amplification the Bloom-filter ablation measures).
+    record into the engines ``homes(key)`` names, a flush of every
+    engine when a round is full, then one minor compaction pass an
+    engine, as a real load phase gets — a couple of runs a node, not one
+    major-compacted file and not the whole flush history (the read
+    amplification the Bloom-filter ablation measures).
     """
-    records = iter(records)
-    while True:
-        rounds: list[list] = [[] for __ in engines]
-        taken = 0
-        for record in islice(records, LOAD_ROUND_RECORDS):
-            key, fields = record.key, record.fields
-            for home in homes(key):
-                rounds[home].append((key, fields))
-            taken += 1
-        for engine, rows in zip(engines, rounds):
-            engine.load_round(rows)
-        if taken < LOAD_ROUND_RECORDS:
-            break
+    loaded = 0
+    for record in records:
+        key, fields = record.key, record.fields
+        for home in homes(key):
+            # The engine copies the fields it is given.
+            engines[home].put(key, fields)
+        loaded += 1
+        if loaded % LOAD_ROUND_RECORDS == 0:
+            for engine in engines:
+                engine.flush()
     for engine in engines:
+        engine.flush()
         engine.maybe_compact()
 
 

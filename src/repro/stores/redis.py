@@ -170,11 +170,9 @@ class RedisStore(Store):
         shards = self.shards
         for record in records:
             key = record.key
-            # The shard stores its own copy of the fields.
-            if not shards[self.shard_of(key)].load_row(key, record.fields):
+            # HSET stores its own copy of the fields.
+            if not shards[self.shard_of(key)].hset(key, record.fields):
                 self.errors += 1
-        for shard in shards:
-            shard.index_loaded()
 
     def session(self, client_node: Node, index: int) -> "RedisSession":
         return RedisSession(self, client_node, index)

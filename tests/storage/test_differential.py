@@ -568,7 +568,7 @@ def test_memtable_leaves_the_towers_the_first_written_descent_leaves():
             memtable.put(key, _partial_fields(rng), seq)
         reference.put(key, seq)
     assert ([(key, cell.seq, height)
-             for key, cell, height in _towers(memtable._data)]
+             for key, cell, height in _towers(memtable.ordered())]
             == _towers(reference))
 
 

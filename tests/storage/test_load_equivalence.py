@@ -1,13 +1,16 @@
-"""A load builds what ``put`` after ``put`` builds: property tests.
+"""A load builds what ``put`` after ``put`` always built: property tests.
 
-Each load path has a batch method that skips the per-row structure
-``put`` maintains — the LSM memtable, the skip list's descents, the
-Redis scan index — and must leave the engine exactly as the row-by-row
-path leaves it.  Hypothesis generates the rows: few keys, so they
-repeat; partial field maps, so a repeat is a column-wise upsert; and
-flush thresholds small enough that a round flushes and compacts inside
-itself.  ``tests/stores/load_fingerprint_golden.json`` pins the same
-state for whole store loads.
+The load paths skip per-row structure nothing reads while a load runs:
+the LSM memtable and the Redis scan index link their skip lists at the
+first scan instead of at every write, a VoltDB load links each
+partition's skip list in one pass (``SkipList.put_all``), and an SSTable
+builds its Bloom filter at its first probe.  Each must leave exactly
+what the eager structure leaves.  Hypothesis generates the operations:
+few keys, so they repeat; partial field maps, so a repeat is a
+column-wise upsert; deletes, scans and reads at any point; and flush
+thresholds small enough that writes flush and compact as they go.
+``tests/stores/load_fingerprint_golden.json`` pins the same state for
+whole store loads.
 """
 
 from __future__ import annotations
@@ -28,12 +31,22 @@ from tests.storage.test_differential import _towers
 KEYS = st.sampled_from([f"user{i:02d}" for i in range(24)])
 FIELDS = st.dictionaries(st.sampled_from([f"field{i}" for i in range(5)]),
                          st.text("abcxyz", max_size=12), min_size=1)
-ROWS = st.lists(st.tuples(KEYS, FIELDS), max_size=80)
+#: A write most of the time; now and then a delete, a scan or a read.
+OPS = st.lists(st.one_of(
+    st.tuples(st.just("put"), KEYS, FIELDS),
+    st.tuples(st.just("put"), KEYS, FIELDS),
+    st.tuples(st.just("put"), KEYS, FIELDS),
+    st.tuples(st.just("delete"), KEYS),
+    st.tuples(st.just("scan"), KEYS, st.integers(1, 8)),
+    st.tuples(st.just("get"), KEYS),
+), max_size=120)
 
 
 def _engine_state(engine: LSMEngine) -> dict:
-    """Everything a later read, write, flush or crash can observe."""
+    """Everything a later read, write, flush or crash can observe; links
+    the memtable's skip list if nothing scanned it yet."""
     log = engine.commit_log
+    ordered = engine.memtable.ordered()
     return {
         "runs": [(table.generation, table.size_bytes, table.min_key,
                   table.max_key,
@@ -52,47 +65,58 @@ def _engine_state(engine: LSMEngine) -> dict:
         "generations": engine._generations,
         "compactions": engine.compaction.compactions_run,
         "memtable": (engine.memtable.size_bytes, len(engine.memtable),
-                     engine.memtable._data._rng.getstate()),
+                     [(key, cell.seq, cell.value, height)
+                      for key, cell, height in _towers(ordered)],
+                     ordered._level, ordered._rng.getstate()),
     }
 
 
+def _apply(engine: LSMEngine, op: tuple):
+    """Run one generated operation; what a caller would see of it."""
+    kind, key, *rest = op
+    if kind == "put":
+        return engine.put(key, rest[0])
+    if kind == "delete":
+        return engine.delete(key)
+    if kind == "scan":
+        return engine.scan(key, rest[0])
+    return engine.get(key)
+
+
 @settings(max_examples=150, deadline=None)
-@given(rounds=st.lists(ROWS, min_size=1, max_size=4),
+@given(ops=OPS,
        flush_bytes=st.integers(60, 3000),
        group_commit=st.integers(1, 8),
        min_threshold=st.integers(2, 4),
        seed=st.integers(0, 5))
-def test_lsm_load_round_is_put_each_row_then_flush(
-        rounds, flush_bytes, group_commit, min_threshold, seed):
+def test_an_lsm_memtable_linked_late_is_one_linked_at_every_write(
+        ops, flush_bytes, group_commit, min_threshold, seed):
+    """``eager`` links each memtable's skip list as it starts, so every
+    write descends it, as the memtable always did; ``lazy`` links one
+    only at its first scan, and a load's never."""
     config = LSMConfig(memtable_flush_bytes=flush_bytes,
                        group_commit_ops=group_commit,
                        min_compaction_threshold=min_threshold)
-    by_put = LSMEngine(config, seed=seed)
-    by_round = LSMEngine(config, seed=seed)
-    for rows in rounds:
-        for key, fields in rows:
-            by_put.put(key, fields)
-        by_put.flush()
-        by_round.load_round(rows)
-        assert _engine_state(by_round) == _engine_state(by_put)
-    by_put.maybe_compact()
-    by_round.maybe_compact()
-    assert _engine_state(by_round) == _engine_state(by_put)
+    eager = LSMEngine(config, seed=seed)
+    lazy = LSMEngine(config, seed=seed)
+    eager.memtable.ordered()
+    for op in ops:
+        assert _apply(lazy, op) == _apply(eager, op), op
+        eager.memtable.ordered()  # a flush starts a fresh memtable
+    assert _engine_state(lazy) == _engine_state(eager)
+    for engine in (eager, lazy):
+        engine.flush()
+        engine.maybe_compact()
+    assert _engine_state(lazy) == _engine_state(eager)
 
 
-def test_lsm_load_round_copies_the_rows_it_is_given():
-    engine = LSMEngine(LSMConfig(), seed=0)
-    fields = {"field0": "a"}
-    engine.load_round([("k", fields)])
-    fields["field0"] = "changed"
-    assert engine.get("k").fields == {"field0": "a"}
-
-
-def test_lsm_load_round_needs_an_empty_memtable():
-    engine = LSMEngine(LSMConfig(), seed=0)
-    engine.put("k", {"field0": "a"})
-    with pytest.raises(ValueError):
-        engine.load_round([("j", {"field0": "b"})])
+def test_a_load_links_no_memtable():
+    engine = LSMEngine(LSMConfig(memtable_flush_bytes=400), seed=0)
+    for i in range(40):
+        engine.put(f"user{i:02d}", {"field0": "v" * 10})
+    assert engine.flushes and engine.memtable._ordered is None
+    assert engine.scan("user00", 3)[0][0][0] == "user00"
+    assert engine.memtable._ordered is not None
 
 
 @settings(max_examples=200, deadline=None)
@@ -121,21 +145,33 @@ def test_skiplist_put_all_needs_an_empty_list():
         skiplist.put_all([("b", 2)])
 
 
+def _redis(store: HashStore, op: tuple):
+    kind, key, *rest = op
+    if kind == "put":
+        return store.hset(key, rest[0])
+    if kind == "delete":
+        return store.delete(key)
+    if kind == "scan":
+        return store.scan(key, rest[0])
+    return store.hgetall(key)
+
+
 @settings(max_examples=150, deadline=None)
-@given(rows=ROWS, room=st.integers(0, 30), seed=st.integers(0, 5))
-def test_hashstore_load_is_hset_of_each_row(rows, room, seed):
+@given(ops=OPS, room=st.integers(0, 30), seed=st.integers(0, 5))
+def test_a_redis_index_linked_late_is_one_linked_at_every_hset(
+        ops, room, seed):
     """Including the refusals once the memory wall is reached."""
     limit = int(room * redis_memory_per_record())
-    by_hset = HashStore(max_memory_bytes=limit, seed=seed)
-    by_load = HashStore(max_memory_bytes=limit, seed=seed)
-    hset_acks = [by_hset.hset(key, fields) for key, fields in rows]
-    load_acks = [by_load.load_row(key, fields) for key, fields in rows]
-    by_load.index_loaded()
-    assert load_acks == hset_acks
-    assert list(by_load._hashes.items()) == list(by_hset._hashes.items())
-    assert _towers(by_load._index) == _towers(by_hset._index)
-    assert by_load._index._level == by_hset._index._level
-    assert by_load.oom_errors == by_hset.oom_errors
+    eager = HashStore(max_memory_bytes=limit, seed=seed)
+    lazy = HashStore(max_memory_bytes=limit, seed=seed)
+    eager.index()
+    for op in ops:
+        assert _redis(lazy, op) == _redis(eager, op), op
+    assert lazy.oom_errors == eager.oom_errors
+    assert list(lazy._hashes.items()) == list(eager._hashes.items())
+    assert _towers(lazy.index()) == _towers(eager.index())
+    assert lazy.index()._level == eager.index()._level
+    assert lazy.index()._rng.getstate() == eager.index()._rng.getstate()
 
 
 @settings(max_examples=100, deadline=None)
@@ -164,8 +200,9 @@ def test_only_a_probed_run_builds_its_filter(bloom_enabled):
     engine = LSMEngine(LSMConfig(memtable_flush_bytes=400,
                                  min_compaction_threshold=2,
                                  bloom_enabled=bloom_enabled), seed=0)
-    engine.load_round([(f"user{i:02d}", {"field0": "v" * 10})
-                       for i in range(40)])
+    for i in range(40):
+        engine.put(f"user{i:02d}", {"field0": "v" * 10})
+    engine.flush()
     assert engine.compaction.compactions_run  # runs were merged away
     assert not any(_built_filters(engine))
     assert engine.get("user07").fields == {"field0": "v" * 10}

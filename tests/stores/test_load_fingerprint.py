@@ -1,15 +1,17 @@
 """What the load phase leaves behind, pinned store by store.
 
-``Store.load`` builds, round by round, what ``put`` after ``put`` would:
-LSM runs with their commit-log accounting, flushes and compactions,
-skip-list towers, B+tree pages (MySQL and Voldemort still load ``put`` by
-``put``).  Its cost is a harness cost, so it gets optimised; its *result*
-is what every simulated read afterwards sees, so it must not move.  The
-store fingerprints were taken at the commit before the single-pass
-ingestion clean-up (v1.7.0), the LSM sequence and commit-log fields and
-the ``SHAPES`` at the commit before the LSM and skip-list batch loads
-(v1.8.0); all depend only on keys and field *lengths* — the record
-generator's field content is free to change.
+``Store.load`` is ``put`` after ``put`` (``hset`` on Redis; VoltDB links
+each partition's skip list in one pass), but skips structure nothing
+reads during a load: memtables and Redis indexes link their skip lists
+at the first scan, runs build their Bloom filters at the first probe.
+What it leaves — LSM runs with their commit-log accounting, flushes and
+compactions, skip-list towers, B+tree pages — is what every simulated
+read afterwards sees, so its cost may be optimised but its *result*
+must not move.  The store fingerprints were taken at the commit before
+the single-pass ingestion clean-up (v1.7.0), the LSM sequence and
+commit-log fields and the ``SHAPES`` at the commit before the lazy
+skip lists and filters (v1.8.0); all depend only on keys and field
+*lengths* — the record generator's field content is free to change.
 
 The two LSM stores load enough records (17 000) for the load's own
 flush rounds and its minor compaction to be part of the pin; the others
@@ -110,7 +112,7 @@ def _engines_of(store) -> dict:
     if name == "redis":
         return {"shards": [{"len": len(shard),
                             "used_memory_bytes": shard.used_memory_bytes,
-                            "index": _skiplist(shard._index)}
+                            "index": _skiplist(shard.index())}
                            for shard in store.shards],
                 "errors": store.errors}
     if name == "voltdb":

@@ -11,7 +11,7 @@ where the point is that they must *not* matter: the audit sweep at
 re-simulates instead of replaying blobs), and the grid — the one batch
 path, with two skipped points in its bytes — with both at once (and
 again over the sharded MySQL scan and the multi-file HBase get, and over
-the Cassandra and VoltDB batch loads).
+the Cassandra and VoltDB loads).
 
 Exit status 0 when all rows agree; otherwise 1, naming the first command
 whose exports differ (or that failed outright — a non-zero exit of
@@ -70,9 +70,9 @@ CHECKS = (
      "grid --stores mysql,hbase --workloads R,RSW --nodes 1,4 "
      "--records 2200 --ops 150 --warmup 20",
      "--store {tmp}/reads-store-1", "--store {tmp}/reads-store-2 --jobs 2"),
-    # The batch loads: 4 500 records a node are two Cassandra load rounds
-    # at one node and three at two, and VoltDB links each partition in
-    # one pass.
+    # The loads: 4 500 records a node are two Cassandra load rounds at
+    # one node and three at two, each flushed from a memtable no scan
+    # linked, and VoltDB links each partition in one pass.
     ("grid-loads",
      "grid --stores cassandra,voltdb --workloads R,W --nodes 1,2 "
      "--records 4500 --ops 150 --warmup 20",
