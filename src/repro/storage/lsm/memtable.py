@@ -30,8 +30,8 @@ class Memtable:
     in key order is linked at the first scan (see :meth:`ordered`).  It
     draws each key's tower in arrival order either way, so it is the
     list ``put`` after ``put`` would have linked.  A memtable nothing
-    scans — every one a load fills — never links one: its flush sorts
-    the dict once.
+    scans — every one a load fills — never links one; a flush sorts the
+    dict once.
     """
 
     def __init__(self, seed: int = 0):
@@ -113,6 +113,4 @@ class Memtable:
 
     def sorted_items(self) -> list[tuple[str, Versioned]]:
         """All buffered entries in key order (flush input)."""
-        if self._ordered is None:
-            return sorted(self._cells.items())
-        return list(self._ordered.items())
+        return sorted(self._cells.items())
