@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from repro.hashing import murmur64a
 
-__all__ = ["KEY_PREFIX", "KEY_DIGITS", "KEY_LENGTH", "format_key",
-           "lex_position"]
+__all__ = ["KEY_PREFIX", "KEY_DIGITS", "KEY_LENGTH", "scatter_hash",
+           "render_key", "format_key", "lex_position"]
 
 KEY_PREFIX = "user"
 #: Digits after the prefix: 25-byte keys, as specified in Section 3.
@@ -33,14 +33,27 @@ _PREFIX_LENGTH = len(KEY_PREFIX)
 _BELOW_ONE = 1.0 - 2**-53
 
 
+def scatter_hash(record_number: int) -> int:
+    """The 64-bit hash that scatters ``record_number`` over the key space.
+
+    Its decimal rendering is the record's key; the record generator
+    draws the record's field values from its bytes as well.
+    """
+    return murmur64a(record_number.to_bytes(8, "big"))
+
+
+def render_key(scattered: int) -> str:
+    """The 25-byte key whose digits are the scatter hash ``scattered``."""
+    return KEY_PREFIX + str(scattered).zfill(KEY_DIGITS)
+
+
 def format_key(record_number: int) -> str:
     """The 25-byte key for ``record_number`` (FNV-style scattering).
 
     Sequential record numbers map to uniformly scattered keys, exactly
     like YCSB's hashed key chooser.
     """
-    scattered = murmur64a(record_number.to_bytes(8, "big"))
-    return KEY_PREFIX + str(scattered).zfill(KEY_DIGITS)
+    return render_key(scatter_hash(record_number))
 
 
 def lex_position(key: str) -> float:

@@ -29,19 +29,12 @@ class RecordSchema:
     field_prefix: str = "field"
 
     # The schema is immutable, so its derived layout is computed once per
-    # instance: all three are read once per generated record.
+    # instance: the field names are read once per generated record.
 
     @cached_property
     def field_names(self) -> tuple[str, ...]:
         """The ordered field names (``field0`` ... ``fieldN``)."""
         return tuple(f"{self.field_prefix}{i}" for i in range(self.field_count))
-
-    @cached_property
-    def field_slices(self) -> tuple[tuple[str, slice], ...]:
-        """Each field's name and its span in the concatenated field values."""
-        length = self.field_length
-        return tuple((name, slice(i * length, (i + 1) * length))
-                     for i, name in enumerate(self.field_names))
 
     @property
     def raw_record_bytes(self) -> int:

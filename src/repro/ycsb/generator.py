@@ -9,10 +9,12 @@ Records follow the paper's schema: 25-byte keys, five 10-byte fields.
 from __future__ import annotations
 
 import random
+from functools import cache
 from hashlib import shake_128
 from typing import Iterator
 
-from repro.keyspace import format_key
+from repro.hashing import murmur64a
+from repro.keyspace import render_key, scatter_hash
 from repro.storage.record import APM_SCHEMA, Record, RecordSchema
 
 __all__ = [
@@ -35,31 +37,57 @@ _VALUE_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 _TO_ALPHABET = bytes(ord(_VALUE_ALPHABET[byte % len(_VALUE_ALPHABET)])
                      for byte in range(256))
 
+#: Values per field length: one byte picks a record's field value.
+_TABLE_SIZE = 256
 
-def _field_chars(record_number: int, count: int) -> str:
-    """The first ``count`` field characters of record ``record_number``.
 
-    One extendable-output hash per record: a longer request only extends
-    a shorter one, so any field of any length is a slice of the same
-    stream, and the stream depends on nothing but the record number.
+@cache
+def _value_table(length: int) -> tuple[str, ...]:
+    """The 256 field values ``length`` characters long, built at first use.
+
+    One extendable-output hash per length, its bytes mapped onto the
+    alphabet and cut into 256 strings.  Every field value of that length
+    a record carries is one of these objects, shared, never a copy.
     """
-    stream = shake_128(record_number.to_bytes(8, "big")).digest(count)
-    return stream.translate(_TO_ALPHABET).decode("ascii")
+    stream = shake_128(length.to_bytes(8, "big")).digest(_TABLE_SIZE * length)
+    text = stream.translate(_TO_ALPHABET).decode("ascii")
+    return tuple(text[i * length:(i + 1) * length]
+                 for i in range(_TABLE_SIZE))
+
+
+def _picks(scattered: int, count: int) -> bytes:
+    """At least ``count`` bytes, byte ``i`` picking field ``i``'s value.
+
+    The first eight are the scatter hash's, low byte first; each further
+    eight re-hash the eight before them.
+    """
+    block = scattered.to_bytes(8, "little")
+    picks = block
+    while len(picks) < count:
+        block = murmur64a(block).to_bytes(8, "little")
+        picks += block
+    return picks
 
 
 def generate_field_value(record_number: int, field_index: int,
                          length: int) -> str:
     """Deterministic field content for record/field (reproducible loads)."""
-    start = field_index * length
-    return _field_chars(record_number, start + length)[start:]
+    picks = _picks(scatter_hash(record_number), field_index + 1)
+    return _value_table(length)[picks[field_index]]
 
 
 def generate_record(record_number: int,
                     schema: RecordSchema = APM_SCHEMA) -> Record:
-    """The benchmark record for ``record_number``."""
-    chars = _field_chars(record_number, schema.raw_value_bytes)
-    fields = {name: chars[span] for name, span in schema.field_slices}
-    return Record(format_key(record_number), fields)
+    """The benchmark record for ``record_number``.
+
+    One hash a record: the scatter hash renders the key and its bytes
+    pick the field values from the shared table.
+    """
+    scattered = scatter_hash(record_number)
+    values = _value_table(schema.field_length).__getitem__
+    picks = _picks(scattered, schema.field_count)
+    return Record(render_key(scattered),
+                  dict(zip(schema.field_names, map(values, picks))))
 
 
 def generate_records(count: int,

@@ -98,8 +98,9 @@ class TestDataSetDefinition:
 
     @settings(max_examples=60, deadline=None)
     @given(record_number=st.integers(0, 2**64 - 1),
-           field_count=st.integers(1, 8),
-           # One SHAKE-128 block is 168 bytes: go well past it.
+           # One scatter hash picks eight fields; the rest come from
+           # re-hashing, so go past it.
+           field_count=st.integers(1, 20),
            field_length=st.integers(1, 400))
     def test_field_value_is_the_records_field(self, record_number,
                                               field_count, field_length):
