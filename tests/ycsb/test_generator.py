@@ -69,14 +69,14 @@ class TestRecordGeneration:
 #: The data set, pinned: ``record number -> (key, field0..field4)``.
 GOLDEN_RECORDS = {
     0: ("user015659975442190377284",
-        ("oac4cquipu", "a0buv0ah9a", "sae93m2v5p", "e7qm00qa7w",
-         "pov9lqq239")),
+        ("bw0525i3u5", "268d14tqau", "3orudqfzez", "vrmbc8dtjs",
+         "m3990585z2")),
     1: ("user002308726568914317663",
-        ("7afpk97ho0", "nuve8pgnc5", "m0n3u0nb8z", "ui2njl7ql1",
-         "5sqnimb1ma")),
+        ("s8s6z8mzkb", "d79xpemaik", "akt2mqufyt", "03iykok99x",
+         "mqy0k4j6nc")),
     123456789: ("user011784778213415131826",
-                ("z4qdbnwdp3", "ca175yfvoh", "1unchgui04", "bwxlp9957e",
-                 "9ft6s7g960")),
+                ("6dcj0yxv3m", "mlzhamaf9z", "s8s6z8mzkb", "bm97fghgpr",
+                 "copma7dnnm")),
 }
 
 _ALPHABET = set("abcdefghijklmnopqrstuvwxyz0123456789")
