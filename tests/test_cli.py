@@ -287,9 +287,8 @@ class TestObs:
 
 GOLDEN_PATH = Path(__file__).parent / "cli_golden.json"
 
-SUBCOMMANDS = ("list", "run", "chaos", "figure", "reproduce", "grid",
-               "overload", "control", "obs", "audit", "verify-figures",
-               "plan", "capacity")
+SUBCOMMANDS = ("list", "run", "reproduce", "grid", "overload", "control",
+               "obs", "audit", "verify-figures", "plan")
 
 #: ``name -> (argv, stdout is deterministic)``.  Exports are written to
 #: relative paths inside a temporary working directory (``chaos`` only
