@@ -4,8 +4,8 @@ Subcommands::
 
     apmbench list                      # stores, workloads, figures
     apmbench run -s cassandra -w R -n 4
-    apmbench chaos -s cassandra -n 4 --crash server-1 --restart-after 2
-    apmbench figure fig3 [--chart] [--check]
+    apmbench run -s redis -n 4 --duration 8 --crash server-1 --at 2
+    apmbench reproduce --figures fig3 --chart --check
     apmbench reproduce --figures all --jobs 8   # every paper artefact
     apmbench grid --stores redis,mysql --workloads R,RW --nodes 1,2
     apmbench overload -s redis -n 1 --multipliers 0.5,1,1.5,2
@@ -14,7 +14,6 @@ Subcommands::
     apmbench obs -s redis --rate 1200 --crash server-0 --restart-after 1
     apmbench verify-figures apmbench-results/figures
     apmbench plan --users 2000000 --slo write:p99:0.05 --dry-run
-    apmbench capacity --monitored 240 --throughput-per-node 15000
 
 Everything runs on the simulated substrate; no external services are
 required.
@@ -28,10 +27,8 @@ import sys
 from pathlib import Path
 
 import repro
-from repro.analysis.expectations import check_expectations
 from repro.analysis.figures import FIGURES, active_profile
 from repro.analysis.report import render_figure
-from repro.core.capacity import plan_capacity
 from repro.faults.schedule import FaultSchedule
 from repro.sim.cluster import CLUSTER_D, CLUSTER_M
 from repro.stores.registry import STORE_NAMES
@@ -82,12 +79,22 @@ def _shape(text):
         raise _UsageError(error) from None
 
 
-def _crash_schedule(args: argparse.Namespace, targets) -> FaultSchedule:
-    """Crash each of ``targets`` at ``--at``, restarting per
-    ``--restart-after``."""
-    nodes = [f"server-{i}" for i in range(args.nodes)]
+def _node_names(args: argparse.Namespace) -> list:
+    return [f"server-{i}" for i in range(args.nodes)]
+
+
+def _crash_schedule(args: argparse.Namespace):
+    """Crash each ``--crash`` node at ``--at``, restarting per
+    ``--restart-after``.
+
+    No ``--crash`` is no schedule at all, not an empty one: the schedule
+    is part of the config's identity.
+    """
+    if not args.crash:
+        return None
+    nodes = _node_names(args)
     schedule = FaultSchedule()
-    for target in targets:
+    for target in args.crash:
         if target not in nodes:
             raise _UsageError(
                 f"unknown node {target!r} (have {', '.join(nodes)})")
@@ -157,19 +164,42 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    if args.random and args.duration is None:
+        raise _UsageError("--random needs --duration")
+    schedule = (FaultSchedule.random(args.seed, _node_names(args),
+                                     args.duration, n_crashes=args.random)
+                if args.random else _crash_schedule(args))
+    replication = {"replication_factor": args.rf,
+                   "consistency_level": args.consistency}
+    store_kwargs = {k: v for k, v in replication.items() if v is not None}
+    if store_kwargs and args.store != "cassandra":
+        raise _UsageError("--rf/--consistency only apply to cassandra")
+    # A timed run measures from t=0, so fault times are measured times.
+    timed = ({} if args.duration is None
+             else {"duration_s": args.duration, "warmup_ops": 0})
     config = _point_config(
-        args, measured_ops=args.ops,
+        args, measured_ops=args.ops, fault_schedule=schedule,
+        availability_window_s=args.window, store_kwargs=store_kwargs,
         trace_sample_every=args.trace_sample if args.trace else None,
-        metrics_interval_s=args.metrics_interval if args.metrics else None)
+        metrics_interval_s=args.metrics_interval if args.metrics else None,
+        **timed)
     result = run_config(config)
     row = result.row()
     print(f"store={row['store']} workload={row['workload']} "
-          f"nodes={row['nodes']} cluster={row['cluster']}")
+          f"nodes={row['nodes']} cluster={row['cluster']}"
+          + ("" if args.duration is None
+             else f" duration={args.duration:g}s"))
+    if schedule is not None:
+        print("fault plan:")
+        for when, what in result.fault_log:
+            print(f"  t={when:7.3f}  {what}")
+        if not result.fault_log:
+            print("  (no faults fired inside the run window)")
     print(f"throughput: {row['throughput_ops']:,.0f} ops/s "
           f"({result.connections} connections)")
     print(f"latency ms: read={row['read_ms']} write={row['write_ms']} "
           f"scan={row['scan_ms']}")
-    if row["errors"]:
+    if row["errors"] or schedule is not None:
         print(f"errors:     {row['errors']} ({row['error_pct']}% of "
               "measured ops)")
         for op, histogram in sorted(result.stats.histograms.items(),
@@ -178,6 +208,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 rate = 100.0 * histogram.errors / histogram.count
                 print(f"  {op.value}: {histogram.errors} errors "
                       f"({rate:.2f}%)")
+    if schedule is not None:
+        fault_windows = [window for name in _node_names(args)
+                         for window in schedule.outage_windows(name)]
+        print()
+        print(result.timeline.render(fault_windows=fault_windows))
     if args.trace:
         from repro.analysis.trace_export import write_chrome_trace
 
@@ -209,46 +244,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    nodes = [f"server-{i}" for i in range(args.nodes)]
-    if args.random:
-        schedule = FaultSchedule.random(
-            args.seed, nodes, args.duration, n_crashes=args.random)
-    else:
-        schedule = _crash_schedule(args, args.crash or ["server-0"])
-    store_kwargs = {}
-    if args.rf is not None or args.consistency is not None:
-        if args.store != "cassandra":
-            raise _UsageError("--rf/--consistency only apply to cassandra")
-    if args.rf is not None:
-        store_kwargs["replication_factor"] = args.rf
-    if args.consistency is not None:
-        store_kwargs["consistency_level"] = args.consistency
-    config = _point_config(
-        args, fault_schedule=schedule, duration_s=args.duration,
-        availability_window_s=args.window, warmup_ops=0,
-        store_kwargs=store_kwargs)
-    result = run_config(config)
-    row = result.row()
-    print(f"store={row['store']} workload={row['workload']} "
-          f"nodes={row['nodes']} cluster={row['cluster']} "
-          f"duration={args.duration:g}s")
-    print("fault plan:")
-    for when, what in result.fault_log:
-        print(f"  t={when:7.3f}  {what}")
-    if not result.fault_log:
-        print("  (no faults fired inside the run window)")
-    print(f"throughput: {row['throughput_ops']:,.0f} ops/s "
-          f"({result.connections} connections)")
-    print(f"errors:     {row['errors']} ({row['error_pct']}% of "
-          "measured ops)")
-    fault_windows = [w for name in nodes
-                     for w in schedule.outage_windows(name)]
-    print()
-    print(result.timeline.render(fault_windows=fault_windows))
-    return 0
-
-
 def _print_check(violations: list, ok: str) -> int:
     """Print each expectation ``violations`` names, or ``ok`` when there
     is none; the exit status either way."""
@@ -257,29 +252,6 @@ def _print_check(violations: list, ok: str) -> int:
     if not violations:
         print(ok)
     return 1 if violations else 0
-
-
-def _cmd_figure(args: argparse.Namespace) -> int:
-    from repro.analysis.export import write_figure
-    from repro.orchestrator import reproduce
-
-    # The points come through the store ``reproduce`` fills: a second
-    # figure off the same sweep simulates nothing.  ``--export`` stays
-    # this command's own unstamped write (``reproduce --out`` stamps).
-    report = reproduce(args.figure, profile=active_profile(), out_dir=None,
-                       progress=_make_progress_printer())
-    status = 0
-    for figure_id, data in report.data.items():
-        print(render_figure(data, chart=args.chart))
-        if args.export:
-            for path in write_figure(data, args.export):
-                print(f"wrote {path}")
-        if args.check:
-            status |= _print_check(
-                check_expectations(data),
-                f"{figure_id}: all paper expectations hold")
-        print()
-    return status
 
 
 def _make_progress_printer():
@@ -305,21 +277,28 @@ def _make_progress_printer():
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    from repro.analysis.figures import profile_by_name
+    from repro.analysis.figures import expand_figure_ids, profile_by_name
     from repro.orchestrator import reproduce
 
+    try:
+        figures = expand_figure_ids(args.figures)
+    except ValueError as error:
+        raise _UsageError(error) from None
     profile = (profile_by_name(args.profile) if args.profile
                else active_profile())
     if args.dry_run:
-        report = reproduce(args.figures, profile=profile, store=args.store,
+        report = reproduce(figures, profile=profile, store=args.store,
                            jobs=args.jobs, dry_run=True)
         print(report.plan.describe())
         return 0
     report = reproduce(
-        args.figures, profile=profile, store=args.store,
+        figures, profile=profile, store=args.store,
         out_dir=args.out, jobs=args.jobs, resume=args.resume,
         check=args.check, progress=_make_progress_printer(),
     )
+    for data in report.data.values():
+        print()
+        print(render_figure(data, chart=args.chart))
     print()
     print(f"figures:   {len(report.figures)} rebuilt "
           f"({', '.join(report.figures)})")
@@ -493,9 +472,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         run_obs_scenario
     from repro.overload import OverloadPolicy
 
-    # No ``--crash`` is no schedule at all, not an empty one: the
-    # schedule is part of the config's identity.
-    schedule = _crash_schedule(args, args.crash) if args.crash else None
+    schedule = _crash_schedule(args)
     overload = OverloadPolicy(max_queue=args.max_queue,
                               deadline_s=args.deadline)
     config = _point_config(args, overload=overload, fault_schedule=schedule)
@@ -663,22 +640,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     return 0 if report.recommended is not None else 2
 
 
-def _cmd_capacity(args: argparse.Namespace) -> int:
-    plan = plan_capacity(
-        monitored_nodes=args.monitored,
-        metrics_per_node=args.metrics,
-        interval_s=args.interval,
-        storage_nodes=args.storage_nodes,
-        store_throughput_per_node=args.throughput_per_node,
-    )
-    print(f"required insert rate: {plan.required_inserts_per_s:,.0f} ops/s")
-    print(f"storage tier:         {plan.storage_nodes} nodes x "
-          f"{plan.store_throughput_per_node:,.0f} ops/s")
-    print(f"utilisation:          {plan.utilisation:.0%}")
-    print("sustainable" if plan.sustainable else "NOT sustainable")
-    return 0 if plan.sustainable else 2
-
-
 def main(argv: list[str] | None = None) -> int:
     """Entry point for the ``apmbench`` console script."""
     parser = argparse.ArgumentParser(
@@ -691,11 +652,22 @@ def main(argv: list[str] | None = None) -> int:
 
     sub.add_parser("list", help="list stores, workloads, figures")
 
-    run_parser = sub.add_parser("run", help="run one benchmark point")
+    run_parser = sub.add_parser(
+        "run", help="run one benchmark point, optionally under crashes")
     _add_point_arguments(
         run_parser, "store workload nodes cluster records ops seed",
         nodes=4, records=20_000,
         records_help="records per node (scaled data set)", ops=6000)
+    run_parser.add_argument("--duration", type=float, default=None,
+                            metavar="SECONDS",
+                            help="run this many simulated seconds, "
+                                 "measured from t=0, instead of --ops "
+                                 "operations")
+    run_parser.add_argument("--rf", type=int, default=None,
+                            help="replication factor (cassandra)")
+    run_parser.add_argument("--consistency", default=None,
+                            choices=("one", "quorum", "all"),
+                            help="consistency level (cassandra)")
     run_parser.add_argument("--trace", action="store_true",
                             help="sample span traces and report a "
                                  "per-component latency breakdown")
@@ -722,48 +694,28 @@ def main(argv: list[str] | None = None) -> int:
                             help="Chrome-trace JSON output path "
                                  "(default trace.json)")
 
-    chaos_parser = sub.add_parser(
-        "chaos", help="run a fault-injection experiment")
-    _add_point_arguments(
-        chaos_parser, "store workload nodes cluster records seed",
-        nodes=4, records=20_000,
-        records_help="records per node (scaled data set)")
-    chaos_parser.add_argument("--duration", type=float, default=8.0,
-                              help="simulated seconds to run")
-    chaos_parser.add_argument("--crash", action="append", metavar="NODE",
-                              help="node to crash (repeatable; "
-                                   "default server-0)")
-    chaos_parser.add_argument("--at", type=float, default=2.0,
-                              help="crash time (simulated seconds)")
-    chaos_parser.add_argument("--restart-after", type=float, default=None,
-                              help="restart the node this long after the "
-                                   "crash (default: stays down)")
-    chaos_parser.add_argument("--random", type=int, default=0,
-                              metavar="N",
-                              help="instead of --crash: N seeded-random "
-                                   "crashes with restarts")
-    chaos_parser.add_argument("--window", type=float, default=0.25,
-                              help="availability-timeline bucket (s)")
-    chaos_parser.add_argument("--rf", type=int, default=None,
-                              help="replication factor (cassandra)")
-    chaos_parser.add_argument("--consistency", default=None,
-                              choices=("one", "quorum", "all"),
-                              help="consistency level (cassandra)")
-
-    figure_parser = sub.add_parser("figure",
-                                   help="regenerate a paper figure")
-    figure_parser.add_argument("figure",
-                               choices=list(FIGURES) + ["all"])
-    figure_parser.add_argument("--chart", action="store_true",
-                               help="also draw an ASCII chart")
-    figure_parser.add_argument("--check", action="store_true",
-                               help="verify the paper's expectations")
-    figure_parser.add_argument("--export", metavar="DIR",
-                               help="write JSON/CSV exports to DIR")
+    faults = run_parser.add_argument_group(
+        "faults", "crash nodes during the run; it then also prints the "
+                  "fault plan and an availability timeline")
+    crashes = faults.add_mutually_exclusive_group()
+    crashes.add_argument("--crash", action="append", metavar="NODE",
+                         help="node to crash (repeatable)")
+    crashes.add_argument("--random", type=int, default=0, metavar="N",
+                         help="N seeded-random crashes with restarts "
+                              "within --duration")
+    faults.add_argument("--at", type=float, default=2.0,
+                        help="crash time in simulated seconds (default 2)")
+    faults.add_argument("--restart-after", type=float, default=None,
+                        help="restart the node this long after the "
+                             "crash (default: stays down)")
+    faults.add_argument("--window", type=float, default=0.25,
+                        help="availability-timeline bucket in simulated "
+                             "seconds (default 0.25)")
 
     reproduce_parser = sub.add_parser(
         "reproduce",
-        help="regenerate every paper artefact through the orchestrator")
+        help="regenerate paper figures through the orchestrator: print "
+             "each one's table, write its JSON/CSV")
     reproduce_parser.add_argument("--figures", default="all",
                                   metavar="IDS",
                                   help="comma-separated figure ids, or "
@@ -799,6 +751,9 @@ def main(argv: list[str] | None = None) -> int:
     reproduce_parser.add_argument("--check", action="store_true",
                                   help="verify the paper's expectations "
                                        "on every rebuilt figure")
+    reproduce_parser.add_argument("--chart", action="store_true",
+                                  help="also draw each rebuilt figure as "
+                                       "an ASCII chart")
 
     grid_parser = sub.add_parser(
         "grid", help="run an arbitrary store x workload x nodes grid")
@@ -1108,21 +1063,10 @@ def main(argv: list[str] | None = None) -> int:
                              help="write the recommendation report as "
                                   "stamped JSON (byte-deterministic)")
 
-    capacity_parser = sub.add_parser(
-        "capacity", help="Section 8 capacity arithmetic")
-    capacity_parser.add_argument("--monitored", type=int, default=240)
-    capacity_parser.add_argument("--metrics", type=int, default=10_000)
-    capacity_parser.add_argument("--interval", type=float, default=10.0)
-    capacity_parser.add_argument("--storage-nodes", type=int, default=12)
-    capacity_parser.add_argument("--throughput-per-node", type=float,
-                                 required=True)
-
     args = parser.parse_args(argv)
     handlers = {
         "list": _cmd_list,
         "run": _cmd_run,
-        "chaos": _cmd_chaos,
-        "figure": _cmd_figure,
         "reproduce": _cmd_reproduce,
         "grid": _cmd_grid,
         "overload": _cmd_overload,
@@ -1131,7 +1075,6 @@ def main(argv: list[str] | None = None) -> int:
         "audit": _cmd_audit,
         "verify-figures": _cmd_verify_figures,
         "plan": _cmd_plan,
-        "capacity": _cmd_capacity,
     }
     try:
         return handlers[args.command](args)

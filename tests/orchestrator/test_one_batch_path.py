@@ -7,10 +7,11 @@
 * A :class:`~repro.analysis.cache.ResultCache` is a memo: it is given a
   runner, never a store, and no process-global one exists.
 * ``reproduce`` is the one way figure ids become ``FigureData``:
-  ``apmbench figure`` goes through its store, nothing makes a memo that
-  runs points live by default, and ``build_figure`` is gone.
+  ``apmbench reproduce`` goes through its store, nothing makes a memo
+  that runs points live by default, and ``build_figure`` is gone.
 
-The first is shown by running both, the last by running ``figure`` twice;
+The first is shown by running both, the last by running ``reproduce``
+twice;
 the rest are kept by an ``ast`` walk over ``src/repro`` in the style of
 ``tests/stores/test_shared_plumbing.py`` — an exception goes in an
 allow-list below with its reason.
@@ -80,7 +81,7 @@ def test_run_sweep_exports_what_apmbench_grid_exports(tmp_path, jobs,
     assert export.read_text().rstrip("\n") == sweep.to_json()
 
 
-# -- `apmbench figure` takes the store path ----------------------------------
+# -- `apmbench reproduce` takes the store path -------------------------------
 
 
 def test_a_second_figure_invocation_executes_no_point(tmp_path, monkeypatch,
@@ -93,18 +94,20 @@ def test_a_second_figure_invocation_executes_no_point(tmp_path, monkeypatch,
         pool, "run_config",
         lambda config: runs.append(config) or run_config(config))
 
-    assert cli.main(["figure", "fig18"]) == 0
+    assert cli.main(["reproduce", "--figures", "fig18"]) == 0
     first = capsys.readouterr().out
     assert len(runs) == 9       # three stores x three workloads
-    assert cli.main(["figure", "fig18"]) == 0
+    assert cli.main(["reproduce", "--figures", "fig18"]) == 0
     second = capsys.readouterr().out
     assert len(runs) == 9
-    # Progress lines aside, the same table.
-    assert second.startswith("fig18: ") and first.endswith(second)
+    assert "points:    0 executed, 9 cache hits" in second
+    # Progress and wall time aside, the same table.
+    table = second[second.index("fig18: "):second.index("\nfigures:")]
+    assert table in first
     # ...and Figure 19 is read off the same nine points.
-    assert cli.main(["figure", "fig19"]) == 0
+    assert cli.main(["reproduce", "--figures", "fig19"]) == 0
     assert len(runs) == 9
-    assert capsys.readouterr().out.startswith("fig19: ")
+    assert "fig19: " in capsys.readouterr().out
 
 
 # -- the ast guard -----------------------------------------------------------
@@ -202,7 +205,8 @@ def test_the_guard_sees_the_idioms():
     assert list(_findings(source)) == [
         ("removed", "default_cache", 3), ("environ", "get", 5),
         ("pool", "fan_out", 9), ("store-put", "get", 7)]
-    # The fork `apmbench figure` was: a memo that runs live by default.
+    # The fork figure regeneration once was: a memo that runs live by
+    # default.
     source = (
         "class ResultCache:\n"
         "    def __init__(self, runner=run_config):\n"

@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.export import write_figure
+from repro.analysis.figures import profile_by_name
 from repro.cli import main
+from repro.orchestrator import reproduce
 
 from tests.goldens import check_golden, versionless
 
@@ -56,44 +59,52 @@ class TestRun:
         assert "config_hash" in payload["provenance"]
 
 
+def _reproduce(tmp_path, *argv) -> int:
+    return main(["reproduce", *argv, "--store", str(tmp_path / "store"),
+                 "--out", str(tmp_path / "figures")])
+
+
 class TestFigure:
-    # ``figure`` goes through ``apmbench-results/store`` under the
-    # working directory, so each of these runs in a temporary one.
-    def test_fig17_renders_and_checks(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        assert main(["figure", "fig17", "--check"]) == 0
+    # ``reproduce`` prints the table of every figure it rebuilds.
+    def test_fig17_renders_and_checks(self, tmp_path, capsys):
+        assert _reproduce(tmp_path, "--figures", "fig17", "--check",
+                          "--chart") == 0
         out = capsys.readouterr().out
         assert "Disk usage" in out
         assert "all paper expectations hold" in out
 
-    def test_table1(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        assert main(["figure", "table1", "--check"]) == 0
+    def test_table1(self, tmp_path):
+        assert _reproduce(tmp_path, "--figures", "table1", "--check") == 0
 
 
 class TestFigureExport:
-    def test_export_writes_json_and_csv(self, tmp_path, monkeypatch,
-                                        capsys):
-        monkeypatch.chdir(tmp_path)
-        assert main(["figure", "fig17", "--export", str(tmp_path)]) == 0
-        assert (tmp_path / "fig17.json").exists()
-        assert (tmp_path / "fig17.csv").exists()
-        out = capsys.readouterr().out
-        assert "wrote" in out
+    def test_export_writes_json_and_csv(self, tmp_path, capsys):
+        assert _reproduce(tmp_path, "--figures", "fig17") == 0
+        assert (tmp_path / "figures" / "fig17.json").exists()
+        assert (tmp_path / "figures" / "fig17.csv").exists()
+        assert "artefacts: 2 files" in capsys.readouterr().out
 
 
 class TestCapacity:
+    """Section 8's check is ``plan``'s: the estate's insert rate set
+    against the tier a store is modelled to serve."""
+
+    SECTION_8 = ["plan", "--stores", "cassandra", "--hardware", "paper-m",
+                 "--max-nodes", "12", "--dry-run"]
+
     def test_paper_example_not_sustainable(self, capsys):
-        code = main(["capacity", "--throughput-per-node", "15000"])
-        assert code == 2
+        # 240 agents x 10 K metrics / 10 s is "higher than the maximum
+        # throughput that Cassandra achieves ... but not drastically".
+        assert main(self.SECTION_8) == 0
         out = capsys.readouterr().out
-        assert "240,000" in out
-        assert "NOT sustainable" in out
+        assert "240,000 inserts/s" in out
+        assert "[skip] cassandra/paper-m" in out
 
     def test_sustainable_case(self, capsys):
-        code = main(["capacity", "--throughput-per-node", "25000"])
-        assert code == 0
-        assert "sustainable" in capsys.readouterr().out
+        assert main(self.SECTION_8 + ["--users", "1200000"]) == 0
+        out = capsys.readouterr().out
+        assert "120,000 inserts/s" in out
+        assert "[sim ] cassandra" in out
 
 
 class TestPlan:
@@ -153,8 +164,14 @@ class TestPlan:
     (["audit", "--sweep", "--points", "1-1"], "--points"),
     (["audit", "--fault", "bogus"], "fault scenario"),
     (["audit", "-s", "redis", "-N", "3"], "no replication knobs"),
+    (["run", "-s", "redis", "--random", "2"], "--random needs --duration"),
+    (["run", "-s", "redis", "-n", "1", "--crash", "server-9"],
+     "unknown node"),
+    (["run", "-s", "redis", "--rf", "2"], "only apply to cassandra"),
+    (["reproduce", "--figures", "fig99", "--dry-run"], "unknown figure"),
 ], ids=["overload-shape", "control-shape", "obs-shape", "audit-points",
-        "audit-fault", "audit-replication"])
+        "audit-fault", "audit-replication", "run-random", "run-crash",
+        "run-replication", "reproduce-figure"])
 def test_bad_argument_is_a_usage_error(argv, message, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -291,18 +308,18 @@ SUBCOMMANDS = ("list", "run", "reproduce", "grid", "overload", "control",
                "obs", "audit", "verify-figures", "plan")
 
 #: ``name -> (argv, stdout is deterministic)``.  Exports are written to
-#: relative paths inside a temporary working directory (``chaos`` only
-#: prints); ``grid`` and ``plan`` print wall-clock progress, so only their
-#: exports are pinned.
+#: relative paths inside a temporary working directory (a run under
+#: crashes only prints); ``grid`` and ``plan`` print wall-clock progress,
+#: so only their exports are pinned.
 INVOCATIONS = {
     "run": (["run", "-s", "redis", "-w", "RW", "-n", "1", "-c", "D",
              "--records", "800", "--ops", "300", "--seed", "3", "--metrics",
              "--metrics-interval", "0.1", "--metrics-out", "out/m"], True),
-    "chaos": (["chaos", "-s", "cassandra", "-n", "3", "-c", "D", "--rf", "2",
+    "chaos": (["run", "-s", "cassandra", "-n", "3", "-c", "D", "--rf", "2",
                "--consistency", "quorum", "--crash", "server-1",
                "--at", "0.3", "--restart-after", "0.3", "--records", "300",
                "--duration", "0.9"], True),
-    "chaos-random": (["chaos", "-s", "redis", "-w", "RW", "-n", "2",
+    "chaos-random": (["run", "-s", "redis", "-w", "RW", "-n", "2",
                       "--random", "1", "--records", "300",
                       "--duration", "0.5"], True),
     # A scan workload on Cluster D saturates in the low thousands of
@@ -373,11 +390,13 @@ class TestSnapshots:
         ("table1", "quick"), ("fig17", "quick"),
         pytest.param("fig18", "smoke", marks=pytest.mark.slow)])
     def test_figure_export_bytes(self, figure_id, profile, tmp_path,
-                                 monkeypatch, capsys):
+                                 monkeypatch):
+        # What the figure benches write into ``benchmarks/results/``:
+        # ``reproduce``'s data, unstamped.
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("REPRO_BENCH_PROFILE", profile)
-        assert main(["figure", figure_id, "--export", "out"]) == 0
-        capsys.readouterr()
+        report = reproduce([figure_id], profile=profile_by_name(profile),
+                           store="store", out_dir=None)
+        write_figure(report.data[figure_id], "out")
         digest = hashlib.sha256()
         _add_exports(digest, tmp_path)
         check_golden(GOLDEN_PATH, ("figure_export", figure_id),

@@ -78,7 +78,7 @@ class TestPins:
         _pin("fault_schedule_random", "\n".join(lines))
 
     def test_chaos_random_output(self, capsys):
-        code = main(["chaos", "-s", "redis", "-n", "4", "--random", "2",
+        code = main(["run", "-s", "redis", "-n", "4", "--random", "2",
                      "--records", "300", "--duration", "0.6"])
         _pin("chaos_random_2", f"exit {code}\n{capsys.readouterr().out}")
 
