@@ -83,7 +83,7 @@ def _node_names(args: argparse.Namespace) -> list:
     return [f"server-{i}" for i in range(args.nodes)]
 
 
-def _crash_schedule(args: argparse.Namespace):
+def _crash_schedule(args: argparse.Namespace) -> FaultSchedule | None:
     """Crash each ``--crash`` node at ``--at``, restarting per
     ``--restart-after``.
 
