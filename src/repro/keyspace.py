@@ -15,10 +15,12 @@ lexicographic order.  This module pins down that format so that:
 
 from __future__ import annotations
 
-from repro.hashing import murmur64a
+from array import array
+
+from repro.hashing import murmur64a, murmur64a_many
 
 __all__ = ["KEY_PREFIX", "KEY_DIGITS", "KEY_LENGTH", "scatter_hash",
-           "render_key", "format_key", "lex_position"]
+           "scatter_hashes", "render_key", "format_key", "lex_position"]
 
 KEY_PREFIX = "user"
 #: Digits after the prefix: 25-byte keys, as specified in Section 3.
@@ -40,6 +42,12 @@ def scatter_hash(record_number: int) -> int:
     draws the record's field values from its bytes as well.
     """
     return murmur64a(record_number.to_bytes(8, "big"))
+
+
+def scatter_hashes(record_numbers: range) -> array:
+    """``scatter_hash`` of every record number, in one batched hash."""
+    return murmur64a_many([number.to_bytes(8, "big")
+                           for number in record_numbers])
 
 
 def render_key(scattered: int) -> str:

@@ -18,16 +18,17 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from repro.overload.admission import AdmissionGate
 from repro.sim.cluster import Cluster, Node
 from repro.sim.faults import UnavailableError
 from repro.storage.record import APM_SCHEMA, Record, RecordSchema
 
-__all__ = ["LOAD_ROUND_RECORDS", "OpType", "OpError", "RetryPolicy",
-           "ServiceProfile", "Store", "StoreSession", "load_lsm_rounds",
-           "newest_cell"]
+__all__ = ["LOAD_BATCH_RECORDS", "LOAD_ROUND_RECORDS", "OpType", "OpError",
+           "RetryPolicy", "ServiceProfile", "Store", "StoreSession",
+           "load_batches", "load_lsm_rounds", "newest_cell"]
 
 
 class OpType(enum.Enum):
@@ -768,26 +769,46 @@ class Store:
 #: flushes leave them.
 LOAD_ROUND_RECORDS = 4000
 
+#: Records a load routes with one batched hash.  A batch's records stay
+#: alive until it is loaded; at this size most die before the collector
+#: promotes them to its oldest generation, as a record-at-a-time load's
+#: did.  Batches of 4 000 promoted every record and doubled the full
+#: collections of a 160 000-record HBase load (5 -> 10).
+LOAD_BATCH_RECORDS = 256
+
+
+def load_batches(records: Iterable[Record],
+                 route_many: Callable[[list[str]], Sequence]
+                 ) -> Iterator[tuple[list[Record], Sequence]]:
+    """``(batch, routes)`` for ``records``, ``LOAD_BATCH_RECORDS`` at a
+    time: a batch's records and, in their order, where ``route_many``
+    sends their keys — one batched hash a batch, not one a record.  A
+    store still loads the batch record by record."""
+    records = iter(records)
+    while batch := list(islice(records, LOAD_BATCH_RECORDS)):
+        yield batch, route_many([record.key for record in batch])
+
 
 def load_lsm_rounds(records: Iterable[Record], engines: Sequence,
-                    homes: Callable[[str], Sequence[int]]) -> None:
+                    homes_many: Callable[[list[str]], Sequence]) -> None:
     """Load ``records`` into the LSM ``engines``, round by round: each
-    record into the engines ``homes(key)`` names, a flush of every
-    engine when a round is full, then one minor compaction pass an
+    record into the engines ``homes_many`` names for its key, a flush of
+    every engine when a round is full, then one minor compaction pass an
     engine, as a real load phase gets — a couple of runs a node, not one
     major-compacted file and not the whole flush history (the read
     amplification the Bloom-filter ablation measures).
     """
     loaded = 0
-    for record in records:
-        key, fields = record.key, record.fields
-        for home in homes(key):
-            # The engine copies the fields it is given.
-            engines[home].put(key, fields)
-        loaded += 1
-        if loaded % LOAD_ROUND_RECORDS == 0:
-            for engine in engines:
-                engine.flush()
+    for batch, homes in load_batches(records, homes_many):
+        for record, record_homes in zip(batch, homes):
+            key, fields = record.key, record.fields
+            for home in record_homes:
+                # The engine copies the fields it is given.
+                engines[home].put(key, fields)
+            loaded += 1
+            if loaded % LOAD_ROUND_RECORDS == 0:
+                for engine in engines:
+                    engine.flush()
     for engine in engines:
         engine.flush()
         engine.maybe_compact()

@@ -145,6 +145,15 @@ class CassandraStore(Store):
     def homes(self, key: str) -> list[int]:
         return self.replicas_of(key, self.replication_factor)
 
+    def homes_many(self, keys: list[str]) -> list[list[int]]:
+        """``homes`` of every key: one batched hash onto the ring's slots,
+        then each slot's replica set, walked once a slot, not a key."""
+        ring, ring_map = self.ring, self._ring_map
+        replicas = [[ring_map[slot] for slot in
+                     ring.walk(primary, self.replication_factor)]
+                    for primary in range(ring.n_nodes)]
+        return [replicas[primary] for primary in ring.owner_of_many(keys)]
+
     def attach_metrics(self, registry) -> None:
         """Add LSM engine probes, hint meters and the fan-out counter."""
         super().attach_metrics(registry)
@@ -189,7 +198,7 @@ class CassandraStore(Store):
         compacted run — reads must merge across them (the read
         amplification the Bloom-filter ablation measures).
         """
-        load_lsm_rounds(records, self.engines, self.homes)
+        load_lsm_rounds(records, self.engines, self.homes_many)
 
     def session(self, client_node: Node, index: int) -> "CassandraSession":
         return CassandraSession(self, client_node, index)

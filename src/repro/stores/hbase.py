@@ -277,7 +277,7 @@ class HBaseStore(Store):
         # Nothing reassigns a region while the load runs.
         load_lsm_rounds(records,
                         [self.engine_of(rid) for rid in range(self.n_regions)],
-                        lambda key: (self.region_of(key),))
+                        lambda keys: [(self.region_of(key),) for key in keys])
 
     def session(self, client_node: Node, index: int) -> "HBaseSession":
         return HBaseSession(self, client_node, index)

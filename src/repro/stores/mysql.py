@@ -33,7 +33,8 @@ from repro.sim.cluster import Cluster, Node
 from repro.storage.btree import BPlusTree
 from repro.storage.encoding import MySQLDiskUsage, encode_binlog_event
 from repro.storage.record import APM_SCHEMA, Record, RecordSchema
-from repro.stores.base import ServiceProfile, Store, StoreSession
+from repro.stores.base import (ServiceProfile, Store, StoreSession,
+                               load_batches)
 from repro.stores.sharding import ConsistentHashRing, jdbc_ring
 
 __all__ = ["MySQLStore", "MySQLSession"]
@@ -128,6 +129,11 @@ class MySQLStore(Store):
         """Shard index for ``key`` via the JDBC consistent-hash ring."""
         return self._index_of[self.ring.shard_for(key)]
 
+    def shard_of_many(self, keys: list[str]) -> list[int]:
+        """``shard_of`` of every key, with one batched hash."""
+        index_of = self._index_of
+        return [index_of[name] for name in self.ring.shard_for_many(keys)]
+
     def declared_loss(self, node: Node) -> str:
         """Client-sharded, no replication (Section 4.5): losing a shard
         server for good loses that shard's rows by design."""
@@ -158,14 +164,14 @@ class MySQLStore(Store):
     def load(self, records: Iterable[Record]) -> None:
         tables = self.tables
         sample_binlog = None
-        for record in records:
-            key = record.key
-            shard = self.shard_of(key)
-            tables[shard].put(key, dict(record.fields))
-            if self.binlog_enabled:
-                if sample_binlog is None:
-                    sample_binlog = len(encode_binlog_event(record))
-                self.binlog_bytes[shard] += sample_binlog
+        for batch, shards in load_batches(records, self.shard_of_many):
+            for record, shard in zip(batch, shards):
+                key = record.key
+                tables[shard].put(key, dict(record.fields))
+                if self.binlog_enabled:
+                    if sample_binlog is None:
+                        sample_binlog = len(encode_binlog_event(record))
+                    self.binlog_bytes[shard] += sample_binlog
 
     def session(self, client_node: Node, index: int) -> "MySQLSession":
         return MySQLSession(self, client_node, index)

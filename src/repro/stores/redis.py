@@ -32,7 +32,8 @@ from repro.sim.cluster import Cluster, Node
 from repro.sim.resources import Resource
 from repro.storage.hashstore import HashStore
 from repro.storage.record import APM_SCHEMA, Record, RecordSchema
-from repro.stores.base import ServiceProfile, Store, StoreSession
+from repro.stores.base import (ServiceProfile, Store, StoreSession,
+                               load_batches)
 from repro.stores.sharding import ConsistentHashRing, jdbc_ring, jedis_ring
 
 __all__ = ["RedisStore", "RedisSession"]
@@ -130,6 +131,11 @@ class RedisStore(Store):
         """Shard index for ``key`` via the Jedis ring."""
         return self._index_of[self.ring.shard_for(key)]
 
+    def shard_of_many(self, keys: list[str]) -> list[int]:
+        """``shard_of`` of every key, with one batched hash."""
+        index_of = self._index_of
+        return [index_of[name] for name in self.ring.shard_for_many(keys)]
+
     def declared_loss(self, node: Node) -> str:
         """Client-sharded, unreplicated (Section 4.6): a permanently
         crashed instance takes its whole shard with it — a by-design
@@ -168,11 +174,11 @@ class RedisStore(Store):
 
     def load(self, records: Iterable[Record]) -> None:
         shards = self.shards
-        for record in records:
-            key = record.key
-            # HSET stores its own copy of the fields.
-            if not shards[self.shard_of(key)].hset(key, record.fields):
-                self.errors += 1
+        for batch, routes in load_batches(records, self.shard_of_many):
+            for record, shard in zip(batch, routes):
+                # HSET stores its own copy of the fields.
+                if not shards[shard].hset(record.key, record.fields):
+                    self.errors += 1
 
     def session(self, client_node: Node, index: int) -> "RedisSession":
         return RedisSession(self, client_node, index)

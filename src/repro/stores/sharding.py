@@ -19,11 +19,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Sequence
 
-from repro.hashing import md5_long, murmur64a
+from repro.hashing import md5_long, murmur64a, murmur64a_many
 
 __all__ = [
     "murmur64a",
     "md5_long",
+    "hash_keys",
     "ConsistentHashRing",
     "TokenRing",
     "jedis_ring",
@@ -31,6 +32,15 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+
+
+def hash_keys(keys: Sequence[str], hash_fn=murmur64a) -> Sequence[int]:
+    """``hash_fn(key.encode())`` of every key, in order: MurmurHash64A in
+    one batched pass, any other hash key by key."""
+    items = list(map(str.encode, keys))
+    if hash_fn is murmur64a:
+        return murmur64a_many(items)
+    return list(map(hash_fn, items))
 
 
 class ConsistentHashRing:
@@ -56,6 +66,13 @@ class ConsistentHashRing:
         hashes = self._hashes
         index = bisect_right(hashes, self.hash_fn(key.encode()))
         return self._owners[index if index < len(hashes) else 0]
+
+    def shard_for_many(self, keys: Sequence[str]) -> list[str]:
+        """``shard_for`` of every key, with one batched hash."""
+        hashes, owners = self._hashes, self._owners
+        wrap = len(hashes)
+        return [owners[bisect_right(hashes, point) % wrap]
+                for point in hash_keys(keys, self.hash_fn)]
 
     def load_shares(self, sample_keys: Sequence[str]) -> dict[str, float]:
         """Fraction of ``sample_keys`` landing on each shard."""
@@ -116,8 +133,17 @@ class TokenRing:
         index = bisect_right(self.tokens, murmur64a(key.encode())) - 1
         return index if index > 0 else 0
 
+    def owner_of_many(self, keys: Sequence[str]) -> list[int]:
+        """``owner_of`` of every key, with one batched hash.  The first
+        token is 0, so no hash bisects to before it."""
+        tokens = self.tokens
+        return [bisect_right(tokens, point) - 1 for point in hash_keys(keys)]
+
     def replicas_of(self, key: str, replication_factor: int = 1) -> list[int]:
         """Owner plus the following ``replication_factor - 1`` ring walkers."""
-        owner = self.owner_of(key)
-        return [(owner + i) % self.n_nodes
+        return self.walk(self.owner_of(key), replication_factor)
+
+    def walk(self, slot: int, replication_factor: int) -> list[int]:
+        """Slot ``slot`` plus the following ``replication_factor - 1``."""
+        return [(slot + i) % self.n_nodes
                 for i in range(min(replication_factor, self.n_nodes))]

@@ -36,6 +36,7 @@ from repro.stores.base import (
     ServiceProfile,
     Store,
     StoreSession,
+    load_batches,
     newest_cell,
 )
 from repro.stores.sharding import TokenRing
@@ -164,7 +165,21 @@ class VoldemortStore(Store):
         """
         if self.replication_factor == 1:  # the paper's setting
             return [self.owner_of(key)]
-        primary = self.ring.owner_of(key)
+        return self._preference_list(self.ring.owner_of(key))
+
+    homes = replica_nodes_of
+
+    def homes_many(self, keys: list[str]) -> list[list[int]]:
+        """``homes`` of every key: one batched hash onto the primary
+        partitions, then each partition's preference list, walked once a
+        partition, not a key."""
+        lists = [self._preference_list(primary)
+                 for primary in range(len(self.ring.tokens))]
+        return [lists[primary] for primary in self.ring.owner_of_many(keys)]
+
+    def _preference_list(self, primary: int) -> list[int]:
+        """The distinct owners from partition ``primary`` on, in ring
+        order, up to ``replication_factor`` of them."""
         n_partitions = len(self.ring.tokens)
         nodes: list[int] = []
         for step in range(n_partitions):
@@ -174,8 +189,6 @@ class VoldemortStore(Store):
                 if len(nodes) == self.replication_factor:
                     break
         return nodes
-
-    homes = replica_nodes_of
 
     def declared_loss(self, node: Node) -> Optional[str]:
         """At N=1 a permanently crashed node takes its partitions' only
@@ -209,11 +222,12 @@ class VoldemortStore(Store):
     def load(self, records: Iterable[Record]) -> None:
         trees, log_bytes = self.trees, self.log_bytes
         entry_bytes = self._entry_bytes
-        for record in records:
-            key = record.key
-            for owner in self.replica_nodes_of(key):
-                trees[owner].put(key, dict(record.fields))
-                log_bytes[owner] += entry_bytes
+        for batch, homes in load_batches(records, self.homes_many):
+            for record, owners in zip(batch, homes):
+                key = record.key
+                for owner in owners:
+                    trees[owner].put(key, dict(record.fields))
+                    log_bytes[owner] += entry_bytes
 
     def session(self, client_node: Node, index: int) -> "VoldemortSession":
         return VoldemortSession(self, client_node, index)

@@ -29,8 +29,9 @@ from repro.sim.faults import NodeDownError
 from repro.sim.resources import Resource
 from repro.storage.record import APM_SCHEMA, Record, RecordSchema
 from repro.storage.skiplist import SkipList
-from repro.stores.base import ServiceProfile, Store, StoreSession
-from repro.stores.sharding import murmur64a
+from repro.stores.base import (ServiceProfile, Store, StoreSession,
+                               load_batches)
+from repro.stores.sharding import hash_keys, murmur64a
 
 __all__ = ["VoltDBStore", "VoltDBSession"]
 
@@ -163,6 +164,12 @@ class VoltDBStore(Store):
         pids = self._pids
         return pids[murmur64a(key.encode()) % len(pids)]
 
+    def partition_of_many(self, keys: list[str]) -> list[int]:
+        """``partition_of`` of every key, with one batched hash."""
+        pids = self._pids
+        n_pids = len(pids)
+        return [pids[point % n_pids] for point in hash_keys(keys)]
+
     def node_of_partition(self, partition: int) -> int:
         """Host index owning ``partition``."""
         return self._partition_host[partition]
@@ -211,9 +218,9 @@ class VoltDBStore(Store):
 
     def load(self, records: Iterable[Record]) -> None:
         rows: dict[int, list] = {pid: [] for pid in self.partitions}
-        for record in records:
-            key = record.key
-            rows[self.partition_of(key)].append((key, dict(record.fields)))
+        for batch, pids in load_batches(records, self.partition_of_many):
+            for record, pid in zip(batch, pids):
+                rows[pid].append((record.key, dict(record.fields)))
         for pid, table in self.partitions.items():
             table.put_all(rows.pop(pid))
 

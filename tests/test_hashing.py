@@ -1,4 +1,4 @@
-"""Known answers and a reference loop for ``murmur64a``.
+"""Known answers and a reference loop for ``murmur64a`` and its batch.
 
 Every key (``format_key``), shard, token owner, partition and Voldemort
 leaf-fault draw in every golden is a value of this one function, so it
@@ -6,14 +6,15 @@ is pinned twice over: by known-answer vectors taken from the generic
 block loop as it stood before any fixed-width kernel existed, and by
 that loop itself, kept here as the reference implementation (the method
 of ``tests/sim/test_join_in_place.py``) that whatever ``repro.hashing``
-does today must agree with on every length and seed.
+does today must agree with on every length and seed.  The batched
+``murmur64a_many`` is held to the same loop, item by item.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hashing import murmur64a
+from repro.hashing import murmur64a, murmur64a_many
 from repro.keyspace import format_key
 
 _MASK64 = (1 << 64) - 1
@@ -157,3 +158,55 @@ class TestAgainstTheReferenceLoop:
             self, record_number):
         with pytest.raises(OverflowError):
             format_key(record_number)
+
+
+def _reference_many(items, seed):
+    return [reference_murmur64a(item, seed) for item in items]
+
+
+class TestBatchAgainstTheReferenceLoop:
+    """``murmur64a_many`` packs a batch of equal widths into one int; a
+    lane that carried into its neighbour, a shift that leaked bits across
+    lanes or a decode in the host's byte order shows as a wrong item."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), width=st.integers(min_value=0, max_value=40),
+           seed=st.sampled_from(sorted(KNOWN_ANSWERS)))
+    def test_uniform_widths_the_seeds_src_uses(self, data, width, seed):
+        items = data.draw(st.lists(
+            st.binary(min_size=width, max_size=width), max_size=600))
+        assert list(murmur64a_many(items, seed)) == _reference_many(
+            items, seed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), width=st.integers(min_value=0, max_value=40),
+           seed=st.integers(min_value=0, max_value=2**64 - 1))
+    def test_uniform_widths_any_64_bit_seed(self, data, width, seed):
+        items = data.draw(st.lists(
+            st.binary(min_size=width, max_size=width), max_size=600))
+        assert list(murmur64a_many(items, seed)) == _reference_many(
+            items, seed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(items=st.lists(st.binary(max_size=40), max_size=600),
+           seed=st.one_of(st.sampled_from(sorted(KNOWN_ANSWERS)),
+                          st.integers(min_value=0, max_value=2**64 - 1)))
+    def test_mixed_widths(self, items, seed):
+        assert list(murmur64a_many(items, seed)) == _reference_many(
+            items, seed)
+
+    @pytest.mark.parametrize("seed", sorted(KNOWN_ANSWERS))
+    def test_known_answers_one_width_at_a_time(self, seed):
+        for width, answer in enumerate(KNOWN_ANSWERS[seed]):
+            batch = murmur64a_many([_vector_input(width)] * 3, seed)
+            assert list(batch) == [answer] * 3
+
+    @pytest.mark.parametrize("seed", sorted(KNOWN_ANSWERS))
+    def test_known_answers_in_one_mixed_batch(self, seed):
+        items = [_vector_input(width) for width in range(34)]
+        assert tuple(murmur64a_many(items, seed)) == KNOWN_ANSWERS[seed]
+
+    def test_an_array_of_unsigned_64_bit_words(self):
+        batch = murmur64a_many([b"abcdefgh"] * 2)
+        assert batch.typecode == "Q" and batch.itemsize == 8
+        assert len(murmur64a_many([])) == 0

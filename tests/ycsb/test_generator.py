@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import repro
 from repro.keyspace import KEY_LENGTH, format_key, lex_position
 from repro.storage.record import APM_SCHEMA, RecordSchema
+from repro.ycsb import generator
 from repro.ycsb.generator import (
     KeySequence,
     LatestChooser,
@@ -24,6 +25,8 @@ from repro.ycsb.generator import (
     generate_records,
     make_chooser,
 )
+
+_BATCH = generator._SCATTER_BATCH
 
 
 class TestKeyFormat:
@@ -60,6 +63,14 @@ class TestRecordGeneration:
         records = list(generate_records(7))
         assert len(records) == 7
         assert records[0] == generate_record(0)
+
+    @pytest.mark.parametrize("count", [
+        0, 1, _BATCH - 1, _BATCH, _BATCH + 1, 2 * _BATCH + 1])
+    def test_generate_records_across_hash_batches(self, count):
+        # The scatter hashes are taken a batch at a time; record r on
+        # either side of a cut is still generate_record(r).
+        assert list(generate_records(count)) == [
+            generate_record(number) for number in range(count)]
 
     def test_field_value_length(self):
         assert len(generate_field_value(1, 2, 10)) == 10
