@@ -30,12 +30,14 @@ paths that discard work have theirs, with the rows they return in the
 digest beside the statistics: a 4-node MySQL ``RSW`` point (every scan
 a sharded fan-out the client merges and truncates) and a 4-node HBase
 ``R`` point loaded past three flush rounds (every get that reaches disk
-probes all of its region's store files, blooms off).
+probes all of its region's store files, blooms off).  The closed-loop
+overlays have theirs: the obs layer's bundle and kept traces through a
+crash, and every record an audit recorder logged, in append order.
 """
 
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from unittest import mock
 
@@ -43,8 +45,8 @@ import pytest
 
 from repro.analysis.provenance import stamp
 from repro.analysis.trace_export import chrome_trace
-from repro.audit import (AuditScenario, QuorumSweep, run_audit_scenario,
-                         run_quorum_sweep)
+from repro.audit import (AuditScenario, HistoryRecorder, QuorumSweep,
+                         run_audit_scenario, run_quorum_sweep)
 from repro.control import ControlPolicy, ControlScenario, run_control_scenario
 from repro.faults.schedule import FaultSchedule
 from repro.keyspace import format_key
@@ -426,6 +428,46 @@ def export_multi_file_read_point() -> dict:
     return stamp(payload, config)
 
 
+def export_closed_loop_obs() -> dict:
+    """``run_benchmark(obs=...)`` through a crash, with deadlines, a
+    warm-up and telemetry: the layer's bundle, the traces it kept and
+    the registry its latency histograms fed."""
+    schedule = FaultSchedule().crash("server-1", at=0.3, restart_after=0.3)
+    config = BenchmarkConfig(
+        store="cassandra", workload=WORKLOADS["RW"], n_nodes=2,
+        cluster_spec=SMALL_M, records_per_node=300, seed=19,
+        fault_schedule=schedule, duration_s=0.8, warmup_ops=100,
+        overload=OverloadPolicy(max_queue=32, deadline_s=0.05),
+        trace_sample_every=2, metrics_interval_s=0.25,
+    )
+    policy = ObsPolicy(slos=default_slos(latency_slo_s=0.05),
+                       window_s=0.25, tick_s=0.25)
+    result = run_benchmark(config.store, config.workload, config.n_nodes,
+                           config=config, obs=policy)
+    payload = _stats_payload(result)
+    payload["observability"] = result.obs.to_payload()
+    payload["traces"] = chrome_trace(result.traces)
+    payload["prometheus"] = result.metrics.to_prometheus()
+    return stamp(payload, config)
+
+
+def export_closed_loop_audit() -> dict:
+    """``run_benchmark(audit=...)`` through a crash with deadlines: every
+    record the recorder logged, warm-up included, in append order."""
+    schedule = FaultSchedule().crash("server-1", at=0.2, restart_after=0.2)
+    config = BenchmarkConfig(
+        store="cassandra", workload=WORKLOADS["RW"], n_nodes=2,
+        cluster_spec=SMALL_M, records_per_node=300, seed=31,
+        fault_schedule=schedule, duration_s=0.6, warmup_ops=100,
+        overload=OverloadPolicy(max_queue=32, deadline_s=0.05),
+    )
+    recorder = HistoryRecorder(sim=None)
+    run_benchmark(config.store, config.workload, config.n_nodes,
+                  config=config, audit=recorder)
+    return stamp({"records": [asdict(r) for r in recorder.records]},
+                 config)
+
+
 EXPORTS = {
     "figure_point": export_figure_point,
     "traced_point": export_traced_point,
@@ -440,6 +482,8 @@ EXPORTS = {
     "voldemort_quorum_cycle": export_voldemort_quorum_cycle,
     "sharded_scan_point": export_sharded_scan_point,
     "multi_file_read_point": export_multi_file_read_point,
+    "closed_loop_obs": export_closed_loop_obs,
+    "closed_loop_audit": export_closed_loop_audit,
 }
 
 
