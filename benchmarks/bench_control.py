@@ -98,7 +98,7 @@ def test_diurnal_autoscaling_beats_static_provisioning(benchmark):
     assert "scale_out" in actions and "scale_in" in actions
     assert auto.bytes_moved > 0
     # Determinism: decision log and full export, byte for byte.
-    assert auto_again.to_json() == auto.to_json()
+    assert auto_again.to_dict() == auto.to_dict()
 
 
 def test_chaos_kill_self_heals(benchmark):

@@ -11,7 +11,6 @@ and ``examples/scaling_study.py`` are this module and nothing more.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Callable, Iterable, Optional
@@ -114,8 +113,8 @@ class SweepResult:
             return None
         return max(candidates, key=lambda r: r.throughput_ops)
 
-    def to_json(self) -> str:
-        """The sweep as a JSON document with a ``provenance`` stamp.
+    def to_dict(self) -> dict:
+        """The sweep as a JSON-ready payload with a ``provenance`` stamp.
 
         The stamp hashes the full :class:`SweepSpec` (including its
         seed), so an exported sweep names the exact configuration
@@ -127,8 +126,7 @@ class SweepResult:
             "skipped": [{"store": store, "reason": reason}
                         for store, reason in self.skipped],
         }
-        return json.dumps(stamp(payload, self.spec), indent=2,
-                          sort_keys=True)
+        return stamp(payload, self.spec)
 
     def series(self, store: str,
                workload_name: str) -> list[tuple[int, float]]:

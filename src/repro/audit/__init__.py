@@ -26,8 +26,7 @@ from repro.audit.harness import (AuditReport, AuditScenario,
                                  run_audit_scenario, standard_schedule)
 from repro.audit.history import HistoryRecorder, OpRecord
 from repro.audit.linearize import RegisterOp, check_linearizable
-from repro.audit.sweep import (QuorumSweep, render_sweep,
-                               run_quorum_sweep, sweep_to_json)
+from repro.audit.sweep import QuorumSweep, render_sweep, run_quorum_sweep
 
 __all__ = [
     "AuditReport",
@@ -44,5 +43,4 @@ __all__ = [
     "run_audit_scenario",
     "run_quorum_sweep",
     "standard_schedule",
-    "sweep_to_json",
 ]

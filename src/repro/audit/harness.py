@@ -26,7 +26,6 @@ stock client API:
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
@@ -165,9 +164,6 @@ class AuditReport:
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
         payload.update(scenario=self.scenario.to_dict(), ok=self.ok)
         return stamp(payload, self.scenario)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def render(self) -> str:
         scenario = self.scenario

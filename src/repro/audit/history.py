@@ -30,7 +30,9 @@ PHASE_VERIFY = "verify"
 class OpRecord:
     """One completed client operation, as the auditor saw it."""
 
-    #: Global invocation-order index (ties broken by begin order).
+    #: Recorder-wide sequence number: taken at invocation by
+    #: :meth:`HistoryRecorder.begin`, at acknowledgement by
+    #: :meth:`HistoryRecorder.note_op`; it breaks invocation-time ties.
     index: int
     #: Client session the operation ran on.
     session: int
@@ -89,16 +91,14 @@ class HistoryRecorder:
         self.records.append(record)
         return record
 
-    def note_client_op(self, session: int, op: str, key: str,
-                       t_invoke: float, t_ack: float, ok: bool,
-                       error: Optional[str] = None,
-                       version: Optional[int] = None) -> OpRecord:
-        """One-shot record for hooks that observe completed ops only
-        (the benchmark-runner integration point)."""
+    def note_op(self, session: int, op: str, key: str, t_invoke: float,
+                t_ack: float, error: bool, kind: Optional[str], trace,
+                measured: bool) -> OpRecord:
+        """The load drivers' watcher hook: one completed operation,
+        warm-up included, numbered as it is acked."""
         record = OpRecord(
             index=self._next_index, session=session, op=op, key=key,
-            t_invoke=t_invoke, t_ack=t_ack, ok=ok, error=error,
-            version=version,
+            t_invoke=t_invoke, t_ack=t_ack, ok=not error, error=kind,
         )
         self._next_index += 1
         self.records.append(record)
@@ -107,8 +107,13 @@ class HistoryRecorder:
     # -- views -----------------------------------------------------------------
 
     def in_order(self) -> list[OpRecord]:
-        """Records sorted by invocation (the checkers' canonical order)."""
-        return sorted(self.records, key=lambda r: r.index)
+        """Records sorted by invocation (the checkers' canonical order).
+
+        By invocation time, then index: :meth:`note_op` numbers a record
+        when it is acked, so on a load driver's history the index alone
+        is ack order.
+        """
+        return sorted(self.records, key=lambda r: (r.t_invoke, r.index))
 
     def per_key(self) -> dict[str, list[OpRecord]]:
         out: dict[str, list[OpRecord]] = {}

@@ -16,7 +16,6 @@ byte-identical at any parallelism level.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -117,10 +116,6 @@ def run_quorum_sweep(sweep: QuorumSweep, jobs: int = 1) -> dict:
         "ok": all(pins.values()),
     }
     return stamp(payload, sweep)
-
-
-def sweep_to_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
 
 
 def render_sweep(payload: dict) -> str:

@@ -145,13 +145,16 @@ def _write_export(path, text: str, what: str = "") -> Path:
     return out
 
 
+def _json_text(document) -> str:
+    """A JSON document as every subcommand renders one: sorted keys,
+    two-space indent."""
+    return json.dumps(document, indent=2, sort_keys=True)
+
+
 def _write_json(path, document, what: str = "") -> Path:
-    """Write a JSON export, the one way every subcommand does: sorted
-    keys, two-space indent, one final newline.  ``document`` is the
-    payload, or the text a harness's own ``to_json()`` made of it."""
-    text = (document if isinstance(document, str)
-            else json.dumps(document, indent=2, sort_keys=True))
-    return _write_export(path, text + "\n", what)
+    """Write a JSON export, the one way every subcommand does:
+    :func:`_json_text` and one final newline."""
+    return _write_export(path, _json_text(document) + "\n", what)
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -349,10 +352,10 @@ def _cmd_grid(args: argparse.Namespace) -> int:
                       progress=_make_progress_printer(),
                       derive_seeds=args.derive_seeds)
     if args.export:
-        out = _write_json(args.export, sweep.to_json())
+        out = _write_json(args.export, sweep.to_dict())
         print(f"wrote {len(sweep.results)} rows to {out}")
     else:
-        print(sweep.to_json())
+        print(_json_text(sweep.to_dict()))
     return 0
 
 
@@ -491,7 +494,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     report = run_obs_scenario(scenario)
     print(report.render())
     if args.export:
-        _write_json(args.export, report.to_json(), "incident report")
+        _write_json(args.export, report.to_dict(), "incident report")
     return 0
 
 
@@ -508,8 +511,7 @@ def _check_replication(scenarios) -> None:
 
 def _cmd_audit(args: argparse.Namespace) -> int:
     from repro.audit import (AuditScenario, QuorumSweep, render_sweep,
-                             run_audit_scenario, run_quorum_sweep,
-                             sweep_to_json)
+                             run_audit_scenario, run_quorum_sweep)
     from repro.audit.harness import STANDARD_FAULTS
 
     replication = args.replication_factor
@@ -542,7 +544,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         payload = run_quorum_sweep(sweep, jobs=args.jobs)
         print(render_sweep(payload))
         if args.export:
-            _write_json(args.export, sweep_to_json(payload), "sweep report")
+            _write_json(args.export, payload, "sweep report")
         return 0 if payload["ok"] else 1
 
     scenario = AuditScenario(
@@ -556,7 +558,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     report = run_audit_scenario(scenario)
     print(report.render())
     if args.export:
-        _write_json(args.export, report.to_json(), "audit report")
+        _write_json(args.export, report.to_dict(), "audit report")
     return 0 if report.ok else 1
 
 

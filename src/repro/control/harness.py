@@ -18,7 +18,6 @@ the payload, so a fixed seed yields byte-identical exports.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -97,9 +96,6 @@ class ControlRunResult:
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
         payload["scenario"] = self.scenario.to_dict()
         return stamp(payload, self.scenario.config)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _kill_process(run, scenario, topology):

@@ -13,7 +13,6 @@ provenance-stamped and byte-deterministic under a fixed seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -49,16 +48,6 @@ class ObsScenario:
     slo_s: Optional[float] = None
     #: Cap on span trees embedded in the export.
     max_export_traces: int = 100
-
-    def resolved_slo_s(self) -> float:
-        from repro.overload.openloop import DEFAULT_SLO_S
-
-        if self.slo_s is not None:
-            return self.slo_s
-        overload = self.config.overload
-        if overload is not None and overload.deadline_s is not None:
-            return overload.deadline_s
-        return DEFAULT_SLO_S
 
     def to_dict(self) -> dict:
         # Shallow, then the three nested records through their own
@@ -109,9 +98,6 @@ class ObsReport:
         payload = {f.name: getattr(self, f.name) for f in fields(self)}
         payload["scenario"] = self.scenario.to_dict()
         return stamp(payload, self.scenario.config)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
     def render(self) -> str:
         """The human-readable incident report."""
@@ -179,17 +165,16 @@ def run_obs_scenario(scenario: ObsScenario) -> ObsReport:
     """Execute one observed incident scenario end to end."""
     from repro.analysis.prometheus import registry_to_prometheus
     from repro.analysis.trace_export import chrome_trace
-    from repro.overload.openloop import _OpenLoopRun
+    from repro.overload.openloop import _OpenLoopRun, resolve_slo_s
 
     run = _OpenLoopRun(scenario.config, scenario.offered_rate,
                        scenario.duration_s, scenario.warmup_s,
-                       scenario.resolved_slo_s(), shape=scenario.shape,
-                       timeline_s=scenario.timeline_s)
+                       resolve_slo_s(scenario.config, scenario.slo_s),
+                       shape=scenario.shape, timeline_s=scenario.timeline_s)
     registry, sampler = run.deployment.start_telemetry(
         scenario.policy.tick_s)
-    obs = ObsLayer(run.sim, scenario.policy, registry=registry)
-    run.attach_obs(obs)
-    obs.start()
+    obs = ObsLayer(run.sim, scenario.policy, run.chaos, registry=registry)
+    run.watchers.append(obs)
     try:
         point = run.run()
     except Exception as exc:

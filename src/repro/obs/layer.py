@@ -1,20 +1,23 @@
 """The composition hub: one object wiring SLOs, exemplars, tail
 sampling and the flight recorder into a running benchmark.
 
-:class:`ObsLayer` is what a harness attaches to a run.  Per measured
-operation it receives one :meth:`note_op` call (from the closed-loop
-:class:`~repro.ycsb.client.ClientThread` or the open-loop
-:class:`~repro.overload.openloop._OpenLoopRun`) and fans the outcome
-out: SLO classification, per-op latency histograms (when a metrics
-registry is attached), exemplar retention for *kept* traces, and
+:class:`ObsLayer` is a watcher of a run.  Built over a deployment's
+simulator and chaos controller, it attaches itself: its tail sampler
+becomes the simulator's tracer, chaos actions and node lifecycle land in
+its flight recorder, and its SLO engine starts.  Each completed
+operation reaches it through one :meth:`note_op` call (from the
+closed-loop :class:`~repro.ycsb.client.ClientThread` or the open-loop
+:class:`~repro.overload.openloop._OpenLoopRun`); a measured one is
+fanned out to SLO classification, per-op latency histograms (when a
+metrics registry is attached), exemplar retention for *kept* traces, and
 flight-recorder entries for errors and slow operations.  Because only
 kept traces are offered as exemplars, every trace ID an alert or an
 exported histogram references resolves to a retained span tree.
 
-When no SLOs are configured the layer is inert by construction — the
-harnesses skip the hooks entirely — so the fast path of an
-observability-free run is untouched (the kernel-smoke throughput gate
-pins this).
+The layer is not free: with any policy, SLOs or none, its tail sampler
+opens a span tree for every candidate operation.  The fast path of an
+observability-free run is not building one (``obs=None``): then no
+tracer is attached and the drivers have no watcher to call.
 """
 
 from __future__ import annotations
@@ -30,24 +33,10 @@ from repro.obs.tailsample import TailSampler
 __all__ = ["ObsLayer"]
 
 
-class _NodeEventListener:
-    """Chaos-controller listener: node lifecycle into the recorder."""
-
-    def __init__(self, recorder: FlightRecorder):
-        self.recorder = recorder
-
-    def on_node_down(self, node) -> None:
-        self.recorder.record("node-down", node=node.name)
-        self.recorder.dump("node-failure", reason=f"{node.name} went down")
-
-    def on_node_up(self, node) -> None:
-        self.recorder.record("node-up", node=node.name)
-
-
 class ObsLayer:
     """Everything the observability tentpole attaches to one run."""
 
-    def __init__(self, sim, policy: ObsPolicy, registry=None,
+    def __init__(self, sim, policy: ObsPolicy, chaos, registry=None,
                  candidate_every: Optional[int] = None):
         self.sim = sim
         self.policy = policy
@@ -70,25 +59,31 @@ class ObsLayer:
             candidate_every=(candidate_every if candidate_every is not None
                              else policy.candidate_every))
         self.ops_observed = 0
-
-    def start(self) -> None:
-        """Launch the SLO engine's evaluation process."""
+        chaos.recorder = self.recorder
+        chaos.subscribe(self)
         self.engine.start()
 
-    def attach_chaos(self, chaos) -> None:
-        """Feed chaos actions and node lifecycle into the recorder."""
-        chaos.recorder = self.recorder
-        chaos.subscribe(_NodeEventListener(self.recorder))
+    # -- chaos listener hooks ------------------------------------------------
+
+    def on_node_down(self, node) -> None:
+        self.recorder.record("node-down", node=node.name)
+        self.recorder.dump("node-failure", reason=f"{node.name} went down")
+
+    def on_node_up(self, node) -> None:
+        self.recorder.record("node-up", node=node.name)
 
     # -- the per-operation hook ----------------------------------------------
 
-    def note_op(self, op: str, latency_s: float, error: bool,
-                error_kind: Optional[str] = None, trace=None) -> None:
-        """Fold one measured operation's outcome into every collector."""
-        now = self.sim.now
+    def note_op(self, session: int, op: str, key: str, t_invoke: float,
+                t_ack: float, error: bool, kind: Optional[str], trace,
+                measured: bool) -> None:
+        """The watcher hook: fold a measured operation's outcome into
+        every collector (warm-up operations are ignored)."""
+        if not measured:
+            return
+        latency_s = t_ack - t_invoke
         self.ops_observed += 1
-        violated = self.engine.note_op(now, op, latency_s, error,
-                                       error_kind)
+        violated = self.engine.note_op(t_ack, op, latency_s, error, kind)
         if self.registry is not None:
             self.registry.histogram(
                 "op_latency", window_s=self.policy.window_s,
@@ -96,13 +91,13 @@ class ObsLayer:
         kept = trace is not None and trace.keep_reason is not None
         trace_id = trace.trace_id if kept else None
         if kept:
-            self.exemplars.offer(now, op, latency_s, trace.trace_id)
+            self.exemplars.offer(t_ack, op, latency_s, trace.trace_id)
             for slo_name in violated:
-                self.exemplars.offer_violation(now, slo_name,
+                self.exemplars.offer_violation(t_ack, slo_name,
                                                trace.trace_id)
         if error:
             self.recorder.record("op-error", op=op,
-                                 error_kind=error_kind or "store",
+                                 error_kind=kind or "store",
                                  latency_s=latency_s, trace_id=trace_id)
         elif latency_s >= self.slow_threshold_s:
             self.recorder.record("op-slow", op=op, latency_s=latency_s,

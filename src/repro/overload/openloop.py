@@ -37,8 +37,8 @@ from repro.ycsb.runner import BenchmarkConfig, Deployment, run_config
 from repro.ycsb.stats import ERROR_KINDS
 
 __all__ = ["OverloadPoint", "OverloadSweep", "SaturationEstimate",
-           "find_saturation", "goodput_sweep", "run_overload_point",
-           "_OpenLoopRun"]
+           "find_saturation", "goodput_sweep", "resolve_slo_s",
+           "run_overload_point", "_OpenLoopRun"]
 
 #: Default SLO when the configuration carries no deadline: the paper's
 #: latency figures put healthy operations well under this bound.
@@ -46,6 +46,18 @@ DEFAULT_SLO_S = 0.25
 
 #: Simulated seconds between the queue monitor's depth samples.
 QUEUE_SAMPLE_S = 0.02
+
+
+def resolve_slo_s(config: BenchmarkConfig,
+                  slo_s: Optional[float] = None) -> float:
+    """The latency bound goodput counts against: ``slo_s`` when given,
+    else the overload policy's deadline, else :data:`DEFAULT_SLO_S`."""
+    if slo_s is not None:
+        return slo_s
+    overload = config.overload
+    if overload is not None and overload.deadline_s is not None:
+        return overload.deadline_s
+    return DEFAULT_SLO_S
 
 
 @dataclass(frozen=True)
@@ -125,7 +137,13 @@ class OverloadSweep:
 
 
 class _OpenLoopRun:
-    """The open-loop driver: one arrival process over a deployment."""
+    """The open-loop driver: one arrival process over a deployment.
+
+    ``watchers`` takes passive observers, as the closed loop's
+    :class:`~repro.ycsb.client.ClientThread` does: each completed
+    operation is offered to every watcher's ``note_op`` once, with
+    ``measured`` set by its arrival time.
+    """
 
     def __init__(self, config: BenchmarkConfig, offered_rate: float,
                  duration_s: float, warmup_s: float, slo_s: float,
@@ -156,9 +174,8 @@ class _OpenLoopRun:
         self.chooser = deployment.chooser(
             deployment.rngs.stream("openloop-keys"))
         self.sessions = deployment.sessions()
-        #: Optional :class:`~repro.obs.layer.ObsLayer` — see
-        #: :meth:`attach_obs`.
-        self.obs = None
+        #: Passive observers (an obs layer, an audit recorder, ...).
+        self.watchers: list = []
 
         self._op_table = config.workload.op_table()
         # Window accounting (arrival-indexed).
@@ -170,12 +187,6 @@ class _OpenLoopRun:
         self.latency_count = 0
         self.max_queue_depth = 0
         self._draining = False
-
-    def attach_obs(self, obs) -> None:
-        """Attach an observability layer; wires chaos into its recorder."""
-        self.obs = obs
-        if self.chaos is not None:
-            obs.attach_chaos(self.chaos)
 
     # -- processes -----------------------------------------------------------
 
@@ -198,30 +209,24 @@ class _OpenLoopRun:
         deployment = self.deployment
         session = self.sessions[index % len(self.sessions)]
         arrival = sim.now
-        obs = self.obs
+        tracer = sim.tracer
         trace = None
-        if (obs is not None and measured
-                and obs.tracer.should_sample()):
-            trace = obs.tracer.begin(op.value, key,
-                                     index % len(self.sessions))
-        deadline = None
-        if deployment.deadline_s is not None:
-            sim.deadline = deadline = arrival + deployment.deadline_s
-        try:
-            error, kind, __ = yield from attempt_op(
-                session, op, key, fields, scan_length, deployment.retry,
-                deadline=deadline, budget=deployment.budget,
-                breaker=deployment.breaker,
-            )
-        finally:
-            sim.deadline = None
+        if tracer is not None and measured and tracer.should_sample():
+            trace = tracer.begin(op.value, key, session.index)
+        error, kind, __ = yield from attempt_op(
+            session, op, key, fields, scan_length, deployment.retry,
+            deadline=(None if deployment.deadline_s is None
+                      else arrival + deployment.deadline_s),
+            budget=deployment.budget, breaker=deployment.breaker,
+        )
         if trace is not None:
-            obs.tracer.complete(trace, error, kind)
+            tracer.complete(trace, error, kind)
+        for watcher in self.watchers:
+            watcher.note_op(session.index, op.value, key, arrival, sim.now,
+                            error, kind, trace, measured)
         if not measured:
             return
         latency = sim.now - arrival
-        if obs is not None:
-            obs.note_op(op.value, latency, error, kind, trace)
         self.latency_total += latency
         self.latency_count += 1
         bucket = (None if self.timeline_s is None
@@ -299,8 +304,7 @@ class _OpenLoopRun:
         ]
 
     def run(self) -> OverloadPoint:
-        if self.chaos is not None:
-            self.chaos.start()
+        self.chaos.start()
         self.sim.process(self._monitor(), name="queue-monitor")
         arrivals = (self._arrivals() if self.shape is None
                     else self._shaped_arrivals())
@@ -347,13 +351,8 @@ def run_overload_point(config: BenchmarkConfig, offered_rate: float, *,
     diurnal swings, flash crowds and load steps for provisioning
     studies.
     """
-    if slo_s is None:
-        slo_s = (config.overload.deadline_s
-                 if config.overload is not None
-                 and config.overload.deadline_s is not None
-                 else DEFAULT_SLO_S)
-    run = _OpenLoopRun(config, offered_rate, duration_s, warmup_s, slo_s,
-                       shape=shape)
+    run = _OpenLoopRun(config, offered_rate, duration_s, warmup_s,
+                       resolve_slo_s(config, slo_s), shape=shape)
     return run.run()
 
 
@@ -440,6 +439,6 @@ def goodput_sweep(config: BenchmarkConfig, *,
             bare = replace(config, overload=None)
             sweep.unprotected.append(run_overload_point(
                 bare, rate, duration_s=duration_s, warmup_s=warmup_s,
-                slo_s=(config.overload.deadline_s or DEFAULT_SLO_S),
+                slo_s=resolve_slo_s(config),
                 shape=shape))
     return sweep

@@ -49,40 +49,52 @@ def attempt_op(session: StoreSession, op: OpType, key: str, fields,
       circuit breaker allows the target node, and the retry budget has a
       token — each gate failing surfaces the triggering error's kind.
 
+    A ``deadline`` (absolute simulated time) is stamped into the
+    kernel's per-process ``sim.deadline`` slot for the operation's
+    lifetime, so the whole stack can abandon late work, and cleared on
+    the way out.
+
     Shared by the closed-loop :class:`ClientThread`, the open-loop
     overload runner and the audit sessions so all report identical
     semantics.
     """
     sim = session.store.sim
+    if deadline is not None:
+        sim.deadline = deadline
     attempt = 1
-    while True:
-        try:
-            result = yield from session.execute(
-                op, key, fields=fields, scan_length=scan_length
-            )
-            if result is False:
+    try:
+        while True:
+            try:
+                result = yield from session.execute(
+                    op, key, fields=fields, scan_length=scan_length
+                )
+                if result is False:
+                    return True, "store", None
+                return False, None, result
+            except OpError:
+                # Semantic failure (e.g. Redis OOM): retrying cannot help.
                 return True, "store", None
-            return False, None, result
-        except OpError:
-            # Semantic failure (e.g. Redis OOM): retrying cannot help.
-            return True, "store", None
-        except DeadlineExceededError:
-            return True, "deadline", None
-        except FaultError as exc:
-            kind = "overload" if isinstance(exc, OverloadError) else "fault"
-            if attempt >= retry.max_attempts:
-                return True, kind, None
-            if deadline is not None and sim.now >= deadline:
+            except DeadlineExceededError:
                 return True, "deadline", None
-            if breaker is not None and not breaker.allow_retry(exc):
-                return True, kind, None
-            if budget is not None and not budget.try_spend(sim.now):
-                return True, kind, None
-            # The driver reconnects with backoff, inside the timed call.
-            backoff = retry.backoff_for(attempt)
-            attempt += 1
-            if backoff > 0:
-                yield sim.timeout(backoff)
+            except FaultError as exc:
+                kind = ("overload" if isinstance(exc, OverloadError)
+                        else "fault")
+                if attempt >= retry.max_attempts:
+                    return True, kind, None
+                if deadline is not None and sim.now >= deadline:
+                    return True, "deadline", None
+                if breaker is not None and not breaker.allow_retry(exc):
+                    return True, kind, None
+                if budget is not None and not budget.try_spend(sim.now):
+                    return True, kind, None
+                # The driver reconnects with backoff, inside the timed call.
+                backoff = retry.backoff_for(attempt)
+                attempt += 1
+                if backoff > 0:
+                    yield sim.timeout(backoff)
+    finally:
+        if deadline is not None:
+            sim.deadline = None
 
 
 def draw_operation(op_table, rng: random.Random, chooser,
@@ -139,15 +151,24 @@ class RunControl:
 
 
 class ClientThread:
-    """One synchronous workload-generator thread."""
+    """One synchronous workload-generator thread.
+
+    ``watchers`` are passive observers — the obs layer, an audit
+    recorder, any object with a ``note_op`` hook.  Each completed
+    operation is offered to every watcher once, warm-up included, with
+    ``measured`` telling whether it fell inside the measurement window.
+    A watcher never yields and costs nothing on the simulated clock, so
+    a watched run is op-for-op identical to a bare one.  The tracer is
+    the simulator's (``sim.tracer``), if one is attached.
+    """
 
     def __init__(self, session: StoreSession, workload: Workload,
                  chooser, sequence: KeySequence, stats: RunStats,
                  control: RunControl, rng: random.Random,
                  schema: RecordSchema, throttle: Throttle | None = None,
-                 retry: RetryPolicy | None = None, tracer=None,
+                 retry: RetryPolicy | None = None,
                  deadline_s: Optional[float] = None, budget=None,
-                 breaker=None, obs=None, audit=None):
+                 breaker=None, watchers=()):
         self.session = session
         self.workload = workload
         self.chooser = chooser
@@ -158,22 +179,19 @@ class ClientThread:
         self.schema = schema
         self.throttle = throttle
         self.retry = retry if retry is not None else session.store.retry_policy()
-        self.tracer = tracer
         #: Per-operation deadline (seconds) stamped into the kernel slot.
         self.deadline_s = deadline_s
         #: Shared :class:`~repro.overload.budget.RetryBudget`, or ``None``.
         self.budget = budget
         #: Shared :class:`~repro.overload.budget.CircuitBreaker`, or ``None``.
         self.breaker = breaker
-        #: Shared :class:`~repro.obs.layer.ObsLayer`, or ``None``.
-        self.obs = obs
-        #: Shared :class:`~repro.audit.history.HistoryRecorder`, or ``None``.
-        self.audit = audit
+        self.watchers = watchers
         self._op_table = workload.op_table()
 
     def run(self):
         """Process body: issue operations until the run is complete."""
         sim = self.session.store.sim
+        tracer = sim.tracer
         while not self.control.done:
             if self.throttle is not None:
                 yield from self.throttle.acquire()
@@ -189,42 +207,27 @@ class ClientThread:
             # Sample traces only inside the measurement window, so the
             # trace set matches the latencies the histograms report.
             trace = None
-            if (self.tracer is not None and self.control.measuring
-                    and not self.control.done
-                    and self.tracer.should_sample()):
-                trace = self.tracer.begin(op.value, key, self.session.index)
-            deadline = None
-            if self.deadline_s is not None:
-                deadline = started + self.deadline_s
-                sim.deadline = deadline
-            try:
-                error, kind, __ = yield from attempt_op(
-                    self.session, op, key, fields, scan_length, self.retry,
-                    deadline=deadline, budget=self.budget,
-                    breaker=self.breaker,
-                )
-                # Not kept: a scan's rows would otherwise live in this
-                # frame until the thread's next operation completes.
-                del __
-            finally:
-                if deadline is not None:
-                    sim.deadline = None
-            latency = sim.now - started
+            if (tracer is not None and self.control.measuring
+                    and not self.control.done and tracer.should_sample()):
+                trace = tracer.begin(op.value, key, self.session.index)
+            error, kind, __ = yield from attempt_op(
+                self.session, op, key, fields, scan_length, self.retry,
+                deadline=(None if self.deadline_s is None
+                          else started + self.deadline_s),
+                budget=self.budget, breaker=self.breaker,
+            )
+            # Not kept: a scan's rows would otherwise live in this frame
+            # until the thread's next operation completes.
+            del __
             if trace is not None:
-                self.tracer.complete(trace, error, kind)
+                tracer.complete(trace, error, kind)
             self.stats.note_op(sim.now, error)
-            if self.control.measuring and not self.control.done:
-                self.stats.record(op, latency, error, kind)
+            measured = self.control.measuring and not self.control.done
+            if measured:
+                self.stats.record(op, sim.now - started, error, kind)
                 if trace is not None:
                     self.stats.note_trace(trace)
-                if self.obs is not None:
-                    self.obs.note_op(op.value, latency, error, kind, trace)
-            if self.audit is not None:
-                # Purely observational: no yields, no simulated cost —
-                # an audited run is op-for-op identical to a bare one.
-                self.audit.note_client_op(
-                    session=self.session.index, op=op.value, key=key,
-                    t_invoke=started, t_ack=sim.now, ok=not error,
-                    error=kind,
-                )
+            for watcher in self.watchers:
+                watcher.note_op(self.session.index, op.value, key, started,
+                                sim.now, error, kind, trace, measured)
             self.control.note_completion(self.stats, sim.now)

@@ -343,8 +343,9 @@ class Deployment:
     Construction does steps 1-3 of the methodology and resolves what a
     driver needs from ``config``: the key sequence, the connection count,
     the retry policy, the overload protections (``deadline_s``, retry
-    ``budget``, circuit ``breaker``) and the ``chaos`` controller,
-    subscribed to the store and then the breaker.
+    ``budget``, circuit ``breaker``) and the ``chaos`` controller — one
+    even for a fault-free config, whose empty schedule starts no process
+    — subscribed to the store and then the breaker.
 
     It wires but *starts* nothing.  Processes that share a timestamp run
     in the order they were started, so start order is part of what a
@@ -381,17 +382,18 @@ class Deployment:
         self.retry = (config.retry if config.retry is not None
                       else self.store.retry_policy())
         self.deadline_s = None if policy is None else policy.deadline_s
-        self.budget = self.breaker = self.chaos = None
+        self.budget = self.breaker = None
         if policy is not None and policy.retry_budget_per_s is not None:
             self.budget = RetryBudget(policy.retry_budget_per_s,
                                       policy.retry_budget_burst)
         if policy is not None and policy.circuit_breaker:
             self.breaker = CircuitBreaker()
-        if config.fault_schedule is not None and len(config.fault_schedule):
-            self.chaos = ChaosController(self.cluster, config.fault_schedule)
-            self.chaos.subscribe(self.store)
-            if self.breaker is not None:
-                self.chaos.subscribe(self.breaker)
+        # Even for an empty schedule: its ``start()`` then starts nothing.
+        self.chaos = ChaosController(
+            self.cluster, config.fault_schedule or FaultSchedule())
+        self.chaos.subscribe(self.store)
+        if self.breaker is not None:
+            self.chaos.subscribe(self.breaker)
 
     def sessions(self) -> list:
         """Open the deployment's client connections, in index order."""
@@ -476,13 +478,11 @@ def run_config(config: BenchmarkConfig, obs=None,
     throttle = (Throttle(cluster.sim, config.target_throughput)
                 if config.target_throughput else None)
     chaos = deployment.chaos
-    if chaos is not None:
-        chaos.start()
-    tracer = None
+    chaos.start()
     if obs is None and config.trace_sample_every is not None:
-        tracer = Tracer(cluster.sim,
-                        sample_every=config.trace_sample_every,
-                        max_traces=config.trace_max_traces)
+        # Attaches itself as ``sim.tracer``, where the clients read it.
+        Tracer(cluster.sim, sample_every=config.trace_sample_every,
+               max_traces=config.trace_max_traces)
     registry = sampler = None
     if config.metrics_interval_s is not None:
         registry, sampler = deployment.start_telemetry(
@@ -493,21 +493,18 @@ def run_config(config: BenchmarkConfig, obs=None,
         # Tail sampling replaces head sampling: the keep/drop decision
         # moves to span-tree completion, with ``trace_sample_every``
         # (when set) gating which operations are candidates at all.
-        obs_layer = ObsLayer(cluster.sim, obs, registry=registry,
+        obs_layer = ObsLayer(cluster.sim, obs, chaos, registry=registry,
                              candidate_every=config.trace_sample_every)
-        tracer = obs_layer.tracer
-        if chaos is not None:
-            obs_layer.attach_chaos(chaos)
-        obs_layer.start()
+    watchers = tuple(w for w in (obs_layer, audit) if w is not None)
     threads = []
     for i, session in enumerate(deployment.sessions()):
         rng = deployment.rngs.stream(f"thread-{i}")
         threads.append(ClientThread(
             session, config.workload, deployment.chooser(rng),
             deployment.sequence, stats, control, rng, APM_SCHEMA, throttle,
-            retry=deployment.retry, tracer=tracer,
-            deadline_s=deployment.deadline_s, budget=deployment.budget,
-            breaker=deployment.breaker, obs=obs_layer, audit=audit,
+            retry=deployment.retry, deadline_s=deployment.deadline_s,
+            budget=deployment.budget, breaker=deployment.breaker,
+            watchers=watchers,
         ))
     processes = [cluster.sim.process(t.run(), name=f"client-{i}")
                  for i, t in enumerate(threads)]
@@ -543,6 +540,7 @@ def run_config(config: BenchmarkConfig, obs=None,
                                            else None))
     if obs_layer is not None:
         obs_layer.close()
+    tracer = cluster.sim.tracer
 
     return BenchmarkResult(
         config=config,
@@ -550,7 +548,7 @@ def run_config(config: BenchmarkConfig, obs=None,
         connections=n_connections,
         store_errors=deployed.errors,
         disk_bytes_per_server=deployed.disk_bytes_per_server(),
-        fault_log=list(chaos.log) if chaos is not None else [],
+        fault_log=list(chaos.log),
         traces=list(tracer.traces) if tracer is not None else [],
         metrics=metrics,
         obs=obs_layer,

@@ -71,6 +71,6 @@ def test_unreplicated_stores_reject_quorum_knobs():
 
 def test_report_export_is_deterministic():
     scenario = AuditScenario(store="voldemort", fault="combo")
-    first = run_audit_scenario(scenario).to_json()
-    second = run_audit_scenario(scenario).to_json()
+    first = run_audit_scenario(scenario).to_dict()
+    second = run_audit_scenario(scenario).to_dict()
     assert first == second

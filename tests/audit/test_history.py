@@ -39,10 +39,9 @@ def test_failure_keeps_error_kind(sim):
     assert recorder.to_payload()["failures_by_kind"] == {"fault": 1}
 
 
-def test_note_client_op_needs_no_sim():
+def test_note_op_needs_no_sim():
     recorder = HistoryRecorder(sim=None)
-    recorder.note_client_op(session=3, op="read", key="k",
-                            t_invoke=1.0, t_ack=1.2, ok=True, version=5)
+    recorder.note_op(3, "read", "k", 1.0, 1.2, False, None, None, True)
     assert len(recorder) == 1
     assert recorder.in_order()[0].session == 3
 

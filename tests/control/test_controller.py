@@ -106,7 +106,7 @@ def test_decision_log_is_deterministic():
         policy=_policy(), slo_s=SLO_S)
     first = run_control_scenario(scenario)
     second = run_control_scenario(scenario)
-    assert first.to_json() == second.to_json()
+    assert first.to_dict() == second.to_dict()
     assert first.decisions == second.decisions
 
 

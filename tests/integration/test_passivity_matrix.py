@@ -4,9 +4,9 @@ The overlays (head-sampled tracing, cluster telemetry, the observability
 layer, the audit recorder) are passive by contract.  Each subsystem's own
 suite checks that down to operation counts; here the contract is asserted
 once, to the last histogram bucket, for every overlay x driver pair that
-exists: the four overlays the closed-loop runner accepts, and the one
-harness (``run_obs_scenario``: telemetry + obs layer + chaos) that rides
-on the open-loop driver.
+exists: the four overlays the closed-loop runner accepts, and on the
+open-loop driver the one harness that rides on it (``run_obs_scenario``:
+telemetry + obs layer + chaos) and an audit recorder among its watchers.
 """
 
 from dataclasses import replace
@@ -19,7 +19,8 @@ from repro.faults.schedule import FaultSchedule
 from repro.obs import ObsPolicy, ObsScenario, default_slos, run_obs_scenario
 from repro.orchestrator.serialize import histogram_to_dict
 from repro.overload import OverloadPolicy
-from repro.overload.openloop import run_overload_point
+from repro.overload.openloop import (_OpenLoopRun, resolve_slo_s,
+                                     run_overload_point)
 from repro.sim.cluster import CLUSTER_M
 from repro.ycsb.runner import BenchmarkConfig, run_benchmark
 from repro.ycsb.workload import WORKLOADS
@@ -72,12 +73,27 @@ def test_closed_loop_overlay_is_passive(store, overlay):
     assert _measured(_config(store, **fields), **kwargs()) == _bare(store)
 
 
+def _open_loop_config(store: str) -> BenchmarkConfig:
+    schedule = FaultSchedule().crash("server-1", at=0.3, restart_after=0.3)
+    return _config(store, fault_schedule=schedule,
+                   overload=OverloadPolicy(max_queue=32, deadline_s=0.05))
+
+
 @pytest.mark.parametrize("store", STORES)
 def test_open_loop_obs_harness_is_passive(store):
-    schedule = FaultSchedule().crash("server-1", at=0.3, restart_after=0.3)
-    config = _config(store, fault_schedule=schedule,
-                     overload=OverloadPolicy(max_queue=32, deadline_s=0.05))
+    config = _open_loop_config(store)
     scenario = ObsScenario(config=config, policy=OBS_POLICY,
                            offered_rate=600.0, duration_s=0.9, warmup_s=0.1)
     bare = run_overload_point(config, 600.0, duration_s=0.9, warmup_s=0.1)
     assert run_obs_scenario(scenario).point == bare.to_dict()
+
+
+@pytest.mark.parametrize("store", STORES)
+def test_open_loop_audit_is_passive(store):
+    config = _open_loop_config(store)
+    run = _OpenLoopRun(config, 600.0, 0.9, 0.1, resolve_slo_s(config))
+    recorder = HistoryRecorder(sim=None)
+    run.watchers.append(recorder)
+    bare = run_overload_point(config, 600.0, duration_s=0.9, warmup_s=0.1)
+    assert run.run() == bare
+    assert len(recorder) > 0

@@ -15,10 +15,10 @@ class TestByteDeterminism:
     def test_full_export_is_byte_identical(self):
         first = run_obs_scenario(incident_scenario())
         second = run_obs_scenario(incident_scenario())
-        assert first.to_json() == second.to_json()
+        assert first.to_dict() == second.to_dict()
 
     def test_different_seed_differs(self):
         """Sanity: determinism comes from the seed, not from constants."""
         first = run_obs_scenario(incident_scenario(seed=42))
         other = run_obs_scenario(incident_scenario(seed=7))
-        assert first.to_json() != other.to_json()
+        assert first.to_dict() != other.to_dict()

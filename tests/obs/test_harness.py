@@ -15,6 +15,7 @@ from repro.faults.schedule import FaultSchedule
 from repro.obs import ObsPolicy, ObsScenario, default_slos, \
     run_obs_scenario
 from repro.overload import OverloadPolicy
+from repro.overload.openloop import resolve_slo_s
 from repro.ycsb.runner import BenchmarkConfig
 from repro.ycsb.workload import WORKLOADS
 
@@ -93,7 +94,7 @@ class TestIncidentEvidence:
         assert "Tail sampling:" in text
 
     def test_export_is_json_ready_and_stamped(self, report):
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_dict()))
         assert payload["provenance"]["seed"] == 42
         assert payload["observability"]["slo"]["alerts"]
         assert payload["exemplars_csv"].startswith("window_start,")
@@ -106,7 +107,7 @@ class TestScenarioDefaults:
         no_explicit = ObsScenario(
             config=scenario.config, policy=scenario.policy,
             offered_rate=600.0, duration_s=1.5)
-        assert no_explicit.resolved_slo_s() == 0.05
+        assert resolve_slo_s(no_explicit.config, no_explicit.slo_s) == 0.05
 
     def test_scenario_round_trips_to_dict(self):
         payload = incident_scenario().to_dict()

@@ -18,6 +18,7 @@ allow-list below with its reason.
 """
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
@@ -78,7 +79,7 @@ def test_run_sweep_exports_what_apmbench_grid_exports(tmp_path, jobs,
                      "--export", str(export)])
     assert code == 0
     assert "wrote 6 rows" in capsys.readouterr().out
-    assert export.read_text().rstrip("\n") == sweep.to_json()
+    assert json.loads(export.read_text()) == sweep.to_dict()
 
 
 # -- `apmbench reproduce` takes the store path -------------------------------

@@ -143,7 +143,7 @@ GONE = [
     (analytical_frontier, ("paper_records_per_node",)),
     (run_plan, ("max_nodes", "progress")),
     (figure_to_json, ("indent",)),
-    (SweepResult.to_json, ("indent",)),
+    (SweepResult.to_dict, ("indent",)),
     (SweepResult.best_by, ("metric",)),
     (SweepResult.series, ("metric",)),
     (render_chart, ("width", "height")),
