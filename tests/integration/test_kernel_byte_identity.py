@@ -32,7 +32,12 @@ a sharded fan-out the client merges and truncates) and a 4-node HBase
 ``R`` point loaded past three flush rounds (every get that reaches disk
 probes all of its region's store files, blooms off).  The closed-loop
 overlays have theirs: the obs layer's bundle and kept traces through a
-crash, and every record an audit recorder logged, in append order.
+crash, and every record an audit recorder logged, in append order.  The
+client hops that route through a region server or an entry host have
+theirs: traced ``RS`` points on HBase (client buffering on, scans that
+continue into the next region) and VoltDB (partition routes, scans
+through the round-robin entry host), and an open-loop VoltDB ``RW``
+point that keeps several operations in flight on each session.
 """
 
 import hashlib
@@ -53,7 +58,8 @@ from repro.keyspace import format_key
 from repro.obs import ObsPolicy, ObsScenario, default_slos, run_obs_scenario
 from repro.orchestrator.serialize import histogram_to_dict
 from repro.overload import OverloadPolicy, parse_shape
-from repro.overload.openloop import goodput_sweep, run_overload_point
+from repro.overload.openloop import (_OpenLoopRun, goodput_sweep,
+                                    run_overload_point)
 from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.sim.faults import FaultError
 from repro.storage.lsm import LSMEngine
@@ -468,6 +474,69 @@ def export_closed_loop_audit() -> dict:
                  config)
 
 
+def _traced_scan_point(store: str, duration_s: float, seed: int) -> tuple:
+    """A traced 2-node ``RS`` point: its stats and every kept trace,
+    span trees with their route annotations, and the traces."""
+    config = BenchmarkConfig(
+        store=store, workload=WORKLOADS["RS"], n_nodes=2,
+        cluster_spec=SMALL_M, records_per_node=300, seed=seed,
+        duration_s=duration_s, warmup_ops=0, trace_sample_every=3,
+    )
+    result = run_benchmark(config.store, config.workload, config.n_nodes,
+                           config=config)
+    payload = _stats_payload(result)
+    payload["traces"] = chrome_trace(result.traces)
+    return stamp(payload, config), result.traces
+
+
+def export_hbase_scan_point() -> dict:
+    """HBase ``RS`` with client buffering on: reads and scans annotated
+    with their region and server, buffered inserts flushing, and scans
+    near a region's end continuing in the next region (a second handler
+    hold inside the scan's span)."""
+    payload, traces = _traced_scan_point("hbase", 1.5, 37)
+    continued = [
+        trace for trace in traces if trace.op == "scan"
+        and sum(span.name.startswith("handler:")
+                for span in trace.spans()) > 1]
+    assert len(continued) > 10
+    return payload
+
+
+def export_voltdb_scan_point() -> dict:
+    """VoltDB ``RS``: reads and inserts annotated with their partition,
+    multi-partition scans initiated at the round-robin entry host."""
+    payload, traces = _traced_scan_point("voltdb", 0.05, 41)
+    assert {trace.op for trace in traces} == {"read", "scan", "insert"}
+    return payload
+
+
+def export_open_loop_voltdb() -> dict:
+    """Open-loop VoltDB ``RW`` past its queue bound: arrivals share the
+    eight sessions, each with several operations in flight, and their
+    entry hosts rotate per session.  The point and every operation an
+    audit recorder saw, in ack order."""
+    config = BenchmarkConfig(
+        store="voltdb", workload=WORKLOADS["RW"], n_nodes=2,
+        cluster_spec=SMALL_M, records_per_node=300, seed=43,
+        overload=OverloadPolicy(max_queue=16, deadline_s=0.05),
+    )
+    run = _OpenLoopRun(config, 40000.0, 0.2, 0.05, 0.05)
+    recorder = HistoryRecorder(sim=None)
+    run.watchers.append(recorder)
+    point = run.run()
+    in_flight = peak = 0
+    for __, step in sorted(
+            [(r.t_invoke, 1) for r in recorder.records if r.session == 0]
+            + [(r.t_ack, -1) for r in recorder.records if r.session == 0]):
+        in_flight += step
+        peak = max(peak, in_flight)
+    assert peak >= 4 and point.shed > 0
+    return stamp({"point": point.to_dict(),
+                  "records": [asdict(r) for r in recorder.records]},
+                 config)
+
+
 EXPORTS = {
     "figure_point": export_figure_point,
     "traced_point": export_traced_point,
@@ -484,6 +553,9 @@ EXPORTS = {
     "multi_file_read_point": export_multi_file_read_point,
     "closed_loop_obs": export_closed_loop_obs,
     "closed_loop_audit": export_closed_loop_audit,
+    "hbase_scan_point": export_hbase_scan_point,
+    "voltdb_scan_point": export_voltdb_scan_point,
+    "open_loop_voltdb": export_open_loop_voltdb,
 }
 
 
