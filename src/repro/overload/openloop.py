@@ -31,8 +31,6 @@ from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 from repro.overload.shapes import ArrivalShape
-from repro.storage.record import APM_SCHEMA
-from repro.ycsb.client import attempt_op, draw_operation
 from repro.ycsb.runner import BenchmarkConfig, Deployment, run_config
 from repro.ycsb.stats import ERROR_KINDS
 
@@ -177,7 +175,6 @@ class _OpenLoopRun:
         #: Passive observers (an obs layer, an audit recorder, ...).
         self.watchers: list = []
 
-        self._op_table = config.workload.op_table()
         # Window accounting (arrival-indexed).
         self.window_arrivals = 0
         self.in_slo = 0
@@ -206,19 +203,14 @@ class _OpenLoopRun:
     def _one_op(self, index: int, measured: bool, op, key, fields,
                 scan_length):
         sim = self.sim
-        deployment = self.deployment
         session = self.sessions[index % len(self.sessions)]
         arrival = sim.now
         tracer = sim.tracer
         trace = None
         if tracer is not None and measured and tracer.should_sample():
             trace = tracer.begin(op.value, key, session.index)
-        error, kind, __ = yield from attempt_op(
-            session, op, key, fields, scan_length, deployment.retry,
-            deadline=(None if deployment.deadline_s is None
-                      else arrival + deployment.deadline_s),
-            budget=deployment.budget, breaker=deployment.breaker,
-        )
+        error, kind, __ = yield from self.deployment.attempt(
+            session, op, key, fields, scan_length, arrival)
         if trace is not None:
             tracer.complete(trace, error, kind)
         for watcher in self.watchers:
@@ -249,10 +241,7 @@ class _OpenLoopRun:
         measured = self.sim.now >= self.warmup_s
         if measured:
             self.window_arrivals += 1
-        deployment = self.deployment
-        drawn = draw_operation(
-            self._op_table, self._op_rng, self.chooser, deployment.sequence,
-            APM_SCHEMA, self.config.workload.scan_length)
+        drawn = self.deployment.draw(self._op_rng, self.chooser)
         return self.sim.process(self._one_op(index, measured, *drawn),
                                 name=f"open-op-{index}")
 

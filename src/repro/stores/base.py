@@ -117,14 +117,15 @@ class StoreSession:
     """One client connection: the unit the workload threads drive.
 
     ``read``/``insert``/``update``/``scan``/``delete`` return generator
-    process bodies.  The defaults of ``read``, ``insert`` and ``delete``
-    are a client-sharded store's whole request path: hash in the client
-    (:meth:`Store.route`), one round trip to that server
-    (:meth:`_call_server`), the store's ``_apply_read`` /
-    ``_apply_write`` / ``_apply_delete`` run there.  A store with a hop
-    the client does not see (a coordinator, an entry node, a handler
-    pool) overrides them.  ``update`` defaults to the insert path (APM
-    data is append-only; the stores treat both as upserts).
+    process bodies.  Every store reaches the server its client library
+    picked through one hop, :meth:`_call_server`.  The defaults of
+    ``read``, ``insert`` and ``delete`` are a client-sharded store's
+    whole request path: hash in the client (:meth:`Store.route`), that
+    hop to the server, the store's ``_apply_read`` / ``_apply_write`` /
+    ``_apply_delete`` run there.  A store with a hop the client does not
+    see (a coordinator, an entry node, a handler pool) overrides them.
+    ``update`` defaults to the insert path (APM data is append-only; the
+    stores treat both as upserts).
     """
 
     #: Trace annotation naming the server a client-routed call went to.
@@ -137,18 +138,20 @@ class StoreSession:
         store.sessions_open += 1
 
     def _call_server(self, server: int, handler, request_bytes: int,
-                     response_bytes: int):
-        """Process: one round trip to the server the client library
-        routed to — the request path of a store whose servers are
-        independent and whose hash lives in the client.
+                     response_bytes: int, /, **route):
+        """Process: the client hop — one round trip to server index
+        ``server``, the one the client library picked (a shard, a
+        coordinator, an entry host, a region server).
 
-        Annotates the route, checks a connection out of the server's
-        pool if the store gates there (:attr:`Store.connection_pool`; an
-        exhausted pool refuses at once), pays the driver's CPU, runs
-        ``handler`` on the server, and returns the connection.
+        Annotates the active span with exactly ``route``, checks a
+        connection out of the server's pool if the store gates there
+        (:attr:`Store.connection_pool`; an exhausted pool refuses at
+        once), pays the driver's CPU, runs ``handler`` on the server,
+        and returns the connection.  The leading arguments are
+        positional-only, so a route may name a ``server`` of its own.
         """
         store = self.store
-        store.annotate(**{self.route_label: server})
+        store.annotate(**route)
         gate = store._gates[server] if store._gates else None
         if gate is not None:
             gate.try_admit()
@@ -168,7 +171,8 @@ class StoreSession:
         server = store.route(key)
         return self._call_server(
             server, store._apply_read(server, key),
-            store.request_bytes(key), store.response_bytes(1))
+            store.request_bytes(key), store.response_bytes(1),
+            **{self.route_label: server})
 
     def insert(self, key: str, fields: Mapping[str, str], *stamp):
         """``stamp`` is what a versioned store's ``_apply_write`` takes
@@ -178,7 +182,7 @@ class StoreSession:
         return self._call_server(
             server, store._apply_write(server, key, fields, *stamp),
             store.request_bytes(key, fields, with_payload=True),
-            store.response_bytes(0))
+            store.response_bytes(0), **{self.route_label: server})
 
     def scan(self, start_key: str, count: int):  # pragma: no cover
         raise NotImplementedError
@@ -193,7 +197,8 @@ class StoreSession:
         server = store.route(key)
         return self._call_server(
             server, store._apply_delete(server, key),
-            store.request_bytes(key), store.response_bytes(0))
+            store.request_bytes(key), store.response_bytes(0),
+            **{self.route_label: server})
 
     def execute(self, op: OpType, key: str,
                 fields: Optional[Mapping[str, str]] = None,

@@ -439,18 +439,6 @@ class CassandraSession(StoreSession):
                 return candidate
         raise UnavailableError("no live coordinator in the ring")
 
-    def _call(self, coordinator: int, work, request_bytes: int,
-              response_bytes: int, **routed):
-        """Process: client -> ``coordinator`` -> back — the driver's CPU,
-        then ``work`` run there at the far end of one RPC."""
-        store = self.store
-        store.annotate(coordinator=coordinator, **routed)
-        yield from store.client_cpu(self.client)
-        result = yield from store.cluster.network.rpc(
-            self.client, store.cluster.servers[coordinator],
-            request_bytes, response_bytes, work)
-        return result
-
     def _forward(self, coordinator: Node, replica: int, handler,
                  request_bytes: int, response_bytes: int):
         """Process: the coordinator relays a request it does not serve."""
@@ -482,8 +470,9 @@ class CassandraSession(StoreSession):
         if serving != coordinator:
             work = self._forward(store.cluster.servers[coordinator], serving,
                                  work, request_bytes, response_bytes)
-        return self._call(coordinator, work, request_bytes, response_bytes,
-                          owner=serving)
+        return self._call_server(coordinator, work, request_bytes,
+                                 response_bytes, coordinator=coordinator,
+                                 owner=serving)
 
     def read(self, key: str):
         store = self.store
@@ -536,8 +525,9 @@ class CassandraSession(StoreSession):
             yield quorum  # every chosen replica answers
             return newest_cell(acks)
 
-        return self._call(coordinator, coordinate(), request, response,
-                          replicas=replicas, read_acks=needed)
+        return self._call_server(coordinator, coordinate(), request, response,
+                                 coordinator=coordinator, replicas=replicas,
+                                 read_acks=needed)
 
     def insert(self, key: str, fields: Mapping[str, str]):
         store = self.store
@@ -588,8 +578,8 @@ class CassandraSession(StoreSession):
                 yield quorum
             return True
 
-        return self._call(coordinator, coordinate(), request, response,
-                          replicas=replicas)
+        return self._call_server(coordinator, coordinate(), request, response,
+                                 coordinator=coordinator, replicas=replicas)
 
     def scan(self, start_key: str, count: int):
         store = self.store

@@ -374,6 +374,10 @@ class HBaseSession(StoreSession):
 
     def _rpc(self, server: RegionServer, body, request_bytes: int,
              response_bytes: int):
+        """One RPC to ``server`` with ``body`` run under one of its
+        handlers, and no client CPU: a buffer flush and a scan's
+        continuation leg.  A client call pays the driver's CPU through
+        the one client hop, :meth:`_call_server`."""
         store = self.store
         return store.cluster.network.rpc(
             self.client, server.node, request_bytes, response_bytes,
@@ -383,25 +387,21 @@ class HBaseSession(StoreSession):
         store = self.store
         region_id = store.region_of(key)
         server = store.server_of_region(region_id)
-        store.annotate(region=region_id, server=server.node.name)
-        yield from store.client_cpu(self.client)
-        result = yield from self._rpc(
-            server, store._serve_read(region_id, key),
+        return self._call_server(
+            server.index,
+            store._with_handler(server, store._serve_read(region_id, key)),
             store.request_bytes(key), store.response_bytes(1),
-        )
-        return result
+            region=region_id, server=server.node.name)
 
     def insert(self, key: str, fields: Mapping[str, str]):
         store = self.store
         if not store.client_buffering:
-            region_id = store.region_of(key)
-            server = store.server_of_region(region_id)
-            yield from store.client_cpu(self.client)
-            result = yield from self._rpc(
-                server, store._serve_multi_put(server, [(key, fields)]),
+            server = store.server_of_region(store.region_of(key))
+            result = yield from self._call_server(
+                server.index, store._with_handler(
+                    server, store._serve_multi_put(server, [(key, fields)])),
                 store.request_bytes(key, fields, with_payload=True),
-                store.response_bytes(0),
-            )
+                store.response_bytes(0))
             return result == 1
         # Client-buffered path: ack locally, ship a multi-put when full.
         yield from self.client.cpu(store.BUFFERED_PUT_CPU)
@@ -436,12 +436,11 @@ class HBaseSession(StoreSession):
         store = self.store
         region_id = store.region_of(start_key)
         server = store.server_of_region(region_id)
-        store.annotate(region=region_id, server=server.node.name)
-        yield from store.client_cpu(self.client)
-        rows = yield from self._rpc(
-            server, store._serve_scan(region_id, start_key, count),
+        rows = yield from self._call_server(
+            server.index, store._with_handler(
+                server, store._serve_scan(region_id, start_key, count)),
             store.request_bytes(start_key), store.response_bytes(count),
-        )
+            region=region_id, server=server.node.name)
         # A scan near the end of a region continues in the next region.
         if len(rows) < count and region_id + 1 < store.n_regions:
             next_region = region_id + 1
@@ -467,9 +466,6 @@ class HBaseSession(StoreSession):
             store._persist_bill(server, region_id, bill)
             return True
 
-        yield from store.client_cpu(self.client)
-        result = yield from self._rpc(
-            server, body(), store.request_bytes(key),
-            store.response_bytes(0),
-        )
-        return result
+        return self._call_server(
+            server.index, store._with_handler(server, body()),
+            store.request_bytes(key), store.response_bytes(0))

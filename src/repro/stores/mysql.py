@@ -304,6 +304,7 @@ class MySQLSession(StoreSession):
             rows = yield from self._call_server(
                 only, store._apply_local_scan(only, start_key, count),
                 store.request_bytes(start_key), store.response_bytes(count),
+                **{self.route_label: only},
             )
             return rows
         # Sharded path: every shard streams its un-LIMITed tail; the

@@ -253,6 +253,7 @@ class RedisSession(StoreSession):
             ),
             store.request_bytes(start_key),
             store.response_bytes(0) + count * store.schema.key_length,
+            **{self.route_label: shard},
         )
         # Second round trip: pipelined HGETALLs for the keys found.
         rows = yield from self._call_server(
@@ -263,6 +264,6 @@ class RedisSession(StoreSession):
                 lambda: store.shards[shard].scan(start_key, count),
             ),
             store.request_bytes(start_key) + len(keys) * 30,
-            store.response_bytes(len(keys)),
+            store.response_bytes(len(keys)), **{self.route_label: shard},
         )
         return rows

@@ -344,54 +344,39 @@ class VoltDBSession(StoreSession):
         super().__init__(store, client_node, index)
         self._rr = index
 
-    def _entry_node(self) -> Node:
+    def _next_entry(self) -> int:
         """Round-robin over hosts, like a client connected to all of them."""
         self._rr += 1
         members = self.store._members
-        return self.store.cluster.servers[members[self._rr % len(members)]]
-
-    def _call(self, handler, request_bytes: int, response_bytes: int,
-              via: Node | None = None):
-        store = self.store
-        yield from store.client_cpu(self.client)
-        entry = via or self._entry_node()
-        result = yield from store.cluster.network.rpc(
-            self.client, entry, request_bytes, response_bytes, handler,
-        )
-        return result
+        return members[self._rr % len(members)]
 
     def read(self, key: str):
         store = self.store
         partition = store.partition_of(key)
-        store.annotate(partition=partition)
-        return self._call(
-            store._proc_read(partition, key),
+        return self._call_server(
+            self._next_entry(), store._proc_read(partition, key),
             store.request_bytes(key), store.response_bytes(1),
-        )
+            partition=partition)
 
     def insert(self, key: str, fields: Mapping[str, str]):
         store = self.store
         partition = store.partition_of(key)
-        store.annotate(partition=partition)
-        return self._call(
-            store._proc_write(partition, key, fields),
+        return self._call_server(
+            self._next_entry(), store._proc_write(partition, key, fields),
             store.request_bytes(key, fields, with_payload=True),
-            store.response_bytes(0),
-        )
+            store.response_bytes(0), partition=partition)
 
     def scan(self, start_key: str, count: int):
         store = self.store
-        entry = self._entry_node()
-        return self._call(
-            store._proc_scan(entry, start_key, count),
-            store.request_bytes(start_key), store.response_bytes(count),
-            via=entry,
-        )
+        entry = self._next_entry()
+        return self._call_server(
+            entry,
+            store._proc_scan(store.cluster.servers[entry], start_key, count),
+            store.request_bytes(start_key), store.response_bytes(count))
 
     def delete(self, key: str):
         store = self.store
-        partition = store.partition_of(key)
-        return self._call(
-            store._proc_delete(partition, key),
-            store.request_bytes(key), store.response_bytes(0),
-        )
+        return self._call_server(
+            self._next_entry(),
+            store._proc_delete(store.partition_of(key), key),
+            store.request_bytes(key), store.response_bytes(0))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.keyspace import format_key
 from repro.sim.faults import (DeadlineExceededError, FaultError,
@@ -26,7 +26,9 @@ from repro.stores.base import OpError, OpType, RetryPolicy, StoreSession
 from repro.ycsb.generator import KeySequence, generate_record
 from repro.ycsb.stats import RunStats
 from repro.ycsb.throttle import Throttle
-from repro.ycsb.workload import Workload
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.ycsb.runner import Deployment
 
 __all__ = ["RunControl", "ClientThread", "attempt_op", "draw_operation"]
 
@@ -153,6 +155,11 @@ class RunControl:
 class ClientThread:
     """One synchronous workload-generator thread.
 
+    It draws and runs each operation through its
+    :class:`~repro.ycsb.runner.Deployment` (``draw``, ``attempt``), which
+    holds the point's workload, key sequence, retry policy and overload
+    protections.
+
     ``watchers`` are passive observers — the obs layer, an audit
     recorder, any object with a ``note_op`` hook.  Each completed
     operation is offered to every watcher once, warm-up included, with
@@ -162,44 +169,31 @@ class ClientThread:
     the simulator's (``sim.tracer``), if one is attached.
     """
 
-    def __init__(self, session: StoreSession, workload: Workload,
-                 chooser, sequence: KeySequence, stats: RunStats,
-                 control: RunControl, rng: random.Random,
-                 schema: RecordSchema, throttle: Throttle | None = None,
-                 retry: RetryPolicy | None = None,
-                 deadline_s: Optional[float] = None, budget=None,
-                 breaker=None, watchers=()):
+    def __init__(self, session: StoreSession, deployment: Deployment,
+                 chooser, stats: RunStats, control: RunControl,
+                 rng: random.Random, throttle: Throttle | None = None,
+                 watchers=()):
         self.session = session
-        self.workload = workload
+        self.deployment = deployment
         self.chooser = chooser
-        self.sequence = sequence
         self.stats = stats
         self.control = control
         self.rng = rng
-        self.schema = schema
         self.throttle = throttle
-        self.retry = retry if retry is not None else session.store.retry_policy()
-        #: Per-operation deadline (seconds) stamped into the kernel slot.
-        self.deadline_s = deadline_s
-        #: Shared :class:`~repro.overload.budget.RetryBudget`, or ``None``.
-        self.budget = budget
-        #: Shared :class:`~repro.overload.budget.CircuitBreaker`, or ``None``.
-        self.breaker = breaker
         self.watchers = watchers
-        self._op_table = workload.op_table()
 
     def run(self):
         """Process body: issue operations until the run is complete."""
-        sim = self.session.store.sim
+        deployment = self.deployment
+        sim = deployment.sim
         tracer = sim.tracer
         while not self.control.done:
             if self.throttle is not None:
                 yield from self.throttle.acquire()
                 if self.control.done:
                     break
-            op, key, fields, scan_length = draw_operation(
-                self._op_table, self.rng, self.chooser, self.sequence,
-                self.schema, self.workload.scan_length)
+            op, key, fields, scan_length = deployment.draw(self.rng,
+                                                           self.chooser)
             # Workload-loop and driver dispatch work happens before YCSB
             # starts the operation timer.
             yield from self.session.store.dispatch_cpu(self.session.client)
@@ -210,12 +204,8 @@ class ClientThread:
             if (tracer is not None and self.control.measuring
                     and not self.control.done and tracer.should_sample()):
                 trace = tracer.begin(op.value, key, self.session.index)
-            error, kind, __ = yield from attempt_op(
-                self.session, op, key, fields, scan_length, self.retry,
-                deadline=(None if self.deadline_s is None
-                          else started + self.deadline_s),
-                budget=self.budget, breaker=self.breaker,
-            )
+            error, kind, __ = yield from deployment.attempt(
+                self.session, op, key, fields, scan_length, started)
             # Not kept: a scan's rows would otherwise live in this frame
             # until the thread's next operation completes.
             del __

@@ -40,7 +40,8 @@ from repro.storage.record import APM_SCHEMA
 from repro.stores.base import OpType, RetryPolicy, Store
 from repro.stores.registry import store_class
 from repro.trace import Tracer
-from repro.ycsb.client import ClientThread, RunControl
+from repro.ycsb.client import (ClientThread, RunControl, attempt_op,
+                              draw_operation)
 from repro.ycsb.generator import KeySequence, generate_records, make_chooser
 from repro.ycsb.stats import LatencyHistogram, RunStats
 from repro.ycsb.throttle import Throttle
@@ -341,11 +342,14 @@ class Deployment:
     install, once, for every way of driving it.
 
     Construction does steps 1-3 of the methodology and resolves what a
-    driver needs from ``config``: the key sequence, the connection count,
-    the retry policy, the overload protections (``deadline_s``, retry
-    ``budget``, circuit ``breaker``) and the ``chaos`` controller — one
-    even for a fault-free config, whose empty schedule starts no process
-    — subscribed to the store and then the breaker.
+    driver needs from ``config``: the key sequence, the workload's op
+    table, the connection count, the retry policy, the overload
+    protections (``deadline_s``, retry ``budget``, circuit ``breaker``)
+    and the ``chaos`` controller — one even for a fault-free config,
+    whose empty schedule starts no process — subscribed to the store and
+    then the breaker.  Every driver draws an operation with :meth:`draw`
+    and runs it with :meth:`attempt`, so the point's wiring is threaded
+    in one place.
 
     It wires but *starts* nothing.  Processes that share a timestamp run
     in the order they were started, so start order is part of what a
@@ -376,6 +380,7 @@ class Deployment:
         self.store.warm_caches()
 
         self.sequence = KeySequence(self.total_records)
+        self.op_table = config.workload.op_table()
         self.rngs = RngRegistry(config.seed)
         self.n_connections = self.store.connections(
             spec.connections_per_node)
@@ -404,6 +409,24 @@ class Deployment:
         """The workload's key chooser drawing from ``rng``."""
         return make_chooser(self.config.workload.distribution,
                             self.total_records, self.sequence, rng)
+
+    def draw(self, rng, chooser):
+        """The next operation, ``(op, key, fields, scan_length)``, drawn
+        from ``rng`` and ``chooser`` (see :func:`draw_operation`)."""
+        return draw_operation(self.op_table, rng, chooser, self.sequence,
+                              APM_SCHEMA, self.config.workload.scan_length)
+
+    def attempt(self, session, op: OpType, key: str, fields,
+                scan_length: int, started: float):
+        """The generator of one operation begun at ``started``, under the
+        point's retry policy, retry budget, circuit breaker and deadline
+        (see :func:`attempt_op`): delegate to it with ``yield from``.  A
+        plain function, not a generator, so no frame wraps the attempt."""
+        deadline_s = self.deadline_s
+        return attempt_op(
+            session, op, key, fields, scan_length, self.retry,
+            deadline=None if deadline_s is None else started + deadline_s,
+            budget=self.budget, breaker=self.breaker)
 
     def start_telemetry(self, interval_s: float):
         """Instrument cluster and store, start sampling: ``(registry,
@@ -500,12 +523,8 @@ def run_config(config: BenchmarkConfig, obs=None,
     for i, session in enumerate(deployment.sessions()):
         rng = deployment.rngs.stream(f"thread-{i}")
         threads.append(ClientThread(
-            session, config.workload, deployment.chooser(rng),
-            deployment.sequence, stats, control, rng, APM_SCHEMA, throttle,
-            retry=deployment.retry, deadline_s=deployment.deadline_s,
-            budget=deployment.budget, breaker=deployment.breaker,
-            watchers=watchers,
-        ))
+            session, deployment, deployment.chooser(rng), stats, control,
+            rng, throttle, watchers))
     processes = [cluster.sim.process(t.run(), name=f"client-{i}")
                  for i, t in enumerate(threads)]
     if config.duration_s is not None:

@@ -280,7 +280,7 @@ def voldemort_read(session, key):
     owner = store.owner_of(key)
     result = yield from session._call_server(
         owner, store._apply_read(owner, key),
-        store.request_bytes(key), store.response_bytes(1),
+        store.request_bytes(key), store.response_bytes(1), owner=owner,
     )
     return result
 
@@ -326,7 +326,7 @@ def voldemort_insert(session, key, fields):
     result = yield from session._call_server(
         owner, store._apply_write(owner, key, fields, version),
         store.request_bytes(key, fields, with_payload=True),
-        store.response_bytes(0),
+        store.response_bytes(0), owner=owner,
     )
     return result
 
@@ -379,7 +379,7 @@ def voldemort_delete(session, key):
     owner = store.owner_of(key)
     result = yield from session._call_server(
         owner, store._apply_delete(owner, key),
-        store.request_bytes(key), store.response_bytes(0),
+        store.request_bytes(key), store.response_bytes(0), owner=owner,
     )
     return result
 
