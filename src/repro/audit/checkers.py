@@ -11,7 +11,7 @@ from __future__ import annotations
 import bisect
 from typing import Callable, Iterable, Optional
 
-from repro.audit.history import PHASE_RUN, PHASE_VERIFY, OpRecord
+from repro.audit.history import PHASE_RUN, PHASE_VERIFY, WRITES, OpRecord
 
 __all__ = ["check_durability", "check_sessions", "check_staleness"]
 
@@ -32,7 +32,7 @@ def check_durability(records: Iterable[OpRecord],
     """
     acked: dict[str, int] = {}
     for record in records:
-        if (record.op == "write" and record.ok
+        if (record.op in WRITES and record.ok
                 and record.phase == PHASE_RUN
                 and record.version is not None):
             if record.version > acked.get(record.key, 0):
@@ -99,7 +99,7 @@ def check_sessions(records: Iterable[OpRecord]) -> dict:
     last_read: dict[tuple[int, str], int] = {}
     for record in sorted(records, key=lambda r: r.index):
         slot = (record.session, record.key)
-        if record.op == "write" and record.ok and record.version is not None:
+        if record.op in WRITES and record.ok and record.version is not None:
             if record.version > last_write.get(slot, 0):
                 last_write[slot] = record.version
         elif record.op == "read" and record.ok:
@@ -139,7 +139,7 @@ def check_staleness(records: Iterable[OpRecord]) -> dict:
     ordered = sorted(records, key=lambda r: r.index)
     acked_by_key: dict[str, list[tuple[float, int]]] = {}
     for record in ordered:
-        if (record.op == "write" and record.ok
+        if (record.op in WRITES and record.ok
                 and record.phase == PHASE_RUN
                 and record.version is not None):
             acked_by_key.setdefault(record.key, []).append(

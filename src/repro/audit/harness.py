@@ -298,7 +298,8 @@ class _AuditRun:
 
     def _read(self, session, key: str, retry, phase: str = PHASE_RUN):
         """One recorded read; its payload *is* the observed version."""
-        token = self.recorder.begin(session.index, "read", key, phase=phase)
+        token = self.recorder.begin(session.index, OpType.READ.value, key,
+                                    phase=phase)
         error, kind, fields = yield from attempt_op(
             session, OpType.READ, key, None, 0, retry)
         self.recorder.complete(
@@ -322,7 +323,7 @@ class _AuditRun:
                 key = own[rng.randrange(len(own))]
                 version = self._next_version()
                 fields = {"field0": f"{version:010d}"}
-                token = self.recorder.begin(sid, "write", key,
+                token = self.recorder.begin(sid, OpType.INSERT.value, key,
                                             version=version)
                 error, kind, __ = yield from attempt_op(
                     session, OpType.INSERT, key, fields, 0, retry)

@@ -18,7 +18,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
-__all__ = ["OpRecord", "HistoryRecorder"]
+from repro.stores.base import OpType
+
+__all__ = ["OpRecord", "HistoryRecorder", "WRITES"]
+
+#: The ops that write, by :class:`~repro.stores.base.OpType` value: what
+#: every checker and view counts as a write.
+WRITES = frozenset(op.value for op in (OpType.INSERT, OpType.UPDATE,
+                                       OpType.DELETE))
 
 #: Phase markers: the chaos-overlapped workload vs. the post-heal
 #: verification reads.
@@ -36,7 +43,8 @@ class OpRecord:
     index: int
     #: Client session the operation ran on.
     session: int
-    #: ``"write"`` or ``"read"``.
+    #: An :class:`~repro.stores.base.OpType` value (``"insert"``,
+    #: ``"read"``, ...); the writes are :data:`WRITES`.
     op: str
     key: str
     t_invoke: float
@@ -129,7 +137,7 @@ class HistoryRecorder:
 
     def acked_writes(self) -> list[OpRecord]:
         return [r for r in self.in_order()
-                if r.op == "write" and r.ok and r.phase == PHASE_RUN]
+                if r.op in WRITES and r.ok and r.phase == PHASE_RUN]
 
     def to_payload(self) -> dict:
         """JSON-ready summary (the full log is test fodder, not export)."""
@@ -142,7 +150,7 @@ class HistoryRecorder:
         return {
             "ops": len(records),
             "writes_acked": sum(1 for r in records
-                                if r.op == "write" and r.ok),
+                                if r.op in WRITES and r.ok),
             "reads_ok": sum(1 for r in records
                             if r.op == "read" and r.ok),
             "failures_by_kind": dict(sorted(by_kind.items())),
@@ -153,7 +161,7 @@ def max_acked_version(records: Iterable[OpRecord], key: str) -> int:
     """Highest version acked for ``key`` by run-phase writes (0 = none)."""
     best = 0
     for record in records:
-        if (record.op == "write" and record.ok and record.key == key
+        if (record.op in WRITES and record.ok and record.key == key
                 and record.phase == PHASE_RUN
                 and record.version is not None):
             best = max(best, record.version)

@@ -35,6 +35,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from repro.audit.history import WRITES
+
 __all__ = ["RegisterOp", "check_linearizable", "history_to_register_ops"]
 
 
@@ -172,7 +174,7 @@ def history_to_register_ops(records, key: Optional[str] = None
     for record in records:
         if key is not None and record.key != key:
             continue
-        if record.op == "write":
+        if record.op in WRITES:
             if record.version is None:
                 continue
             ops.append(RegisterOp(

@@ -15,7 +15,7 @@ def _op(index, session, op, key, t, ok=True, version=None, phase="run",
 class TestDurability:
     def test_clean_history_is_ok(self):
         records = [
-            _op(0, 0, "write", "a", 0.1, version=1),
+            _op(0, 0, "insert", "a", 0.1, version=1),
             _op(1, 9, "read", "a", 2.0, version=1, phase=PHASE_VERIFY),
         ]
         report = check_durability(records)
@@ -25,7 +25,7 @@ class TestDurability:
 
     def test_version_shortfall_is_a_violation(self):
         records = [
-            _op(0, 0, "write", "a", 0.1, version=5),
+            _op(0, 0, "insert", "a", 0.1, version=5),
             _op(1, 9, "read", "a", 2.0, version=3, phase=PHASE_VERIFY),
         ]
         report = check_durability(records)
@@ -36,7 +36,7 @@ class TestDurability:
 
     def test_failed_verify_read_is_a_violation(self):
         records = [
-            _op(0, 0, "write", "a", 0.1, version=5),
+            _op(0, 0, "insert", "a", 0.1, version=5),
             _op(1, 9, "read", "a", 2.0, ok=False, error="fault",
                 phase=PHASE_VERIFY),
         ]
@@ -46,7 +46,7 @@ class TestDurability:
 
     def test_declared_loss_is_excused(self):
         records = [
-            _op(0, 0, "write", "a", 0.1, version=5),
+            _op(0, 0, "insert", "a", 0.1, version=5),
             _op(1, 9, "read", "a", 2.0, version=0, phase=PHASE_VERIFY),
         ]
         report = check_durability(
@@ -57,14 +57,14 @@ class TestDurability:
         assert finding["reason"] == "hard shard loss"
 
     def test_unverified_key_is_reported_not_failed(self):
-        records = [_op(0, 0, "write", "a", 0.1, version=1)]
+        records = [_op(0, 0, "insert", "a", 0.1, version=1)]
         report = check_durability(records)
         assert report["ok"]
         assert report["unchecked_keys"] == ["a"]
 
     def test_failed_writes_claim_nothing(self):
         records = [
-            _op(0, 0, "write", "a", 0.1, ok=False, error="fault", version=9),
+            _op(0, 0, "insert", "a", 0.1, ok=False, error="fault", version=9),
             _op(1, 9, "read", "a", 2.0, version=0, phase=PHASE_VERIFY),
         ]
         assert check_durability(records)["ok"]
@@ -73,7 +73,7 @@ class TestDurability:
 class TestSessions:
     def test_read_your_writes_violation(self):
         records = [
-            _op(0, 0, "write", "a", 0.1, version=4),
+            _op(0, 0, "insert", "a", 0.1, version=4),
             _op(1, 0, "read", "a", 0.2, version=2),
         ]
         report = check_sessions(records)
@@ -82,7 +82,7 @@ class TestSessions:
 
     def test_other_sessions_reads_unconstrained(self):
         records = [
-            _op(0, 0, "write", "a", 0.1, version=4),
+            _op(0, 0, "insert", "a", 0.1, version=4),
             _op(1, 1, "read", "a", 0.2, version=0),
         ]
         assert check_sessions(records)["ok"]
@@ -99,9 +99,9 @@ class TestSessions:
 
     def test_clean_session_is_ok(self):
         records = [
-            _op(0, 0, "write", "a", 0.1, version=1),
+            _op(0, 0, "insert", "a", 0.1, version=1),
             _op(1, 0, "read", "a", 0.2, version=1),
-            _op(2, 0, "write", "a", 0.3, version=2),
+            _op(2, 0, "insert", "a", 0.3, version=2),
             _op(3, 0, "read", "a", 0.4, version=2),
         ]
         assert check_sessions(records)["ok"]
@@ -110,7 +110,7 @@ class TestSessions:
 class TestStaleness:
     def test_fresh_reads_have_no_lag(self):
         records = [
-            _op(0, 0, "write", "a", 0.1, version=1),
+            _op(0, 0, "insert", "a", 0.1, version=1),
             _op(1, 1, "read", "a", 0.5, version=1),
         ]
         report = check_staleness(records)
@@ -119,8 +119,8 @@ class TestStaleness:
 
     def test_lag_measured_against_acks_before_invocation(self):
         records = [
-            _op(0, 0, "write", "a", 0.1, version=3),
-            _op(1, 0, "write", "a", 0.2, version=8),
+            _op(0, 0, "insert", "a", 0.1, version=3),
+            _op(1, 0, "insert", "a", 0.2, version=8),
             _op(2, 1, "read", "a", 0.5, version=3),
         ]
         report = check_staleness(records)
@@ -129,7 +129,7 @@ class TestStaleness:
 
     def test_concurrent_write_never_counts_against_a_read(self):
         # The write acks after the read was invoked.
-        write = OpRecord(index=0, session=0, op="write", key="a",
+        write = OpRecord(index=0, session=0, op="insert", key="a",
                          t_invoke=0.4, t_ack=0.6, ok=True, version=9)
         read = _op(1, 1, "read", "a", 0.5, version=0)
         report = check_staleness([write, read])
@@ -137,7 +137,7 @@ class TestStaleness:
 
     def test_per_phase_split(self):
         records = [
-            _op(0, 0, "write", "a", 0.1, version=2),
+            _op(0, 0, "insert", "a", 0.1, version=2),
             _op(1, 1, "read", "a", 0.5, version=0),
             _op(2, 9, "read", "a", 2.0, version=0, phase=PHASE_VERIFY),
         ]

@@ -89,9 +89,9 @@ class TestCheckLinearizable:
 class TestHistoryProjection:
     def test_projects_one_key_with_floating_failed_writes(self):
         records = [
-            OpRecord(index=0, session=0, op="write", key="a",
+            OpRecord(index=0, session=0, op="insert", key="a",
                      t_invoke=0.0, t_ack=1.0, ok=True, version=1),
-            OpRecord(index=1, session=0, op="write", key="a",
+            OpRecord(index=1, session=0, op="insert", key="a",
                      t_invoke=2.0, t_ack=2.5, ok=False, error="fault",
                      version=2),
             OpRecord(index=2, session=1, op="read", key="a",
