@@ -150,10 +150,6 @@ class RunManifest:
                 finished.add(event["point"])
         return started - finished
 
-    def wall_times(self) -> dict[str, float]:
-        """Per-point wall-time telemetry (alias of :meth:`completed`)."""
-        return self.completed()
-
     def total_wall_s(self) -> float:
         return sum(self.completed().values())
 

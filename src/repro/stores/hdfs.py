@@ -67,10 +67,6 @@ class NameNode:
         self.files[path] = file
         return file
 
-    def delete(self, path: str) -> bool:
-        """Remove a file's metadata; returns whether it existed."""
-        return self.files.pop(path, None) is not None
-
     def allocate_block(self, path: str, preferred_datanode: int
                        ) -> HdfsBlock:
         """Add a block to ``path`` on the preferred (local) DataNode."""
@@ -166,10 +162,6 @@ class Hdfs:
         if not datanode.page_cache.access(block_hint):
             yield from datanode.disk.read(nbytes, sequential=False)
         return nbytes
-
-    def delete(self, path: str) -> bool:
-        """Drop a file (compaction discards inputs)."""
-        return self.namenode.delete(path)
 
     def used_bytes_per_datanode(self) -> list[int]:
         """On-disk bytes per DataNode across all files."""

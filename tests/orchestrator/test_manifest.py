@@ -86,7 +86,7 @@ class TestEventLog:
         manifest = fresh(tmp_path)
         manifest.record_done("aaa", 0.5)
         manifest.record_done("bbb", 1.5)
-        assert manifest.wall_times() == {"aaa": 0.5, "bbb": 1.5}
+        assert manifest.completed() == {"aaa": 0.5, "bbb": 1.5}
         assert manifest.total_wall_s() == 2.0
         assert "2/3 points done" in manifest.summary()
         assert "slowest point 1.5s" in manifest.summary()

@@ -23,12 +23,6 @@ class TestHdfs:
         assert namenode.files["/f"].size == 500
         assert namenode.files["/f"].blocks == [block]
 
-    def test_delete(self):
-        namenode = NameNode()
-        namenode.create("/f")
-        assert namenode.delete("/f")
-        assert not namenode.delete("/f")
-
     def test_append_allocates_blocks_locally(self, cluster4):
         hdfs = Hdfs(cluster4.sim, cluster4.network, cluster4.servers,
                     block_size=1000)
