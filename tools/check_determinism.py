@@ -43,6 +43,12 @@ CHECKS = (
      "overload -s redis -n 1 --records 2000 --ops 600 --multipliers 1,2 "
      "--duration 0.5 --warmup 0.1 --deadline 0.05 --max-queue 16 "
      "--no-sustained --shape flash:at=0.2,multiplier=3", "", ""),
+    # VoltDB open loop: the arrivals share the sessions, several in
+    # flight on each, and every one picks its entry host round-robin.
+    ("open-voltdb",
+     "overload -s voltdb -n 2 --records 1000 --ops 400 --multipliers 1.5 "
+     "--duration 0.3 --warmup 0.05 --deadline 0.05 --max-queue 16 "
+     "--no-sustained --protected-only", "", ""),
     ("control",
      "control -s redis --rate 800 --duration 6 "
      "--shape diurnal:period=6,trough=0.25 --max-nodes 2 --records 1000 "
