@@ -1,5 +1,6 @@
 """Unit tests for the closed-loop client threads."""
 
+import inspect
 import random
 
 from repro.stores.base import OpType
@@ -92,3 +93,10 @@ class TestClientThread:
         thread = build_thread(WORKLOAD_R, control, stats)
         run_thread(thread)
         assert stats.histogram(OpType.READ).min > 0
+
+
+def test_deployment_draw_and_attempt_wrap_no_frame():
+    """Both drivers call them on every op: they return what they call,
+    so neither adds a generator level every kernel resume pays for."""
+    assert not inspect.isgeneratorfunction(Deployment.draw)
+    assert not inspect.isgeneratorfunction(Deployment.attempt)
