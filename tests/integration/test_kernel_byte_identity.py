@@ -475,8 +475,8 @@ def export_closed_loop_audit() -> dict:
 
 
 def _traced_scan_point(store: str, duration_s: float, seed: int) -> tuple:
-    """A traced 2-node ``RS`` point: its stats and every kept trace,
-    span trees with their route annotations, and the traces."""
+    """A traced 2-node ``RS`` point: the stamped stats with every kept
+    trace's span tree and route annotations, and the traces."""
     config = BenchmarkConfig(
         store=store, workload=WORKLOADS["RS"], n_nodes=2,
         cluster_spec=SMALL_M, records_per_node=300, seed=seed,
