@@ -3,9 +3,10 @@
 YCSB's Redis binding stores each record as a Redis *hash* keyed by the
 record key and additionally indexes every key in one global *sorted set*
 so that scans are possible.  This module reproduces that layout: a Python
-dict of field-maps plus a skip list of keys (Redis's own zset is also a
-skip list), with jemalloc-style memory accounting used by the Redis
-out-of-memory analysis of Section 5.1.
+dict of rows (the schema-ordered tuples of ``RecordSchema.to_row``) plus
+a skip list of keys (Redis's own zset is also a skip list), with
+jemalloc-style memory accounting used by the Redis out-of-memory
+analysis of Section 5.1.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ class HashStore:
                  max_memory_bytes: Optional[int] = None, seed: int = 0):
         self.schema = schema
         self.max_memory_bytes = max_memory_bytes
-        self._hashes: dict[str, dict[str, str]] = {}
+        self._hashes: dict[str, tuple] = {}
         self._seed = seed
         self._index: Optional[SkipList] = None
         self._bytes_per_record = redis_memory_per_record(schema)
@@ -56,14 +57,15 @@ class HashStore:
         is reached and the key is new — the failure mode the paper hit on
         its hottest Redis shard at 12 nodes.
         """
+        row = self.schema.to_row(fields)
         stored = self._hashes.get(key)
         if stored is not None:
-            stored.update(fields)
+            self._hashes[key] = self.schema.overlay(stored, row)
             return True
         if self.is_full:
             self.oom_errors += 1
             return False
-        self._hashes[key] = dict(fields)
+        self._hashes[key] = row
         if self._index is not None:
             self._index.put(key, None)
         return True
@@ -83,8 +85,8 @@ class HashStore:
 
     def hgetall(self, key: str) -> Optional[dict[str, str]]:
         """Fetch all fields of a record."""
-        fields = self._hashes.get(key)
-        return dict(fields) if fields is not None else None
+        row = self._hashes.get(key)
+        return self.schema.row_fields(row) if row is not None else None
 
     def zrange_from(self, start_key: str, count: int) -> list[str]:
         """Keys >= ``start_key`` in order (ZRANGEBYLEX on the index)."""
@@ -93,10 +95,11 @@ class HashStore:
     def scan(self, start_key: str, count: int) -> list[tuple[str, dict[str, str]]]:
         """Range scan via the key index, then per-key HGETALL."""
         out = []
+        row_fields = self.schema.row_fields
         for key in self.zrange_from(start_key, count):
-            fields = self._hashes.get(key)
-            if fields is not None:
-                out.append((key, dict(fields)))
+            row = self._hashes.get(key)
+            if row is not None:
+                out.append((key, row_fields(row)))
         return out
 
     def delete(self, key: str) -> bool:

@@ -22,6 +22,7 @@ from repro.storage.lsm.sstable import (
     resolve_versions,
     sstable_entry_size,
 )
+from repro.storage.record import APM_SCHEMA, RecordSchema
 
 __all__ = ["CompactionTask", "SizeTieredCompaction", "merge_sstables"]
 
@@ -30,7 +31,8 @@ _KEY_OF = itemgetter(0)
 
 def merge_sstables(tables: Sequence[SSTable], drop_tombstones: bool,
                    bloom_fp_rate: float = 0.01,
-                   generation: int | None = None) -> SSTable:
+                   generation: int | None = None,
+                   schema: RecordSchema = APM_SCHEMA) -> SSTable:
     """K-way merge of runs; per-entry sequence numbers resolve conflicts.
 
     The inputs are sorted runs, so a stable sort of their concatenation
@@ -54,8 +56,10 @@ def merge_sstables(tables: Sequence[SSTable], drop_tombstones: bool,
             resolved = versions[0]
             if len(versions) > 1:
                 resolved = resolve_versions(versions)
-                size_bytes += sstable_entry_size(key, resolved) - sum(
-                    sstable_entry_size(key, version) for version in versions)
+                size_bytes += sstable_entry_size(
+                    key, resolved, schema) - sum(
+                    sstable_entry_size(key, version, schema)
+                    for version in versions)
             folded.append((key, resolved))
         pairs = folded
     if drop_tombstones:
@@ -98,6 +102,8 @@ class SizeTieredCompaction:
     #: layout of the page-cache model — never depend on how many engines
     #: ran earlier in the process (run-to-run determinism).
     generation_source: Optional[Callable[[], int]] = None
+    #: The schema of the rows the runs hold, for sizing a folded entry.
+    schema: RecordSchema = APM_SCHEMA
     compactions_run: int = field(default=0, init=False)
 
     def _buckets(self, tables: Sequence[SSTable]) -> list[list[SSTable]]:
@@ -133,7 +139,7 @@ class SizeTieredCompaction:
         generation = (self.generation_source()
                       if self.generation_source is not None else None)
         output = merge_sstables(bucket, drop_tombstones, self.bloom_fp_rate,
-                                generation=generation)
+                                generation=generation, schema=self.schema)
         self.compactions_run += 1
         return CompactionTask(
             inputs=list(bucket),

@@ -9,6 +9,10 @@ Conflict resolution uses per-write sequence numbers (``Versioned`` cells),
 matching Cassandra's timestamp semantics: reads fold every candidate
 version oldest-first, so correctness never depends on the order compaction
 leaves the runs in.
+
+Every cell, run entry and WAL record holds a row of the engine's schema
+(:meth:`~repro.storage.record.RecordSchema.to_row`): ``put`` takes a
+mapping and converts it once, ``get`` and ``scan`` hand back fresh dicts.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from repro.storage.lsm.sstable import (
     sstable_entry_size,
 )
 from repro.storage.lsm.wal import CommitLog
+from repro.storage.record import APM_SCHEMA, RecordSchema
 
 __all__ = ["IoBill", "LSMConfig", "LSMEngine", "ReadResult"]
 
@@ -64,21 +69,19 @@ class LSMConfig:
     block_size: int = 4096
     min_compaction_threshold: int = 4
     max_compaction_threshold: int = 32
-    #: Column count of a complete record; a complete memtable hit (always
-    #: the newest version) lets reads skip the on-disk runs entirely.
-    expected_fields: int = 5
 
 
 class LSMEngine:
     """A single node's LSM storage engine."""
 
     def __init__(self, config: LSMConfig = LSMConfig(), seed: int = 0,
-                 name: str = "lsm"):
+                 name: str = "lsm", schema: RecordSchema = APM_SCHEMA):
         self.config = config
         self.name = name
+        self.schema = schema
         self._seed = seed
         self._seq = 0
-        self.memtable = Memtable(seed=seed)
+        self.memtable = Memtable(seed=seed, schema=schema)
         self.commit_log = CommitLog(group_commit_ops=config.group_commit_ops)
         self.sstables: list[SSTable] = []
         #: Logical WAL records since the last flush, in append order —
@@ -94,6 +97,7 @@ class LSMEngine:
             max_threshold=config.max_compaction_threshold,
             bloom_fp_rate=config.bloom_fp_rate,
             generation_source=self._allocate_generation,
+            schema=schema,
         )
         self.flushes = 0
         self.reads = 0
@@ -110,13 +114,12 @@ class LSMEngine:
         """Durably buffer a write; returns the implied disk work."""
         self.writes += 1
         self._seq = seq = self._seq + 1
-        # One private copy of the caller's mapping serves the memtable
-        # cell and the WAL record alike (neither ever mutates it), and
-        # the memtable sizes the write once, for its own flush
-        # accounting and for the commit log.
-        fields = dict(fields)
-        synced = self.commit_log.append(self.memtable.put(key, fields, seq))
-        self._wal_records.append((key, fields, seq))
+        # One row of the caller's mapping serves the memtable cell and
+        # the WAL record alike, and the memtable sizes the write once,
+        # for its own flush accounting and for the commit log.
+        row = self.schema.to_row(fields)
+        synced = self.commit_log.append(self.memtable.put(key, row, seq))
+        self._wal_records.append((key, row, seq))
         bill = IoBill(wal_sync_bytes=synced)
         self._maybe_flush(bill)
         return bill
@@ -154,7 +157,8 @@ class LSMEngine:
         active = self.commit_log.active_segment.index
         self.commit_log.force_sync()
         self.commit_log.mark_clean(active - 1)
-        self.memtable = Memtable(seed=self._seed + self.flushes)
+        self.memtable = Memtable(seed=self._seed + self.flushes,
+                                 schema=self.schema)
         self._wal_records = []
         return table.size_bytes
 
@@ -170,7 +174,8 @@ class LSMEngine:
         survivors = (self._wal_records[:-lost] if lost
                      else list(self._wal_records))
         self.commit_log.discard_unsynced()
-        self.memtable = Memtable(seed=self._seed + self.flushes)
+        self.memtable = Memtable(seed=self._seed + self.flushes,
+                                 schema=self.schema)
         for key, value, seq in survivors:
             if value is TOMBSTONE:
                 self.memtable.delete(key, seq)
@@ -207,9 +212,11 @@ class LSMEngine:
     def get(self, key: str) -> ReadResult:
         """Point read: memtable first, then every candidate SSTable.
 
-        A complete memtable hit short-circuits (it is by construction the
-        newest version); otherwise all bloom-passing runs are consulted and
-        folded by sequence number, exactly like Cassandra's read path.
+        A complete memtable hit — a row with every column written —
+        short-circuits (it is by construction the newest version);
+        otherwise all bloom-passing runs are consulted and folded by
+        sequence number, exactly like Cassandra's read path.  A key with
+        one candidate version is that version.
         """
         self.reads += 1
         candidates: list[Versioned] = []
@@ -217,9 +224,9 @@ class LSMEngine:
         if buffered is not None:
             if buffered.value is TOMBSTONE:
                 return ReadResult(None, IoBill())
-            if len(buffered.value) >= self.config.expected_fields:
-                # The caller's copy: the memtable keeps its own cell.
-                return ReadResult(dict(buffered.value), IoBill())
+            if None not in buffered.value:
+                return ReadResult(self.schema.row_fields(buffered.value),
+                                  IoBill())
             candidates.append(buffered)
         blocks: list[tuple] = []
         bloom_enabled = self.config.bloom_enabled
@@ -246,10 +253,11 @@ class LSMEngine:
         bill = IoBill(runs_touched=len(blocks), blocks=tuple(blocks))
         if not candidates:
             return ReadResult(None, bill)
-        resolved = resolve_versions(candidates)
+        resolved = (candidates[0] if len(candidates) == 1
+                    else resolve_versions(candidates))
         if resolved.value is TOMBSTONE:
             return ReadResult(None, bill)
-        return ReadResult(resolved.value, bill)
+        return ReadResult(self.schema.row_fields(resolved.value), bill)
 
     def scan(self, start_key: str, count: int) -> tuple[
             list[tuple[str, Mapping[str, str]]], IoBill]:
@@ -288,18 +296,21 @@ class LSMEngine:
             if len(mem_chunk) == need:
                 last = mem_chunk[-1][0]
                 frontier = last if frontier is None else min(frontier, last)
-            live: list[tuple[str, Mapping[str, str]]] = []
+            live: list[tuple[str, tuple]] = []
             for key in sorted(by_key):
                 if frontier is not None and key > frontier:
                     break
-                resolved = resolve_versions(by_key[key])
+                versions = by_key[key]
+                resolved = (versions[0] if len(versions) == 1
+                            else resolve_versions(versions))
                 if resolved.value is not TOMBSTONE:
                     live.append((key, resolved.value))
                 if len(live) == count:
                     break
             if len(live) >= count or frontier is None:
                 bill = IoBill(runs_touched=sources, blocks=tuple(blocks))
-                return live, bill
+                row_fields = self.schema.row_fields
+                return [(key, row_fields(row)) for key, row in live], bill
             need *= 2
 
     def iter_blocks(self):

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Optional
 
 from repro.storage.lsm.sstable import (
     TOMBSTONE,
     Versioned,
     sstable_entry_size,
 )
+from repro.storage.record import APM_SCHEMA, RecordSchema
 from repro.storage.skiplist import SkipList
 
 __all__ = ["Memtable"]
@@ -24,7 +25,7 @@ class Memtable:
 
     Every stored value is a :class:`Versioned` stamped by the engine's
     global write sequence, so conflict resolution stays correct across
-    flush and compaction boundaries.
+    flush and compaction boundaries; its payload is a row of ``schema``.
 
     Cells live in a dict in arrival order; the skip list that keeps them
     in key order is linked at the first scan (see :meth:`ordered`).  It
@@ -34,9 +35,10 @@ class Memtable:
     dict once.
     """
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int = 0, schema: RecordSchema = APM_SCHEMA):
         self._cells: dict[str, Versioned] = {}
         self._seed = seed
+        self._schema = schema
         self._ordered: Optional[SkipList] = None
         self.size_bytes = 0
         self.ops = 0
@@ -50,32 +52,32 @@ class Memtable:
             self._ordered.put(key, cell)
         return existing
 
-    def put(self, key: str, fields: Mapping[str, str], seq: int) -> int:
-        """Insert or column-wise upsert ``fields`` under ``key``.
+    def put(self, key: str, row: tuple, seq: int) -> int:
+        """Insert or column-wise upsert ``row`` under ``key``.
 
         Returns the serialised size of the write itself (``key`` plus the
-        ``fields`` given), which is what the engine's commit log records.
-        A fresh key's cell keeps ``fields`` as its payload, uncopied: the
-        caller hands the mapping over and does not mutate it afterwards.
+        columns ``row`` carries), which is what the engine's commit log
+        records.  A fresh key's cell keeps ``row`` as its payload.
         """
         self.ops += 1
-        written = sstable_entry_size(key, fields)
-        cell = Versioned(seq, fields)
+        schema = self._schema
+        written = sstable_entry_size(key, row, schema)
+        cell = Versioned(seq, row)
         existing = self._setdefault(key, cell)
         if existing is cell:
             self.size_bytes += written
             return written
         # Already buffered: the memtable's own cell is restamped in
-        # place.  Payload mappings are never mutated, so a reader holding
-        # the old one keeps what it read.
-        replaced = sstable_entry_size(key, existing.value)
+        # place.  A row is a tuple, so a reader holding the old one keeps
+        # what it read.
+        replaced = sstable_entry_size(key, existing.value, schema)
         if existing.value is TOMBSTONE:  # revive: the write starts afresh
-            existing.value = fields
+            existing.value = row
             self.size_bytes += written - replaced
         else:
-            existing.value = {**existing.value, **fields}
-            self.size_bytes += (sstable_entry_size(key, existing.value)
-                                - replaced)
+            existing.value = RecordSchema.overlay(existing.value, row)
+            self.size_bytes += (sstable_entry_size(key, existing.value,
+                                                   schema) - replaced)
         existing.seq = seq
         return written
 
@@ -88,7 +90,8 @@ class Memtable:
         if existing is cell:
             self.size_bytes += tombstone
             return
-        self.size_bytes += tombstone - sstable_entry_size(key, existing.value)
+        self.size_bytes += tombstone - sstable_entry_size(
+            key, existing.value, self._schema)
         existing.seq = seq
         existing.value = TOMBSTONE
 

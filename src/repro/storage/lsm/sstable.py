@@ -1,8 +1,10 @@
 """Immutable sorted string tables.
 
-An SSTable is a sorted, immutable run of ``(key, fields)`` entries with a
+An SSTable is a sorted, immutable run of ``(key, row)`` entries with a
 Bloom filter, a hashed index for point reads and a sorted key list for
-range reads.  Deletions are represented by
+range reads.  A row is the schema-ordered tuple of
+:meth:`~repro.storage.record.RecordSchema.to_row`, ``None`` for a column
+the write did not carry.  Deletions are represented by
 the :data:`TOMBSTONE` sentinel so that compaction can drop shadowed data.
 """
 
@@ -11,11 +13,12 @@ from __future__ import annotations
 import zlib
 from bisect import bisect_left
 from functools import cached_property
-from itertools import islice
+from itertools import islice, repeat
 from operator import lt
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from repro.storage.bloom import BloomFilter
+from repro.storage.record import APM_SCHEMA, RecordSchema
 
 __all__ = [
     "TOMBSTONE",
@@ -37,7 +40,7 @@ class _Tombstone:
 
 TOMBSTONE = _Tombstone()
 
-Payload = Union[Mapping[str, str], _Tombstone]
+Payload = Union[tuple, _Tombstone]
 
 
 class Versioned:
@@ -69,39 +72,40 @@ def resolve_versions(versions: Sequence[Versioned]) -> Versioned:
     """Fold candidate versions of one key into its current state.
 
     Versions are applied oldest-first: a tombstone wipes everything older;
-    a field map upserts onto the surviving fields.  The result carries the
-    highest sequence number seen.
+    a row overlays its written columns onto the surviving ones.  The
+    result carries the highest sequence number seen.
     """
     if not versions:
         raise ValueError("resolve_versions requires at least one version")
     ordered = sorted(versions, key=lambda v: v.seq)
+    overlay = RecordSchema.overlay
     current: Payload = TOMBSTONE
     for version in ordered:
-        if version.value is TOMBSTONE:
-            current = TOMBSTONE
-        elif current is TOMBSTONE:
-            current = dict(version.value)
+        if version.value is TOMBSTONE or current is TOMBSTONE:
+            current = version.value
         else:
-            current = dict(current)
-            current.update(version.value)
+            current = overlay(current, version.value)
     return Versioned(ordered[-1].seq, current)
 
 
-def sstable_entry_size(key: str, value: Payload) -> int:
+def sstable_entry_size(key: str, value: Payload,
+                       schema: RecordSchema = APM_SCHEMA) -> int:
     """On-disk bytes for one entry, per the Cassandra 1.0 row layout.
 
     Mirrors :func:`repro.storage.encoding.encode_sstable_row` arithmetically
     (2-byte key length + key, 8-byte row size, 12-byte deletion info,
-    4-byte column count, then per column 2+name+1+8+4+value) so the hot
-    path never materialises the byte string.
+    4-byte column count, then per written column 2+name+1+8+4+value) so
+    the hot path never materialises the byte string; a row of ``schema``
+    names its columns by position.
     """
     if isinstance(value, Versioned):
         value = value.value
+    size = _ROW_BYTES + len(key)
     if value is TOMBSTONE:
-        return _ROW_BYTES + len(key)
-    size = _ROW_BYTES + len(key) + _COLUMN_BYTES * len(value)
-    for name, field_value in value.items():
-        size += len(name) + len(field_value)
+        return size
+    for name_length, field_value in zip(schema.field_name_lengths, value):
+        if field_value is not None:
+            size += _COLUMN_BYTES + name_length + len(field_value)
     return size
 
 
@@ -117,7 +121,7 @@ class SSTable:
     An entry is sized where it is created: ``size_bytes`` is the entries'
     serialised size when whoever built them kept the sum (a flush has the
     memtable's running total, a merge its inputs' sizes); without it they
-    are sized here.
+    are sized here, as rows of ``schema``.
 
     The cells live in one dict in key order: a point read is one hashed
     probe whatever the run holds, a range read bisects the sorted key
@@ -129,7 +133,8 @@ class SSTable:
     def __init__(self, items: Iterable[tuple[str, Value]],
                  bloom_fp_rate: float = 0.01,
                  generation: Optional[int] = None,
-                 size_bytes: Optional[int] = None):
+                 size_bytes: Optional[int] = None,
+                 schema: RecordSchema = APM_SCHEMA):
         pairs = items if isinstance(items, list) else list(items)
         keys = [k for k, __ in pairs]
         if not all(map(lt, keys, islice(keys, 1, None))):
@@ -148,7 +153,8 @@ class SSTable:
         self.block_seed = zlib.crc32(b"%d:" % generation)
         self._bloom_fp_rate = bloom_fp_rate
         if size_bytes is None:
-            size_bytes = sum(map(sstable_entry_size, keys, cells.values()))
+            size_bytes = sum(map(sstable_entry_size, keys, cells.values(),
+                                 repeat(schema)))
         self.size_bytes = size_bytes
         self.reads = 0
         self.bloom_rejections = 0

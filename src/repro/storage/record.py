@@ -36,6 +36,12 @@ class RecordSchema:
         """The ordered field names (``field0`` ... ``fieldN``)."""
         return tuple(f"{self.field_prefix}{i}" for i in range(self.field_count))
 
+    @cached_property
+    def field_name_lengths(self) -> tuple[int, ...]:
+        """``len`` of each field name, in order (what a row's entry
+        size is made of beside its values)."""
+        return tuple(map(len, self.field_names))
+
     @property
     def raw_record_bytes(self) -> int:
         """Raw payload size of one record: key plus all field values."""
@@ -45,6 +51,38 @@ class RecordSchema:
     def raw_value_bytes(self) -> int:
         """Raw payload size of the value fields only (no key)."""
         return self.field_count * self.field_length
+
+    # -- the stored row --------------------------------------------------
+    #
+    # Every engine holds a record's fields as a *row*: a tuple of the
+    # values in ``field_names`` order, ``None`` for a column not written.
+    # A five-field row is an 80-byte tuple where a field dict is 184.
+    # Mappings come in and fresh dicts go out; rows never leave a store.
+
+    def to_row(self, fields: Mapping[str, str]) -> tuple:
+        """``fields`` as a row; ``ValueError`` for a column not named."""
+        row = tuple(map(fields.get, self.field_names))
+        if len(fields) > len(row) - row.count(None):
+            unknown = sorted(set(fields).difference(self.field_names))
+            raise ValueError(
+                f"fields {unknown} are not in the schema's "
+                f"{list(self.field_names)} (or a value is None)")
+        return row
+
+    def row_fields(self, row: tuple) -> dict[str, str]:
+        """The fresh field dict of ``row``: its written columns."""
+        if None in row:
+            return {name: value for name, value in zip(self.field_names, row)
+                    if value is not None}
+        return dict(zip(self.field_names, row))
+
+    @staticmethod
+    def overlay(old: tuple, new: tuple) -> tuple:
+        """Column-wise upsert: ``new``'s written columns over ``old``."""
+        if None not in new:
+            return new
+        return tuple(old_value if value is None else value
+                     for old_value, value in zip(old, new))
 
     def validate(self, record: "Record") -> None:
         """Raise ``ValueError`` if ``record`` does not match this schema."""

@@ -808,7 +808,7 @@ def load_lsm_rounds(records: Iterable[Record], engines: Sequence,
         for record, record_homes in zip(batch, homes):
             key, fields = record.key, record.fields
             for home in record_homes:
-                # The engine copies the fields it is given.
+                # The engine keeps a row of the fields it is given.
                 engines[home].put(key, fields)
             loaded += 1
             if loaded % LOAD_ROUND_RECORDS == 0:

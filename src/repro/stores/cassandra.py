@@ -109,7 +109,7 @@ class CassandraStore(Store):
         #: Hinted handoff queues: mutations for a down replica, held by
         #: the coordinator side and replayed when the node returns
         #: (Cassandra's standard path for writes during an outage).
-        self.hints: dict[int, list[tuple[str, dict, int]]] = {}
+        self.hints: dict[int, list[tuple[str, tuple, int]]] = {}
         self.hints_queued = 0
         self.hints_replayed = 0
         #: Replica fan-out counter; set by :meth:`attach_metrics`.
@@ -118,7 +118,7 @@ class CassandraStore(Store):
     def _add_server(self, node: Node, index: int) -> None:
         self.engines.append(
             LSMEngine(self._lsm_config, seed=index,
-                      name=f"cassandra-{index}"))
+                      name=f"cassandra-{index}", schema=self.schema))
 
     def _rebuild_routing(self) -> None:
         """Recompute token assignment over the current members.
@@ -245,7 +245,7 @@ class CassandraStore(Store):
                    version: int = 0) -> None:
         """Store a hinted mutation for a down replica."""
         self.hints.setdefault(replica, []).append(
-            (key, dict(fields), version))
+            (key, self.schema.to_row(fields), version))
         self.hints_queued += 1
 
     def on_node_up(self, node: Node) -> None:
@@ -260,12 +260,12 @@ class CassandraStore(Store):
             self._replay_hints(index, pending)
 
     def _replay_hints(self, index: int,
-                      pending: list[tuple[str, dict, int]]) -> None:
+                      pending: list[tuple[str, tuple, int]]) -> None:
         """Apply ``pending`` hinted mutations to replica ``index``."""
         node = self.cluster.servers[index]
         flush_bytes = 0
-        for key, fields, version in pending:
-            bill = self.engines[index].put(key, fields)
+        for key, row, version in pending:
+            bill = self.engines[index].put(key, self.schema.row_fields(row))
             self._stamp(index, key, version)
             flush_bytes += (bill.wal_sync_bytes + bill.flush_write_bytes
                             + bill.compaction_io_bytes)
@@ -315,7 +315,7 @@ class CassandraStore(Store):
     _shard_of = owner_of
 
     def _move_entry(self, key: str, fields, src: int, dst: int):
-        self.engines[dst].put(key, dict(fields))
+        self.engines[dst].put(key, fields)
         self.engines[src].delete(key)
         return src, dst, int(
             (self.schema.key_length + self.schema.raw_value_bytes)

@@ -105,7 +105,8 @@ class HBaseStore(Store):
         for region_id in range(self.n_regions):
             server = self.region_servers[region_id % cluster.n_servers]
             engine = LSMEngine(self.LSM_CONFIG, seed=region_id,
-                               name=f"hbase-region-{region_id}")
+                               name=f"hbase-region-{region_id}",
+                               schema=schema)
             server.add_region(region_id, engine)
             self._assignment[region_id] = server.index
             path = f"/hbase/data/region-{region_id}"
@@ -347,7 +348,7 @@ class HBaseStore(Store):
             # retried at the region's current host — resolved here, at
             # execution time, so the mutation lands in the live region.
             owner = self.server_of_region(region_id)
-            bill = owner.regions[region_id].put(key, dict(fields))
+            bill = owner.regions[region_id].put(key, fields)
             self._persist_bill(owner, region_id, bill)
         return len(puts)
 
@@ -404,8 +405,10 @@ class HBaseSession(StoreSession):
                 store.response_bytes(0))
             return result == 1
         # Client-buffered path: ack locally, ship a multi-put when full.
+        # The buffer holds the caller's put as HTable's holds a Put; the
+        # region's engine takes its row when the multi-put lands.
         yield from self.client.cpu(store.BUFFERED_PUT_CPU)
-        self._buffer.append((key, dict(fields)))
+        self._buffer.append((key, fields))
         if len(self._buffer) >= store.WRITE_BUFFER_OPS:
             yield from self.flush_buffer()
         return True

@@ -163,11 +163,12 @@ class MySQLStore(Store):
 
     def load(self, records: Iterable[Record]) -> None:
         tables = self.tables
+        to_row = self.schema.to_row
         sample_binlog = None
         for batch, shards in load_batches(records, self.shard_of_many):
             for record, shard in zip(batch, shards):
                 key = record.key
-                tables[shard].put(key, dict(record.fields))
+                tables[shard].put(key, to_row(record.fields))
                 if self.binlog_enabled:
                     if sample_binlog is None:
                         sample_binlog = len(encode_binlog_event(record))
@@ -210,7 +211,7 @@ class MySQLStore(Store):
         yield from self.cached_read_io(
             node, [self._leaf_block(shard, path.page_ids[-1])]
         )
-        return dict(value) if value is not None else None
+        return self.schema.row_fields(value) if value is not None else None
 
     def _apply_write(self, shard: int, key: str, fields: Mapping[str, str]):
         # A write routed under the old JDBC ring lands after the reshard
@@ -223,12 +224,9 @@ class MySQLStore(Store):
         yield from node.cpu(self.server_cost(self.profile.write_cpu))
         table = self.tables[shard]
         existing, path = table.get(key)
-        if existing is not None:
-            merged = dict(existing)
-            merged.update(fields)
-            table.put(key, merged)
-        else:
-            table.put(key, dict(fields))
+        row = self.schema.to_row(fields)
+        table.put(key, row if existing is None
+                  else self.schema.overlay(existing, row))
         self._versions_created[shard] += 1
         yield from self.cached_read_io(
             node, [self._leaf_block(shard, path.page_ids[-1])]
@@ -261,7 +259,8 @@ class MySQLStore(Store):
         leaves = path.page_ids[self.tables[shard].height - 1:]
         blocks = [self._leaf_block(shard, p) for p in leaves[:4]]
         yield from self.cached_read_io(node, blocks)
-        return [(k, dict(v)) for k, v in rows]
+        row_fields = self.schema.row_fields
+        return [(k, row_fields(v)) for k, v in rows]
 
     def _apply_tail_scan(self, shard: int, start_key: str, count: int):
         """Sharded scan leg: stream the shard's whole tail (no LIMIT)."""
@@ -317,15 +316,17 @@ class MySQLSession(StoreSession):
         results = yield store.sim.all_of(legs)
         # One row a key: a reshard can move a row between two legs'
         # reads, and then both shards stream it.
-        merged: dict[str, Mapping[str, str]] = {}
+        merged: dict[str, tuple] = {}
         total_tail = 0
         for rows, tail_rows in results:
             merged.update(rows)
             total_tail += tail_rows
         # Client-side merge cost over everything that arrived.
         yield from self.client.cpu(total_tail * 0.5e-6)
-        # A row is copied once, here, where it leaves the store.
-        return [(key, dict(merged[key])) for key in sorted(merged)[:count]]
+        # A row becomes a dict once, here, where it leaves the store.
+        row_fields = store.schema.row_fields
+        return [(key, row_fields(merged[key]))
+                for key in sorted(merged)[:count]]
 
     def sim_process_for_shard(self, shard: int, start_key: str, count: int):
         """One shard's scan leg as a spawned process."""

@@ -176,7 +176,7 @@ class RedisStore(Store):
         shards = self.shards
         for batch, routes in load_batches(records, self.shard_of_many):
             for record, shard in zip(batch, routes):
-                # HSET stores its own copy of the fields.
+                # HSET stores the fields as its own row.
                 if not shards[shard].hset(record.key, record.fields):
                     self.errors += 1
 

@@ -222,11 +222,12 @@ class VoldemortStore(Store):
     def load(self, records: Iterable[Record]) -> None:
         trees, log_bytes = self.trees, self.log_bytes
         entry_bytes = self._entry_bytes
+        to_row = self.schema.to_row
         for batch, homes in load_batches(records, self.homes_many):
             for record, owners in zip(batch, homes):
-                key = record.key
+                key, row = record.key, to_row(record.fields)
                 for owner in owners:
-                    trees[owner].put(key, dict(record.fields))
+                    trees[owner].put(key, row)
                     log_bytes[owner] += entry_bytes
 
     def session(self, client_node: Node, index: int) -> "VoldemortSession":
@@ -256,7 +257,7 @@ class VoldemortStore(Store):
         # can miss.
         leaf = self._leaf_block(owner, path.page_ids[-1])
         yield from self.cached_read_io(node, [leaf])
-        return dict(value) if value is not None else None
+        return self.schema.row_fields(value) if value is not None else None
 
     def _apply_write(self, owner: int, key: str, fields: Mapping[str, str],
                      version: int = 0):
@@ -272,7 +273,7 @@ class VoldemortStore(Store):
         node = self.cluster.servers[owner]
         yield from node.cpu(self.profile.write_cpu)
         tree = self.trees[owner]
-        was_new, path = tree.put(key, dict(fields))
+        was_new, path = tree.put(key, self.schema.to_row(fields))
         # Read-modify-write, amortised and deferred: JE batches dirty
         # leaves, so only a fraction of writes fault a cold leaf — and
         # the fault happens off the commit path (eviction/checkpoint),

@@ -22,6 +22,9 @@ does not appear in the disk-usage experiment.
 
 from __future__ import annotations
 
+from heapq import merge
+from itertools import islice
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from repro.sim.cluster import Cluster, Node
@@ -218,9 +221,10 @@ class VoltDBStore(Store):
 
     def load(self, records: Iterable[Record]) -> None:
         rows: dict[int, list] = {pid: [] for pid in self.partitions}
+        to_row = self.schema.to_row
         for batch, pids in load_batches(records, self.partition_of_many):
             for record, pid in zip(batch, pids):
-                rows[pid].append((record.key, dict(record.fields)))
+                rows[pid].append((record.key, to_row(record.fields)))
         for pid, table in self.partitions.items():
             table.put_all(rows.pop(pid))
 
@@ -280,7 +284,7 @@ class VoltDBStore(Store):
             partition, self.profile.read_cpu,
             lambda: self.partitions[partition].get(key),
         )
-        return dict(result) if result is not None else None
+        return self.schema.row_fields(result) if result is not None else None
 
     def _proc_write(self, partition: int, key: str,
                     fields: Mapping[str, str]):
@@ -289,16 +293,13 @@ class VoltDBStore(Store):
         # re-plans it against the current partition (the client "wrong
         # partition" retry) so the acknowledged row lands at its owner.
         partition = self.partition_of(key)
+        row = self.schema.to_row(fields)
 
         def action():
             table = self.partitions[partition]
             existing = table.get(key)
-            if existing is not None:
-                merged = dict(existing)
-                merged.update(fields)
-                table.put(key, merged)
-            else:
-                table.put(key, dict(fields))
+            table.put(key, row if existing is None
+                      else self.schema.overlay(existing, row))
             return True
         result = yield from self._single_partition(
             partition, self.profile.write_cpu, action,
@@ -314,15 +315,20 @@ class VoltDBStore(Store):
         return result
 
     def _proc_scan(self, coordinator: Node, start_key: str, count: int):
-        """A multi-partition transaction touching every site."""
+        """A multi-partition transaction touching every site.
+
+        Each site's rows are kept by reference (a stored row is a tuple,
+        replaced by a write, never mutated); the coordinator merges the
+        sites' key-ordered lists and only the ``count`` rows it returns
+        become dicts.
+        """
         yield from self._initiate(coordinator, multi_partition=True)
         fragments = []
-        collected: list[list[tuple[str, dict[str, str]]]] = []
+        collected: list[list[tuple[str, tuple]]] = []
 
         def collect(partition: int):
-            table = self.partitions[partition]
-            rows = [(k, dict(v)) for k, v in table.scan(start_key, count)]
-            collected.append(rows)
+            collected.append(self.partitions[partition].scan(start_key,
+                                                              count))
             return None
 
         per_site_cpu = (self.profile.scan_base_cpu
@@ -333,8 +339,9 @@ class VoltDBStore(Store):
                 lambda p=partition: collect(p),
             )))
         yield self.sim.all_of(fragments)
-        merged = sorted(row for rows in collected for row in rows)
-        return merged[:count]
+        row_fields = self.schema.row_fields
+        return [(key, row_fields(row)) for key, row in islice(
+            merge(*collected, key=itemgetter(0)), count)]
 
 
 class VoltDBSession(StoreSession):

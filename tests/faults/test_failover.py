@@ -60,7 +60,7 @@ def test_cassandra_hinted_handoff_queues_and_replays():
 
     def write():
         ok = yield from session.insert("user00000000000000000042",
-                                       {"f0": "v" * 10})
+                                       {"field0": "v" * 10})
         return ok
 
     proc = cluster.sim.process(write())

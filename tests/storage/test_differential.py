@@ -28,6 +28,7 @@ from repro.storage.lsm.sstable import (
     resolve_versions,
     sstable_entry_size,
 )
+from repro.storage.record import APM_SCHEMA, RecordSchema
 from repro.storage.skiplist import SkipList
 
 N_OPS = 2000
@@ -47,8 +48,10 @@ def test_lsm_engine_matches_dict_model():
     """~2k random ops with flushes, compactions and crash-replays."""
     rng = random.Random(0xA11CE)
     config = LSMConfig(memtable_flush_bytes=1 << 30, group_commit_ops=16,
-                       min_compaction_threshold=2, expected_fields=3)
-    engine = LSMEngine(config, seed=7)
+                       min_compaction_threshold=2)
+    # Three-column rows: every put writes them all, so a memtable hit is
+    # a complete one and answers alone.
+    engine = LSMEngine(config, seed=7, schema=RecordSchema(field_count=3))
     # The mutation log doubles as the durable-state oracle: a crash loses
     # exactly the unsynced tail, so the model is rebuilt from the log with
     # that tail dropped — same contract as the engine's WAL replay.
@@ -190,7 +193,7 @@ def _reference_entry_size(key, value) -> int:
     size = 2 + len(key) + 8 + 12 + 4
     if value is TOMBSTONE:
         return size
-    for name, field_value in value.items():
+    for name, field_value in _columns(value).items():
         size += 2 + len(name) + 1 + 8 + 4 + len(field_value)
     return size
 
@@ -350,6 +353,19 @@ def _partial_fields(rng: random.Random) -> dict[str, str]:
     return {f"field{i}": "v" * rng.randrange(0, 14) for i in names}
 
 
+def _partial_row(rng: random.Random) -> tuple:
+    """``_partial_fields`` as the row an engine holds: the values in
+    ``field0``..``field4`` order, ``None`` for a column not written."""
+    written = _partial_fields(rng)
+    return tuple(written.get(f"field{i}") for i in range(5))
+
+
+def _columns(row: tuple) -> dict[str, str]:
+    """The written columns of a five-column row, by name."""
+    return {f"field{i}": value for i, value in enumerate(row)
+            if value is not None}
+
+
 def _random_runs(rng: random.Random, n_runs: int, keyspace: list[str]):
     """Sorted runs with overlapping keys, tombstones and partial cells;
     sequence numbers are unique across the runs, as an engine stamps them."""
@@ -361,7 +377,7 @@ def _random_runs(rng: random.Random, n_runs: int, keyspace: list[str]):
         runs.append(SSTable(
             [(key, Versioned(seqs.pop(),
                              TOMBSTONE if rng.random() < 0.2
-                             else _partial_fields(rng)))
+                             else _partial_row(rng)))
              for key in keys]))
     return runs
 
@@ -384,12 +400,13 @@ def test_entry_size_matches_the_column_walk():
     rng = random.Random(0x512E)
     for __ in range(300):
         key = "k" * rng.randrange(0, 40)
-        value = TOMBSTONE if rng.random() < 0.2 else _partial_fields(rng)
+        value = TOMBSTONE if rng.random() < 0.2 else _partial_row(rng)
         assert sstable_entry_size(key, value) == _reference_entry_size(
             key, value)
         assert sstable_entry_size(key, Versioned(3, value)) == (
             _reference_entry_size(key, value))
-    assert sstable_entry_size("k", {}) == _reference_entry_size("k", {})
+    empty = (None,) * 5
+    assert sstable_entry_size("k", empty) == _reference_entry_size("k", empty)
 
 
 def test_merge_matches_the_by_key_fold():
@@ -415,7 +432,7 @@ def test_merge_of_disjoint_runs_carries_every_cell_over():
     runs = []
     for start in range(0, 400, 100):
         cells = {key: Versioned(seq, TOMBSTONE if seq % 17 == 0
-                                else _partial_fields(rng))
+                                else _partial_row(rng))
                  for seq, key in enumerate(keys[start:start + 100],
                                            start + 1)}
         runs.append(SSTable(sorted(cells.items())))
@@ -429,14 +446,18 @@ def test_merge_of_disjoint_runs_carries_every_cell_over():
     assert kept.size_bytes == sum(run.size_bytes for run in runs)
 
 
+def _row(**columns) -> tuple:
+    return APM_SCHEMA.to_row(columns)
+
+
 def test_merge_folds_a_key_held_by_three_runs():
-    old = SSTable([("a", Versioned(1, {"field0": "x", "field1": "y"})),
-                   ("b", Versioned(2, {"field0": "b"})),
-                   ("c", Versioned(3, {"field0": "c"}))])
-    mid = SSTable([("a", Versioned(5, {"field1": "yy", "field2": "z"})),
+    old = SSTable([("a", Versioned(1, _row(field0="x", field1="y"))),
+                   ("b", Versioned(2, _row(field0="b"))),
+                   ("c", Versioned(3, _row(field0="c")))])
+    mid = SSTable([("a", Versioned(5, _row(field1="yy", field2="z"))),
                    ("b", Versioned(6, TOMBSTONE))])
-    new = SSTable([("a", Versioned(8, {"field0": "xxx"})),
-                   ("b", Versioned(9, {"field3": "revived"})),
+    new = SSTable([("a", Versioned(8, _row(field0="xxx"))),
+                   ("b", Versioned(9, _row(field3="revived"))),
                    ("c", Versioned(7, TOMBSTONE))])
     for runs in ([old, mid, new], [new, old, mid], [mid, new, old]):
         for drop in (False, True):
@@ -445,9 +466,8 @@ def test_merge_folds_a_key_held_by_three_runs():
                            f"drop_tombstones={drop}")
     merged = merge_sstables([old, mid, new], drop_tombstones=True)
     assert list(merged.items()) == [
-        ("a", Versioned(8, {"field0": "xxx", "field1": "yy",
-                            "field2": "z"})),
-        ("b", Versioned(9, {"field3": "revived"}))]
+        ("a", Versioned(8, _row(field0="xxx", field1="yy", field2="z"))),
+        ("b", Versioned(9, _row(field3="revived")))]
 
 
 def test_flushed_run_is_sized_and_filtered_entry_by_entry():

@@ -180,7 +180,7 @@ def test_a_redis_index_linked_late_is_one_linked_at_every_hset(
        fp_rate=st.sampled_from([0.001, 0.01, 0.1]))
 def test_a_lazy_filter_has_the_bits_of_an_eager_one(keys, fp_rate):
     keys.sort()
-    table = SSTable([(key, Versioned(1, {"f": key})) for key in keys],
+    table = SSTable([(key, Versioned(1, (key,) * 5)) for key in keys],
                     bloom_fp_rate=fp_rate, generation=1)
     eager = BloomFilter(max(1, len(keys)), fp_rate)
     eager.add_all(keys)

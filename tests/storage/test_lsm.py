@@ -1,4 +1,9 @@
-"""Unit tests for the LSM components: memtable, WAL, SSTable, compaction."""
+"""Unit tests for the LSM components: memtable, WAL, SSTable, compaction.
+
+The components hold rows, the schema-ordered tuples of
+``RecordSchema.to_row``: the cells below are built as rows of the APM
+schema (``row``), or of a wider one where column-name lengths matter.
+"""
 
 import pytest
 from hypothesis import given, settings
@@ -14,30 +19,40 @@ from repro.storage.lsm.sstable import (
     sstable_entry_size,
 )
 from repro.storage.lsm.wal import CommitLog
+from repro.storage.record import APM_SCHEMA, RecordSchema
 
 
 def fields(tag):
-    return {f"field{i}": f"{tag}-{i}".ljust(10, "x") for i in range(5)}
+    """A full record's row."""
+    return APM_SCHEMA.to_row(
+        {f"field{i}": f"{tag}-{i}".ljust(10, "x") for i in range(5)})
+
+
+def row(**columns):
+    """A row of the APM schema writing only ``columns``."""
+    return APM_SCHEMA.to_row(columns)
 
 
 class TestVersioned:
     def test_resolve_newest_wins(self):
-        versions = [Versioned(1, {"a": "1"}), Versioned(3, {"a": "3"}),
-                    Versioned(2, {"a": "2"})]
-        assert resolve_versions(versions).value == {"a": "3"}
+        versions = [Versioned(1, row(field0="1")),
+                    Versioned(3, row(field0="3")),
+                    Versioned(2, row(field0="2"))]
+        assert resolve_versions(versions).value == row(field0="3")
 
     def test_resolve_merges_partial_fields(self):
-        versions = [Versioned(1, {"a": "1", "b": "1"}),
-                    Versioned(2, {"b": "2"})]
-        assert resolve_versions(versions).value == {"a": "1", "b": "2"}
+        versions = [Versioned(1, row(field0="1", field1="1")),
+                    Versioned(2, row(field1="2"))]
+        assert resolve_versions(versions).value == row(field0="1",
+                                                       field1="2")
 
     def test_tombstone_wipes_older_only(self):
-        versions = [Versioned(1, {"a": "1"}), Versioned(2, TOMBSTONE),
-                    Versioned(3, {"b": "3"})]
-        assert resolve_versions(versions).value == {"b": "3"}
+        versions = [Versioned(1, row(field0="1")), Versioned(2, TOMBSTONE),
+                    Versioned(3, row(field1="3"))]
+        assert resolve_versions(versions).value == row(field1="3")
 
     def test_newest_tombstone_deletes(self):
-        versions = [Versioned(1, {"a": "1"}), Versioned(2, TOMBSTONE)]
+        versions = [Versioned(1, row(field0="1")), Versioned(2, TOMBSTONE)]
         assert resolve_versions(versions).value is TOMBSTONE
 
     def test_empty_rejected(self):
@@ -49,8 +64,8 @@ class TestEntrySize:
     def test_matches_serialized_layout(self):
         from repro.storage.encoding import encode_sstable_row
         from repro.storage.record import Record
-        record = Record("k" * 25, fields("v"))
-        assert sstable_entry_size(record.key, record.fields) == len(
+        record = Record("k" * 25, APM_SCHEMA.row_fields(fields("v")))
+        assert sstable_entry_size(record.key, fields("v")) == len(
             encode_sstable_row(record))
 
     def test_tombstone_is_small(self):
@@ -71,10 +86,10 @@ class TestMemtable:
 
     def test_upsert_merges_fields(self):
         memtable = Memtable()
-        memtable.put("a", {"field0": "x" * 10}, seq=1)
-        memtable.put("a", {"field1": "y" * 10}, seq=2)
-        assert memtable.get("a").value == {"field0": "x" * 10,
-                                           "field1": "y" * 10}
+        memtable.put("a", row(field0="x" * 10), seq=1)
+        memtable.put("a", row(field1="y" * 10), seq=2)
+        assert memtable.get("a").value == row(field0="x" * 10,
+                                              field1="y" * 10)
         assert memtable.get("a").seq == 2
 
     def test_delete_marks_tombstone(self):
@@ -96,21 +111,21 @@ class TestMemtable:
 
     def test_put_returns_the_size_of_the_write(self):
         memtable = Memtable()
-        first = {"field0": "x" * 10}
+        first = row(field0="x" * 10)
         assert memtable.put("a", first, seq=1) == sstable_entry_size(
             "a", first)
         # An upsert reports the columns written, not the merged entry.
-        second = {"field1": "y" * 10, "field2": "z" * 10}
+        second = row(field1="y" * 10, field2="z" * 10)
         assert memtable.put("a", second, seq=2) == sstable_entry_size(
             "a", second)
         assert memtable.size_bytes == sstable_entry_size(
-            "a", {**first, **second})
+            "a", row(field0="x" * 10, field1="y" * 10, field2="z" * 10))
 
     def test_put_over_tombstone_starts_afresh(self):
         memtable = Memtable()
         memtable.delete("a", seq=1)
-        memtable.put("a", {"field1": "y" * 10}, seq=2)
-        assert memtable.get("a").value == {"field1": "y" * 10}
+        memtable.put("a", row(field1="y" * 10), seq=2)
+        assert memtable.get("a").value == row(field1="y" * 10)
         assert memtable.get("a").seq == 2
         assert len(memtable) == 1
 
@@ -135,6 +150,9 @@ class TestMemtable:
         assert memtable.size_bytes == sstable_entry_size("a" * 25,
                                                          fields("1"))
 
+    #: Twelve columns, ``c0``..``c11``: names of two lengths.
+    WIDE = RecordSchema(field_count=12, field_prefix="c")
+
     @settings(max_examples=200, deadline=None)
     @given(ops=st.lists(
         st.tuples(
@@ -142,24 +160,25 @@ class TestMemtable:
             st.one_of(
                 st.none(),  # delete
                 st.dictionaries(
-                    st.sampled_from(["field0", "field1", "f2", "column3"]),
+                    st.sampled_from(["c0", "c1", "c10", "c11"]),
                     st.text(alphabet="xyz", max_size=12), max_size=4))),
         max_size=40))
     def test_size_is_what_the_flush_writes(self, ops):
         """After any put / partial upsert / delete / revive sequence the
         running total equals the serialised size of the run a flush of
         this memtable builds, entry by entry."""
-        memtable = Memtable(seed=1)
+        wide = self.WIDE
+        memtable = Memtable(seed=1, schema=wide)
         for seq, (key, written) in enumerate(ops, start=1):
             if written is None:
                 memtable.delete(key, seq)
             else:
-                memtable.put(key, written, seq)
+                memtable.put(key, wide.to_row(written), seq)
             assert memtable.size_bytes == sum(
-                sstable_entry_size(k, v)
+                sstable_entry_size(k, v, wide)
                 for k, v in memtable.sorted_items())
         assert memtable.size_bytes == SSTable(
-            memtable.sorted_items()).size_bytes
+            memtable.sorted_items(), schema=wide).size_bytes
 
 
 class TestCommitLog:

@@ -34,7 +34,7 @@ probes = st.lists(st.sampled_from(UNIVERSE), max_size=40)
 
 def _cells(keys, tombstones) -> list[tuple[str, Versioned]]:
     return [(key, Versioned(seq, TOMBSTONE if key in tombstones
-                            else {"field0": key}))
+                            else (key, None, None, None, None)))
             for seq, key in enumerate(sorted(keys), 1)]
 
 

@@ -1,6 +1,8 @@
 """Unit tests for the record model."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.storage.record import APM_SCHEMA, Record, RecordSchema
 
@@ -52,6 +54,43 @@ class TestSchema:
         assert schema == untouched
         assert hash(schema) == hash(untouched)
         assert repr(schema) == repr(untouched)
+
+
+#: A partial column subset of the APM schema, values of any length.
+COLUMNS = st.dictionaries(st.sampled_from(APM_SCHEMA.field_names),
+                          st.text("abxyz", max_size=12))
+
+
+class TestRow:
+    """A stored row is the schema-ordered tuple of a field mapping."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(old=COLUMNS, new=COLUMNS)
+    def test_overlay_is_the_dict_upsert(self, old, new):
+        schema = APM_SCHEMA
+        row = schema.overlay(schema.to_row(old), schema.to_row(new))
+        assert schema.row_fields(row) == {**old, **new}
+        assert schema.row_fields(schema.to_row(old)) == old
+
+    def test_a_row_is_in_field_name_order(self):
+        row = APM_SCHEMA.to_row({"field3": "d", "field0": "a"})
+        assert row == ("a", None, None, "d", None)
+        assert type(row) is tuple
+
+    def test_row_fields_is_a_fresh_dict(self):
+        row = APM_SCHEMA.to_row({f: f for f in APM_SCHEMA.field_names})
+        first = APM_SCHEMA.row_fields(row)
+        first["field0"] = "scribbled"
+        assert APM_SCHEMA.row_fields(row)["field0"] == "field0"
+
+    @pytest.mark.parametrize("fields", [
+        {"extra": "x"},
+        {"field0": "a", "field5": "x"},
+        {**{f: "v" for f in APM_SCHEMA.field_names}, "fieldX": "x"},
+    ])
+    def test_to_row_rejects_a_column_the_schema_does_not_name(self, fields):
+        with pytest.raises(ValueError, match="not in the schema"):
+            APM_SCHEMA.to_row(fields)
 
 
 class TestRecord:

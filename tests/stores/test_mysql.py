@@ -99,14 +99,17 @@ class TestOperations:
 
 def merged_scan(legs, count):
     """``MySQLSession.scan``'s client merge over hand-built legs: leg
-    ``i`` is the rows shard ``i`` streams, by reference."""
+    ``i`` is the ``(key, fields)`` pairs shard ``i`` streams, by
+    reference, as the rows its table holds."""
     store = MySQLStore(Cluster(CLUSTER_M, len(legs)))
     session = store.session(store.cluster.clients[0], 0)
+    streamed = [[(key, store.schema.to_row(fields)) for key, fields in rows]
+                for rows in legs]
 
     def hand_built(shard, start_key, count):
         def leg():
             yield store.sim.timeout(0.001 * (shard + 1))
-            return legs[shard], len(legs[shard])
+            return streamed[shard], len(streamed[shard])
         return store.sim.process(leg())
 
     session.sim_process_for_shard = hand_built

@@ -22,7 +22,7 @@ class TestDeployment:
             owner = store.owner_of(record.key)
             assert 0 <= owner < 4
             value, __ = store.trees[owner].get(record.key)
-            assert value == dict(record.fields)
+            assert value == store.schema.to_row(record.fields)
 
     def test_two_partitions_per_node(self, store):
         assert store.ring.n_nodes == 8  # 4 nodes x 2 partitions

@@ -27,8 +27,8 @@ class TestDeployment:
     def test_load_lands_in_owner_partition(self, store, records):
         for record in records[:50]:
             partition = store.partition_of(record.key)
-            assert store.partitions[partition].get(record.key) == dict(
-                record.fields)
+            assert store.partitions[partition].get(record.key) == (
+                store.schema.to_row(record.fields))
 
 
 class TestOperations:
