@@ -10,8 +10,9 @@ where the point is that they must *not* matter: the audit sweep at
 ``--jobs 2``, the planner against a second, empty result store (so it
 re-simulates instead of replaying blobs), and the grid — the one batch
 path, with two skipped points in its bytes — with both at once (and
-again over the sharded MySQL scan and the multi-file HBase get, and over
-the Cassandra and VoltDB loads).
+again over the sharded MySQL scan and the multi-file HBase get, over
+the Cassandra and VoltDB loads, and over the VoltDB, Cassandra and HBase
+scans).
 
 Exit status 0 when all rows agree; otherwise 1, naming the first command
 whose exports differ (or that failed outright — a non-zero exit of
@@ -83,6 +84,13 @@ CHECKS = (
      "grid --stores cassandra,voltdb --workloads R,W --nodes 1,2 "
      "--records 4500 --ops 150 --warmup 20",
      "--store {tmp}/loads-store-1", "--store {tmp}/loads-store-2 --jobs 2"),
+    # The scans: VoltDB's multi-partition scan merges every site's rows,
+    # and 4 400 records a node are three load rounds, so a Cassandra or
+    # HBase scan folds three runs and a memtable.
+    ("grid-scans",
+     "grid --stores voltdb,cassandra,hbase --workloads RS --nodes 2 "
+     "--records 4400 --ops 150 --warmup 20",
+     "--store {tmp}/scans-store-1", "--store {tmp}/scans-store-2 --jobs 2"),
 )
 
 
