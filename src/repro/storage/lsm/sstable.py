@@ -103,9 +103,12 @@ def sstable_entry_size(key: str, value: Payload,
     size = _ROW_BYTES + len(key)
     if value is TOMBSTONE:
         return size
-    for name_length, field_value in zip(schema.field_name_lengths, value):
+    if None not in value:  # every column written
+        return (size + _COLUMN_BYTES * len(value)
+                + schema.field_names_length + sum(map(len, value)))
+    for name, field_value in zip(schema.field_names, value):
         if field_value is not None:
-            size += _COLUMN_BYTES + name_length + len(field_value)
+            size += _COLUMN_BYTES + len(name) + len(field_value)
     return size
 
 

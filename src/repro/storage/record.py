@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping
 
 __all__ = ["RecordSchema", "Record", "APM_SCHEMA"]
 
@@ -37,10 +38,10 @@ class RecordSchema:
         return tuple(f"{self.field_prefix}{i}" for i in range(self.field_count))
 
     @cached_property
-    def field_name_lengths(self) -> tuple[int, ...]:
-        """``len`` of each field name, in order (what a row's entry
-        size is made of beside its values)."""
-        return tuple(map(len, self.field_names))
+    def field_names_length(self) -> int:
+        """Characters in all the field names together: a full row's
+        column names, which its stored size counts beside its values."""
+        return sum(map(len, self.field_names))
 
     @property
     def raw_record_bytes(self) -> int:
@@ -59,14 +60,29 @@ class RecordSchema:
     # A five-field row is an 80-byte tuple where a field dict is 184.
     # Mappings come in and fresh dicts go out; rows never leave a store.
 
+    @cached_property
+    def _full_row(self) -> Callable[[Mapping[str, str]], tuple]:
+        """A mapping holding every field as its row, in one call
+        (``KeyError`` when a field is missing)."""
+        get = itemgetter(*self.field_names)
+        return get if self.field_count > 1 else lambda fields: (get(fields),)
+
     def to_row(self, fields: Mapping[str, str]) -> tuple:
-        """``fields`` as a row; ``ValueError`` for a column not named."""
+        """``fields`` as a row; ``ValueError`` for a column not named.
+
+        A ``None`` value is a column not written.
+        """
+        if len(fields) == self.field_count:
+            try:
+                return self._full_row(fields)
+            except KeyError:  # as many columns, but not all of them ours
+                pass
         row = tuple(map(fields.get, self.field_names))
         if len(fields) > len(row) - row.count(None):
             unknown = sorted(set(fields).difference(self.field_names))
             raise ValueError(
                 f"fields {unknown} are not in the schema's "
-                f"{list(self.field_names)} (or a value is None)")
+                f"{list(self.field_names)}")
         return row
 
     def row_fields(self, row: tuple) -> dict[str, str]:

@@ -76,6 +76,7 @@ class TestRow:
         row = APM_SCHEMA.to_row({"field3": "d", "field0": "a"})
         assert row == ("a", None, None, "d", None)
         assert type(row) is tuple
+        assert RecordSchema(field_count=1).to_row({"field0": "a"}) == ("a",)
 
     def test_row_fields_is_a_fresh_dict(self):
         row = APM_SCHEMA.to_row({f: f for f in APM_SCHEMA.field_names})
@@ -87,6 +88,7 @@ class TestRow:
         {"extra": "x"},
         {"field0": "a", "field5": "x"},
         {**{f: "v" for f in APM_SCHEMA.field_names}, "fieldX": "x"},
+        {**{f: "v" for f in APM_SCHEMA.field_names[:-1]}, "fieldX": "x"},
     ])
     def test_to_row_rejects_a_column_the_schema_does_not_name(self, fields):
         with pytest.raises(ValueError, match="not in the schema"):
