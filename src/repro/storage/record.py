@@ -77,13 +77,12 @@ class RecordSchema:
                 return self._full_row(fields)
             except KeyError:  # as many columns, but not all of them ours
                 pass
-        row = tuple(map(fields.get, self.field_names))
-        if len(fields) > len(row) - row.count(None):
-            unknown = sorted(set(fields).difference(self.field_names))
+        unknown = set(fields).difference(self.field_names)
+        if unknown:
             raise ValueError(
-                f"fields {unknown} are not in the schema's "
+                f"fields {sorted(unknown)} are not in the schema's "
                 f"{list(self.field_names)}")
-        return row
+        return tuple(map(fields.get, self.field_names))
 
     def row_fields(self, row: tuple) -> dict[str, str]:
         """The fresh field dict of ``row``: its written columns."""

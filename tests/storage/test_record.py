@@ -77,6 +77,11 @@ class TestRow:
         assert row == ("a", None, None, "d", None)
         assert type(row) is tuple
         assert RecordSchema(field_count=1).to_row({"field0": "a"}) == ("a",)
+        # A None value is a column not written, in a full mapping or not.
+        assert APM_SCHEMA.to_row({"field1": None}) == (None,) * 5
+        full = dict.fromkeys(APM_SCHEMA.field_names, "v")
+        assert APM_SCHEMA.to_row({**full, "field1": None}) == (
+            "v", None, "v", "v", "v")
 
     def test_row_fields_is_a_fresh_dict(self):
         row = APM_SCHEMA.to_row({f: f for f in APM_SCHEMA.field_names})
