@@ -1,9 +1,10 @@
 """The read path against the bodies it replaced (``reference_reads``).
 
 A run probed by one hashed lookup, a B+tree scan taking a leaf's rows by
-slice and a cache touch that is one lookup must return what the bisect,
-the row-at-a-time loop and the two-lookup touch returned — and count
-what they counted.  (The sharded scan's merge is driven against its
+slice, a cache touch that is one lookup and an LSM scan and record count
+over any history must return what the bisect, the row-at-a-time loop,
+the two-lookup touch and the per-pass dict returned — and count and
+bill what they counted and billed.  (The sharded scan's merge is driven against its
 reference in ``tests/stores/test_mysql.py``, where the store is.)
 """
 
@@ -21,7 +22,9 @@ from repro.storage.lsm.sstable import SSTable, TOMBSTONE, Versioned
 from tests.storage.reference_reads import (
     BisectRun,
     TwoLookupPageCache,
+    dict_record_count,
     row_at_a_time_scan,
+    widening_scan,
 )
 
 #: Every other key of a small universe is in a run, so a probe can fall
@@ -142,3 +145,60 @@ def test_get_bills_the_blocks_block_of_names_for_every_probed_run():
                     reads + 1 for reads in reads_before]
                 probed += len(consulted)
             assert engine.sstables_probed == probed > 0
+
+
+#: One engine call each: a write of some columns, a delete, a forced
+#: flush, a compaction round.  Every key of the universe's even half can
+#: be written, so a scan's start falls on, between and past the keys.
+lsm_steps = st.lists(st.one_of(
+    st.tuples(st.just("put"), st.sampled_from(UNIVERSE[::2]),
+              st.sets(st.integers(min_value=0, max_value=4), min_size=1)),
+    st.tuples(st.just("delete"), st.sampled_from(UNIVERSE[::2])),
+    st.tuples(st.just("flush")),
+    st.tuples(st.just("compact")),
+), min_size=20, max_size=120)
+
+
+def _lsm_after(steps) -> LSMEngine:
+    """An engine that lived through ``steps``: a flush every second full
+    row, a compaction whenever three runs are alike, 64-byte blocks, so a
+    scan reads several runs and bills many blocks."""
+    engine = LSMEngine(LSMConfig(memtable_flush_bytes=300, block_size=64,
+                                 min_compaction_threshold=3,
+                                 max_compaction_threshold=4),
+                       seed=5, name="history")
+    for i, step in enumerate(steps):
+        if step[0] == "put":
+            engine.put(step[1], {f"field{j}": f"v{i}-{j}" for j in step[2]})
+        elif step[0] == "delete":
+            engine.delete(step[1])
+        elif step[0] == "flush":
+            engine.flush()
+        else:
+            engine.maybe_compact()
+    return engine
+
+
+_widened: list[bool] = []
+
+
+@settings(max_examples=300, deadline=None)
+@given(steps=lsm_steps, start=st.sampled_from(UNIVERSE),
+       count=st.integers(min_value=1, max_value=12))
+def _scan_matches_the_widening_dict(steps, start, count):
+    engine = _lsm_after(steps)
+    rows, bill, need = widening_scan(engine, start, count)
+    got, got_bill = engine.scan(start, count)
+    assert got == rows
+    assert got_bill.runs_touched == bill.runs_touched
+    assert got_bill.blocks == bill.blocks
+    assert engine.record_count == dict_record_count(engine)
+    _widened.append(need > count)
+
+
+def test_an_lsm_scan_returns_and_bills_what_the_widening_dict_did():
+    """Tombstones and shadowed versions in the first ``count`` entries
+    make the scan widen; the search must reach some such histories."""
+    _widened.clear()
+    _scan_matches_the_widening_dict()
+    assert any(_widened)
