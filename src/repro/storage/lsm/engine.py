@@ -12,14 +12,16 @@ leaves the runs in.
 
 Every cell, run entry and WAL record holds a row of the engine's schema
 (:meth:`~repro.storage.record.RecordSchema.to_row`): ``put`` takes a
-mapping and converts it once, ``get`` and ``scan`` hand back fresh dicts.
+mapping and converts it once, ``get`` and ``scan`` hand back fresh dicts,
+``items`` the rows themselves.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from itertools import islice
+from typing import Iterator, Mapping, Optional
 
 from repro.storage.lsm.compaction import CompactionTask, SizeTieredCompaction
 from repro.storage.lsm.memtable import Memtable
@@ -31,7 +33,7 @@ from repro.storage.lsm.sstable import (
     sstable_entry_size,
 )
 from repro.storage.lsm.wal import CommitLog
-from repro.storage.record import APM_SCHEMA, RecordSchema
+from repro.storage.record import APM_SCHEMA, RecordSchema, merge_runs
 
 __all__ = ["IoBill", "LSMConfig", "LSMEngine", "ReadResult"]
 
@@ -267,51 +269,39 @@ class LSMEngine:
         per-source fetch of ``count`` can truncate the scan early and skip
         live keys hiding behind deleted ones.  Like Cassandra's range
         reads, the fetch widens until ``count`` live rows are found or
-        every source is exhausted.
+        every source is exhausted.  The bill is the last pass's chunks:
+        every entry read, live or not.
         """
         self.reads += 1
+        if count <= 0:
+            return [], IoBill()
         need = count
         while True:
-            by_key: dict[str, list[Versioned]] = {}
-            sources = 0
-            blocks: list[tuple] = []
+            chunks = [table.scan(start_key, need) for table in self.sstables]
+            chunks.append(self.memtable.scan(start_key, need))
             # A source that filled its chunk may hold unseen keys beyond
             # its last returned one; the merge can only trust keys up to
-            # the smallest such last-key (the frontier).
-            frontier: Optional[str] = None
-            for table in self.sstables:
-                chunk = table.scan(start_key, need)
-                if chunk:
-                    sources += 1
-                    for key, versioned in chunk:
-                        blocks.append(self._block_of(table, key.encode()))
-                        by_key.setdefault(key, []).append(versioned)
-                    if len(chunk) == need:
-                        last = chunk[-1][0]
-                        frontier = (last if frontier is None
-                                    else min(frontier, last))
-            mem_chunk = list(self.memtable.scan(start_key, need))
-            for key, versioned in mem_chunk:
-                by_key.setdefault(key, []).append(versioned)
-            if len(mem_chunk) == need:
-                last = mem_chunk[-1][0]
-                frontier = last if frontier is None else min(frontier, last)
-            live: list[tuple[str, tuple]] = []
-            for key in sorted(by_key):
-                if frontier is not None and key > frontier:
-                    break
-                versions = by_key[key]
-                resolved = (versions[0] if len(versions) == 1
-                            else resolve_versions(versions))
-                if resolved.value is not TOMBSTONE:
-                    live.append((key, resolved.value))
-                if len(live) == count:
-                    break
-            if len(live) >= count or frontier is None:
-                bill = IoBill(runs_touched=sources, blocks=tuple(blocks))
-                row_fields = self.schema.row_fields
-                return [(key, row_fields(row)) for key, row in live], bill
+            # the smallest such last key (the frontier).
+            frontier = min((chunk[-1][0] for chunk in chunks
+                            if len(chunk) == need), default=None)
+            live = list(islice(_live(chunks, frontier), count))
+            if len(live) == count or frontier is None:
+                break
             need *= 2
+        block_of = self._block_of
+        blocks = tuple(block_of(table, key.encode())
+                       for table, chunk in zip(self.sstables, chunks)
+                       for key, __ in chunk)
+        bill = IoBill(runs_touched=sum(1 for chunk in chunks[:-1] if chunk),
+                      blocks=blocks)
+        row_fields = self.schema.row_fields
+        return [(key, row_fields(row)) for key, row in live], bill
+
+    def items(self) -> Iterator[tuple[str, tuple]]:
+        """Every live ``(key, row)``, in key order."""
+        runs = [table.items() for table in self.sstables]
+        runs.append(self.memtable.sorted_items())
+        return _live(runs)
 
     def iter_blocks(self):
         """All on-disk block ids (cache warm-up after a load phase)."""
@@ -342,13 +332,16 @@ class LSMEngine:
     @property
     def record_count(self) -> int:
         """Live records currently visible to reads."""
-        by_key: dict[str, list[Versioned]] = {}
-        for table in self.sstables:
-            for key, versioned in table.items():
-                by_key.setdefault(key, []).append(versioned)
-        for key, versioned in self.memtable.sorted_items():
-            by_key.setdefault(key, []).append(versioned)
-        return sum(
-            1 for versions in by_key.values()
-            if resolve_versions(versions).value is not TOMBSTONE
-        )
+        return sum(1 for __ in self.items())
+
+
+def _live(runs, upto: Optional[str] = None) -> Iterator[tuple[str, tuple]]:
+    """The live ``(key, row)`` of key-ordered runs of versions: each
+    key's versions folded, tombstones dropped, no key past ``upto``."""
+    for key, versions in merge_runs(runs):
+        if upto is not None and key > upto:
+            return
+        resolved = (versions[0] if len(versions) == 1
+                    else resolve_versions(versions))
+        if resolved.value is not TOMBSTONE:
+            yield key, resolved.value

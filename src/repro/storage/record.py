@@ -14,10 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from heapq import merge
+from itertools import groupby
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
-__all__ = ["RecordSchema", "Record", "APM_SCHEMA"]
+__all__ = ["RecordSchema", "Record", "APM_SCHEMA", "merge_runs"]
 
 
 @dataclass(frozen=True)
@@ -121,6 +123,19 @@ class RecordSchema:
 
 #: The paper's data set: 25-byte keys, five 10-byte fields, 75 raw bytes.
 APM_SCHEMA = RecordSchema()
+
+_first = itemgetter(0)
+
+
+def merge_runs(runs: Iterable[Iterable[tuple]]) -> Iterator[tuple[str, list]]:
+    """Key-ordered runs of ``(key, value)`` merged lazily: ``(key,
+    values)`` in key order, each key's values in the order of the runs.
+
+    The one merge of every read path: an LSM scan's runs and memtable, a
+    sharded MySQL scan's legs, a VoltDB scan's sites.
+    """
+    for key, group in groupby(merge(*runs, key=_first), _first):
+        yield key, [value for __, value in group]
 
 
 @dataclass(frozen=True)

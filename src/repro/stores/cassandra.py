@@ -307,10 +307,9 @@ class CassandraStore(Store):
     # bootstrap / ``move`` / decommission flow.
 
     def _shard_entries(self):
+        row_fields = self.schema.row_fields
         for src, engine in enumerate(self.engines):
-            count = engine.record_count
-            if count:
-                yield src, engine.scan("", count)[0]
+            yield src, [(key, row_fields(row)) for key, row in engine.items()]
 
     _shard_of = owner_of
 

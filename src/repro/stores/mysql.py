@@ -26,13 +26,15 @@ Architecture per Sections 4.6 / 5.1 / 5.4-5.5, version 5.5.17 semantics:
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import Iterable, Mapping
 
 from repro.keyspace import lex_position as key_position
 from repro.sim.cluster import Cluster, Node
 from repro.storage.btree import BPlusTree
 from repro.storage.encoding import MySQLDiskUsage, encode_binlog_event
-from repro.storage.record import APM_SCHEMA, Record, RecordSchema
+from repro.storage.record import (APM_SCHEMA, Record, RecordSchema,
+                                  merge_runs)
 from repro.stores.base import (ServiceProfile, Store, StoreSession,
                                load_batches)
 from repro.stores.sharding import ConsistentHashRing, jdbc_ring
@@ -314,19 +316,15 @@ class MySQLSession(StoreSession):
             for shard in members
         ]
         results = yield store.sim.all_of(legs)
-        # One row a key: a reshard can move a row between two legs'
-        # reads, and then both shards stream it.
-        merged: dict[str, tuple] = {}
-        total_tail = 0
-        for rows, tail_rows in results:
-            merged.update(rows)
-            total_tail += tail_rows
         # Client-side merge cost over everything that arrived.
-        yield from self.client.cpu(total_tail * 0.5e-6)
-        # A row becomes a dict once, here, where it leaves the store.
+        yield from self.client.cpu(
+            sum(tail_rows for __, tail_rows in results) * 0.5e-6)
+        # One row a key, the last leg's: a reshard can move a row between
+        # two legs' reads, and then both shards stream it.  A row becomes
+        # a dict once, here, where it leaves the store.
         row_fields = store.schema.row_fields
-        return [(key, row_fields(merged[key]))
-                for key in sorted(merged)[:count]]
+        return [(key, row_fields(rows[-1])) for key, rows in islice(
+            merge_runs(rows for rows, __ in results), count)]
 
     def sim_process_for_shard(self, shard: int, start_key: str, count: int):
         """One shard's scan leg as a spawned process."""

@@ -22,15 +22,14 @@ does not appear in the disk-usage experiment.
 
 from __future__ import annotations
 
-from heapq import merge
 from itertools import islice
-from operator import itemgetter
 from typing import Iterable, Mapping
 
 from repro.sim.cluster import Cluster, Node
 from repro.sim.faults import NodeDownError
 from repro.sim.resources import Resource
-from repro.storage.record import APM_SCHEMA, Record, RecordSchema
+from repro.storage.record import (APM_SCHEMA, Record, RecordSchema,
+                                  merge_runs)
 from repro.storage.skiplist import SkipList
 from repro.stores.base import (ServiceProfile, Store, StoreSession,
                                load_batches)
@@ -319,8 +318,9 @@ class VoltDBStore(Store):
 
         Each site's rows are kept by reference (a stored row is a tuple,
         replaced by a write, never mutated); the coordinator merges the
-        sites' key-ordered lists and only the ``count`` rows it returns
-        become dicts.
+        sites' key-ordered lists, one row a key (the first site's, should
+        a move between two sites' reads show a key twice), and only the
+        ``count`` rows it returns become dicts.
         """
         yield from self._initiate(coordinator, multi_partition=True)
         fragments = []
@@ -340,8 +340,8 @@ class VoltDBStore(Store):
             )))
         yield self.sim.all_of(fragments)
         row_fields = self.schema.row_fields
-        return [(key, row_fields(row)) for key, row in islice(
-            merge(*collected, key=itemgetter(0)), count)]
+        return [(key, row_fields(rows[0])) for key, rows in islice(
+            merge_runs(collected), count)]
 
 
 class VoltDBSession(StoreSession):

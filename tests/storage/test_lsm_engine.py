@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.storage.lsm import LSMConfig, LSMEngine
+from repro.storage.lsm.engine import IoBill
 
 
 def fields(tag):
@@ -136,6 +137,14 @@ class TestReadPath:
             engine.put(f"k{i:03d}", fields(i))
         rows, __ = engine.scan("k000", 7)
         assert len(rows) == 7
+
+    def test_scan_of_zero_rows_reads_nothing(self, engine):
+        """A zero count is a full chunk of nothing, not a frontier."""
+        for i in range(50):
+            engine.put(f"k{i:03d}", fields(i))
+        engine.flush()
+        engine.put("k100", fields(100))
+        assert engine.scan("k000", 0) == ([], IoBill())
 
 
 class TestCompactionIntegration:

@@ -19,6 +19,7 @@ from repro.sim.disk import PageCache
 from repro.storage.btree import BPlusTree
 from repro.storage.lsm.engine import LSMConfig, LSMEngine
 from repro.storage.lsm.sstable import SSTable, TOMBSTONE, Versioned
+from repro.storage.record import merge_runs
 from tests.storage.reference_reads import (
     BisectRun,
     TwoLookupPageCache,
@@ -145,6 +146,23 @@ def test_get_bills_the_blocks_block_of_names_for_every_probed_run():
                     reads + 1 for reads in reads_before]
                 probed += len(consulted)
             assert engine.sstables_probed == probed > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=st.lists(st.lists(st.tuples(st.sampled_from(UNIVERSE[:12]),
+                                        st.integers()), max_size=12),
+                     max_size=6))
+def test_merge_runs_groups_as_a_dict_sorted_by_key(runs):
+    """Each key once, in key order, with its values in the order of the
+    runs (and within a run, in its order) — what appending every run
+    to a dict of lists and sorting its keys gives."""
+    runs = [sorted(run, key=lambda pair: pair[0]) for run in runs]
+    by_key: dict[str, list[int]] = {}
+    for run in runs:
+        for key, value in run:
+            by_key.setdefault(key, []).append(value)
+    expected = [(key, by_key[key]) for key in sorted(by_key)]
+    assert list(merge_runs(iter(run) for run in runs)) == expected
 
 
 #: One engine call each: a write of some columns, a delete, a forced
