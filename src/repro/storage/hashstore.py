@@ -11,7 +11,7 @@ analysis of Section 5.1.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from repro.storage.encoding import redis_memory_per_record
 from repro.storage.record import APM_SCHEMA, RecordSchema
@@ -92,15 +92,17 @@ class HashStore:
         """Keys >= ``start_key`` in order (ZRANGEBYLEX on the index)."""
         return [key for key, __ in self.index().scan(start_key, count)]
 
+    def hgetall_many(self, keys: Iterable[str]) -> list[tuple[str, dict[str, str]]]:
+        """Pipelined HGETALLs: ``(key, fields)`` of each of ``keys`` still
+        held, in order."""
+        hashes = self._hashes
+        row_fields = self.schema.row_fields
+        return [(key, row_fields(hashes[key])) for key in keys
+                if key in hashes]
+
     def scan(self, start_key: str, count: int) -> list[tuple[str, dict[str, str]]]:
         """Range scan via the key index, then per-key HGETALL."""
-        out = []
-        row_fields = self.schema.row_fields
-        for key in self.zrange_from(start_key, count):
-            row = self._hashes.get(key)
-            if row is not None:
-                out.append((key, row_fields(row)))
-        return out
+        return self.hgetall_many(self.zrange_from(start_key, count))
 
     def delete(self, key: str) -> bool:
         """DEL + ZREM; returns whether the key existed."""

@@ -261,7 +261,7 @@ class RedisSession(StoreSession):
             store._on_loop(
                 shard,
                 len(keys) * store.profile.scan_per_record_cpu,
-                lambda: store.shards[shard].scan(start_key, count),
+                lambda: store.shards[shard].hgetall_many(keys),
             ),
             store.request_bytes(start_key) + len(keys) * 30,
             store.response_bytes(len(keys)), **{self.route_label: shard},

@@ -5,6 +5,7 @@ import pytest
 from repro.keyspace import format_key
 from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.storage.encoding import redis_memory_per_record
+from repro.storage.hashstore import HashStore
 from repro.stores.redis import RedisStore
 from tests.stores.conftest import make_records, run_op
 
@@ -65,6 +66,20 @@ class TestOperations:
         rows = run_op(store, session.scan(records[0].key, 10))
         keys = [k for k, __ in rows]
         assert keys == sorted(keys)
+
+    def test_scan_walks_the_index_once(self, store, records, monkeypatch):
+        """The second round trip fetches the keys the first returned: a
+        ZRANGEBYLEX, then pipelined HGETALLs, not a second ZRANGE."""
+        start_key = records[0].key
+        expected = store.shards[store.shard_of(start_key)].scan(start_key, 10)
+        walks = []
+        zrange_from = HashStore.zrange_from
+        monkeypatch.setattr(HashStore, "zrange_from",
+                            lambda shard, *args: walks.append(args)
+                            or zrange_from(shard, *args))
+        session = store.session(store.cluster.clients[0], 0)
+        assert run_op(store, session.scan(start_key, 10)) == expected
+        assert walks == [(start_key, 10)]
 
 
 class TestOutOfMemory:
