@@ -38,10 +38,11 @@ def merge_sstables(tables: Sequence[SSTable], drop_tombstones: bool,
     The inputs are sorted runs, so a stable sort of their concatenation
     is the merge (timsort finds the runs and merges them) and leaves the
     versions of a key adjacent, in input order.  Where no key repeats —
-    a load's compaction, and every merge of insert-only runs — all cells
-    are carried over as they are (cells are never mutated once in a run)
-    and the output's size is the sum of its inputs'; entries are sized
-    only where the merge drops or creates one.
+    a load's compaction, and every merge of insert-only runs — every
+    version is carried over as it is (its row is the very object the
+    input run held; the :class:`Versioned` around it lives only for the
+    merge) and the output's size is the sum of its inputs'; entries are
+    sized only where the merge drops or creates one.
     """
     pairs: list[tuple[str, Versioned]] = []
     for table in tables:
@@ -57,8 +58,8 @@ def merge_sstables(tables: Sequence[SSTable], drop_tombstones: bool,
             if len(versions) > 1:
                 resolved = resolve_versions(versions)
                 size_bytes += sstable_entry_size(
-                    key, resolved, schema) - sum(
-                    sstable_entry_size(key, version, schema)
+                    key, resolved.value, schema) - sum(
+                    sstable_entry_size(key, version.value, schema)
                     for version in versions)
             folded.append((key, resolved))
         pairs = folded

@@ -5,10 +5,11 @@ The engine is purely functional: each mutating call returns an
 converts into simulated disk time.  This split keeps the data-structure
 logic unit-testable without a simulator.
 
-Conflict resolution uses per-write sequence numbers (``Versioned`` cells),
-matching Cassandra's timestamp semantics: reads fold every candidate
-version oldest-first, so correctness never depends on the order compaction
-leaves the runs in.
+Conflict resolution uses per-write sequence numbers, matching
+Cassandra's timestamp semantics: reads fold every candidate version
+(a ``Versioned``: the memtable's cell, or one a run builds from its row
+and sequence-number columns) oldest-first, so correctness never depends
+on the order compaction leaves the runs in.
 
 Every cell, run entry and WAL record holds a row of the engine's schema
 (:meth:`~repro.storage.record.RecordSchema.to_row`): ``put`` takes a

@@ -26,6 +26,10 @@ class Memtable:
     Every stored value is a :class:`Versioned` stamped by the engine's
     global write sequence, so conflict resolution stays correct across
     flush and compaction boundaries; its payload is a row of ``schema``.
+    The cell is the memtable's alone: an upsert restamps it in place, and
+    a flush unpacks it into the run's row and sequence-number columns
+    (see :class:`~repro.storage.lsm.sstable.SSTable`), so no cell
+    outlives its memtable.
 
     Cells live in a dict in arrival order; the skip list that keeps them
     in key order is linked at the first scan (see :meth:`ordered`).  It

@@ -1,8 +1,9 @@
 """Immutable sorted string tables.
 
-An SSTable is a sorted, immutable run of ``(key, row)`` entries with a
-Bloom filter, a hashed index for point reads and a sorted key list for
-range reads.  A row is the schema-ordered tuple of
+An SSTable is a sorted, immutable run of ``(key, row)`` entries, each
+stamped with its write's sequence number, with a Bloom filter, a hashed
+index for point reads and a sorted key list for range reads.  A row is
+the schema-ordered tuple of
 :meth:`~repro.storage.record.RecordSchema.to_row`, ``None`` for a column
 the write did not carry.  Deletions are represented by
 the :data:`TOMBSTONE` sentinel so that compaction can drop shadowed data.
@@ -11,6 +12,7 @@ the :data:`TOMBSTONE` sentinel so that compaction can drop shadowed data.
 from __future__ import annotations
 
 import zlib
+from array import array
 from bisect import bisect_left
 from functools import cached_property
 from itertools import islice, repeat
@@ -48,7 +50,9 @@ class Versioned:
 
     Cassandra resolves conflicting cells by write timestamp, not by which
     run they live in; the sequence number plays that role here and makes
-    reads correct regardless of how compaction reorders runs.
+    reads correct regardless of how compaction reorders runs.  It is the
+    memtable's mutable cell; a run holds none, and builds one for each
+    version it hands out.
     """
 
     __slots__ = ("seq", "value")
@@ -63,9 +67,6 @@ class Versioned:
     def __eq__(self, other) -> bool:
         return (isinstance(other, Versioned) and self.seq == other.seq
                 and self.value == other.value)
-
-
-Value = Versioned
 
 
 def resolve_versions(versions: Sequence[Versioned]) -> Versioned:
@@ -98,8 +99,6 @@ def sstable_entry_size(key: str, value: Payload,
     the hot path never materialises the byte string; a row of ``schema``
     names its columns by position.
     """
-    if isinstance(value, Versioned):
-        value = value.value
     size = _ROW_BYTES + len(key)
     if value is TOMBSTONE:
         return size
@@ -126,14 +125,19 @@ class SSTable:
     memtable's running total, a merge its inputs' sizes); without it they
     are sized here, as rows of ``schema``.
 
-    The cells live in one dict in key order: a point read is one hashed
-    probe whatever the run holds, a range read bisects the sorted key
-    list for its start and reads its cells through the dict.
+    A run is held as three columns, not as a cell an entry: the sorted
+    key list, a ``key -> row`` dict in key order (the rows the input
+    versions carried, not copies) and an ``array('Q')`` of sequence
+    numbers in key order.  A point probe is one hashed lookup; a hit
+    bisects the key list for its sequence number.  A range read bisects
+    for its start and slices the columns.  Every :class:`Versioned` a run
+    hands out is built for the caller; a sequence number outside
+    ``[0, 2**64)`` raises :class:`OverflowError` when the run is built.
     """
 
     _next_generation = 0
 
-    def __init__(self, items: Iterable[tuple[str, Value]],
+    def __init__(self, items: Iterable[tuple[str, Versioned]],
                  bloom_fp_rate: float = 0.01,
                  generation: Optional[int] = None,
                  size_bytes: Optional[int] = None,
@@ -143,7 +147,8 @@ class SSTable:
         if not all(map(lt, keys, islice(keys, 1, None))):
             raise ValueError("SSTable input must be strictly sorted by key")
         self._keys = keys
-        self._cells = cells = dict(pairs)
+        self._rows = rows = {k: v.value for k, v in pairs}
+        self._seqs = array("Q", [v.seq for __, v in pairs])
         #: Smallest and largest key in the run, ``None`` if it is empty.
         self.min_key: Optional[str] = keys[0] if keys else None
         self.max_key: Optional[str] = keys[-1] if keys else None
@@ -156,7 +161,7 @@ class SSTable:
         self.block_seed = zlib.crc32(b"%d:" % generation)
         self._bloom_fp_rate = bloom_fp_rate
         if size_bytes is None:
-            size_bytes = sum(map(sstable_entry_size, keys, cells.values(),
+            size_bytes = sum(map(sstable_entry_size, keys, rows.values(),
                                  repeat(schema)))
         self.size_bytes = size_bytes
         self.reads = 0
@@ -183,21 +188,28 @@ class SSTable:
             return False
         return True
 
-    def get(self, key: str) -> Optional[Value]:
-        """Point lookup; ``None`` when absent, :data:`TOMBSTONE` if deleted."""
+    def get(self, key: str) -> Optional[Versioned]:
+        """Point lookup: the key's version, ``None`` when absent (its
+        value is :data:`TOMBSTONE` if deleted)."""
         self.reads += 1
-        return self._cells.get(key)
+        row = self._rows.get(key)
+        if row is None:
+            return None
+        return Versioned(self._seqs[bisect_left(self._keys, key)], row)
 
-    def scan(self, start_key: str, count: int) -> list[tuple[str, Value]]:
+    def scan(self, start_key: str, count: int) -> list[tuple[str, Versioned]]:
         """Up to ``count`` entries with key >= ``start_key``."""
         index = bisect_left(self._keys, start_key)
-        keys = self._keys[index:index + max(0, count)]
-        return list(zip(keys, map(self._cells.__getitem__, keys)))
+        stop = index + max(0, count)
+        keys = self._keys[index:stop]
+        return list(zip(keys, map(Versioned, self._seqs[index:stop],
+                                  map(self._rows.__getitem__, keys))))
 
     def keys(self) -> Iterator[str]:
         """All keys in order."""
         return iter(self._keys)
 
-    def items(self) -> Iterator[tuple[str, Value]]:
+    def items(self) -> Iterator[tuple[str, Versioned]]:
         """All entries in key order (compaction input)."""
-        return iter(self._cells.items())
+        return zip(self._rows, map(Versioned, self._seqs,
+                                   self._rows.values()))

@@ -71,11 +71,6 @@ class TestEntrySize:
     def test_tombstone_is_small(self):
         assert sstable_entry_size("k" * 25, TOMBSTONE) == 2 + 25 + 8 + 12 + 4
 
-    def test_unwraps_versioned(self):
-        value = fields("v")
-        assert sstable_entry_size("k", Versioned(1, value)) == (
-            sstable_entry_size("k", value))
-
 
 class TestMemtable:
     def test_put_get(self):
@@ -175,7 +170,7 @@ class TestMemtable:
             else:
                 memtable.put(key, wide.to_row(written), seq)
             assert memtable.size_bytes == sum(
-                sstable_entry_size(k, v, wide)
+                sstable_entry_size(k, v.value, wide)
                 for k, v in memtable.sorted_items())
         assert memtable.size_bytes == SSTable(
             memtable.sorted_items(), schema=wide).size_bytes
@@ -263,6 +258,38 @@ class TestSSTable:
         first = self.make(["a"])
         second = self.make(["a"])
         assert second.generation > first.generation
+
+    @settings(max_examples=200, deadline=None)
+    @given(entries=st.dictionaries(
+        st.text(alphabet="abcdef", min_size=1, max_size=4),
+        st.tuples(st.sampled_from([0, 2**63, 2**64 - 1])
+                  | st.integers(min_value=0, max_value=2**64 - 1),
+                  st.booleans()),
+        max_size=30),
+        start=st.text(alphabet="abcdef", max_size=4),
+        count=st.integers(min_value=0, max_value=35))
+    def test_sequence_numbers_round_trip_to_the_top_of_the_column(
+            self, entries, start, count):
+        """A run's sequence numbers are a ``Q`` column: every one up to
+        ``2**64 - 1`` comes back whole from ``items``, ``scan`` and
+        ``get``, beside live rows and tombstones alike."""
+        pairs = [(key, Versioned(seq, TOMBSTONE if deleted else fields(key)))
+                 for key, (seq, deleted) in sorted(entries.items())]
+        table = SSTable(list(pairs))
+        assert list(table.items()) == pairs
+        expected = [pair for pair in pairs if pair[0] >= start][:count]
+        assert table.scan(start, count) == expected
+        for key, version in pairs:
+            found = table.get(key)
+            assert found == version and found.value is version.value
+        assert table.get("g") is None
+
+    @pytest.mark.parametrize("seq", [-1, -(2**63), 2**64])
+    def test_a_sequence_number_off_the_column_raises_and_does_not_wrap(
+            self, seq):
+        with pytest.raises(OverflowError):
+            SSTable([("a", Versioned(1, fields("a"))),
+                     ("b", Versioned(seq, TOMBSTONE))])
 
 
 class TestCompaction:

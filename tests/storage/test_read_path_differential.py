@@ -49,8 +49,11 @@ def test_a_run_is_probed_as_the_bisect_probed_it(keys, tombstones, lookups):
     pairs = _cells(keys, tombstones)
     run, reference = SSTable(list(pairs), generation=1), BisectRun(pairs)
     for key in lookups:
-        # The very cell: a read folds it, a merge carries it over.
-        assert run.get(key) is reference.get(key)
+        # The same version, by the very row: a read folds it, a merge
+        # carries it over.
+        version, expected = run.get(key), reference.get(key)
+        assert version == expected
+        assert version is None or version.value is expected.value
     assert run.reads == reference.reads == len(lookups)
     assert list(run.items()) == list(reference.items()) == pairs
     assert list(run.keys()) == [key for key, __ in pairs]
