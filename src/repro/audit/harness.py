@@ -291,20 +291,20 @@ class _AuditRun:
         return self._version_clock
 
     @staticmethod
-    def _decode(fields) -> int:
-        if fields is None:
+    def _decode(row) -> int:
+        if row is None:
             return 0
-        return int(fields["field0"])
+        return int(row[0])  # field0
 
     def _read(self, session, key: str, retry, phase: str = PHASE_RUN):
         """One recorded read; its payload *is* the observed version."""
         token = self.recorder.begin(session.index, OpType.READ.value, key,
                                     phase=phase)
-        error, kind, fields = yield from attempt_op(
+        error, kind, row = yield from attempt_op(
             session, OpType.READ, key, None, 0, retry)
         self.recorder.complete(
             token, not error, error=kind,
-            version=None if error else self._decode(fields))
+            version=None if error else self._decode(row))
 
     def _session_proc(self, sid: int):
         scenario = self.scenario

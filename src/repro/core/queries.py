@@ -48,11 +48,13 @@ class MonitoringQueries:
         expected = window_s // self.interval_s + 1
         start_key = measurement_key(metric, start_ts)
         end_key = measurement_key(metric, now)
+        # A store hands back its rows; the values are read by name.
+        row_fields = self.session.store.schema.row_fields
         try:
             rows = yield from self.session.scan(start_key, expected)
             measurements = [
-                Measurement.from_record(metric, Record(key, fields))
-                for key, fields in rows
+                Measurement.from_record(metric, Record(key, row_fields(row)))
+                for key, row in rows
                 if key.startswith(metric.path) and key <= end_key
             ]
         except (OpError, NotImplementedError):
@@ -60,10 +62,11 @@ class MonitoringQueries:
             measurements = []
             for i in range(expected):
                 ts = start_ts + i * self.interval_s
-                fields = yield from self.session.read(
+                row = yield from self.session.read(
                     measurement_key(metric, ts))
-                if fields is not None:
-                    record = Record(measurement_key(metric, ts), fields)
+                if row is not None:
+                    record = Record(measurement_key(metric, ts),
+                                    row_fields(row))
                     measurements.append(
                         Measurement.from_record(metric, record))
         return measurements

@@ -3,15 +3,15 @@
 YCSB's Redis binding stores each record as a Redis *hash* keyed by the
 record key and additionally indexes every key in one global *sorted set*
 so that scans are possible.  This module reproduces that layout: a Python
-dict of rows (the schema-ordered tuples of ``RecordSchema.to_row``) plus
-a skip list of keys (Redis's own zset is also a skip list), with
-jemalloc-style memory accounting used by the Redis out-of-memory
-analysis of Section 5.1.
+dict of rows (the schema-ordered tuples of ``RecordSchema.to_row``, held
+and handed back as they came) plus a skip list of keys (Redis's own zset
+is also a skip list), with jemalloc-style memory accounting used by the
+Redis out-of-memory analysis of Section 5.1.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from repro.storage.encoding import redis_memory_per_record
 from repro.storage.record import APM_SCHEMA, RecordSchema
@@ -50,14 +50,13 @@ class HashStore:
         return (self.used_memory_bytes + self._bytes_per_record
                 > self.max_memory_bytes)
 
-    def hset(self, key: str, fields: Mapping[str, str]) -> bool:
-        """HMSET + ZADD: store the record and index its key.
+    def hset(self, key: str, row: tuple) -> bool:
+        """HMSET + ZADD: store the row and index its key.
 
         Returns ``False`` (and counts an OOM error) when the memory limit
         is reached and the key is new — the failure mode the paper hit on
         its hottest Redis shard at 12 nodes.
         """
-        row = self.schema.to_row(fields)
         stored = self._hashes.get(key)
         if stored is not None:
             self._hashes[key] = self.schema.overlay(stored, row)
@@ -83,24 +82,21 @@ class HashStore:
             self._index.put_all((key, None) for key in self._hashes)
         return self._index
 
-    def hgetall(self, key: str) -> Optional[dict[str, str]]:
-        """Fetch all fields of a record."""
-        row = self._hashes.get(key)
-        return self.schema.row_fields(row) if row is not None else None
+    def hgetall(self, key: str) -> Optional[tuple]:
+        """Fetch the row of a record."""
+        return self._hashes.get(key)
 
     def zrange_from(self, start_key: str, count: int) -> list[str]:
         """Keys >= ``start_key`` in order (ZRANGEBYLEX on the index)."""
         return [key for key, __ in self.index().scan(start_key, count)]
 
-    def hgetall_many(self, keys: Iterable[str]) -> list[tuple[str, dict[str, str]]]:
-        """Pipelined HGETALLs: ``(key, fields)`` of each of ``keys`` still
+    def hgetall_many(self, keys: Iterable[str]) -> list[tuple[str, tuple]]:
+        """Pipelined HGETALLs: ``(key, row)`` of each of ``keys`` still
         held, in order."""
         hashes = self._hashes
-        row_fields = self.schema.row_fields
-        return [(key, row_fields(hashes[key])) for key in keys
-                if key in hashes]
+        return [(key, hashes[key]) for key in keys if key in hashes]
 
-    def scan(self, start_key: str, count: int) -> list[tuple[str, dict[str, str]]]:
+    def scan(self, start_key: str, count: int) -> list[tuple[str, tuple]]:
         """Range scan via the key index, then per-key HGETALL."""
         return self.hgetall_many(self.zrange_from(start_key, count))
 

@@ -12,9 +12,9 @@ and sequence-number columns) oldest-first, so correctness never depends
 on the order compaction leaves the runs in.
 
 Every cell, run entry and WAL record holds a row of the engine's schema
-(:meth:`~repro.storage.record.RecordSchema.to_row`): ``put`` takes a
-mapping and converts it once, ``get`` and ``scan`` hand back fresh dicts,
-``items`` the rows themselves.
+(:meth:`~repro.storage.record.RecordSchema.to_row`): ``put`` takes one
+and keeps it, and ``get``, ``scan`` and ``items`` hand back the rows
+held — a row is immutable, so nothing is copied on the way out.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Optional
 
 from repro.storage.lsm.compaction import CompactionTask, SizeTieredCompaction
 from repro.storage.lsm.memtable import Memtable
@@ -57,7 +57,7 @@ class IoBill:
 class ReadResult:
     """Outcome of a point read."""
 
-    fields: Optional[Mapping[str, str]]
+    row: Optional[tuple]
     bill: IoBill
 
 
@@ -113,14 +113,14 @@ class LSMEngine:
 
     # -- write path ---------------------------------------------------------
 
-    def put(self, key: str, fields: Mapping[str, str]) -> IoBill:
-        """Durably buffer a write; returns the implied disk work."""
+    def put(self, key: str, row: tuple) -> IoBill:
+        """Durably buffer a write of ``row``; returns the implied disk
+        work."""
         self.writes += 1
         self._seq = seq = self._seq + 1
-        # One row of the caller's mapping serves the memtable cell and
-        # the WAL record alike, and the memtable sizes the write once,
-        # for its own flush accounting and for the commit log.
-        row = self.schema.to_row(fields)
+        # The row serves the memtable cell and the WAL record alike, and
+        # the memtable sizes the write once, for its own flush
+        # accounting and for the commit log.
         synced = self.commit_log.append(self.memtable.put(key, row, seq))
         self._wal_records.append((key, row, seq))
         bill = IoBill(wal_sync_bytes=synced)
@@ -228,8 +228,7 @@ class LSMEngine:
             if buffered.value is TOMBSTONE:
                 return ReadResult(None, IoBill())
             if None not in buffered.value:
-                return ReadResult(self.schema.row_fields(buffered.value),
-                                  IoBill())
+                return ReadResult(buffered.value, IoBill())
             candidates.append(buffered)
         blocks: list[tuple] = []
         bloom_enabled = self.config.bloom_enabled
@@ -260,10 +259,10 @@ class LSMEngine:
                     else resolve_versions(candidates))
         if resolved.value is TOMBSTONE:
             return ReadResult(None, bill)
-        return ReadResult(self.schema.row_fields(resolved.value), bill)
+        return ReadResult(resolved.value, bill)
 
-    def scan(self, start_key: str, count: int) -> tuple[
-            list[tuple[str, Mapping[str, str]]], IoBill]:
+    def scan(self, start_key: str,
+             count: int) -> tuple[list[tuple[str, tuple]], IoBill]:
         """Range scan merged across the memtable and every SSTable.
 
         Tombstones consume candidates without yielding rows, so a fixed
@@ -295,8 +294,7 @@ class LSMEngine:
                        for key, __ in chunk)
         bill = IoBill(runs_touched=sum(1 for chunk in chunks[:-1] if chunk),
                       blocks=blocks)
-        row_fields = self.schema.row_fields
-        return [(key, row_fields(row)) for key, row in live], bill
+        return live, bill
 
     def items(self) -> Iterator[tuple[str, tuple]]:
         """Every live ``(key, row)``, in key order."""

@@ -60,7 +60,10 @@ class RecordSchema:
     # Every engine holds a record's fields as a *row*: a tuple of the
     # values in ``field_names`` order, ``None`` for a column not written.
     # A five-field row is an 80-byte tuple where a field dict is 184.
-    # Mappings come in and fresh dicts go out; rows never leave a store.
+    # A mapping becomes a row once, where a write or a load enters a
+    # store (``StoreSession.execute``, ``load_batches``); stores and
+    # engines take rows and hand them back as they hold them, and a dict
+    # is made only where a caller reads values by name.
 
     @cached_property
     def _full_row(self) -> Callable[[Mapping[str, str]], tuple]:

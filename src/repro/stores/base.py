@@ -174,23 +174,23 @@ class StoreSession:
             store.request_bytes(key), store.response_bytes(1),
             **{self.route_label: server})
 
-    def insert(self, key: str, fields: Mapping[str, str], *stamp):
+    def insert(self, key: str, row: tuple, *stamp):
         """``stamp`` is what a versioned store's ``_apply_write`` takes
         beside the write itself (its session passes the version)."""
         store = self.store
         server = store.route(key)
         return self._call_server(
-            server, store._apply_write(server, key, fields, *stamp),
-            store.request_bytes(key, fields, with_payload=True),
+            server, store._apply_write(server, key, row, *stamp),
+            store.request_bytes(key, row, with_payload=True),
             store.response_bytes(0), **{self.route_label: server})
 
     def scan(self, start_key: str, count: int):  # pragma: no cover
         raise NotImplementedError
         yield
 
-    def update(self, key: str, fields: Mapping[str, str]):
+    def update(self, key: str, row: tuple):
         """Default: updates take the insert/upsert path."""
-        return self.insert(key, fields)
+        return self.insert(key, row)
 
     def delete(self, key: str):
         store = self.store
@@ -201,10 +201,15 @@ class StoreSession:
             **{self.route_label: server})
 
     def execute(self, op: OpType, key: str,
-                fields: Optional[Mapping[str, str]] = None,
+                fields: Optional[Mapping[str, Optional[str]]] = None,
                 scan_length: int = 0):
         """Dispatch one operation: the generator of the store-level call
         (delegate to it; it returns the operation's result).
+
+        A write's ``fields`` become a row of the store's schema here,
+        once, before the store sees them (``ValueError`` for a column the
+        schema does not name); a read or scan returns the rows the store
+        holds, as it holds them.
 
         Inside a sampled trace the whole store-level call is wrapped in a
         ``<store>.<op>`` span; the store implementations annotate it with
@@ -216,7 +221,7 @@ class StoreSession:
         return self._dispatch(op, key, fields, scan_length)
 
     def _traced_execute(self, op: OpType, key: str,
-                        fields: Optional[Mapping[str, str]],
+                        fields: Optional[Mapping[str, Optional[str]]],
                         scan_length: int):
         tracer = self.store.sim.tracer
         span = tracer.start_span(
@@ -228,14 +233,14 @@ class StoreSession:
         return result
 
     def _dispatch(self, op: OpType, key: str,
-                  fields: Optional[Mapping[str, str]],
+                  fields: Optional[Mapping[str, Optional[str]]],
                   scan_length: int):
         if op is OpType.READ:
             return self.read(key)
         if op is OpType.INSERT:
-            return self.insert(key, fields or {})
+            return self.insert(key, self.store.schema.to_row(fields or {}))
         if op is OpType.UPDATE:
-            return self.update(key, fields or {})
+            return self.update(key, self.store.schema.to_row(fields or {}))
         if op is OpType.SCAN:
             return self.scan(key, scan_length)
         if op is OpType.DELETE:
@@ -526,11 +531,11 @@ class Store:
             versions[key] = version
 
     def _apply_versioned_read(self, replica: int, key: str):
-        """Replica-side read returning ``(fields, version held)`` — one
+        """Replica-side read returning ``(row, version held)`` — one
         answer of a quorum read (a digest/data read resolution collapsed
         to one round)."""
-        fields = yield from self._apply_read(replica, key)
-        return fields, self.versions[replica].get(key, 0)
+        row = yield from self._apply_read(replica, key)
+        return row, self.versions[replica].get(key, 0)
 
     def fan_out(self, origin: Node, replicas: Sequence[int], k: int,
                 request_bytes: int, response_bytes: int, apply, *args):
@@ -716,18 +721,19 @@ class Store:
                         * self.sessions_open)
             yield from client.cpu(cost * (1.0 + overhead))
 
-    def record_bytes(self, fields: Mapping[str, str] | None = None) -> int:
-        """Wire payload of one record's field values."""
-        if fields is None:
+    def record_bytes(self, row: tuple | None = None) -> int:
+        """Wire payload of one row's written values (a ``None`` column
+        was not written and weighs nothing)."""
+        if row is None:
             return self.schema.raw_value_bytes
-        return sum(len(v) for v in fields.values())
+        return sum(map(len, filter(None, row)))
 
-    def request_bytes(self, key: str, fields: Mapping[str, str] | None = None,
+    def request_bytes(self, key: str, row: tuple | None = None,
                       with_payload: bool = False) -> int:
         """Wire size of a request naming ``key`` (plus payload for writes)."""
         size = self.profile.request_overhead_bytes + len(key)
         if with_payload:
-            size += self.record_bytes(fields)
+            size += self.record_bytes(row)
         return size
 
     def response_bytes(self, n_records: int = 1) -> int:
@@ -783,19 +789,24 @@ LOAD_BATCH_RECORDS = 256
 
 
 def load_batches(records: Iterable[Record],
-                 route_many: Callable[[list[str]], Sequence]
-                 ) -> Iterator[tuple[list[Record], Sequence]]:
-    """``(batch, routes)`` for ``records``, ``LOAD_BATCH_RECORDS`` at a
-    time: a batch's records and, in their order, where ``route_many``
-    sends their keys — one batched hash a batch, not one a record.  A
-    store still loads the batch record by record."""
+                 route_many: Callable[[list[str]], Sequence],
+                 schema: RecordSchema) -> Iterator[tuple[str, tuple, object]]:
+    """``(key, row, route)`` of each of ``records``, in order: its key,
+    its fields as a row of ``schema`` (the one conversion a loaded record
+    gets) and where ``route_many`` sends the key.  The keys are routed
+    ``LOAD_BATCH_RECORDS`` at a time — one batched hash a batch, not one
+    a record."""
+    to_row = schema.to_row
     records = iter(records)
     while batch := list(islice(records, LOAD_BATCH_RECORDS)):
-        yield batch, route_many([record.key for record in batch])
+        routes = route_many([record.key for record in batch])
+        for record, route in zip(batch, routes):
+            yield record.key, to_row(record.fields), route
 
 
 def load_lsm_rounds(records: Iterable[Record], engines: Sequence,
-                    homes_many: Callable[[list[str]], Sequence]) -> None:
+                    homes_many: Callable[[list[str]], Sequence],
+                    schema: RecordSchema) -> None:
     """Load ``records`` into the LSM ``engines``, round by round: each
     record into the engines ``homes_many`` names for its key, a flush of
     every engine when a round is full, then one minor compaction pass an
@@ -804,23 +815,20 @@ def load_lsm_rounds(records: Iterable[Record], engines: Sequence,
     amplification the Bloom-filter ablation measures).
     """
     loaded = 0
-    for batch, homes in load_batches(records, homes_many):
-        for record, record_homes in zip(batch, homes):
-            key, fields = record.key, record.fields
-            for home in record_homes:
-                # The engine keeps a row of the fields it is given.
-                engines[home].put(key, fields)
-            loaded += 1
-            if loaded % LOAD_ROUND_RECORDS == 0:
-                for engine in engines:
-                    engine.flush()
+    for key, row, homes in load_batches(records, homes_many, schema):
+        for home in homes:
+            engines[home].put(key, row)
+        loaded += 1
+        if loaded % LOAD_ROUND_RECORDS == 0:
+            for engine in engines:
+                engine.flush()
     for engine in engines:
         engine.flush()
         engine.maybe_compact()
 
 
 def newest_cell(acks):
-    """The fields of the answer carrying the highest version among the
+    """The row of the answer carrying the highest version among the
     finished versioned reads ``acks`` (the first of equals): whenever the
     read set overlaps the last write quorum, the latest acked write."""
     return max((ack.value for ack in acks), key=lambda cell: cell[1])[0]

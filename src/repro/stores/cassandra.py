@@ -19,7 +19,7 @@ under maximum throughput (Section 5.1).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from repro.sim.cluster import Cluster, Node
 from repro.sim.faults import OverloadError, UnavailableError
@@ -198,7 +198,7 @@ class CassandraStore(Store):
         compacted run — reads must merge across them (the read
         amplification the Bloom-filter ablation measures).
         """
-        load_lsm_rounds(records, self.engines, self.homes_many)
+        load_lsm_rounds(records, self.engines, self.homes_many, self.schema)
 
     def session(self, client_node: Node, index: int) -> "CassandraSession":
         return CassandraSession(self, client_node, index)
@@ -241,11 +241,10 @@ class CassandraStore(Store):
             self.replicas_of(key, copies), 1,
             lambda __: f"all {copies} replicas of {key!r} are down")[0]
 
-    def queue_hint(self, replica: int, key: str, fields: Mapping[str, str],
+    def queue_hint(self, replica: int, key: str, row: tuple,
                    version: int = 0) -> None:
         """Store a hinted mutation for a down replica."""
-        self.hints.setdefault(replica, []).append(
-            (key, self.schema.to_row(fields), version))
+        self.hints.setdefault(replica, []).append((key, row, version))
         self.hints_queued += 1
 
     def on_node_up(self, node: Node) -> None:
@@ -265,7 +264,7 @@ class CassandraStore(Store):
         node = self.cluster.servers[index]
         flush_bytes = 0
         for key, row, version in pending:
-            bill = self.engines[index].put(key, self.schema.row_fields(row))
+            bill = self.engines[index].put(key, row)
             self._stamp(index, key, version)
             flush_bytes += (bill.wal_sync_bytes + bill.flush_write_bytes
                             + bill.compaction_io_bytes)
@@ -307,14 +306,13 @@ class CassandraStore(Store):
     # bootstrap / ``move`` / decommission flow.
 
     def _shard_entries(self):
-        row_fields = self.schema.row_fields
         for src, engine in enumerate(self.engines):
-            yield src, [(key, row_fields(row)) for key, row in engine.items()]
+            yield src, list(engine.items())
 
     _shard_of = owner_of
 
-    def _move_entry(self, key: str, fields, src: int, dst: int):
-        self.engines[dst].put(key, fields)
+    def _move_entry(self, key: str, row: tuple, src: int, dst: int):
+        self.engines[dst].put(key, row)
         self.engines[src].delete(key)
         return src, dst, int(
             (self.schema.key_length + self.schema.raw_value_bytes)
@@ -343,8 +341,8 @@ class CassandraStore(Store):
                 f"cassandra-{owner} replica queue full "
                 f"({queue} >= {policy.max_queue})")
 
-    def _apply_write(self, owner: int, key: str,
-                     fields: Mapping[str, str], version: int = 0):
+    def _apply_write(self, owner: int, key: str, row: tuple,
+                     version: int = 0):
         if self.replication_factor == 1:
             # A write routed before a token move reaches the old owner
             # after its range streamed away; the replica forwards it to
@@ -359,7 +357,7 @@ class CassandraStore(Store):
         if self.compression_ratio < 1.0:
             write_cpu += self.COMPRESSION_CPU
         yield from node.cpu(self.server_cost(write_cpu))
-        bill = self.engines[owner].put(key, fields)
+        bill = self.engines[owner].put(key, row)
         self._stamp(owner, key, version)
         if bill.wal_sync_bytes:
             if self.commitlog_sync == "batch":
@@ -392,7 +390,7 @@ class CassandraStore(Store):
         yield from node.cpu(self.server_cost(read_cpu))
         result = self.engines[owner].get(key)
         yield from self.cached_read_io(node, result.bill.blocks)
-        return result.fields
+        return result.row
 
     def _apply_scan(self, owner: int, start_key: str, count: int):
         self._maybe_shed(owner)
@@ -528,22 +526,21 @@ class CassandraSession(StoreSession):
                                  coordinator=coordinator, replicas=replicas,
                                  read_acks=needed)
 
-    def insert(self, key: str, fields: Mapping[str, str]):
+    def insert(self, key: str, row: tuple):
         store = self.store
         version = store.next_write_version()
-        request = store.request_bytes(key, fields, with_payload=True)
+        request = store.request_bytes(key, row, with_payload=True)
         response = store.response_bytes(0)
         if store.replication_factor > 1:
-            return self._quorum_insert(key, fields, version, request,
-                                       response)
+            return self._quorum_insert(key, row, version, request, response)
         live = store.live_replicas(
             [store.owner_of(key)], 1,
             lambda __: f"single replica of {key!r} is down (RF=1)")
         return self._route(live, request, response, store._apply_write,
-                           key, fields, version)
+                           key, row, version)
 
-    def _quorum_insert(self, key: str, fields: Mapping[str, str],
-                       version: int, request: int, response: int):
+    def _quorum_insert(self, key: str, row: tuple, version: int,
+                       request: int, response: int):
         """RF > 1: the coordinator fans the mutation out to every live
         replica and acknowledges once the consistency level is met —
         the replication extension of the paper's future work.  Down
@@ -566,12 +563,12 @@ class CassandraSession(StoreSession):
                 f"{store.consistency_level!r} needs {needed}")
             for replica in replicas:
                 if replica not in live:
-                    store.queue_hint(replica, key, fields, version)
+                    store.queue_hint(replica, key, row, version)
             if store._fanout is not None:
                 store._fanout.inc(len(live))
             __, quorum = store.fan_out(
                 node, live, needed, request, response,
-                store._apply_write, key, fields, version)
+                store._apply_write, key, row, version)
             with span(store.sim, "replica_wait", "replica-wait",
                       needed=needed, live=len(live)):
                 yield quorum

@@ -24,7 +24,7 @@ paper experienced.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.sim.cluster import Cluster, Node
 from repro.sim.resources import Resource
@@ -278,7 +278,8 @@ class HBaseStore(Store):
         # Nothing reassigns a region while the load runs.
         load_lsm_rounds(records,
                         [self.engine_of(rid) for rid in range(self.n_regions)],
-                        lambda keys: [(self.region_of(key),) for key in keys])
+                        lambda keys: [(self.region_of(key),) for key in keys],
+                        self.schema)
 
     def session(self, client_node: Node, index: int) -> "HBaseSession":
         return HBaseSession(self, client_node, index)
@@ -334,11 +335,11 @@ class HBaseStore(Store):
         path = self._hfile_paths[region_id]
         for block in result.bill.blocks:
             yield from self.hdfs.read(path, block, 4096, server.node)
-        return result.fields
+        return result.row
 
     def _serve_multi_put(self, server: RegionServer,
-                         puts: list[tuple[str, Mapping[str, str]]]):
-        for key, fields in puts:
+                         puts: list[tuple[str, tuple]]):
+        for key, row in puts:
             self.note_node_op(server.index)
             yield from server.node.cpu(self.profile.write_cpu)
             region_id = self.region_of(key)
@@ -348,7 +349,7 @@ class HBaseStore(Store):
             # retried at the region's current host — resolved here, at
             # execution time, so the mutation lands in the live region.
             owner = self.server_of_region(region_id)
-            bill = owner.regions[region_id].put(key, fields)
+            bill = owner.regions[region_id].put(key, row)
             self._persist_bill(owner, region_id, bill)
         return len(puts)
 
@@ -371,7 +372,7 @@ class HBaseSession(StoreSession):
 
     def __init__(self, store: HBaseStore, client_node: Node, index: int):
         super().__init__(store, client_node, index)
-        self._buffer: list[tuple[str, Mapping[str, str]]] = []
+        self._buffer: list[tuple[str, tuple]] = []
 
     def _rpc(self, server: RegionServer, body, request_bytes: int,
              response_bytes: int):
@@ -394,21 +395,21 @@ class HBaseSession(StoreSession):
             store.request_bytes(key), store.response_bytes(1),
             region=region_id, server=server.node.name)
 
-    def insert(self, key: str, fields: Mapping[str, str]):
+    def insert(self, key: str, row: tuple):
         store = self.store
         if not store.client_buffering:
             server = store.server_of_region(store.region_of(key))
             result = yield from self._call_server(
                 server.index, store._with_handler(
-                    server, store._serve_multi_put(server, [(key, fields)])),
-                store.request_bytes(key, fields, with_payload=True),
+                    server, store._serve_multi_put(server, [(key, row)])),
+                store.request_bytes(key, row, with_payload=True),
                 store.response_bytes(0))
             return result == 1
         # Client-buffered path: ack locally, ship a multi-put when full.
-        # The buffer holds the caller's put as HTable's holds a Put; the
-        # region's engine takes its row when the multi-put lands.
+        # The buffer holds the put's row as HTable's holds a Put; the
+        # region's engine keeps that row when the multi-put lands.
         yield from self.client.cpu(store.BUFFERED_PUT_CPU)
-        self._buffer.append((key, fields))
+        self._buffer.append((key, row))
         if len(self._buffer) >= store.WRITE_BUFFER_OPS:
             yield from self.flush_buffer()
         return True
@@ -417,16 +418,16 @@ class HBaseSession(StoreSession):
         """Ship the buffered puts, grouped by region server."""
         store = self.store
         puts, self._buffer = self._buffer, []
-        by_server: dict[int, list[tuple[str, Mapping[str, str]]]] = {}
-        for key, fields in puts:
+        by_server: dict[int, list[tuple[str, tuple]]] = {}
+        for key, row in puts:
             server = store.server_of_region(store.region_of(key))
-            by_server.setdefault(server.index, []).append((key, fields))
+            by_server.setdefault(server.index, []).append((key, row))
         batches = []
         for server_index, group in by_server.items():
             server = store.region_servers[server_index]
             payload = sum(
-                store.request_bytes(k, f, with_payload=True)
-                for k, f in group
+                store.request_bytes(key, row, with_payload=True)
+                for key, row in group
             )
             batches.append(store.sim.process(self._rpc(
                 server, store._serve_multi_put(server, group),

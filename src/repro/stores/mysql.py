@@ -26,8 +26,8 @@ Architecture per Sections 4.6 / 5.1 / 5.4-5.5, version 5.5.17 semantics:
 from __future__ import annotations
 
 import math
-from itertools import islice
-from typing import Iterable, Mapping
+from itertools import chain, islice
+from typing import Iterable
 
 from repro.keyspace import lex_position as key_position
 from repro.sim.cluster import Cluster, Node
@@ -164,17 +164,17 @@ class MySQLStore(Store):
     # -- deployment ----------------------------------------------------------
 
     def load(self, records: Iterable[Record]) -> None:
-        tables = self.tables
-        to_row = self.schema.to_row
-        sample_binlog = None
-        for batch, shards in load_batches(records, self.shard_of_many):
-            for record, shard in zip(batch, shards):
-                key = record.key
-                tables[shard].put(key, to_row(record.fields))
-                if self.binlog_enabled:
-                    if sample_binlog is None:
-                        sample_binlog = len(encode_binlog_event(record))
-                    self.binlog_bytes[shard] += sample_binlog
+        tables, binlog_bytes = self.tables, self.binlog_bytes
+        records = iter(records)
+        first = next(records, None)
+        if first is None:
+            return
+        # Every loaded record's binlog event is as long as the first's.
+        event = len(encode_binlog_event(first)) if self.binlog_enabled else 0
+        for key, row, shard in load_batches(chain((first,), records),
+                                            self.shard_of_many, self.schema):
+            tables[shard].put(key, row)
+            binlog_bytes[shard] += event
 
     def session(self, client_node: Node, index: int) -> "MySQLSession":
         return MySQLSession(self, client_node, index)
@@ -213,9 +213,9 @@ class MySQLStore(Store):
         yield from self.cached_read_io(
             node, [self._leaf_block(shard, path.page_ids[-1])]
         )
-        return self.schema.row_fields(value) if value is not None else None
+        return value
 
-    def _apply_write(self, shard: int, key: str, fields: Mapping[str, str]):
+    def _apply_write(self, shard: int, key: str, row: tuple):
         # A write routed under the old JDBC ring lands after the reshard
         # copied its rows away; the statement executes against the
         # current ring owner (the sharding driver's remap-and-retry) so
@@ -226,7 +226,6 @@ class MySQLStore(Store):
         yield from node.cpu(self.server_cost(self.profile.write_cpu))
         table = self.tables[shard]
         existing, path = table.get(key)
-        row = self.schema.to_row(fields)
         table.put(key, row if existing is None
                   else self.schema.overlay(existing, row))
         self._versions_created[shard] += 1
@@ -234,7 +233,7 @@ class MySQLStore(Store):
             node, [self._leaf_block(shard, path.page_ids[-1])]
         )
         if self.binlog_enabled:
-            event = 60 + len(key) + self.record_bytes(fields) * 2
+            event = 60 + len(key) + self.record_bytes(row) * 2
             self.binlog_bytes[shard] += event
             # Binlog group commit: buffered append, drained asynchronously.
             yield from node.disk.write(event, sequential=True, sync=False)
@@ -261,8 +260,7 @@ class MySQLStore(Store):
         leaves = path.page_ids[self.tables[shard].height - 1:]
         blocks = [self._leaf_block(shard, p) for p in leaves[:4]]
         yield from self.cached_read_io(node, blocks)
-        row_fields = self.schema.row_fields
-        return [(k, row_fields(v)) for k, v in rows]
+        return rows
 
     def _apply_tail_scan(self, shard: int, start_key: str, count: int):
         """Sharded scan leg: stream the shard's whole tail (no LIMIT)."""
@@ -280,8 +278,6 @@ class MySQLStore(Store):
         leaves = path.page_ids[self.tables[shard].height - 1:]
         blocks = [self._leaf_block(shard, p) for p in leaves[:4]]
         yield from self.cached_read_io(node, blocks)
-        # By reference: the client copies the rows it keeps (a stored
-        # row is replaced by a write, never mutated).
         return rows, tail_rows
 
     def _apply_delete(self, shard: int, key: str):
@@ -320,10 +316,8 @@ class MySQLSession(StoreSession):
         yield from self.client.cpu(
             sum(tail_rows for __, tail_rows in results) * 0.5e-6)
         # One row a key, the last leg's: a reshard can move a row between
-        # two legs' reads, and then both shards stream it.  A row becomes
-        # a dict once, here, where it leaves the store.
-        row_fields = store.schema.row_fields
-        return [(key, row_fields(rows[-1])) for key, rows in islice(
+        # two legs' reads, and then both shards stream it.
+        return [(key, rows[-1]) for key, rows in islice(
             merge_runs(rows for rows, __ in results), count)]
 
     def sim_process_for_shard(self, shard: int, start_key: str, count: int):

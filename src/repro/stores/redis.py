@@ -26,7 +26,7 @@ experiment (Figure 17).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.sim.cluster import Cluster, Node
 from repro.sim.resources import Resource
@@ -160,8 +160,8 @@ class RedisStore(Store):
 
     _shard_of = shard_of
 
-    def _move_entry(self, key: str, fields, src: int, dst: int):
-        if not self.shards[dst].hset(key, fields):
+    def _move_entry(self, key: str, row: tuple, src: int, dst: int):
+        if not self.shards[dst].hset(key, row):
             # Destination OOM mid-reshard: the key stays put (and
             # unreachable), exactly the operational hazard the
             # paper's footnote 7 describes.  Counted as an error.
@@ -174,11 +174,10 @@ class RedisStore(Store):
 
     def load(self, records: Iterable[Record]) -> None:
         shards = self.shards
-        for batch, routes in load_batches(records, self.shard_of_many):
-            for record, shard in zip(batch, routes):
-                # HSET stores the fields as its own row.
-                if not shards[shard].hset(record.key, record.fields):
-                    self.errors += 1
+        for key, row, shard in load_batches(records, self.shard_of_many,
+                                            self.schema):
+            if not shards[shard].hset(key, row):
+                self.errors += 1
 
     def session(self, client_node: Node, index: int) -> "RedisSession":
         return RedisSession(self, client_node, index)
@@ -206,15 +205,14 @@ class RedisStore(Store):
         )
         return result
 
-    def _apply_write(self, shard_index: int, key: str,
-                     fields: Mapping[str, str]):
+    def _apply_write(self, shard_index: int, key: str, row: tuple):
         # A write routed before a reshard reaches the old instance after
         # its keys MIGRATEd away; like the cluster MOVED redirect, it is
         # applied at the current ring owner so the ack stays truthful.
         shard_index = self.shard_of(key)
 
         def action():
-            ok = self.shards[shard_index].hset(key, fields)
+            ok = self.shards[shard_index].hset(key, row)
             if not ok:
                 self.errors += 1
             return ok

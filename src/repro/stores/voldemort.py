@@ -24,7 +24,7 @@ so ``supports_scans`` is ``False`` and scan workloads skip this store.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from repro.hashing import murmur64a
 from repro.sim.cluster import Cluster, Node
@@ -222,13 +222,11 @@ class VoldemortStore(Store):
     def load(self, records: Iterable[Record]) -> None:
         trees, log_bytes = self.trees, self.log_bytes
         entry_bytes = self._entry_bytes
-        to_row = self.schema.to_row
-        for batch, homes in load_batches(records, self.homes_many):
-            for record, owners in zip(batch, homes):
-                key, row = record.key, to_row(record.fields)
-                for owner in owners:
-                    trees[owner].put(key, row)
-                    log_bytes[owner] += entry_bytes
+        for key, row, owners in load_batches(records, self.homes_many,
+                                             self.schema):
+            for owner in owners:
+                trees[owner].put(key, row)
+                log_bytes[owner] += entry_bytes
 
     def session(self, client_node: Node, index: int) -> "VoldemortSession":
         return VoldemortSession(self, client_node, index)
@@ -257,9 +255,9 @@ class VoldemortStore(Store):
         # can miss.
         leaf = self._leaf_block(owner, path.page_ids[-1])
         yield from self.cached_read_io(node, [leaf])
-        return self.schema.row_fields(value) if value is not None else None
+        return value
 
-    def _apply_write(self, owner: int, key: str, fields: Mapping[str, str],
+    def _apply_write(self, owner: int, key: str, row: tuple,
                      version: int = 0):
         # A write routed under the old partition map lands after the
         # rebalancer moved its partition; the server proxies it to the
@@ -273,7 +271,7 @@ class VoldemortStore(Store):
         node = self.cluster.servers[owner]
         yield from node.cpu(self.profile.write_cpu)
         tree = self.trees[owner]
-        was_new, path = tree.put(key, self.schema.to_row(fields))
+        was_new, path = tree.put(key, row)
         # Read-modify-write, amortised and deferred: JE batches dirty
         # leaves, so only a fraction of writes fault a cold leaf — and
         # the fault happens off the commit path (eviction/checkpoint),
@@ -365,19 +363,19 @@ class VoldemortSession(StoreSession):
             chosen, k, newest_cell, store.request_bytes(key),
             store.response_bytes(1), store._apply_versioned_read, key)
 
-    def insert(self, key: str, fields: Mapping[str, str]):
+    def insert(self, key: str, row: tuple):
         """N > 1: fan to every live node of the preference list, ack at W."""
         store = self.store
         version = store.next_write_version()
         if store.replication_factor == 1:
-            return super().insert(key, fields, version)
+            return super().insert(key, row, version)
         k = store.required_writes
         live = self._live(key, k, "W")
         store.annotate(replicas=live, write_acks=k)
         return self._quorum(
             live, k, None,
-            store.request_bytes(key, fields, with_payload=True),
-            store.response_bytes(0), store._apply_write, key, fields, version)
+            store.request_bytes(key, row, with_payload=True),
+            store.response_bytes(0), store._apply_write, key, row, version)
 
     def scan(self, start_key: str, count: int):
         raise OpError("the Voldemort YCSB client does not support scans")

@@ -23,7 +23,7 @@ does not appear in the disk-usage experiment.
 from __future__ import annotations
 
 from itertools import islice
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.sim.cluster import Cluster, Node
 from repro.sim.faults import NodeDownError
@@ -220,10 +220,9 @@ class VoltDBStore(Store):
 
     def load(self, records: Iterable[Record]) -> None:
         rows: dict[int, list] = {pid: [] for pid in self.partitions}
-        to_row = self.schema.to_row
-        for batch, pids in load_batches(records, self.partition_of_many):
-            for record, pid in zip(batch, pids):
-                rows[pid].append((record.key, to_row(record.fields)))
+        for key, row, pid in load_batches(records, self.partition_of_many,
+                                          self.schema):
+            rows[pid].append((key, row))
         for pid, table in self.partitions.items():
             table.put_all(rows.pop(pid))
 
@@ -283,16 +282,14 @@ class VoltDBStore(Store):
             partition, self.profile.read_cpu,
             lambda: self.partitions[partition].get(key),
         )
-        return self.schema.row_fields(result) if result is not None else None
+        return result
 
-    def _proc_write(self, partition: int, key: str,
-                    fields: Mapping[str, str]):
+    def _proc_write(self, partition: int, key: str, row: tuple):
         # A procedure initiated under the old partition map executes
         # after an elastic rehash widened the hash space; the initiator
         # re-plans it against the current partition (the client "wrong
         # partition" retry) so the acknowledged row lands at its owner.
         partition = self.partition_of(key)
-        row = self.schema.to_row(fields)
 
         def action():
             table = self.partitions[partition]
@@ -319,8 +316,8 @@ class VoltDBStore(Store):
         Each site's rows are kept by reference (a stored row is a tuple,
         replaced by a write, never mutated); the coordinator merges the
         sites' key-ordered lists, one row a key (the first site's, should
-        a move between two sites' reads show a key twice), and only the
-        ``count`` rows it returns become dicts.
+        a move between two sites' reads show a key twice), and returns
+        the first ``count``.
         """
         yield from self._initiate(coordinator, multi_partition=True)
         fragments = []
@@ -339,8 +336,7 @@ class VoltDBStore(Store):
                 lambda p=partition: collect(p),
             )))
         yield self.sim.all_of(fragments)
-        row_fields = self.schema.row_fields
-        return [(key, row_fields(rows[0])) for key, rows in islice(
+        return [(key, rows[0]) for key, rows in islice(
             merge_runs(collected), count)]
 
 
@@ -365,12 +361,12 @@ class VoltDBSession(StoreSession):
             store.request_bytes(key), store.response_bytes(1),
             partition=partition)
 
-    def insert(self, key: str, fields: Mapping[str, str]):
+    def insert(self, key: str, row: tuple):
         store = self.store
         partition = store.partition_of(key)
         return self._call_server(
-            self._next_entry(), store._proc_write(partition, key, fields),
-            store.request_bytes(key, fields, with_payload=True),
+            self._next_entry(), store._proc_write(partition, key, row),
+            store.request_bytes(key, row, with_payload=True),
             store.response_bytes(0), partition=partition)
 
     def scan(self, start_key: str, count: int):

@@ -57,9 +57,8 @@ OPS_PER_WRITER = 120
 WRITE_SPACING_S = 0.0008
 
 
-def _writer_fields(serial):
-    return {f: f"w{serial:05d}".ljust(10, "y")
-            for f in APM_SCHEMA.field_names}
+def _writer_row(serial):
+    return (f"w{serial:05d}".ljust(10, "y"),) * APM_SCHEMA.field_count
 
 
 def _run_scenario(store_name):
@@ -78,7 +77,7 @@ def _run_scenario(store_name):
             serial = index * OPS_PER_WRITER + op
             key = format_key(100_000 + serial)
             try:
-                ok = yield from session.insert(key, _writer_fields(serial))
+                ok = yield from session.insert(key, _writer_row(serial))
             except OpError:
                 ok = False
             if ok:

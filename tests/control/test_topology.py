@@ -5,7 +5,7 @@ import pytest
 from repro.control import ClusterTopology
 from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.stores.redis import RedisStore
-from tests.stores.conftest import make_records, run_op
+from tests.stores.conftest import make_records, row_of, run_op
 
 
 @pytest.fixture
@@ -43,7 +43,7 @@ def test_scale_in_drains_then_retires(deployed):
     # Every loaded record is still reachable after the round trip.
     session = store.session(cluster.clients[0], 0)
     for record in make_records(400)[::37]:
-        assert run_op(store, session.read(record.key)) == dict(record.fields)
+        assert run_op(store, session.read(record.key)) == row_of(record)
 
 
 def test_replace_recovers_in_slot(deployed):

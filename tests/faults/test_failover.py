@@ -12,6 +12,7 @@ import pytest
 
 from repro.faults.schedule import FaultSchedule
 from repro.sim.cluster import CLUSTER_M, Cluster
+from repro.storage.record import APM_SCHEMA
 from repro.stores.cassandra import CassandraStore
 from repro.stores.hbase import HBaseStore
 from repro.ycsb.runner import run_benchmark
@@ -59,8 +60,9 @@ def test_cassandra_hinted_handoff_queues_and_replays():
     down.fail()
 
     def write():
-        ok = yield from session.insert("user00000000000000000042",
-                                       {"field0": "v" * 10})
+        ok = yield from session.insert(
+            "user00000000000000000042",
+            APM_SCHEMA.to_row({"field0": "v" * 10}))
         return ok
 
     proc = cluster.sim.process(write())
@@ -75,7 +77,7 @@ def test_cassandra_hinted_handoff_queues_and_replays():
     assert store.hints_replayed == store.hints_queued
     assert not store.hints.get(1)
     # The replayed mutation is actually in the restarted replica's engine.
-    assert store.engines[1].get("user00000000000000000042").fields
+    assert store.engines[1].get("user00000000000000000042").row
 
 
 @pytest.mark.slow

@@ -63,6 +63,7 @@ from repro.overload.openloop import (_OpenLoopRun, goodput_sweep,
 from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.sim.faults import FaultError
 from repro.storage.lsm import LSMEngine
+from repro.storage.record import APM_SCHEMA
 from repro.stores.base import ServiceProfile
 from repro.stores.mysql import MySQLSession
 from repro.stores.registry import create_store
@@ -317,17 +318,19 @@ def export_voldemort_quorum_cycle() -> dict:
             outcome = yield from make_op()
         except FaultError as exc:
             outcome = f"{type(exc).__name__}: {exc}"
+        if isinstance(outcome, tuple):  # a row read: logged by field
+            outcome = APM_SCHEMA.row_fields(outcome)
         log.append([label, key, outcome, sim.now, sim._sequence])
 
     def cycle(phase):
         for key in keys:
-            fields = {"field0": f"{phase}-{key[-4:]}"}
+            row = APM_SCHEMA.to_row({"field0": f"{phase}-{key[-4:]}"})
             for label, make_op in (
-                    ("insert", lambda: session.insert(key, fields)),
+                    ("insert", lambda: session.insert(key, row)),
                     ("read", lambda: session.read(key)),
                     ("delete", lambda: session.delete(key)),
                     ("read-after-delete", lambda: session.read(key)),
-                    ("reinsert", lambda: session.insert(key, fields))):
+                    ("reinsert", lambda: session.insert(key, row))):
                 yield from attempt(f"{phase}:{label}", key, make_op)
 
     def drive():
@@ -357,7 +360,9 @@ def export_voldemort_quorum_cycle() -> dict:
 
 class _RowLog:
     """What a read path handed back, call by call, folded into one
-    SHA-256 so the payload stays small."""
+    SHA-256 so the payload stays small.  A row is logged as its field
+    dict (``APM_SCHEMA.row_fields``), the form the digests were first
+    taken of when stores returned dicts."""
 
     def __init__(self):
         self.calls = 0
@@ -386,7 +391,8 @@ def export_sharded_scan_point() -> dict:
 
     def recorded(self, start_key, count):
         rows = yield from scan(self, start_key, count)
-        log.note(start_key, count, self.store.sim.now, rows)
+        log.note(start_key, count, self.store.sim.now,
+                 [(key, APM_SCHEMA.row_fields(row)) for key, row in rows])
         rows_returned.append(len(rows))
         return rows
 
@@ -417,7 +423,8 @@ def export_multi_file_read_point() -> dict:
 
     def recorded(self, key):
         result = get(self, key)
-        log.note(key, result.bill.blocks, result.fields)
+        log.note(key, result.bill.blocks, None if result.row is None
+                 else APM_SCHEMA.row_fields(result.row))
         runs_probed.append(result.bill.runs_touched)
         return result
 

@@ -140,9 +140,7 @@ def widening_scan(engine, start_key: str, count: int):
                 break
         if len(live) >= count or frontier is None:
             bill = IoBill(runs_touched=sources, blocks=tuple(blocks))
-            row_fields = engine.schema.row_fields
-            return ([(key, row_fields(row)) for key, row in live], bill,
-                    need)
+            return live, bill, need
         need *= 2
 
 

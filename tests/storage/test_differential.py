@@ -51,7 +51,9 @@ def test_lsm_engine_matches_dict_model():
                        min_compaction_threshold=2)
     # Three-column rows: every put writes them all, so a memtable hit is
     # a complete one and answers alone.
-    engine = LSMEngine(config, seed=7, schema=RecordSchema(field_count=3))
+    schema = RecordSchema(field_count=3)
+    engine = LSMEngine(config, seed=7, schema=schema)
+    row_fields = schema.row_fields
     # The mutation log doubles as the durable-state oracle: a crash loses
     # exactly the unsynced tail, so the model is rebuilt from the log with
     # that tail dropped — same contract as the engine's WAL replay.
@@ -69,7 +71,7 @@ def test_lsm_engine_matches_dict_model():
         key = rng.choice(KEYSPACE)
         if roll < 0.45:
             fields = _fields(rng, key)
-            engine.put(key, fields)
+            engine.put(key, schema.to_row(fields))
             op = ("put", key, fields)
             oplog.append(op)
             apply(model, op)
@@ -79,15 +81,15 @@ def test_lsm_engine_matches_dict_model():
             oplog.append(op)
             apply(model, op)
         elif roll < 0.75:
-            got = engine.get(key).fields
+            got = engine.get(key).row
             expect = model.get(key)
-            assert (dict(got) if got is not None else None) == expect, \
+            assert (row_fields(got) if got is not None else None) == expect, \
                 f"get({key!r}) diverged at op {step}"
         elif roll < 0.90:
             start = rng.choice(KEYSPACE)
             count = rng.randrange(1, 20)
             rows, __ = engine.scan(start, count)
-            got = [(k, dict(v)) for k, v in rows]
+            got = [(k, row_fields(v)) for k, v in rows]
             assert got == _model_scan(model, start, count), \
                 f"scan({start!r}, {count}) diverged at op {step}"
         elif roll < 0.95:
@@ -102,10 +104,10 @@ def test_lsm_engine_matches_dict_model():
                     apply(model, op)
     assert engine.record_count == len(model)
     for key in KEYSPACE:
-        got = engine.get(key).fields
-        assert (dict(got) if got is not None else None) == model.get(key)
+        got = engine.get(key).row
+        assert (row_fields(got) if got is not None else None) == model.get(key)
     rows, __ = engine.scan(KEYSPACE[0], len(KEYSPACE))
-    assert ([(k, dict(v)) for k, v in rows]
+    assert ([(k, row_fields(v)) for k, v in rows]
             == _model_scan(model, KEYSPACE[0], len(KEYSPACE)))
 
 
@@ -145,31 +147,34 @@ def test_hashstore_matches_dict_model():
     """Same harness against the hash store, including column-merge HMSETs."""
     rng = random.Random(0xCAFE)
     store = HashStore(seed=3)
+    to_row, row_fields = APM_SCHEMA.to_row, APM_SCHEMA.row_fields
     model: dict[str, dict[str, str]] = {}
     for step in range(N_OPS):
         roll = rng.random()
         key = rng.choice(KEYSPACE)
         if roll < 0.35:
             fields = _fields(rng, key)
-            assert store.hset(key, fields)
+            assert store.hset(key, to_row(fields))
             model[key] = dict(fields)
         elif roll < 0.50:
             # Partial update: HMSET merges columns into an existing hash.
             fields = _fields(rng, key, n=1)
-            assert store.hset(key, fields)
+            assert store.hset(key, to_row(fields))
             model.setdefault(key, {}).update(fields)
         elif roll < 0.65:
             existed = store.delete(key)
             assert existed == (key in model), f"delete at op {step}"
             model.pop(key, None)
         elif roll < 0.85:
-            assert store.hgetall(key) == model.get(key), \
-                f"hgetall({key!r}) at op {step}"
+            got = store.hgetall(key)
+            assert (row_fields(got) if got is not None else None) \
+                == model.get(key), f"hgetall({key!r}) at op {step}"
         else:
             start = rng.choice(KEYSPACE)
             count = rng.randrange(1, 20)
-            assert store.scan(start, count) == _model_scan(
-                model, start, count), f"scan at op {step}"
+            got = [(k, row_fields(v)) for k, v in store.scan(start, count)]
+            assert got == _model_scan(model, start, count), \
+                f"scan at op {step}"
     assert len(store) == len(model)
     assert store.zrange_from(KEYSPACE[0], len(KEYSPACE)) == sorted(model)
 
@@ -482,7 +487,7 @@ def test_flushed_run_is_sized_and_filtered_entry_by_entry():
             if rng.random() < 0.2:
                 engine.delete(key)
             else:
-                engine.put(key, _partial_fields(rng))
+                engine.put(key, _partial_row(rng))
         expected = engine.memtable.sorted_items()
         written = engine.flush()
         run = engine.sstables[-1]
@@ -604,12 +609,12 @@ def test_read_blocks_match_the_formatted_string_crc():
         engine = LSMEngine(config, seed=2, name="blocks")
         keys = [f"user{rng.randrange(10**21):021d}" for __ in range(900)]
         for i, key in enumerate(keys):
-            engine.put(key, {f"field{j}": "x" * 10 for j in range(5)})
+            engine.put(key, ("x" * 10,) * 5)
             if i % 100 == 99:
                 engine.flush()
         engine.maybe_compact()
         for i in range(200):
-            engine.put(keys[i], {"field0": "y" * 10})
+            engine.put(keys[i], ("y" * 10, None, None, None, None))
         engine.flush()
         assert len(engine.sstables) >= 3
 

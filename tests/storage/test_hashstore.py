@@ -7,42 +7,42 @@ from repro.storage.hashstore import HashStore
 from repro.storage.record import APM_SCHEMA
 
 
-def fields(tag):
-    return {f: str(tag)[:10].ljust(10, "x") for f in APM_SCHEMA.field_names}
+def row(tag):
+    return APM_SCHEMA.to_row(
+        {f: str(tag)[:10].ljust(10, "x") for f in APM_SCHEMA.field_names})
 
 
 class TestHashStore:
     def test_hset_hgetall(self):
         store = HashStore()
-        assert store.hset("k1", fields(1))
-        assert store.hgetall("k1") == fields(1)
+        assert store.hset("k1", row(1))
+        assert store.hgetall("k1") == row(1)
         assert store.hgetall("missing") is None
         assert len(store) == 1
 
     def test_hset_merges_fields(self):
         store = HashStore()
-        store.hset("k", {"field0": "a" * 10})
-        store.hset("k", {"field1": "b" * 10})
-        assert store.hgetall("k") == {"field0": "a" * 10,
-                                      "field1": "b" * 10}
+        store.hset("k", APM_SCHEMA.to_row({"field0": "a" * 10}))
+        store.hset("k", APM_SCHEMA.to_row({"field1": "b" * 10}))
+        assert store.hgetall("k") == ("a" * 10, "b" * 10, None, None, None)
         assert len(store) == 1
 
     def test_scan_via_index(self):
         store = HashStore()
         for i in range(20):
-            store.hset(f"k{i:03d}", fields(i))
+            store.hset(f"k{i:03d}", row(i))
         rows = store.scan("k005", 4)
         assert [k for k, __ in rows] == ["k005", "k006", "k007", "k008"]
 
     def test_zrange_from(self):
         store = HashStore()
         for key in ["c", "a", "b"]:
-            store.hset(key, fields(key))
+            store.hset(key, row(key))
         assert store.zrange_from("a", 10) == ["a", "b", "c"]
 
     def test_delete(self):
         store = HashStore()
-        store.hset("k", fields(1))
+        store.hset("k", row(1))
         assert store.delete("k")
         assert not store.delete("k")
         assert store.hgetall("k") is None
@@ -51,25 +51,25 @@ class TestHashStore:
     def test_memory_accounting(self):
         store = HashStore()
         per_record = redis_memory_per_record()
-        store.hset("k" * 25, fields(1))
+        store.hset("k" * 25, row(1))
         assert store.used_memory_bytes == pytest.approx(per_record)
 
     def test_oom_rejects_new_keys(self):
         limit = int(redis_memory_per_record() * 2.5)
         store = HashStore(max_memory_bytes=limit)
-        assert store.hset("k1", fields(1))
-        assert store.hset("k2", fields(2))
-        assert not store.hset("k3", fields(3))
+        assert store.hset("k1", row(1))
+        assert store.hset("k2", row(2))
+        assert not store.hset("k3", row(3))
         assert store.oom_errors == 1
         assert len(store) == 2
 
     def test_oom_still_allows_updates(self):
         limit = int(redis_memory_per_record() * 1.5)
         store = HashStore(max_memory_bytes=limit)
-        store.hset("k1", fields(1))
+        store.hset("k1", row(1))
         assert store.is_full
-        assert store.hset("k1", fields(99))  # existing key: fine
-        assert store.hgetall("k1") == fields(99)
+        assert store.hset("k1", row(99))  # existing key: fine
+        assert store.hgetall("k1") == row(99)
 
     def test_unlimited_by_default(self):
         store = HashStore()

@@ -24,18 +24,21 @@ from repro.storage.encoding import redis_memory_per_record
 from repro.storage.hashstore import HashStore
 from repro.storage.lsm.engine import LSMConfig, LSMEngine
 from repro.storage.lsm.sstable import SSTable, Versioned
+from repro.storage.record import APM_SCHEMA
 from repro.storage.skiplist import SkipList
 
 from tests.storage.test_differential import _towers
 
 KEYS = st.sampled_from([f"user{i:02d}" for i in range(24)])
-FIELDS = st.dictionaries(st.sampled_from([f"field{i}" for i in range(5)]),
-                         st.text("abcxyz", max_size=12), min_size=1)
+#: A row of some written columns: a repeat is a column-wise upsert.
+ROWS = st.dictionaries(st.sampled_from([f"field{i}" for i in range(5)]),
+                       st.text("abcxyz", max_size=12),
+                       min_size=1).map(APM_SCHEMA.to_row)
 #: A write most of the time; now and then a delete, a scan or a read.
 OPS = st.lists(st.one_of(
-    st.tuples(st.just("put"), KEYS, FIELDS),
-    st.tuples(st.just("put"), KEYS, FIELDS),
-    st.tuples(st.just("put"), KEYS, FIELDS),
+    st.tuples(st.just("put"), KEYS, ROWS),
+    st.tuples(st.just("put"), KEYS, ROWS),
+    st.tuples(st.just("put"), KEYS, ROWS),
     st.tuples(st.just("delete"), KEYS),
     st.tuples(st.just("scan"), KEYS, st.integers(1, 8)),
     st.tuples(st.just("get"), KEYS),
@@ -113,7 +116,7 @@ def test_an_lsm_memtable_linked_late_is_one_linked_at_every_write(
 def test_a_load_links_no_memtable():
     engine = LSMEngine(LSMConfig(memtable_flush_bytes=400), seed=0)
     for i in range(40):
-        engine.put(f"user{i:02d}", {"field0": "v" * 10})
+        engine.put(f"user{i:02d}", ("v" * 10, None, None, None, None))
     assert engine.flushes and engine.memtable._ordered is None
     assert engine.scan("user00", 3)[0][0][0] == "user00"
     assert engine.memtable._ordered is not None
@@ -201,10 +204,10 @@ def test_only_a_probed_run_builds_its_filter(bloom_enabled):
                                  min_compaction_threshold=2,
                                  bloom_enabled=bloom_enabled), seed=0)
     for i in range(40):
-        engine.put(f"user{i:02d}", {"field0": "v" * 10})
+        engine.put(f"user{i:02d}", ("v" * 10, None, None, None, None))
     engine.flush()
     assert engine.compaction.compactions_run  # runs were merged away
     assert not any(_built_filters(engine))
-    assert engine.get("user07").fields == {"field0": "v" * 10}
+    assert engine.get("user07").row == ("v" * 10, None, None, None, None)
     # A read probes the filters only where the engine has them on.
     assert any(_built_filters(engine)) is bloom_enabled

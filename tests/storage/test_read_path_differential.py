@@ -127,7 +127,7 @@ def test_get_bills_the_blocks_block_of_names_for_every_probed_run():
             engine = LSMEngine(config, seed=3, name="probe")
             keys = [f"user{rng.randrange(10**6):06d}" for __ in range(600)]
             for i, key in enumerate(keys):
-                engine.put(key, {f"field{j}": "x" * 10 for j in range(5)})
+                engine.put(key, ("x" * 10,) * 5)
                 if i % 100 == 99:
                     engine.flush()
             assert len(engine.sstables) == 6
@@ -190,7 +190,8 @@ def _lsm_after(steps) -> LSMEngine:
                        seed=5, name="history")
     for i, step in enumerate(steps):
         if step[0] == "put":
-            engine.put(step[1], {f"field{j}": f"v{i}-{j}" for j in step[2]})
+            engine.put(step[1], tuple(f"v{i}-{j}" if j in step[2] else None
+                                      for j in range(5)))
         elif step[0] == "delete":
             engine.delete(step[1])
         elif step[0] == "flush":

@@ -7,6 +7,11 @@ from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.storage.record import APM_SCHEMA, Record
 
 
+def row_of(record):
+    """``record``'s fields as the row a store takes and hands back."""
+    return APM_SCHEMA.to_row(record.fields)
+
+
 def make_records(count):
     """The first ``count`` benchmark records (deterministic)."""
     return [

@@ -25,8 +25,8 @@ from repro.sim.faults import UnavailableError
 
 
 def _versioned_read(store, replica, key):
-    fields = yield from store._apply_read(replica, key)
-    return fields, store.versions[replica].get(key, 0)
+    row = yield from store._apply_read(replica, key)
+    return row, store.versions[replica].get(key, 0)
 
 
 def cassandra_route(session, owner, handler, request_bytes, response_bytes):
@@ -150,12 +150,12 @@ def _cassandra_replicated_read(session, key):
                     _versioned_read(store, replica, key),
                 )))
         yield sim.k_of(acks, needed)
-        best_fields, best_version = None, -1
+        best_row, best_version = None, -1
         for ack in acks:
-            fields, version = ack.value
+            row, version = ack.value
             if version > best_version:
-                best_fields, best_version = fields, version
-        return best_fields
+                best_row, best_version = row, version
+        return best_row
 
     result = yield from store.cluster.network.rpc(
         session.client, coordinator_node, request, response,
@@ -164,7 +164,7 @@ def _cassandra_replicated_read(session, key):
     return result
 
 
-def cassandra_insert(session, key, fields):
+def cassandra_insert(session, key, row):
     store = session.store
     version = store.next_write_version()
     if store.replication_factor == 1:
@@ -174,21 +174,21 @@ def cassandra_insert(session, key, fields):
                 f"single replica of {key!r} is down (RF=1)"
             )
         result = yield from cassandra_route(
-            session, owner, store._apply_write(owner, key, fields, version),
-            store.request_bytes(key, fields, with_payload=True),
+            session, owner, store._apply_write(owner, key, row, version),
+            store.request_bytes(key, row, with_payload=True),
             store.response_bytes(0),
         )
         return result
     result = yield from _cassandra_replicated_insert(
-        session, key, fields, version)
+        session, key, row, version)
     return result
 
 
-def _cassandra_replicated_insert(session, key, fields, version=0):
+def _cassandra_replicated_insert(session, key, row, version=0):
     store = session.store
     sim = store.sim
     replicas = store.replicas_of(key, store.replication_factor)
-    request = store.request_bytes(key, fields, with_payload=True)
+    request = store.request_bytes(key, row, with_payload=True)
     response = store.response_bytes(0)
     coordinator = session._next_coordinator()
     coordinator_node = store.cluster.servers[coordinator]
@@ -208,19 +208,19 @@ def _cassandra_replicated_insert(session, key, fields, version=0):
             )
         for replica in replicas:
             if replica not in live:
-                store.queue_hint(replica, key, fields, version)
+                store.queue_hint(replica, key, row, version)
         if store._fanout is not None:
             store._fanout.inc(len(live))
         acks = []
         for replica in live:
             if replica == coordinator:
                 acks.append(sim.process(
-                    store._apply_write(replica, key, fields, version)))
+                    store._apply_write(replica, key, row, version)))
             else:
                 acks.append(sim.process(store.cluster.network.rpc(
                     coordinator_node, store.cluster.servers[replica],
                     request, response,
-                    store._apply_write(replica, key, fields, version),
+                    store._apply_write(replica, key, row, version),
                 )))
         if sim.tracer is not None and sim.context is not None:
             span = sim.tracer.start_span(
@@ -307,31 +307,31 @@ def _voldemort_replicated_read(session, key):
         _versioned_read(store, replica, key),
     )) for replica in chosen]
     yield sim.k_of(acks, needed)
-    best_fields, best_version = None, -1
+    best_row, best_version = None, -1
     for ack in acks:
-        fields, version = ack.value
+        row, version = ack.value
         if version > best_version:
-            best_fields, best_version = fields, version
-    return best_fields
+            best_row, best_version = row, version
+    return best_row
 
 
-def voldemort_insert(session, key, fields):
+def voldemort_insert(session, key, row):
     store = session.store
     version = store.next_write_version()
     if store.replication_factor > 1:
         result = yield from _voldemort_replicated_insert(
-            session, key, fields, version)
+            session, key, row, version)
         return result
     owner = store.owner_of(key)
     result = yield from session._call_server(
-        owner, store._apply_write(owner, key, fields, version),
-        store.request_bytes(key, fields, with_payload=True),
+        owner, store._apply_write(owner, key, row, version),
+        store.request_bytes(key, row, with_payload=True),
         store.response_bytes(0), owner=owner,
     )
     return result
 
 
-def _voldemort_replicated_insert(session, key, fields, version):
+def _voldemort_replicated_insert(session, key, row, version):
     store = session.store
     sim = store.sim
     replicas = store.replica_nodes_of(key)
@@ -343,13 +343,13 @@ def _voldemort_replicated_insert(session, key, fields, version):
             f"W={needed}")
     if sim.tracer is not None and sim.context is not None:
         sim.tracer.annotate(replicas=live, write_acks=needed)
-    request = store.request_bytes(key, fields, with_payload=True)
+    request = store.request_bytes(key, row, with_payload=True)
     response = store.response_bytes(0)
     yield from store.client_cpu(session.client)
     acks = [sim.process(store.cluster.network.rpc(
         session.client, store.cluster.servers[replica],
         request, response,
-        store._apply_write(replica, key, fields, version),
+        store._apply_write(replica, key, row, version),
     )) for replica in live]
     yield sim.k_of(acks, needed)
     return True

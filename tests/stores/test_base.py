@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim.cluster import CLUSTER_M, Cluster
+from repro.storage.record import APM_SCHEMA
 from repro.stores.base import OpType, ServiceProfile
 from repro.stores.registry import (
     STORE_CLASSES,
@@ -55,8 +56,8 @@ class TestStoreHelpers:
     def test_request_bytes(self, store):
         base = store.request_bytes("k" * 25)
         with_payload = store.request_bytes(
-            "k" * 25, {"f": "0123456789"}, with_payload=True)
-        assert with_payload == base + 10
+            "k" * 25, ("0123456789", None), with_payload=True)
+        assert with_payload == base + 10  # a column not written is free
 
     def test_response_bytes_scale_with_records(self, store):
         assert (store.response_bytes(10)
@@ -101,7 +102,7 @@ class TestSessionDispatch:
         session = store.session(cluster.clients[0], 0)
         target = records[0]
         assert run_op(store, session.execute(
-            OpType.READ, target.key)) == dict(target.fields)
+            OpType.READ, target.key)) == APM_SCHEMA.to_row(target.fields)
         assert run_op(store, session.execute(
             OpType.INSERT, make_records(60)[-1].key,
             fields=make_records(60)[-1].fields))

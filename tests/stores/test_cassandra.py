@@ -4,8 +4,9 @@ import pytest
 
 from repro.keyspace import format_key
 from repro.sim.cluster import CLUSTER_M, Cluster
+from repro.storage.record import APM_SCHEMA
 from repro.stores.cassandra import CassandraStore
-from tests.stores.conftest import make_records, run_op
+from tests.stores.conftest import make_records, row_of, run_op
 
 
 @pytest.fixture
@@ -23,7 +24,7 @@ class TestDeployment:
         for record in records[:50]:
             owner = store.ring.owner_of(record.key)
             result = store.engines[owner].get(record.key)
-            assert result.fields == dict(record.fields)
+            assert result.row == row_of(record)
 
     def test_load_distributes_across_nodes(self, store):
         counts = [engine.record_count for engine in store.engines]
@@ -43,7 +44,7 @@ class TestOperations:
     def test_read_existing(self, store, records):
         session = store.session(store.cluster.clients[0], 0)
         result = run_op(store, session.read(records[7].key))
-        assert result == dict(records[7].fields)
+        assert result == row_of(records[7])
 
     def test_read_missing(self, store):
         session = store.session(store.cluster.clients[0], 0)
@@ -52,8 +53,8 @@ class TestOperations:
     def test_insert_then_read(self, store):
         session = store.session(store.cluster.clients[0], 0)
         record = make_records(600)[-1]
-        assert run_op(store, session.insert(record.key, record.fields))
-        assert run_op(store, session.read(record.key)) == dict(record.fields)
+        assert run_op(store, session.insert(record.key, row_of(record)))
+        assert run_op(store, session.read(record.key)) == row_of(record)
 
     def test_delete(self, store, records):
         session = store.session(store.cluster.clients[0], 0)
@@ -69,11 +70,10 @@ class TestOperations:
 
     def test_update_merges_via_upsert(self, store, records):
         session = store.session(store.cluster.clients[0], 0)
-        run_op(store, session.update(records[5].key,
-                                     {"field0": "new-value!"}))
+        run_op(store, session.update(
+            records[5].key, APM_SCHEMA.to_row({"field0": "new-value!"})))
         result = run_op(store, session.read(records[5].key))
-        assert result["field0"] == "new-value!"
-        assert result["field1"] == records[5].fields["field1"]
+        assert result == ("new-value!",) + row_of(records[5])[1:]
 
 
 class TestTimingModel:
@@ -104,7 +104,7 @@ class TestTimingModel:
         session = store.session(store.cluster.clients[0], 0)
         start = store.sim.now
         run_op(store, session.insert(format_key(999_999),
-                                     make_records(1)[0].fields))
+                                     row_of(make_records(1)[0])))
         elapsed = store.sim.now - start
         assert elapsed < 0.005  # far below a disk seek + queue
 

@@ -5,7 +5,7 @@ import pytest
 from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.sim.kernel import KOf, SimulationError, Simulator
 from repro.stores.cassandra import CassandraStore
-from tests.stores.conftest import make_records, run_op
+from tests.stores.conftest import make_records, row_of, run_op
 
 
 class TestKOf:
@@ -83,10 +83,10 @@ class TestReplicatedCassandra:
                             consistency_level="all")
         session = store.session(store.cluster.clients[0], 0)
         record = make_records(310)[-1]
-        assert run_op(store, session.insert(record.key, record.fields))
+        assert run_op(store, session.insert(record.key, row_of(record)))
         for replica in store.ring.replicas_of(record.key, 3):
             result = store.engines[replica].get(record.key)
-            assert result.fields == dict(record.fields)
+            assert result.row == row_of(record)
 
     def test_required_acks_per_consistency_level(self):
         cluster = Cluster(CLUSTER_M, 4)
@@ -108,7 +108,7 @@ class TestReplicatedCassandra:
             session = store.session(store.cluster.clients[0], 0)
             record = make_records(305)[-1]
             start = store.sim.now
-            run_op(store, session.insert(record.key, record.fields))
+            run_op(store, session.insert(record.key, row_of(record)))
             return store.sim.now - start
 
         assert write_latency("all") > write_latency("one")
@@ -122,5 +122,4 @@ class TestReplicatedCassandra:
     def test_reads_served_from_primary(self, records):
         store = self.deploy(records, replication_factor=3)
         session = store.session(store.cluster.clients[0], 0)
-        assert run_op(store, session.read(records[0].key)) == dict(
-            records[0].fields)
+        assert run_op(store, session.read(records[0].key)) == row_of(records[0])

@@ -29,7 +29,7 @@ from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.storage.record import APM_SCHEMA
 from repro.stores.base import OpError, OpType
 from repro.stores.registry import STORE_NAMES, create_store, store_class
-from tests.stores.conftest import make_records, run_op
+from tests.stores.conftest import make_records, row_of, run_op
 
 N_LOADED = 300
 N_FRESH = 50
@@ -83,7 +83,7 @@ def _run_store(name: str, trace: list[tuple]) -> dict:
     store.load(records)
     session = store.session(cluster.clients[0], 0)
 
-    model = {record.key: dict(record.fields) for record in records}
+    model = {record.key: row_of(record) for record in records}
     supports_scans = store_class(name).supports_scans
     scans_checked = 0
     for step, (op, key, fields, scan_len) in enumerate(trace):
@@ -95,12 +95,11 @@ def _run_store(name: str, trace: list[tuple]) -> dict:
         result = run_op(store, session.execute(op, key, fields=fields,
                                                scan_length=scan_len))
         if op in (OpType.INSERT, OpType.UPDATE):
-            model[key] = dict(fields)
+            model[key] = APM_SCHEMA.to_row(fields)
         elif op is OpType.DELETE:
             model.pop(key, None)
         elif op is OpType.READ:
-            got = dict(result) if result is not None else None
-            assert got == model.get(key), \
+            assert result == model.get(key), \
                 f"{name}: read({key!r}) at op {step} is not " \
                 "read-your-writes"
         else:  # scan
@@ -111,8 +110,8 @@ def _run_store(name: str, trace: list[tuple]) -> dict:
                 f"{name}: scan at op {step} returned keys before the start"
             assert len(set(keys)) == len(keys), \
                 f"{name}: scan at op {step} returned duplicate keys"
-            for row_key, row_fields in result:
-                assert dict(row_fields) == model.get(row_key), \
+            for row_key, row in result:
+                assert row == model.get(row_key), \
                     f"{name}: scan at op {step} returned a stale or " \
                     f"phantom row for {row_key!r}"
             scans_checked += 1
@@ -124,7 +123,7 @@ def _run_store(name: str, trace: list[tuple]) -> dict:
     for key in universe:
         result = run_op(store, session.execute(OpType.READ, key))
         if result is not None:
-            live[key] = dict(result)
+            live[key] = result
     assert live == model, f"{name}: final state diverged from the model"
     return {"count": len(live), "scans_checked": scans_checked}
 
@@ -191,45 +190,79 @@ def test_conformance_matrix_across_all_six_stores():
             assert outcome["scans_checked"] > 0
 
 
-@pytest.mark.parametrize("name", STORE_NAMES)
-def test_a_returned_row_is_the_callers(name):
-    """Scribbling on what ``read`` or ``scan`` returned moves nothing in
-    the store: a loaded row, and one written a moment ago (for the LSM
-    stores still in the memtable, which a complete hit answers from)."""
+def _loaded_session(name: str):
+    """A 4-node ``name`` deployment loaded with ``N_LOADED`` records,
+    and one session on it."""
     cluster = Cluster(CLUSTER_M, 4)
     store = create_store(name, cluster, **STORE_KWARGS.get(name, {}))
+    store.load(make_records(N_LOADED))
+    return store, store.session(cluster.clients[0], 0)
+
+
+@pytest.mark.parametrize("name", STORE_NAMES)
+def test_a_returned_row_is_the_callers(name):
+    """What ``read`` or ``scan`` returns is a row, an immutable tuple, so
+    no caller can move the store through it: a loaded row, and one
+    written a moment ago (for the LSM stores still in the memtable,
+    which a complete hit answers from), each read and re-read."""
+    store, session = _loaded_session(name)
     records = make_records(N_LOADED)
-    store.load(records)
-    session = store.session(cluster.clients[0], 0)
     fresh = format_key(N_LOADED + 7)
     written = _full_fields(random.Random(3), fresh)
     run_op(store, session.execute(OpType.INSERT, fresh, fields=written))
-    expected = {records[5].key: dict(records[5].fields), fresh: written}
+    expected = {records[5].key: row_of(records[5]),
+                fresh: APM_SCHEMA.to_row(written)}
 
-    def scribble(fields):
-        for field in list(fields):
-            fields[field] = "scribbled"
-        fields["extra"] = "scribbled"
-
-    for key, fields in expected.items():
+    for key, row in expected.items():
         for __ in range(2):
             got = run_op(store, session.execute(OpType.READ, key))
-            assert got == fields, f"{name}: read({key!r}) moved"
-            scribble(got)
+            assert type(got) is tuple and got == row, \
+                f"{name}: read({key!r}) moved"
     if not store_class(name).supports_scans:
         return
-    model = {**{r.key: dict(r.fields) for r in records}, **expected}
+    model = {**{r.key: row_of(r) for r in records}, **expected}
     for key in expected:
         for __ in range(2):
             rows = run_op(store, session.execute(OpType.SCAN, key,
                                                  scan_length=4))
             assert rows, f"{name}: scan from {key!r} found nothing"
-            for row_key, row_fields in rows:
-                assert row_fields == model[row_key], \
+            for row_key, row in rows:
+                assert type(row) is tuple and row == model[row_key], \
                     f"{name}: scan row {row_key!r} moved"
-                scribble(row_fields)
-    for key, fields in expected.items():
-        assert run_op(store, session.execute(OpType.READ, key)) == fields
+    for key, row in expected.items():
+        assert run_op(store, session.execute(OpType.READ, key)) == row
+
+
+@pytest.mark.parametrize("name", STORE_NAMES)
+def test_a_none_value_is_a_column_not_written(name):
+    """A write naming a column with ``None`` writes the others: the
+    store sizes the row it takes, and the read returns the ``None``."""
+    store, session = _loaded_session(name)
+    key = format_key(N_LOADED + 3)
+    assert run_op(store, session.execute(
+        OpType.INSERT, key, fields={"field0": "a" * 10, "field1": None}))
+    assert run_op(store, session.execute(OpType.READ, key)) == (
+        "a" * 10, None, None, None, None)
+
+
+@pytest.mark.parametrize("op", [OpType.INSERT, OpType.UPDATE])
+@pytest.mark.parametrize("name", STORE_NAMES)
+def test_an_unknown_column_is_refused_where_the_write_enters(name, op):
+    """``execute`` raises before the store spends any simulated CPU or
+    network time on the write, and nothing is stored."""
+    cluster = Cluster(CLUSTER_M, 4)
+    store = create_store(name, cluster)
+    store.load(make_records(N_LOADED))
+    session = store.session(cluster.clients[0], 0)
+    key = make_records(N_LOADED)[9].key if op is OpType.UPDATE \
+        else format_key(N_LOADED + 5)
+    before = run_op(store, session.execute(OpType.READ, key))
+    start = cluster.sim.now
+    with pytest.raises(ValueError, match="not in the schema"):
+        session.execute(op, key, fields={"field0": "b" * 10,
+                                         "nonesuch": "c" * 10})
+    assert cluster.sim.now == start
+    assert run_op(store, session.execute(OpType.READ, key)) == before
 
 
 def _placement(store, key: str) -> list[int]:

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.stores.base import OpType
 from repro.stores.hbase import HBaseStore
 from repro.stores.hdfs import Hdfs, NameNode
-from tests.stores.conftest import make_records, run_op
+from tests.stores.conftest import make_records, row_of, run_op
 
 
 @pytest.fixture
@@ -62,7 +63,7 @@ class TestRegions:
         for record in records[:50]:
             region = store.region_of(record.key)
             engine = store.engine_of(region)
-            assert engine.get(record.key).fields == dict(record.fields)
+            assert engine.get(record.key).row == row_of(record)
 
     def test_regions_spread_over_servers(self, store):
         servers = {store.server_of_region(r).index
@@ -81,34 +82,60 @@ class TestRegions:
 class TestOperations:
     def test_read_existing(self, store, records):
         session = store.session(store.cluster.clients[0], 0)
-        assert run_op(store, session.read(records[4].key)) == dict(
-            records[4].fields)
+        assert run_op(store, session.read(records[4].key)) == row_of(records[4])
 
     def test_buffered_insert_visible_after_flush(self, store):
         session = store.session(store.cluster.clients[0], 0)
         record = make_records(520)[-1]
-        run_op(store, session.insert(record.key, record.fields))
+        run_op(store, session.insert(record.key, row_of(record)))
         # not yet flushed: the server has not seen it
         assert run_op(store, session.read(record.key)) is None
         run_op(store, session.flush_buffer())
-        assert run_op(store, session.read(record.key)) == dict(record.fields)
+        assert run_op(store, session.read(record.key)) == row_of(record)
 
     def test_buffer_flushes_automatically_when_full(self, store):
         session = store.session(store.cluster.clients[0], 0)
         extra = make_records(500 + store.WRITE_BUFFER_OPS)[500:]
         for record in extra:
-            run_op(store, session.insert(record.key, record.fields))
+            run_op(store, session.insert(record.key, row_of(record)))
         assert len(session._buffer) == 0  # auto-flush happened
-        assert run_op(store, session.read(extra[0].key)) == dict(
-            extra[0].fields)
+        assert run_op(store, session.read(extra[0].key)) == row_of(extra[0])
+
+    def test_an_unknown_column_is_refused_not_buffered(self, store):
+        """Refused where it enters, not acked and then thrown by the
+        flush of a full buffer of other keys' valid puts."""
+        session = store.session(store.cluster.clients[0], 0)
+        bad, *valid = make_records(500 + store.WRITE_BUFFER_OPS)[500:]
+        with pytest.raises(ValueError):
+            session.execute(OpType.INSERT, bad.key,
+                            fields={**bad.fields, "field9": "x" * 10})
+        for record in valid:
+            assert run_op(store, session.execute(
+                OpType.INSERT, record.key, fields=record.fields))
+        run_op(store, session.flush_buffer())
+        assert run_op(store, session.read(bad.key)) is None
+        for record in valid:
+            assert run_op(store, session.read(record.key)) == row_of(record)
+
+    def test_a_buffered_put_keeps_what_was_acked(self, store):
+        """The buffer holds the row the put was acked with; the caller's
+        mapping, changed after the ack, is not what lands."""
+        session = store.session(store.cluster.clients[0], 0)
+        record = make_records(501)[-1]
+        fields = dict(record.fields)
+        assert run_op(store, session.execute(OpType.INSERT, record.key,
+                                             fields=fields))
+        fields["field0"] = "scribbled!"
+        run_op(store, session.flush_buffer())
+        assert run_op(store, session.read(record.key)) == row_of(record)
 
     def test_unbuffered_mode_writes_through(self, cluster4, records):
         store = HBaseStore(cluster4, client_buffering=False)
         store.load(records)
         session = store.session(cluster4.clients[0], 0)
         record = make_records(510)[-1]
-        assert run_op(store, session.insert(record.key, record.fields))
-        assert run_op(store, session.read(record.key)) == dict(record.fields)
+        assert run_op(store, session.insert(record.key, row_of(record)))
+        assert run_op(store, session.read(record.key)) == row_of(record)
 
     def test_scan_spills_into_next_region(self, store, records):
         session = store.session(store.cluster.clients[0], 0)
@@ -129,7 +156,7 @@ class TestTimingModel:
         session = store.session(store.cluster.clients[0], 0)
         record = make_records(501)[-1]
         start = store.sim.now
-        run_op(store, session.insert(record.key, record.fields))
+        run_op(store, session.insert(record.key, row_of(record)))
         assert store.sim.now - start < 0.001
 
     def test_read_pays_handler_and_hdfs_path(self, store, records):

@@ -8,7 +8,7 @@ from repro.keyspace import format_key, lex_position
 from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.stores.mysql import MySQLStore
 from tests.storage.reference_reads import copy_per_leg_merge
-from tests.stores.conftest import make_records, run_op
+from tests.stores.conftest import make_records, row_of, run_op
 
 
 @pytest.fixture
@@ -53,8 +53,8 @@ class TestOperations:
     def test_crud_cycle(self, store):
         session = store.session(store.cluster.clients[0], 0)
         record = make_records(510)[-1]
-        assert run_op(store, session.insert(record.key, record.fields))
-        assert run_op(store, session.read(record.key)) == dict(record.fields)
+        assert run_op(store, session.insert(record.key, row_of(record)))
+        assert run_op(store, session.read(record.key)) == row_of(record)
         assert run_op(store, session.delete(record.key))
         assert run_op(store, session.read(record.key)) is None
 
@@ -100,7 +100,9 @@ class TestOperations:
 def merged_scan(legs, count):
     """``MySQLSession.scan``'s client merge over hand-built legs: leg
     ``i`` is the ``(key, fields)`` pairs shard ``i`` streams, by
-    reference, as the rows its table holds."""
+    reference, as the rows its table holds.  The scan hands each row out
+    as the leg streamed it (a row is immutable); it is returned here as
+    its field dict, the form the reference merge compares."""
     store = MySQLStore(Cluster(CLUSTER_M, len(legs)))
     session = store.session(store.cluster.clients[0], 0)
     streamed = [[(key, store.schema.to_row(fields)) for key, fields in rows]
@@ -113,7 +115,11 @@ def merged_scan(legs, count):
         return store.sim.process(leg())
 
     session.sim_process_for_shard = hand_built
-    return run_op(store, session.scan("", count))
+    rows = run_op(store, session.scan("", count))
+    # A key two legs stream is the last leg's row.
+    held = {key: row for leg in streamed for key, row in leg}
+    assert all(row is held[key] for key, row in rows)
+    return [(key, store.schema.row_fields(row)) for key, row in rows]
 
 
 def _busy(node, seconds):
@@ -134,11 +140,7 @@ class TestShardedScanMerge:
                   for i in range(len(owner))]
         legs = [[row for row, shard in zip(stored, owner) if shard == leg]
                 for leg in range(4)]
-        rows = merged_scan(legs, count)
-        assert rows == copy_per_leg_merge(legs, count)
-        # One copy a row kept, none shared with the store.
-        by_key = dict(stored)
-        assert all(fields is not by_key[key] for key, fields in rows)
+        assert merged_scan(legs, count) == copy_per_leg_merge(legs, count)
 
     def test_a_key_two_legs_stream_is_one_row(self):
         """A reshard moved ``user001`` between two legs' reads.  Sorted
@@ -181,7 +183,7 @@ class TestShardedScanMerge:
         rows = sim.run(until=scan)
         keys = [key for key, __ in rows]
         assert keys == sorted(set(keys))
-        by_key = {record.key: dict(record.fields) for record in records}
+        by_key = {record.key: row_of(record) for record in records}
         assert all(fields == by_key[key] for key, fields in rows)
         if reshard == "shrink":  # nothing is missed, only seen twice
             assert keys == sorted(by_key)

@@ -7,7 +7,7 @@ from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.storage.encoding import redis_memory_per_record
 from repro.storage.hashstore import HashStore
 from repro.stores.redis import RedisStore
-from tests.stores.conftest import make_records, run_op
+from tests.stores.conftest import make_records, row_of, run_op
 
 
 @pytest.fixture
@@ -25,8 +25,7 @@ class TestDeployment:
     def test_load_follows_jedis_ring(self, store, records):
         for record in records[:50]:
             shard = store.shard_of(record.key)
-            assert store.shards[shard].hgetall(record.key) == dict(
-                record.fields)
+            assert store.shards[shard].hgetall(record.key) == row_of(record)
 
     def test_clients_doubled(self):
         # the paper doubled client machines for Redis
@@ -48,8 +47,8 @@ class TestOperations:
     def test_crud_cycle(self, store):
         session = store.session(store.cluster.clients[0], 0)
         record = make_records(510)[-1]
-        assert run_op(store, session.insert(record.key, record.fields))
-        assert run_op(store, session.read(record.key)) == dict(record.fields)
+        assert run_op(store, session.insert(record.key, row_of(record)))
+        assert run_op(store, session.read(record.key)) == row_of(record)
         assert run_op(store, session.delete(record.key))
         assert run_op(store, session.read(record.key)) is None
 
@@ -101,8 +100,8 @@ class TestOutOfMemory:
         session = store.session(cluster1.clients[0], 0)
         first = make_records(2)[0]
         second = make_records(2)[1]
-        assert run_op(store, session.insert(first.key, first.fields))
-        assert not run_op(store, session.insert(second.key, second.fields))
+        assert run_op(store, session.insert(first.key, row_of(first)))
+        assert not run_op(store, session.insert(second.key, row_of(second)))
         assert store.errors == 1
 
 

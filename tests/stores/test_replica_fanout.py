@@ -132,10 +132,11 @@ def _observe(deployment, scenario, traced, reference):
         yield sim.timeout(start)
         for round_ in range(2):
             for key in KEYS:
-                fields = {"field0": f"c{index}r{round_}-{key[-4:]}"}
-                ops = [("insert", key, fields), ("read", key),
+                row = store.schema.to_row(
+                    {"field0": f"c{index}r{round_}-{key[-4:]}"})
+                ops = [("insert", key, row), ("read", key),
                        ("delete", key), ("read", key),
-                       ("insert", key, fields), ("read", key)]
+                       ("insert", key, row), ("read", key)]
                 if name == "cassandra":
                     ops.append(("scan", key, 5))
                 for op, *args in ops:

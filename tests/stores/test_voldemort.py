@@ -5,7 +5,7 @@ import pytest
 from repro.keyspace import format_key
 from repro.stores.base import OpError
 from repro.stores.voldemort import VoldemortStore
-from tests.stores.conftest import make_records, run_op
+from tests.stores.conftest import make_records, row_of, run_op
 
 
 @pytest.fixture
@@ -41,8 +41,8 @@ class TestOperations:
     def test_read_write_delete_cycle(self, store):
         session = store.session(store.cluster.clients[0], 0)
         record = make_records(520)[-1]
-        assert run_op(store, session.insert(record.key, record.fields))
-        assert run_op(store, session.read(record.key)) == dict(record.fields)
+        assert run_op(store, session.insert(record.key, row_of(record)))
+        assert run_op(store, session.read(record.key)) == row_of(record)
         assert run_op(store, session.delete(record.key))
         assert run_op(store, session.read(record.key)) is None
 
@@ -73,6 +73,6 @@ class TestTimingModel:
         run_op(store, session.read(records[1].key))
         read_latency = store.sim.now - start
         start = store.sim.now
-        run_op(store, session.insert(records[1].key, records[1].fields))
+        run_op(store, session.insert(records[1].key, row_of(records[1])))
         write_latency = store.sim.now - start
         assert write_latency < 4 * read_latency

@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.stores.voltdb import VoltDBStore
-from tests.stores.conftest import make_records, run_op
+from tests.stores.conftest import make_records, row_of, run_op
 
 
 @pytest.fixture
@@ -35,8 +35,8 @@ class TestOperations:
     def test_single_partition_crud(self, store):
         session = store.session(store.cluster.clients[0], 0)
         record = make_records(520)[-1]
-        assert run_op(store, session.insert(record.key, record.fields))
-        assert run_op(store, session.read(record.key)) == dict(record.fields)
+        assert run_op(store, session.insert(record.key, row_of(record)))
+        assert run_op(store, session.read(record.key)) == row_of(record)
         assert run_op(store, session.delete(record.key))
         assert run_op(store, session.read(record.key)) is None
 
@@ -49,9 +49,10 @@ class TestOperations:
 
     def test_update_merges(self, store, records):
         session = store.session(store.cluster.clients[0], 0)
-        run_op(store, session.update(records[0].key, {"field0": "XXX"}))
+        run_op(store, session.update(
+            records[0].key, store.schema.to_row({"field0": "XXX"})))
         result = run_op(store, session.read(records[0].key))
-        assert result["field0"] == "XXX"
+        assert result == ("XXX",) + row_of(records[0])[1:]
 
 
 class TestTimingModel:
