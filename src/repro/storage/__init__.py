@@ -5,8 +5,9 @@ benchmarked stores are built on:
 
 * :mod:`repro.storage.record` — the benchmark record (25-byte key, five
   10-byte fields; Section 3 / Figure 2).
-* :mod:`repro.storage.skiplist` — probabilistic sorted map used as the
-  LSM memtable.
+* :mod:`repro.storage.sortedkeys` — the key order of a dict, sorted at
+  the first scan: the ordered index of the LSM memtable, the Redis zset
+  and the VoltDB primary key.
 * :mod:`repro.storage.bloom` — Bloom filters guarding SSTable reads.
 * :mod:`repro.storage.lsm` — log-structured merge engine (memtable,
   commit log, SSTables, size-tiered compaction) used by the Cassandra and

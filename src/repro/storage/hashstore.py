@@ -4,9 +4,10 @@ YCSB's Redis binding stores each record as a Redis *hash* keyed by the
 record key and additionally indexes every key in one global *sorted set*
 so that scans are possible.  This module reproduces that layout: a Python
 dict of rows (the schema-ordered tuples of ``RecordSchema.to_row``, held
-and handed back as they came) plus a skip list of keys (Redis's own zset
-is also a skip list), with jemalloc-style memory accounting used by the
-Redis out-of-memory analysis of Section 5.1.
+and handed back as they came) plus a :class:`SortedKeys` index of their
+keys standing in for the zset, with jemalloc-style memory accounting
+(which still bills the zset's skip-list nodes) used by the Redis
+out-of-memory analysis of Section 5.1.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterable, Optional
 
 from repro.storage.encoding import redis_memory_per_record
 from repro.storage.record import APM_SCHEMA, RecordSchema
-from repro.storage.skiplist import SkipList
+from repro.storage.sortedkeys import SortedKeys
 
 __all__ = ["HashStore"]
 
@@ -24,12 +25,11 @@ class HashStore:
     """A single Redis-like node's keyspace."""
 
     def __init__(self, schema: RecordSchema = APM_SCHEMA,
-                 max_memory_bytes: Optional[int] = None, seed: int = 0):
+                 max_memory_bytes: Optional[int] = None):
         self.schema = schema
         self.max_memory_bytes = max_memory_bytes
         self._hashes: dict[str, tuple] = {}
-        self._seed = seed
-        self._index: Optional[SkipList] = None
+        self._index: Optional[SortedKeys] = None
         self._bytes_per_record = redis_memory_per_record(schema)
         self.evictions = 0
         self.oom_errors = 0
@@ -66,20 +66,17 @@ class HashStore:
             return False
         self._hashes[key] = row
         if self._index is not None:
-            self._index.put(key, None)
+            self._index.add(key)
         return True
 
-    def index(self) -> SkipList:
-        """The sorted set of keys, ZADDed now if nothing read it before.
+    def index(self) -> SortedKeys:
+        """The sorted set of keys, sorted now if nothing scanned before.
 
-        Until the first scan or delete, keys only join the dict, so its
-        order is the order they arrived in: ``put_all`` draws their
-        towers as a ZADD each would have.  A store nothing scans — one a
-        load fills for reads alone — never links one.
+        A store nothing scans — one a load fills for reads alone — never
+        sorts its keys.
         """
         if self._index is None:
-            self._index = SkipList(seed=self._seed)
-            self._index.put_all((key, None) for key in self._hashes)
+            self._index = SortedKeys(self._hashes)
         return self._index
 
     def hgetall(self, key: str) -> Optional[tuple]:
@@ -88,7 +85,7 @@ class HashStore:
 
     def zrange_from(self, start_key: str, count: int) -> list[str]:
         """Keys >= ``start_key`` in order (ZRANGEBYLEX on the index)."""
-        return [key for key, __ in self.index().scan(start_key, count)]
+        return self.index().keys_from(start_key, count)
 
     def hgetall_many(self, keys: Iterable[str]) -> list[tuple[str, tuple]]:
         """Pipelined HGETALLs: ``(key, row)`` of each of ``keys`` still
@@ -104,6 +101,7 @@ class HashStore:
         """DEL + ZREM; returns whether the key existed."""
         if key not in self._hashes:
             return False
-        self.index().remove(key)
         del self._hashes[key]
+        if self._index is not None:
+            self._index.remove(key)
         return True

@@ -77,14 +77,13 @@ class LSMConfig:
 class LSMEngine:
     """A single node's LSM storage engine."""
 
-    def __init__(self, config: LSMConfig = LSMConfig(), seed: int = 0,
-                 name: str = "lsm", schema: RecordSchema = APM_SCHEMA):
+    def __init__(self, config: LSMConfig = LSMConfig(), name: str = "lsm",
+                 schema: RecordSchema = APM_SCHEMA):
         self.config = config
         self.name = name
         self.schema = schema
-        self._seed = seed
         self._seq = 0
-        self.memtable = Memtable(seed=seed, schema=schema)
+        self.memtable = Memtable(schema)
         self.commit_log = CommitLog(group_commit_ops=config.group_commit_ops)
         self.sstables: list[SSTable] = []
         #: Logical WAL records since the last flush, in append order —
@@ -160,8 +159,7 @@ class LSMEngine:
         active = self.commit_log.active_segment.index
         self.commit_log.force_sync()
         self.commit_log.mark_clean(active - 1)
-        self.memtable = Memtable(seed=self._seed + self.flushes,
-                                 schema=self.schema)
+        self.memtable = Memtable(self.schema)
         self._wal_records = []
         return table.size_bytes
 
@@ -177,8 +175,7 @@ class LSMEngine:
         survivors = (self._wal_records[:-lost] if lost
                      else list(self._wal_records))
         self.commit_log.discard_unsynced()
-        self.memtable = Memtable(seed=self._seed + self.flushes,
-                                 schema=self.schema)
+        self.memtable = Memtable(self.schema)
         for key, value, seq in survivors:
             if value is TOMBSTONE:
                 self.memtable.delete(key, seq)

@@ -10,13 +10,13 @@ from repro.storage.lsm.sstable import (
     sstable_entry_size,
 )
 from repro.storage.record import APM_SCHEMA, RecordSchema
-from repro.storage.skiplist import SkipList
+from repro.storage.sortedkeys import SortedKeys
 
 __all__ = ["Memtable"]
 
 
 class Memtable:
-    """Write buffer with byte accounting, sorted by a skip list.
+    """Write buffer with byte accounting, scanned in key order.
 
     ``size_bytes`` tracks the *serialised* size of the buffered entries
     (what the flush will write), which is what the engine compares against
@@ -31,19 +31,16 @@ class Memtable:
     (see :class:`~repro.storage.lsm.sstable.SSTable`), so no cell
     outlives its memtable.
 
-    Cells live in a dict in arrival order; the skip list that keeps them
-    in key order is linked at the first scan (see :meth:`ordered`).  It
-    draws each key's tower in arrival order either way, so it is the
-    list ``put`` after ``put`` would have linked.  A memtable nothing
-    scans — every one a load fills — never links one; a flush sorts the
-    dict once.
+    Cells live in a dict in arrival order; the :class:`SortedKeys` index
+    that keeps their keys in order is made at the first scan (see
+    :meth:`ordered`).  A memtable nothing scans — every one a load fills
+    — never makes one; a flush sorts the dict once.
     """
 
-    def __init__(self, seed: int = 0, schema: RecordSchema = APM_SCHEMA):
+    def __init__(self, schema: RecordSchema = APM_SCHEMA):
         self._cells: dict[str, Versioned] = {}
-        self._seed = seed
         self._schema = schema
-        self._ordered: Optional[SkipList] = None
+        self._ordered: Optional[SortedKeys] = None
         self.size_bytes = 0
         self.ops = 0
 
@@ -53,7 +50,7 @@ class Memtable:
     def _setdefault(self, key: str, cell: Versioned) -> Versioned:
         existing = self._cells.setdefault(key, cell)
         if existing is cell and self._ordered is not None:
-            self._ordered.put(key, cell)
+            self._ordered.add(key)
         return existing
 
     def put(self, key: str, row: tuple, seq: int) -> int:
@@ -103,15 +100,10 @@ class Memtable:
         """Buffered version for ``key``, or ``None`` if not buffered."""
         return self._cells.get(key)
 
-    def ordered(self) -> SkipList:
-        """The cells in key order, linked now if nothing scanned before.
-
-        Keys never leave the dict, so its order is the order they first
-        arrived in: the order ``put`` would have drawn their towers.
-        """
+    def ordered(self) -> SortedKeys:
+        """The cells in key order, sorted now if nothing scanned before."""
         if self._ordered is None:
-            self._ordered = SkipList(seed=self._seed)
-            self._ordered.put_all(self._cells.items())
+            self._ordered = SortedKeys(self._cells)
         return self._ordered
 
     def scan(self, start_key: str, count: int) -> list[tuple[str, Versioned]]:

@@ -117,8 +117,8 @@ class CassandraStore(Store):
 
     def _add_server(self, node: Node, index: int) -> None:
         self.engines.append(
-            LSMEngine(self._lsm_config, seed=index,
-                      name=f"cassandra-{index}", schema=self.schema))
+            LSMEngine(self._lsm_config, name=f"cassandra-{index}",
+                      schema=self.schema))
 
     def _rebuild_routing(self) -> None:
         """Recompute token assignment over the current members.

@@ -104,7 +104,7 @@ class HBaseStore(Store):
         self.regions_reassigned = 0
         for region_id in range(self.n_regions):
             server = self.region_servers[region_id % cluster.n_servers]
-            engine = LSMEngine(self.LSM_CONFIG, seed=region_id,
+            engine = LSMEngine(self.LSM_CONFIG,
                                name=f"hbase-region-{region_id}",
                                schema=schema)
             server.add_region(region_id, engine)

@@ -65,8 +65,7 @@ class RedisStore(Store):
 
     def _add_server(self, node: Node, index: int) -> None:
         self.shards.append(
-            HashStore(self.schema, max_memory_bytes=node.spec.cache_bytes,
-                      seed=index))
+            HashStore(self.schema, max_memory_bytes=node.spec.cache_bytes))
         self.event_loops.append(
             Resource(self.sim, 1, f"redis-loop:{node.name}",
                      component="cpu"))

@@ -30,7 +30,7 @@ from repro.sim.faults import NodeDownError
 from repro.sim.resources import Resource
 from repro.storage.record import (APM_SCHEMA, Record, RecordSchema,
                                   merge_runs)
-from repro.storage.skiplist import SkipList
+from repro.storage.sortedkeys import SortedKeys
 from repro.stores.base import (ServiceProfile, Store, StoreSession,
                                load_batches)
 from repro.stores.sharding import hash_keys, murmur64a
@@ -58,12 +58,14 @@ class VoltDBStore(Store):
                  synchronous_client: bool = True):
         super().__init__(cluster, schema, profile)
         self.synchronous_client = synchronous_client
-        # partition id -> ordered table (VoltDB keeps a tree index on the
-        # primary key; a skip list provides the same ordered access).
-        # Keyed dicts rather than lists: partition ids are stable across
-        # topology changes (sites of a drained host keep their entries,
-        # so in-flight fragments never dangle).
-        self.partitions: dict[int, SkipList] = {}
+        # partition id -> its rows by key.  Keyed dicts rather than
+        # lists: partition ids are stable across topology changes (sites
+        # of a drained host keep their entries, so in-flight fragments
+        # never dangle).
+        self.partitions: dict[int, dict[str, tuple]] = {}
+        #: Partition id -> its primary-key order (VoltDB keeps a tree
+        #: index on the primary key), made at the partition's first scan.
+        self._ordered: dict[int, SortedKeys] = {}
         self.sites: dict[int, Resource] = {}
         #: Partition id -> host (server index).
         self._partition_host: dict[int, int] = {}
@@ -81,7 +83,7 @@ class VoltDBStore(Store):
         for __ in range(self.SITES_PER_HOST):
             pid = self._next_pid
             self._next_pid += 1
-            self.partitions[pid] = SkipList(seed=pid)
+            self.partitions[pid] = {}
             self.sites[pid] = Resource(self.sim, 1, f"voltdb-site:{pid}",
                                        component="cpu")
             self._partition_host[pid] = host
@@ -105,7 +107,7 @@ class VoltDBStore(Store):
         return [self.sites[p] for p, h in self._partition_host.items()
                 if h == host]
 
-    def _host_partitions(self, host: int) -> list[SkipList]:
+    def _host_partitions(self, host: int) -> list[dict[str, tuple]]:
         return [self.partitions[p] for p, h in self._partition_host.items()
                 if h == host]
 
@@ -203,13 +205,13 @@ class VoltDBStore(Store):
 
     def _shard_entries(self):
         for pid, table in sorted(self.partitions.items()):
-            yield pid, table.items()
+            yield pid, sorted(table.items())
 
     _shard_of = partition_of
 
     def _move_entry(self, key: str, value, src_pid: int, dst_pid: int):
-        self.partitions[src_pid].remove(key)
-        self.partitions[dst_pid].put(key, value)
+        self._remove(src_pid, key)
+        self._put(dst_pid, key, value)
         src = self._partition_host[src_pid]
         dst = self._partition_host[dst_pid]
         if src == dst:  # same-host moves are memcpys, not wire IO
@@ -219,12 +221,36 @@ class VoltDBStore(Store):
     # -- deployment ----------------------------------------------------------
 
     def load(self, records: Iterable[Record]) -> None:
-        rows: dict[int, list] = {pid: [] for pid in self.partitions}
+        partitions = self.partitions
         for key, row, pid in load_batches(records, self.partition_of_many,
                                           self.schema):
-            rows[pid].append((key, row))
-        for pid, table in self.partitions.items():
-            table.put_all(rows.pop(pid))
+            partitions[pid][key] = row
+        self._ordered.clear()  # the next scan sorts what the load left
+
+    # -- the partition tables ------------------------------------------------
+
+    def _put(self, pid: int, key: str, row: tuple) -> None:
+        """Hold ``row`` under ``key`` in partition ``pid``."""
+        table = self.partitions[pid]
+        if key not in table and pid in self._ordered:
+            self._ordered[pid].add(key)
+        table[key] = row
+
+    def _remove(self, pid: int, key: str) -> bool:
+        """Drop ``key`` from partition ``pid``; whether it was held."""
+        if self.partitions[pid].pop(key, None) is None:
+            return False
+        if pid in self._ordered:
+            self._ordered[pid].remove(key)
+        return True
+
+    def _ordered_of(self, pid: int) -> SortedKeys:
+        """Partition ``pid``'s key order, sorted now if nothing scanned
+        it before."""
+        ordered = self._ordered.get(pid)
+        if ordered is None:
+            ordered = self._ordered[pid] = SortedKeys(self.partitions[pid])
+        return ordered
 
     def session(self, client_node: Node, index: int) -> "VoltDBSession":
         return VoltDBSession(self, client_node, index)
@@ -292,9 +318,8 @@ class VoltDBStore(Store):
         partition = self.partition_of(key)
 
         def action():
-            table = self.partitions[partition]
-            existing = table.get(key)
-            table.put(key, row if existing is None
+            existing = self.partitions[partition].get(key)
+            self._put(partition, key, row if existing is None
                       else self.schema.overlay(existing, row))
             return True
         result = yield from self._single_partition(
@@ -306,7 +331,7 @@ class VoltDBStore(Store):
         partition = self.partition_of(key)  # re-plan, as for writes
         result = yield from self._single_partition(
             partition, self.profile.write_cpu,
-            lambda: self.partitions[partition].remove(key),
+            lambda: self._remove(partition, key),
         )
         return result
 
@@ -324,8 +349,8 @@ class VoltDBStore(Store):
         collected: list[list[tuple[str, tuple]]] = []
 
         def collect(partition: int):
-            collected.append(self.partitions[partition].scan(start_key,
-                                                              count))
+            collected.append(
+                self._ordered_of(partition).scan(start_key, count))
             return None
 
         per_site_cpu = (self.profile.scan_base_cpu

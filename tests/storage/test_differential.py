@@ -20,7 +20,6 @@ from repro.storage.btree import BPlusTree
 from repro.storage.hashstore import HashStore
 from repro.storage.lsm.compaction import merge_sstables
 from repro.storage.lsm.engine import LSMConfig, LSMEngine
-from repro.storage.lsm.memtable import Memtable
 from repro.storage.lsm.sstable import (
     SSTable,
     TOMBSTONE,
@@ -29,7 +28,6 @@ from repro.storage.lsm.sstable import (
     sstable_entry_size,
 )
 from repro.storage.record import APM_SCHEMA, RecordSchema
-from repro.storage.skiplist import SkipList
 
 N_OPS = 2000
 KEYSPACE = [f"user{i:04d}" for i in range(150)]
@@ -52,7 +50,7 @@ def test_lsm_engine_matches_dict_model():
     # Three-column rows: every put writes them all, so a memtable hit is
     # a complete one and answers alone.
     schema = RecordSchema(field_count=3)
-    engine = LSMEngine(config, seed=7, schema=schema)
+    engine = LSMEngine(config, schema=schema)
     row_fields = schema.row_fields
     # The mutation log doubles as the durable-state oracle: a crash loses
     # exactly the unsynced tail, so the model is rebuilt from the log with
@@ -146,7 +144,7 @@ def test_btree_matches_dict_model():
 def test_hashstore_matches_dict_model():
     """Same harness against the hash store, including column-merge HMSETs."""
     rng = random.Random(0xCAFE)
-    store = HashStore(seed=3)
+    store = HashStore()
     to_row, row_fields = APM_SCHEMA.to_row, APM_SCHEMA.row_fields
     model: dict[str, dict[str, str]] = {}
     for step in range(N_OPS):
@@ -242,115 +240,6 @@ def _reference_block_of(engine, table, key) -> tuple:
     offset_proxy = zlib.crc32(f"{table.generation}:{key}".encode())
     n_blocks = max(1, table.size_bytes // engine.config.block_size)
     return ("sst", engine.name, table.generation, offset_proxy % n_blocks)
-
-
-class _ReferenceSkipList:
-    """The skip list with its descent as first written: ``node.forward``
-    re-read at every step, ``put``/``setdefault``/``remove`` sharing one
-    ``_find_predecessors``."""
-
-    _MAX_LEVEL = 32
-    _P = 0.25
-
-    class _Node:
-        __slots__ = ("key", "value", "forward")
-
-        def __init__(self, key, value, level):
-            self.key = key
-            self.value = value
-            self.forward = [None] * level
-
-    def __init__(self, seed: int = 0):
-        self._head = self._Node(None, None, self._MAX_LEVEL)
-        self._level = 1
-        self._size = 0
-        self._rng = random.Random(seed)
-
-    def __len__(self):
-        return self._size
-
-    def _random_level(self):
-        level = 1
-        while level < self._MAX_LEVEL and self._rng.random() < self._P:
-            level += 1
-        return level
-
-    def _find_predecessors(self, key):
-        update = [self._head] * self._MAX_LEVEL
-        node = self._head
-        for level in range(self._level - 1, -1, -1):
-            following = node.forward[level]
-            while following is not None and following.key < key:
-                node = following
-                following = node.forward[level]
-            update[level] = node
-        return update
-
-    def put(self, key, value):
-        update = self._find_predecessors(key)
-        node = update[0].forward[0]
-        if node is not None and node.key == key:
-            node.value = value
-            return False
-        self._link(update, key, value)
-        return True
-
-    def setdefault(self, key, value):
-        update = self._find_predecessors(key)
-        node = update[0].forward[0]
-        if node is not None and node.key == key:
-            return node.value
-        self._link(update, key, value)
-        return value
-
-    def _link(self, update, key, value):
-        level = self._random_level()
-        if level > self._level:
-            self._level = level
-        new_node = self._Node(key, value, level)
-        for i in range(level):
-            new_node.forward[i] = update[i].forward[i]
-            update[i].forward[i] = new_node
-        self._size += 1
-
-    def get(self, key, default=None):
-        node = self._find_predecessors(key)[0].forward[0]
-        if node is not None and node.key == key:
-            return node.value
-        return default
-
-    def remove(self, key):
-        update = self._find_predecessors(key)
-        node = update[0].forward[0]
-        if node is None or node.key != key:
-            return False
-        for i in range(self._level):
-            if update[i].forward[i] is not node:
-                break
-            update[i].forward[i] = node.forward[i]
-        while self._level > 1 and self._head.forward[self._level - 1] is None:
-            self._level -= 1
-        self._size -= 1
-        return True
-
-    def scan(self, start_key, count):
-        if count <= 0:
-            return []
-        node = self._find_predecessors(start_key)[0].forward[0]
-        out = []
-        while node is not None and len(out) < count:
-            out.append((node.key, node.value))
-            node = node.forward[0]
-        return out
-
-
-def _towers(skiplist) -> list:
-    """Every node in order with its value and the height of its tower."""
-    node, out = skiplist._head.forward[0], []
-    while node is not None:
-        out.append((node.key, node.value, len(node.forward)))
-        node = node.forward[0]
-    return out
 
 
 def _partial_fields(rng: random.Random) -> dict[str, str]:
@@ -481,7 +370,7 @@ def test_flushed_run_is_sized_and_filtered_entry_by_entry():
     rng = random.Random(0xF1A5)
     keyspace = [f"user{i:05d}" for i in range(80)]
     for round_ in range(60):
-        engine = LSMEngine(LSMConfig(memtable_flush_bytes=1 << 30), seed=1)
+        engine = LSMEngine(LSMConfig(memtable_flush_bytes=1 << 30))
         for __ in range(rng.randrange(1, 200)):
             key = rng.choice(keyspace)
             if rng.random() < 0.2:
@@ -552,51 +441,6 @@ def test_bloom_batches_match_the_reference_bits():
         assert all(bloom.might_contain(key) for key in keys)
 
 
-def test_skiplist_matches_the_first_written_descent():
-    """Random put/setdefault/remove/get/scan: same answers, same order,
-    same tower on every node (the level draws are consumed alike)."""
-    for seed in range(6):
-        rng = random.Random(0x5C1B + seed)
-        keys = [f"user{i:04d}" for i in range(300)]
-        ours, reference = SkipList(seed=seed), _ReferenceSkipList(seed=seed)
-        for step in range(3000):
-            roll = rng.random()
-            key = rng.choice(keys)
-            where = f"seed {seed}, op {step}"
-            if roll < 0.40:
-                assert ours.put(key, step) == reference.put(key, step), where
-            elif roll < 0.55:
-                assert (ours.setdefault(key, step)
-                        == reference.setdefault(key, step)), where
-            elif roll < 0.75:
-                assert ours.remove(key) == reference.remove(key), where
-            elif roll < 0.85:
-                assert ours.get(key) == reference.get(key), where
-            else:
-                count = rng.randrange(0, 25)
-                assert ours.scan(key, count) == reference.scan(
-                    key, count), where
-            assert len(ours) == len(reference), where
-        assert _towers(ours) == _towers(reference)
-        assert ours._level == reference._level
-
-
-def test_memtable_leaves_the_towers_the_first_written_descent_leaves():
-    """The memtable's insert-or-upsert over the same key stream."""
-    rng = random.Random(0x3E3)
-    memtable, reference = Memtable(seed=5), _ReferenceSkipList(seed=5)
-    for seq in range(1, 1500):
-        key = f"user{rng.randrange(400):04d}"
-        if rng.random() < 0.15:
-            memtable.delete(key, seq)
-        else:
-            memtable.put(key, _partial_fields(rng), seq)
-        reference.put(key, seq)
-    assert ([(key, cell.seq, height)
-             for key, cell, height in _towers(memtable.ordered())]
-            == _towers(reference))
-
-
 def test_read_blocks_match_the_formatted_string_crc():
     """``get``/``scan``/``iter_blocks`` name the blocks the CRC of the
     formatted ``"<generation>:<key>"`` string names."""
@@ -606,7 +450,7 @@ def test_read_blocks_match_the_formatted_string_crc():
                            bloom_enabled=bloom_enabled,
                            min_compaction_threshold=4,
                            max_compaction_threshold=5)
-        engine = LSMEngine(config, seed=2, name="blocks")
+        engine = LSMEngine(config, name="blocks")
         keys = [f"user{rng.randrange(10**21):021d}" for __ in range(900)]
         for i, key in enumerate(keys):
             engine.put(key, ("x" * 10,) * 5)

@@ -1,9 +1,9 @@
 """A load builds what ``put`` after ``put`` always built: property tests.
 
 The load paths skip per-row structure nothing reads while a load runs:
-the LSM memtable and the Redis scan index link their skip lists at the
-first scan instead of at every write, a VoltDB load links each
-partition's skip list in one pass (``SkipList.put_all``), and an SSTable
+the LSM memtable and the Redis scan index sort their keys
+(:class:`~repro.storage.sortedkeys.SortedKeys`) at the first scan
+instead of keeping them sorted from the first write, and an SSTable
 builds its Bloom filter at its first probe.  Each must leave exactly
 what the eager structure leaves.  Hypothesis generates the operations:
 few keys, so they repeat; partial field maps, so a repeat is a
@@ -25,9 +25,6 @@ from repro.storage.hashstore import HashStore
 from repro.storage.lsm.engine import LSMConfig, LSMEngine
 from repro.storage.lsm.sstable import SSTable, Versioned
 from repro.storage.record import APM_SCHEMA
-from repro.storage.skiplist import SkipList
-
-from tests.storage.test_differential import _towers
 
 KEYS = st.sampled_from([f"user{i:02d}" for i in range(24)])
 #: A row of some written columns: a repeat is a column-wise upsert.
@@ -46,10 +43,9 @@ OPS = st.lists(st.one_of(
 
 
 def _engine_state(engine: LSMEngine) -> dict:
-    """Everything a later read, write, flush or crash can observe; links
-    the memtable's skip list if nothing scanned it yet."""
+    """Everything a later read, write, flush or crash can observe; sorts
+    the memtable's keys if nothing scanned it yet."""
     log = engine.commit_log
-    ordered = engine.memtable.ordered()
     return {
         "runs": [(table.generation, table.size_bytes, table.min_key,
                   table.max_key,
@@ -68,9 +64,8 @@ def _engine_state(engine: LSMEngine) -> dict:
         "generations": engine._generations,
         "compactions": engine.compaction.compactions_run,
         "memtable": (engine.memtable.size_bytes, len(engine.memtable),
-                     [(key, cell.seq, cell.value, height)
-                      for key, cell, height in _towers(ordered)],
-                     ordered._level, ordered._rng.getstate()),
+                     [(key, cell.seq, cell.value)
+                      for key, cell in engine.memtable.ordered().items()]),
     }
 
 
@@ -90,18 +85,17 @@ def _apply(engine: LSMEngine, op: tuple):
 @given(ops=OPS,
        flush_bytes=st.integers(60, 3000),
        group_commit=st.integers(1, 8),
-       min_threshold=st.integers(2, 4),
-       seed=st.integers(0, 5))
+       min_threshold=st.integers(2, 4))
 def test_an_lsm_memtable_linked_late_is_one_linked_at_every_write(
-        ops, flush_bytes, group_commit, min_threshold, seed):
-    """``eager`` links each memtable's skip list as it starts, so every
-    write descends it, as the memtable always did; ``lazy`` links one
-    only at its first scan, and a load's never."""
+        ops, flush_bytes, group_commit, min_threshold):
+    """``eager`` sorts each memtable's keys as it starts, so every new
+    key is inserted in order; ``lazy`` sorts them only at its first
+    scan, and a load's never."""
     config = LSMConfig(memtable_flush_bytes=flush_bytes,
                        group_commit_ops=group_commit,
                        min_compaction_threshold=min_threshold)
-    eager = LSMEngine(config, seed=seed)
-    lazy = LSMEngine(config, seed=seed)
+    eager = LSMEngine(config)
+    lazy = LSMEngine(config)
     eager.memtable.ordered()
     for op in ops:
         assert _apply(lazy, op) == _apply(eager, op), op
@@ -114,38 +108,12 @@ def test_an_lsm_memtable_linked_late_is_one_linked_at_every_write(
 
 
 def test_a_load_links_no_memtable():
-    engine = LSMEngine(LSMConfig(memtable_flush_bytes=400), seed=0)
+    engine = LSMEngine(LSMConfig(memtable_flush_bytes=400))
     for i in range(40):
         engine.put(f"user{i:02d}", ("v" * 10, None, None, None, None))
     assert engine.flushes and engine.memtable._ordered is None
     assert engine.scan("user00", 3)[0][0][0] == "user00"
     assert engine.memtable._ordered is not None
-
-
-@settings(max_examples=200, deadline=None)
-@given(pairs=st.lists(st.tuples(st.integers(0, 60), st.integers()),
-                      max_size=200),
-       seed=st.integers(0, 20))
-def test_skiplist_put_all_is_put_of_each_pair(pairs, seed):
-    by_put, by_batch = SkipList(seed=seed), SkipList(seed=seed)
-    for key, value in pairs:
-        by_put.put(key, value)
-    by_batch.put_all(pairs)
-    assert _towers(by_batch) == _towers(by_put)
-    assert by_batch._level == by_put._level
-    assert len(by_batch) == len(by_put)
-    # The level stream is where ``put`` left it: later puts agree too.
-    for key in range(-5, 70, 3):
-        by_put.put(key, "after")
-        by_batch.put(key, "after")
-    assert _towers(by_batch) == _towers(by_put)
-
-
-def test_skiplist_put_all_needs_an_empty_list():
-    skiplist = SkipList(seed=0)
-    skiplist.put("a", 1)
-    with pytest.raises(ValueError):
-        skiplist.put_all([("b", 2)])
 
 
 def _redis(store: HashStore, op: tuple):
@@ -160,21 +128,20 @@ def _redis(store: HashStore, op: tuple):
 
 
 @settings(max_examples=150, deadline=None)
-@given(ops=OPS, room=st.integers(0, 30), seed=st.integers(0, 5))
-def test_a_redis_index_linked_late_is_one_linked_at_every_hset(
-        ops, room, seed):
-    """Including the refusals once the memory wall is reached."""
+@given(ops=OPS, room=st.integers(0, 30))
+def test_a_redis_index_linked_late_is_one_linked_at_every_hset(ops, room):
+    """Including the refusals once the memory wall is reached, and the
+    deletes before the first scan, which touch no index."""
     limit = int(room * redis_memory_per_record())
-    eager = HashStore(max_memory_bytes=limit, seed=seed)
-    lazy = HashStore(max_memory_bytes=limit, seed=seed)
+    eager = HashStore(max_memory_bytes=limit)
+    lazy = HashStore(max_memory_bytes=limit)
     eager.index()
     for op in ops:
         assert _redis(lazy, op) == _redis(eager, op), op
     assert lazy.oom_errors == eager.oom_errors
     assert list(lazy._hashes.items()) == list(eager._hashes.items())
-    assert _towers(lazy.index()) == _towers(eager.index())
-    assert lazy.index()._level == eager.index()._level
-    assert lazy.index()._rng.getstate() == eager.index()._rng.getstate()
+    assert (list(lazy.index().items()) == list(eager.index().items())
+            == sorted(eager._hashes.items()))
 
 
 @settings(max_examples=100, deadline=None)
@@ -202,7 +169,7 @@ def _built_filters(engine: LSMEngine) -> list[bool]:
 def test_only_a_probed_run_builds_its_filter(bloom_enabled):
     engine = LSMEngine(LSMConfig(memtable_flush_bytes=400,
                                  min_compaction_threshold=2,
-                                 bloom_enabled=bloom_enabled), seed=0)
+                                 bloom_enabled=bloom_enabled))
     for i in range(40):
         engine.put(f"user{i:02d}", ("v" * 10, None, None, None, None))
     engine.flush()

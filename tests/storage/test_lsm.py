@@ -163,7 +163,7 @@ class TestMemtable:
         running total equals the serialised size of the run a flush of
         this memtable builds, entry by entry."""
         wide = self.WIDE
-        memtable = Memtable(seed=1, schema=wide)
+        memtable = Memtable(schema=wide)
         for seq, (key, written) in enumerate(ops, start=1):
             if written is None:
                 memtable.delete(key, seq)

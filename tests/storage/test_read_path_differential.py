@@ -124,7 +124,7 @@ def test_get_bills_the_blocks_block_of_names_for_every_probed_run():
                                block_size=block_size,
                                bloom_enabled=bloom_enabled,
                                min_compaction_threshold=99)
-            engine = LSMEngine(config, seed=3, name="probe")
+            engine = LSMEngine(config, name="probe")
             keys = [f"user{rng.randrange(10**6):06d}" for __ in range(600)]
             for i, key in enumerate(keys):
                 engine.put(key, ("x" * 10,) * 5)
@@ -187,7 +187,7 @@ def _lsm_after(steps) -> LSMEngine:
     engine = LSMEngine(LSMConfig(memtable_flush_bytes=300, block_size=64,
                                  min_compaction_threshold=3,
                                  max_compaction_threshold=4),
-                       seed=5, name="history")
+                       name="history")
     for i, step in enumerate(steps):
         if step[0] == "put":
             engine.put(step[1], tuple(f"v{i}-{j}" if j in step[2] else None

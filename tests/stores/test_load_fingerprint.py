@@ -1,13 +1,13 @@
 """What the load phase leaves behind, pinned store by store.
 
-``Store.load`` is ``put`` after ``put`` (``hset`` on Redis; VoltDB links
-each partition's skip list in one pass), but skips structure nothing
-reads during a load: memtables and Redis indexes link their skip lists
-at the first scan, runs build their Bloom filters at the first probe.
-What it leaves — LSM runs with their commit-log accounting, flushes and
-compactions, skip-list towers, B+tree pages — is what every simulated
-read afterwards sees, so its cost may be optimised but its *result*
-must not move.  The store fingerprints were taken at the commit before
+``Store.load`` is ``put`` after ``put`` (``hset`` on Redis; a dict
+assignment into its partition on VoltDB), but skips structure nothing
+reads during a load: memtables, Redis indexes and VoltDB partitions sort
+their keys at the first scan, runs build their Bloom filters at the
+first probe.  What it leaves — LSM runs with their commit-log
+accounting, flushes and compactions, the keys of every Redis shard and
+VoltDB partition, B+tree pages — is what every simulated read afterwards
+sees, so its cost may be optimised but its *result* must not move.  The store fingerprints were taken at the commit before
 the single-pass ingestion clean-up (v1.7.0), the LSM sequence and
 commit-log fields and the ``SHAPES`` at the commit before the lazy
 skip lists and filters (v1.8.0); all depend only on keys and field
@@ -47,16 +47,9 @@ def _crc(values) -> int:
     return zlib.crc32(repr(list(values)).encode())
 
 
-def _skiplist(skiplist) -> dict:
-    """Length, key order and the tower height of every node in order."""
-    levels = []
-    node = skiplist._head.forward[0]
-    while node is not None:
-        levels.append(len(node.forward))
-        node = node.forward[0]
-    return {"len": len(skiplist),
-            "keys_crc": _crc(key for key, __ in skiplist.items()),
-            "levels_crc": _crc(levels)}
+def _sorted_keys(keys: list) -> dict:
+    """Length and key order."""
+    return {"len": len(keys), "keys_crc": _crc(keys)}
 
 
 def _engine(engine) -> dict:
@@ -112,11 +105,12 @@ def _engines_of(store) -> dict:
     if name == "redis":
         return {"shards": [{"len": len(shard),
                             "used_memory_bytes": shard.used_memory_bytes,
-                            "index": _skiplist(shard.index())}
+                            "index": _sorted_keys(
+                                [key for key, __ in shard.index().items()])}
                            for shard in store.shards],
                 "errors": store.errors}
     if name == "voltdb":
-        return {"partitions": [_skiplist(table) for __, table
+        return {"partitions": [_sorted_keys(sorted(table)) for __, table
                                in sorted(store.partitions.items())]}
     raise AssertionError(f"no fingerprint for store {name!r}")
 

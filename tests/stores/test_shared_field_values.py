@@ -29,9 +29,9 @@ RECORDS = 9_000
 
 #: Bytes ``tracemalloc`` sees held per loaded record (9 000 records on
 #: two Cluster M nodes), with about 30 bytes of room over what a row
-#: store holds under CPython 3.11: Cassandra 197, HBase 197, VoltDB 277,
+#: store holds under CPython 3.11: Cassandra 197, HBase 197, VoltDB 189,
 #: Voldemort 223, Redis 177, MySQL 175.  Keeping a five-field dict per
-#: record instead holds 104 bytes more on every store (301, 301, 381,
+#: record instead holds 104 bytes more on every store (301, 301, 293,
 #: 327, 281, 279), past each ceiling; so does an LSM run that keeps a
 #: ``Versioned`` cell and a sequence-number int an entry instead of its
 #: row and sequence-number columns (267, 266).  CPython 3.10 holds 11-14
@@ -39,7 +39,7 @@ RECORDS = 9_000
 HELD_BYTES_CEILING = {
     "cassandra": 230,
     "hbase": 230,
-    "voltdb": 310,
+    "voltdb": 230,
     "voldemort": 255,
     "redis": 210,
     "mysql": 210,

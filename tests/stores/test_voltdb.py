@@ -47,6 +47,26 @@ class TestOperations:
         all_keys = sorted(r.key for r in records if r.key >= start_key)
         assert [k for k, __ in rows] == all_keys[:20]
 
+    def test_writes_and_deletes_after_a_scan_keep_the_key_order(
+            self, store, records):
+        """The first scan sorts each partition's keys; later inserts and
+        deletes keep them sorted, and a delete before it sorts none."""
+        session = store.session(store.cluster.clients[0], 0)
+        assert run_op(store, session.delete(records[3].key))
+        assert not store._ordered
+        run_op(store, session.scan("", 1))
+        assert len(store._ordered) == store.n_partitions
+        fresh = make_records(560)[-40:]
+        for record in fresh:
+            run_op(store, session.insert(record.key, row_of(record)))
+        for record in records[::7]:
+            run_op(store, session.delete(record.key))
+        held = {key: row for table in store.partitions.values()
+                for key, row in table.items()}
+        rows = run_op(store, session.scan(records[20].key, 60))
+        assert rows == sorted((key, row) for key, row in held.items()
+                              if key >= records[20].key)[:60]
+
     def test_update_merges(self, store, records):
         session = store.session(store.cluster.clients[0], 0)
         run_op(store, session.update(
