@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.core.metrics import Measurement, MetricId, MonitoringLevel
+from repro.hashing import murmur64a
 
 __all__ = ["Agent", "AgentFleet"]
 
@@ -39,7 +40,9 @@ class Agent:
     _rng: random.Random = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._rng = random.Random((self.seed, self.host, self.name).__hash__())
+        # murmur64a, not ``hash``: str hashes are salted per process.
+        self._rng = random.Random(murmur64a(
+            f"{self.seed}:{self.host}:{self.name}".encode()))
         self._metrics = [self._metric_id(i) for i in range(self.n_metrics)]
 
     def _metric_id(self, index: int) -> MetricId:
@@ -67,7 +70,7 @@ class Agent:
         """
         repeat = max(1, int(self.level.value))
         for metric in self._metrics:
-            baseline = 10.0 + (hash(metric.path) % 90)
+            baseline = 10.0 + (murmur64a(metric.path.encode()) % 90)
             for r in range(repeat):
                 noise = self._rng.random() * 0.2 * baseline
                 low = baseline - noise

@@ -1,7 +1,13 @@
 """Unit tests for APM agents and fleets."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.agents import Agent, AgentFleet
 from repro.core.metrics import MonitoringLevel
 
@@ -57,3 +63,21 @@ class TestAgentFleet:
         assert len(measurements) == 24
         timestamps = sorted({m.timestamp for m in measurements})
         assert timestamps == [0, 10, 20, 30]
+
+    def test_report_is_independent_of_the_interpreters_hash_seed(self):
+        """Noise and baselines come from murmur64a, so two processes
+        with differently salted ``hash`` report the same values."""
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        dump = ("from repro.core.agents import AgentFleet\n"
+                "for m in AgentFleet(n_hosts=3, metrics_per_host=20,"
+                " seed=5).report_all(1000):\n"
+                "    print(m.metric.path, repr(m.value), repr(m.minimum),"
+                " repr(m.maximum))\n")
+        dumps = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            dumps.append(subprocess.run(
+                [sys.executable, "-c", dump], env=env, check=True,
+                capture_output=True, text=True, timeout=60).stdout)
+        assert dumps[0] == dumps[1]
+        assert dumps[0].count("\n") == 60

@@ -5,6 +5,7 @@ import pytest
 from repro.core.agents import AgentFleet
 from repro.core.metrics import MetricId
 from repro.core.queries import MonitoringQueries
+from repro.hashing import murmur64a
 from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.stores.registry import create_store
 
@@ -35,7 +36,7 @@ class TestOnlineQueries:
             queries.max_over_window(metric, now=now, window_s=60)))
         assert result is not None
         # the reported max is within the generator's value envelope
-        baseline = 10.0 + (hash(metric.path) % 90)
+        baseline = 10.0 + (murmur64a(metric.path.encode()) % 90)
         assert baseline * 0.75 <= result <= baseline * 1.25
 
     def test_max_over_window_with_no_data(self, setup):
@@ -53,7 +54,8 @@ class TestOnlineQueries:
         result = store.sim.run(until=store.sim.process(
             queries.avg_over_window(metrics, now=now, window_s=90)))
         assert result is not None
-        baselines = [10.0 + (hash(m.path) % 90) for m in metrics]
+        baselines = [10.0 + (murmur64a(m.path.encode()) % 90)
+                     for m in metrics]
         expected = sum(baselines) / len(baselines)
         assert result == pytest.approx(expected, rel=0.25)
 
