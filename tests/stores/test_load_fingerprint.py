@@ -7,11 +7,12 @@ their keys at the first scan, runs build their Bloom filters at the
 first probe.  What it leaves — LSM runs with their commit-log
 accounting, flushes and compactions, the keys of every Redis shard and
 VoltDB partition, B+tree pages — is what every simulated read afterwards
-sees, so its cost may be optimised but its *result* must not move.  The store fingerprints were taken at the commit before
-the single-pass ingestion clean-up (v1.7.0), the LSM sequence and
-commit-log fields and the ``SHAPES`` at the commit before the lazy
-skip lists and filters (v1.8.0); all depend only on keys and field
-*lengths* — the record generator's field content is free to change.
+sees, so its cost may be optimised but its *result* must not move.  The
+store fingerprints were taken at the commit before the single-pass
+ingestion clean-up (v1.7.0), the LSM sequence and commit-log fields and
+the ``SHAPES`` at the commit before the lazy skip lists and filters
+(v1.8.0); all depend only on keys and field *lengths* — the record
+generator's field content is free to change.
 
 The two LSM stores load enough records (17 000) for the load's own
 flush rounds and its minor compaction to be part of the pin; the others

@@ -79,7 +79,7 @@ CHECKS = (
      "--store {tmp}/reads-store-1", "--store {tmp}/reads-store-2 --jobs 2"),
     # The loads: 4 500 records a node are two Cassandra load rounds at
     # one node and three at two, each flushed from a memtable no scan
-    # linked, and VoltDB links each partition in one pass.
+    # sorted, and a VoltDB load fills each partition's dict.
     ("grid-loads",
      "grid --stores cassandra,voltdb --workloads R,W --nodes 1,2 "
      "--records 4500 --ops 150 --warmup 20",
