@@ -296,7 +296,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         return 0
     report = reproduce(
         figures, profile=profile, store=args.store,
-        out_dir=args.out, jobs=args.jobs, resume=args.resume,
+        out_dir=args.out, jobs=args.jobs,
         check=args.check, progress=_make_progress_printer(),
     )
     for data in report.data.values():
@@ -742,10 +742,6 @@ def main(argv: list[str] | None = None) -> int:
                                   default=None,
                                   help="cost/fidelity profile (default: "
                                        "REPRO_BENCH_PROFILE or quick)")
-    reproduce_parser.add_argument("--resume", action="store_true",
-                                  help="continue an interrupted run: "
-                                       "completed points are skipped, "
-                                       "in-flight points re-run")
     reproduce_parser.add_argument("--dry-run", action="store_true",
                                   help="print the planned grid (points, "
                                        "expected cache hits, estimated "

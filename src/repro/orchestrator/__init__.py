@@ -5,7 +5,9 @@ workloads x node counts on two clusters).  This package turns that grid
 into a managed artifact pipeline:
 
 * :mod:`repro.orchestrator.store` — a content-addressed, on-disk result
-  store shared across processes and runs.
+  store shared across processes and runs.  It is also how a killed run
+  resumes: the same command run again serves every finished point from
+  the store and runs only the missing ones.
 * :mod:`repro.orchestrator.plan` — cache-aware grid planning by probing
   the figure builders, including result-dependent points.
 * :mod:`repro.orchestrator.pool` — :func:`execute_grid`, the one way to
@@ -14,13 +16,10 @@ into a managed artifact pipeline:
   that ran them.  Figures, ``apmbench grid``,
   :func:`repro.analysis.sweep.run_sweep` and planner validation all come
   through it; nothing else writes the store.
-* :mod:`repro.orchestrator.manifest` — crash-safe run manifests with
-  resume semantics.
 * :mod:`repro.orchestrator.reproduce` — the one-command entry point
   behind ``apmbench reproduce --figures all --jobs N``.
 """
 
-from repro.orchestrator.manifest import ManifestMismatchError, RunManifest
 from repro.orchestrator.plan import (GridPlan, PlanningCache, derive_seed,
                                      estimate_cost_units, plan_figures)
 from repro.orchestrator.pool import PointOutcome, execute_grid, run_config
@@ -32,12 +31,10 @@ from repro.orchestrator.store import ResultStore
 
 __all__ = [
     "GridPlan",
-    "ManifestMismatchError",
     "PlanningCache",
     "PointOutcome",
     "ReproduceReport",
     "ResultStore",
-    "RunManifest",
     "UnportableResultError",
     "derive_seed",
     "estimate_cost_units",

@@ -7,7 +7,7 @@ produces results byte-identical to a sequential run.  Workers receive
 the config in its dict form, run the benchmark, and persist the result
 straight into the shared on-disk store (atomically), which is what makes
 a killed run resumable: finished points are on disk, in-flight points
-simply vanish and re-run.
+simply vanish and re-run when the same grid is executed again.
 
 :func:`execute_grid` is the one way to run a batch of points, and its
 worker entry the one writer of a :class:`ResultStore`: figures, sweeps,
@@ -63,23 +63,20 @@ class PointOutcome:
 
 def execute_grid(configs: list[BenchmarkConfig], jobs: int = 1,
                  store: Optional[ResultStore] = None,
-                 manifest=None,
                  progress: Optional[Callable] = None,
                  ) -> list[PointOutcome]:
     """Execute every point of ``configs``; returns outcomes in input order.
 
     ``jobs > 1`` fans the points out over a ``ProcessPoolExecutor``;
-    ``jobs <= 1`` runs them inline (same worker entry and the same three
-    bookkeeping steps, so the two modes cannot drift).  ``manifest`` (a
-    :class:`~repro.orchestrator.manifest.RunManifest`) receives
-    start/done/error events; ``progress`` is called as
-    ``progress(done_count, total, outcome)`` after every point.
+    ``jobs <= 1`` runs them inline (same worker entry and the same
+    bookkeeping, so the two modes cannot drift).  ``progress`` is called
+    as ``progress(done_count, total, outcome)`` after every point.
 
     A failing point aborts the grid, at any ``jobs``, with a
     ``RuntimeError`` that names the point and chains the worker's error.
-    Unstarted points are cancelled; points already running finish first,
-    so every blob in the store has its ``done`` event and is a hit on
-    resume.
+    Unstarted points are cancelled; points already running finish and
+    write their blobs before it propagates, so calling again with the
+    same ``configs`` serves those as hits and runs only what is missing.
     """
     total = len(configs)
     outcomes: dict[str, PointOutcome] = {}
@@ -95,19 +92,11 @@ def execute_grid(configs: list[BenchmarkConfig], jobs: int = 1,
         if progress is not None:
             progress(done_count, total, outcome)
 
-    def started(config: BenchmarkConfig) -> None:
-        if manifest is not None:
-            manifest.record_start(config.content_hash())
-
     def finished(config: BenchmarkConfig, wall_s: float,
                  payload: dict) -> None:
-        if manifest is not None:
-            manifest.record_done(config.content_hash(), wall_s)
         note(config, wall_s, False, result_from_dict(payload))
 
     def failed(config: BenchmarkConfig, error: Exception) -> RuntimeError:
-        if manifest is not None:
-            manifest.record_error(config.content_hash(), str(error))
         failure = RuntimeError(
             f"grid point {config.label()} failed: {error}")
         failure.__cause__ = error
@@ -125,7 +114,6 @@ def execute_grid(configs: list[BenchmarkConfig], jobs: int = 1,
 
     if jobs <= 1 or len(pending) <= 1:
         for config in pending:
-            started(config)
             try:
                 done = _execute_payload(config.to_dict(), store_root)
             except Exception as error:
@@ -133,26 +121,18 @@ def execute_grid(configs: list[BenchmarkConfig], jobs: int = 1,
             finished(config, *done)
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {}
-            for config in pending:
-                started(config)
-                futures[pool.submit(_execute_payload, config.to_dict(),
-                                    store_root)] = config
-            failures = []
+            futures = {pool.submit(_execute_payload, config.to_dict(),
+                                   store_root): config
+                       for config in pending}
             for future in as_completed(futures):
-                if future.cancelled():
-                    continue
                 error = future.exception()
-                if error is None:
-                    finished(futures[future], *future.result())
-                    continue
-                # Abort: nothing new starts, but a point already running
-                # still writes its blob, so the loop goes on to record it.
-                failures.append(failed(futures[future], error))
-                for other in futures:
-                    other.cancel()
-            if failures:
-                raise failures[0]
+                if error is not None:
+                    # Abort: nothing new starts, and leaving the pool
+                    # waits for a point already running to write its blob.
+                    for other in futures:
+                        other.cancel()
+                    raise failed(futures[future], error)
+                finished(futures[future], *future.result())
 
     # Input order, for callers that zip outcomes back onto their grid.
     return [outcomes[config.content_hash()] for config in configs]

@@ -16,24 +16,23 @@
 
 Because every point is a pure function of its config and exports carry
 no wall-clock state, ``reproduce(..., jobs=8)`` emits artefacts
-byte-identical to a sequential run — and a run killed half-way resumes
-without recomputing finished points.
+byte-identical to a sequential run.  A run killed half-way resumes by
+being run again with the same arguments: the plan finds the finished
+points in the store and only the missing ones execute.
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from repro.analysis.cache import ResultCache
 from repro.analysis.expectations import check_expectations
 from repro.analysis.export import load_figure, write_figure
 from repro.analysis.figures import (FIGURES, BenchProfile, FigureData,
                                     active_profile, expand_figure_ids)
-from repro.orchestrator.manifest import RunManifest
 from repro.orchestrator.plan import GridPlan, plan_figures
 from repro.orchestrator.pool import execute_grid
 from repro.orchestrator.store import ResultStore
@@ -45,12 +44,6 @@ __all__ = ["ReproduceReport", "reproduce", "verify_figures"]
 MAX_WAVES = 6
 
 
-def _grid_slug(figure_ids: Sequence[str], profile: BenchProfile) -> str:
-    digest = hashlib.sha256(
-        ("|".join(figure_ids) + f"|{profile.name}").encode()).hexdigest()
-    return f"{profile.name}-{digest[:8]}"
-
-
 @dataclass
 class ReproduceReport:
     """Everything one reproduction run did."""
@@ -58,7 +51,6 @@ class ReproduceReport:
     figures: list[str]
     profile_name: str
     out_dir: Optional[Path]
-    run_dir: Optional[Path]
     #: Distinct grid points behind the figures.
     points_total: int
     points_executed: int
@@ -85,18 +77,14 @@ def reproduce(figures: str | Iterable[str] = "all",
               store: ResultStore | str | Path | None = None,
               out_dir: str | Path | None = "apmbench-results/figures",
               jobs: int = 1,
-              resume: bool = False,
-              run_dir: str | Path | None = None,
               dry_run: bool = False,
               check: bool = False,
-              formats: tuple[str, ...] = ("json", "csv"),
               progress: Optional[Callable] = None) -> ReproduceReport:
     """Regenerate paper figures end to end; see the module docstring.
 
-    ``store`` defaults to ``apmbench-results/store``.  ``run_dir``
-    defaults to a deterministic directory under the store derived from
-    the figure set and profile, so ``resume=True`` with the same
-    arguments finds the interrupted run automatically.
+    ``store`` defaults to ``apmbench-results/store``.  The store is the
+    only record a run keeps: calling again with the same arguments after
+    a crash executes just the points it does not hold yet.
     """
     figure_ids = expand_figure_ids(figures)
     profile = profile or active_profile()
@@ -108,20 +96,11 @@ def reproduce(figures: str | Iterable[str] = "all",
         plan = plan_figures(figure_ids, profile, store)
         return ReproduceReport(
             figures=figure_ids, profile_name=profile.name, out_dir=None,
-            run_dir=None, points_total=len(plan.missing) + plan.cached,
+            points_total=len(plan.missing) + plan.cached,
             points_executed=0, points_cached=plan.cached, waves=0,
             wall_s=0.0, plan=plan)
 
-    run_dir = Path(run_dir) if run_dir is not None else (
-        store.root / "runs" / _grid_slug(figure_ids, profile))
-
     started = time.perf_counter()
-    manifest: Optional[RunManifest] = None
-    if resume and RunManifest.exists(run_dir):
-        manifest = RunManifest.load(run_dir)
-        manifest.check_grid(figure_ids, profile.name)
-
-    executed = 0
     cached = 0
     point_walls: dict[str, float] = {}
     waves = 0
@@ -129,13 +108,6 @@ def reproduce(figures: str | Iterable[str] = "all",
         plan = plan_figures(figure_ids, profile, store)
         if waves == 0:
             cached = plan.cached
-            hashes = [c.content_hash() for c in plan.missing]
-            if manifest is None:
-                manifest = RunManifest.create(
-                    run_dir, figure_ids, profile.name, jobs, hashes)
-        elif plan.missing:
-            manifest.extend_plan(
-                [c.content_hash() for c in plan.missing])
         if not plan.missing:
             break
         if waves >= MAX_WAVES:
@@ -144,21 +116,19 @@ def reproduce(figures: str | Iterable[str] = "all",
                 "planning waves; a builder is deriving configs "
                 "non-deterministically")
         outcomes = execute_grid(plan.missing, jobs=jobs, store=store,
-                                manifest=manifest, progress=progress)
+                                progress=progress)
         for outcome in outcomes:
             if outcome.cached:
                 cached += 1
             else:
-                executed += 1
                 point_walls[outcome.content_hash] = outcome.wall_s
         waves += 1
 
     report = ReproduceReport(
         figures=figure_ids, profile_name=profile.name,
         out_dir=Path(out_dir) if out_dir is not None else None,
-        run_dir=run_dir,
-        points_total=executed + cached,
-        points_executed=executed, points_cached=cached,
+        points_total=len(point_walls) + cached,
+        points_executed=len(point_walls), points_cached=cached,
         waves=waves, wall_s=time.perf_counter() - started,
         point_walls=point_walls)
 
@@ -168,9 +138,8 @@ def reproduce(figures: str | Iterable[str] = "all",
         data = FIGURES[figure_id](build_cache, profile)
         report.data[figure_id] = data
         if out_dir is not None:
-            report.written.extend(write_figure(
-                data, out_dir, formats=formats,
-                config=profile, seed=profile.seed))
+            report.written.extend(write_figure(data, out_dir,
+                                              config=profile))
         if check:
             report.violations.extend(check_expectations(data))
     report.wall_s = time.perf_counter() - started

@@ -8,15 +8,15 @@ layers can never disagree about what "the same point" means.
 Layout::
 
     <root>/objects/<hh>/<hash>.json     # hh = first two hash chars
-    <root>/runs/<name>/manifest.json    # written by RunManifest
-    <root>/runs/<name>/events.jsonl
 
 Each blob carries a ``provenance`` stamp (package version, config hash,
 seed) and contains no wall-clock state, so a stored point is
 byte-identical across the runs that produce it.  Writes are atomic
 (temp file + ``os.replace``), which makes the store safe under
 concurrent writers and crash-safe: a killed run leaves either a complete
-blob or nothing.
+blob or, at worst, a stray ``*.tmp`` file beside it that no read looks
+at.  The blobs are the whole record of a run, so re-running a killed
+command is its resume.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 
 The acceptance bar for the orchestrator: a grid run with ``jobs=N`` must
 produce byte-identical artefacts to a sequential run, including when a
-run is killed mid-grid and resumed.
+run is killed mid-grid and then run again with the same arguments — the
+result store is the only record a resume needs.
 """
 
 import contextlib
@@ -13,7 +14,6 @@ import pytest
 import repro.orchestrator.pool as pool_module
 from repro.analysis.figures import BenchProfile
 from repro.analysis.sweep import SweepSpec
-from repro.orchestrator.manifest import RunManifest
 from repro.orchestrator.pool import execute_grid
 from repro.orchestrator.reproduce import (expand_figure_ids, reproduce,
                                           verify_figures)
@@ -140,25 +140,19 @@ class TestCrashResume:
             self, tmp_path, monkeypatch, sequential_reference):
         configs = grid_configs()
         store = ResultStore(tmp_path / "store")
-        manifest = RunManifest.create(
-            tmp_path / "run", figures=["grid"], profile_name="tiny",
-            jobs=1, point_hashes=[c.content_hash() for c in configs])
 
         # The run dies after three points.
         crashing_runner(monkeypatch, crash_after=3)
         with grid_aborts_on(CrashAfter):
-            execute_grid(configs, jobs=1, store=store, manifest=manifest)
+            execute_grid(configs, jobs=1, store=store)
         assert len(store) == 3
-        survived = RunManifest.load(tmp_path / "run")
-        assert len(survived.completed()) == 3
-        assert len(survived.events()) >= 6  # 3x started+done, 1x error
 
-        # Resume: finished points come from disk, the rest execute.
+        # The same call again: finished points come from disk, the rest
+        # execute.
         executed = crashing_runner(monkeypatch, crash_after=None)
-        outcomes = execute_grid(configs, jobs=1, store=store,
-                                manifest=survived)
+        outcomes = execute_grid(configs, jobs=1, store=store)
         assert len(executed) == 5
-        assert sum(o.cached for o in outcomes) == 3
+        assert [o.cached for o in outcomes] == [True] * 3 + [False] * 5
         assert blob_bytes(store) == sequential_reference
 
     def test_parallel_resume_is_byte_identical(
@@ -176,9 +170,9 @@ class TestCrashResume:
 
 
 class TestFailingPoint:
-    """One failure contract at any ``jobs``: the same exception, an
-    ``error`` event, and a ``done`` event for every blob in the store —
-    including points that finished while the pool drained."""
+    """One failure contract at any ``jobs``: the same exception, and
+    every blob in the store — including points that finished while the
+    pool drained — a hit when the grid runs again."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_abort_keeps_log_and_store_in_step(self, tmp_path, monkeypatch,
@@ -190,29 +184,26 @@ class TestFailingPoint:
         configs = [BenchmarkConfig("redis", WORKLOAD_R, 1, **scale), bad,
                    BenchmarkConfig("redis", WORKLOAD_R, 2, **scale)]
         store = ResultStore(tmp_path / "store")
-        manifest = RunManifest.create(
-            tmp_path / "run", figures=["grid"], profile_name="tiny",
-            jobs=jobs, point_hashes=[c.content_hash() for c in configs])
 
         with grid_aborts_on(ValueError) as excinfo:
-            execute_grid(configs, jobs=jobs, store=store, manifest=manifest)
+            execute_grid(configs, jobs=jobs, store=store)
         cause = str(excinfo.value.__cause__)
         assert "scan" in cause
         assert str(excinfo.value) == (
             f"grid point voldemort/RS/n1 cluster=M failed: {cause}")
-        errors = [event for event in manifest.events()
-                  if event["event"] == "error"]
-        assert errors == [{"event": "error", "point": bad.content_hash(),
-                           "message": cause}]
-        assert set(manifest.completed()) == set(store.keys())
-        assert configs[0].content_hash() in manifest.completed()
-        assert bad.content_hash() not in manifest.in_flight()
+        finished = set(store.keys())
+        assert configs[0].content_hash() in finished
+        assert bad.content_hash() not in finished
 
         # Whatever finished is a hit now; only the failed point runs
         # (inline, so the patched runner sees it in this process).
         executed = crashing_runner(monkeypatch, crash_after=None)
+        hits = []
         with grid_aborts_on(ValueError):
-            execute_grid(configs, jobs=1, store=store, manifest=manifest)
+            execute_grid(configs, jobs=1, store=store,
+                         progress=lambda done, total, outcome:
+                         hits.append(outcome.content_hash))
+        assert set(hits) == finished
         assert executed == [bad]
 
 
@@ -259,36 +250,40 @@ class TestReproduce:
 
     def test_resume_after_crash_skips_finished_points(
             self, tmp_path, monkeypatch, reference_reproduction):
-        __, expected = reference_reproduction
-        run_dir = tmp_path / "run"
+        reference, expected = reference_reproduction
         kwargs = dict(figures=["fig3"], profile=TINY_PROFILE,
                       store=tmp_path / "store",
-                      out_dir=tmp_path / "figures", run_dir=run_dir)
+                      out_dir=tmp_path / "figures")
 
         crashing_runner(monkeypatch, crash_after=2)
         with grid_aborts_on(CrashAfter):
-            reproduce(**kwargs)
-        assert RunManifest.exists(run_dir)
-        done_before = len(RunManifest.load(run_dir).completed())
-        assert done_before == 2
+            reproduce(jobs=1, **kwargs)
+        store = ResultStore(tmp_path / "store")
+        assert len(store) == 2
+        assert not (tmp_path / "figures").exists()
 
-        executed = crashing_runner(monkeypatch, crash_after=None)
-        report = reproduce(resume=True, **kwargs)
+        # The same call re-run, over two workers: the two stored points
+        # are hits and only the missing ones execute.
+        monkeypatch.undo()
+        report = reproduce(jobs=2, **kwargs)
         assert report.points_cached == 2
-        assert report.points_executed == len(executed)
+        assert report.points_executed == reference.points_total - 2
+        assert len(store) == reference.points_total
+        assert not (tmp_path / "store" / "runs").exists()
         assert (tmp_path / "figures" / "fig3.json").read_bytes() == expected
 
-    def test_resume_refuses_mismatched_grid(self, tmp_path):
-        run_dir = tmp_path / "run"
-        reproduce(figures=["table1"], profile=TINY_PROFILE,
-                  store=tmp_path / "store", out_dir=tmp_path / "figures",
-                  run_dir=run_dir)
-        from repro.orchestrator.manifest import ManifestMismatchError
-        with pytest.raises(ManifestMismatchError):
-            reproduce(figures=["fig17"], profile=TINY_PROFILE,
-                      store=tmp_path / "store",
-                      out_dir=tmp_path / "figures", run_dir=run_dir,
-                      resume=True)
+    def test_figure_off_a_stored_sweep_executes_nothing(
+            self, tmp_path, reference_reproduction):
+        """Figures 3 and 4 plot the same sweep: once one is built, the
+        other needs no point run, whatever ran it before."""
+        reference, __ = reference_reproduction
+        kwargs = dict(profile=TINY_PROFILE, store=tmp_path / "store",
+                      out_dir=tmp_path / "figures")
+        reproduce(figures=["fig3"], **kwargs)
+        report = reproduce(figures=["fig4"], **kwargs)
+        assert report.points_executed == 0
+        assert report.points_cached == reference.points_total
+        assert (tmp_path / "figures" / "fig4.json").is_file()
 
     def test_dry_run_executes_nothing(self, tmp_path):
         report = reproduce(figures=["fig3"], profile=TINY_PROFILE,
