@@ -37,12 +37,12 @@ from repro.storage.record import (APM_SCHEMA, Record, RecordSchema,
                                   merge_runs)
 from repro.stores.base import (ServiceProfile, Store, StoreSession,
                                load_batches)
-from repro.stores.sharding import ConsistentHashRing, jdbc_ring
+from repro.stores.sharding import ClientRingRouting, jdbc_ring
 
 __all__ = ["MySQLStore", "MySQLSession"]
 
 
-class MySQLStore(Store):
+class MySQLStore(ClientRingRouting, Store):
     """Client-sharded single-node MySQL servers (InnoDB)."""
 
     name = "mysql"
@@ -85,9 +85,7 @@ class MySQLStore(Store):
 
     def _rebuild_routing(self) -> None:
         """Point the JDBC ring at the current member servers."""
-        names = [self.cluster.servers[i].name for i in self._members]
-        self.ring: ConsistentHashRing = jdbc_ring(names)
-        self._index_of = dict(zip(names, self._members))
+        self._route(jdbc_ring)
 
     def _attach_node_metrics(self, registry, index: int) -> None:
         """Add binlog volume, MVCC purge backlog and table size probes."""
@@ -127,15 +125,6 @@ class MySQLStore(Store):
         with a richer client-to-server ratio to approach saturation."""
         return max(1, math.ceil(2 * n_servers / 3))
 
-    def shard_of(self, key: str) -> int:
-        """Shard index for ``key`` via the JDBC consistent-hash ring."""
-        return self._index_of[self.ring.shard_for(key)]
-
-    def shard_of_many(self, keys: list[str]) -> list[int]:
-        """``shard_of`` of every key, with one batched hash."""
-        index_of = self._index_of
-        return [index_of[name] for name in self.ring.shard_for_many(keys)]
-
     def declared_loss(self, node: Node) -> str:
         """Client-sharded, no replication (Section 4.5): losing a shard
         server for good loses that shard's rows by design."""
@@ -151,8 +140,6 @@ class MySQLStore(Store):
 
     def _shard_entries(self):
         return enumerate(table.items() for table in self.tables)
-
-    _shard_of = shard_of
 
     def _move_entry(self, key: str, value, src: int, dst: int):
         self.tables[src].remove(key)

@@ -34,12 +34,12 @@ from repro.storage.hashstore import HashStore
 from repro.storage.record import APM_SCHEMA, Record, RecordSchema
 from repro.stores.base import (ServiceProfile, Store, StoreSession,
                                load_batches)
-from repro.stores.sharding import ConsistentHashRing, jdbc_ring, jedis_ring
+from repro.stores.sharding import ClientRingRouting, jdbc_ring, jedis_ring
 
 __all__ = ["RedisStore", "RedisSession"]
 
 
-class RedisStore(Store):
+class RedisStore(ClientRingRouting, Store):
     """Standalone in-memory shards behind a Jedis-style client ring."""
 
     name = "redis"
@@ -72,12 +72,11 @@ class RedisStore(Store):
 
     def _rebuild_routing(self) -> None:
         """Point the client ring at the current member instances."""
-        names = [self.cluster.servers[i].name for i in self._members]
         if self._hash_algorithm == "balanced":
-            self.ring: ConsistentHashRing = jdbc_ring(names)
+            self._route(jdbc_ring)
         else:
-            self.ring = jedis_ring(names, self._hash_algorithm)
-        self._index_of = dict(zip(names, self._members))
+            self._route(lambda names: jedis_ring(names,
+                                                 self._hash_algorithm))
 
     def _attach_node_metrics(self, registry, index: int) -> None:
         """Add event-loop saturation gauges and shard memory probes.
@@ -126,15 +125,6 @@ class RedisStore(Store):
         n = self.cluster.n_servers
         return min(default_per_node * n, max(24, 144 // n))
 
-    def shard_of(self, key: str) -> int:
-        """Shard index for ``key`` via the Jedis ring."""
-        return self._index_of[self.ring.shard_for(key)]
-
-    def shard_of_many(self, keys: list[str]) -> list[int]:
-        """``shard_of`` of every key, with one batched hash."""
-        index_of = self._index_of
-        return [index_of[name] for name in self.ring.shard_for_many(keys)]
-
     def declared_loss(self, node: Node) -> str:
         """Client-sharded, unreplicated (Section 4.6): a permanently
         crashed instance takes its whole shard with it — a by-design
@@ -156,8 +146,6 @@ class RedisStore(Store):
         for src, shard in enumerate(self.shards):
             if len(shard):
                 yield src, shard.scan("", len(shard))
-
-    _shard_of = shard_of
 
     def _move_entry(self, key: str, row: tuple, src: int, dst: int):
         if not self.shards[dst].hset(key, row):

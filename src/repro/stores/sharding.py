@@ -26,6 +26,7 @@ __all__ = [
     "md5_long",
     "hash_keys",
     "ConsistentHashRing",
+    "ClientRingRouting",
     "TokenRing",
     "jedis_ring",
     "jdbc_ring",
@@ -87,6 +88,34 @@ class ConsistentHashRing:
         shares = self.load_shares(sample_keys)
         fair = 1.0 / len(self.shard_names)
         return max(shares.values()) / fair
+
+
+class ClientRingRouting:
+    """Routing for a store sharded in its client over a hash ring.
+
+    Mixed into a :class:`~repro.stores.base.Store` ahead of it.  The
+    store's ``_rebuild_routing`` hands :meth:`_route` the ring builder
+    it uses; a key's shard is the member server owning it on that ring.
+    """
+
+    ring: ConsistentHashRing
+
+    def _route(self, ring_for) -> None:
+        """Point the ring ``ring_for(names)`` at the member servers."""
+        names = [self.cluster.servers[i].name for i in self._members]
+        self.ring = ring_for(names)
+        self._index_of = dict(zip(names, self._members))
+
+    def shard_of(self, key: str) -> int:
+        """Shard index for ``key`` via the client ring."""
+        return self._index_of[self.ring.shard_for(key)]
+
+    def shard_of_many(self, keys: list[str]) -> list[int]:
+        """``shard_of`` of every key, with one batched hash."""
+        index_of = self._index_of
+        return [index_of[name] for name in self.ring.shard_for_many(keys)]
+
+    _shard_of = shard_of
 
 
 def jedis_ring(shard_names: Sequence[str], algorithm: str = "murmur"
