@@ -5,9 +5,10 @@ simulated substrate and returns a :class:`FigureData` carrying the same
 series the paper plots.  Figures derived from the same sweep share runs
 through :mod:`repro.analysis.cache`.
 
-Two profiles control cost: ``quick`` (default; 3 cluster sizes, 20 K
-records/node) and ``paper`` (the full 1-12 node sweep, 50 K records per
-node).  Select with the ``REPRO_BENCH_PROFILE`` environment variable.
+Three profiles control cost: ``smoke`` (2 cluster sizes, 6 K
+records/node), ``quick`` (default; 3 cluster sizes, 12 K records/node)
+and ``paper`` (the full 1-12 node sweep, 50 K records per node).  Select
+with the ``REPRO_BENCH_PROFILE`` environment variable.
 """
 
 from __future__ import annotations
