@@ -297,7 +297,12 @@ class TestObs:
 # subcommand's ``--help`` and, for one small invocation of each command
 # that builds a run, what it prints and what it exports.  Both goldens
 # were taken before the per-subcommand boilerplate was folded into shared
-# helpers.  Regenerate after an *intentional* change with::
+# helpers.  They are also the CLI's byte-identity referee: a digest is
+# recorded in one interpreter and checked in another, each with its own
+# ``hash()`` randomisation, so an export that leaks hash order, a
+# process-global counter or wall-clock state fails here, and so does one
+# that drifts between commits.  Regenerate after an *intentional* change
+# with::
 #
 #     REPRO_UPDATE_GOLDENS=1 PYTHONPATH=src python -m pytest \
 #         tests/test_cli.py -k Snapshots
@@ -351,7 +356,83 @@ INVOCATIONS = {
               "--hardware", "paper-m", "--records", "1000", "--ops", "400",
               "--warmup", "50", "--store", "store",
               "--export", "out/plan.json"], False),
+    # Redis open loop at a constant rate, and again under a flash crowd:
+    # arrivals spaced by the shape's instantaneous rate, with the queue
+    # monitor sampling beside them.
+    "overload-redis": (["overload", "-s", "redis", "-n", "1",
+                        "--records", "2000", "--ops", "600",
+                        "--multipliers", "1,2", "--duration", "0.5",
+                        "--warmup", "0.1", "--deadline", "0.05",
+                        "--max-queue", "16", "--no-sustained",
+                        "--export", "out/overload.json"], True),
+    "shaped": (["overload", "-s", "redis", "-n", "1", "--records", "2000",
+                "--ops", "600", "--multipliers", "1,2", "--duration", "0.5",
+                "--warmup", "0.1", "--deadline", "0.05", "--max-queue", "16",
+                "--no-sustained", "--shape", "flash:at=0.2,multiplier=3",
+                "--export", "out/shaped.json"], True),
+    # VoltDB open loop: the arrivals share the sessions, several in
+    # flight on each, and every one picks its entry host round-robin.
+    "open-voltdb": (["overload", "-s", "voltdb", "-n", "2",
+                     "--records", "1000", "--ops", "400",
+                     "--multipliers", "1.5", "--duration", "0.3",
+                     "--warmup", "0.05", "--deadline", "0.05",
+                     "--max-queue", "16", "--no-sustained",
+                     "--protected-only",
+                     "--export", "out/open-voltdb.json"], True),
+    "audit-cassandra": (["audit", "-s", "cassandra", "--fault", "crash",
+                         "--export", "out/audit.json"], True),
+    "plan-two-stores": (["plan", "--users", "50000",
+                         "--stores", "redis,voltdb", "--hardware", "paper-m",
+                         "--records", "2000", "--ops", "1000",
+                         "--warmup", "100", "--store", "store",
+                         "--export", "out/plan.json"], False),
+    # The one batch path, with two skipped points (no RS on Redis or
+    # Voldemort) in its bytes.
+    "grid-skips": (["grid", "--stores", "redis,voldemort",
+                    "--workloads", "R,RS", "--nodes", "1,2",
+                    "--records", "300", "--ops", "150", "--warmup", "20",
+                    "--store", "store", "--export", "out/grid.json"], False),
+    # The two read paths that discard work: at four nodes a MySQL scan
+    # is the sharded fan-out, and 8 800 records are three flush rounds,
+    # so an HBase get probes three store files a region.
+    "grid-reads": (["grid", "--stores", "mysql,hbase",
+                    "--workloads", "R,RSW", "--nodes", "1,4",
+                    "--records", "2200", "--ops", "150", "--warmup", "20",
+                    "--store", "store", "--export", "out/grid.json"], False),
+    # The loads: 4 500 records a node are two Cassandra load rounds at
+    # one node and three at two, each flushed from a memtable no scan
+    # sorted, and a VoltDB load fills each partition's dict.
+    "grid-loads": (["grid", "--stores", "cassandra,voltdb",
+                    "--workloads", "R,W", "--nodes", "1,2",
+                    "--records", "4500", "--ops", "150", "--warmup", "20",
+                    "--store", "store", "--export", "out/grid.json"], False),
+    # The scans: VoltDB's multi-partition scan merges every site's rows,
+    # and 4 400 records a node are three load rounds, so a Cassandra or
+    # HBase scan folds three runs and a memtable.
+    "grid-scans": (["grid", "--stores", "voltdb,cassandra,hbase",
+                    "--workloads", "RS", "--nodes", "2",
+                    "--records", "4400", "--ops", "150", "--warmup", "20",
+                    "--store", "store", "--export", "out/grid.json"], False),
 }
+
+#: Entries that take more than about 3 s: slow tier.
+SLOW_INVOCATIONS = {"overload-redis", "shaped", "open-voltdb", "grid-reads",
+                    "grid-scans"}
+
+#: ``name -> extra argv`` that must not move the export: the same
+#: command at ``--jobs 2`` and, where it keeps a result store, into a
+#: second empty one.  Its digest is checked against ``name``'s golden.
+SECOND_RUNS = {
+    "audit-sweep": ["--jobs", "2"],
+    "plan-two-stores": ["--store", "store-2"],
+    **{name: ["--store", "store-2", "--jobs", "2"]
+       for name in ("grid-skips", "grid-reads", "grid-loads", "grid-scans")},
+}
+
+
+def _tiered(names):
+    return [pytest.param(name, marks=pytest.mark.slow)
+            if name in SLOW_INVOCATIONS else name for name in sorted(names)]
 
 
 def _add_exports(digest, directory: Path) -> None:
@@ -359,6 +440,19 @@ def _add_exports(digest, directory: Path) -> None:
     for path in sorted(directory.glob("out/*")):
         digest.update(f"\n== {path.name}\n"
                       f"{versionless(path.read_text())}".encode())
+
+
+def _check_invocation(name, extras, tmp_path, monkeypatch, capsys) -> None:
+    """Run ``INVOCATIONS[name]`` plus ``extras`` in ``tmp_path`` and check
+    its exit code, printed output and exports against ``name``'s golden."""
+    argv, stdout_is_deterministic = INVOCATIONS[name]
+    monkeypatch.chdir(tmp_path)
+    code = main(argv + extras)
+    digest = hashlib.sha256(f"exit {code}\n".encode())
+    if stdout_is_deterministic:
+        digest.update(capsys.readouterr().out.encode())
+    _add_exports(digest, tmp_path)
+    check_golden(GOLDEN_PATH, ("output", name), digest.hexdigest())
 
 
 class TestSnapshots:
@@ -374,17 +468,16 @@ class TestSnapshots:
         text = " ".join(capsys.readouterr().out.split())
         check_golden(GOLDEN_PATH, ("help", command), text)
 
-    @pytest.mark.parametrize("name", sorted(INVOCATIONS))
+    @pytest.mark.parametrize("name", _tiered(INVOCATIONS))
     def test_printed_output_and_export_bytes(self, name, tmp_path,
                                              monkeypatch, capsys):
-        argv, stdout_is_deterministic = INVOCATIONS[name]
-        monkeypatch.chdir(tmp_path)
-        code = main(argv)
-        digest = hashlib.sha256(f"exit {code}\n".encode())
-        if stdout_is_deterministic:
-            digest.update(capsys.readouterr().out.encode())
-        _add_exports(digest, tmp_path)
-        check_golden(GOLDEN_PATH, ("output", name), digest.hexdigest())
+        _check_invocation(name, [], tmp_path, monkeypatch, capsys)
+
+    @pytest.mark.parametrize("name", _tiered(SECOND_RUNS))
+    def test_second_run_matches_the_first_runs_golden(self, name, tmp_path,
+                                                      monkeypatch, capsys):
+        _check_invocation(name, SECOND_RUNS[name], tmp_path, monkeypatch,
+                          capsys)
 
     @pytest.mark.parametrize("figure_id, profile", [
         ("table1", "quick"), ("fig17", "quick"),
