@@ -131,6 +131,10 @@ class AuditScenario:
     #: Wing–Gong exploration budget per key.
     linearize_budget: int = 200_000
 
+    def __post_init__(self):
+        # N/R/W the store cannot take are rejected here, not mid-run.
+        _store_kwargs(self)
+
     @property
     def duration_s(self) -> float:
         return self.ops_per_session * self.op_gap_s
@@ -260,9 +264,9 @@ class _AuditRun:
     """One scenario, end to end: workload, chaos, verification, checks.
 
     Deliberately not a :class:`~repro.ycsb.runner.Deployment`: the audit
-    runs on an unscaled Cluster M with one client machine, loads nothing,
-    and keeps a chaos controller even for the empty schedule — routing it
-    through the shared assembly would make that code branch on its caller.
+    runs on an unscaled Cluster M with one client machine and loads
+    nothing — routing it through the shared assembly would make that code
+    branch on its caller.
     """
 
     def __init__(self, scenario: AuditScenario):

@@ -498,17 +498,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_replication(scenarios) -> None:
-    """A usage error for N/R/W that a scenario's store cannot take."""
-    from repro.audit.harness import _store_kwargs
-
-    try:
-        for scenario in scenarios:
-            _store_kwargs(scenario)
-    except ValueError as error:
-        raise _UsageError(error) from None
-
-
 def _cmd_audit(args: argparse.Namespace) -> int:
     from repro.audit import (AuditScenario, QuorumSweep, render_sweep,
                              run_audit_scenario, run_quorum_sweep)
@@ -540,21 +529,26 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             n_sessions=args.sessions, n_keys=args.keys,
             ops_per_session=args.ops,
         )
-        _check_replication(sweep.scenarios())
+        try:
+            sweep.scenarios()  # each point's N/R/W, checked as it is built
+        except ValueError as error:
+            raise _UsageError(error) from None
         payload = run_quorum_sweep(sweep, jobs=args.jobs)
         print(render_sweep(payload))
         if args.export:
             _write_json(args.export, payload, "sweep report")
         return 0 if payload["ok"] else 1
 
-    scenario = AuditScenario(
-        store=args.store, n_nodes=args.nodes, n_sessions=args.sessions,
-        n_keys=args.keys, ops_per_session=args.ops, seed=args.seed,
-        fault=fault,
-        replication_factor=replication,
-        required_writes=args.write_acks, required_reads=args.read_acks,
-    )
-    _check_replication([scenario])
+    try:
+        scenario = AuditScenario(
+            store=args.store, n_nodes=args.nodes, n_sessions=args.sessions,
+            n_keys=args.keys, ops_per_session=args.ops, seed=args.seed,
+            fault=fault,
+            replication_factor=replication,
+            required_writes=args.write_acks, required_reads=args.read_acks,
+        )
+    except ValueError as error:
+        raise _UsageError(error) from None
     report = run_audit_scenario(scenario)
     print(report.render())
     if args.export:

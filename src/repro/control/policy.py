@@ -72,10 +72,6 @@ class ControlPolicy:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ControlPolicy":
-        return cls(**payload)
-
 
 @dataclass(frozen=True)
 class ControlDecision:

@@ -24,8 +24,6 @@ from __future__ import annotations
 from bisect import insort
 from typing import Any, Callable, Optional
 
-from repro.metrics.timeseries import WindowedSeries
-
 __all__ = [
     "Counter",
     "Metric",
@@ -168,16 +166,6 @@ class WindowedHistogram(Metric):
             out.append((index * self.window_s, (index + 1) * self.window_s,
                         int(count), total / count, lo, hi))
         return out
-
-    def series(self) -> WindowedSeries:
-        """The histogram's counts/sums as a :class:`WindowedSeries`."""
-        series = WindowedSeries(self.window_s)
-        for start, __, count, mean, lo, hi in self.window_stats():
-            series.add(start, f"{self.name}_count", count)
-            series.put(start, f"{self.name}_mean", mean)
-            series.put(start, f"{self.name}_min", lo)
-            series.put(start, f"{self.name}_max", hi)
-        return series
 
 
 class MetricsRegistry:

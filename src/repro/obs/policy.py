@@ -14,9 +14,8 @@ the alert fires only when the budget burn rate exceeds ``factor`` over
 (``clear_ratio``).
 
 :class:`ObsPolicy` bundles the objectives with the tail-sampling,
-exemplar and flight-recorder knobs.  Like
-:class:`~repro.overload.policy.OverloadPolicy` it is a frozen dataclass
-with a lossless ``to_dict``/``from_dict`` round-trip, and it is *not*
+exemplar and flight-recorder knobs.  It is a frozen dataclass whose
+``to_dict`` is its JSON export (nothing reads it back), and it is *not*
 part of :class:`~repro.ycsb.runner.BenchmarkConfig` — observability is
 an overlay on a run, not part of the workload's identity.
 """
@@ -89,12 +88,6 @@ class SLO:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SLO":
-        # JSON hands the two tuples back as lists.
-        return cls(**{name: tuple(value) if isinstance(value, list)
-                      else value for name, value in payload.items()})
-
 
 @dataclass(frozen=True)
 class BurnRateRule:
@@ -127,10 +120,6 @@ class BurnRateRule:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "BurnRateRule":
-        return cls(**payload)
 
 
 #: The default fast/slow rule pair.  Simulated incidents play out over
@@ -231,12 +220,3 @@ class ObsPolicy:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ObsPolicy":
-        data = dict(payload)
-        for name, record in (("slos", SLO), ("rules", BurnRateRule)):
-            if name in data:
-                data[name] = tuple(record.from_dict(entry)
-                                   for entry in data[name])
-        return cls(**data)

@@ -30,7 +30,7 @@ from repro.overload.budget import CircuitBreaker, RetryBudget
 from repro.overload.policy import OverloadPolicy
 from repro.overload.shapes import (ArrivalShape, DiurnalShape,
                                    FlashCrowdShape, SHAPES, StepShape,
-                                   parse_shape, shape_from_dict)
+                                   parse_shape)
 
 __all__ = [
     "AdmissionGate",
@@ -43,7 +43,6 @@ __all__ = [
     "SHAPES",
     "StepShape",
     "parse_shape",
-    "shape_from_dict",
     # lazy (see __getattr__):
     "OverloadPoint",
     "OverloadSweep",

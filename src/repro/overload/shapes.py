@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 from typing import ClassVar
 
 __all__ = ["ArrivalShape", "DiurnalShape", "FlashCrowdShape", "SHAPES",
-           "StepShape", "parse_shape", "shape_from_dict"]
+           "StepShape", "parse_shape"]
 
 
 @dataclass(frozen=True)
@@ -154,16 +154,4 @@ def parse_shape(spec: str) -> ArrivalShape:
                                  f"{name!r} (expected key=value with key "
                                  f"in: {choices})")
             kwargs[aliases[key]] = float(value)
-    return cls(**kwargs)
-
-
-def shape_from_dict(payload: dict) -> ArrivalShape:
-    """Rebuild a shape from its ``to_dict`` projection."""
-    kind = payload.get("kind")
-    if kind not in SHAPES:
-        known = ", ".join(sorted(SHAPES))
-        raise ValueError(f"unknown arrival shape kind {kind!r} "
-                         f"(known: {known})")
-    cls, __ = SHAPES[kind]
-    kwargs = {k: v for k, v in payload.items() if k != "kind"}
     return cls(**kwargs)

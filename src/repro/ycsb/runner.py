@@ -441,14 +441,13 @@ class Deployment:
 
 
 def run_benchmark(store: str, workload: Workload, n_nodes: int,
-                  config: Optional[BenchmarkConfig] = None,
                   obs=None, audit=None, **overrides) -> BenchmarkResult:
     """Run one benchmark data point closed-loop and return its measurements.
 
     ``store`` is a registry name ("cassandra", "hbase", "voldemort",
     "redis", "voltdb", "mysql"); extra keyword arguments override
-    :class:`BenchmarkConfig` fields.  With ``config`` given, the point is
-    the config's: the positional arguments are not consulted.
+    :class:`BenchmarkConfig` fields.  With a config in hand, call
+    :func:`run_config`.
 
     ``obs`` optionally attaches an :class:`~repro.obs.policy.ObsPolicy`
     observability overlay (SLO burn-rate alerting, exemplar-linked tail
@@ -462,9 +461,8 @@ def run_benchmark(store: str, workload: Workload, n_nodes: int,
     ``obs`` it lives outside the config: auditing a run must leave it
     op-for-op identical to a bare one.
     """
-    if config is None:
-        config = BenchmarkConfig(store=store, workload=workload,
-                                 n_nodes=n_nodes, **overrides)
+    config = BenchmarkConfig(store=store, workload=workload, n_nodes=n_nodes,
+                             **overrides)
     return run_config(config, obs=obs, audit=audit)
 
 

@@ -63,10 +63,13 @@ def test_unknown_fault_rejected_at_build_time():
 
 
 def test_unreplicated_stores_reject_quorum_knobs():
+    # Rejected when the scenario is built, before anything runs.
     with pytest.raises(ValueError, match="no replication knobs"):
-        run_audit_scenario(
-            AuditScenario(store="redis", replication_factor=2,
-                          required_writes=2, required_reads=1))
+        AuditScenario(store="redis", replication_factor=2,
+                      required_writes=2, required_reads=1)
+    with pytest.raises(ValueError, match="consistency levels"):
+        AuditScenario(store="cassandra", replication_factor=4,
+                      required_writes=2)
 
 
 def test_report_export_is_deterministic():

@@ -7,7 +7,7 @@ config content key, same operation counts, same measurements.
 
 from repro.audit import HistoryRecorder
 from repro.audit.harness import AuditScenario, run_audit_scenario
-from repro.ycsb.runner import BenchmarkConfig, run_benchmark
+from repro.ycsb.runner import BenchmarkConfig, run_benchmark, run_config
 from repro.ycsb.workload import WORKLOADS
 
 
@@ -30,8 +30,7 @@ def test_audit_does_not_change_config_identity():
     config = BenchmarkConfig(store="redis", workload=WORKLOADS["RW"],
                              n_nodes=1, **small_config())
     recorder = HistoryRecorder(sim=None)
-    audited = run_benchmark("redis", WORKLOADS["RW"], 1, config=config,
-                            audit=recorder)
+    audited = run_config(config, audit=recorder)
     bare_config = BenchmarkConfig(store="redis", workload=WORKLOADS["RW"],
                                   n_nodes=1, **small_config())
     assert audited.config.content_key() == bare_config.content_key()

@@ -31,13 +31,6 @@ class TestValidation:
 
 
 class TestSerialisation:
-    def test_round_trip(self):
-        policy = ControlPolicy(tick_s=0.5, scale_out_pressure=0.9,
-                               scale_in_pressure=0.4, sustain_ticks=3,
-                               cooldown_s=2.0, min_nodes=2, max_nodes=8,
-                               replace_grace_s=1.0, provision_delay_s=0.5)
-        assert ControlPolicy.from_dict(policy.to_dict()) == policy
-
     def test_decision_to_dict(self):
         decision = ControlDecision(
             t=1.25, action="scale_out", node="server-4",

@@ -21,7 +21,7 @@ from repro.orchestrator import result_to_dict
 from repro.sim.cluster import CLUSTER_M
 from repro.stores.registry import STORE_NAMES, store_class
 from repro.ycsb import generator
-from repro.ycsb.runner import BenchmarkConfig, run_benchmark
+from repro.ycsb.runner import BenchmarkConfig, run_config
 from repro.ycsb.workload import WORKLOADS
 
 #: Few connections keep the stores' minimum measurement windows small.
@@ -34,8 +34,7 @@ def _payload(store_name: str) -> str:
     config = BenchmarkConfig(store=store_name, workload=workload, n_nodes=2,
                              cluster_spec=SMALL_M, records_per_node=400,
                              measured_ops=600, warmup_ops=100, seed=13)
-    result = run_benchmark(config.store, config.workload, config.n_nodes,
-                           config=config)
+    result = run_config(config)
     assert result.stats.operations > 0
     return json.dumps(result_to_dict(result), sort_keys=True)
 

@@ -68,7 +68,7 @@ from repro.stores.base import ServiceProfile
 from repro.stores.mysql import MySQLSession
 from repro.stores.registry import create_store
 from repro.ycsb.generator import generate_records
-from repro.ycsb.runner import BenchmarkConfig, run_benchmark
+from repro.ycsb.runner import BenchmarkConfig, run_config
 from repro.ycsb.workload import WORKLOADS
 
 from tests.goldens import check_golden
@@ -125,8 +125,7 @@ def export_figure_point() -> dict:
         fault_schedule=schedule, duration_s=1.2, warmup_ops=0,
         overload=OverloadPolicy(max_queue=64, deadline_s=0.2),
     )
-    result = run_benchmark(config.store, config.workload, config.n_nodes,
-                           config=config)
+    result = run_config(config)
     payload = _stats_payload(result)
     payload["error_kinds"] = {
         op.value: dict(sorted(h.error_kinds.items()))
@@ -148,8 +147,7 @@ def export_traced_point() -> dict:
         duration_s=1.0, warmup_ops=0,
         trace_sample_every=5, metrics_interval_s=0.25,
     )
-    result = run_benchmark(config.store, config.workload, config.n_nodes,
-                           config=config)
+    result = run_config(config)
     breakdown = result.breakdown
     payload = _stats_payload(result)
     payload["traces"] = chrome_trace(result.traces[:50])
@@ -287,8 +285,7 @@ def export_traced_replicated_point() -> dict:
                           "consistency_level": "quorum",
                           "read_consistency": read_consistency},
         )
-        result = run_benchmark(config.store, config.workload,
-                               config.n_nodes, config=config)
+        result = run_config(config)
         point = _stats_payload(result)
         point["fault_log"] = [[t, desc] for t, desc in result.fault_log]
         point["traces"] = chrome_trace(result.traces[:120])
@@ -397,8 +394,7 @@ def export_sharded_scan_point() -> dict:
         return rows
 
     with mock.patch.object(MySQLSession, "scan", recorded):
-        result = run_benchmark(config.store, config.workload,
-                               config.n_nodes, config=config)
+        result = run_config(config)
     assert log.calls > 100 and max(rows_returned) > 1
     payload = _stats_payload(result)
     payload["scans"] = log.calls
@@ -429,8 +425,7 @@ def export_multi_file_read_point() -> dict:
         return result
 
     with mock.patch.object(LSMEngine, "get", recorded):
-        result = run_benchmark(config.store, config.workload,
-                               config.n_nodes, config=config)
+        result = run_config(config)
     # All but the few keys beyond a file's first or last key.
     assert len(runs_probed) > 1000
     assert runs_probed.count(3) > 0.99 * len(runs_probed)
@@ -442,7 +437,7 @@ def export_multi_file_read_point() -> dict:
 
 
 def export_closed_loop_obs() -> dict:
-    """``run_benchmark(obs=...)`` through a crash, with deadlines, a
+    """``run_config(obs=...)`` through a crash, with deadlines, a
     warm-up and telemetry: the layer's bundle, the traces it kept and
     the registry its latency histograms fed."""
     schedule = FaultSchedule().crash("server-1", at=0.3, restart_after=0.3)
@@ -455,8 +450,7 @@ def export_closed_loop_obs() -> dict:
     )
     policy = ObsPolicy(slos=default_slos(latency_slo_s=0.05),
                        window_s=0.25, tick_s=0.25)
-    result = run_benchmark(config.store, config.workload, config.n_nodes,
-                           config=config, obs=policy)
+    result = run_config(config, obs=policy)
     payload = _stats_payload(result)
     payload["observability"] = result.obs.to_payload()
     payload["traces"] = chrome_trace(result.traces)
@@ -465,7 +459,7 @@ def export_closed_loop_obs() -> dict:
 
 
 def export_closed_loop_audit() -> dict:
-    """``run_benchmark(audit=...)`` through a crash with deadlines: every
+    """``run_config(audit=...)`` through a crash with deadlines: every
     record the recorder logged, warm-up included, in append order."""
     schedule = FaultSchedule().crash("server-1", at=0.2, restart_after=0.2)
     config = BenchmarkConfig(
@@ -475,8 +469,7 @@ def export_closed_loop_audit() -> dict:
         overload=OverloadPolicy(max_queue=32, deadline_s=0.05),
     )
     recorder = HistoryRecorder(sim=None)
-    run_benchmark(config.store, config.workload, config.n_nodes,
-                  config=config, audit=recorder)
+    run_config(config, audit=recorder)
     return stamp({"records": [asdict(r) for r in recorder.records]},
                  config)
 
@@ -489,8 +482,7 @@ def _traced_scan_point(store: str, duration_s: float, seed: int) -> tuple:
         cluster_spec=SMALL_M, records_per_node=300, seed=seed,
         duration_s=duration_s, warmup_ops=0, trace_sample_every=3,
     )
-    result = run_benchmark(config.store, config.workload, config.n_nodes,
-                           config=config)
+    result = run_config(config)
     payload = _stats_payload(result)
     payload["traces"] = chrome_trace(result.traces)
     return stamp(payload, config), result.traces

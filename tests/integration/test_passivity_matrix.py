@@ -22,7 +22,7 @@ from repro.overload import OverloadPolicy
 from repro.overload.openloop import (_OpenLoopRun, resolve_slo_s,
                                      run_overload_point)
 from repro.sim.cluster import CLUSTER_M
-from repro.ycsb.runner import BenchmarkConfig, run_benchmark
+from repro.ycsb.runner import BenchmarkConfig, run_config
 from repro.ycsb.workload import WORKLOADS
 
 SMALL_M = replace(CLUSTER_M, connections_per_node=4)
@@ -30,7 +30,7 @@ STORES = ("cassandra", "hbase", "mysql", "redis")
 OBS_POLICY = ObsPolicy(slos=default_slos(latency_slo_s=0.05),
                        window_s=0.05, tick_s=0.05)
 
-#: overlay name -> (config fields, ``run_benchmark`` keyword arguments).
+#: overlay name -> (config fields, ``run_config`` keyword arguments).
 CLOSED_LOOP_OVERLAYS = {
     "trace": ({"trace_sample_every": 3}, lambda: {}),
     "metrics": ({"metrics_interval_s": 0.05}, lambda: {}),
@@ -47,8 +47,7 @@ def _config(store: str, **fields) -> BenchmarkConfig:
 
 
 def _measured(config: BenchmarkConfig, **overlay) -> dict:
-    result = run_benchmark(config.store, config.workload, config.n_nodes,
-                           config=config, **overlay)
+    result = run_config(config, **overlay)
     stats = result.stats
     return {
         "started_at": stats.started_at,

@@ -1,12 +1,11 @@
 """Unit tests for the time-varying arrival shapes (satellite of the
-control-plane PR): rate math, the registry/parser, round-trips, and the
-shaped open-loop arrival path with its windowed timeline."""
+control-plane PR): rate math, the registry/parser, and the shaped
+open-loop arrival path with its windowed timeline."""
 
 import pytest
 
 from repro.overload import (DiurnalShape, FlashCrowdShape, OverloadPolicy,
-                            StepShape, parse_shape, run_overload_point,
-                            shape_from_dict)
+                            StepShape, parse_shape, run_overload_point)
 from repro.overload.shapes import SHAPES
 from repro.ycsb.runner import BenchmarkConfig
 from repro.ycsb.workload import WORKLOAD_R
@@ -74,16 +73,6 @@ class TestRegistryAndParser:
     def test_parse_bad_value(self):
         with pytest.raises(ValueError):
             parse_shape("step:at=soon")
-
-    def test_round_trip_through_dict(self):
-        for spec in ("diurnal:period=12,trough=0.3",
-                     "flash:at=2,duration=1,multiplier=5",
-                     "step:at=3,factor=0.5"):
-            shape = parse_shape(spec)
-            clone = shape_from_dict(shape.to_dict())
-            assert clone.to_dict() == shape.to_dict()
-            assert clone.rate_at(1.234, 500.0) == pytest.approx(
-                shape.rate_at(1.234, 500.0))
 
 
 def _config():

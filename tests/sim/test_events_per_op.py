@@ -29,7 +29,7 @@ import pytest
 
 import repro
 from repro.sim.cluster import CLUSTER_M
-from repro.ycsb.runner import BenchmarkConfig, run_benchmark
+from repro.ycsb.runner import BenchmarkConfig, run_config
 from repro.ycsb.workload import WORKLOADS
 
 SMALL_M = replace(CLUSTER_M, connections_per_node=4)
@@ -55,8 +55,7 @@ HBASE_FAN_OUT_CEILING = 63
 def _events_per_op(clusters, **config) -> float:
     config = BenchmarkConfig(workload=WORKLOADS["R"], cluster_spec=SMALL_M,
                              seed=16, **config)
-    result = run_benchmark(config.store, config.workload, config.n_nodes,
-                           config=config)
+    result = run_config(config)
     assert result.stats.errors == 0
     return clusters[-1].sim._sequence / result.stats.operations
 

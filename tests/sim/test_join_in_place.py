@@ -54,7 +54,7 @@ from repro.overload import OverloadPolicy
 from repro.sim.cluster import CLUSTER_D, CLUSTER_M, Node
 from repro.sim.network import Network
 from repro.stores.registry import STORE_NAMES, store_class
-from repro.ycsb.runner import BenchmarkConfig, run_benchmark
+from repro.ycsb.runner import BenchmarkConfig, run_config
 from repro.ycsb.workload import WORKLOADS
 
 SMALL_M = replace(CLUSTER_M, connections_per_node=4)
@@ -134,8 +134,7 @@ IDENTITY_SHIMS = {"cpu": _shim_cpu, "disk": _shim_disk,
 
 
 def _run(config):
-    return run_benchmark(config.store, config.workload, config.n_nodes,
-                         config=config)
+    return run_config(config)
 
 
 def _payload(result) -> str:

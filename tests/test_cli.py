@@ -164,14 +164,15 @@ class TestPlan:
     (["audit", "--sweep", "--points", "1-1"], "--points"),
     (["audit", "--fault", "bogus"], "fault scenario"),
     (["audit", "-s", "redis", "-N", "3"], "no replication knobs"),
+    (["audit", "--sweep", "-s", "redis"], "no replication knobs"),
     (["run", "-s", "redis", "--random", "2"], "--random needs --duration"),
     (["run", "-s", "redis", "-n", "1", "--crash", "server-9"],
      "unknown node"),
     (["run", "-s", "redis", "--rf", "2"], "only apply to cassandra"),
     (["reproduce", "--figures", "fig99", "--dry-run"], "unknown figure"),
 ], ids=["overload-shape", "control-shape", "obs-shape", "audit-points",
-        "audit-fault", "audit-replication", "run-random", "run-crash",
-        "run-replication", "reproduce-figure"])
+        "audit-fault", "audit-replication", "audit-sweep-replication",
+        "run-random", "run-crash", "run-replication", "reproduce-figure"])
 def test_bad_argument_is_a_usage_error(argv, message, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -7,6 +7,7 @@ from repro.stores.base import OpType
 from repro.ycsb.runner import (
     BenchmarkConfig,
     run_benchmark,
+    run_config,
     scaled_spec,
 )
 from repro.ycsb.workload import WORKLOAD_R, WORKLOAD_RS, WORKLOAD_RW
@@ -106,18 +107,19 @@ class TestEndToEnd:
         assert result.connections <= 128
 
 
-def test_config_decides_the_workload_not_the_positional_argument():
-    """``run_benchmark(..., config=cfg)`` runs the point ``cfg`` names.
-
-    The result is stored under ``cfg``'s content key, so a positional
-    workload that disagrees must not leak into what is run.
-    """
-    from repro.orchestrator.pool import run_config
+def test_run_benchmark_runs_the_config_its_arguments_build():
+    """``run_benchmark`` is ``run_config`` of the config its arguments
+    name.  A config in hand goes to ``run_config``: ``run_benchmark``
+    takes no ``config=`` whose point could disagree with its positional
+    arguments."""
     from repro.orchestrator.serialize import result_to_dict
 
+    small = dict(records_per_node=500, measured_ops=300, warmup_ops=50,
+                 seed=3)
     config = BenchmarkConfig(store="voldemort", workload=WORKLOAD_RW,
-                             n_nodes=1, records_per_node=500,
-                             measured_ops=300, warmup_ops=50, seed=3)
-    mismatched = run_benchmark("redis", WORKLOAD_RS, 4, config=config)
-    assert (result_to_dict(mismatched)
+                             n_nodes=1, **small)
+    assert (result_to_dict(run_benchmark("voldemort", WORKLOAD_RW, 1,
+                                         **small))
             == result_to_dict(run_config(config)))
+    with pytest.raises(TypeError, match="config"):
+        run_benchmark("redis", WORKLOAD_RS, 4, config=config)
