@@ -432,6 +432,7 @@ SECOND_RUNS = {
 
 
 def _tiered(names):
+    """``names`` sorted, those in :data:`SLOW_INVOCATIONS` slow-marked."""
     return [pytest.param(name, marks=pytest.mark.slow)
             if name in SLOW_INVOCATIONS else name for name in sorted(names)]
 
