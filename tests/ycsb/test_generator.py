@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.keyspace import KEY_LENGTH, format_key, lex_position
-from repro.storage.record import APM_SCHEMA, RecordSchema
+from repro.keyspace import (KEY_LENGTH, format_key, lex_position,
+                            render_key, scatter_hash)
+from repro.storage.record import APM_SCHEMA, Record, RecordSchema
 from repro.ycsb import generator
 from repro.ycsb.generator import (
     KeySequence,
@@ -75,6 +76,48 @@ class TestRecordGeneration:
     def test_field_value_length(self):
         assert len(generate_field_value(1, 2, 10)) == 10
         assert len(generate_field_value(1, 2, 25)) == 25
+
+    @settings(max_examples=25, deadline=None)
+    @given(field_count=st.integers(1, 20),
+           field_length=st.integers(1, 400),
+           count=st.sampled_from([0, 1, _BATCH - 1, _BATCH, _BATCH + 1,
+                                  2 * _BATCH - 1, 2 * _BATCH,
+                                  2 * _BATCH + 1]))
+    def test_generate_records_equals_the_record_path(self, field_count,
+                                                     field_length, count):
+        schema = RecordSchema(field_count=field_count,
+                              field_length=field_length)
+        generated = [(record.key, schema.to_row(record.fields))
+                     for record in generate_records(count, schema)]
+        assert generated == [reference_pair(number, schema)
+                             for number in range(count)]
+
+    @pytest.mark.parametrize("count", [0, 3, _BATCH + 1])
+    def test_generate_records_calls_generate_record_once_a_record(
+            self, monkeypatch, count):
+        # A traced run counts the records a point loads by wrapping the
+        # module's generate_record.
+        calls = []
+        real = generator.generate_record
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(generator, "generate_record", counted)
+        assert len(list(generate_records(count))) == count
+        assert calls == list(range(count))
+
+
+def reference_pair(record_number, schema):
+    """``(key, row)`` of ``record_number`` the way a record was first
+    made: a ``Record`` of a field dict, then its fields as a row."""
+    scattered = scatter_hash(record_number)
+    values = generator._value_table(schema.field_length).__getitem__
+    picks = generator._picks(scattered, schema.field_count)
+    record = Record(render_key(scattered),
+                    dict(zip(schema.field_names, map(values, picks))))
+    return record.key, schema.to_row(record.fields)
 
 
 #: The data set, pinned: ``record number -> (key, field0..field4)``.
