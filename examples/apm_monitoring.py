@@ -37,7 +37,7 @@ def main():
     print(f"loading {intervals} intervals "
           f"({fleet.n_hosts * fleet.metrics_per_host * intervals:,} "
           "measurements)...")
-    store.load(m.to_record() for m in fleet.stream(start_ts, intervals))
+    store.load(m.to_row() for m in fleet.stream(start_ts, intervals))
     store.warm_caches()
 
     now = start_ts + (intervals - 1) * fleet.interval_s

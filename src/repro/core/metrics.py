@@ -7,7 +7,7 @@ An APM measurement looks like::
 
 Measurements are append-only: agents aggregate events over their
 reporting interval and append one record per metric per interval
-(Section 3).  :meth:`Measurement.to_record` maps a measurement onto the
+(Section 3).  :meth:`Measurement.to_row` maps a measurement onto the
 benchmark's generic record layout so it can be stored in any of the six
 stores; keys embed the metric path and a zero-padded timestamp so range
 scans retrieve contiguous time windows.
@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-
-from repro.storage.record import Record
 
 __all__ = ["MetricId", "Measurement", "MonitoringLevel"]
 
@@ -87,24 +85,19 @@ class Measurement:
         """The store key for this measurement."""
         return measurement_key(self.metric, self.timestamp)
 
-    def to_record(self) -> Record:
-        """Map onto the benchmark's five-field record layout."""
-        return Record(self.key, {
-            "field0": f"{self.value:.4g}"[:10],
-            "field1": f"{self.minimum:.4g}"[:10],
-            "field2": f"{self.maximum:.4g}"[:10],
-            "field3": str(self.timestamp)[:10],
-            "field4": str(self.duration)[:10],
-        })
+    def to_row(self) -> tuple[str, tuple]:
+        """``(key, row)`` in the benchmark's five-field record layout."""
+        return self.key, (f"{self.value:.4g}"[:10],
+                          f"{self.minimum:.4g}"[:10],
+                          f"{self.maximum:.4g}"[:10],
+                          str(self.timestamp)[:10],
+                          str(self.duration)[:10])
 
     @classmethod
-    def from_record(cls, metric: MetricId, record: Record) -> "Measurement":
-        """Inverse of :meth:`to_record`."""
-        return cls(
-            metric=metric,
-            value=float(record.fields["field0"]),
-            minimum=float(record.fields["field1"]),
-            maximum=float(record.fields["field2"]),
-            timestamp=int(record.fields["field3"]),
-            duration=int(record.fields["field4"]),
-        )
+    def from_row(cls, metric: MetricId, row: tuple) -> "Measurement":
+        """Inverse of :meth:`to_row`: ``metric``'s measurement whose
+        stored row is ``row``."""
+        value, minimum, maximum, timestamp, duration = row
+        return cls(metric=metric, value=float(value), minimum=float(minimum),
+                   maximum=float(maximum), timestamp=int(timestamp),
+                   duration=int(duration))

@@ -27,7 +27,6 @@ from typing import Iterable, Optional
 
 from repro.core.metrics import Measurement, MetricId, measurement_key
 from repro.stores.base import OpError, StoreSession
-from repro.storage.record import Record
 
 __all__ = ["MonitoringQueries"]
 
@@ -48,13 +47,10 @@ class MonitoringQueries:
         expected = window_s // self.interval_s + 1
         start_key = measurement_key(metric, start_ts)
         end_key = measurement_key(metric, now)
-        # A store hands back its rows; the values are read by name.
-        row_fields = self.session.store.schema.row_fields
         try:
             rows = yield from self.session.scan(start_key, expected)
             measurements = [
-                Measurement.from_record(metric, Record(key, row_fields(row)))
-                for key, row in rows
+                Measurement.from_row(metric, row) for key, row in rows
                 if key.startswith(metric.path) and key <= end_key
             ]
         except (OpError, NotImplementedError):
@@ -65,10 +61,7 @@ class MonitoringQueries:
                 row = yield from self.session.read(
                     measurement_key(metric, ts))
                 if row is not None:
-                    record = Record(measurement_key(metric, ts),
-                                    row_fields(row))
-                    measurements.append(
-                        Measurement.from_record(metric, record))
+                    measurements.append(Measurement.from_row(metric, row))
         return measurements
 
     # -- on -------------------------------------------------------------------

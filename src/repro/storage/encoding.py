@@ -158,20 +158,18 @@ def encode_innodb_row(record: Record) -> bytes:
     return header + system + body
 
 
-def encode_binlog_event(record: Record) -> bytes:
-    """A statement-based binlog Query event for inserting ``record`` into
-    YCSB's ``usertable``.
+def encode_binlog_event(key: str, row: tuple, schema: RecordSchema) -> bytes:
+    """A statement-based binlog Query event for inserting ``key`` with
+    the row ``row`` of ``schema`` into YCSB's ``usertable``.
 
     MySQL 5.5 defaults to statement-based replication: the binlog stores
     the full SQL text plus a 19-byte common event header and status/
     database context — which is why enabling the binlog doubles MySQL's
     footprint in Figure 17.
     """
-    fields = sorted(record.fields)
-    columns = ", ".join(["ycsb_key"] + fields)
-    values = ", ".join(
-        [f"'{record.key}'"] + [f"'{record.fields[f]}'" for f in fields]
-    )
+    cells = sorted(zip(schema.field_names, row))
+    columns = ", ".join(["ycsb_key"] + [name for name, __ in cells])
+    values = ", ".join([f"'{key}'"] + [f"'{value}'" for __, value in cells])
     statement = f"INSERT INTO usertable ({columns}) VALUES ({values})"
     event_header = b"\x00" * 19
     status_block = b"\x00" * 14  # status vars + db name + terminator
@@ -288,7 +286,8 @@ class MySQLDiskUsage(DiskUsageModel):
         table_bytes = self.page_size / rows_per_page
         total = table_bytes * (1.0 + self.system_overhead)
         if self.binlog_enabled:
-            total += len(encode_binlog_event(record))
+            total += len(encode_binlog_event(
+                record.key, tuple(record.fields.values()), schema))
         return total
 
 

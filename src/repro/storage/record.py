@@ -4,7 +4,9 @@ Section 3: "Our data set consists of records with a single alphanumeric key
 with a length of 25 bytes and 5 value fields each with 10 bytes.  Thus, a
 single record has a raw size of 75 bytes."
 
-A :class:`RecordSchema` captures that shape; :class:`Record` is one row.
+A :class:`RecordSchema` captures that shape and the stored row, a tuple
+of field values; :class:`Record`, a key with named field values, is the
+form the on-disk encodings take.
 The APM measurement of Figure 2 (metric name, value, min, max, timestamp,
 duration) maps onto the same five-field layout, which is exactly the
 mapping the paper performs.
@@ -60,10 +62,11 @@ class RecordSchema:
     # Every engine holds a record's fields as a *row*: a tuple of the
     # values in ``field_names`` order, ``None`` for a column not written.
     # A five-field row is an 80-byte tuple where a field dict is 184.
-    # A mapping becomes a row once, where a write or a load enters a
-    # store (``StoreSession.execute``, ``load_batches``); stores and
-    # engines take rows and hand them back as they hold them, and a dict
-    # is made only where a caller reads values by name.
+    # A loaded record is generated as a row; a write's mapping becomes
+    # one once, where it enters a store (``StoreSession._dispatch``).
+    # Stores and engines take rows and hand them back as they hold them;
+    # the one dict made of a row is the field map a simulated write
+    # carries (``draw_operation``).
 
     @cached_property
     def _full_row(self) -> Callable[[Mapping[str, str]], tuple]:
@@ -143,18 +146,8 @@ def merge_runs(runs: Iterable[Iterable[tuple]]) -> Iterator[tuple[str, list]]:
 
 @dataclass(frozen=True)
 class Record:
-    """One benchmark row: a key plus named field values."""
+    """One benchmark record as the encodings take it: a key plus named
+    field values."""
 
     key: str
     fields: Mapping[str, str] = field(default_factory=dict)
-
-    @property
-    def raw_size(self) -> int:
-        """Raw payload bytes: key length plus field value lengths."""
-        return len(self.key) + sum(len(v) for v in self.fields.values())
-
-    def subset(self, field_names: Iterable[str]) -> "Record":
-        """A record carrying only the requested fields."""
-        names = set(field_names)
-        return Record(self.key, {k: v for k, v in self.fields.items()
-                                 if k in names})

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 from repro.overload.admission import AdmissionGate
 from repro.sim.cluster import Cluster, Node
 from repro.sim.faults import UnavailableError
-from repro.storage.record import APM_SCHEMA, Record, RecordSchema
+from repro.storage.record import APM_SCHEMA, RecordSchema
 
 __all__ = ["LOAD_BATCH_RECORDS", "LOAD_ROUND_RECORDS", "OpType", "OpError",
            "RetryPolicy", "ServiceProfile", "Store", "StoreSession",
@@ -373,8 +373,9 @@ class Store:
     def default_profile(cls) -> ServiceProfile:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def load(self, records: Iterable[Record]) -> None:
-        """Bulk-load the data set (the paper's load phase).
+    def load(self, records: Iterable[tuple[str, tuple]]) -> None:
+        """Bulk-load the data set (the paper's load phase): ``records``
+        are ``(key, row)`` pairs, held as they come.
 
         Purely functional: the load phase is not part of the measured run,
         so no simulated time is charged.
@@ -788,34 +789,31 @@ LOAD_ROUND_RECORDS = 4000
 LOAD_BATCH_RECORDS = 256
 
 
-def load_batches(records: Iterable[Record],
-                 route_many: Callable[[list[str]], Sequence],
-                 schema: RecordSchema) -> Iterator[tuple[str, tuple, object]]:
-    """``(key, row, route)`` of each of ``records``, in order: its key,
-    its fields as a row of ``schema`` (the one conversion a loaded record
-    gets) and where ``route_many`` sends the key.  The keys are routed
+def load_batches(records: Iterable[tuple[str, tuple]],
+                 route_many: Callable[[list[str]], Sequence]
+                 ) -> Iterator[tuple[str, tuple, object]]:
+    """``(key, row, route)`` of each ``(key, row)`` of ``records``, in
+    order, with where ``route_many`` sends the key.  The keys are routed
     ``LOAD_BATCH_RECORDS`` at a time — one batched hash a batch, not one
     a record."""
-    to_row = schema.to_row
     records = iter(records)
     while batch := list(islice(records, LOAD_BATCH_RECORDS)):
-        routes = route_many([record.key for record in batch])
-        for record, route in zip(batch, routes):
-            yield record.key, to_row(record.fields), route
+        routes = route_many([key for key, __ in batch])
+        for (key, row), route in zip(batch, routes):
+            yield key, row, route
 
 
-def load_lsm_rounds(records: Iterable[Record], engines: Sequence,
-                    homes_many: Callable[[list[str]], Sequence],
-                    schema: RecordSchema) -> None:
-    """Load ``records`` into the LSM ``engines``, round by round: each
-    record into the engines ``homes_many`` names for its key, a flush of
-    every engine when a round is full, then one minor compaction pass an
-    engine, as a real load phase gets — a couple of runs a node, not one
-    major-compacted file and not the whole flush history (the read
-    amplification the Bloom-filter ablation measures).
+def load_lsm_rounds(records: Iterable[tuple[str, tuple]], engines: Sequence,
+                    homes_many: Callable[[list[str]], Sequence]) -> None:
+    """Load the ``(key, row)`` pairs ``records`` into the LSM ``engines``,
+    round by round: each row into the engines ``homes_many`` names for
+    its key, a flush of every engine when a round is full, then one minor
+    compaction pass an engine, as a real load phase gets — a couple of
+    runs a node, not one major-compacted file and not the whole flush
+    history (the read amplification the Bloom-filter ablation measures).
     """
     loaded = 0
-    for key, row, homes in load_batches(records, homes_many, schema):
+    for key, row, homes in load_batches(records, homes_many):
         for home in homes:
             engines[home].put(key, row)
         loaded += 1

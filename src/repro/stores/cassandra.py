@@ -24,7 +24,7 @@ from typing import Iterable, Optional
 from repro.sim.cluster import Cluster, Node
 from repro.sim.faults import OverloadError, UnavailableError
 from repro.storage.lsm import LSMConfig, LSMEngine
-from repro.storage.record import APM_SCHEMA, Record, RecordSchema
+from repro.storage.record import APM_SCHEMA, RecordSchema
 from repro.stores.base import (
     RetryPolicy,
     ServiceProfile,
@@ -190,7 +190,7 @@ class CassandraStore(Store):
 
     # -- deployment ----------------------------------------------------------
 
-    def load(self, records: Iterable[Record]) -> None:
+    def load(self, records: Iterable[tuple[str, tuple]]) -> None:
         """Functional load: route each record to its replica set.
 
         Like a real bulk load under size-tiered compaction, the load
@@ -198,7 +198,7 @@ class CassandraStore(Store):
         compacted run — reads must merge across them (the read
         amplification the Bloom-filter ablation measures).
         """
-        load_lsm_rounds(records, self.engines, self.homes_many, self.schema)
+        load_lsm_rounds(records, self.engines, self.homes_many)
 
     def session(self, client_node: Node, index: int) -> "CassandraSession":
         return CassandraSession(self, client_node, index)

@@ -29,7 +29,7 @@ from typing import Iterable
 from repro.sim.cluster import Cluster, Node
 from repro.sim.resources import Resource
 from repro.storage.lsm import LSMConfig, LSMEngine
-from repro.storage.record import APM_SCHEMA, Record, RecordSchema
+from repro.storage.record import APM_SCHEMA, RecordSchema
 from repro.stores.base import (
     RetryPolicy,
     ServiceProfile,
@@ -272,14 +272,13 @@ class HBaseStore(Store):
 
     # -- deployment ----------------------------------------------------------
 
-    def load(self, records: Iterable[Record]) -> None:
+    def load(self, records: Iterable[tuple[str, tuple]]) -> None:
         """Bulk load leaving a few store files per region (as a real
         load phase does before a major compaction is scheduled)."""
         # Nothing reassigns a region while the load runs.
         load_lsm_rounds(records,
                         [self.engine_of(rid) for rid in range(self.n_regions)],
-                        lambda keys: [(self.region_of(key),) for key in keys],
-                        self.schema)
+                        lambda keys: [(self.region_of(key),) for key in keys])
 
     def session(self, client_node: Node, index: int) -> "HBaseSession":
         return HBaseSession(self, client_node, index)

@@ -33,8 +33,7 @@ from repro.keyspace import lex_position as key_position
 from repro.sim.cluster import Cluster, Node
 from repro.storage.btree import BPlusTree
 from repro.storage.encoding import MySQLDiskUsage, encode_binlog_event
-from repro.storage.record import (APM_SCHEMA, Record, RecordSchema,
-                                  merge_runs)
+from repro.storage.record import APM_SCHEMA, RecordSchema, merge_runs
 from repro.stores.base import (ServiceProfile, Store, StoreSession,
                                load_batches)
 from repro.stores.sharding import ClientRingRouting, jdbc_ring
@@ -150,16 +149,17 @@ class MySQLStore(ClientRingRouting, Store):
 
     # -- deployment ----------------------------------------------------------
 
-    def load(self, records: Iterable[Record]) -> None:
+    def load(self, records: Iterable[tuple[str, tuple]]) -> None:
         tables, binlog_bytes = self.tables, self.binlog_bytes
         records = iter(records)
         first = next(records, None)
         if first is None:
             return
         # Every loaded record's binlog event is as long as the first's.
-        event = len(encode_binlog_event(first)) if self.binlog_enabled else 0
+        event = (len(encode_binlog_event(*first, self.schema))
+                 if self.binlog_enabled else 0)
         for key, row, shard in load_batches(chain((first,), records),
-                                            self.shard_of_many, self.schema):
+                                            self.shard_of_many):
             tables[shard].put(key, row)
             binlog_bytes[shard] += event
 

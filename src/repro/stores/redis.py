@@ -31,7 +31,7 @@ from typing import Iterable
 from repro.sim.cluster import Cluster, Node
 from repro.sim.resources import Resource
 from repro.storage.hashstore import HashStore
-from repro.storage.record import APM_SCHEMA, Record, RecordSchema
+from repro.storage.record import APM_SCHEMA, RecordSchema
 from repro.stores.base import (ServiceProfile, Store, StoreSession,
                                load_batches)
 from repro.stores.sharding import ClientRingRouting, jdbc_ring, jedis_ring
@@ -159,10 +159,9 @@ class RedisStore(ClientRingRouting, Store):
 
     # -- deployment ----------------------------------------------------------
 
-    def load(self, records: Iterable[Record]) -> None:
+    def load(self, records: Iterable[tuple[str, tuple]]) -> None:
         shards = self.shards
-        for key, row, shard in load_batches(records, self.shard_of_many,
-                                            self.schema):
+        for key, row, shard in load_batches(records, self.shard_of_many):
             if not shards[shard].hset(key, row):
                 self.errors += 1
 

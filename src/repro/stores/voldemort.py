@@ -219,11 +219,10 @@ class VoldemortStore(Store):
 
     # -- deployment ----------------------------------------------------------
 
-    def load(self, records: Iterable[Record]) -> None:
+    def load(self, records: Iterable[tuple[str, tuple]]) -> None:
         trees, log_bytes = self.trees, self.log_bytes
         entry_bytes = self._entry_bytes
-        for key, row, owners in load_batches(records, self.homes_many,
-                                             self.schema):
+        for key, row, owners in load_batches(records, self.homes_many):
             for owner in owners:
                 trees[owner].put(key, row)
                 log_bytes[owner] += entry_bytes

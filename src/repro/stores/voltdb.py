@@ -28,8 +28,7 @@ from typing import Iterable
 from repro.sim.cluster import Cluster, Node
 from repro.sim.faults import NodeDownError
 from repro.sim.resources import Resource
-from repro.storage.record import (APM_SCHEMA, Record, RecordSchema,
-                                  merge_runs)
+from repro.storage.record import APM_SCHEMA, RecordSchema, merge_runs
 from repro.storage.sortedkeys import SortedKeys
 from repro.stores.base import (ServiceProfile, Store, StoreSession,
                                load_batches)
@@ -220,10 +219,9 @@ class VoltDBStore(Store):
 
     # -- deployment ----------------------------------------------------------
 
-    def load(self, records: Iterable[Record]) -> None:
+    def load(self, records: Iterable[tuple[str, tuple]]) -> None:
         partitions = self.partitions
-        for key, row, pid in load_batches(records, self.partition_of_many,
-                                          self.schema):
+        for key, row, pid in load_batches(records, self.partition_of_many):
             partitions[pid][key] = row
         self._ordered.clear()  # the next scan sorts what the load left
 

@@ -115,13 +115,15 @@ def draw_operation(op_table, rng: random.Random, chooser,
             op = candidate
             break
     if op is OpType.INSERT:
-        record = generate_record(sequence.take(), schema)
-        return op, record.key, record.fields, 0
-    if op is OpType.UPDATE:
-        record = generate_record(chooser.next_record_number(), schema)
-        return op, record.key, record.fields, 0
-    key = format_key(chooser.next_record_number())
-    return op, key, None, scan_length if op is OpType.SCAN else 0
+        number = sequence.take()
+    elif op is OpType.UPDATE:
+        number = chooser.next_record_number()
+    else:
+        key = format_key(chooser.next_record_number())
+        return op, key, None, scan_length if op is OpType.SCAN else 0
+    # A write carries YCSB's field map, which ``_dispatch`` makes a row.
+    key, row = generate_record(number, schema)
+    return op, key, schema.row_fields(row), 0
 
 
 @dataclass

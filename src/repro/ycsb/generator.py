@@ -3,7 +3,8 @@
 Implements YCSB's generator stack: a uniform chooser (the paper's
 configuration), the classic zipfian generator (Gray et al.'s algorithm,
 as in YCSB), and a "latest" chooser that skews towards recent inserts.
-Records follow the paper's schema: 25-byte keys, five 10-byte fields.
+Records follow the paper's schema: 25-byte keys, five 10-byte fields,
+and are made in the form a store holds them: a key and a row.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterator
 
 from repro.hashing import murmur64a
 from repro.keyspace import render_key, scatter_hash, scatter_hashes
-from repro.storage.record import APM_SCHEMA, Record, RecordSchema
+from repro.storage.record import APM_SCHEMA, RecordSchema
 
 __all__ = [
     "UniformChooser",
@@ -78,8 +79,10 @@ def generate_field_value(record_number: int, field_index: int,
 
 def generate_record(record_number: int,
                     schema: RecordSchema = APM_SCHEMA,
-                    scattered: int | None = None) -> Record:
-    """The benchmark record for ``record_number``.
+                    scattered: int | None = None) -> tuple[str, tuple]:
+    """The benchmark record for ``record_number`` as ``(key, row)``: the
+    row is its field values in ``schema.field_names`` order, the form
+    every store holds.
 
     One hash a record: the scatter hash renders the key and its bytes
     pick the field values from the shared table.  ``scattered`` is that
@@ -87,10 +90,10 @@ def generate_record(record_number: int,
     """
     if scattered is None:
         scattered = scatter_hash(record_number)
+    count = schema.field_count
     values = _value_table(schema.field_length).__getitem__
-    picks = _picks(scattered, schema.field_count)
-    return Record(render_key(scattered),
-                  dict(zip(schema.field_names, map(values, picks))))
+    return (render_key(scattered),
+            tuple(map(values, _picks(scattered, count)[:count])))
 
 
 #: Record numbers ``generate_records`` hashes in one batch.  A batch
@@ -99,9 +102,10 @@ def generate_record(record_number: int,
 _SCATTER_BATCH = 4000
 
 
-def generate_records(count: int,
-                     schema: RecordSchema = APM_SCHEMA) -> Iterator[Record]:
-    """The first ``count`` benchmark records.
+def generate_records(count: int, schema: RecordSchema = APM_SCHEMA
+                     ) -> Iterator[tuple[str, tuple]]:
+    """``(key, row)`` of the first ``count`` benchmark records, what
+    ``Store.load`` takes.
 
     Their scatter hashes are taken ``_SCATTER_BATCH`` at a time, in one
     batched hash each; every record is still ``generate_record``'s.

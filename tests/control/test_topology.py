@@ -5,7 +5,7 @@ import pytest
 from repro.control import ClusterTopology
 from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.stores.redis import RedisStore
-from tests.stores.conftest import make_records, row_of, run_op
+from tests.stores.conftest import make_records, run_op
 
 
 @pytest.fixture
@@ -42,8 +42,8 @@ def test_scale_in_drains_then_retires(deployed):
     assert len(store.members()) == 2
     # Every loaded record is still reachable after the round trip.
     session = store.session(cluster.clients[0], 0)
-    for record in make_records(400)[::37]:
-        assert run_op(store, session.read(record.key)) == row_of(record)
+    for key, row in make_records(400)[::37]:
+        assert run_op(store, session.read(key)) == row
 
 
 def test_replace_recovers_in_slot(deployed):

@@ -8,6 +8,7 @@ from repro.core.metrics import (
     MonitoringLevel,
     measurement_key,
 )
+from repro.storage.record import APM_SCHEMA
 
 
 @pytest.fixture
@@ -56,10 +57,11 @@ class TestMeasurement:
         original = Measurement(metric, value=4.5, minimum=1.25,
                                maximum=6.75, timestamp=1332988833,
                                duration=15)
-        record = original.to_record()
-        assert len(record.fields) == 5
-        assert all(len(v) <= 10 for v in record.fields.values())
-        restored = Measurement.from_record(metric, record)
+        key, row = original.to_row()
+        assert key == original.key
+        assert len(row) == APM_SCHEMA.field_count
+        assert all(len(v) <= 10 for v in row)
+        restored = Measurement.from_row(metric, row)
         assert restored.value == pytest.approx(original.value)
         assert restored.minimum == pytest.approx(original.minimum)
         assert restored.maximum == pytest.approx(original.maximum)

@@ -11,7 +11,7 @@ from repro.stores.registry import create_store
 
 
 def load_fleet(store, fleet, intervals=12, start=1000):
-    records = [m.to_record() for m in fleet.stream(start, intervals)]
+    records = [m.to_row() for m in fleet.stream(start, intervals)]
     store.load(records)
     return records
 

@@ -6,7 +6,7 @@ from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.stores.registry import create_store
 from repro.ycsb.runner import run_benchmark
 from repro.ycsb.workload import WORKLOAD_W, Workload
-from tests.stores.conftest import make_records, row_of, run_op
+from tests.stores.conftest import make_records, run_op
 
 
 class TestRedisOutOfMemory:
@@ -39,12 +39,11 @@ class TestRedisOutOfMemory:
             store.shards[0].used_memory_bytes)
         session = store.session(cluster.clients[0], 0)
         # writes of new keys fail ...
-        fresh = make_records(60)[-1]
-        assert not run_op(store, session.insert(fresh.key, row_of(fresh)))
+        assert not run_op(store, session.insert(*make_records(60)[-1]))
         # ... but reads and updates keep working
-        assert run_op(store, session.read(records[0].key)) is not None
+        assert run_op(store, session.read(records[0][0])) is not None
         assert run_op(store, session.update(
-            records[0].key, store.schema.to_row({"field0": "x" * 10})))
+            records[0][0], store.schema.to_row({"field0": "x" * 10})))
 
 
 class TestWorkloadValidation:

@@ -64,7 +64,7 @@ def _burst_against(name: str):
 
     def one_op(i):
         session = sessions[i % len(sessions)]
-        key = records[i % len(records)].key
+        key = records[i % len(records)][0]
         try:
             yield from session.execute(OpType.READ, key)
             outcomes["served"] += 1

@@ -17,7 +17,7 @@ from repro.storage.encoding import (
     encode_sstable_row,
     redis_memory_per_record,
 )
-from repro.storage.record import APM_SCHEMA, Record
+from repro.storage.record import APM_SCHEMA, Record, RecordSchema
 
 
 @pytest.fixture
@@ -53,10 +53,18 @@ class TestSerializers:
         # 6 var-len bytes + 1 null bitmap + 5 header + 13 system + 75 data
         assert len(data) == 6 + 1 + 5 + 13 + 75
 
-    def test_binlog_event_contains_statement(self, record):
-        data = encode_binlog_event(record)
-        assert b"INSERT INTO usertable" in data
-        assert record.key.encode() in data
+    def test_binlog_event_contains_statement(self):
+        schema = RecordSchema(field_count=12)
+        row = tuple(f"v{i}" for i in range(12))
+        data = encode_binlog_event("u" * 25, row, schema)
+        # The columns in name order, each with its own value.
+        names = sorted(schema.field_names)
+        columns = ", ".join(["ycsb_key"] + names)
+        values = ", ".join(["'" + "u" * 25 + "'"]
+                           + [f"'v{name[5:]}'" for name in names])
+        statement = f"INSERT INTO usertable ({columns}) VALUES ({values})"
+        assert data.endswith(statement.encode())
+        assert len(data) == 19 + 8 + 19 + 4 + 19 + 14 + len(statement)
 
 
 class TestDiskUsageModels:

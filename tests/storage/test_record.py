@@ -101,14 +101,6 @@ class TestRow:
 
 
 class TestRecord:
-    def test_raw_size(self):
-        record = Record("abcde", {"f": "12345", "g": "678"})
-        assert record.raw_size == 5 + 5 + 3
-
-    def test_subset(self):
-        record = Record("k", {"a": "1", "b": "2", "c": "3"})
-        assert record.subset(["a", "c"]).fields == {"a": "1", "c": "3"}
-
     def test_frozen(self):
         record = Record("k", {})
         with pytest.raises(AttributeError):

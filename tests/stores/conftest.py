@@ -4,22 +4,15 @@ import pytest
 
 from repro.keyspace import format_key
 from repro.sim.cluster import CLUSTER_M, Cluster
-from repro.storage.record import APM_SCHEMA, Record
-
-
-def row_of(record):
-    """``record``'s fields as the row a store takes and hands back."""
-    return APM_SCHEMA.to_row(record.fields)
+from repro.storage.record import APM_SCHEMA
 
 
 def make_records(count):
-    """The first ``count`` benchmark records (deterministic)."""
-    return [
-        Record(format_key(i),
-               {f: f"v{i % 97:02d}".ljust(10, "x")
-                for f in APM_SCHEMA.field_names})
-        for i in range(count)
-    ]
+    """``(key, row)`` of the first ``count`` test records, what
+    ``Store.load`` takes (deterministic)."""
+    return [(format_key(i), (f"v{i % 97:02d}".ljust(10, "x"),)
+             * APM_SCHEMA.field_count)
+            for i in range(count)]
 
 
 @pytest.fixture

@@ -100,15 +100,14 @@ class TestSessionDispatch:
         records = make_records(50)
         store.load(records)
         session = store.session(cluster.clients[0], 0)
-        target = records[0]
+        target, row = records[0]
+        assert run_op(store, session.execute(OpType.READ, target)) == row
+        fresh, fresh_row = make_records(60)[-1]
         assert run_op(store, session.execute(
-            OpType.READ, target.key)) == APM_SCHEMA.to_row(target.fields)
+            OpType.INSERT, fresh, fields=APM_SCHEMA.row_fields(fresh_row)))
         assert run_op(store, session.execute(
-            OpType.INSERT, make_records(60)[-1].key,
-            fields=make_records(60)[-1].fields))
-        assert run_op(store, session.execute(
-            OpType.UPDATE, target.key, fields={"field0": "Y" * 10}))
+            OpType.UPDATE, target, fields={"field0": "Y" * 10}))
         rows = run_op(store, session.execute(
-            OpType.SCAN, target.key, scan_length=5))
+            OpType.SCAN, target, scan_length=5))
         assert len(rows) >= 1
-        assert run_op(store, session.execute(OpType.DELETE, target.key))
+        assert run_op(store, session.execute(OpType.DELETE, target))

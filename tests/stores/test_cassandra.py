@@ -6,7 +6,7 @@ from repro.keyspace import format_key
 from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.storage.record import APM_SCHEMA
 from repro.stores.cassandra import CassandraStore
-from tests.stores.conftest import make_records, row_of, run_op
+from tests.stores.conftest import make_records, run_op
 
 
 @pytest.fixture
@@ -21,10 +21,10 @@ class TestDeployment:
         assert len(store.engines) == 4
 
     def test_load_routes_by_token(self, store, records):
-        for record in records[:50]:
-            owner = store.ring.owner_of(record.key)
-            result = store.engines[owner].get(record.key)
-            assert result.row == row_of(record)
+        for key, row in records[:50]:
+            owner = store.ring.owner_of(key)
+            result = store.engines[owner].get(key)
+            assert result.row == row
 
     def test_load_distributes_across_nodes(self, store):
         counts = [engine.record_count for engine in store.engines]
@@ -43,8 +43,8 @@ class TestDeployment:
 class TestOperations:
     def test_read_existing(self, store, records):
         session = store.session(store.cluster.clients[0], 0)
-        result = run_op(store, session.read(records[7].key))
-        assert result == row_of(records[7])
+        result = run_op(store, session.read(records[7][0]))
+        assert result == records[7][1]
 
     def test_read_missing(self, store):
         session = store.session(store.cluster.clients[0], 0)
@@ -52,18 +52,18 @@ class TestOperations:
 
     def test_insert_then_read(self, store):
         session = store.session(store.cluster.clients[0], 0)
-        record = make_records(600)[-1]
-        assert run_op(store, session.insert(record.key, row_of(record)))
-        assert run_op(store, session.read(record.key)) == row_of(record)
+        key, row = make_records(600)[-1]
+        assert run_op(store, session.insert(key, row))
+        assert run_op(store, session.read(key)) == row
 
     def test_delete(self, store, records):
         session = store.session(store.cluster.clients[0], 0)
-        run_op(store, session.delete(records[3].key))
-        assert run_op(store, session.read(records[3].key)) is None
+        run_op(store, session.delete(records[3][0]))
+        assert run_op(store, session.read(records[3][0])) is None
 
     def test_scan_returns_sorted_rows(self, store, records):
         session = store.session(store.cluster.clients[0], 0)
-        rows = run_op(store, session.scan(records[0].key, 10))
+        rows = run_op(store, session.scan(records[0][0], 10))
         keys = [key for key, __ in rows]
         assert keys == sorted(keys)
         assert 0 < len(rows) <= 10
@@ -71,9 +71,9 @@ class TestOperations:
     def test_update_merges_via_upsert(self, store, records):
         session = store.session(store.cluster.clients[0], 0)
         run_op(store, session.update(
-            records[5].key, APM_SCHEMA.to_row({"field0": "new-value!"})))
-        result = run_op(store, session.read(records[5].key))
-        assert result == ("new-value!",) + row_of(records[5])[1:]
+            records[5][0], APM_SCHEMA.to_row({"field0": "new-value!"})))
+        result = run_op(store, session.read(records[5][0]))
+        assert result == ("new-value!",) + records[5][1][1:]
 
 
 class TestTimingModel:
@@ -85,15 +85,15 @@ class TestTimingModel:
         store.warm_caches()
         session = store.session(cluster.clients[0], 0)
         timings = {}
-        for record in records[:40]:
-            owner = store.ring.owner_of(record.key)
+        for key, row in records[:40]:
+            owner = store.ring.owner_of(key)
             session._rr = owner - 1  # next coordinator == owner
             start = store.sim.now
-            run_op(store, session.read(record.key))
+            run_op(store, session.read(key))
             timings.setdefault("local", []).append(store.sim.now - start)
             session._rr = owner  # next coordinator != owner
             start = store.sim.now
-            run_op(store, session.read(record.key))
+            run_op(store, session.read(key))
             timings.setdefault("remote", []).append(store.sim.now - start)
         local = sum(timings["local"]) / len(timings["local"])
         remote = sum(timings["remote"]) / len(timings["remote"])
@@ -104,7 +104,7 @@ class TestTimingModel:
         session = store.session(store.cluster.clients[0], 0)
         start = store.sim.now
         run_op(store, session.insert(format_key(999_999),
-                                     row_of(make_records(1)[0])))
+                                     make_records(1)[0][1]))
         elapsed = store.sim.now - start
         assert elapsed < 0.005  # far below a disk seek + queue
 

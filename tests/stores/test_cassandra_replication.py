@@ -5,7 +5,7 @@ import pytest
 from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.sim.kernel import KOf, SimulationError, Simulator
 from repro.stores.cassandra import CassandraStore
-from tests.stores.conftest import make_records, row_of, run_op
+from tests.stores.conftest import make_records, run_op
 
 
 class TestKOf:
@@ -82,11 +82,11 @@ class TestReplicatedCassandra:
         store = self.deploy(records, replication_factor=3,
                             consistency_level="all")
         session = store.session(store.cluster.clients[0], 0)
-        record = make_records(310)[-1]
-        assert run_op(store, session.insert(record.key, row_of(record)))
-        for replica in store.ring.replicas_of(record.key, 3):
-            result = store.engines[replica].get(record.key)
-            assert result.row == row_of(record)
+        key, row = make_records(310)[-1]
+        assert run_op(store, session.insert(key, row))
+        for replica in store.ring.replicas_of(key, 3):
+            result = store.engines[replica].get(key)
+            assert result.row == row
 
     def test_required_acks_per_consistency_level(self):
         cluster = Cluster(CLUSTER_M, 4)
@@ -106,9 +106,9 @@ class TestReplicatedCassandra:
             store = self.deploy(records, replication_factor=3,
                                 consistency_level=consistency_level)
             session = store.session(store.cluster.clients[0], 0)
-            record = make_records(305)[-1]
+            key, row = make_records(305)[-1]
             start = store.sim.now
-            run_op(store, session.insert(record.key, row_of(record)))
+            run_op(store, session.insert(key, row))
             return store.sim.now - start
 
         assert write_latency("all") > write_latency("one")
@@ -122,4 +122,4 @@ class TestReplicatedCassandra:
     def test_reads_served_from_primary(self, records):
         store = self.deploy(records, replication_factor=3)
         session = store.session(store.cluster.clients[0], 0)
-        assert run_op(store, session.read(records[0].key)) == row_of(records[0])
+        assert run_op(store, session.read(records[0][0])) == records[0][1]

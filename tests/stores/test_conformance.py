@@ -29,7 +29,7 @@ from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.storage.record import APM_SCHEMA
 from repro.stores.base import OpError, OpType
 from repro.stores.registry import STORE_NAMES, create_store, store_class
-from tests.stores.conftest import make_records, row_of, run_op
+from tests.stores.conftest import make_records, run_op
 
 N_LOADED = 300
 N_FRESH = 50
@@ -51,7 +51,7 @@ def _full_fields(rng: random.Random, key: str) -> dict[str, str]:
 def _make_trace() -> list[tuple]:
     """The shared op trace: ``(op, key, fields_or_None, scan_len)``."""
     rng = random.Random(2012)
-    loaded = [record.key for record in make_records(N_LOADED)]
+    loaded = [key for key, __ in make_records(N_LOADED)]
     fresh = [format_key(N_LOADED + i) for i in range(N_FRESH)]
     unused_fresh = list(fresh)
     known = list(loaded)
@@ -83,7 +83,7 @@ def _run_store(name: str, trace: list[tuple]) -> dict:
     store.load(records)
     session = store.session(cluster.clients[0], 0)
 
-    model = {record.key: row_of(record) for record in records}
+    model = dict(records)
     supports_scans = store_class(name).supports_scans
     scans_checked = 0
     for step, (op, key, fields, scan_len) in enumerate(trace):
@@ -117,7 +117,7 @@ def _run_store(name: str, trace: list[tuple]) -> dict:
             scans_checked += 1
 
     # Final-state census: probe every key the trace could have touched.
-    universe = ([record.key for record in records]
+    universe = ([key for key, __ in records]
                 + [format_key(N_LOADED + i) for i in range(N_FRESH)])
     live = {}
     for key in universe:
@@ -210,8 +210,7 @@ def test_a_returned_row_is_the_callers(name):
     fresh = format_key(N_LOADED + 7)
     written = _full_fields(random.Random(3), fresh)
     run_op(store, session.execute(OpType.INSERT, fresh, fields=written))
-    expected = {records[5].key: row_of(records[5]),
-                fresh: APM_SCHEMA.to_row(written)}
+    expected = dict([records[5], (fresh, APM_SCHEMA.to_row(written))])
 
     for key, row in expected.items():
         for __ in range(2):
@@ -220,7 +219,7 @@ def test_a_returned_row_is_the_callers(name):
                 f"{name}: read({key!r}) moved"
     if not store_class(name).supports_scans:
         return
-    model = {**{r.key: row_of(r) for r in records}, **expected}
+    model = {**dict(records), **expected}
     for key in expected:
         for __ in range(2):
             rows = run_op(store, session.execute(OpType.SCAN, key,
@@ -254,7 +253,7 @@ def test_an_unknown_column_is_refused_where_the_write_enters(name, op):
     store = create_store(name, cluster)
     store.load(make_records(N_LOADED))
     session = store.session(cluster.clients[0], 0)
-    key = make_records(N_LOADED)[9].key if op is OpType.UPDATE \
+    key = make_records(N_LOADED)[9][0] if op is OpType.UPDATE \
         else format_key(N_LOADED + 5)
     before = run_op(store, session.execute(OpType.READ, key))
     start = cluster.sim.now
@@ -288,8 +287,8 @@ def _placement(store, key: str) -> list[int]:
 def test_homes_are_where_the_store_routes_the_key(name, kwargs):
     store = create_store(name, Cluster(CLUSTER_M, 4), **kwargs)
     placed = set()
-    for record in make_records(200):
-        homes = store.homes(record.key)
-        assert homes == _placement(store, record.key)
+    for key, __ in make_records(200):
+        homes = store.homes(key)
+        assert homes == _placement(store, key)
         placed.update(homes)
     assert placed == set(range(4))

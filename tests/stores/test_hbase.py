@@ -2,10 +2,11 @@
 
 import pytest
 
+from repro.storage.record import APM_SCHEMA
 from repro.stores.base import OpType
 from repro.stores.hbase import HBaseStore
 from repro.stores.hdfs import Hdfs, NameNode
-from tests.stores.conftest import make_records, row_of, run_op
+from tests.stores.conftest import make_records, run_op
 
 
 @pytest.fixture
@@ -60,10 +61,10 @@ class TestHdfs:
 class TestRegions:
     def test_regions_partition_key_space(self, store, records):
         assert store.n_regions == 8
-        for record in records[:50]:
-            region = store.region_of(record.key)
+        for key, row in records[:50]:
+            region = store.region_of(key)
             engine = store.engine_of(region)
-            assert engine.get(record.key).row == row_of(record)
+            assert engine.get(key).row == row
 
     def test_regions_spread_over_servers(self, store):
         servers = {store.server_of_region(r).index
@@ -71,7 +72,7 @@ class TestRegions:
         assert servers == {0, 1, 2, 3}
 
     def test_region_boundaries_are_lexicographic(self, store, records):
-        ordered = sorted(r.key for r in records)
+        ordered = sorted(key for key, __ in records)
         regions = [store.region_of(k) for k in ordered]
         assert regions == sorted(regions)  # monotone in key order
 
@@ -82,64 +83,66 @@ class TestRegions:
 class TestOperations:
     def test_read_existing(self, store, records):
         session = store.session(store.cluster.clients[0], 0)
-        assert run_op(store, session.read(records[4].key)) == row_of(records[4])
+        assert run_op(store, session.read(records[4][0])) == records[4][1]
 
     def test_buffered_insert_visible_after_flush(self, store):
         session = store.session(store.cluster.clients[0], 0)
-        record = make_records(520)[-1]
-        run_op(store, session.insert(record.key, row_of(record)))
+        key, row = make_records(520)[-1]
+        run_op(store, session.insert(key, row))
         # not yet flushed: the server has not seen it
-        assert run_op(store, session.read(record.key)) is None
+        assert run_op(store, session.read(key)) is None
         run_op(store, session.flush_buffer())
-        assert run_op(store, session.read(record.key)) == row_of(record)
+        assert run_op(store, session.read(key)) == row
 
     def test_buffer_flushes_automatically_when_full(self, store):
         session = store.session(store.cluster.clients[0], 0)
         extra = make_records(500 + store.WRITE_BUFFER_OPS)[500:]
-        for record in extra:
-            run_op(store, session.insert(record.key, row_of(record)))
+        for key, row in extra:
+            run_op(store, session.insert(key, row))
         assert len(session._buffer) == 0  # auto-flush happened
-        assert run_op(store, session.read(extra[0].key)) == row_of(extra[0])
+        assert run_op(store, session.read(extra[0][0])) == extra[0][1]
 
     def test_an_unknown_column_is_refused_not_buffered(self, store):
         """Refused where it enters, not acked and then thrown by the
         flush of a full buffer of other keys' valid puts."""
         session = store.session(store.cluster.clients[0], 0)
-        bad, *valid = make_records(500 + store.WRITE_BUFFER_OPS)[500:]
+        (bad, bad_row), *valid = make_records(
+            500 + store.WRITE_BUFFER_OPS)[500:]
         with pytest.raises(ValueError):
-            session.execute(OpType.INSERT, bad.key,
-                            fields={**bad.fields, "field9": "x" * 10})
-        for record in valid:
+            session.execute(OpType.INSERT, bad,
+                            fields={**APM_SCHEMA.row_fields(bad_row),
+                                    "field9": "x" * 10})
+        for key, row in valid:
             assert run_op(store, session.execute(
-                OpType.INSERT, record.key, fields=record.fields))
+                OpType.INSERT, key, fields=APM_SCHEMA.row_fields(row)))
         run_op(store, session.flush_buffer())
-        assert run_op(store, session.read(bad.key)) is None
-        for record in valid:
-            assert run_op(store, session.read(record.key)) == row_of(record)
+        assert run_op(store, session.read(bad)) is None
+        for key, row in valid:
+            assert run_op(store, session.read(key)) == row
 
     def test_a_buffered_put_keeps_what_was_acked(self, store):
         """The buffer holds the row the put was acked with; the caller's
         mapping, changed after the ack, is not what lands."""
         session = store.session(store.cluster.clients[0], 0)
-        record = make_records(501)[-1]
-        fields = dict(record.fields)
-        assert run_op(store, session.execute(OpType.INSERT, record.key,
+        key, row = make_records(501)[-1]
+        fields = APM_SCHEMA.row_fields(row)
+        assert run_op(store, session.execute(OpType.INSERT, key,
                                              fields=fields))
         fields["field0"] = "scribbled!"
         run_op(store, session.flush_buffer())
-        assert run_op(store, session.read(record.key)) == row_of(record)
+        assert run_op(store, session.read(key)) == row
 
     def test_unbuffered_mode_writes_through(self, cluster4, records):
         store = HBaseStore(cluster4, client_buffering=False)
         store.load(records)
         session = store.session(cluster4.clients[0], 0)
-        record = make_records(510)[-1]
-        assert run_op(store, session.insert(record.key, row_of(record)))
-        assert run_op(store, session.read(record.key)) == row_of(record)
+        key, row = make_records(510)[-1]
+        assert run_op(store, session.insert(key, row))
+        assert run_op(store, session.read(key)) == row
 
     def test_scan_spills_into_next_region(self, store, records):
         session = store.session(store.cluster.clients[0], 0)
-        ordered = sorted(r.key for r in records)
+        ordered = sorted(key for key, __ in records)
         # start near the end of the key space to force region spill
         start_key = ordered[-3]
         rows = run_op(store, session.scan(start_key, 10))
@@ -147,22 +150,22 @@ class TestOperations:
 
     def test_delete(self, store, records):
         session = store.session(store.cluster.clients[0], 0)
-        run_op(store, session.delete(records[2].key))
-        assert run_op(store, session.read(records[2].key)) is None
+        run_op(store, session.delete(records[2][0]))
+        assert run_op(store, session.read(records[2][0])) is None
 
 
 class TestTimingModel:
     def test_buffered_write_is_nearly_instant(self, store):
         session = store.session(store.cluster.clients[0], 0)
-        record = make_records(501)[-1]
+        key, row = make_records(501)[-1]
         start = store.sim.now
-        run_op(store, session.insert(record.key, row_of(record)))
+        run_op(store, session.insert(key, row))
         assert store.sim.now - start < 0.001
 
     def test_read_pays_handler_and_hdfs_path(self, store, records):
         session = store.session(store.cluster.clients[0], 0)
         start = store.sim.now
-        run_op(store, session.read(records[0].key))
+        run_op(store, session.read(records[0][0]))
         latency = store.sim.now - start
         assert latency > store.profile.read_cpu  # cpu + DN hop at least
 
@@ -170,9 +173,9 @@ class TestTimingModel:
         sim = store.sim
         sessions = [store.session(store.cluster.clients[0], i)
                     for i in range(30)]
-        target = records[0]
-        server = store.server_of_region(store.region_of(target.key))
-        procs = [sim.process(s.read(target.key)) for s in sessions]
+        target = records[0][0]
+        server = store.server_of_region(store.region_of(target))
+        procs = [sim.process(s.read(target)) for s in sessions]
         sim.run(until=sim.all_of(procs))
         assert server.handlers.stats.peak_queue_length > 0
 

@@ -8,7 +8,7 @@ from repro.keyspace import format_key, lex_position
 from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.stores.mysql import MySQLStore
 from tests.storage.reference_reads import copy_per_leg_merge
-from tests.stores.conftest import make_records, row_of, run_op
+from tests.stores.conftest import make_records, run_op
 
 
 @pytest.fixture
@@ -52,11 +52,11 @@ class TestDeployment:
 class TestOperations:
     def test_crud_cycle(self, store):
         session = store.session(store.cluster.clients[0], 0)
-        record = make_records(510)[-1]
-        assert run_op(store, session.insert(record.key, row_of(record)))
-        assert run_op(store, session.read(record.key)) == row_of(record)
-        assert run_op(store, session.delete(record.key))
-        assert run_op(store, session.read(record.key)) is None
+        key, row = make_records(510)[-1]
+        assert run_op(store, session.insert(key, row))
+        assert run_op(store, session.read(key)) == row
+        assert run_op(store, session.delete(key))
+        assert run_op(store, session.read(key)) is None
 
     def test_single_node_scan_uses_limit(self, records):
         cluster = Cluster(CLUSTER_M, 1)
@@ -65,16 +65,16 @@ class TestOperations:
         store.warm_caches()
         session = store.session(cluster.clients[0], 0)
         start = store.sim.now
-        rows = run_op(store, session.scan(records[0].key, 10))
+        rows = run_op(store, session.scan(records[0][0], 10))
         elapsed = store.sim.now - start
         assert len(rows) == 10
         assert elapsed < 0.01  # bounded scan: fast
 
     def test_sharded_scan_merges_across_shards(self, store, records):
         session = store.session(store.cluster.clients[0], 0)
-        start_key = records[20].key
+        start_key = records[20][0]
         rows = run_op(store, session.scan(start_key, 15))
-        expected = sorted(r.key for r in records if r.key >= start_key)[:15]
+        expected = sorted(key for key, __ in records if key >= start_key)[:15]
         assert [k for k, __ in rows] == expected
 
     def test_sharded_scan_is_catastrophically_slower(self):
@@ -86,7 +86,7 @@ class TestOperations:
         sharded = MySQLStore(Cluster(CLUSTER_M, 4))
         sharded.load(records)
         sharded.warm_caches()
-        early_key = sorted(r.key for r in records)[0]
+        early_key = sorted(key for key, __ in records)[0]
 
         def scan_time(store):
             session = store.session(store.cluster.clients[0], 0)
@@ -170,7 +170,7 @@ class TestShardedScanMerge:
         late leg's shard, so it streams them again."""
         sim, cluster = store.sim, store.cluster
         session = store.session(cluster.clients[0], 0)
-        start_key = min(record.key for record in records)
+        start_key = min(key for key, __ in records)
         _busy(cluster.servers[3], 0.05)
         scan = sim.process(session.scan(start_key, len(records)))
         sim.run(until=0.02)
@@ -183,7 +183,7 @@ class TestShardedScanMerge:
         rows = sim.run(until=scan)
         keys = [key for key, __ in rows]
         assert keys == sorted(set(keys))
-        by_key = {record.key: row_of(record) for record in records}
+        by_key = dict(records)
         assert all(fields == by_key[key] for key, fields in rows)
         if reshard == "shrink":  # nothing is missed, only seen twice
             assert keys == sorted(by_key)
@@ -210,11 +210,11 @@ class TestMvccPurgeLag:
         store.load(records)
         session = store.session(cluster.clients[0], 0)
         start = store.sim.now
-        run_op(store, session.scan(records[0].key, 10))
+        run_op(store, session.scan(records[0][0], 10))
         clean = store.sim.now - start
         store._versions_created[0] = 50_000
         start = store.sim.now
-        run_op(store, session.scan(records[0].key, 10))
+        run_op(store, session.scan(records[0][0], 10))
         laggy = store.sim.now - start
         assert laggy > 5 * clean
 

@@ -7,7 +7,7 @@ from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.storage.encoding import redis_memory_per_record
 from repro.storage.hashstore import HashStore
 from repro.stores.redis import RedisStore
-from tests.stores.conftest import make_records, row_of, run_op
+from tests.stores.conftest import make_records, run_op
 
 
 @pytest.fixture
@@ -23,9 +23,9 @@ class TestDeployment:
         assert len(store.event_loops) == 4
 
     def test_load_follows_jedis_ring(self, store, records):
-        for record in records[:50]:
-            shard = store.shard_of(record.key)
-            assert store.shards[shard].hgetall(record.key) == row_of(record)
+        for key, row in records[:50]:
+            shard = store.shard_of(key)
+            assert store.shards[shard].hgetall(key) == row
 
     def test_clients_doubled(self):
         # the paper doubled client machines for Redis
@@ -46,15 +46,15 @@ class TestDeployment:
 class TestOperations:
     def test_crud_cycle(self, store):
         session = store.session(store.cluster.clients[0], 0)
-        record = make_records(510)[-1]
-        assert run_op(store, session.insert(record.key, row_of(record)))
-        assert run_op(store, session.read(record.key)) == row_of(record)
-        assert run_op(store, session.delete(record.key))
-        assert run_op(store, session.read(record.key)) is None
+        key, row = make_records(510)[-1]
+        assert run_op(store, session.insert(key, row))
+        assert run_op(store, session.read(key)) == row
+        assert run_op(store, session.delete(key))
+        assert run_op(store, session.read(key)) is None
 
     def test_scan_stays_on_one_shard(self, store, records):
         session = store.session(store.cluster.clients[0], 0)
-        start_key = records[0].key
+        start_key = records[0][0]
         shard = store.shard_of(start_key)
         rows = run_op(store, session.scan(start_key, 10))
         for key, __ in rows:
@@ -62,14 +62,14 @@ class TestOperations:
 
     def test_scan_returns_sorted(self, store, records):
         session = store.session(store.cluster.clients[0], 0)
-        rows = run_op(store, session.scan(records[0].key, 10))
+        rows = run_op(store, session.scan(records[0][0], 10))
         keys = [k for k, __ in rows]
         assert keys == sorted(keys)
 
     def test_scan_walks_the_index_once(self, store, records, monkeypatch):
         """The second round trip fetches the keys the first returned: a
         ZRANGEBYLEX, then pipelined HGETALLs, not a second ZRANGE."""
-        start_key = records[0].key
+        start_key = records[0][0]
         expected = store.shards[store.shard_of(start_key)].scan(start_key, 10)
         walks = []
         zrange_from = HashStore.zrange_from
@@ -98,10 +98,9 @@ class TestOutOfMemory:
         store.shards[0].max_memory_bytes = int(
             redis_memory_per_record() * 1.5)
         session = store.session(cluster1.clients[0], 0)
-        first = make_records(2)[0]
-        second = make_records(2)[1]
-        assert run_op(store, session.insert(first.key, row_of(first)))
-        assert not run_op(store, session.insert(second.key, row_of(second)))
+        first, second = make_records(2)
+        assert run_op(store, session.insert(*first))
+        assert not run_op(store, session.insert(*second))
         assert store.errors == 1
 
 
@@ -111,7 +110,7 @@ class TestTimingModel:
         store.load(make_records(50))
         sessions = [store.session(cluster1.clients[0], i) for i in range(8)]
         sim = store.sim
-        procs = [sim.process(s.read(make_records(50)[i].key))
+        procs = [sim.process(s.read(make_records(50)[i][0]))
                  for i, s in enumerate(sessions)]
         sim.run(until=sim.all_of(procs))
         # 8 concurrent reads serialise on the single event loop:

@@ -18,8 +18,8 @@ is written once, and an ``ast`` walk keeps the copies from coming back.
   ``StoreSession.execute``, which picks its traced twin): no store
   module compares ``sim.tracer`` with ``None``.
 * A record's fields cross the store boundary once: a write's mapping
-  becomes a row in ``StoreSession._dispatch``, a loaded record's in
-  ``load_batches``.  No other function under ``stores/`` or
+  becomes a row in ``StoreSession._dispatch``, and a loaded record is
+  generated as a row.  No other function under ``stores/`` or
   ``storage/`` names ``to_row`` or ``row_fields`` (``record.py``, which
   defines them, aside): stores and engines take rows and hand the rows
   they hold back (six modules had converted on their own, some twice).
@@ -67,8 +67,6 @@ BOOKKEEPING = {"next_write_version", "_apply_versioned_read", "node_is_up"}
 RECORD_FORMAT_ALLOWED = {
     ("stores/base.py", "_dispatch"):
         "StoreSession.execute's one conversion of a write's fields",
-    ("stores/base.py", "load_batches"):
-        "the one conversion of a loaded record's fields",
 }
 RECORD_FORMAT = {"to_row", "row_fields"}
 
@@ -210,8 +208,8 @@ def test_a_row_is_converted_only_where_it_enters():
                     stray.append(f"{module}:{line} ({function})")
     assert not stray, (
         f"{len(stray)} conversions of a row inside a store or engine: "
-        f"{stray}; take and return rows, and convert where a write or a "
-        "load enters (StoreSession._dispatch, load_batches)")
+        f"{stray}; take and return rows, and convert where a write "
+        "enters (StoreSession._dispatch)")
     assert seen == set(RECORD_FORMAT_ALLOWED), "stale allow-list"
     assert all(reason.strip() for reason in RECORD_FORMAT_ALLOWED.values())
 

@@ -5,7 +5,7 @@ import pytest
 from repro.keyspace import format_key
 from repro.stores.base import OpError
 from repro.stores.voldemort import VoldemortStore
-from tests.stores.conftest import make_records, row_of, run_op
+from tests.stores.conftest import make_records, run_op
 
 
 @pytest.fixture
@@ -18,11 +18,11 @@ def store(cluster4, records):
 
 class TestDeployment:
     def test_partitions_map_to_nodes(self, store, records):
-        for record in records[:50]:
-            owner = store.owner_of(record.key)
+        for key, row in records[:50]:
+            owner = store.owner_of(key)
             assert 0 <= owner < 4
-            value, __ = store.trees[owner].get(record.key)
-            assert value == store.schema.to_row(record.fields)
+            value, __ = store.trees[owner].get(key)
+            assert value == row
 
     def test_two_partitions_per_node(self, store):
         assert store.ring.n_nodes == 8  # 4 nodes x 2 partitions
@@ -40,11 +40,11 @@ class TestDeployment:
 class TestOperations:
     def test_read_write_delete_cycle(self, store):
         session = store.session(store.cluster.clients[0], 0)
-        record = make_records(520)[-1]
-        assert run_op(store, session.insert(record.key, row_of(record)))
-        assert run_op(store, session.read(record.key)) == row_of(record)
-        assert run_op(store, session.delete(record.key))
-        assert run_op(store, session.read(record.key)) is None
+        key, row = make_records(520)[-1]
+        assert run_op(store, session.insert(key, row))
+        assert run_op(store, session.read(key)) == row
+        assert run_op(store, session.delete(key))
+        assert run_op(store, session.read(key)) is None
 
     def test_scan_unsupported(self, store):
         """Section 5.4: the Voldemort YCSB client has no scans."""
@@ -63,16 +63,16 @@ class TestTimingModel:
         """No coordinator hop: latency is one round trip + service."""
         session = store.session(store.cluster.clients[0], 0)
         start = store.sim.now
-        run_op(store, session.read(records[0].key))
+        run_op(store, session.read(records[0][0]))
         latency = store.sim.now - start
         assert latency < 0.001  # sub-millisecond, as in Figure 4
 
     def test_write_latency_close_to_read(self, store, records):
         session = store.session(store.cluster.clients[0], 0)
         start = store.sim.now
-        run_op(store, session.read(records[1].key))
+        run_op(store, session.read(records[1][0]))
         read_latency = store.sim.now - start
         start = store.sim.now
-        run_op(store, session.insert(records[1].key, row_of(records[1])))
+        run_op(store, session.insert(records[1][0], records[1][1]))
         write_latency = store.sim.now - start
         assert write_latency < 4 * read_latency

@@ -48,17 +48,19 @@ class TestKeyFormat:
 
 class TestRecordGeneration:
     def test_record_matches_schema(self):
-        record = generate_record(17)
-        APM_SCHEMA.validate(record)
-        assert record.raw_size == 75
+        key, row = generate_record(17)
+        assert type(row) is tuple
+        assert len(key) == APM_SCHEMA.key_length
+        assert [len(value) for value in row] == [APM_SCHEMA.field_length] * 5
+        assert len(key) + sum(map(len, row)) == APM_SCHEMA.raw_record_bytes
 
     def test_deterministic(self):
         assert generate_record(5) == generate_record(5)
         assert generate_record(5) != generate_record(6)
 
     def test_field_values_differ_between_fields(self):
-        record = generate_record(3)
-        assert len(set(record.fields.values())) > 1
+        __, row = generate_record(3)
+        assert len(set(row)) > 1
 
     def test_generate_records_count(self):
         records = list(generate_records(7))
@@ -87,10 +89,8 @@ class TestRecordGeneration:
                                                      field_length, count):
         schema = RecordSchema(field_count=field_count,
                               field_length=field_length)
-        generated = [(record.key, schema.to_row(record.fields))
-                     for record in generate_records(count, schema)]
-        assert generated == [reference_pair(number, schema)
-                             for number in range(count)]
+        assert list(generate_records(count, schema)) == [
+            reference_pair(number, schema) for number in range(count)]
 
     @pytest.mark.parametrize("count", [0, 3, _BATCH + 1])
     def test_generate_records_calls_generate_record_once_a_record(
@@ -137,18 +137,15 @@ _ALPHABET = set("abcdefghijklmnopqrstuvwxyz0123456789")
 
 _DUMP_RECORDS = (
     "from repro.ycsb.generator import generate_records\n"
-    "for r in generate_records(200):\n"
-    "    print(r.key, *r.fields.items())\n"
+    "for key, row in generate_records(200):\n"
+    "    print(key, *row)\n"
 )
 
 
 class TestDataSetDefinition:
     def test_golden_vector(self):
-        for number, (key, values) in GOLDEN_RECORDS.items():
-            record = generate_record(number)
-            assert record.key == key
-            assert tuple(record.fields.items()) == tuple(
-                (f"field{i}", value) for i, value in enumerate(values))
+        for number, pair in GOLDEN_RECORDS.items():
+            assert generate_record(number) == pair
 
     @settings(max_examples=60, deadline=None)
     @given(record_number=st.integers(0, 2**64 - 1),
@@ -160,18 +157,18 @@ class TestDataSetDefinition:
                                               field_count, field_length):
         schema = RecordSchema(field_count=field_count,
                               field_length=field_length)
-        record = generate_record(record_number, schema)
-        schema.validate(record)
-        assert list(record.fields) == list(schema.field_names)
-        for i in range(field_count):
+        __, row = generate_record(record_number, schema)
+        assert len(row) == field_count
+        for i, stored in enumerate(row):
             value = generate_field_value(record_number, i, field_length)
-            assert value == record.fields[f"field{i}"]
+            assert value == stored
+            assert len(value) == field_length
             assert set(value) <= _ALPHABET
 
     def test_every_symbol_occurs(self):
         seen = set()
-        for record in generate_records(50):
-            seen.update(*record.fields.values())
+        for __, row in generate_records(50):
+            seen.update(*row)
         assert seen == _ALPHABET
 
     def test_independent_of_the_interpreters_hash_seed(self):
