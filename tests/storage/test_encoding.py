@@ -1,5 +1,6 @@
 """Unit tests for the on-disk encodings and disk-usage models."""
 
+import hashlib
 import struct
 
 import pytest
@@ -18,6 +19,7 @@ from repro.storage.encoding import (
     redis_memory_per_record,
 )
 from repro.storage.record import APM_SCHEMA, Record, RecordSchema
+from repro.ycsb.generator import generate_record
 
 
 @pytest.fixture
@@ -111,3 +113,71 @@ class TestMemoryModels:
     def test_redis_memory_is_order_of_magnitude_above_raw(self):
         per_record = redis_memory_per_record()
         assert 500 <= per_record <= 1500
+
+
+#: A 12-field schema: field names of two lengths, so name order
+#: (``field0, field1, field10, field11, field2, ...``) is not index order.
+WIDE = RecordSchema(field_count=12)
+
+
+def _encoded(encode, key, row, schema, **kwargs):
+    record = Record(key, dict(zip(schema.field_names, row)))
+    return encode(record, **kwargs)
+
+
+ENCODERS = {
+    "sstable": lambda key, row, schema: _encoded(
+        encode_sstable_row, key, row, schema),
+    "hfile": lambda key, row, schema: _encoded(
+        encode_hfile_cells, key, row, schema),
+    "bdb-1": lambda key, row, schema: _encoded(
+        encode_bdb_entry, key, row, schema, replica_count=1),
+    "bdb-3": lambda key, row, schema: _encoded(
+        encode_bdb_entry, key, row, schema, replica_count=3),
+    "innodb": lambda key, row, schema: _encoded(
+        encode_innodb_row, key, row, schema),
+    "binlog": encode_binlog_event,
+}
+
+#: sha256 of each encoder's bytes for the sample record and generated
+#: records 0-9, one after the other, per schema.
+ENCODED_SHA256 = {
+    ("bdb-1", 5):
+        "d8d1a0b5b09cfe76af5db2da0244618667646944fc7123cc3ca7723217e400c9",
+    ("bdb-3", 5):
+        "d5322ef3ab4ce5679e9a0e1bf7f2b2349f931c9695d47689a7b5ae49716586a9",
+    ("binlog", 5):
+        "658e0401a25b74cc4c5216823a58637f0ff35ddc6e95afd6121e2a7d31978bb0",
+    ("hfile", 5):
+        "84105c87f6f609bc25684dcc362cc834456a9fcaa5eac0023b975684c2d65b7a",
+    ("innodb", 5):
+        "768d16d69b7a5723826817fe23497ef83fae48cbeaaf11c56eff0e0a2872e4c8",
+    ("sstable", 5):
+        "bc6d1777b85e44a8dc19ccbb34851ff56f76e3befb0a8ced5a868f1f22c0bddd",
+    ("bdb-1", 12):
+        "a411e24d465bba912708bbf4a415269e9439a71fc4da78e440cf97d12610222e",
+    ("bdb-3", 12):
+        "1f3413806f545feced57f56147f580ede2c48856673917c3d662dc72e6b6f05e",
+    ("binlog", 12):
+        "0efcd5fb86114abf2f7569a52de087999438cd36cb5f3a1bd5dbf1aa3ed206a4",
+    ("hfile", 12):
+        "67e49f5e14c8fb911afaa5578e447dae346716df38776ea64c28264c618f4000",
+    ("innodb", 12):
+        "b522d1f3d27f335adbb382ee02ffa777512e99208c4c7cdf845be52f4409cd28",
+    ("sstable", 12):
+        "214adacb601963faa55f1c2a5976066c174311d46f8cebf54eee37209d34717f",
+}
+
+
+@pytest.mark.parametrize("schema", [APM_SCHEMA, WIDE],
+                         ids=["apm", "wide"])
+@pytest.mark.parametrize("encoder", sorted(ENCODERS))
+def test_the_encoded_bytes_are_pinned(encoder, schema):
+    records = [("u" * schema.key_length,
+                ("v" * schema.field_length,) * schema.field_count)]
+    records += [generate_record(number, schema) for number in range(10)]
+    digest = hashlib.sha256()
+    for key, row in records:
+        digest.update(ENCODERS[encoder](key, row, schema))
+    assert digest.hexdigest() == ENCODED_SHA256[
+        encoder, schema.field_count]

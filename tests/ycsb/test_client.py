@@ -3,8 +3,13 @@
 import inspect
 import random
 
+import pytest
+
+from repro.storage.record import APM_SCHEMA
 from repro.stores.base import OpType
+from repro.ycsb import client
 from repro.ycsb.client import ClientThread, RunControl
+from repro.ycsb.generator import KeySequence, generate_record
 from repro.ycsb.runner import BenchmarkConfig, Deployment
 from repro.ycsb.stats import RunStats
 from repro.ycsb.workload import WORKLOAD_R, WORKLOAD_RS
@@ -100,3 +105,34 @@ def test_deployment_draw_and_attempt_wrap_no_frame():
     so neither adds a generator level every kernel resume pays for."""
     assert not inspect.isgeneratorfunction(Deployment.draw)
     assert not inspect.isgeneratorfunction(Deployment.attempt)
+
+
+class _Fixed:
+    """A chooser that always picks ``number``."""
+
+    def __init__(self, number):
+        self.number = number
+
+    def next_record_number(self):
+        return self.number
+
+
+@pytest.mark.parametrize("op", [OpType.INSERT, OpType.UPDATE])
+def test_a_write_carries_the_generated_row(monkeypatch, op):
+    """An INSERT or UPDATE draws its record through the module's
+    ``generate_record`` (the name a traced run wraps) and carries the
+    very row it made: the fields of record 41, in schema order."""
+    made = []
+
+    def recorded(*args):
+        made.append(generate_record(*args))
+        return made[-1]
+
+    monkeypatch.setattr(client, "generate_record", recorded)
+    sequence = KeySequence(41)
+    drawn = client.draw_operation([(op, 1.0)], random.Random(5),
+                                  _Fixed(41), sequence, APM_SCHEMA, 9)
+    assert made == [generate_record(41, APM_SCHEMA)]
+    key, row = made[0]
+    assert drawn == (op, key, row, 0)
+    assert drawn[2] is row and type(drawn[2]) is tuple

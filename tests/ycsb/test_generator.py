@@ -54,6 +54,16 @@ class TestRecordGeneration:
         assert [len(value) for value in row] == [APM_SCHEMA.field_length] * 5
         assert len(key) + sum(map(len, row)) == APM_SCHEMA.raw_record_bytes
 
+    def test_a_schema_of_another_key_length_is_refused(self):
+        # Keys render KEY_LENGTH characters long; a schema billing
+        # another length would price keys the generator does not make.
+        assert RecordSchema().key_length == KEY_LENGTH
+        short = RecordSchema(key_length=10)
+        with pytest.raises(ValueError, match="key_length"):
+            generate_record(0, short)
+        with pytest.raises(ValueError, match="key_length"):
+            list(generate_records(1, short))
+
     def test_deterministic(self):
         assert generate_record(5) == generate_record(5)
         assert generate_record(5) != generate_record(6)
