@@ -326,11 +326,11 @@ class _AuditRun:
             if own and rng.random() < scenario.write_fraction:
                 key = own[rng.randrange(len(own))]
                 version = self._next_version()
-                fields = {"field0": f"{version:010d}"}
+                row = (f"{version:010d}",)
                 token = self.recorder.begin(sid, OpType.INSERT.value, key,
                                             version=version)
                 error, kind, __ = yield from attempt_op(
-                    session, OpType.INSERT, key, fields, 0, retry)
+                    session, OpType.INSERT, key, row, 0, retry)
                 self.recorder.complete(token, not error, error=kind)
             else:
                 key = self.keys[rng.randrange(len(self.keys))]

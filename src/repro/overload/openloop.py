@@ -200,7 +200,7 @@ class _OpenLoopRun:
                 self.max_queue_depth = depth
             yield self.sim.timeout(QUEUE_SAMPLE_S)
 
-    def _one_op(self, index: int, measured: bool, op, key, fields,
+    def _one_op(self, index: int, measured: bool, op, key, row,
                 scan_length):
         sim = self.sim
         session = self.sessions[index % len(self.sessions)]
@@ -210,7 +210,7 @@ class _OpenLoopRun:
         if tracer is not None and measured and tracer.should_sample():
             trace = tracer.begin(op.value, key, session.index)
         error, kind, __ = yield from self.deployment.attempt(
-            session, op, key, fields, scan_length, arrival)
+            session, op, key, row, scan_length, arrival)
         if trace is not None:
             tracer.complete(trace, error, kind)
         for watcher in self.watchers:

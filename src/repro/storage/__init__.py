@@ -20,6 +20,6 @@ benchmarked stores are built on:
   per store, from which the Figure 17 disk-usage experiment is computed.
 """
 
-from repro.storage.record import Record, RecordSchema, APM_SCHEMA
+from repro.storage.record import RecordSchema, APM_SCHEMA
 
-__all__ = ["Record", "RecordSchema", "APM_SCHEMA"]
+__all__ = ["RecordSchema", "APM_SCHEMA"]

@@ -21,7 +21,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.storage.record import APM_SCHEMA, Record, RecordSchema
+from repro.storage.record import APM_SCHEMA, RecordSchema
 
 __all__ = [
     "encode_sstable_row",
@@ -29,6 +29,7 @@ __all__ = [
     "encode_bdb_entry",
     "encode_innodb_row",
     "encode_binlog_event",
+    "sample_record",
     "DiskUsageModel",
     "CassandraDiskUsage",
     "HBaseDiskUsage",
@@ -47,26 +48,28 @@ def _utf8(value: str) -> bytes:
 # Cassandra: SSTable row (0.x/1.0 "big" format)
 # ---------------------------------------------------------------------------
 
-def encode_sstable_row(record: Record) -> bytes:
-    """One Cassandra SSTable data-file row for ``record``.
+def encode_sstable_row(key: str, row: tuple, schema: RecordSchema) -> bytes:
+    """One Cassandra SSTable data-file row for ``key`` with the row
+    ``row`` of ``schema``.
 
     Layout (Cassandra 1.0 ``-Data.db``): 2-byte key length + key, 8-byte
     row size, 4-byte local deletion time, 8-byte marked-for-delete
     timestamp, 4-byte column count, then per column: 2-byte name length +
     name, 1-byte flags, 8-byte timestamp, 4-byte value length + value.
     """
-    key = _utf8(record.key)
+    cells = sorted(zip(schema.field_names, row))
+    key = _utf8(key)
     columns = b""
-    for name in sorted(record.fields):
+    for name, value in cells:
         cname = _utf8(name)
-        value = _utf8(record.fields[name])
+        value = _utf8(value)
         columns += struct.pack(">H", len(cname)) + cname
         columns += b"\x00"  # column flags (live column)
         columns += struct.pack(">q", 0)  # write timestamp (micros)
         columns += struct.pack(">i", len(value)) + value
     body = (
         struct.pack(">iq", 0x7FFFFFFF, -(2**63))  # deletion info (live row)
-        + struct.pack(">i", len(record.fields))
+        + struct.pack(">i", len(cells))
         + columns
     )
     return struct.pack(">H", len(key)) + key + struct.pack(">q", len(body)) + body
@@ -76,9 +79,9 @@ def encode_sstable_row(record: Record) -> bytes:
 # HBase: HFile KeyValue cells — one cell per field
 # ---------------------------------------------------------------------------
 
-def encode_hfile_cells(record: Record) -> bytes:
-    """The HFile ``KeyValue`` cells for ``record`` (one per column, in
-    the one column family ``f``).
+def encode_hfile_cells(key: str, row: tuple, schema: RecordSchema) -> bytes:
+    """The HFile ``KeyValue`` cells for ``key`` with the row ``row`` of
+    ``schema`` (one per column, in the one column family ``f``).
 
     Layout per cell: 4-byte key length, 4-byte value length, 2-byte row
     length + row key, 1-byte family length + family, qualifier, 8-byte
@@ -86,14 +89,14 @@ def encode_hfile_cells(record: Record) -> bytes:
     and timestamp are repeated in *every* cell — the core reason HBase's
     footprint is ~10x raw data for 75-byte records.
     """
-    row = _utf8(record.key)
+    row_key = _utf8(key)
     fam = b"f"
     out = b""
-    for name in sorted(record.fields):
+    for name, value in sorted(zip(schema.field_names, row)):
         qualifier = _utf8(name)
-        value = _utf8(record.fields[name])
+        value = _utf8(value)
         cell_key = (
-            struct.pack(">H", len(row)) + row
+            struct.pack(">H", len(row_key)) + row_key
             + struct.pack("B", len(fam)) + fam
             + qualifier
             + struct.pack(">q", 0)  # timestamp
@@ -107,8 +110,10 @@ def encode_hfile_cells(record: Record) -> bytes:
 # Voldemort: BerkeleyDB JE log entry with a vector-clock-versioned value
 # ---------------------------------------------------------------------------
 
-def encode_bdb_entry(record: Record, replica_count: int = 1) -> bytes:
-    """One BerkeleyDB-JE log entry holding a Voldemort versioned value.
+def encode_bdb_entry(key: str, row: tuple, schema: RecordSchema,
+                     replica_count: int = 1) -> bytes:
+    """One BerkeleyDB-JE log entry holding a Voldemort versioned value:
+    ``key`` with the row ``row`` of ``schema``.
 
     Layout: JE log-entry header (checksum 4, type 1, flags 1, prev-offset
     4, size 4, VLSN 8 = 22 bytes), 1-byte key length + key, 4-byte data
@@ -117,15 +122,15 @@ def encode_bdb_entry(record: Record, replica_count: int = 1) -> bytes:
     timestamp) followed by the field map serialisation (2-byte name length
     + name, 4-byte value length + value, per field).
     """
-    key = _utf8(record.key)
+    key = _utf8(key)
     clock = struct.pack(">H", replica_count)
     for node_id in range(replica_count):
         clock += struct.pack(">Hq", node_id, 1)
     clock += struct.pack(">q", 0)  # clock timestamp
     payload = clock
-    for name in sorted(record.fields):
+    for name, value in sorted(zip(schema.field_names, row)):
         cname = _utf8(name)
-        value = _utf8(record.fields[name])
+        value = _utf8(value)
         payload += struct.pack(">H", len(cname)) + cname
         payload += struct.pack(">i", len(value)) + value
     header = struct.pack(">iBBiiq", 0, 1, 0, 0, len(payload), 0)
@@ -138,23 +143,20 @@ def encode_bdb_entry(record: Record, replica_count: int = 1) -> bytes:
 # MySQL: InnoDB compact row + statement-based binlog event
 # ---------------------------------------------------------------------------
 
-def encode_innodb_row(record: Record) -> bytes:
-    """One InnoDB COMPACT-format clustered-index row for ``record``.
+def encode_innodb_row(key: str, row: tuple, schema: RecordSchema) -> bytes:
+    """One InnoDB COMPACT-format clustered-index row for ``key`` with
+    the row ``row`` of ``schema``.
 
     Layout: variable-length header (1 byte per varchar column), 1-byte
     null bitmap, 5-byte record header, 6-byte transaction id, 7-byte roll
     pointer, then the primary key and the field values.
     """
-    n_varchar = 1 + len(record.fields)  # key + each field is VARCHAR
-    var_lengths = bytes(
-        [len(record.key)] + [len(record.fields[n]) for n in sorted(record.fields)]
-    )
-    assert len(var_lengths) == n_varchar
+    values = [value for __, value in sorted(zip(schema.field_names, row))]
+    # The key and each field are VARCHAR columns.
+    var_lengths = bytes([len(key)] + [len(value) for value in values])
     header = var_lengths + b"\x00" + b"\x00" * 5  # null bitmap + rec header
     system = b"\x00" * 6 + b"\x00" * 7  # DB_TRX_ID + DB_ROLL_PTR
-    body = _utf8(record.key) + b"".join(
-        _utf8(record.fields[n]) for n in sorted(record.fields)
-    )
+    body = _utf8(key) + b"".join(map(_utf8, values))
     return header + system + body
 
 
@@ -183,10 +185,11 @@ def encode_binlog_event(key: str, row: tuple, schema: RecordSchema) -> bytes:
 # Disk-usage models: entry bytes x structural overheads
 # ---------------------------------------------------------------------------
 
-def _sample_record(schema: RecordSchema) -> Record:
-    key = "u" * schema.key_length
-    fields = {name: "v" * schema.field_length for name in schema.field_names}
-    return Record(key, fields)
+def sample_record(schema: RecordSchema) -> tuple[str, tuple]:
+    """A full record of ``schema`` as ``(key, row)``: what the size of
+    an entry is priced from."""
+    return ("u" * schema.key_length,
+            ("v" * schema.field_length,) * schema.field_count)
 
 
 @dataclass(frozen=True)
@@ -218,7 +221,7 @@ class CassandraDiskUsage(DiskUsageModel):
     space_amplification: float = 1.15
 
     def bytes_per_record(self, schema: RecordSchema = APM_SCHEMA) -> float:
-        entry = len(encode_sstable_row(_sample_record(schema)))
+        entry = len(encode_sstable_row(*sample_record(schema), schema))
         per_row = entry + self.index_overhead_per_row + self.bloom_bytes_per_row
         return per_row * self.space_amplification
 
@@ -239,8 +242,7 @@ class HBaseDiskUsage(DiskUsageModel):
     space_amplification: float = 1.30
 
     def bytes_per_record(self, schema: RecordSchema = APM_SCHEMA) -> float:
-        record = _sample_record(schema)
-        cells = len(encode_hfile_cells(record))
+        cells = len(encode_hfile_cells(*sample_record(schema), schema))
         wal = cells * self.wal_retained_fraction
         base = (cells * self.space_amplification + wal
                 + self.index_bytes_per_row)
@@ -259,7 +261,7 @@ class VoldemortDiskUsage(DiskUsageModel):
     log_utilisation: float = 0.45
 
     def bytes_per_record(self, schema: RecordSchema = APM_SCHEMA) -> float:
-        entry = len(encode_bdb_entry(_sample_record(schema)))
+        entry = len(encode_bdb_entry(*sample_record(schema), schema))
         return (entry + self.btree_in_bytes_per_record) / self.log_utilisation
 
 
@@ -279,15 +281,14 @@ class MySQLDiskUsage(DiskUsageModel):
     system_overhead: float = 0.18
 
     def bytes_per_record(self, schema: RecordSchema = APM_SCHEMA) -> float:
-        record = _sample_record(schema)
-        row = len(encode_innodb_row(record)) + 2  # + page directory slot share
+        key, row = sample_record(schema)
+        entry = len(encode_innodb_row(key, row, schema)) + 2  # + page dir slot
         usable = self.page_size - self.page_metadata
-        rows_per_page = max(1, int(usable * self.page_fill_factor / row))
+        rows_per_page = max(1, int(usable * self.page_fill_factor / entry))
         table_bytes = self.page_size / rows_per_page
         total = table_bytes * (1.0 + self.system_overhead)
         if self.binlog_enabled:
-            total += len(encode_binlog_event(
-                record.key, tuple(record.fields.values()), schema))
+            total += len(encode_binlog_event(key, row, schema))
         return total
 
 

@@ -12,9 +12,9 @@ and sequence-number columns) oldest-first, so correctness never depends
 on the order compaction leaves the runs in.
 
 Every cell, run entry and WAL record holds a row of the engine's schema
-(:meth:`~repro.storage.record.RecordSchema.to_row`): ``put`` takes one
-and keeps it, and ``get``, ``scan`` and ``items`` hand back the rows
-held — a row is immutable, so nothing is copied on the way out.
+(its field values in ``field_names`` order): ``put`` takes one and keeps
+it, and ``get``, ``scan`` and ``items`` hand back the rows held — a row
+is immutable, so nothing is copied on the way out.
 """
 
 from __future__ import annotations

@@ -3,9 +3,8 @@
 An SSTable is a sorted, immutable run of ``(key, row)`` entries, each
 stamped with its write's sequence number, with a Bloom filter, a hashed
 index for point reads and a sorted key list for range reads.  A row is
-the schema-ordered tuple of
-:meth:`~repro.storage.record.RecordSchema.to_row`, ``None`` for a column
-the write did not carry.  Deletions are represented by
+the tuple of a record's field values in the schema's ``field_names``
+order, ``None`` for a column the write did not carry.  Deletions are represented by
 the :data:`TOMBSTONE` sentinel so that compaction can drop shadowed data.
 """
 

@@ -19,7 +19,7 @@ import enum
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.overload.admission import AdmissionGate
 from repro.sim.cluster import Cluster, Node
@@ -181,7 +181,7 @@ class StoreSession:
         server = store.route(key)
         return self._call_server(
             server, store._apply_write(server, key, row, *stamp),
-            store.request_bytes(key, row, with_payload=True),
+            store.request_bytes(key, row),
             store.response_bytes(0), **{self.route_label: server})
 
     def scan(self, start_key: str, count: int):  # pragma: no cover
@@ -200,15 +200,13 @@ class StoreSession:
             store.request_bytes(key), store.response_bytes(0),
             **{self.route_label: server})
 
-    def execute(self, op: OpType, key: str,
-                fields: Optional[Mapping[str, Optional[str]]] = None,
+    def execute(self, op: OpType, key: str, row: Optional[tuple] = None,
                 scan_length: int = 0):
         """Dispatch one operation: the generator of the store-level call
         (delegate to it; it returns the operation's result).
 
-        A write's ``fields`` become a row of the store's schema here,
-        once, before the store sees them (``ValueError`` for a column the
-        schema does not name); a read or scan returns the rows the store
+        A write carries its ``row`` (``None`` for a column not written)
+        to the store as it is; a read or scan returns the rows the store
         holds, as it holds them.
 
         Inside a sampled trace the whole store-level call is wrapped in a
@@ -217,30 +215,28 @@ class StoreSession:
         """
         sim = self.store.sim
         if sim.tracer is not None and sim.context is not None:
-            return self._traced_execute(op, key, fields, scan_length)
-        return self._dispatch(op, key, fields, scan_length)
+            return self._traced_execute(op, key, row, scan_length)
+        return self._dispatch(op, key, row, scan_length)
 
-    def _traced_execute(self, op: OpType, key: str,
-                        fields: Optional[Mapping[str, Optional[str]]],
+    def _traced_execute(self, op: OpType, key: str, row: Optional[tuple],
                         scan_length: int):
         tracer = self.store.sim.tracer
         span = tracer.start_span(
             f"{self.store.name}.{op.value}", "store", {"key": key})
         try:
-            result = yield from self._dispatch(op, key, fields, scan_length)
+            result = yield from self._dispatch(op, key, row, scan_length)
         finally:
             tracer.end_span(span)
         return result
 
-    def _dispatch(self, op: OpType, key: str,
-                  fields: Optional[Mapping[str, Optional[str]]],
+    def _dispatch(self, op: OpType, key: str, row: Optional[tuple],
                   scan_length: int):
         if op is OpType.READ:
             return self.read(key)
         if op is OpType.INSERT:
-            return self.insert(key, self.store.schema.to_row(fields or {}))
+            return self.insert(key, row)
         if op is OpType.UPDATE:
-            return self.update(key, self.store.schema.to_row(fields or {}))
+            return self.update(key, row)
         if op is OpType.SCAN:
             return self.scan(key, scan_length)
         if op is OpType.DELETE:
@@ -722,18 +718,16 @@ class Store:
                         * self.sessions_open)
             yield from client.cpu(cost * (1.0 + overhead))
 
-    def record_bytes(self, row: tuple | None = None) -> int:
+    def record_bytes(self, row: tuple) -> int:
         """Wire payload of one row's written values (a ``None`` column
         was not written and weighs nothing)."""
-        if row is None:
-            return self.schema.raw_value_bytes
         return sum(map(len, filter(None, row)))
 
-    def request_bytes(self, key: str, row: tuple | None = None,
-                      with_payload: bool = False) -> int:
-        """Wire size of a request naming ``key`` (plus payload for writes)."""
+    def request_bytes(self, key: str, row: tuple | None = None) -> int:
+        """Wire size of a request naming ``key``, plus the row a write
+        carries."""
         size = self.profile.request_overhead_bytes + len(key)
-        if with_payload:
+        if row is not None:
             size += self.record_bytes(row)
         return size
 

@@ -529,7 +529,7 @@ class CassandraSession(StoreSession):
     def insert(self, key: str, row: tuple):
         store = self.store
         version = store.next_write_version()
-        request = store.request_bytes(key, row, with_payload=True)
+        request = store.request_bytes(key, row)
         response = store.response_bytes(0)
         if store.replication_factor > 1:
             return self._quorum_insert(key, row, version, request, response)

@@ -401,7 +401,7 @@ class HBaseSession(StoreSession):
             result = yield from self._call_server(
                 server.index, store._with_handler(
                     server, store._serve_multi_put(server, [(key, row)])),
-                store.request_bytes(key, row, with_payload=True),
+                store.request_bytes(key, row),
                 store.response_bytes(0))
             return result == 1
         # Client-buffered path: ack locally, ship a multi-put when full.
@@ -424,10 +424,8 @@ class HBaseSession(StoreSession):
         batches = []
         for server_index, group in by_server.items():
             server = store.region_servers[server_index]
-            payload = sum(
-                store.request_bytes(key, row, with_payload=True)
-                for key, row in group
-            )
+            payload = sum(store.request_bytes(key, row)
+                          for key, row in group)
             batches.append(store.sim.process(self._rpc(
                 server, store._serve_multi_put(server, group),
                 payload, store.response_bytes(0),

@@ -29,8 +29,8 @@ from typing import Iterable, Optional
 from repro.hashing import murmur64a
 from repro.sim.cluster import Cluster, Node
 from repro.storage.btree import BPlusTree
-from repro.storage.encoding import encode_bdb_entry
-from repro.storage.record import APM_SCHEMA, Record, RecordSchema
+from repro.storage.encoding import encode_bdb_entry, sample_record
+from repro.storage.record import APM_SCHEMA, RecordSchema
 from repro.stores.base import (
     OpError,
     ServiceProfile,
@@ -93,7 +93,8 @@ class VoldemortStore(Store):
         self.log_bytes: list[int] = []
         for index, node in enumerate(cluster.servers):
             self._add_server(node, index)
-        self._entry_bytes = len(encode_bdb_entry(self._sample_record()))
+        self._entry_bytes = len(encode_bdb_entry(
+            *sample_record(self.schema), self.schema))
         self._rebuild_routing()
 
     def _add_server(self, node: Node, index: int) -> None:
@@ -105,11 +106,6 @@ class VoldemortStore(Store):
         members = self._members
         self._owner_map = [members[p % len(members)]
                            for p in range(len(self.ring.tokens))]
-
-    def _sample_record(self) -> Record:
-        return Record("k" * self.schema.key_length,
-                      {f: "v" * self.schema.field_length
-                       for f in self.schema.field_names})
 
     def _attach_node_metrics(self, registry, index: int) -> None:
         """Add BDB-JE log-volume meters and per-node tree size probes."""
@@ -373,7 +369,7 @@ class VoldemortSession(StoreSession):
         store.annotate(replicas=live, write_acks=k)
         return self._quorum(
             live, k, None,
-            store.request_bytes(key, row, with_payload=True),
+            store.request_bytes(key, row),
             store.response_bytes(0), store._apply_write, key, row, version)
 
     def scan(self, start_key: str, count: int):

@@ -389,7 +389,7 @@ class VoltDBSession(StoreSession):
         partition = store.partition_of(key)
         return self._call_server(
             self._next_entry(), store._proc_write(partition, key, row),
-            store.request_bytes(key, row, with_payload=True),
+            store.request_bytes(key, row),
             store.response_bytes(0), partition=partition)
 
     def scan(self, start_key: str, count: int):

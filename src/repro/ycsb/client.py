@@ -33,7 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["RunControl", "ClientThread", "attempt_op", "draw_operation"]
 
 
-def attempt_op(session: StoreSession, op: OpType, key: str, fields,
+def attempt_op(session: StoreSession, op: OpType, key: str, row,
                scan_length: int, retry: RetryPolicy, *,
                deadline: Optional[float] = None, budget=None, breaker=None):
     """Process body: execute one operation under the full retry policy.
@@ -67,9 +67,7 @@ def attempt_op(session: StoreSession, op: OpType, key: str, fields,
     try:
         while True:
             try:
-                result = yield from session.execute(
-                    op, key, fields=fields, scan_length=scan_length
-                )
+                result = yield from session.execute(op, key, row, scan_length)
                 if result is False:
                     return True, "store", None
                 return False, None, result
@@ -102,11 +100,12 @@ def attempt_op(session: StoreSession, op: OpType, key: str, fields,
 def draw_operation(op_table, rng: random.Random, chooser,
                    sequence: KeySequence, schema: RecordSchema,
                    scan_length: int):
-    """Draw one operation and its arguments: ``(op, key, fields, scan_length)``.
+    """Draw one operation and its arguments: ``(op, key, row, scan_length)``.
 
     Drawn once, before any attempt: a retry re-issues the *same*
     operation, it does not burn a fresh key from the generator streams.
-    Reads, scans and deletes need only the key, so no record is built.
+    Reads, scans and deletes need only the key, so no record is built;
+    a write carries the row ``generate_record`` made.
     """
     roll = rng.random()
     op = op_table[-1][0]
@@ -121,9 +120,8 @@ def draw_operation(op_table, rng: random.Random, chooser,
     else:
         key = format_key(chooser.next_record_number())
         return op, key, None, scan_length if op is OpType.SCAN else 0
-    # A write carries YCSB's field map, which ``_dispatch`` makes a row.
     key, row = generate_record(number, schema)
-    return op, key, schema.row_fields(row), 0
+    return op, key, row, 0
 
 
 @dataclass
@@ -194,8 +192,8 @@ class ClientThread:
                 yield from self.throttle.acquire()
                 if self.control.done:
                     break
-            op, key, fields, scan_length = deployment.draw(self.rng,
-                                                           self.chooser)
+            op, key, row, scan_length = deployment.draw(self.rng,
+                                                        self.chooser)
             # Workload-loop and driver dispatch work happens before YCSB
             # starts the operation timer.
             yield from self.session.store.dispatch_cpu(self.session.client)
@@ -207,7 +205,7 @@ class ClientThread:
                     and not self.control.done and tracer.should_sample()):
                 trace = tracer.begin(op.value, key, self.session.index)
             error, kind, __ = yield from deployment.attempt(
-                self.session, op, key, fields, scan_length, started)
+                self.session, op, key, row, scan_length, started)
             # Not kept: a scan's rows would otherwise live in this frame
             # until the thread's next operation completes.
             del __

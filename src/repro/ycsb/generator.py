@@ -15,7 +15,7 @@ from hashlib import shake_128
 from typing import Iterator
 
 from repro.hashing import murmur64a
-from repro.keyspace import render_key, scatter_hash, scatter_hashes
+from repro.keyspace import KEY_LENGTH, render_key, scatter_hash, scatter_hashes
 from repro.storage.record import APM_SCHEMA, RecordSchema
 
 __all__ = [
@@ -86,8 +86,14 @@ def generate_record(record_number: int,
 
     One hash a record: the scatter hash renders the key and its bytes
     pick the field values from the shared table.  ``scattered`` is that
-    hash when the caller has it already.
+    hash when the caller has it already.  Keys are ``KEY_LENGTH``
+    characters long, so ``ValueError`` for a schema of another
+    ``key_length``.
     """
+    if schema.key_length != KEY_LENGTH:
+        raise ValueError(
+            f"schema key_length {schema.key_length} is not the "
+            f"{KEY_LENGTH} characters of a generated key")
     if scattered is None:
         scattered = scatter_hash(record_number)
     count = schema.field_count

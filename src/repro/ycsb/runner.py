@@ -411,12 +411,12 @@ class Deployment:
                             self.total_records, self.sequence, rng)
 
     def draw(self, rng, chooser):
-        """The next operation, ``(op, key, fields, scan_length)``, drawn
+        """The next operation, ``(op, key, row, scan_length)``, drawn
         from ``rng`` and ``chooser`` (see :func:`draw_operation`)."""
         return draw_operation(self.op_table, rng, chooser, self.sequence,
                               APM_SCHEMA, self.config.workload.scan_length)
 
-    def attempt(self, session, op: OpType, key: str, fields,
+    def attempt(self, session, op: OpType, key: str, row,
                 scan_length: int, started: float):
         """The generator of one operation begun at ``started``, under the
         point's retry policy, retry budget, circuit breaker and deadline
@@ -424,7 +424,7 @@ class Deployment:
         plain function, not a generator, so no frame wraps the attempt."""
         deadline_s = self.deadline_s
         return attempt_op(
-            session, op, key, fields, scan_length, self.retry,
+            session, op, key, row, scan_length, self.retry,
             deadline=None if deadline_s is None else started + deadline_s,
             budget=self.budget, breaker=self.breaker)
 

@@ -12,7 +12,6 @@ import pytest
 
 from repro.faults.schedule import FaultSchedule
 from repro.sim.cluster import CLUSTER_M, Cluster
-from repro.storage.record import APM_SCHEMA
 from repro.stores.cassandra import CassandraStore
 from repro.stores.hbase import HBaseStore
 from repro.ycsb.runner import run_benchmark
@@ -61,8 +60,7 @@ def test_cassandra_hinted_handoff_queues_and_replays():
 
     def write():
         ok = yield from session.insert(
-            "user00000000000000000042",
-            APM_SCHEMA.to_row({"field0": "v" * 10}))
+            "user00000000000000000042", ("v" * 10, None, None, None, None))
         return ok
 
     proc = cluster.sim.process(write())

@@ -43,7 +43,7 @@ class TestRedisOutOfMemory:
         # ... but reads and updates keep working
         assert run_op(store, session.read(records[0][0])) is not None
         assert run_op(store, session.update(
-            records[0][0], store.schema.to_row({"field0": "x" * 10})))
+            records[0][0], ("x" * 10, None, None, None, None)))
 
 
 class TestWorkloadValidation:

@@ -63,7 +63,6 @@ from repro.overload.openloop import (_OpenLoopRun, goodput_sweep,
 from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.sim.faults import FaultError
 from repro.storage.lsm import LSMEngine
-from repro.storage.record import APM_SCHEMA
 from repro.stores.base import ServiceProfile
 from repro.stores.mysql import MySQLSession
 from repro.stores.registry import create_store
@@ -72,6 +71,7 @@ from repro.ycsb.runner import BenchmarkConfig, run_config
 from repro.ycsb.workload import WORKLOADS
 
 from tests.goldens import check_golden
+from tests.rows import fields_of
 
 GOLDEN_PATH = Path(__file__).parent / "kernel_byte_identity_golden.json"
 
@@ -316,12 +316,12 @@ def export_voldemort_quorum_cycle() -> dict:
         except FaultError as exc:
             outcome = f"{type(exc).__name__}: {exc}"
         if isinstance(outcome, tuple):  # a row read: logged by field
-            outcome = APM_SCHEMA.row_fields(outcome)
+            outcome = fields_of(outcome)
         log.append([label, key, outcome, sim.now, sim._sequence])
 
     def cycle(phase):
         for key in keys:
-            row = APM_SCHEMA.to_row({"field0": f"{phase}-{key[-4:]}"})
+            row = (f"{phase}-{key[-4:]}", None, None, None, None)
             for label, make_op in (
                     ("insert", lambda: session.insert(key, row)),
                     ("read", lambda: session.read(key)),
@@ -358,8 +358,8 @@ def export_voldemort_quorum_cycle() -> dict:
 class _RowLog:
     """What a read path handed back, call by call, folded into one
     SHA-256 so the payload stays small.  A row is logged as its field
-    dict (``APM_SCHEMA.row_fields``), the form the digests were first
-    taken of when stores returned dicts."""
+    dict (``fields_of``), the form the digests were first taken of when
+    stores returned dicts."""
 
     def __init__(self):
         self.calls = 0
@@ -389,7 +389,7 @@ def export_sharded_scan_point() -> dict:
     def recorded(self, start_key, count):
         rows = yield from scan(self, start_key, count)
         log.note(start_key, count, self.store.sim.now,
-                 [(key, APM_SCHEMA.row_fields(row)) for key, row in rows])
+                 [(key, fields_of(row)) for key, row in rows])
         rows_returned.append(len(rows))
         return rows
 
@@ -420,7 +420,7 @@ def export_multi_file_read_point() -> dict:
     def recorded(self, key):
         result = get(self, key)
         log.note(key, result.bill.blocks, None if result.row is None
-                 else APM_SCHEMA.row_fields(result.row))
+                 else fields_of(result.row))
         runs_probed.append(result.bill.runs_touched)
         return result
 

@@ -27,7 +27,8 @@ from repro.storage.lsm.sstable import (
     resolve_versions,
     sstable_entry_size,
 )
-from repro.storage.record import APM_SCHEMA, RecordSchema
+from repro.storage.record import RecordSchema
+from tests.rows import fields_of, row_of
 
 N_OPS = 2000
 KEYSPACE = [f"user{i:04d}" for i in range(150)]
@@ -51,7 +52,10 @@ def test_lsm_engine_matches_dict_model():
     # a complete one and answers alone.
     schema = RecordSchema(field_count=3)
     engine = LSMEngine(config, schema=schema)
-    row_fields = schema.row_fields
+
+    def as_fields(row):
+        return fields_of(row, schema)
+
     # The mutation log doubles as the durable-state oracle: a crash loses
     # exactly the unsynced tail, so the model is rebuilt from the log with
     # that tail dropped — same contract as the engine's WAL replay.
@@ -69,7 +73,7 @@ def test_lsm_engine_matches_dict_model():
         key = rng.choice(KEYSPACE)
         if roll < 0.45:
             fields = _fields(rng, key)
-            engine.put(key, schema.to_row(fields))
+            engine.put(key, row_of(fields, schema))
             op = ("put", key, fields)
             oplog.append(op)
             apply(model, op)
@@ -81,13 +85,13 @@ def test_lsm_engine_matches_dict_model():
         elif roll < 0.75:
             got = engine.get(key).row
             expect = model.get(key)
-            assert (row_fields(got) if got is not None else None) == expect, \
+            assert (as_fields(got) if got is not None else None) == expect, \
                 f"get({key!r}) diverged at op {step}"
         elif roll < 0.90:
             start = rng.choice(KEYSPACE)
             count = rng.randrange(1, 20)
             rows, __ = engine.scan(start, count)
-            got = [(k, row_fields(v)) for k, v in rows]
+            got = [(k, as_fields(v)) for k, v in rows]
             assert got == _model_scan(model, start, count), \
                 f"scan({start!r}, {count}) diverged at op {step}"
         elif roll < 0.95:
@@ -103,9 +107,9 @@ def test_lsm_engine_matches_dict_model():
     assert engine.record_count == len(model)
     for key in KEYSPACE:
         got = engine.get(key).row
-        assert (row_fields(got) if got is not None else None) == model.get(key)
+        assert (as_fields(got) if got is not None else None) == model.get(key)
     rows, __ = engine.scan(KEYSPACE[0], len(KEYSPACE))
-    assert ([(k, row_fields(v)) for k, v in rows]
+    assert ([(k, as_fields(v)) for k, v in rows]
             == _model_scan(model, KEYSPACE[0], len(KEYSPACE)))
 
 
@@ -145,19 +149,18 @@ def test_hashstore_matches_dict_model():
     """Same harness against the hash store, including column-merge HMSETs."""
     rng = random.Random(0xCAFE)
     store = HashStore()
-    to_row, row_fields = APM_SCHEMA.to_row, APM_SCHEMA.row_fields
     model: dict[str, dict[str, str]] = {}
     for step in range(N_OPS):
         roll = rng.random()
         key = rng.choice(KEYSPACE)
         if roll < 0.35:
             fields = _fields(rng, key)
-            assert store.hset(key, to_row(fields))
+            assert store.hset(key, row_of(fields))
             model[key] = dict(fields)
         elif roll < 0.50:
             # Partial update: HMSET merges columns into an existing hash.
             fields = _fields(rng, key, n=1)
-            assert store.hset(key, to_row(fields))
+            assert store.hset(key, row_of(fields))
             model.setdefault(key, {}).update(fields)
         elif roll < 0.65:
             existed = store.delete(key)
@@ -165,12 +168,12 @@ def test_hashstore_matches_dict_model():
             model.pop(key, None)
         elif roll < 0.85:
             got = store.hgetall(key)
-            assert (row_fields(got) if got is not None else None) \
+            assert (fields_of(got) if got is not None else None) \
                 == model.get(key), f"hgetall({key!r}) at op {step}"
         else:
             start = rng.choice(KEYSPACE)
             count = rng.randrange(1, 20)
-            got = [(k, row_fields(v)) for k, v in store.scan(start, count)]
+            got = [(k, fields_of(v)) for k, v in store.scan(start, count)]
             assert got == _model_scan(model, start, count), \
                 f"scan at op {step}"
     assert len(store) == len(model)
@@ -341,7 +344,7 @@ def test_merge_of_disjoint_runs_carries_every_cell_over():
 
 
 def _row(**columns) -> tuple:
-    return APM_SCHEMA.to_row(columns)
+    return row_of(columns)
 
 
 def test_merge_folds_a_key_held_by_three_runs():

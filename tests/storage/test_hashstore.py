@@ -8,8 +8,7 @@ from repro.storage.record import APM_SCHEMA
 
 
 def row(tag):
-    return APM_SCHEMA.to_row(
-        {f: str(tag)[:10].ljust(10, "x") for f in APM_SCHEMA.field_names})
+    return (str(tag)[:10].ljust(10, "x"),) * APM_SCHEMA.field_count
 
 
 class TestHashStore:
@@ -22,8 +21,8 @@ class TestHashStore:
 
     def test_hset_merges_fields(self):
         store = HashStore()
-        store.hset("k", APM_SCHEMA.to_row({"field0": "a" * 10}))
-        store.hset("k", APM_SCHEMA.to_row({"field1": "b" * 10}))
+        store.hset("k", ("a" * 10, None, None, None, None))
+        store.hset("k", (None, "b" * 10, None, None, None))
         assert store.hgetall("k") == ("a" * 10, "b" * 10, None, None, None)
         assert len(store) == 1
 

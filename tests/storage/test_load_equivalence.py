@@ -24,13 +24,13 @@ from repro.storage.encoding import redis_memory_per_record
 from repro.storage.hashstore import HashStore
 from repro.storage.lsm.engine import LSMConfig, LSMEngine
 from repro.storage.lsm.sstable import SSTable, Versioned
-from repro.storage.record import APM_SCHEMA
+from tests.rows import row_of
 
 KEYS = st.sampled_from([f"user{i:02d}" for i in range(24)])
 #: A row of some written columns: a repeat is a column-wise upsert.
 ROWS = st.dictionaries(st.sampled_from([f"field{i}" for i in range(5)]),
                        st.text("abcxyz", max_size=12),
-                       min_size=1).map(APM_SCHEMA.to_row)
+                       min_size=1).map(row_of)
 #: A write most of the time; now and then a delete, a scan or a read.
 OPS = st.lists(st.one_of(
     st.tuples(st.just("put"), KEYS, ROWS),

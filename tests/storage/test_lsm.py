@@ -1,7 +1,7 @@
 """Unit tests for the LSM components: memtable, WAL, SSTable, compaction.
 
-The components hold rows, the schema-ordered tuples of
-``RecordSchema.to_row``: the cells below are built as rows of the APM
+The components hold rows, tuples of field values in the schema's
+``field_names`` order: the cells below are built as rows of the APM
 schema (``row``), or of a wider one where column-name lengths matter.
 """
 
@@ -20,17 +20,17 @@ from repro.storage.lsm.sstable import (
 )
 from repro.storage.lsm.wal import CommitLog
 from repro.storage.record import APM_SCHEMA, RecordSchema
+from tests.rows import row_of
 
 
 def fields(tag):
     """A full record's row."""
-    return APM_SCHEMA.to_row(
-        {f"field{i}": f"{tag}-{i}".ljust(10, "x") for i in range(5)})
+    return tuple(f"{tag}-{i}".ljust(10, "x") for i in range(5))
 
 
 def row(**columns):
     """A row of the APM schema writing only ``columns``."""
-    return APM_SCHEMA.to_row(columns)
+    return row_of(columns)
 
 
 class TestVersioned:
@@ -63,10 +63,8 @@ class TestVersioned:
 class TestEntrySize:
     def test_matches_serialized_layout(self):
         from repro.storage.encoding import encode_sstable_row
-        from repro.storage.record import Record
-        record = Record("k" * 25, APM_SCHEMA.row_fields(fields("v")))
-        assert sstable_entry_size(record.key, fields("v")) == len(
-            encode_sstable_row(record))
+        assert sstable_entry_size("k" * 25, fields("v")) == len(
+            encode_sstable_row("k" * 25, fields("v"), APM_SCHEMA))
 
     def test_tombstone_is_small(self):
         assert sstable_entry_size("k" * 25, TOMBSTONE) == 2 + 25 + 8 + 12 + 4
@@ -145,8 +143,8 @@ class TestMemtable:
         assert memtable.size_bytes == sstable_entry_size("a" * 25,
                                                          fields("1"))
 
-    #: Twelve columns, ``c0``..``c11``: names of two lengths.
-    WIDE = RecordSchema(field_count=12, field_prefix="c")
+    #: Twelve columns, ``field0``..``field11``: names of two lengths.
+    WIDE = RecordSchema(field_count=12)
 
     @settings(max_examples=200, deadline=None)
     @given(ops=st.lists(
@@ -155,7 +153,8 @@ class TestMemtable:
             st.one_of(
                 st.none(),  # delete
                 st.dictionaries(
-                    st.sampled_from(["c0", "c1", "c10", "c11"]),
+                    st.sampled_from(["field0", "field1", "field10",
+                                     "field11"]),
                     st.text(alphabet="xyz", max_size=12), max_size=4))),
         max_size=40))
     def test_size_is_what_the_flush_writes(self, ops):
@@ -168,7 +167,7 @@ class TestMemtable:
             if written is None:
                 memtable.delete(key, seq)
             else:
-                memtable.put(key, wide.to_row(written), seq)
+                memtable.put(key, row_of(written, wide), seq)
             assert memtable.size_bytes == sum(
                 sstable_entry_size(k, v.value, wide)
                 for k, v in memtable.sorted_items())

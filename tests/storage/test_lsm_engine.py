@@ -8,12 +8,8 @@ from hypothesis import strategies as st
 
 from repro.storage.lsm import LSMConfig, LSMEngine
 from repro.storage.lsm.engine import IoBill
-from repro.storage.record import APM_SCHEMA
-
-
 def row(tag):
-    return APM_SCHEMA.to_row(
-        {f"field{i}": f"{tag}"[:10].ljust(10, "x") for i in range(5)})
+    return (f"{tag}"[:10].ljust(10, "x"),) * 5
 
 
 @pytest.fixture
@@ -45,7 +41,7 @@ class TestWritePath:
     def test_partial_update_across_flush(self, engine):
         engine.put("k", row("base"))
         engine.flush()
-        engine.put("k", APM_SCHEMA.to_row({"field0": "updated!!!"}))
+        engine.put("k", ("updated!!!", None, None, None, None))
         result = engine.get("k").row
         assert result == ("updated!!!",) + row("base")[1:]
 
@@ -73,9 +69,9 @@ class TestWritePath:
 
 class TestReadPath:
     def test_read_consults_all_candidate_runs(self, engine):
-        engine.put("k", APM_SCHEMA.to_row({"field0": "a" * 10}))
+        engine.put("k", ("a" * 10, None, None, None, None))
         engine.flush()
-        engine.put("k", APM_SCHEMA.to_row({"field1": "b" * 10}))
+        engine.put("k", (None, "b" * 10, None, None, None))
         engine.flush()
         result = engine.get("k")
         assert result.row == ("a" * 10, "b" * 10, None, None, None)

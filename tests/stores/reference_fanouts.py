@@ -175,7 +175,7 @@ def cassandra_insert(session, key, row):
             )
         result = yield from cassandra_route(
             session, owner, store._apply_write(owner, key, row, version),
-            store.request_bytes(key, row, with_payload=True),
+            store.request_bytes(key, row),
             store.response_bytes(0),
         )
         return result
@@ -188,7 +188,7 @@ def _cassandra_replicated_insert(session, key, row, version=0):
     store = session.store
     sim = store.sim
     replicas = store.replicas_of(key, store.replication_factor)
-    request = store.request_bytes(key, row, with_payload=True)
+    request = store.request_bytes(key, row)
     response = store.response_bytes(0)
     coordinator = session._next_coordinator()
     coordinator_node = store.cluster.servers[coordinator]
@@ -325,7 +325,7 @@ def voldemort_insert(session, key, row):
     owner = store.owner_of(key)
     result = yield from session._call_server(
         owner, store._apply_write(owner, key, row, version),
-        store.request_bytes(key, row, with_payload=True),
+        store.request_bytes(key, row),
         store.response_bytes(0), owner=owner,
     )
     return result
@@ -343,7 +343,7 @@ def _voldemort_replicated_insert(session, key, row, version):
             f"W={needed}")
     if sim.tracer is not None and sim.context is not None:
         sim.tracer.annotate(replicas=live, write_acks=needed)
-    request = store.request_bytes(key, row, with_payload=True)
+    request = store.request_bytes(key, row)
     response = store.response_bytes(0)
     yield from store.client_cpu(session.client)
     acks = [sim.process(store.cluster.network.rpc(

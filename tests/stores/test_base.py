@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim.cluster import CLUSTER_M, Cluster
-from repro.storage.record import APM_SCHEMA
 from repro.stores.base import OpType, ServiceProfile
 from repro.stores.registry import (
     STORE_CLASSES,
@@ -55,16 +54,12 @@ class TestStoreHelpers:
 
     def test_request_bytes(self, store):
         base = store.request_bytes("k" * 25)
-        with_payload = store.request_bytes(
-            "k" * 25, ("0123456789", None), with_payload=True)
+        with_payload = store.request_bytes("k" * 25, ("0123456789", None))
         assert with_payload == base + 10  # a column not written is free
 
     def test_response_bytes_scale_with_records(self, store):
         assert (store.response_bytes(10)
                 > store.response_bytes(1) > store.response_bytes(0))
-
-    def test_record_bytes_defaults_to_schema(self, store):
-        assert store.record_bytes() == 50
 
     def test_server_cost_without_overhead_is_identity(self):
         cluster = Cluster(CLUSTER_M, 1)
@@ -104,9 +99,9 @@ class TestSessionDispatch:
         assert run_op(store, session.execute(OpType.READ, target)) == row
         fresh, fresh_row = make_records(60)[-1]
         assert run_op(store, session.execute(
-            OpType.INSERT, fresh, fields=APM_SCHEMA.row_fields(fresh_row)))
+            OpType.INSERT, fresh, fresh_row))
         assert run_op(store, session.execute(
-            OpType.UPDATE, target, fields={"field0": "Y" * 10}))
+            OpType.UPDATE, target, ("Y" * 10, None, None, None, None)))
         rows = run_op(store, session.execute(
             OpType.SCAN, target, scan_length=5))
         assert len(rows) >= 1

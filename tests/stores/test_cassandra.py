@@ -4,7 +4,6 @@ import pytest
 
 from repro.keyspace import format_key
 from repro.sim.cluster import CLUSTER_M, Cluster
-from repro.storage.record import APM_SCHEMA
 from repro.stores.cassandra import CassandraStore
 from tests.stores.conftest import make_records, run_op
 
@@ -71,7 +70,7 @@ class TestOperations:
     def test_update_merges_via_upsert(self, store, records):
         session = store.session(store.cluster.clients[0], 0)
         run_op(store, session.update(
-            records[5][0], APM_SCHEMA.to_row({"field0": "new-value!"})))
+            records[5][0], ("new-value!", None, None, None, None)))
         result = run_op(store, session.read(records[5][0]))
         assert result == ("new-value!",) + records[5][1][1:]
 

@@ -41,15 +41,13 @@ N_FRESH = 50
 STORE_KWARGS = {"hbase": {"client_buffering": False}}
 
 
-def _full_fields(rng: random.Random, key: str) -> dict[str, str]:
-    return {
-        name: f"{key[-5:]}:{rng.randrange(1000):03d}".ljust(10, "y")[:10]
-        for name in APM_SCHEMA.field_names
-    }
+def _full_row(rng: random.Random, key: str) -> tuple:
+    return tuple(f"{key[-5:]}:{rng.randrange(1000):03d}".ljust(10, "y")[:10]
+                 for __ in range(APM_SCHEMA.field_count))
 
 
 def _make_trace() -> list[tuple]:
-    """The shared op trace: ``(op, key, fields_or_None, scan_len)``."""
+    """The shared op trace: ``(op, key, row_or_None, scan_len)``."""
     rng = random.Random(2012)
     loaded = [key for key, __ in make_records(N_LOADED)]
     fresh = [format_key(N_LOADED + i) for i in range(N_FRESH)]
@@ -61,10 +59,10 @@ def _make_trace() -> list[tuple]:
         if roll < 0.20 and unused_fresh:
             key = unused_fresh.pop(rng.randrange(len(unused_fresh)))
             known.append(key)
-            trace.append((OpType.INSERT, key, _full_fields(rng, key), 0))
+            trace.append((OpType.INSERT, key, _full_row(rng, key), 0))
         elif roll < 0.40:
             key = rng.choice(known)
-            trace.append((OpType.UPDATE, key, _full_fields(rng, key), 0))
+            trace.append((OpType.UPDATE, key, _full_row(rng, key), 0))
         elif roll < 0.65:
             trace.append((OpType.READ, rng.choice(known), None, 0))
         elif roll < 0.85:
@@ -86,16 +84,15 @@ def _run_store(name: str, trace: list[tuple]) -> dict:
     model = dict(records)
     supports_scans = store_class(name).supports_scans
     scans_checked = 0
-    for step, (op, key, fields, scan_len) in enumerate(trace):
+    for step, (op, key, row, scan_len) in enumerate(trace):
         if op is OpType.SCAN and not supports_scans:
             with pytest.raises(OpError):
                 run_op(store, session.execute(op, key,
                                               scan_length=scan_len))
             continue
-        result = run_op(store, session.execute(op, key, fields=fields,
-                                               scan_length=scan_len))
+        result = run_op(store, session.execute(op, key, row, scan_len))
         if op in (OpType.INSERT, OpType.UPDATE):
-            model[key] = APM_SCHEMA.to_row(fields)
+            model[key] = row
         elif op is OpType.DELETE:
             model.pop(key, None)
         elif op is OpType.READ:
@@ -150,13 +147,13 @@ def test_partitioned_write_surfaces_as_infrastructure_fault(name):
     stats = RunStats()
     retry = store_class(name).retry_policy()
     key = format_key(N_LOADED + 1)
-    fields = _full_fields(random.Random(7), key)
+    row = _full_row(random.Random(7), key)
     outcome = {}
 
     def driver():
         started = sim.now
         error, kind, __ = yield from attempt_op(
-            session, OpType.INSERT, key, fields, 0, retry)
+            session, OpType.INSERT, key, row, 0, retry)
         stats.record(OpType.INSERT, sim.now - started, error, kind)
         outcome["error"], outcome["kind"] = error, kind
 
@@ -171,7 +168,7 @@ def test_partitioned_write_surfaces_as_infrastructure_fault(name):
 
     def healed():
         error, kind, __ = yield from attempt_op(
-            session, OpType.INSERT, key, fields, 0, retry)
+            session, OpType.INSERT, key, row, 0, retry)
         outcome["healed_error"] = error
 
     sim.run(until=sim.process(healed()))
@@ -208,9 +205,9 @@ def test_a_returned_row_is_the_callers(name):
     store, session = _loaded_session(name)
     records = make_records(N_LOADED)
     fresh = format_key(N_LOADED + 7)
-    written = _full_fields(random.Random(3), fresh)
-    run_op(store, session.execute(OpType.INSERT, fresh, fields=written))
-    expected = dict([records[5], (fresh, APM_SCHEMA.to_row(written))])
+    written = _full_row(random.Random(3), fresh)
+    run_op(store, session.execute(OpType.INSERT, fresh, written))
+    expected = dict([records[5], (fresh, written)])
 
     for key, row in expected.items():
         for __ in range(2):
@@ -234,34 +231,14 @@ def test_a_returned_row_is_the_callers(name):
 
 @pytest.mark.parametrize("name", STORE_NAMES)
 def test_a_none_value_is_a_column_not_written(name):
-    """A write naming a column with ``None`` writes the others: the
-    store sizes the row it takes, and the read returns the ``None``."""
+    """A row with ``None`` columns writes the others: the store sizes
+    the row it takes, and the read returns the ``None``."""
     store, session = _loaded_session(name)
     key = format_key(N_LOADED + 3)
     assert run_op(store, session.execute(
-        OpType.INSERT, key, fields={"field0": "a" * 10, "field1": None}))
+        OpType.INSERT, key, ("a" * 10, None, None, None, None)))
     assert run_op(store, session.execute(OpType.READ, key)) == (
         "a" * 10, None, None, None, None)
-
-
-@pytest.mark.parametrize("op", [OpType.INSERT, OpType.UPDATE])
-@pytest.mark.parametrize("name", STORE_NAMES)
-def test_an_unknown_column_is_refused_where_the_write_enters(name, op):
-    """``execute`` raises before the store spends any simulated CPU or
-    network time on the write, and nothing is stored."""
-    cluster = Cluster(CLUSTER_M, 4)
-    store = create_store(name, cluster)
-    store.load(make_records(N_LOADED))
-    session = store.session(cluster.clients[0], 0)
-    key = make_records(N_LOADED)[9][0] if op is OpType.UPDATE \
-        else format_key(N_LOADED + 5)
-    before = run_op(store, session.execute(OpType.READ, key))
-    start = cluster.sim.now
-    with pytest.raises(ValueError, match="not in the schema"):
-        session.execute(op, key, fields={"field0": "b" * 10,
-                                         "nonesuch": "c" * 10})
-    assert cluster.sim.now == start
-    assert run_op(store, session.execute(OpType.READ, key)) == before
 
 
 def _placement(store, key: str) -> list[int]:

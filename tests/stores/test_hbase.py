@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.storage.record import APM_SCHEMA
-from repro.stores.base import OpType
 from repro.stores.hbase import HBaseStore
 from repro.stores.hdfs import Hdfs, NameNode
 from tests.stores.conftest import make_records, run_op
@@ -101,36 +99,6 @@ class TestOperations:
             run_op(store, session.insert(key, row))
         assert len(session._buffer) == 0  # auto-flush happened
         assert run_op(store, session.read(extra[0][0])) == extra[0][1]
-
-    def test_an_unknown_column_is_refused_not_buffered(self, store):
-        """Refused where it enters, not acked and then thrown by the
-        flush of a full buffer of other keys' valid puts."""
-        session = store.session(store.cluster.clients[0], 0)
-        (bad, bad_row), *valid = make_records(
-            500 + store.WRITE_BUFFER_OPS)[500:]
-        with pytest.raises(ValueError):
-            session.execute(OpType.INSERT, bad,
-                            fields={**APM_SCHEMA.row_fields(bad_row),
-                                    "field9": "x" * 10})
-        for key, row in valid:
-            assert run_op(store, session.execute(
-                OpType.INSERT, key, fields=APM_SCHEMA.row_fields(row)))
-        run_op(store, session.flush_buffer())
-        assert run_op(store, session.read(bad)) is None
-        for key, row in valid:
-            assert run_op(store, session.read(key)) == row
-
-    def test_a_buffered_put_keeps_what_was_acked(self, store):
-        """The buffer holds the row the put was acked with; the caller's
-        mapping, changed after the ack, is not what lands."""
-        session = store.session(store.cluster.clients[0], 0)
-        key, row = make_records(501)[-1]
-        fields = APM_SCHEMA.row_fields(row)
-        assert run_op(store, session.execute(OpType.INSERT, key,
-                                             fields=fields))
-        fields["field0"] = "scribbled!"
-        run_op(store, session.flush_buffer())
-        assert run_op(store, session.read(key)) == row
 
     def test_unbuffered_mode_writes_through(self, cluster4, records):
         store = HBaseStore(cluster4, client_buffering=False)

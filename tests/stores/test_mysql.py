@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.keyspace import format_key, lex_position
 from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.stores.mysql import MySQLStore
+from tests.rows import fields_of, row_of
 from tests.storage.reference_reads import copy_per_leg_merge
 from tests.stores.conftest import make_records, run_op
 
@@ -105,7 +106,7 @@ def merged_scan(legs, count):
     its field dict, the form the reference merge compares."""
     store = MySQLStore(Cluster(CLUSTER_M, len(legs)))
     session = store.session(store.cluster.clients[0], 0)
-    streamed = [[(key, store.schema.to_row(fields)) for key, fields in rows]
+    streamed = [[(key, row_of(fields)) for key, fields in rows]
                 for rows in legs]
 
     def hand_built(shard, start_key, count):
@@ -119,7 +120,7 @@ def merged_scan(legs, count):
     # A key two legs stream is the last leg's row.
     held = {key: row for leg in streamed for key, row in leg}
     assert all(row is held[key] for key, row in rows)
-    return [(key, store.schema.row_fields(row)) for key, row in rows]
+    return [(key, fields_of(row)) for key, row in rows]
 
 
 def _busy(node, seconds):

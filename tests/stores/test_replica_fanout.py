@@ -132,8 +132,7 @@ def _observe(deployment, scenario, traced, reference):
         yield sim.timeout(start)
         for round_ in range(2):
             for key in KEYS:
-                row = store.schema.to_row(
-                    {"field0": f"c{index}r{round_}-{key[-4:]}"})
+                row = (f"c{index}r{round_}-{key[-4:]}",) + (None,) * 4
                 ops = [("insert", key, row), ("read", key),
                        ("delete", key), ("read", key),
                        ("insert", key, row), ("read", key)]

@@ -2,7 +2,7 @@
 
 The record generator draws every field value from one table of 256
 strings per field length, and every engine keeps a record's fields as a
-*row* — the schema-ordered tuple of ``RecordSchema.to_row`` — never the
+*row* — the tuple of its values in ``field_names`` order — never the
 strings in them copied, so however many records a store holds, the
 values it keeps are at most 256 distinct objects per length.  That is
 what a loaded record's memory is made of, so this file keeps it: it

@@ -17,12 +17,6 @@ is written once, and an ``ast`` walk keeps the copies from coming back.
 * "Are we inside a sampled trace?" is asked by ``Store.annotate`` (and
   ``StoreSession.execute``, which picks its traced twin): no store
   module compares ``sim.tracer`` with ``None``.
-* A record's fields cross the store boundary once: a write's mapping
-  becomes a row in ``StoreSession._dispatch``, and a loaded record is
-  generated as a row.  No other function under ``stores/`` or
-  ``storage/`` names ``to_row`` or ``row_fields`` (``record.py``, which
-  defines them, aside): stores and engines take rows and hand the rows
-  they hold back (six modules had converted on their own, some twice).
 
 An exception goes in an allow-list below with its reason, the way
 ``tests/sim/test_events_per_op.py`` lists the NIC holds.
@@ -31,11 +25,9 @@ An exception goes in an allow-list below with its reason, the way
 import ast
 from pathlib import Path
 
-import repro.storage
 import repro.stores
 
 STORES = Path(repro.stores.__file__).parent
-STORAGE = Path(repro.storage.__file__).parent
 
 #: ``(file, function)`` -> why it may claim a slot or read the deadline
 #: without going through ``Resource.hold``.
@@ -62,13 +54,6 @@ TRACE_GUARD_ALLOWED = {
                "traced twin",
 }
 BOOKKEEPING = {"next_write_version", "_apply_versioned_read", "node_is_up"}
-#: ``(module, function)`` -> why it may turn a mapping into a row or a
-#: row into a dict.
-RECORD_FORMAT_ALLOWED = {
-    ("stores/base.py", "_dispatch"):
-        "StoreSession.execute's one conversion of a write's fields",
-}
-RECORD_FORMAT = {"to_row", "row_fields"}
 
 
 def _walk(tree: ast.AST, function: str = "<module>"):
@@ -184,47 +169,6 @@ def test_the_guard_sees_the_idioms():
         ("claim", "_held", 5), ("claim", "_held", 7),
         ("bookkeeping", "node_is_up", 12),
         ("trace-guard", "_fan", 16), ("quorum", "_fan", 18)]
-
-
-def _record_format_sites(source: str):
-    """``(function, line)`` of every ``to_row`` / ``row_fields`` named as
-    an attribute (a call, or the bound method kept for a loop)."""
-    for function, node in _walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr in RECORD_FORMAT:
-            yield function, node.lineno
-
-
-def test_a_row_is_converted_only_where_it_enters():
-    seen, stray = set(), []
-    for root, prefix in ((STORES, "stores"), (STORAGE, "storage")):
-        for path in sorted(root.rglob("*.py")):
-            module = f"{prefix}/{path.relative_to(root).as_posix()}"
-            if module == "storage/record.py":  # the definitions
-                continue
-            for function, line in _record_format_sites(path.read_text()):
-                if (module, function) in RECORD_FORMAT_ALLOWED:
-                    seen.add((module, function))
-                else:
-                    stray.append(f"{module}:{line} ({function})")
-    assert not stray, (
-        f"{len(stray)} conversions of a row inside a store or engine: "
-        f"{stray}; take and return rows, and convert where a write "
-        "enters (StoreSession._dispatch)")
-    assert seen == set(RECORD_FORMAT_ALLOWED), "stale allow-list"
-    assert all(reason.strip() for reason in RECORD_FORMAT_ALLOWED.values())
-
-
-def test_the_record_format_guard_sees_the_idioms():
-    source = (
-        "def load(self, records):\n"
-        "    to_row = self.schema.to_row\n"
-        "    for record in records:\n"
-        "        self.put(record.key, to_row(record.fields))\n"
-        "def read(self, key):\n"
-        "    return self.schema.row_fields(self.rows[key])\n"
-        "def fine(self, key, row):\n"
-        "    self.rows[key] = self.schema.overlay(self.rows[key], row)\n")
-    assert list(_record_format_sites(source)) == [("load", 2), ("read", 6)]
 
 
 def test_client_sharded_sessions_inherit_their_point_operations():

@@ -69,7 +69,7 @@ class TestOperations:
     def test_update_merges(self, store, records):
         session = store.session(store.cluster.clients[0], 0)
         run_op(store, session.update(
-            records[0][0], store.schema.to_row({"field0": "XXX"})))
+            records[0][0], ("XXX", None, None, None, None)))
         result = run_op(store, session.read(records[0][0]))
         assert result == ("XXX",) + records[0][1][1:]
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import repro
 from repro.keyspace import (KEY_LENGTH, format_key, lex_position,
                             render_key, scatter_hash)
-from repro.storage.record import APM_SCHEMA, Record, RecordSchema
+from repro.storage.record import APM_SCHEMA, RecordSchema
 from repro.ycsb import generator
 from repro.ycsb.generator import (
     KeySequence,
@@ -26,6 +26,7 @@ from repro.ycsb.generator import (
     generate_records,
     make_chooser,
 )
+from tests.rows import row_of
 
 _BATCH = generator._SCATTER_BATCH
 
@@ -121,13 +122,12 @@ class TestRecordGeneration:
 
 def reference_pair(record_number, schema):
     """``(key, row)`` of ``record_number`` the way a record was first
-    made: a ``Record`` of a field dict, then its fields as a row."""
+    made: a key with a field dict, then its fields as a row."""
     scattered = scatter_hash(record_number)
     values = generator._value_table(schema.field_length).__getitem__
     picks = generator._picks(scattered, schema.field_count)
-    record = Record(render_key(scattered),
-                    dict(zip(schema.field_names, map(values, picks))))
-    return record.key, schema.to_row(record.fields)
+    fields = dict(zip(schema.field_names, map(values, picks)))
+    return render_key(scattered), row_of(fields, schema)
 
 
 #: The data set, pinned: ``record number -> (key, field0..field4)``.
