@@ -4,10 +4,10 @@ YCSB's Redis binding stores each record as a Redis *hash* keyed by the
 record key and additionally indexes every key in one global *sorted set*
 so that scans are possible.  This module reproduces that layout: a Python
 dict of rows (tuples of field values in the schema's ``field_names``
-order, held and handed back as they came) plus a :class:`SortedKeys` index of their
-keys standing in for the zset, with jemalloc-style memory accounting
-(which still bills the zset's skip-list nodes) used by the Redis
-out-of-memory analysis of Section 5.1.
+order, held and handed back as they came) plus a :class:`SortedKeys`
+index of their keys standing in for the zset, with jemalloc-style memory
+accounting (which still bills the zset's skip-list nodes) used by the
+Redis out-of-memory analysis of Section 5.1.
 """
 
 from __future__ import annotations

@@ -4,8 +4,9 @@ An SSTable is a sorted, immutable run of ``(key, row)`` entries, each
 stamped with its write's sequence number, with a Bloom filter, a hashed
 index for point reads and a sorted key list for range reads.  A row is
 the tuple of a record's field values in the schema's ``field_names``
-order, ``None`` for a column the write did not carry.  Deletions are represented by
-the :data:`TOMBSTONE` sentinel so that compaction can drop shadowed data.
+order, ``None`` for a column the write did not carry.  Deletions are
+represented by the :data:`TOMBSTONE` sentinel so that compaction can
+drop shadowed data.
 """
 
 from __future__ import annotations
