@@ -331,9 +331,8 @@ class HBaseStore(Store):
         self.note_node_op(server.index)
         yield from server.node.cpu(self.profile.read_cpu)
         result = self.engine_of(region_id).get(key)
-        path = self._hfile_paths[region_id]
-        for block in result.bill.blocks:
-            yield from self.hdfs.read(path, block, 4096, server.node)
+        yield from self.hdfs.read(self._hfile_paths[region_id],
+                                  result.bill.blocks, 4096, server.node)
         return result.row
 
     def _serve_multi_put(self, server: RegionServer,
@@ -360,9 +359,9 @@ class HBaseStore(Store):
             + count * self.profile.scan_per_record_cpu
         )
         rows, bill = self.engine_of(region_id).scan(start_key, count)
-        path = self._hfile_paths[region_id]
-        for block in bill.blocks[:8]:  # sequential scanner: few seeks
-            yield from self.hdfs.read(path, block, 4096, server.node)
+        # A sequential scanner: few seeks.
+        yield from self.hdfs.read(self._hfile_paths[region_id],
+                                  bill.blocks[:8], 4096, server.node)
         return rows
 
 

@@ -126,42 +126,40 @@ class Hdfs:
         yield from datanode.cpu(self.DATANODE_REQUEST_CPU)
         yield from datanode.disk.write(nbytes, sequential=True, sync=sync)
 
-    def read(self, path: str, block_hint: tuple, nbytes: int, reader: Node):
-        """Read ``nbytes`` of ``path`` near ``block_hint``.
+    def read(self, path: str, block_hints: tuple, nbytes: int, reader: Node):
+        """Process: read ``nbytes`` of ``path`` once per hint, in turn.
 
-        Picks the DataNode now (a missing file or a block whose one copy
-        is down raises here) and returns the generator of the exchange
-        with it, to be delegated to.  ``block_hint`` is an opaque cache
-        key for the page-cache model.  No short-circuit reads in 0.20:
-        even local reads pay the DataNode socket hop.
+        Each hint is one block probe, a request/response exchange with
+        the DataNode that holds the file's *last* block, whatever the
+        hint: the hint is only the page-cache key the probe touches.
+        The DataNode is picked as each probe starts (a missing file or a
+        down DataNode raises there, after the probes before it ran).  No
+        short-circuit reads in 0.20: even a local probe crosses a
+        loopback socket to the co-located DataNode (``reader is
+        datanode``: the transfers' same-node branch).
         """
-        file = self.namenode.files.get(path)
-        if file is None:
-            raise FileNotFoundError(path)
-        datanode = reader
-        if file.blocks:
-            # Serve from the (hinted) block's DataNode: with one copy, a
-            # DataNode crash leaves the read unsatisfiable.
-            block = file.blocks[-1]
-            datanode = self.datanodes[block.datanode]
-            if not datanode.up:
-                raise NodeDownError(
-                    f"no live replica of block {block.block_id} ({path})"
-                )
-        # A local read still crosses a loopback socket to the co-located
-        # DataNode (``reader is datanode``: the transfers' loopback branch).
-        return self.network.rpc(
-            reader, datanode, 60, nbytes,
-            self._serve_block(datanode, block_hint, nbytes))
-
-    def _serve_block(self, datanode: Node, block_hint: tuple, nbytes: int):
-        """Process: the DataNode's side of one block read."""
-        yield from datanode.cpu(
-            self.DATANODE_REQUEST_CPU
-            + max(1, nbytes // 4096) * self.CHECKSUM_CPU_PER_CHUNK)
-        if not datanode.page_cache.access(block_hint):
-            yield from datanode.disk.read(nbytes, sequential=False)
-        return nbytes
+        network = self.network
+        files = self.namenode.files
+        cpu_s = (self.DATANODE_REQUEST_CPU
+                 + max(1, nbytes // 4096) * self.CHECKSUM_CPU_PER_CHUNK)
+        for hint in block_hints:
+            file = files.get(path)
+            if file is None:
+                raise FileNotFoundError(path)
+            datanode = reader
+            if file.blocks:
+                # One copy: a DataNode crash leaves the read unsatisfiable.
+                block = file.blocks[-1]
+                datanode = self.datanodes[block.datanode]
+                if not datanode.up:
+                    raise NodeDownError(
+                        f"no live replica of block {block.block_id} ({path})"
+                    )
+            yield from network.transfer(reader.name, datanode.name, 60)
+            yield from datanode.cpu(cpu_s)
+            if not datanode.page_cache.access(hint):
+                yield from datanode.disk.read(nbytes, sequential=False)
+            yield from network.transfer(datanode.name, reader.name, nbytes)
 
     def used_bytes_per_datanode(self) -> list[int]:
         """On-disk bytes per DataNode across all files."""

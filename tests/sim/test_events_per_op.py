@@ -4,13 +4,17 @@ Host seconds for a data point are events per operation times
 microseconds per event (ROADMAP item 2), and events per operation is a
 property of how the request path is *written*: a serial callee that is
 spawned and joined on the spot costs two kernel events and a ``Process``
-more than one that is delegated to (DESIGN.md § 4b).  Both halves are
-held here without timing anything — ``sim._sequence`` repeats exactly:
+more than one that is delegated to (DESIGN.md § 4b).  How the path is
+written is held here without timing anything — ``sim._sequence`` and
+the resume chains repeat exactly:
 
 * ceilings on events per operation for a small workload-R point of each
   store, and for an HBase point loaded past 32 flush rounds so that the
   nine-store-file read fan-out (nine HDFS block probes a get) is inside
   the pin;
+* ceilings on the deepest ``yield from`` chain a resume walks on the
+  same small points — DESIGN § 4b's flattening rule, which events per
+  operation cannot see;
 * an ``ast`` walk over ``src/repro`` that fails on
   ``yield <x>.process(<generator call>)`` and
   ``yield <x>.detached(<generator call>)`` — spawn-then-immediately-join
@@ -29,6 +33,7 @@ import pytest
 
 import repro
 from repro.sim.cluster import CLUSTER_M
+from repro.sim.kernel import Process
 from repro.ycsb.runner import BenchmarkConfig, run_config
 from repro.ycsb.workload import WORKLOADS
 
@@ -67,6 +72,52 @@ def test_small_read_point_stays_under_its_ceiling(store, clusters):
                             records_per_node=300, measured_ops=300,
                             warmup_ops=40)
     assert per_op <= ceiling
+
+
+#: store -> (deepest ``yield from`` chain a resume walks now, at the
+#: parent commit), on the same points.  Every resume sends into the
+#: process's generator and so passes through each frame of the chain
+#: down to the one that yielded: a pass-through frame costs on every
+#: event beneath it (DESIGN.md § 4b, "Flattening").  HBase's chain is
+#: ``run -> attempt_op -> _call_server -> rpc -> hold -> _serve_read ->
+#: Hdfs.read -> _transfer | use``.
+SMALL_R_DEPTH_CEILINGS = {
+    "cassandra": (8, 8),
+    "hbase": (8, 9),
+    "voldemort": (7, 7),
+    "redis": (7, 7),
+    "voltdb": (9, 9),
+    "mysql": (6, 6),
+}
+
+
+def _deepest_resume(monkeypatch) -> list:
+    """Wrap ``Process._step``: the one-element list holds the longest
+    generator chain any resume from here on walked."""
+    deepest = [0]
+    step = Process._step
+
+    def measured_step(process, ok, value):
+        depth = 0
+        generator = process.generator
+        while generator is not None:
+            depth += 1
+            generator = getattr(generator, "gi_yieldfrom", None)
+        if depth > deepest[0]:
+            deepest[0] = depth
+        step(process, ok, value)
+    monkeypatch.setattr(Process, "_step", measured_step)
+    return deepest
+
+
+@pytest.mark.parametrize("store", sorted(SMALL_R_DEPTH_CEILINGS))
+def test_small_read_point_resumes_no_deeper_than_its_ceiling(
+        store, clusters, monkeypatch):
+    ceiling, _parent = SMALL_R_DEPTH_CEILINGS[store]
+    deepest = _deepest_resume(monkeypatch)
+    _events_per_op(clusters, store=store, n_nodes=2, records_per_node=300,
+                   measured_ops=300, warmup_ops=40)
+    assert 0 < deepest[0] <= ceiling
 
 
 def test_hbase_read_fan_out_stays_under_its_ceiling(clusters):

@@ -56,6 +56,7 @@ from repro.sim.network import Network
 from repro.stores.registry import STORE_NAMES, store_class
 from repro.ycsb.runner import BenchmarkConfig, run_config
 from repro.ycsb.workload import WORKLOADS
+from tests.sim.reference_hdfs import shim_reference_read
 
 SMALL_M = replace(CLUSTER_M, connections_per_node=4)
 #: Data larger than the modelled page cache: reads reach ``Disk.read``.
@@ -210,12 +211,15 @@ PARENT_HBASE_R_EVENTS = 36_890
 
 def test_all_shims_together_replay_the_old_event_stream(clusters):
     """The shims are the old code: with every site spawning again the
-    kernel schedules exactly the events the parent commit did."""
+    kernel schedules exactly the events the parent commit did.  HBase's
+    block probes are each a ``Network.rpc`` again, as they were there
+    (``tests/sim/reference_hdfs.py``)."""
     config = _config("hbase", "R", SMALL_M)
     with pytest.MonkeyPatch.context() as patch:
         _shim_cpu(patch)
         _shim_disk(patch)
         patch.setattr(Network, "rpc", _reference_rpc(True, True))
+        shim_reference_read(patch)
         _run(config)
     assert clusters[-1].sim._sequence == PARENT_HBASE_R_EVENTS
 

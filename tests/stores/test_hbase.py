@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.sim.faults import NodeDownError
 from repro.stores.hbase import HBaseStore
 from repro.stores.hdfs import Hdfs, NameNode
 from tests.stores.conftest import make_records, run_op
@@ -42,7 +43,7 @@ class TestHdfs:
         sim = cluster4.sim
         with pytest.raises(FileNotFoundError):
             sim.run(until=sim.process(
-                hdfs.read("/nope", ("b",), 4096, cluster4.servers[0])))
+                hdfs.read("/nope", (("b",),), 4096, cluster4.servers[0])))
 
     def test_local_read_pays_loopback_not_wire(self, cluster4):
         hdfs = Hdfs(cluster4.sim, cluster4.network, cluster4.servers)
@@ -52,8 +53,39 @@ class TestHdfs:
         sim.run(until=sim.process(hdfs.append("/f", 4096, node)))
         node.page_cache.insert(("blk", 1))
         start = sim.now
-        sim.run(until=sim.process(hdfs.read("/f", ("blk", 1), 4096, node)))
+        sim.run(until=sim.process(
+            hdfs.read("/f", (("blk", 1),), 4096, node)))
         assert sim.now - start < 0.001  # no switch latency, cache hit
+
+    def test_a_datanode_lost_between_probes_fails_the_next_one(
+            self, cluster4):
+        """One read, two probes: the DataNode's node crashes once the
+        first probe's four events (loopback, CPU grant, CPU timer,
+        loopback) have fired, and the second probe raises as it starts,
+        before an event of its own."""
+        hdfs = Hdfs(cluster4.sim, cluster4.network, cluster4.servers)
+        hdfs.create("/f")
+        sim = cluster4.sim
+        node = cluster4.servers[0]
+        sim.run(until=sim.process(hdfs.append("/f", 4096, node)))
+        node.page_cache.insert(("blk", 1))
+        read = hdfs.read("/f", (("blk", 1), ("blk", 2)), 4096, node)
+        fired = []
+
+        def reader():
+            """Delegates to ``read`` by hand, to crash between probes."""
+            event = next(read)
+            while True:
+                fired.append((yield event))
+                if len(fired) == 4:
+                    node.fail()
+                event = read.send(fired[-1])
+        process = sim.process(reader())
+        sim.run()
+        assert len(fired) == 4
+        assert not process.ok
+        assert isinstance(process.value, NodeDownError)
+        assert "no live replica" in str(process.value)
 
 
 class TestRegions:
