@@ -214,6 +214,53 @@ class TestRun:
         with pytest.raises(SimulationError, match="deadlock"):
             sim.run(until=process)
 
+    def test_an_event_due_at_the_horizon_fires_in_that_call(self, sim):
+        """A timer that lands exactly on the horizon, and a zero-delay
+        event it triggers there, both fire before ``run`` returns."""
+        fired = []
+        echo = sim.event()
+        echo.callbacks.append(lambda event: fired.append(("echo", sim.now)))
+
+        def proc():
+            yield sim.timeout(0.5)
+            yield sim.timeout(0.5)  # scheduled at 0.5, due at 1.0
+            fired.append(("timer", sim.now))
+            echo.succeed()
+
+        sim.process(proc())
+        sim.run(until=1.0)
+        assert fired == [("timer", 1.0), ("echo", 1.0)]
+        assert sim.now == 1.0
+
+    def test_the_clock_reaches_the_horizon_after_the_queues_drain(self, sim):
+        sim.timeout(1.0)
+        sim.run(until=5.0)
+        assert sim.now == 5.0
+        assert sim._sequence == 1  # running takes no sequence number
+        sim.run()
+        assert sim.now == 5.0
+
+    def test_a_stop_event_run_continues_from_the_horizon(self, sim):
+        def proc():
+            yield sim.timeout(1.0)
+            yield sim.timeout(3.0)
+            return "done"
+
+        process = sim.process(proc())
+        sim.run(until=2.0)
+        assert sim.now == 2.0 and process.is_alive
+        assert sim.run(until=sim.timeout(0.5, value="half")) == "half"
+        assert sim.now == 2.5 and process.is_alive
+        assert sim.run(until=process) == "done"
+        assert sim.now == 4.0
+
+    def test_a_stop_event_that_never_fires_is_a_deadlock(self, sim):
+        """The other work runs out first; the clock stays where it ended."""
+        sim.timeout(1.0)
+        with pytest.raises(SimulationError, match="deadlock"):
+            sim.run(until=sim.event())
+        assert sim.now == 1.0
+
     def test_determinism(self):
         def build_and_run():
             sim = Simulator()

@@ -7,10 +7,11 @@ process-visible interleaving, same timestamps, same values, same final
 sequence count — as :class:`ReferenceScheduler`, which preserves the
 pre-fast-path ``(time, sequence, event)`` heap implementation verbatim.
 
-Each workload here is seeded, runs through both schedulers, and is
-compared twice: the full observation logs must be equal element by
-element (so a divergence pinpoints the first differing observation),
-and their digests must match (the compact form the kernel-touching
+Each workload here is seeded, runs through both schedulers in each of
+``Simulator.run``'s three stop modes (to quiescence, to a stop event,
+in horizon slices), and is compared twice: the full observation logs
+must be equal element by element (so a divergence pinpoints the first
+differing observation), and their digests must match (the compact form the kernel-touching
 workflow in DESIGN.md quotes).  The grids deliberately stress what the
 fast path optimises: zero-delay storms on the now lane, exact-time
 collisions in the far buckets, cancelled timers (lazy deletion),
@@ -29,12 +30,43 @@ from repro.sim.resources import Resource
 from tests.sim.reference_scheduler import ReferenceScheduler
 
 
-def _run(scheduler_cls, build, seed):
-    """Run one workload under ``scheduler_cls``; return its observations."""
+#: The three ways ``Simulator.run`` stops: when both lanes are empty, when
+#: a stop event is processed, and at a time horizon.
+MODES = ("quiescence", "stop", "horizon")
+
+#: A horizon that lands exactly on an event time in every workload (each
+#: starts a 1 ms timer at ``t = 0``): what is due at it must fire in
+#: that call, not the next.
+EXACT_CUT = 0.001
+
+#: Horizon cut points of the ``horizon`` mode, in order; ``0.0`` runs
+#: only what is due at the start.
+CUTS = (0.0, 0.0005, EXACT_CUT, 0.0025, 0.004, 0.01)
+
+
+def _run(scheduler_cls, build, seed, mode="quiescence"):
+    """Run one workload under ``scheduler_cls`` in ``mode``; return its
+    observations, with where each stop left the clock and the sequence."""
     sim = scheduler_cls()
     log = []
     rng = random.Random(seed)
+    spawned = []
+    spawn = sim.process
+
+    def process(generator, name=None):
+        spawned.append(spawn(generator, name=name))
+        return spawned[-1]
+    sim.process = process
     build(sim, log, rng)
+    sim.process = spawn
+    if mode == "stop":
+        values = sim.run(until=sim.all_of(spawned))
+        log.append(("stopped", len(values), round(sim.now, 12),
+                    sim._sequence))
+    elif mode == "horizon":
+        for cut in CUTS:
+            sim.run(until=cut)
+            log.append(("cut", cut, sim.now, sim._sequence))
     sim.run()
     log.append(("final", round(sim.now, 12), sim._sequence))
     return log
@@ -45,11 +77,11 @@ def _digest(log) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def assert_schedulers_agree(build, seeds=(1, 2, 3)):
+def assert_schedulers_agree(build, seeds=(1, 2, 3), mode="quiescence"):
     """The core differential assertion, over a few seeds."""
     for seed in seeds:
-        fast = _run(Simulator, build, seed)
-        oracle = _run(ReferenceScheduler, build, seed)
+        fast = _run(Simulator, build, seed, mode)
+        oracle = _run(ReferenceScheduler, build, seed, mode)
         for index, (got, want) in enumerate(zip(fast, oracle)):
             assert got == want, (
                 f"seed {seed}: first divergence at observation {index}: "
@@ -217,6 +249,23 @@ WORKLOADS = {
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_fast_scheduler_matches_oracle(name):
     assert_schedulers_agree(WORKLOADS[name])
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+@pytest.mark.parametrize("mode", MODES[1:])
+def test_fast_scheduler_matches_oracle_in_every_stop_mode(name, mode):
+    """To a stop event (every spawned process done, then the rest) and
+    in horizon slices, the two schedulers stop at the same instant and
+    sequence number and go on identically."""
+    assert_schedulers_agree(WORKLOADS[name], mode=mode)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_a_cut_lands_on_an_event_time(name):
+    """``EXACT_CUT`` is an instant at which the workload resumes a
+    process, so the horizon mode has an event due exactly at a horizon."""
+    log = _run(ReferenceScheduler, WORKLOADS[name], seed=1)
+    assert any(entry[-1] == EXACT_CUT for entry in log)
 
 
 def test_oracle_is_single_heap():

@@ -14,8 +14,9 @@ of the differential suite:
   recycling can therefore never alias an event that is still live.
 
 Every generated plan also runs through :class:`ReferenceScheduler` and
-must produce the identical fire log, which makes each Hypothesis
-example a miniature differential test.
+must produce the identical fire log — driven to quiescence, to a stop
+event or in horizon slices — which makes each Hypothesis example a
+miniature differential test.
 """
 
 from hypothesis import given, settings
@@ -38,9 +39,18 @@ plan_strategy = st.lists(
     st.lists(op_strategy, min_size=1, max_size=6),
     min_size=1, max_size=5,
 )
+#: How a plan is driven: ``None`` runs to quiescence, ``"stop"`` to the
+#: end of every worker, a tuple of times in horizon slices (times from
+#: the delay menu, so a horizon often lands on an event) — each then
+#: runs to quiescence.
+drive_strategy = st.one_of(
+    st.none(), st.just("stop"),
+    st.lists(st.sampled_from([0.0, 0.0005, 0.001, 0.002, 0.0035, 0.0115]),
+             min_size=1, max_size=3).map(lambda cuts: tuple(sorted(cuts))),
+)
 
 
-def _execute(scheduler_cls, plan):
+def _execute(scheduler_cls, plan, drive=None):
     """Run a generated plan; return (fired log, cancelled ids, sim)."""
     sim = scheduler_cls()
     fired = []
@@ -75,8 +85,15 @@ def _execute(scheduler_cls, plan):
                 slow.cancel()
                 cancelled.append(slow)
 
-    for windex, ops in enumerate(plan):
-        sim.process(worker(windex, ops), name=f"prop-{windex}")
+    workers = [sim.process(worker(windex, ops), name=f"prop-{windex}")
+               for windex, ops in enumerate(plan)]
+    if drive == "stop":
+        sim.run(until=sim.all_of(workers))
+        fired.append((sim.now, sim._sequence, "stop"))
+    elif drive is not None:
+        for cut in drive:
+            sim.run(until=cut)
+            fired.append((sim.now, sim._sequence, f"cut:{cut}"))
     sim.run()
     return fired, cancelled, sim
 
@@ -95,10 +112,10 @@ def test_interleavings_preserve_time_sequence_order(plan):
 
 
 @settings(max_examples=60, deadline=None)
-@given(plan=plan_strategy)
-def test_fast_scheduler_matches_oracle_on_random_plans(plan):
-    fast_fired, _, fast_sim = _execute(Simulator, plan)
-    oracle_fired, _, oracle_sim = _execute(ReferenceScheduler, plan)
+@given(plan=plan_strategy, drive=drive_strategy)
+def test_fast_scheduler_matches_oracle_on_random_plans(plan, drive):
+    fast_fired, _, fast_sim = _execute(Simulator, plan, drive)
+    oracle_fired, _, oracle_sim = _execute(ReferenceScheduler, plan, drive)
     assert fast_fired == oracle_fired
     assert fast_sim._sequence == oracle_sim._sequence
     assert round(fast_sim.now, 12) == round(oracle_sim.now, 12)
