@@ -26,6 +26,10 @@ Design notes
   ``(time, sequence)`` order.  The original single-heap implementation
   is kept beside the tests as the differential-testing oracle
   (``ReferenceScheduler`` in ``tests/sim/reference_scheduler.py``).
+* One drive loop, :meth:`Simulator.run`, serves all three ways a run
+  stops: at a stop event, at quiescence (against a fresh event that
+  never fires) and at a time horizon (tested only when the clock
+  advances).  The pop and the dispatch live in that loop alone.
 * A :class:`Process` is itself an :class:`Event` that succeeds with the
   generator's return value, which lets processes wait on each other and
   lets :class:`AllOf` / :class:`KOf` compose fan-out RPCs.
@@ -58,6 +62,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from functools import partial
+from math import inf
 from types import GeneratorType
 from typing import Any, Generator, Iterable, Optional
 
@@ -161,9 +166,9 @@ class Event:
         self._ok = True
         self._value = value
         self._triggered = True
-        # Inlined zero-delay schedule (== sim._schedule(self)): this is
-        # the hottest trigger path, and the now lane honours the
-        # scheduler's ordering contract by construction.
+        # Zero-delay schedule: the next sequence number, then the now
+        # lane.  This is the hottest trigger path, and the now lane
+        # honours the scheduler's ordering contract by construction.
         sim = self.sim
         seq = sim._sequence + 1
         sim._sequence = seq
@@ -204,23 +209,6 @@ class Event:
         self._cancelled = True
         return self
 
-    def _fire(self) -> None:
-        if self._cancelled:
-            return
-        self._processed = True
-        # Snapshot subscribers before notifying: anything registered
-        # *during* notification must never run (one-shot semantics,
-        # matching the original swap-then-iterate implementation).
-        waiter = self._waiter
-        cbs = self._callbacks
-        self._waiter = None
-        self._callbacks = None
-        if waiter is not None:
-            waiter._step(self._ok, self._value)
-        if cbs is not None:
-            for callback in cbs:
-                callback(self)
-
 
 class Timeout(Event):
     """An event that fires ``delay`` seconds after creation."""
@@ -239,7 +227,8 @@ class Timeout(Event):
         self._processed = False
         self._cancelled = False
         self.delay = delay
-        # Inlined sim._schedule(self, delay).
+        # Schedule: the next sequence number, then the now lane for a
+        # zero delay or the far-lane bucket at ``now + delay``.
         seq = sim._sequence + 1
         sim._sequence = seq
         self._qseq = seq
@@ -304,7 +293,7 @@ class Process(Event):
         self.context: Any = sim.context
         self.deadline: Optional[float] = sim.deadline
         # Bootstrap: resume on the next kernel step at the current time
-        # (inlined sim._schedule(self)).
+        # (a zero-delay schedule of the process as a resume entry).
         self._resuming = True
         self._r_ok = True
         self._r_value: Any = None
@@ -325,29 +314,6 @@ class Process(Event):
     def is_alive(self) -> bool:
         """Whether the underlying generator has not yet finished."""
         return not self._triggered
-
-    def _fire(self) -> None:
-        if self._cancelled:
-            return
-        if self._resuming:
-            self._resuming = False
-            ok, value = self._r_ok, self._r_value
-            self._r_value = None
-            self._step(ok, value)
-            return
-        # Completed-process role: notify waiters (Event._fire, inlined —
-        # this runs once per process and the extra call layer showed up
-        # in kernel profiles).
-        self._processed = True
-        waiter = self._waiter
-        cbs = self._callbacks
-        self._waiter = None
-        self._callbacks = None
-        if waiter is not None:
-            waiter._step(self._ok, self._value)
-        if cbs is not None:
-            for callback in cbs:
-                callback(self)
 
     def _resume(self, event: Event) -> None:
         """Callback-compatible resume (used on the shared-event path)."""
@@ -416,7 +382,7 @@ class Process(Event):
             # The event already fired; bounce — re-queue ourselves so the
             # resume lands at the current time *after* everything already
             # scheduled, exactly where the old kernel's helper event fired
-            # (inlined sim._schedule(self)).
+            # (a zero-delay schedule).
             self._resuming = True
             self._r_ok = target._ok
             self._r_value = target._value
@@ -604,7 +570,7 @@ class Simulator:
         self._far: dict[float, Any] = {}
         #: The now lane.  A ``deque`` keeps O(1) FIFO ops in C and —
         #: because the object identity never changes — lets the run
-        #: loops hoist it into a local once instead of re-reading the
+        #: loop hoist it into a local once instead of re-reading the
         #: attribute per event.
         self._nowq: "deque[Event]" = deque()
         #: Bound ``_nowq.append`` — the single most-called operation in
@@ -659,7 +625,7 @@ class Simulator:
         timeout = pool.pop()
         timeout._processed = False
         timeout.delay = delay
-        # Inlined self._schedule(timeout, delay).
+        # Scheduled exactly as ``Timeout.__init__`` schedules.
         seq = self._sequence + 1
         self._sequence = seq
         timeout._qseq = seq
@@ -717,164 +683,92 @@ class Simulator:
         """Event succeeding once ``k`` of ``events`` have succeeded."""
         return KOf(self, events, k)
 
-    # -- scheduling --------------------------------------------------------
-
-    def _schedule(self, event: Event, delay: float = 0.0) -> None:
-        """Queue ``event`` to fire ``delay`` seconds from now.
-
-        Consumes exactly one sequence number per call; the sequence is
-        the global tie-breaker among simultaneous events.
-        """
-        seq = self._sequence + 1
-        self._sequence = seq
-        event._qseq = seq
-        if delay == 0.0:
-            self._push_now(event)
-        else:
-            when = self._now + delay
-            far = self._far
-            bucket = far.get(when)
-            if bucket is None:
-                far[when] = event
-                heapq.heappush(self._heap, when)
-            elif bucket.__class__ is list:
-                bucket.append(event)
-            else:
-                far[when] = [bucket, event]
-
-    def _pop(self) -> Optional[Event]:
-        """Dequeue the next event in ``(time, sequence)`` order.
-
-        Advances the clock when the far lane wins.  Returns ``None``
-        when both lanes are empty.
-        """
-        nowq = self._nowq
-        if nowq:
-            return nowq.popleft()
-        heap = self._heap
-        if heap:
-            when = heapq.heappop(heap)
-            bucket = self._far.pop(when)
-            self._now = when
-            if bucket.__class__ is list:
-                nowq.extend(bucket)
-                return nowq.popleft()
-            return bucket
-        return None
+    # -- the drive loop ----------------------------------------------------
 
     def run(self, until: Optional[Any] = None) -> Any:
         """Run the simulation.
 
-        ``until`` may be ``None`` (run to quiescence), a number (run until
-        that simulated time), or an :class:`Event` (run until it fires; its
-        value is returned, and a failed event re-raises its exception).
+        ``until`` picks where the one drive loop stops:
 
-        The two hot drive modes (to quiescence and to a stop event) run
-        the pop-and-fire loop inline with the queues held in locals —
-        this loop is the single hottest code in the repo, so it trades a
-        little duplication with :meth:`_pop` for one less call layer per
-        event.
+        * an :class:`Event` — once that event is processed; its value is
+          returned, and a failed event re-raises its exception.  Running
+          out of events first raises :class:`SimulationError`
+          (deadlock);
+        * ``None`` — when both lanes are empty (quiescence).  The loop
+          runs against a fresh, never-triggered event, which takes no
+          sequence number;
+        * a number — at that simulated time.  Everything due at or
+          before it fires, then the clock is set to it.
+
+        Each pass pops the now lane, or else advances the clock and
+        splices the next far-lane bucket; the horizon is tested only on
+        that clock-advance branch, once per distinct time.  The dispatch
+        is inlined (one branch on the shared ``_resuming`` flag in place
+        of a megamorphic method call): a resume entry advances its
+        generator, anything else snapshots its waiter and callbacks,
+        then notifies them.  This is the hottest code in the repo, so
+        the queues are held in locals.
         """
+        horizon = inf
+        if isinstance(until, Event):
+            stop = until
+        else:
+            stop = Event(self)
+            if until is not None:
+                horizon = float(until)
+                if horizon < self._now:
+                    raise SimulationError(
+                        f"cannot run until {horizon} (now is {self._now})"
+                    )
         nowq = self._nowq
         heap = self._heap
         heappop = heapq.heappop
         popleft = nowq.popleft
         far = self._far
-        # The fire dispatch is inlined (one branch on the shared
-        # ``_resuming`` flag replaces a megamorphic ``_fire`` call):
-        # resume entries advance their generator, everything else runs
-        # the snapshot-then-notify sequence of :meth:`Event._fire`.
-        if isinstance(until, Event):
-            stop_event = until
-            while not stop_event._processed:
-                if nowq:
-                    event = popleft()
-                elif heap:
-                    self._now = when = heappop(heap)
-                    bucket = far.pop(when)
-                    if bucket.__class__ is list:
-                        nowq.extend(bucket)
-                        event = popleft()
-                    else:
-                        event = bucket
-                else:
-                    raise SimulationError(
-                        "simulation ran out of events before the awaited "
-                        "event fired (deadlock?)"
-                    )
-                if event._cancelled:
-                    continue
-                if event._resuming:
-                    event._resuming = False
-                    value = event._r_value
-                    event._r_value = None
-                    event._step(event._r_ok, value)
-                    continue
-                event._processed = True
-                waiter = event._waiter
-                cbs = event._callbacks
-                if cbs is None:
-                    if waiter is not None:
-                        event._waiter = None
-                        waiter._step(event._ok, event._value)
-                else:
-                    event._waiter = None
-                    event._callbacks = None
-                    if waiter is not None:
-                        waiter._step(event._ok, event._value)
-                    for callback in cbs:
-                        callback(event)
-            if stop_event.ok:
-                return stop_event._value
-            raise stop_event._value
-        if until is None:
-            while True:
-                if nowq:
-                    event = popleft()
-                elif heap:
-                    self._now = when = heappop(heap)
-                    bucket = far.pop(when)
-                    if bucket.__class__ is list:
-                        nowq.extend(bucket)
-                        event = popleft()
-                    else:
-                        event = bucket
-                else:
-                    return None
-                if event._cancelled:
-                    continue
-                if event._resuming:
-                    event._resuming = False
-                    value = event._r_value
-                    event._r_value = None
-                    event._step(event._r_ok, value)
-                    continue
-                event._processed = True
-                waiter = event._waiter
-                cbs = event._callbacks
-                if cbs is None:
-                    if waiter is not None:
-                        event._waiter = None
-                        waiter._step(event._ok, event._value)
-                else:
-                    event._waiter = None
-                    event._callbacks = None
-                    if waiter is not None:
-                        waiter._step(event._ok, event._value)
-                    for callback in cbs:
-                        callback(event)
-        horizon = float(until)
-        if horizon < self._now:
-            raise SimulationError(
-                f"cannot run until {horizon} (now is {self._now})"
-            )
-        while True:
+        while not stop._processed:
             if nowq:
-                event = self._pop()
+                event = popleft()
             elif heap and heap[0] <= horizon:
-                event = self._pop()
+                self._now = when = heappop(heap)
+                bucket = far.pop(when)
+                if bucket.__class__ is list:
+                    nowq.extend(bucket)
+                    event = popleft()
+                else:
+                    event = bucket
             else:
                 break
-            event._fire()  # type: ignore[union-attr]
-        self._now = max(self._now, horizon)
-        return None
+            if event._cancelled:
+                continue
+            if event._resuming:
+                event._resuming = False
+                value = event._r_value
+                event._r_value = None
+                event._step(event._r_ok, value)
+                continue
+            event._processed = True
+            waiter = event._waiter
+            cbs = event._callbacks
+            if cbs is None:
+                if waiter is not None:
+                    event._waiter = None
+                    waiter._step(event._ok, event._value)
+            else:
+                event._waiter = None
+                event._callbacks = None
+                if waiter is not None:
+                    waiter._step(event._ok, event._value)
+                for callback in cbs:
+                    callback(event)
+        if stop is not until:
+            if until is not None:
+                self._now = max(self._now, horizon)
+            return None
+        if not stop._processed:
+            raise SimulationError(
+                "simulation ran out of events before the awaited "
+                "event fired (deadlock?)"
+            )
+        if stop._ok:
+            return stop._value
+        raise stop._value

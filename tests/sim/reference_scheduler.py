@@ -5,8 +5,11 @@ tests used it: ``test_kernel_differential.py``, ``test_kernel_ordering.py``
 and ``test_kernel_properties.py`` run identical workloads through
 :class:`ReferenceScheduler` and the calendar-queue ``Simulator`` and
 compare event for event.  It subclasses the production ``Simulator`` and
-swaps in falsy stand-ins for the now lane and the timeout freelist, so it
-shares the driver code and differs only in the queue.
+swaps in falsy stand-ins for the now lane and the timeout freelist, so
+the trigger paths it inherits push onto its one heap.  Its drive loops
+are its own, and it dispatches each event with
+``tests.sim.stepping.fire``, not with the fast kernel's inlined
+dispatch.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import heapq
 from typing import Any, Optional
 
 from repro.sim.kernel import Event, SimulationError, Simulator, Timeout
+from tests.sim.stepping import fire
 
 __all__ = ["ReferenceScheduler"]
 
@@ -27,9 +31,7 @@ class _ReferenceLane:
     bootstraps and bounces) schedule zero-delay events by appending to
     ``sim._nowq``; here each append becomes the classic
     ``(now, sequence)`` heap push instead.  The lane is always falsy, so
-    every inherited queue inspection and run loop takes its heap branch —
-    restoring the pre-fast-path single-heap semantics without duplicating
-    the driver code.
+    every inherited queue inspection takes its heap branch.
     """
 
     __slots__ = ("sim",)
@@ -83,8 +85,8 @@ class ReferenceScheduler(Simulator):
     ``(time, sequence, event)`` tuples, exactly as the pre-fast-path
     kernel did.  Zero-delay scheduling reaches the heap through the
     :class:`_ReferenceLane` now-lane stand-in, and timeout creation is
-    rerouted through :meth:`_schedule` (the fast kernel inlines its
-    bucket pushes, which must not touch this scheduler's tuple heap).
+    rerouted through its own :meth:`_schedule` (the fast kernel inlines
+    its bucket pushes, which must not touch this scheduler's tuple heap).
     The differential suite runs identical workloads through this and the
     calendar-queue :class:`Simulator` and asserts the event orderings and
     result digests match; any ordering bug in the fast lanes shows up as
@@ -129,13 +131,6 @@ class ReferenceScheduler(Simulator):
         # the event stream, and fresh objects keep it trivially correct.
         return self._timed(delay)
 
-    def _pop(self) -> Optional[Event]:
-        if not self._heap:
-            return None
-        when, __, event = heapq.heappop(self._heap)
-        self._now = when
-        return event
-
     def run(self, until: Optional[Any] = None) -> Any:
         heap = self._heap
         heappop = heapq.heappop
@@ -149,7 +144,7 @@ class ReferenceScheduler(Simulator):
                     )
                 when, __, event = heappop(heap)
                 self._now = when
-                event._fire()
+                fire(event)
             if stop_event.ok:
                 return stop_event._value
             raise stop_event._value
@@ -157,7 +152,7 @@ class ReferenceScheduler(Simulator):
             while heap:
                 when, __, event = heappop(heap)
                 self._now = when
-                event._fire()
+                fire(event)
             return None
         horizon = float(until)
         if horizon < self._now:
@@ -167,6 +162,6 @@ class ReferenceScheduler(Simulator):
         while heap and heap[0][0] <= horizon:
             when, __, event = heappop(heap)
             self._now = when
-            event._fire()
+            fire(event)
         self._now = max(self._now, horizon)
         return None

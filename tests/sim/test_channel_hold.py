@@ -30,6 +30,8 @@ from repro.sim.resources import Resource
 from repro.stores.registry import create_store
 from repro.trace import Tracer
 
+from tests.sim.stepping import step_through
+
 # -- reference implementations: the four hand-written holds --------------------
 
 
@@ -407,13 +409,7 @@ def _observe(site_name, scenario, traced, reference):
     if fault is not None:
         sim.process(inject(*fault), name="fault")
 
-    events = []
-    while True:
-        event = sim._pop()
-        if event is None:
-            break
-        events.append((sim.now, event._qseq, type(event).__name__))
-        event._fire()
+    events = step_through(sim)
 
     stats = channel.stats
     return {

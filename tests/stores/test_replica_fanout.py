@@ -21,6 +21,7 @@ from repro.metrics import MetricsRegistry
 from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.stores.registry import create_store
 from repro.trace import Tracer
+from tests.sim.stepping import step_through
 from tests.sim.test_channel_hold import _span_tree
 from tests.stores.conftest import make_records
 from tests.stores.reference_fanouts import REFERENCE
@@ -159,13 +160,7 @@ def _observe(deployment, scenario, traced, reference):
     for at, action in faults:
         sim.process(inject(at, action), name="fault")
 
-    events = []
-    while True:
-        event = sim._pop()
-        if event is None:
-            break
-        events.append((sim.now, event._qseq, type(event).__name__))
-        event._fire()
+    events = step_through(sim)
 
     observed = {
         "events": events,
