@@ -1,12 +1,12 @@
 """Kernel-speed baseline: events/sec of the bare simulation engine.
 
-The ROADMAP's top open item is making `repro.sim.kernel` 10-100x faster
-— it is the binding constraint on cluster size and sweep breadth.  Any
-optimisation PR needs a *visible starting point*: this micro-benchmark
-drives a store-free workload (timer wheels plus contended resources,
-the two things every simulated operation exercises) and compares
-against its committed rows (workload ``kernel-micro``) in
-``BENCH_E2E.json``, the one perf trajectory at the repo root.
+Times the quiescence mode (``sim.run()``) of the kernel's one drive
+loop, ``Simulator.run``, on a store-free workload (timer wheels plus
+contended resources, the two things every simulated operation
+exercises), and compares against its committed rows (workload
+``kernel-micro``) in ``BENCH_E2E.json``, the one perf trajectory at the
+repo root.  A simulated benchmark point runs the same loop to a stop
+event.
 
 Two checks, deliberately asymmetric:
 
@@ -157,10 +157,9 @@ def test_kernel_speed_baseline(benchmark):
 def test_kernel_trajectory_records_fast_path():
     """The committed trajectory proves the fast path: >=4x the seed.
 
-    This is the Issue 7 acceptance gate and it inspects the *committed*
-    rows, not a fresh measurement — it can never flake on a loaded
-    machine, and it fails if anyone records a number that gives the
-    speedup back.
+    The gate inspects the *committed* rows, not a fresh measurement —
+    it can never flake on a loaded machine, and it fails if anyone
+    records a number that gives the speedup back.
     """
     rows = _committed_rows()
     assert len(rows) >= 2, (

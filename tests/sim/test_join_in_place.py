@@ -23,9 +23,11 @@ measurements):
 
 * CPU, disk and RPC-transfer joins shift every claimant of a station
   alike.  On this grid, as on all 42 ``bench_e2e`` point digests, the
-  ``result_to_dict`` payload is byte-identical, and that is asserted.
-  (It is a property of these points, not a theorem: a few figure-grid
-  points do move, by under 0.2 % in throughput.)
+  ``result_to_dict`` payload is byte-identical, and that is asserted —
+  with one exception: HBase R on the disk-bound cluster, whose disk
+  join moves throughput by 1.1 % (pinned as a strict ``xfail``).  It is
+  a property of these points, not a theorem: a few figure-grid points
+  move too, by under 0.2 % in throughput.
 * The RPC *handler* join advances only work that arrived by RPC
   relative to a node's local and background work, so ties flip more
   readily: here at cassandra/R on the disk-bound cluster (one maximum
@@ -59,8 +61,23 @@ from repro.ycsb.workload import WORKLOADS
 from tests.sim.reference_hdfs import shim_reference_read
 
 SMALL_M = replace(CLUSTER_M, connections_per_node=4)
-#: Data larger than the modelled page cache: reads reach ``Disk.read``.
+#: The disk-bound cluster.  Its scaled RAM floor leaves each server a
+#: 256 KiB page cache: at 300 records a node that holds all the data, at
+#: 2 000 it does not, and Cassandra's and HBase's reads reach
+#: ``Disk.read`` (asserted).  MySQL's reads do not reach the disk here
+#: at any size this grid can afford (0–1 misses up to 8 000 records).
 SMALL_D = replace(CLUSTER_D, connections_per_node=4)
+
+#: Points at which no read or write reaches a disk queue — the in-memory
+#: stores, and reads of data the page cache holds — so the disk shim
+#: has nothing to spawn there, which is asserted.
+DISKLESS = {"cassandra-R-M", "hbase-R-M", "mysql-R-M", "mysql-R-D",
+            *(f"{store}-{mix}-M" for store in ("redis", "voltdb")
+              for mix in ("R", "RW", "W", "RSW"))}
+
+#: The point whose disk join moves its payload; see
+#: ``test_the_disk_join_moves_hbase_reads_on_cluster_d``.
+DISK_MOVER = "hbase-R-D"
 
 #: Tolerances for a site that may reorder same-instant arrivals (the
 #: landing protocol's: throughput 0.25 %, percentiles 1 %).
@@ -148,42 +165,75 @@ def _grid():
         if store_class(store).supports_scans:
             mixes.append("RSW")
         for mix in mixes:
-            yield store, mix, SMALL_M
-    for store in ("cassandra", "hbase", "mysql"):
-        yield store, "R", SMALL_D
+            yield store, mix, SMALL_M, 300
+    yield "cassandra", "R", SMALL_D, 2_000
+    yield "hbase", "R", SMALL_D, 2_000
+    yield "mysql", "R", SMALL_D, 300
 
 
-def _config(store, mix, spec):
+def _config(store, mix, spec, records_per_node=300):
     return BenchmarkConfig(
         store=store, workload=WORKLOADS[mix], n_nodes=2, cluster_spec=spec,
-        records_per_node=300, measured_ops=300, warmup_ops=40, seed=16)
+        records_per_node=records_per_node, measured_ops=300, warmup_ops=40,
+        seed=16)
 
 
-GRID = [pytest.param(store, mix, spec, id=f"{store}-{mix}-{spec.name}")
-        for store, mix, spec in _grid()]
+GRID = [pytest.param(store, mix, spec, records,
+                     id=f"{store}-{mix}-{spec.name}")
+        for store, mix, spec, records in _grid()]
 
 
-@pytest.mark.parametrize("store,mix,spec", GRID)
-def test_spawning_shims_compute_the_same_point(store, mix, spec, clusters):
+@pytest.mark.parametrize("store,mix,spec,records", GRID)
+def test_spawning_shims_compute_the_same_point(store, mix, spec, records,
+                                               clusters):
     """Every store x workload: each shim computes the same point (byte
-    for byte; the handler within tolerance) in more kernel events."""
-    config = _config(store, mix, spec)
+    for byte; the handler within tolerance) in more kernel events —
+    the disk shim in as many where nothing reaches a disk queue."""
+    point = f"{store}-{mix}-{spec.name}"
+    config = _config(store, mix, spec, records)
     real = _run(config)
     real_payload = _payload(real)
     real_events = clusters[-1].sim._sequence
-    for name, shim in {**IDENTITY_SHIMS, "handler": _shim_handler}.items():
+    if spec is SMALL_D and point not in DISKLESS:
+        assert sum(server.page_cache.misses
+                   for server in clusters[-1].servers) > 0
+    shims = {**IDENTITY_SHIMS, "handler": _shim_handler}
+    if point == DISK_MOVER:
+        del shims["disk"]
+    for name, shim in shims.items():
         with pytest.MonkeyPatch.context() as patch:
             shim(patch)
             shimmed = _run(config)
         events = clusters[-1].sim._sequence
-        if name == "disk" and events == real_events:
-            continue  # nothing reached the disk queue at this point
-        assert events > real_events, name
+        if name == "disk" and point in DISKLESS:
+            assert events == real_events, name
+        else:
+            assert events > real_events, name
         if name == "handler":
             _assert_same_within_tolerance(real, shimmed)
         else:
             same = _payload(shimmed) == real_payload
             assert same, name
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "at 2 000 records a node (254 page-cache misses) the spawned disk "
+    "hold moves HBase R on Cluster D from 1172.4 to 1185.8 ops/s "
+    "(+1.1 %), past the 0.25 % a reordering site is held to"))
+def test_the_disk_join_moves_hbase_reads_on_cluster_d(clusters):
+    """The one grid point where the disk join is not byte-identical.
+
+    Cassandra R on the same cluster reaches ``Disk.read`` too (112
+    misses) and stays byte-identical.  Which same-instant tie flips
+    for HBase (see the module docstring) has not been traced.
+    """
+    config = _config("hbase", "R", SMALL_D, 2_000)
+    real = _run(config)
+    with pytest.MonkeyPatch.context() as patch:
+        _shim_disk(patch)
+        shimmed = _run(config)
+    _assert_same_within_tolerance(real, shimmed)
+    assert _payload(shimmed) == _payload(real)
 
 
 def _assert_same_within_tolerance(real, shimmed):

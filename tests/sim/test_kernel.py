@@ -4,6 +4,8 @@ import pytest
 
 from repro.sim.kernel import (
     AllOf,
+    Event,
+    Process,
     Simulator,
     SimulationError,
     Timeout,
@@ -260,6 +262,14 @@ class TestRun:
         with pytest.raises(SimulationError, match="deadlock"):
             sim.run(until=sim.event())
         assert sim.now == 1.0
+
+    def test_run_is_the_only_pop_and_dispatch(self):
+        """No second path pops or fires an event beside ``run``'s loop
+        (tests that step event by event use ``tests/sim/stepping.py``)."""
+        assert not hasattr(Simulator, "_pop")
+        assert not hasattr(Simulator, "_schedule")
+        assert not hasattr(Event, "_fire")
+        assert not hasattr(Process, "_fire")
 
     def test_determinism(self):
         def build_and_run():

@@ -87,6 +87,42 @@ class TestHdfs:
         assert isinstance(process.value, NodeDownError)
         assert "no live replica" in str(process.value)
 
+    @staticmethod
+    def _appended_across_a_crash(cluster):
+        """60 MB appended from ``server-0``, which then crashes, and 100 B
+        from ``server-1``: the file's two blocks live on two nodes."""
+        hdfs = Hdfs(cluster.sim, cluster.network, cluster.servers)
+        hdfs.create("/f")
+        sim = cluster.sim
+        first, second = cluster.servers[:2]
+        sim.run(until=sim.process(hdfs.append("/f", 60_000_000, first)))
+        first.fail()
+        sim.run(until=sim.process(hdfs.append("/f", 100, second)))
+        return hdfs
+
+    def test_an_append_after_a_crash_starts_a_block_on_the_writer(
+            self, cluster4):
+        hdfs = self._appended_across_a_crash(cluster4)
+        assert [(block.datanode, block.size)
+                for block in hdfs.namenode.files["/f"].blocks] == \
+            [(0, 60_000_000), (1, 100)]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "Hdfs.read serves every probe from the DataNode of the file's "
+        "last block; serving each from its own block's DataNode moves "
+        "chaos statistics, so it waits for the v1.9.0 re-baseline "
+        "(ROADMAP item 5)"))
+    def test_a_block_whose_one_copy_is_down_is_unreadable(self, cluster4):
+        """The first block's only copy (``dfs.replication`` 1) is on the
+        crashed ``server-0``, so a read of the file cannot be served."""
+        hdfs = self._appended_across_a_crash(cluster4)
+        reader = cluster4.servers[1]
+        sim = cluster4.sim
+        process = sim.process(hdfs.read("/f", (("blk", 1),), 4096, reader))
+        sim.run()
+        assert not process.ok
+        assert isinstance(process.value, NodeDownError)
+
 
 class TestRegions:
     def test_regions_partition_key_space(self, store, records):
