@@ -706,8 +706,9 @@ class Simulator:
         is inlined (one branch on the shared ``_resuming`` flag in place
         of a megamorphic method call): a resume entry advances its
         generator, anything else snapshots its waiter and callbacks,
-        then notifies them.  This is the hottest code in the repo, so
-        the queues are held in locals.
+        then notifies them (one-shot: nothing that subscribes during
+        the notification runs).  This is the hottest code in the repo,
+        so the queues are held in locals.
         """
         horizon = inf
         if isinstance(until, Event):
@@ -762,7 +763,7 @@ class Simulator:
                     callback(event)
         if stop is not until:
             if until is not None:
-                self._now = max(self._now, horizon)
+                self._now = horizon
             return None
         if not stop._processed:
             raise SimulationError(
